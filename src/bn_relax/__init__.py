@@ -4,13 +4,12 @@ from .eos import EosDomainError, EosParams
 from .harness import (ErrorReport, bench, case_error, convergence_study, l1_error,
                       least_squares_order, load_case_json, run_case, write_profile_csv)
 from .reference import ExactWaveFan, TestCase, exact_profile, exact_sample, get_case
-from .riemann import (FixedPointContext, PositivityFailure, RelaxParams,
-                      RelaxRiemannSolution, SharpQuantities, SolverError, WaveOrdering,
-                      build_solution, classify_ordering, fixed_point_context,
-                      interface_jump, sample, sharp_quantities, solve_star)
+from .riemann import (FixedPointContext, RelaxParams, RelaxRiemannSolution, SharpQuantities,
+                      SolverError, WaveOrdering, build_solution, classify_ordering,
+                      fixed_point_context, interface_jump, sample, sharp_quantities, solve_star)
 from .rusanov import rusanov_fluxes, rusanov_step
-from .scheme import (InitialData, InterfaceFluxes, ParamSelectConfig, RunConfig, RunResult,
-                     assemble_fluxes, cfl_dt, interface_fluxes, run, select_parameters, step)
+from .scheme import (InitialData, InterfaceFluxes, RunConfig, RunResult, assemble_fluxes, cfl_dt,
+                     interface_fluxes, run, select_parameters, step)
 from .state import (AdmissibilityError, ConservedState, PrimitiveState, VARIABLES,
                     max_abs_eigenvalue, to_conserved, to_primitive, validate_conserved,
                     validate_primitive)

@@ -22,7 +22,7 @@ from .eos import EosParams
 from .scheme import InitialData
 from .state import PrimitiveState, validate_primitive
 
-#: relative tolerance the 4-5 significant digits of the tabulated states support
+#: relative error bound the 4-5 significant digits of the tabulated states support
 TABLE_RTOL = 5e-3
 
 
@@ -292,14 +292,3 @@ def get_case(case_id: int) -> TestCase:
     validate_primitive(case.left, case.eos1, case.eos2, where=f"case {case_id} left")
     validate_primitive(case.right, case.eos1, case.eos2, where=f"case {case_id} right")
     return case
-
-
-def exclusion_zones(case: TestCase, margin: float):
-    """Self-similar intervals within ``margin`` of any wave (for plateau tests)."""
-    zones = []
-    for phase, eos in ((case.fan.phase1, case.eos1), (case.fan.phase2, case.eos2)):
-        for i, wave in enumerate(phase.waves):
-            head, tail = wave_speeds(wave, phase.regions[i], phase.regions[i + 1],
-                                     eos, case.fan.u2_star)
-            zones.append((head - margin, tail + margin))
-    return zones

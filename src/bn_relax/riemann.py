@@ -9,32 +9,28 @@ reproduces the exact same floating-point values by symmetry of the formulas.
 The solution is stored as per-phase piecewise-constant region tables in the
 nonconservative variables (tau, u, pi, E) plus the phase-fraction jump at the
 coupling wave.  Sampling at a wave speed returns the right limit.
+
+The solver takes the relaxation parameters as given.  Choosing them so that
+the problem has a solution with positive intermediate specific volumes is the
+job of ``scheme.select_parameters``.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .eos import EosParams
-from .state import PrimitiveState
+from .state import VARIABLES, PrimitiveState
+
+#: floor of the rightmost phase-1 specific volume on the dissipation branch,
+#: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
+MU = 0.1
 
 
 class SolverError(RuntimeError):
     """Internal failure of the Riemann solver (should be unreachable on feasible input)."""
-
-
-class PositivityFailure(RuntimeError):
-    """An intermediate specific volume came out non-positive.
-
-    Signals the caller to enlarge the phase-2 relaxation parameter.
-    Carries the boolean mask of failing interfaces in ``mask``.
-    """
-
-    def __init__(self, message, mask):
-        super().__init__(message)
-        self.mask = mask
 
 
 class WaveOrdering(enum.IntEnum):
@@ -74,7 +70,7 @@ class SharpQuantities:
 def as_cellwise(w: PrimitiveState) -> PrimitiveState:
     """View of a state with every field at least one-dimensional."""
     return PrimitiveState(*(np.atleast_1d(np.asarray(getattr(w, v), dtype=float))
-                            for v in ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")))
+                            for v in VARIABLES))
 
 
 def _star_predictors(uL, uR, pL, pR, tauL, tauR, a):
@@ -105,7 +101,7 @@ def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams
     return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, t2l, t2r, lam, u_cap)
 
 
-def coincident_tolerance(s: SharpQuantities, params: RelaxParams):
+def coincident_band(s: SharpQuantities, params: RelaxParams):
     """Scaled band around u_cap = 0 treated as the coincident ordering."""
     return 1e-12 * params.a1 * np.maximum(s.tau_sharp1_l, s.tau_sharp1_r)
 
@@ -118,7 +114,7 @@ def classify_ordering(s: SharpQuantities, params: RelaxParams):
     caller reacts by enlarging a1.  Infeasible entries still carry an
     ordering tag from the sign of u_cap.
     """
-    eps = coincident_tolerance(s, params)
+    eps = coincident_band(s, params)
     ordering = np.where(np.abs(s.u_cap) <= eps, 0, np.sign(s.u_cap)).astype(np.int8)
     feasible = ((s.tau_sharp1_l > 0.0) & (s.tau_sharp1_r > 0.0)
                 & (s.u_cap > -params.a1 * s.tau_sharp1_r)
@@ -130,9 +126,9 @@ def classify_ordering(s: SharpQuantities, params: RelaxParams):
 class FixedPointContext:
     """Scalar-equation setup for locating the coupling-wave speed.
 
-    Valid for interfaces already oriented to ``u_cap >= 0``.  ``mu`` in (0,1)
-    caps how far the dissipation branch may compress the rightmost phase-1
-    specific volume (it is floored at ``mu * tau_sharp1_r``).
+    Valid for interfaces already oriented to ``u_cap >= 0``.  ``MU`` caps how
+    far the dissipation branch may compress the rightmost phase-1 specific
+    volume (it is floored at ``MU * tau_sharp1_r``).
     """
 
     nu: np.ndarray            # alpha1_l / alpha1_r
@@ -141,9 +137,6 @@ class FixedPointContext:
     tau_ratio: np.ndarray     # tau_sharp1_r / tau_sharp1_l
     coupling: np.ndarray      # (a1/a2) alpha1_r / (alpha2_l + alpha2_r)
     rhs: np.ndarray           # target value of psi
-    mu: float = 0.1
-    tolerance: float = 1e-12
-    max_iterations: int = 200
 
     def mach_conservative(self, m):
         """Energy-preserving transmitted Mach number (non-negative, < 1)."""
@@ -165,10 +158,10 @@ class FixedPointContext:
             return np.where(self.nu == 1.0, m, out)
 
     def mach_cap(self, m):
-        """Dissipative cap keeping tau1_r* >= mu tau_sharp1_r; +inf when inactive."""
+        """Dissipative cap keeping tau1_r* >= MU tau_sharp1_r; +inf when inactive."""
         m = np.asarray(m, dtype=float)
-        den = 1.0 - (1.0 - self.mu) * self.tau_ratio
-        cap = (m + (1.0 - self.mu) * self.tau_ratio) / (self.nu * np.where(den > 0.0, den, 1.0))
+        den = 1.0 - (1.0 - MU) * self.tau_ratio
+        cap = (m + (1.0 - MU) * self.tau_ratio) / (self.nu * np.where(den > 0.0, den, 1.0))
         return np.where(den > 0.0, cap, np.inf)
 
     def mach(self, m):
@@ -180,7 +173,7 @@ class FixedPointContext:
 
 
 def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantities,
-                        params: RelaxParams, mu: float = 0.1) -> FixedPointContext:
+                        params: RelaxParams) -> FixedPointContext:
     a1L = np.asarray(wL.alpha1, dtype=float)
     a1R = np.asarray(wR.alpha1, dtype=float)
     scale = params.a1 * s.tau_sharp1_l
@@ -194,7 +187,6 @@ def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantiti
         tau_ratio=s.tau_sharp1_r / s.tau_sharp1_l,
         coupling=ratio * a1R / ((1.0 - a1L) + (1.0 - a1R)),
         rhs=m_sharp - ratio * s.lambda_alpha * p_sharp,
-        mu=mu,
     )
 
 
@@ -219,12 +211,12 @@ def solve_star(ctx: FixedPointContext, s: SharpQuantities, params: RelaxParams):
     half_c = 2.0 / ctx.nu
     rs = 1.0 / np.sqrt(ctx.nu)
     drift = 2.0 * (1.0 - rs) ** 2
-    cap_den = 1.0 - (1.0 - ctx.mu) * ctx.tau_ratio
-    cap_add = (1.0 - ctx.mu) * ctx.tau_ratio
+    cap_den = 1.0 - (1.0 - MU) * ctx.tau_ratio
+    cap_add = (1.0 - MU) * ctx.tau_ratio
     cap_mul = 1.0 / (ctx.nu * np.where(cap_den > 0.0, cap_den, np.inf))  # 0 disables cap
     huge = np.where(cap_den > 0.0, 0.0, np.inf)
     equal_frac = ctx.nu == 1.0
-    for _ in range(min(52, ctx.max_iterations)):
+    for _ in range(52):
         mid = 0.5 * (lo + hi)
         b2m = q * (1.0 + mid * mid)                     # 2 m b
         # factored discriminant: see mach_conservative
@@ -271,19 +263,6 @@ class RelaxRiemannSolution:
     u2: np.ndarray
     pi2: np.ndarray
     E2: np.ndarray
-    # advected left/right tables (relaxation specific volume, internal energy,
-    # equilibrium pressure), switching at the phase contact u_k*
-    adv1: np.ndarray      # (2, 3, ...): [side, (tau, e, p)]
-    adv2: np.ndarray
-
-    @property
-    def wave_speeds(self):
-        """The six wave speeds: both acoustic pairs plus u1*, u2*."""
-        return dict(
-            acoustic1_left=self.breaks1[0], acoustic1_right=self.breaks1[3],
-            acoustic2_left=self.breaks2[0], acoustic2_right=self.breaks2[2],
-            u1_star=self.u1_star, u2_star=self.u2_star,
-        )
 
 
 @dataclass(frozen=True)
@@ -299,12 +278,6 @@ class SampledState:
     u2: np.ndarray
     pi2: np.ndarray
     E2: np.ndarray
-    T1: np.ndarray   # advected relaxation specific volume, phase 1
-    e1: np.ndarray   # advected internal energy, phase 1
-    P1: np.ndarray   # advected equilibrium pressure, phase 1
-    T2: np.ndarray
-    e2: np.ndarray
-    P2: np.ndarray
 
     @property
     def rho1(self):
@@ -370,62 +343,52 @@ def _oriented_regions(wL, wR, e1L, e1R, e2L, e2R, s, params, m_star, mach, nu, u
 
 
 def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
-                   params: RelaxParams, mu: float = 0.1,
+                   params: RelaxParams,
                    precomputed: SharpQuantities | None = None) -> RelaxRiemannSolution:
     """Solve the interface Riemann problems for already-feasible parameters.
 
     Raises SolverError if the existence condition does not hold (callers are
-    expected to have selected parameters first) and PositivityFailure if any
-    intermediate specific volume comes out non-positive; the failure mask
-    tells the parameter-selection loop which interfaces need a larger a2.
+    expected to have selected parameters first).  Intermediate specific
+    volumes are returned whatever their sign: their positivity is one of the
+    predicates ``scheme.select_parameters`` climbs a2 for.
     """
     a1 = np.asarray(params.a1, dtype=float)
     a2 = np.asarray(params.a2, dtype=float)
     s0 = precomputed if precomputed is not None else sharp_quantities(wL, wR, params)
-    eps = coincident_tolerance(s0, params)
+    eps = coincident_band(s0, params)
     flip = s0.u_cap < -eps
 
-    # reflect the flagged interfaces: swap sides, negate velocities
     def pick(a, b):
+        """``a`` where the interface keeps its orientation, ``b`` where it is reflected."""
         return np.where(flip, np.asarray(b, dtype=float), np.asarray(a, dtype=float))
 
-    wl = PrimitiveState(pick(wL.alpha1, wR.alpha1), pick(wL.rho1, wR.rho1),
-                        pick(wL.u1, -np.asarray(wR.u1, dtype=float)), pick(wL.p1, wR.p1),
-                        pick(wL.rho2, wR.rho2), pick(wL.u2, -np.asarray(wR.u2, dtype=float)),
-                        pick(wL.p2, wR.p2))
-    wr = PrimitiveState(pick(wR.alpha1, wL.alpha1), pick(wR.rho1, wL.rho1),
-                        pick(wR.u1, -np.asarray(wL.u1, dtype=float)), pick(wR.p1, wL.p1),
-                        pick(wR.rho2, wL.rho2), pick(wR.u2, -np.asarray(wL.u2, dtype=float)),
-                        pick(wR.p2, wL.p2))
+    # reflect the flagged interfaces: swap sides, negate velocities
+    mL, mR = wL.mirrored(), wR.mirrored()
+    wl = PrimitiveState(*(pick(getattr(wL, v), getattr(mR, v)) for v in VARIABLES))
+    wr = PrimitiveState(*(pick(getattr(wR, v), getattr(mL, v)) for v in VARIABLES))
 
     # reflection maps the predictors exactly: u and u_cap flip sign, pi is
     # untouched, the tau predictors swap sides
-    def neg(x):
-        return np.where(flip, -x, x)
-
     s = SharpQuantities(
-        u_sharp1=neg(s0.u_sharp1), pi_sharp1=s0.pi_sharp1,
+        u_sharp1=pick(s0.u_sharp1, -s0.u_sharp1), pi_sharp1=s0.pi_sharp1,
         tau_sharp1_l=pick(s0.tau_sharp1_l, s0.tau_sharp1_r),
         tau_sharp1_r=pick(s0.tau_sharp1_r, s0.tau_sharp1_l),
-        u_sharp2=neg(s0.u_sharp2), pi_sharp2=s0.pi_sharp2,
+        u_sharp2=pick(s0.u_sharp2, -s0.u_sharp2), pi_sharp2=s0.pi_sharp2,
         tau_sharp2_l=pick(s0.tau_sharp2_l, s0.tau_sharp2_r),
         tau_sharp2_r=pick(s0.tau_sharp2_r, s0.tau_sharp2_l),
-        lambda_alpha=neg(s0.lambda_alpha), u_cap=neg(s0.u_cap))
+        lambda_alpha=pick(s0.lambda_alpha, -s0.lambda_alpha), u_cap=pick(s0.u_cap, -s0.u_cap))
     ordering, feasible = classify_ordering(s, params)
     if np.any(~feasible):
         raise SolverError("existence condition violated; select parameters before solving")
 
-    ctx = fixed_point_context(wl, wr, s, params, mu=mu)
+    ctx = fixed_point_context(wl, wr, s, params)
     coincident = ordering == 0
-    equal_frac = np.asarray(wl.alpha1, dtype=float) == np.asarray(wr.alpha1, dtype=float)
+    equal_frac = wl.alpha1 == wr.alpha1
     if np.all(coincident):
         m_star = np.zeros_like(s.u_cap)
     else:
         # solve everywhere (cheap, branch-free); coincident entries forced to 0
-        safe_ctx = FixedPointContext(
-            nu=ctx.nu, m_sharp=ctx.m_sharp, p_sharp=ctx.p_sharp, tau_ratio=ctx.tau_ratio,
-            coupling=ctx.coupling, rhs=np.where(coincident, 0.0, ctx.rhs), mu=mu)
-        m_star, _, _ = solve_star(safe_ctx, s, params)
+        m_star, _, _ = solve_star(replace(ctx, rhs=np.where(coincident, 0.0, ctx.rhs)), s, params)
         # without a fraction jump the scalar equation is the identity, so the
         # root is the right-hand side itself; taking it exactly (and the
         # phase-2 star speed verbatim below) decouples the phases bitwise
@@ -443,13 +406,9 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
      breaks2, tau2, uu2, pp2, EE2) = _oriented_regions(
         wl, wr, e1L_, e1R_, e2L_, e2R_, s, params, m_star, mach, ctx.nu, u2s)
 
-    bad = (tau1[1:4] <= 0.0).any(axis=0) | (tau2[1:3] <= 0.0).any(axis=0)
-    if np.any(bad):
-        raise PositivityFailure("non-positive intermediate specific volume", bad)
-
     # coupling pressure: defined only when the phase fraction jumps
-    dal = np.asarray(wr.alpha1, dtype=float) - np.asarray(wl.alpha1, dtype=float)
-    al2sum = (1.0 - np.asarray(wl.alpha1, dtype=float)) + (1.0 - np.asarray(wr.alpha1, dtype=float))
+    dal = wr.alpha1 - wl.alpha1
+    al2sum = (1.0 - wl.alpha1) + (1.0 - wr.alpha1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pi1_star = s.pi_sharp2 - a2 * al2sum / dal * (u2s - s.u_sharp2)
     pi1_star = np.where(dal == 0.0, np.nan, pi1_star)
@@ -469,26 +428,12 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     u2_star = np.where(flip, -u2s, u2s)
     ordering = np.where(flip, -ordering, ordering).astype(np.int8)
 
-    # advected tables come straight from the original sides
-    shape = u1s.shape
-
-    def side_table(rho, e, p):
-        return np.stack([np.broadcast_to(1.0 / np.asarray(rho, dtype=float), shape),
-                         np.broadcast_to(np.asarray(e, dtype=float), shape),
-                         np.broadcast_to(np.asarray(p, dtype=float), shape)])
-
-    adv1 = np.stack([side_table(wL.rho1, eos1.internal_energy(wL.rho1, wL.p1), wL.p1),
-                     side_table(wR.rho1, eos1.internal_energy(wR.rho1, wR.p1), wR.p1)])
-    adv2 = np.stack([side_table(wL.rho2, eos2.internal_energy(wL.rho2, wL.p2), wL.p2),
-                     side_table(wR.rho2, eos2.internal_energy(wR.rho2, wR.p2), wR.p2)])
-
     return RelaxRiemannSolution(
         params=RelaxParams(a1, a2), ordering=ordering,
         u1_star=u1_star, u2_star=u2_star, pi1_star=pi1_star,
         alpha1_l=np.asarray(wL.alpha1, dtype=float), alpha1_r=np.asarray(wR.alpha1, dtype=float),
         breaks1=breaks1, tau1=tau1, u1=uu1, pi1=pp1, E1=EE1,
         breaks2=breaks2, tau2=tau2, u2=uu2, pi2=pp2, E2=EE2,
-        adv1=adv1, adv2=adv2,
     )
 
 
@@ -515,19 +460,12 @@ def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
     on_left_of_coupling = (np.asarray(xi) < sol.u2_star) | \
         ((np.asarray(xi) == sol.u2_star) & (side == "-"))
     alpha1 = np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r)
-    adv1_side = (~((np.asarray(xi) < sol.u1_star) |
-                   ((np.asarray(xi) == sol.u1_star) & (side == "-")))).astype(int)
-    adv2_side = (~on_left_of_coupling).astype(int)
-    adv1 = np.take_along_axis(sol.adv1, adv1_side[None, None, ...], axis=0)[0]
-    adv2 = np.take_along_axis(sol.adv2, adv2_side[None, None, ...], axis=0)[0]
     return SampledState(
         alpha1=alpha1,
         tau1=_take(sol.tau1, i1), u1=_take(sol.u1, i1),
         pi1=_take(sol.pi1, i1), E1=_take(sol.E1, i1),
         tau2=_take(sol.tau2, i2), u2=_take(sol.u2, i2),
         pi2=_take(sol.pi2, i2), E2=_take(sol.E2, i2),
-        T1=adv1[0], e1=adv1[1], P1=adv1[2],
-        T2=adv2[0], e2=adv2[1], P2=adv2[2],
     )
 
 

@@ -10,36 +10,26 @@ masses, mixture momentum and mixture energy are conservative by construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eos import EosParams
-from .riemann import (PositivityFailure, RelaxParams, RelaxRiemannSolution, SharpQuantities,
-                      SolverError, as_cellwise, build_solution, classify_ordering, sample,
-                      sharp_quantities)
-from .state import (AdmissibilityError, ConservedState, PrimitiveState, to_conserved,
-                    to_primitive, validate_conserved)
+from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, as_cellwise,
+                      build_solution, classify_ordering, sample, sharp_quantities)
+from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_primitive,
+                    validate_conserved)
 
 
-@dataclass(frozen=True)
-class ParamSelectConfig:
-    """Inflation factor and per-loop iteration cap of the parameter search.
-
-    The cap exists to turn a runaway search into a diagnosable error; with
-    eta = 0.01 it bounds the growth of each parameter at (1 + eta)**cap, and
-    must accommodate locally supersonic relative velocities (benchmark case 2
-    needs roughly a five-fold growth of a1 near the strong right shock).
-    """
-
-    eta: float = 0.01
-    max_inflations: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
-        if self.max_inflations < 1:
-            raise ValueError("max_inflations must be >= 1")
+#: inflation factor of the (1 + ETA)**k parameter ladders
+ETA = 0.01
+#: rungs each ladder may climb, and a2 retries each interface may take, before
+#: selection reports the interface.  The cap turns a runaway search into a
+#: diagnosable error; it bounds the growth of each parameter at
+#: (1 + ETA)**MAX_INFLATIONS, and must accommodate locally supersonic relative
+#: velocities (benchmark case 2 needs roughly a five-fold growth of a1 near the
+#: strong right shock).
+MAX_INFLATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -49,9 +39,6 @@ class RunConfig:
     domain: tuple = (-0.5, 0.5)
     cfl: float = 0.45
     scheme: str = "relaxation"
-    boundary: str = "transmissive"
-    select: ParamSelectConfig = field(default_factory=ParamSelectConfig)
-    mu: float = 0.1
     entropy_audit: bool = False
 
     def __post_init__(self):
@@ -61,8 +48,6 @@ class RunConfig:
             raise ValueError("need at least 2 cells")
         if self.scheme not in ("relaxation", "rusanov"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary != "transmissive":
-            raise ValueError("only transmissive boundaries are supported")
         if self.t_final < 0.0:
             raise ValueError("t_final must be >= 0")
 
@@ -90,28 +75,25 @@ def _existence_ok(s, params):
     return ok
 
 
-def _climb_ladder(wL, wR, a1, a2, bad, grow, cfg):
-    """Advance one parameter up its (1 + eta)**k ladder on the ``bad`` subset.
+def _climb_ladder(wL, wR, params: RelaxParams, bad, grow, holds) -> RelaxParams:
+    """Advance a1 or a2 (``grow`` is 1 or 2) up its (1 + ETA)**k ladder on ``bad``.
 
-    ``grow`` is 1 or 2; the predicate is tau-predictor positivity of the
-    growing phase, joined with the existence window when phase 1 grows.
-    Rungs of the failing interfaces are evaluated in broadcast blocks, taking
-    the first feasible rung -- the same value the one-rung-at-a-time loop
-    would reach -- without paying for the whole ladder when a low rung works.
+    Each failing interface takes its first rung where ``holds(s, params)`` is
+    true.  Rungs are evaluated in broadcast blocks, which reaches the same
+    value as the one-rung-at-a-time loop without paying for the whole ladder
+    when a low rung works.
     """
-    predicate = _existence_ok if grow == 1 else _tau2_ok
-    idx = np.flatnonzero(np.atleast_1d(bad))
-    rungs = np.cumprod(np.full(cfg.max_inflations, 1.0 + cfg.eta))
+    idx = np.flatnonzero(bad)
+    rungs = np.cumprod(np.full(MAX_INFLATIONS, 1.0 + ETA))
     chosen = np.full(idx.size, -1, dtype=np.int64)
     open_cols = np.arange(idx.size)
     block = 128
-    for start in range(0, cfg.max_inflations, block):
+    for start in range(0, MAX_INFLATIONS, block):
         cols = idx[open_cols]
-        sub_a1 = np.atleast_1d(a1)[cols]
-        sub_a2 = np.atleast_1d(a2)[cols]
+        sub_a1, sub_a2 = params.a1[cols], params.a2[cols]
         r = rungs[start:start + block, None]
         cand = RelaxParams(sub_a1 * r, sub_a2) if grow == 1 else RelaxParams(sub_a1, sub_a2 * r)
-        ok = predicate(sharp_quantities(wL[cols], wR[cols], cand), cand)
+        ok = holds(sharp_quantities(wL[cols], wR[cols], cand), cand)
         hit = ok.any(axis=0)
         chosen[open_cols[hit]] = start + ok.argmax(axis=0)[hit]
         open_cols = open_cols[~hit]
@@ -119,77 +101,54 @@ def _climb_ladder(wL, wR, a1, a2, bad, grow, cfg):
             break
     if open_cols.size:
         raise _infeasible(f"a{grow}", wL, wR, int(idx[open_cols[0]]))
-    out = np.array(np.atleast_1d(a1 if grow == 1 else a2), dtype=float, copy=True)
+    out = (params.a1 if grow == 1 else params.a2).copy()
     out[idx] = out[idx] * rungs[chosen]
-    if np.ndim(a1) == 0:
-        out = out[0]
-    return (out, a2) if grow == 1 else (a1, out)
+    return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
 
 
-def _refresh_sharp(s, wL, wR, params, idx):
-    """Recompute the predictors of the ``idx`` interfaces after a climb."""
-    sub = sharp_quantities(wL[idx], wR[idx],
-                           RelaxParams(np.atleast_1d(params.a1)[idx],
-                                       np.atleast_1d(params.a2)[idx]))
-    fields = {}
-    for name in ("u_sharp1", "pi_sharp1", "tau_sharp1_l", "tau_sharp1_r",
-                 "u_sharp2", "pi_sharp2", "tau_sharp2_l", "tau_sharp2_r",
-                 "lambda_alpha", "u_cap"):
-        arr = np.array(np.atleast_1d(getattr(s, name)), dtype=float, copy=True)
-        arr[idx] = np.atleast_1d(getattr(sub, name))
-        fields[name] = arr if np.ndim(s.u_cap) else arr[0]
-    return SharpQuantities(**fields)
-
-
-def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
-                      cfg: ParamSelectConfig = ParamSelectConfig(), mu: float = 0.1):
+def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams):
     """Pick per-interface (a1, a2) and return them with the solved Riemann problem.
 
-    Starts from the Whitham-like bound (1 + eta) max(rho c) over the two end
-    states, then climbs a1 until the tau predictors of phase 1 are positive
-    and the existence condition holds, and a2 until the tau predictors of
-    phase 2 and all intermediate specific volumes are positive.  Any interface
-    exceeding the rung cap is reported with its states.
+    Starts from the Whitham-like bound (1 + ETA) max(rho c) over the two end
+    states and climbs until three predicates hold at every interface:
+
+    1. the tau predictors of phase 2 are positive (a2 climbs its ladder);
+    2. the tau predictors of phase 1 are positive and the existence
+       condition holds (a1 climbs its ladder);
+    3. every intermediate specific volume of the solution is positive (a2 is
+       multiplied by 1 + ETA, then 1 and 2 are checked again).
+
+    Each interface climbs on its own, so its parameters do not depend on the
+    rest of the row.  Any interface exceeding the rung cap is reported with
+    its states.  Parameters and solution are one-dimensional, also for
+    scalar input.
     """
-    a1 = np.asarray((1.0 + cfg.eta) * np.maximum(eos1.lagrangian_sound_speed(wL.rho1, wL.p1),
-                                                 eos1.lagrangian_sound_speed(wR.rho1, wR.p1)),
-                    dtype=float)
-    a2 = np.asarray((1.0 + cfg.eta) * np.maximum(eos2.lagrangian_sound_speed(wL.rho2, wL.p2),
-                                                 eos2.lagrangian_sound_speed(wR.rho2, wR.p2)),
-                    dtype=float)
-    n2 = np.zeros_like(np.atleast_1d(a2), dtype=np.int64)
-    wLv, wRv = as_cellwise(wL), as_cellwise(wR)
-    s = None
+    wL, wR = as_cellwise(wL), as_cellwise(wR)
+    params = RelaxParams(
+        (1.0 + ETA) * np.maximum(eos1.lagrangian_sound_speed(wL.rho1, wL.p1),
+                                 eos1.lagrangian_sound_speed(wR.rho1, wR.p1)),
+        (1.0 + ETA) * np.maximum(eos2.lagrangian_sound_speed(wL.rho2, wL.p2),
+                                 eos2.lagrangian_sound_speed(wR.rho2, wR.p2)))
+    retries = np.zeros(params.a2.shape, dtype=np.int64)
     while True:
-        params = RelaxParams(a1, a2)
-        if s is None:
-            s = sharp_quantities(wL, wR, params)
-        bad2 = ~_tau2_ok(s, params)
-        if np.any(bad2):
-            a1, a2 = _climb_ladder(wLv, wRv, a1, a2, bad2, 2, cfg)
-            s = _refresh_sharp(s, wLv, wRv, RelaxParams(a1, a2), np.flatnonzero(np.atleast_1d(bad2)))
-            continue
-        bad1 = ~_existence_ok(s, params)
-        if np.any(bad1):
-            a1, a2 = _climb_ladder(wLv, wRv, a1, a2, bad1, 1, cfg)
-            s = _refresh_sharp(s, wLv, wRv, RelaxParams(a1, a2), np.flatnonzero(np.atleast_1d(bad1)))
-            continue
-        try:
-            sol = build_solution(wL, wR, eos1, eos2, params, mu=mu, precomputed=s)
-        except PositivityFailure as fail:
-            idx = np.flatnonzero(np.atleast_1d(fail.mask))
-            a2 = np.where(fail.mask, a2 * (1.0 + cfg.eta), a2)
-            n2 = n2 + np.atleast_1d(fail.mask)
-            if np.any(n2 > cfg.max_inflations):
-                raise _infeasible("a2", wL, wR, int(np.argmax(n2 > cfg.max_inflations))) from None
-            s = _refresh_sharp(s, wLv, wRv, RelaxParams(a1, a2), idx)
-            continue
-        return params, sol
+        s = sharp_quantities(wL, wR, params)
+        for grow, holds in ((2, _tau2_ok), (1, _existence_ok)):
+            bad = ~holds(s, params)
+            if np.any(bad):
+                params = _climb_ladder(wL, wR, params, bad, grow, holds)
+                s = sharp_quantities(wL, wR, params)
+        sol = build_solution(wL, wR, eos1, eos2, params, precomputed=s)
+        bad = (sol.tau1[1:4] <= 0.0).any(axis=0) | (sol.tau2[1:3] <= 0.0).any(axis=0)
+        if not np.any(bad):
+            return params, sol
+        retries += bad
+        if np.any(retries > MAX_INFLATIONS):
+            raise _infeasible("a2", wL, wR, int(np.argmax(retries > MAX_INFLATIONS)))
+        params = RelaxParams(params.a1, np.where(bad, params.a2 * (1.0 + ETA), params.a2))
 
 
 def _dump(w: PrimitiveState, j):
-    vals = {k: float(np.atleast_1d(getattr(w, k))[j])
-            for k in ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")}
+    vals = {k: float(getattr(w, k)[j]) for k in VARIABLES}
     return "{" + ", ".join(f"{k}={v:.6g}" for k, v in vals.items()) + "}"
 
 
@@ -238,10 +197,10 @@ def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     return InterfaceFluxes(f_minus=f_minus, f_plus=f_plus)
 
 
-def interface_fluxes(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
-                     cfg: ParamSelectConfig = ParamSelectConfig(), mu: float = 0.1) -> InterfaceFluxes:
+def interface_fluxes(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
+                     eos2: EosParams) -> InterfaceFluxes:
     """Select parameters, solve, and assemble fluxes in one call."""
-    _, sol = select_parameters(wL, wR, eos1, eos2, cfg, mu=mu)
+    _, sol = select_parameters(wL, wR, eos1, eos2)
     return assemble_fluxes(sol)
 
 
@@ -253,16 +212,9 @@ def cfl_dt(cells: PrimitiveState, params: RelaxParams, dx: float, cfl: float):
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
-    padded_u1 = np.concatenate([[np.atleast_1d(cells.u1)[0]], np.atleast_1d(cells.u1),
-                                [np.atleast_1d(cells.u1)[-1]]])
-    padded_u2 = np.concatenate([[np.atleast_1d(cells.u2)[0]], np.atleast_1d(cells.u2),
-                                [np.atleast_1d(cells.u2)[-1]]])
-    padded_t1 = 1.0 / np.concatenate([[np.atleast_1d(cells.rho1)[0]], np.atleast_1d(cells.rho1),
-                                      [np.atleast_1d(cells.rho1)[-1]]])
-    padded_t2 = 1.0 / np.concatenate([[np.atleast_1d(cells.rho2)[0]], np.atleast_1d(cells.rho2),
-                                      [np.atleast_1d(cells.rho2)[-1]]])
     smax = 0.0
-    for u, tau, a in ((padded_u1, padded_t1, params.a1), (padded_u2, padded_t2, params.a2)):
+    for u, rho, a in ((cells.u1, cells.rho1, params.a1), (cells.u2, cells.rho2, params.a2)):
+        u, tau = _pad_edges(u), 1.0 / _pad_edges(rho)
         smax = max(smax,
                    float(np.max(np.abs(u[:-1] - a * tau[:-1]))),
                    float(np.max(np.abs(u[1:] + a * tau[1:]))))
@@ -271,13 +223,15 @@ def cfl_dt(cells: PrimitiveState, params: RelaxParams, dx: float, cfl: float):
     return cfl * dx / smax
 
 
+def _pad_edges(v):
+    """Transmissive ghost cells of one field: replicate its edge values."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    return np.concatenate([v[:1], v, v[-1:]])
+
+
 def _pad(w: PrimitiveState) -> PrimitiveState:
-    """Transmissive ghost cells: replicate the edge values."""
-    def p(v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return np.concatenate([v[:1], v, v[-1:]])
-    return PrimitiveState(*(p(getattr(w, f)) for f in
-                            ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")))
+    """Transmissive ghost cells of every field."""
+    return PrimitiveState(*(_pad_edges(getattr(w, f)) for f in VARIABLES))
 
 
 @dataclass
@@ -301,7 +255,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     n = np.atleast_1d(cells.alpha1).shape[0]
     wl = padded[slice(0, n + 1)]
     wr = padded[slice(1, n + 2)]
-    params, sol = select_parameters(wl, wr, eos1, eos2, cfg.select, mu=cfg.mu)
+    params, sol = select_parameters(wl, wr, eos1, eos2)
     dt = min(cfl_dt(prim, params, dx, cfg.cfl), dt_cap)
     fluxes = assemble_fluxes(sol)
     lam = dt / dx
@@ -374,7 +328,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
     Per step the record captures dt, the four conserved-family totals and the
     minima entering the admissibility proof.  Conservation of each family is
-    audited against the boundary fluxes; with ``cfg.entropy_audit`` the
+    audited against the fluxes through the two domain ends; with ``cfg.entropy_audit`` the
     per-cell discrete entropy balance is accumulated as well (relaxation
     scheme only).
     """
@@ -409,17 +363,17 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
         totals_new = _totals(cells)
         fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-        boundary = (
+        end_fluxes = (
             (fm[1, -1], fp[1, 0]),
             (fm[2, -1], fp[2, 0]),
             (fm[3, -1] + fm[4, -1], fp[3, 0] + fp[4, 0]),
             (fm[5, -1] + fm[6, -1], fp[5, 0] + fp[6, 0]),
         )
         # the baseline's alpha-gradient terms do not telescope, so only its
-        # mass families admit a boundary-flux audit
+        # mass families admit an audit against the end fluxes
         audited = 4 if cfg.scheme == "relaxation" else 2
         for name, new, oldv, (f_out, f_in) in list(zip(cons_err, totals_new, totals_old,
-                                                       boundary))[:audited]:
+                                                       end_fluxes))[:audited]:
             drift = abs(new - oldv + lam * (f_out - f_in))
             scale = max(1.0, abs(oldv))
             cons_err[name] = max(cons_err[name], drift / scale)

@@ -5,11 +5,13 @@ solution, mass / momentum / energy balances must hold exactly (the coupling
 wave carries the pi1* product and a non-negative energy dissipation).  The
 solver never sees this audit; it is assembled from the sampled regions alone.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bn_relax import (EosParams, ParamSelectConfig, PrimitiveState, RelaxParams, SolverError,
-                      WaveOrdering, build_solution, classify_ordering, fixed_point_context,
+from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveOrdering,
+                      build_solution, classify_ordering, fixed_point_context,
                       interface_jump, sample, select_parameters, sharp_quantities, solve_star)
 from conftest import random_primitive
 
@@ -21,9 +23,8 @@ def sc(x):
     return np.asarray(x).reshape(-1)[0].item()
 
 
-def params_for(wL, wR, eos1, eos2, **kw):
-    p, sol = select_parameters(wL, wR, eos1, eos2, ParamSelectConfig(), **kw)
-    return p, sol
+def params_for(wL, wR, eos1, eos2):
+    return select_parameters(wL, wR, eos1, eos2)
 
 
 def uniform_state(alpha=0.4, rho1=1.0, u1=0.1, p1=1.0, rho2=2.0, u2=-0.3, p2=0.8):
@@ -123,9 +124,7 @@ def test_solve_star_bracket_failure_is_error():
     params = RelaxParams(3.0, 3.0)
     s = sharp_quantities(w, w, params)
     ctx = fixed_point_context(w, w, s, params)
-    bad = type(ctx)(nu=ctx.nu, m_sharp=ctx.m_sharp, p_sharp=ctx.p_sharp,
-                    tau_ratio=ctx.tau_ratio, coupling=ctx.coupling,
-                    rhs=np.asarray(5.0), mu=ctx.mu)
+    bad = dataclasses.replace(ctx, rhs=np.asarray(5.0))
     with pytest.raises(SolverError, match="bracket"):
         solve_star(bad, s, params)
 
@@ -368,33 +367,22 @@ def test_equal_fraction_decoupling(rng):
 
 # ------------------------------------------------------------ advection consistency
 
-def test_entropy_advection_switches_at_contacts(rng):
-    for _ in range(50):
-        wL, wR, params, sol = feasible_pair(rng)
-        s1L = IDEAL.entropy(wL.rho1, IDEAL.internal_energy(wL.rho1, wL.p1))
-        s1R = IDEAL.entropy(wR.rho1, IDEAL.internal_energy(wR.rho1, wR.p1))
-        s2L = IDEAL.entropy(wL.rho2, IDEAL.internal_energy(wL.rho2, wL.p2))
-        s2R = IDEAL.entropy(wR.rho2, IDEAL.internal_energy(wR.rho2, wR.p2))
-        eps = 1e-10
-        before1 = sample(sol, sc(sol.u1_star) - eps)
-        after1 = sample(sol, sc(sol.u1_star) + eps)
-        assert sc(IDEAL.entropy(1.0 / before1.T1, before1.e1)) == pytest.approx(sc(s1L), rel=1e-12)
-        assert sc(IDEAL.entropy(1.0 / after1.T1, after1.e1)) == pytest.approx(sc(s1R), rel=1e-12)
-        before2 = sample(sol, sc(sol.u2_star) - eps)
-        after2 = sample(sol, sc(sol.u2_star) + eps)
-        assert sc(IDEAL.entropy(1.0 / before2.T2, before2.e2)) == pytest.approx(sc(s2L), rel=1e-12)
-        assert sc(IDEAL.entropy(1.0 / after2.T2, after2.e2)) == pytest.approx(sc(s2R), rel=1e-12)
-
-
 def test_sampled_energy_consistent_with_advected_data(rng):
-    # E = u^2/2 + e_adv + (pi^2 - P_adv^2) / (2 a^2) in every region
+    # E = u^2/2 + e + (pi^2 - p^2) / (2 a^2) in every region, with e and p of
+    # the end state on the same side of the phase's contact u_k*
     for _ in range(50):
         wL, wR, params, sol = feasible_pair(rng)
         a1 = sc(params.a1)
         a2 = sc(params.a2)
+        e1 = [sc(IDEAL.internal_energy(w.rho1, w.p1)) for w in (wL, wR)]
+        e2 = [sc(IDEAL.internal_energy(w.rho2, w.p2)) for w in (wL, wR)]
+        p1 = [sc(wL.p1), sc(wR.p1)]
+        p2 = [sc(wL.p2), sc(wR.p2)]
         for xi in np.linspace(-3, 3, 25):
             w = sample(sol, xi)
-            E1 = 0.5 * sc(w.u1) ** 2 + sc(w.e1) + (sc(w.pi1) ** 2 - sc(w.P1) ** 2) / (2 * a1 ** 2)
-            E2 = 0.5 * sc(w.u2) ** 2 + sc(w.e2) + (sc(w.pi2) ** 2 - sc(w.P2) ** 2) / (2 * a2 ** 2)
+            k1 = int(xi >= sc(sol.u1_star))
+            k2 = int(xi >= sc(sol.u2_star))
+            E1 = 0.5 * sc(w.u1) ** 2 + e1[k1] + (sc(w.pi1) ** 2 - p1[k1] ** 2) / (2 * a1 ** 2)
+            E2 = 0.5 * sc(w.u2) ** 2 + e2[k2] + (sc(w.pi2) ** 2 - p2[k2] ** 2) / (2 * a2 ** 2)
             assert sc(w.E1) == pytest.approx(E1, rel=1e-11, abs=1e-12)
             assert sc(w.E2) == pytest.approx(E2, rel=1e-11, abs=1e-12)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from bn_relax import (EosParams, InitialData, ParamSelectConfig, PrimitiveState, RunConfig,
-                      assemble_fluxes, cfl_dt, get_case, interface_fluxes, run,
+from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, assemble_fluxes,
+                      cfl_dt, get_case, interface_fluxes, run,
                       select_parameters, step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams
+from bn_relax.scheme import ETA
 from conftest import random_primitive
 
 IDEAL = EosParams(1.4)
@@ -70,6 +71,25 @@ def test_whitham_bound_always_respected(rng):
                         IDEAL.lagrangian_sound_speed(wR.rho2, wR.p2))
     assert np.all(params.a1 > floor1)
     assert np.all(params.a2 > floor2)
+
+
+def test_selection_is_row_independent(rng):
+    # every interface climbs on its own: solving the whole row gives each
+    # interface the bits it gets alone, on the a1 and a2 ladders and retries
+    w = random_primitive(rng, 800)
+    wL, wR = w[slice(0, 400)], w[slice(400, 800)]
+    params, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    for j in range(400):
+        pj, sj = select_parameters(wL[j], wR[j], IDEAL, IDEAL)
+        in_row = (params.a1[j], params.a2[j], sol.tau1[:, j], sol.u2_star[j])
+        alone = (pj.a1, pj.a2, sj.tau1[:, 0], sj.u2_star)
+        for got, want in zip(in_row, alone):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
+    start1 = (1.0 + ETA) * np.maximum(IDEAL.lagrangian_sound_speed(wL.rho1, wL.p1),
+                                      IDEAL.lagrangian_sound_speed(wR.rho1, wR.p1))
+    start2 = (1.0 + ETA) * np.maximum(IDEAL.lagrangian_sound_speed(wL.rho2, wL.p2),
+                                      IDEAL.lagrangian_sound_speed(wR.rho2, wR.p2))
+    assert np.any(params.a1 > start1) and np.any(params.a2 > start2)
 
 
 # ------------------------------------------------------------ fluxes
