@@ -6,6 +6,10 @@ is solved in one call.  The construction is carried out for the wave ordering
 (velocities negated, sides swapped), solving, and reflecting back, which
 reproduces the exact same floating-point values by symmetry of the formulas.
 
+The coupling-wave speed solves a scalar equation, ``psi(m) = rhs``, which
+``solve_star`` iterates only at interfaces where the phase fraction jumps
+and the waves do not coincide; elsewhere the root is known in closed form.
+
 The solution is stored as per-phase piecewise-constant region tables in the
 nonconservative variables (tau, u, pi, E) plus the phase-fraction jump at the
 coupling wave.  Sampling at a wave speed returns the right limit.
@@ -17,7 +21,8 @@ job of ``scheme.select_parameters``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +32,11 @@ from .state import VARIABLES, PrimitiveState
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
 MU = 0.1
+#: relative stopping tolerance of the star solve, on the residual of psi and
+#: on the width of the bracket
+STOP_TOL = 4.0 * np.finfo(float).eps
+#: sweeps of the star solve after which every bracket is at most 2**-52 wide
+MAX_SWEEPS = 4 * 52
 
 
 class SolverError(RuntimeError):
@@ -71,6 +81,36 @@ def as_cellwise(w: PrimitiveState) -> PrimitiveState:
     """View of a state with every field at least one-dimensional."""
     return PrimitiveState(*(np.atleast_1d(np.asarray(getattr(w, v), dtype=float))
                             for v in VARIABLES))
+
+
+def take_interfaces(data, at):
+    """The interfaces ``at`` (a mask or indices) of a dataclass of per-interface arrays.
+
+    The interface axis is the last one.  A 0-d field holds for every
+    interface and is kept as it is.
+    """
+    idx = np.flatnonzero(at) if np.asarray(at).dtype == bool else at
+
+    def part(v):
+        v = np.asarray(v)
+        return v.take(idx, axis=-1) if v.ndim else v
+    return type(data)(**{f.name: part(getattr(data, f.name)) for f in fields(data)})
+
+
+def put_interfaces(row, at, data):
+    """Copy of ``row`` with its interfaces ``at`` replaced by those of ``data``.
+
+    ``data`` is ``take_interfaces(row, at)`` solved again; nested dataclasses
+    (the parameters of a solution) are replaced the same way.
+    """
+    def put(old, new):
+        if is_dataclass(old):
+            return put_interfaces(old, at, new)
+        out = np.array(old)
+        out[..., at] = new
+        return out
+    return type(row)(**{f.name: put(getattr(row, f.name), getattr(data, f.name))
+                        for f in fields(row)})
 
 
 def _star_predictors(uL, uR, pL, pR, tauL, tauR, a):
@@ -128,7 +168,9 @@ class FixedPointContext:
 
     Valid for interfaces already oriented to ``u_cap >= 0``.  ``MU`` caps how
     far the dissipation branch may compress the rightmost phase-1 specific
-    volume (it is floored at ``MU * tau_sharp1_r``).
+    volume (it is floored at ``MU * tau_sharp1_r``).  The coefficients of
+    ``mach`` are computed on first use and kept, because ``solve_star``
+    evaluates ``psi`` once per sweep.
     """
 
     nu: np.ndarray            # alpha1_l / alpha1_r
@@ -138,31 +180,39 @@ class FixedPointContext:
     coupling: np.ndarray      # (a1/a2) alpha1_r / (alpha2_l + alpha2_r)
     rhs: np.ndarray           # target value of psi
 
+    @cached_property
+    def _conservative_coeffs(self):
+        q = 1.0 + 1.0 / self.nu
+        rs = 1.0 / np.sqrt(self.nu)
+        return q, 2.0 * (1.0 - rs) ** 2, 4.0 * rs, 4.0 / self.nu
+
     def mach_conservative(self, m):
         """Energy-preserving transmitted Mach number (non-negative, < 1)."""
         m = np.asarray(m, dtype=float)
-        with np.errstate(over="ignore"):  # masked m = 0 entries blow up harmlessly
-            safe_m = np.maximum(m, 1e-300)
-            q = 1.0 + 1.0 / self.nu
-            b = q * (1.0 + m * m) / (2.0 * safe_m)
-            c = 4.0 / self.nu
-            # the discriminant b^2 - c factors into non-negative terms, which
-            # avoids the catastrophic cancellation of the naive form near m = 1
-            rs = 1.0 / np.sqrt(self.nu)
-            f1 = q * (1.0 - m) ** 2 + 2.0 * m * (1.0 - rs) ** 2
-            f2 = q * (1.0 + m * m) + 4.0 * m * rs
-            disc = np.sqrt(f1 * f2) / (2.0 * safe_m)
-            out = np.where(m > 0.0, (c / 2.0) / (b + disc), 0.0)
-            # for equal phase fractions the map is the identity; taking it
-            # exactly makes the phases decouple to machine precision
-            return np.where(self.nu == 1.0, m, out)
+        q, drift, four_rs, four_over_nu = self._conservative_coeffs
+        # smaller root (c/2) / (b + sqrt(b^2 - c)) of the quadratic with
+        # b = q (1 + m^2) / (2m), c = 4 / nu, multiplied through by 2m so that
+        # m = 0 needs no guard; b^2 - c factors into non-negative terms, which
+        # avoids the catastrophic cancellation of the naive form near m = 1
+        two_mb = q * (1.0 + m * m)
+        disc = np.sqrt((q * (1.0 - m) ** 2 + drift * m) * (two_mb + four_rs * m))
+        out = four_over_nu * m / (two_mb + disc)
+        # for equal phase fractions the map is the identity; taking it
+        # exactly makes the phases decouple to machine precision
+        return np.where(self.nu == 1.0, m, out)
+
+    @cached_property
+    def _cap_coeffs(self):
+        shift = (1.0 - MU) * self.tau_ratio
+        den = 1.0 - shift
+        # an inactive cap gets slope 0 and offset +inf
+        return shift, 1.0 / (self.nu * np.where(den > 0.0, den, np.inf)), \
+            np.where(den > 0.0, 0.0, np.inf)
 
     def mach_cap(self, m):
         """Dissipative cap keeping tau1_r* >= MU tau_sharp1_r; +inf when inactive."""
-        m = np.asarray(m, dtype=float)
-        den = 1.0 - (1.0 - MU) * self.tau_ratio
-        cap = (m + (1.0 - MU) * self.tau_ratio) / (self.nu * np.where(den > 0.0, den, 1.0))
-        return np.where(den > 0.0, cap, np.inf)
+        shift, slope, offset = self._cap_coeffs
+        return (np.asarray(m, dtype=float) + shift) * slope + offset
 
     def mach(self, m):
         return np.minimum(self.mach_conservative(m), self.mach_cap(m))
@@ -191,47 +241,59 @@ def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantiti
 
 
 def solve_star(ctx: FixedPointContext, s: SharpQuantities, params: RelaxParams):
-    """Bisect psi(m) = rhs on (0, 1) and return (m_star, u2_star, u1_star).
+    """Solve psi(m) = rhs on (0, 1) and return (m_star, u2_star, u1_star).
 
-    Assumes the oriented ordering (u_cap >= 0); entries flagged coincident by
-    the caller should be overwritten with m = 0.  psi(0) = 0 <= rhs and
-    psi(1) > rhs whenever the existence condition holds, so a sign change is
-    guaranteed; its absence is an internal error.
+    Assumes the oriented ordering (u_cap >= 0).  psi(0) = 0 <= rhs and
+    psi(1) > rhs whenever the existence condition holds, so (0, 1) brackets
+    the root; its absence is an internal error.  psi is increasing, with a
+    kink wherever ``mach_cap`` takes over from ``mach_conservative``.
+
+    Each sweep evaluates psi once per interface at the Illinois point: the
+    secant point of the bracket (lo, hi), after halving the residual of an
+    end that the two previous sweeps both kept.  The sweep takes the midpoint
+    instead where that point is not strictly inside the bracket, or where the
+    bracket is wider than half its width three sweeps earlier.  So the
+    bracket at least halves every four sweeps, and MAX_SWEEPS leave it no
+    wider than the 52 halvings of plain bisection would.  An interface stops
+    at the first m with |psi(m) - rhs| <= STOP_TOL max(1, rhs), which is
+    m = 0 with no sweep when rhs itself is that small, or when
+    hi - lo <= STOP_TOL hi, with m the last point evaluated.
     """
     rhs = np.asarray(ctx.rhs, dtype=float)
     lo = np.zeros_like(rhs)
     hi = np.ones_like(rhs)
+    f_lo = -rhs                     # psi(0) = 0
     f_hi = ctx.psi(hi) - rhs
     if np.any(f_hi <= 0.0) or np.any(rhs < 0.0):
         raise SolverError("fixed point bracket failure on (0, 1)")
-    # inlined psi with hoisted constants; 52 halvings reach machine precision
-    slope = 1.0 + ctx.coupling * (1.0 + ctx.nu)
-    weight = 2.0 * ctx.coupling * ctx.nu
-    q = 1.0 + 1.0 / ctx.nu
-    half_c = 2.0 / ctx.nu
-    rs = 1.0 / np.sqrt(ctx.nu)
-    drift = 2.0 * (1.0 - rs) ** 2
-    cap_den = 1.0 - (1.0 - MU) * ctx.tau_ratio
-    cap_add = (1.0 - MU) * ctx.tau_ratio
-    cap_mul = 1.0 / (ctx.nu * np.where(cap_den > 0.0, cap_den, np.inf))  # 0 disables cap
-    huge = np.where(cap_den > 0.0, 0.0, np.inf)
-    equal_frac = ctx.nu == 1.0
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        b2m = q * (1.0 + mid * mid)                     # 2 m b
-        # factored discriminant: see mach_conservative
-        disc2m = np.sqrt((q * (1.0 - mid) ** 2 + mid * drift) * (b2m + 4.0 * mid * rs))
-        m0 = np.where(equal_frac, mid, (half_c * 2.0 * mid) / (b2m + disc2m))
-        mcap = (mid + cap_add) * cap_mul + huge
-        f = slope * mid - weight * np.minimum(m0, mcap) - rhs
-        go_right = f <= 0.0
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    m_star = 0.5 * (lo + hi)
-    mach = ctx.mach(m_star)
-    u2_star = s.u_sharp1 - params.a1 * s.tau_sharp1_l * m_star
-    u1_star = s.u_sharp1 - params.a1 * s.tau_sharp1_l * (m_star - ctx.nu * mach) / (1.0 + ctx.nu * mach)
-    return m_star, u2_star, u1_star
+    tol = STOP_TOL * np.maximum(1.0, rhs)
+    m = lo
+    widths = [np.inf] * 3                   # bracket widths before the last three sweeps
+    moved_lo = np.full(rhs.shape, -1)       # end moved by the last sweep: 1 lo, 0 hi, -1 none
+    active = rhs > tol
+    for _ in range(MAX_SWEEPS):
+        if not np.any(active):
+            break
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lo - f_lo * (width / (f_hi - f_lo))
+        bisect = ~((x > lo) & (x < hi)) | (width > 0.5 * widths[0])
+        widths = widths[1:] + [width]
+        x = np.where(bisect, lo + 0.5 * width, x)
+        f = ctx.psi(x) - rhs
+        # converged interfaces sweep on harmlessly; only m is frozen for them
+        to_lo = f <= 0.0
+        again = to_lo == moved_lo
+        lo, hi = np.where(to_lo, x, lo), np.where(to_lo, hi, x)
+        f_lo = np.where(to_lo, f, np.where(again, 0.5 * f_lo, f_lo))
+        f_hi = np.where(to_lo, np.where(again, 0.5 * f_hi, f_hi), f)
+        moved_lo = to_lo
+        m = np.where(active, x, m)
+        active &= (np.abs(f) > tol) & (hi - lo > STOP_TOL * hi)
+    mach = ctx.mach(m)
+    u2_star = s.u_sharp1 - params.a1 * s.tau_sharp1_l * m
+    u1_star = s.u_sharp1 - params.a1 * s.tau_sharp1_l * (m - ctx.nu * mach) / (1.0 + ctx.nu * mach)
+    return m, u2_star, u1_star
 
 
 @dataclass(frozen=True)
@@ -384,16 +446,16 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     ctx = fixed_point_context(wl, wr, s, params)
     coincident = ordering == 0
     equal_frac = wl.alpha1 == wr.alpha1
-    if np.all(coincident):
-        m_star = np.zeros_like(s.u_cap)
-    else:
-        # solve everywhere (cheap, branch-free); coincident entries forced to 0
-        m_star, _, _ = solve_star(replace(ctx, rhs=np.where(coincident, 0.0, ctx.rhs)), s, params)
-        # without a fraction jump the scalar equation is the identity, so the
-        # root is the right-hand side itself; taking it exactly (and the
-        # phase-2 star speed verbatim below) decouples the phases bitwise
-        m_star = np.where(equal_frac, np.clip(ctx.rhs, 0.0, 1.0), m_star)
-        m_star = np.where(coincident, 0.0, m_star)
+    # without a fraction jump the scalar equation is the identity, so the
+    # root is the right-hand side itself; taking it exactly (and the
+    # phase-2 star speed verbatim below) decouples the phases bitwise
+    m_star = np.where(coincident, 0.0, np.clip(ctx.rhs, 0.0, 1.0))
+    # solve_star's bracket check sees only the jumping interfaces; the others
+    # could not fail it, since coincident ones have no equation to solve and
+    # with equal fractions psi(1) >= 1 > rhs
+    jump = ~(coincident | equal_frac)
+    if np.any(jump):
+        m_star[jump] = solve_star(*(take_interfaces(x, jump) for x in (ctx, s, params)))[0]
     mach = np.where(coincident, 0.0, ctx.mach(m_star))
     u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - a1 * s.tau_sharp1_l * m_star)
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .eos import EosParams
 from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, as_cellwise,
-                      build_solution, classify_ordering, sample, sharp_quantities)
+                      build_solution, classify_ordering, put_interfaces, sample,
+                      sharp_quantities, take_interfaces)
 from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_primitive,
                     validate_conserved)
 
@@ -75,15 +76,14 @@ def _existence_ok(s, params):
     return ok
 
 
-def _climb_ladder(wL, wR, params: RelaxParams, bad, grow, holds) -> RelaxParams:
-    """Advance a1 or a2 (``grow`` is 1 or 2) up its (1 + ETA)**k ladder on ``bad``.
+def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, holds) -> RelaxParams:
+    """Advance a1 or a2 (``grow`` is 1 or 2) up its (1 + ETA)**k ladder at interfaces ``idx``.
 
     Each failing interface takes its first rung where ``holds(s, params)`` is
     true.  Rungs are evaluated in broadcast blocks, which reaches the same
     value as the one-rung-at-a-time loop without paying for the whole ladder
     when a low rung works.
     """
-    idx = np.flatnonzero(bad)
     rungs = np.cumprod(np.full(MAX_INFLATIONS, 1.0 + ETA))
     chosen = np.full(idx.size, -1, dtype=np.int64)
     open_cols = np.arange(idx.size)
@@ -119,7 +119,8 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
        multiplied by 1 + ETA, then 1 and 2 are checked again).
 
     Each interface climbs on its own, so its parameters do not depend on the
-    rest of the row.  Any interface exceeding the rung cap is reported with
+    rest of the row; a retry for predicate 3 solves only the interfaces that
+    failed it again.  Any interface exceeding the rung cap is reported with
     its states.  Parameters and solution are one-dimensional, also for
     scalar input.
     """
@@ -129,22 +130,31 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
                                  eos1.lagrangian_sound_speed(wR.rho1, wR.p1)),
         (1.0 + ETA) * np.maximum(eos2.lagrangian_sound_speed(wL.rho2, wL.p2),
                                  eos2.lagrangian_sound_speed(wR.rho2, wR.p2)))
-    retries = np.zeros(params.a2.shape, dtype=np.int64)
+    at = np.arange(params.a2.size)  # interfaces solved in this round: the whole row at first
+    wl, wr, sub = wL, wR, params
+    retries = np.zeros(at.size, dtype=np.int64)
+    sol = None
     while True:
-        s = sharp_quantities(wL, wR, params)
+        s = sharp_quantities(wl, wr, sub)
         for grow, holds in ((2, _tau2_ok), (1, _existence_ok)):
-            bad = ~holds(s, params)
+            bad = ~holds(s, sub)
             if np.any(bad):
-                params = _climb_ladder(wL, wR, params, bad, grow, holds)
-                s = sharp_quantities(wL, wR, params)
-        sol = build_solution(wL, wR, eos1, eos2, params, precomputed=s)
-        bad = (sol.tau1[1:4] <= 0.0).any(axis=0) | (sol.tau2[1:3] <= 0.0).any(axis=0)
+                params = _climb_ladder(wL, wR, params, at[bad], grow, holds)
+                sub = take_interfaces(params, at)
+                s = sharp_quantities(wl, wr, sub)
+        part = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
+        sol = part if sol is None else put_interfaces(sol, at, part)
+        bad = (part.tau1[1:4] <= 0.0).any(axis=0) | (part.tau2[1:3] <= 0.0).any(axis=0)
         if not np.any(bad):
             return params, sol
-        retries += bad
+        at = at[bad]
+        retries[at] += 1
         if np.any(retries > MAX_INFLATIONS):
             raise _infeasible("a2", wL, wR, int(np.argmax(retries > MAX_INFLATIONS)))
-        params = RelaxParams(params.a1, np.where(bad, params.a2 * (1.0 + ETA), params.a2))
+        a2 = params.a2.copy()
+        a2[at] *= 1.0 + ETA
+        params = RelaxParams(params.a1, a2)
+        wl, wr, sub = wL[at], wR[at], take_interfaces(params, at)
 
 
 def _dump(w: PrimitiveState, j):

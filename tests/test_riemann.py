@@ -5,17 +5,26 @@ solution, mass / momentum / energy balances must hold exactly (the coupling
 wave carries the pi1* product and a non-negative energy dissipation).  The
 solver never sees this audit; it is assembled from the sampled regions alone.
 """
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveOrdering,
                       build_solution, classify_ordering, fixed_point_context,
-                      interface_jump, sample, select_parameters, sharp_quantities, solve_star)
+                      interface_jump, riemann, sample, select_parameters, sharp_quantities,
+                      solve_star)
+from bn_relax.riemann import STOP_TOL, FixedPointContext, take_interfaces
+from bn_relax.state import VARIABLES
 from conftest import random_primitive
 
 IDEAL = EosParams(1.4)
+STIFF = EosParams(3.0, 100.0)
+#: halvings of the bisection the star solve replaced: the solve may not take
+#: more sweeps than that (its hard cap, MAX_SWEEPS, is four times as many)
+BISECTION_HALVINGS = 52
 
 
 def sc(x):
@@ -127,6 +136,171 @@ def test_solve_star_bracket_failure_is_error():
     bad = dataclasses.replace(ctx, rhs=np.asarray(5.0))
     with pytest.raises(SolverError, match="bracket"):
         solve_star(bad, s, params)
+
+
+@contextlib.contextmanager
+def counting_psi():
+    """Count evaluations of ``FixedPointContext.psi`` inside the block."""
+    calls = []
+    original = FixedPointContext.psi
+
+    def psi(self, m):
+        calls.append(m)
+        return original(self, m)
+
+    FixedPointContext.psi = psi
+    try:
+        yield calls
+    finally:
+        FixedPointContext.psi = original
+
+
+def solve_counting_sweeps(ctx, s, params):
+    """``m_star`` and the number of sweeps; psi is evaluated once more, for the bracket."""
+    with counting_psi() as calls:
+        m = solve_star(ctx, s, params)[0]
+    return m, len(calls) - 1
+
+
+def test_solve_star_sweep_counts():
+    # equal fractions make psi linear, so the first secant point is the root;
+    # rhs = 0 is solved by m = 0 before any sweep
+    params = RelaxParams(3.0, 3.0)
+    for w, want in ((uniform_state(u1=0.25, u2=0.1), 1), (uniform_state(u1=0.1, u2=0.1), 0)):
+        s = sharp_quantities(w, w, params)
+        ctx = fixed_point_context(w, w, s, params)
+        m, sweeps = solve_counting_sweeps(ctx, s, params)
+        assert sweeps == want
+        assert abs(ctx.psi(m) - ctx.rhs) <= STOP_TOL * max(1.0, ctx.rhs)
+
+
+def mach_cap_kink(ctx):
+    """Smallest m > 0 where ``mach_cap`` takes over from ``mach_conservative``."""
+    lo, hi = 0.0, 0.3     # the cap is inactive at lo and active at hi for the context below
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if ctx.mach_cap(mid) > ctx.mach_conservative(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("where", ["at the kink", "past the kink"])
+def test_solve_star_root_where_mach_cap_is_active(where):
+    # nu = 2 and tau_ratio = 0.05 put the cap below the conservative Mach
+    # number for m in about (0.17, 0.88), with a kink of psi at either end.
+    # A root at the kink is the slow case: the secant straddles two slopes
+    # and the iteration converges only linearly there
+    w = uniform_state()
+    params = RelaxParams(3.0, 3.0)
+    s = sharp_quantities(w, w, params)
+    base = FixedPointContext(nu=2.0, m_sharp=0.0, p_sharp=0.0, tau_ratio=0.05,
+                             coupling=0.5, rhs=0.0)
+    kink = mach_cap_kink(base)
+    root = kink if where == "at the kink" else 0.5
+    assert 0.1 < kink < 0.2 and base.mach_cap(0.5) < base.mach_conservative(0.5)
+    ctx = dataclasses.replace(base, rhs=base.psi(root))
+    m, sweeps = solve_counting_sweeps(ctx, s, params)
+    assert abs(ctx.psi(m) - ctx.rhs) <= 1e-12
+    assert abs(m - root) <= 1e-14
+    assert sweeps <= BISECTION_HALVINGS
+
+
+def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
+    # a row of random pairs, every third with equal fractions, closed by a
+    # stationary contact whose fraction jump sits on the coincident ordering
+    w = random_primitive(rng, 60)
+    wL, wR = w[slice(0, 30)], w[slice(30, 60)]
+    wR = PrimitiveState(np.where(np.arange(30) % 3 == 0, wL.alpha1, wR.alpha1),
+                        wR.rho1, wR.u1, wR.p1, wR.rho2, wR.u2, wR.p2)
+    cL = PrimitiveState(0.2, 1.0, 0.0, 1.0, 2.0, 0.0, 1.0)
+    cR = PrimitiveState(0.7, 0.5, 0.0, 1.0, 1.5, 0.0, 1.0)
+    wL, wR = (PrimitiveState(*(np.append(getattr(a, v), getattr(b, v)) for v in VARIABLES))
+              for a, b in ((wL, cL), (wR, cR)))
+    params, _ = select_parameters(wL, wR, IDEAL, IDEAL)
+
+    solved_nu = []
+
+    def recording(ctx, s, p):
+        solved_nu.append(np.asarray(ctx.nu).copy())
+        return solve_star(ctx, s, p)
+
+    monkeypatch.setattr(riemann, "solve_star", recording)
+    sol = build_solution(wL, wR, IDEAL, IDEAL, params)
+    nu = np.concatenate(solved_nu)
+    jumps = (sol.ordering != WaveOrdering.COINCIDENT) & (wL.alpha1 != wR.alpha1)
+    assert sol.ordering[-1] == WaveOrdering.COINCIDENT and np.any(jumps)
+    assert np.count_nonzero(wL.alpha1 == wR.alpha1) == 10
+    assert np.all(nu != 1.0)
+    assert nu.size == np.count_nonzero(jumps)
+    for j in range(wL.alpha1.size):
+        alone = build_solution(wL[[j]], wR[[j]], IDEAL, IDEAL, take_interfaces(params, [j]))
+        for field in ("u1_star", "u2_star", "tau1", "E1"):
+            got, want = getattr(sol, field)[..., j], getattr(alone, field)[..., 0]
+            assert got.tobytes() == want.tobytes(), (j, field)
+
+
+def bisect_to_adjacent_floats(ctx):
+    """Largest m in [0, 1] whose psi(m) - rhs is <= 0 by plain bisection, run
+    until the bracket holds two adjacent floats: the reference root."""
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if ctx.psi(mid) - ctx.rhs <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def check_star_solve(left, right, eos2):
+    """Select parameters for one pair, orient it, and check its star solve
+    against a bisection to adjacent floats.  Returns False, checking
+    nothing, when the phase fraction does not jump at the coupling wave."""
+    wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
+    params, sol = select_parameters(wL, wR, IDEAL, eos2)
+    if sol.ordering[0] == WaveOrdering.ORDER_21:
+        wL, wR = wR.mirrored(), wL.mirrored()
+    s = sharp_quantities(wL, wR, params)
+    ctx = take_interfaces(fixed_point_context(wL, wR, s, params), 0)
+    if sol.ordering[0] == WaveOrdering.COINCIDENT or ctx.nu == 1.0:
+        return False
+    m, sweeps = solve_counting_sweeps(ctx, take_interfaces(s, 0), take_interfaces(params, 0))
+    m_ref = bisect_to_adjacent_floats(ctx)
+    # psi sums terms up to coupling (1 + nu) times m, and for nu near 1 they
+    # cancel, so its computed value carries an error of a few ulps of that
+    # size; no solver pins the root closer than that error divided by the slope
+    psi_err = 8.0 * np.finfo(float).eps * (1.0 + ctx.coupling * (1.0 + ctx.nu))
+    a, b = max(0.0, m_ref - 1e-7), min(1.0, m_ref + 1e-7)
+    slope = (ctx.psi(b) - ctx.psi(a)) / (b - a)
+    assert 0.0 <= m <= 1.0
+    assert abs(ctx.psi(m) - ctx.rhs) <= max(1e-12, psi_err)
+    assert abs(m - m_ref) <= max(1e-14, 2.0 * psi_err / slope)
+    assert sweeps <= BISECTION_HALVINGS
+    return True
+
+
+def interface_side():
+    """One side of a pair: alpha1 down to 1e-9 from either end, pressures
+    spanning three decades, and velocities large enough that the a1 ladder
+    often has to climb, which leaves u_cap within one rung of the window."""
+    rho, u, p = st.floats(0.2, 3.0), st.floats(-4.0, 4.0), st.floats(0.2, 200.0)
+    return st.tuples(st.floats(1e-9, 1.0 - 1e-9), rho, u, p, rho, u, p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(interface_side(), interface_side(), st.sampled_from([IDEAL, STIFF]))
+def test_star_solve_fuzz(left, right, eos2):
+    assume(check_star_solve(left, right, eos2))
+
+
+@pytest.mark.parametrize("left_alpha1", [0.99993, 0.984375])
+def test_star_solve_vanishing_phase2_on_the_right(left_alpha1):
+    # found by test_star_solve_fuzz against the absolute bounds 1e-12 on the
+    # residual and 1e-14 on m: with alpha2 = 1e-9 on the right, coupling is
+    # 1.4e4 and 63, and psi's evaluation error alone exceeds those bounds
+    # (bisection to adjacent floats leaves residuals of 3e-12 on the first)
+    assert check_star_solve((left_alpha1, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+                            (0.999999999, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0), IDEAL)
 
 
 # ------------------------------------------------------------ full solutions
