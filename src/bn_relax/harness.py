@@ -7,10 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import EosParams
+from .eos import EosDomainError, EosParams
 from .reference import TestCase, exact_profile, get_case
+from .riemann import SolverError
 from .scheme import RunConfig, RunResult, run
-from .state import PrimitiveState, VARIABLES, to_conserved, validate_primitive
+from .state import (AdmissibilityError, PrimitiveState, VARIABLES, to_conserved,
+                    validate_primitive)
 
 
 @dataclass
@@ -23,6 +25,7 @@ class ErrorReport:
     errors: dict = field(default_factory=dict)       # variable -> E(dx), NaN if undefined
     undefined: set = field(default_factory=set)      # variables with zero exact norm
     orders: dict = field(default_factory=dict)       # filled by convergence_study
+    failure: str = ""                                # repr of the error of a failed level
 
 
 def l1_error(approx: PrimitiveState, exact: PrimitiveState, dx: float) -> ErrorReport:
@@ -64,8 +67,10 @@ def case_error(case: TestCase, result: RunResult) -> ErrorReport:
 def convergence_study(case: TestCase, scheme: str, levels, cfl: float | None = None):
     """Run each mesh level and attach observed orders between consecutive levels.
 
-    A failed level is recorded as an ErrorReport full of NaN (never skipped
-    silently); orders involving it stay undefined.
+    A level that fails with a solver, admissibility or EOS-domain error is
+    recorded as an ErrorReport full of NaN with the error in ``failure``
+    (never skipped silently); orders involving it stay undefined.  Any other
+    exception is a bug and propagates.
     """
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -75,7 +80,7 @@ def convergence_study(case: TestCase, scheme: str, levels, cfl: float | None = N
         try:
             result = run_case(case, scheme, cells, cfl=cfl)
             reports.append(case_error(case, result))
-        except Exception as exc:  # noqa: BLE001 - a diverged level is data, not a crash
+        except (SolverError, AdmissibilityError, EosDomainError) as exc:
             rep = ErrorReport(cells=cells, dx=(case.domain[1] - case.domain[0]) / cells,
                               wall_seconds=math.nan)
             rep.errors = {v: math.nan for v in VARIABLES}

@@ -3,8 +3,9 @@
 Every function is elementwise over numpy arrays, so a whole row of interfaces
 is solved in one call.  The construction is carried out for the wave ordering
 ``u2* < u1*``; the opposite ordering is obtained by reflecting the data
-(velocities negated, sides swapped), solving, and reflecting back, which
-reproduces the exact same floating-point values by symmetry of the formulas.
+(velocities negated, sides swapped), solving, and reflecting back (region
+order reversed, speeds and velocities negated), which reproduces the exact
+same floating-point values by symmetry of the formulas.
 
 The coupling-wave speed solves a scalar equation, ``psi(m) = rhs``, which
 ``solve_star`` iterates only at interfaces where the phase fraction jumps
@@ -12,7 +13,11 @@ and the waves do not coincide; elsewhere the root is known in closed form.
 
 The solution is stored as per-phase piecewise-constant region tables in the
 nonconservative variables (tau, u, pi, E) plus the phase-fraction jump at the
-coupling wave.  Sampling at a wave speed returns the right limit.
+coupling wave.  Each phase's regions follow from its specific volumes and
+velocities through the Suliciu-type Lagrangian relations to the end state on
+the same side of its contact; the outermost breaks, its acoustic speeds
+``u -+ a tau`` of the end states, also give the time step.  Sampling at a
+wave speed returns the right limit.
 
 The solver takes the relaxation parameters as given.  Choosing them so that
 the problem has a solution with positive intermediate specific volumes is the
@@ -113,12 +118,16 @@ def put_interfaces(row, at, data):
                         for f in fields(row)})
 
 
+def _acoustic_taus(tauL, tauR, uL, uR, u_s, a):
+    """Specific volumes behind the left and right acoustic waves of a phase
+    whose contact moves at ``u_s``."""
+    return tauL + (u_s - uL) / a, tauR - (u_s - uR) / a
+
+
 def _star_predictors(uL, uR, pL, pR, tauL, tauR, a):
     u_s = 0.5 * (uL + uR) - (pR - pL) / (2.0 * a)
     pi_s = 0.5 * (pL + pR) - 0.5 * a * (uR - uL)
-    tau_l = tauL + (u_s - uL) / a
-    tau_r = tauR - (u_s - uR) / a
-    return u_s, pi_s, tau_l, tau_r
+    return (u_s, pi_s) + _acoustic_taus(tauL, tauR, uL, uR, u_s, a)
 
 
 def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams) -> SharpQuantities:
@@ -350,58 +359,49 @@ class SampledState:
         return 1.0 / self.tau2
 
 
-def _oriented_regions(wL, wR, e1L, e1R, e2L, e2R, s, params, m_star, mach, nu, u2s):
-    """Region tables for the oriented problem (u_cap >= 0, so u2* <= u1*)."""
-    a1, a2 = params.a1, params.a2
-    t1L = 1.0 / np.asarray(wL.rho1, dtype=float)
-    t1R = 1.0 / np.asarray(wR.rho1, dtype=float)
-    t2L = 1.0 / np.asarray(wL.rho2, dtype=float)
-    t2R = 1.0 / np.asarray(wR.rho2, dtype=float)
+def _oriented_regions(wl, wr, s, params, m_star, mach, nu, u2s):
+    """Region specific volumes and velocities of the oriented problem
+    (u_cap >= 0, so u2* <= u1*), as ``(tau, u, side, inner)`` per phase.
 
+    Both phases run from the left to the right end state.  ``side`` tells
+    which side of the phase's contact each region lies on (0 left, 1 right),
+    and ``inner`` holds the speeds of the waves between the acoustic ones:
+    the coupling wave and, for phase 1, its contact.
+    """
+    a1 = params.a1
     shift = (m_star - nu * mach) / (1.0 + nu * mach)
     u1s = s.u_sharp1 - a1 * s.tau_sharp1_l * shift
-
     tau1m = s.tau_sharp1_l * (1.0 - m_star) / (1.0 - mach)
     tau1p = s.tau_sharp1_l * (1.0 + m_star) / (1.0 + nu * mach)
     tau1rs = s.tau_sharp1_r + s.tau_sharp1_l * shift
     u1m = u2s + a1 * mach * tau1m
-    pi1m = wL.p1 + a1 ** 2 * (t1L - tau1m)
-    pi1p = wL.p1 + a1 ** 2 * (t1L - tau1p)
-    pi1rs = wR.p1 + a1 ** 2 * (t1R - tau1rs)
-    E1m = 0.5 * u1m ** 2 + e1L + (pi1m ** 2 - np.asarray(wL.p1) ** 2) / (2.0 * a1 ** 2)
-    E1p = 0.5 * u1s ** 2 + e1L + (pi1p ** 2 - np.asarray(wL.p1) ** 2) / (2.0 * a1 ** 2)
-    E1rs = 0.5 * u1s ** 2 + e1R + (pi1rs ** 2 - np.asarray(wR.p1) ** 2) / (2.0 * a1 ** 2)
+    t2L, t2R = 1.0 / wl.rho2, 1.0 / wr.rho2
+    tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wl.u2, wr.u2, u2s, params.a2)
+    return (((1.0 / wl.rho1, tau1m, tau1p, tau1rs, 1.0 / wr.rho1),
+             (wl.u1, u1m, u1s, u1s, wr.u1), [0, 0, 0, 1, 1], (u2s, u1s)),
+            ((t2L, tau2ls, tau2rs, t2R), (wl.u2, u2s, u2s, wr.u2), [0, 0, 1, 1], (u2s,)))
 
-    tau2ls = t2L + (u2s - wL.u2) / a2
-    tau2rs = t2R - (u2s - wR.u2) / a2
-    pi2ls = wL.p2 + a2 ** 2 * (t2L - tau2ls)
-    pi2rs = wR.p2 + a2 ** 2 * (t2R - tau2rs)
-    E2ls = 0.5 * u2s ** 2 + e2L + (pi2ls ** 2 - np.asarray(wL.p2) ** 2) / (2.0 * a2 ** 2)
-    E2rs = 0.5 * u2s ** 2 + e2R + (pi2rs ** 2 - np.asarray(wR.p2) ** 2) / (2.0 * a2 ** 2)
 
-    breaks1 = np.stack([wL.u1 - a1 * t1L, u2s, u1s, wR.u1 + a1 * t1R])
-    tau1 = np.stack([t1L, tau1m, tau1p, tau1rs, t1R])
-    uu1 = np.stack([np.broadcast_to(np.asarray(wL.u1, dtype=float), u1s.shape),
-                    u1m, u1s, u1s,
-                    np.broadcast_to(np.asarray(wR.u1, dtype=float), u1s.shape)])
-    pp1 = np.stack([np.broadcast_to(np.asarray(wL.p1, dtype=float), u1s.shape),
-                    pi1m, pi1p, pi1rs,
-                    np.broadcast_to(np.asarray(wR.p1, dtype=float), u1s.shape)])
-    EE1 = np.stack([0.5 * np.asarray(wL.u1) ** 2 + e1L, E1m, E1p, E1rs,
-                    0.5 * np.asarray(wR.u1) ** 2 + e1R])
+def _phase_tables(tau, u, side, inner, ends, eos, a):
+    """Stacked (breaks, tau, u, pi, E) tables of one phase.
 
-    breaks2 = np.stack([wL.u2 - a2 * t2L, u2s, wR.u2 + a2 * t2R])
-    tau2 = np.stack([t2L, tau2ls, tau2rs, t2R])
-    uu2 = np.stack([np.broadcast_to(np.asarray(wL.u2, dtype=float), u2s.shape),
-                    u2s, u2s,
-                    np.broadcast_to(np.asarray(wR.u2, dtype=float), u2s.shape)])
-    pp2 = np.stack([np.broadcast_to(np.asarray(wL.p2, dtype=float), u2s.shape),
-                    pi2ls, pi2rs,
-                    np.broadcast_to(np.asarray(wR.p2, dtype=float), u2s.shape)])
-    EE2 = np.stack([0.5 * np.asarray(wL.u2) ** 2 + e2L, E2ls, E2rs,
-                    0.5 * np.asarray(wR.u2) ** 2 + e2R])
-
-    return u1s, breaks1, tau1, uu1, pp1, EE1, breaks2, tau2, uu2, pp2, EE2
+    ``ends`` holds the (rho, p) of the left and right end states, whose
+    specific volumes are the first and last ``tau``.  Each region is tied to
+    the end state on its ``side`` by the Lagrangian relations
+    ``pi = p0 + a^2 (tau0 - tau)`` and
+    ``E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2)``, which give ``p0`` and
+    ``u0^2/2 + e0`` exactly at the end states themselves.  The breaks are the
+    acoustic speeds ``u0 -+ a tau0`` of the end states around ``inner``.
+    """
+    tau, u = np.stack(tau), np.stack(u)
+    (rhoL, pL), (rhoR, pR) = ends
+    e = (eos.internal_energy(rhoL, pL), eos.internal_energy(rhoR, pR))
+    tau0, p0, e0 = (np.stack(end)[side] for end in ((tau[0], tau[-1]), (pL, pR), e))
+    a_sq = a ** 2
+    pi = p0 + a_sq * (tau0 - tau)
+    E = 0.5 * u ** 2 + e0 + (pi ** 2 - p0 ** 2) / (2.0 * a_sq)
+    breaks = np.stack([u[0] - a * tau[0], *inner, u[-1] + a * tau[-1]])
+    return breaks, tau, u, pi, E
 
 
 def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
@@ -412,19 +412,18 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     Raises SolverError if the existence condition does not hold (callers are
     expected to have selected parameters first).  Intermediate specific
     volumes are returned whatever their sign: their positivity is one of the
-    predicates ``scheme.select_parameters`` climbs a2 for.
+    predicates ``scheme.select_parameters`` climbs a2 for.  The solution is
+    one-dimensional, also for scalar input.
     """
-    a1 = np.asarray(params.a1, dtype=float)
-    a2 = np.asarray(params.a2, dtype=float)
+    wL, wR = as_cellwise(wL), as_cellwise(wR)
     s0 = precomputed if precomputed is not None else sharp_quantities(wL, wR, params)
     eps = coincident_band(s0, params)
     flip = s0.u_cap < -eps
 
     def pick(a, b):
         """``a`` where the interface keeps its orientation, ``b`` where it is reflected."""
-        return np.where(flip, np.asarray(b, dtype=float), np.asarray(a, dtype=float))
+        return np.where(flip, b, a)
 
-    # reflect the flagged interfaces: swap sides, negate velocities
     mL, mR = wL.mirrored(), wR.mirrored()
     wl = PrimitiveState(*(pick(getattr(wL, v), getattr(mR, v)) for v in VARIABLES))
     wr = PrimitiveState(*(pick(getattr(wR, v), getattr(mL, v)) for v in VARIABLES))
@@ -457,46 +456,33 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     if np.any(jump):
         m_star[jump] = solve_star(*(take_interfaces(x, jump) for x in (ctx, s, params)))[0]
     mach = np.where(coincident, 0.0, ctx.mach(m_star))
-    u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - a1 * s.tau_sharp1_l * m_star)
-
-    e1L_ = eos1.internal_energy(wl.rho1, wl.p1)
-    e1R_ = eos1.internal_energy(wr.rho1, wr.p1)
-    e2L_ = eos2.internal_energy(wl.rho2, wl.p2)
-    e2R_ = eos2.internal_energy(wr.rho2, wr.p2)
-
-    (u1s, breaks1, tau1, uu1, pp1, EE1,
-     breaks2, tau2, uu2, pp2, EE2) = _oriented_regions(
-        wl, wr, e1L_, e1R_, e2L_, e2R_, s, params, m_star, mach, ctx.nu, u2s)
+    u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - params.a1 * s.tau_sharp1_l * m_star)
 
     # coupling pressure: defined only when the phase fraction jumps
     dal = wr.alpha1 - wl.alpha1
     al2sum = (1.0 - wl.alpha1) + (1.0 - wr.alpha1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi1_star = s.pi_sharp2 - a2 * al2sum / dal * (u2s - s.u_sharp2)
+        pi1_star = s.pi_sharp2 - params.a2 * al2sum / dal * (u2s - s.u_sharp2)
     pi1_star = np.where(dal == 0.0, np.nan, pi1_star)
 
-    # reflect back: reverse region order, negate speeds and velocities
-    def unflip(breaks, vals_t, vals_u, vals_p, vals_E):
-        rb = np.where(flip, -breaks[::-1], breaks)
-        return (rb,
-                np.where(flip, vals_t[::-1], vals_t),
-                np.where(flip, -vals_u[::-1], vals_u),
-                np.where(flip, vals_p[::-1], vals_p),
-                np.where(flip, vals_E[::-1], vals_E))
+    def unflip(table, sign):
+        """``table`` reflected back: regions reversed, times ``sign`` (-1 for speeds)."""
+        return np.where(flip, sign * table[::-1], table)
 
-    breaks1, tau1, uu1, pp1, EE1 = unflip(breaks1, tau1, uu1, pp1, EE1)
-    breaks2, tau2, uu2, pp2, EE2 = unflip(breaks2, tau2, uu2, pp2, EE2)
-    u1_star = np.where(flip, -u1s, u1s)
-    u2_star = np.where(flip, -u2s, u2s)
-    ordering = np.where(flip, -ordering, ordering).astype(np.int8)
+    phase1, phase2 = _oriented_regions(wl, wr, s, params, m_star, mach, ctx.nu, u2s)
+    tables = {}
+    for k, regions, ends, eos, a in (
+            ("1", phase1, ((wl.rho1, wl.p1), (wr.rho1, wr.p1)), eos1, params.a1),
+            ("2", phase2, ((wl.rho2, wl.p2), (wr.rho2, wr.p2)), eos2, params.a2)):
+        for name, sign, table in zip(("breaks", "tau", "u", "pi", "E"), (-1.0, 1.0, -1.0, 1.0, 1.0),
+                                     _phase_tables(*regions, ends, eos, a)):
+            tables[name + k] = unflip(table, sign)
 
+    # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
-        params=RelaxParams(a1, a2), ordering=ordering,
-        u1_star=u1_star, u2_star=u2_star, pi1_star=pi1_star,
-        alpha1_l=np.asarray(wL.alpha1, dtype=float), alpha1_r=np.asarray(wR.alpha1, dtype=float),
-        breaks1=breaks1, tau1=tau1, u1=uu1, pi1=pp1, E1=EE1,
-        breaks2=breaks2, tau2=tau2, u2=uu2, pi2=pp2, E2=EE2,
-    )
+        params=params, ordering=np.where(flip, -ordering, ordering).astype(np.int8),
+        u1_star=tables["u1"][2], u2_star=tables["u2"][1], pi1_star=pi1_star,
+        alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, **tables)
 
 
 def _region_index(breaks, xi, side):
@@ -507,9 +493,7 @@ def _region_index(breaks, xi, side):
 
 
 def _take(regions, idx):
-    if regions.ndim == 2 and idx.ndim == 1:
-        return regions[idx, np.arange(idx.shape[0])]
-    return np.take_along_axis(regions, idx[None, ...], axis=0)[0]
+    return regions[idx, np.arange(idx.shape[0])]
 
 
 def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:

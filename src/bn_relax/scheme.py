@@ -214,20 +214,15 @@ def interface_fluxes(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     return assemble_fluxes(sol)
 
 
-def cfl_dt(cells: PrimitiveState, params: RelaxParams, dx: float, cfl: float):
-    """Time step from the relaxation-system speeds at every interface.
+def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float):
+    """Time step from the fastest wave of a solved interface row.
 
-    ``params`` holds one entry per interface of the edge-padded grid
-    (n_cells + 1 interfaces); interface j sits between padded cells j, j+1.
+    The outermost breaks of each phase are its acoustic speeds
+    ``u_L - a tau_L`` and ``u_R + a tau_R``, which bound every other wave.
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
-    smax = 0.0
-    for u, rho, a in ((cells.u1, cells.rho1, params.a1), (cells.u2, cells.rho2, params.a2)):
-        u, tau = _pad_edges(u), 1.0 / _pad_edges(rho)
-        smax = max(smax,
-                   float(np.max(np.abs(u[:-1] - a * tau[:-1]))),
-                   float(np.max(np.abs(u[1:] + a * tau[1:]))))
+    smax = max(float(np.max(np.abs(breaks[[0, -1]]))) for breaks in (sol.breaks1, sol.breaks2))
     if smax == 0.0:
         raise SolverError("fully degenerate field: zero wave speeds")
     return cfl * dx / smax
@@ -262,11 +257,8 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     if prim is None:
         prim = to_primitive(cells, eos1, eos2)
     padded = _pad(prim)
-    n = np.atleast_1d(cells.alpha1).shape[0]
-    wl = padded[slice(0, n + 1)]
-    wr = padded[slice(1, n + 2)]
-    params, sol = select_parameters(wl, wr, eos1, eos2)
-    dt = min(cfl_dt(prim, params, dx, cfg.cfl), dt_cap)
+    _, sol = select_parameters(padded[:-1], padded[1:], eos1, eos2)
+    dt = min(cfl_dt(sol, dx, cfg.cfl), dt_cap)
     fluxes = assemble_fluxes(sol)
     lam = dt / dx
     u = cells.stack()
@@ -314,8 +306,11 @@ class RunResult:
     conservation_error: dict
     entropy_slack: float  # most positive per-cell violation seen; -inf if not audited
 
-    def profile(self) -> PrimitiveState:
-        return self.prim
+
+def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
+    """Mathematical entropy of each phase of a primitive state."""
+    return [eos.entropy(rho, eos.internal_energy(rho, p))
+            for rho, p, eos in ((w.rho1, w.p1, eos1), (w.rho2, w.p2, eos2))]
 
 
 def _totals(u: ConservedState):
@@ -352,22 +347,22 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
     records = []
     cons_err = {"mass1": 0.0, "mass2": 0.0, "momentum": 0.0, "energy": 0.0}
+    audit_entropy = cfg.entropy_audit and cfg.scheme == "relaxation"
     entropy_slack = -np.inf
     t = 0.0
     nstep = 0
-    prim_old = to_primitive(cells, eos1, eos2)
+    prim = to_primitive(cells, eos1, eos2)
+    if audit_entropy:
+        entropies = _phase_entropies(prim, eos1, eos2)
     tic = time.perf_counter()
     while t < cfg.t_final:
         old = cells
         totals_old = _totals(old)
-        if cfg.entropy_audit and cfg.scheme == "relaxation":
-            s1_old = eos1.entropy(prim_old.rho1, eos1.internal_energy(prim_old.rho1, prim_old.p1))
-            s2_old = eos2.entropy(prim_old.rho2, eos2.internal_energy(prim_old.rho2, prim_old.p2))
-
         if cfg.scheme == "relaxation":
-            cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim_old)
+            cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
         else:
             cells, info = rusanov.rusanov_step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)
+        prim = to_primitive(cells, eos1, eos2)
         dt = info.dt
         lam = dt / dx
 
@@ -388,39 +383,32 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
             scale = max(1.0, abs(oldv))
             cons_err[name] = max(cons_err[name], drift / scale)
 
-        if cfg.entropy_audit and cfg.scheme == "relaxation":
-            prim_new = to_primitive(cells, eos1, eos2)
-            s1_new = eos1.entropy(prim_new.rho1, eos1.internal_energy(prim_new.rho1, prim_new.p1))
-            s2_new = eos2.entropy(prim_new.rho2, eos2.internal_energy(prim_new.rho2, prim_new.p2))
-            sol = info.sol
-            s1_pad = np.concatenate([s1_old[:1], s1_old, s1_old[-1:]])
-            s2_pad = np.concatenate([s2_old[:1], s2_old, s2_old[-1:]])
-            up1 = np.where(sol.u1_star > 0.0, s1_pad[:-1], s1_pad[1:])
-            up2 = np.where(sol.u2_star > 0.0, s2_pad[:-1], s2_pad[1:])
-            phi1 = fm[1] * up1
-            phi2 = fm[2] * up2
-            for m_old, m_new, s_old, s_new, phi in (
-                    (old.m1, cells.m1, s1_old, s1_new, phi1),
-                    (old.m2, cells.m2, s2_old, s2_new, phi2)):
+        if audit_entropy:
+            # per cell and phase: the entropy balance with the phase's mass
+            # flux upwinded by its contact speed
+            new_entropies = _phase_entropies(prim, eos1, eos2)
+            for m_old, m_new, s_old, s_new, mass_flux, u_star in zip(
+                    (old.m1, old.m2), (cells.m1, cells.m2), entropies, new_entropies,
+                    fm[1:3], (info.sol.u1_star, info.sol.u2_star)):
+                s_pad = _pad_edges(s_old)
+                phi = mass_flux * np.where(u_star > 0.0, s_pad[:-1], s_pad[1:])
                 balance = m_new * s_new - m_old * s_old + lam * (phi[1:] - phi[:-1])
                 scale = np.maximum(1.0, np.maximum(np.abs(m_old * s_old),
                                                    lam * (np.abs(phi[1:]) + np.abs(phi[:-1]))))
                 entropy_slack = max(entropy_slack, float(np.max(balance / scale)))
+            entropies = new_entropies
 
         t += dt
         nstep += 1
-        prim_new = to_primitive(cells, eos1, eos2)
-        prim_old = prim_new
-        e1 = eos1.internal_energy(prim_new.rho1, prim_new.p1)
-        e2 = eos2.internal_energy(prim_new.rho2, prim_new.p2)
         records.append(StepRecord(
             step=nstep, t=t, dt=dt,
             mass1=totals_new[0], mass2=totals_new[1],
             momentum=totals_new[2], energy=totals_new[3],
             min_alpha1=float(np.min(cells.alpha1)),
             min_alpha2=float(np.min(1.0 - cells.alpha1)),
-            min_rho1=float(np.min(prim_new.rho1)), min_rho2=float(np.min(prim_new.rho2)),
-            min_e1=float(np.min(e1)), min_e2=float(np.min(e2)),
+            min_rho1=float(np.min(prim.rho1)), min_rho2=float(np.min(prim.rho2)),
+            min_e1=float(np.min(eos1.internal_energy(prim.rho1, prim.p1))),
+            min_e2=float(np.min(eos2.internal_energy(prim.rho2, prim.p2))),
         ))
     wall = time.perf_counter() - tic
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bn_relax import (AdmissibilityError, PrimitiveState, get_case, l1_error, load_case_json,
-                      run_case)
+                      run_case, scheme)
 from bn_relax.harness import (case_error, convergence_study, read_profile_csv,
                               write_profile_csv)
 
@@ -131,6 +131,23 @@ def test_convergence_study_structure():
     assert set(reports[1].orders) <= {"alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2"}
     assert all(e > 0 for e in reports[0].errors.values())
     assert reports[1].wall_seconds > 0
+
+
+def test_convergence_study_propagates_bugs(monkeypatch):
+    # only solver, admissibility and EOS-domain errors make a failed level
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(scheme, "step", broken)
+    with pytest.raises(TypeError, match="injected"):
+        convergence_study(get_case(1), "relaxation", [20])
+
+
+def test_convergence_study_records_failed_level():
+    # Rusanov has no positivity guarantee and fails on case 5's vanishing phases
+    (rep,) = convergence_study(get_case(5), "rusanov", [100])
+    assert rep.failure.startswith("AdmissibilityError")
+    assert all(math.isnan(e) for e in rep.errors.values())
 
 
 def test_convergence_levels_must_increase():

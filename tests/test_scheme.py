@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, assemble_fluxes,
-                      cfl_dt, get_case, interface_fluxes, run,
-                      select_parameters, step, to_conserved, to_primitive)
+from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, WaveOrdering,
+                      assemble_fluxes, build_solution, cfl_dt, get_case, interface_fluxes, run,
+                      scheme, select_parameters, step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams
 from bn_relax.scheme import ETA
+from bn_relax.state import VARIABLES
 from conftest import random_primitive
 
 IDEAL = EosParams(1.4)
@@ -168,19 +169,52 @@ def test_moving_coupled_contact_flux_exactness():
 
 # ------------------------------------------------------------ time step
 
-def test_cfl_dt_hand_value():
-    # one uniform rest cell with a tau = 2.0 on both interfaces
-    cells = PrimitiveState(*(np.array([v]) for v in (0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)))
+def rest_cell_solution():
+    """Both interfaces of one uniform rest cell with tau = 1, solved with a = 2."""
+    w = PrimitiveState(*(np.full(2, v) for v in (0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)))
     params = RelaxParams(np.array([2.0, 2.0]), np.array([2.0, 2.0]))
-    dt = cfl_dt(cells, params, dx=0.01, cfl=0.45)
+    return build_solution(w, w, IDEAL, IDEAL, params)
+
+
+def test_cfl_dt_hand_value():
+    # a tau = 2.0 on both interfaces
+    dt = cfl_dt(rest_cell_solution(), dx=0.01, cfl=0.45)
     assert dt == pytest.approx(0.45 * 0.01 / 2.0, rel=1e-14)
 
 
 def test_cfl_dt_rejects_bad_courant():
-    cells = PrimitiveState(*(np.array([v]) for v in (0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)))
-    params = RelaxParams(np.array([2.0, 2.0]), np.array([2.0, 2.0]))
     with pytest.raises(ValueError):
-        cfl_dt(cells, params, 0.01, 0.5)
+        cfl_dt(rest_cell_solution(), 0.01, 0.5)
+
+
+def test_cfl_dt_equals_padded_cell_speeds(rng):
+    # the outer breaks of the solved row are the speeds u -+ a tau of the
+    # edge-padded cells bit for bit, also at reflected and coincident
+    # interfaces; a stationary contact in the row is coincident.  The row is
+    # also mirrored and its phases swapped, so that the fastest speed comes
+    # from each phase and each side
+    w = random_primitive(rng, 40)
+    cL, cR = stationary_contact_pair()
+    row = PrimitiveState(*(np.concatenate([getattr(w, v), [getattr(cL, v), getattr(cR, v)]])
+                           for v in VARIABLES))
+    mirrored = PrimitiveState(*(v[::-1] for v in (getattr(row.mirrored(), f) for f in VARIABLES)))
+    for cells in (row, mirrored):
+        for swap in (False, True):
+            if swap:
+                cells = PrimitiveState(1.0 - cells.alpha1, cells.rho2, cells.u2, cells.p2,
+                                       cells.rho1, cells.u1, cells.p1)
+            padded = PrimitiveState(*(np.concatenate([v[:1], v, v[-1:]])
+                                      for v in (getattr(cells, f) for f in VARIABLES)))
+            params, sol = select_parameters(padded[:-1], padded[1:], IDEAL, IDEAL)
+            assert np.any(sol.ordering == WaveOrdering.ORDER_21)
+            assert np.any(sol.ordering == WaveOrdering.COINCIDENT)
+            speeds = []
+            for u, rho, a in ((padded.u1, padded.rho1, params.a1),
+                              (padded.u2, padded.rho2, params.a2)):
+                tau = 1.0 / rho
+                speeds += [np.max(np.abs(u[:-1] - a * tau[:-1])),
+                           np.max(np.abs(u[1:] + a * tau[1:]))]
+            assert cfl_dt(sol, 0.01, 0.45) == 0.45 * 0.01 / max(speeds)
 
 
 def test_step_satisfies_cfl_inequality():
@@ -258,6 +292,24 @@ def test_run_entropy_audit_case1():
     cfg = RunConfig(cells=100, t_final=case.t_max, domain=case.domain, entropy_audit=True)
     res = run(case.initial, cfg, case.eos1, case.eos2)
     assert res.entropy_slack <= 1e-10
+
+
+def test_audited_run_converts_to_primitive_once_per_step(monkeypatch):
+    # once before marching, once after each step for both the entropy audit
+    # and the step record, and once for the result
+    calls = []
+    original = scheme.to_primitive
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "to_primitive", counting)
+    case = get_case(1)
+    cfg = RunConfig(cells=50, t_final=case.t_max, domain=case.domain, entropy_audit=True)
+    res = run(case.initial, cfg, case.eos1, case.eos2)
+    assert res.steps > 0 and res.entropy_slack > -np.inf
+    assert len(calls) == res.steps + 2
 
 
 def test_run_initial_projection_straddling_cell():
