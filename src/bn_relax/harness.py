@@ -1,6 +1,7 @@
 """Error metrics, convergence/CPU studies, and file I/O for the benchmark cases."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -107,13 +108,18 @@ def least_squares_order(reports, var: str) -> float:
 
 
 def bench(case: TestCase, levels, schemes=("relaxation", "rusanov")):
-    """Error-vs-CPU rows: one per (scheme, level)."""
+    """Error-vs-CPU rows: one per (scheme, level).
+
+    A failed level keeps its reason in ``failure`` (empty otherwise), next to
+    its NaN errors and time.
+    """
     rows = []
     for scheme in schemes:
         for rep in convergence_study(case, scheme, levels):
             rows.append({"scheme": scheme, "cells": rep.cells, "dx": rep.dx,
                          "wall_seconds": rep.wall_seconds,
-                         **{f"E_{v}": rep.errors[v] for v in VARIABLES}})
+                         **{f"E_{v}": rep.errors[v] for v in VARIABLES},
+                         "failure": rep.failure})
     return rows
 
 
@@ -172,12 +178,15 @@ def write_diagnostics_csv(path, records):
 
 
 def write_bench_csv(path, rows):
-    cols = ["scheme", "cells", "dx", "wall_seconds"] + [f"E_{v}" for v in VARIABLES]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+    """Rows of ``bench``; the failure reason is the last column, quoted where
+    it holds a comma."""
+    cols = ["scheme", "cells", "dx", "wall_seconds"] + [f"E_{v}" for v in VARIABLES] + ["failure"]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(cols)
         for row in rows:
-            fh.write(",".join(str(row[c]) if c in ("scheme", "cells")
-                              else f"{row[c]:.17g}" for c in cols) + "\n")
+            out.writerow(str(row[c]) if c in ("scheme", "cells", "failure")
+                         else f"{row[c]:.17g}" for c in cols)
 
 
 _CASE_SCHEMA = {

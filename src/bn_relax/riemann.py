@@ -2,22 +2,28 @@
 
 Every function is elementwise over numpy arrays, so a whole row of interfaces
 is solved in one call.  The construction is carried out for the wave ordering
-``u2* < u1*``; the opposite ordering is obtained by reflecting the data
-(velocities negated, sides swapped), solving, and reflecting back (region
-order reversed, speeds and velocities negated), which reproduces the exact
-same floating-point values by symmetry of the formulas.
+``u2* <= u1*``; an interface with the opposite ordering is reflected first
+(velocities negated, sides swapped) and solved in that oriented frame.  The
+solution stays in it, together with the ``flip`` mask of the reflected
+interfaces.  Sampling a reflected interface at ``xi`` reads its oriented
+solution at ``-xi``, takes the other one-sided limit there and negates the
+velocities, which gives the exact floating-point values that reflecting the
+whole solution back would, by symmetry of the formulas.
 
 The coupling-wave speed solves a scalar equation, ``psi(m) = rhs``, which
 ``solve_star`` iterates only at interfaces where the phase fraction jumps
 and the waves do not coincide; elsewhere the root is known in closed form.
 
-The solution is stored as per-phase piecewise-constant region tables in the
-nonconservative variables (tau, u, pi, E) plus the phase-fraction jump at the
-coupling wave.  Each phase's regions follow from its specific volumes and
-velocities through the Suliciu-type Lagrangian relations to the end state on
-the same side of its contact; the outermost breaks, its acoustic speeds
-``u -+ a tau`` of the end states, also give the time step.  Sampling at a
-wave speed returns the right limit.
+Per phase, the solution holds the specific volumes and velocities of its
+piecewise-constant regions, the wave speeds between them, and the pressure
+and internal energy of its two end states; the phase fraction jumps at the
+coupling wave.  The other nonconservative variables of a region, pi and E,
+follow from the Suliciu-type Lagrangian relations to the end state on the
+same side of the phase's contact.  ``sample`` applies them only to the
+regions it reads, and ``region_tables`` to every region, for tests and
+audits.  The outermost breaks, the acoustic speeds ``u -+ a tau`` of the end
+states, also give the time step.  Sampling at a wave speed returns the right
+limit.
 
 The solver takes the relaxation parameters as given.  Choosing them so that
 the problem has a solution with positive intermediate specific volumes is the
@@ -92,11 +98,13 @@ def take_interfaces(data, at):
     """The interfaces ``at`` (a mask or indices) of a dataclass of per-interface arrays.
 
     The interface axis is the last one.  A 0-d field holds for every
-    interface and is kept as it is.
+    interface and is kept as it is; nested dataclasses are taken the same way.
     """
     idx = np.flatnonzero(at) if np.asarray(at).dtype == bool else at
 
     def part(v):
+        if is_dataclass(v):
+            return take_interfaces(v, idx)
         v = np.asarray(v)
         return v.take(idx, axis=-1) if v.ndim else v
     return type(data)(**{f.name: part(getattr(data, f.name)) for f in fields(data)})
@@ -106,7 +114,7 @@ def put_interfaces(row, at, data):
     """Copy of ``row`` with its interfaces ``at`` replaced by those of ``data``.
 
     ``data`` is ``take_interfaces(row, at)`` solved again; nested dataclasses
-    (the parameters of a solution) are replaced the same way.
+    (the parameters and phases of a solution) are replaced the same way.
     """
     def put(old, new):
         if is_dataclass(old):
@@ -306,34 +314,50 @@ def solve_star(ctx: FixedPointContext, s: SharpQuantities, params: RelaxParams):
 
 
 @dataclass(frozen=True)
-class RelaxRiemannSolution:
-    """Piecewise-constant self-similar solution in original orientation.
+class OrientedPhase:
+    """One phase of a solved row in the oriented frame (``u2* <= u1*``).
 
-    Phase-1 values live on five regions separated by ``breaks1``
-    (left acoustic, coupling, phase-1 contact, right acoustic, in ascending
-    order); phase-2 values on four regions separated by ``breaks2``.  The
-    phase fraction jumps from ``alpha1_l`` to ``alpha1_r`` at ``u2_star``.
-    ``pi1_star`` is NaN where the phase fraction does not jump (it is never
-    used there).  Region tables have the region axis first.
+    ``tau`` and ``u`` hold the region values, region axis first, from the
+    left end state to the right one; the last two regions lie right of the
+    phase's contact and the others left of it.  ``breaks`` holds the wave
+    speeds between the regions in ascending order.  ``p_l``, ``e_l`` and
+    ``p_r``, ``e_r`` are the pressure and specific internal energy of the
+    end states, whose specific volumes are ``tau[0]`` and ``tau[-1]``.
+    """
+
+    breaks: np.ndarray
+    tau: np.ndarray
+    u: np.ndarray
+    p_l: np.ndarray
+    p_r: np.ndarray
+    e_l: np.ndarray
+    e_r: np.ndarray
+
+
+@dataclass(frozen=True)
+class RelaxRiemannSolution:
+    """Piecewise-constant self-similar solution of a row of interfaces.
+
+    ``phase1`` has five regions (separated by the left acoustic, coupling,
+    phase-1 contact and right acoustic waves) and ``phase2`` four, both in
+    the oriented frame; ``flip`` marks the interfaces solved reflected.
+    ``sample`` and ``region_tables`` read the phases in the original frame,
+    in which ``ordering``, the contact speeds and the phase fractions are
+    given: the phase fraction jumps from ``alpha1_l`` to ``alpha1_r`` at
+    ``u2_star``.  ``pi1_star`` is NaN where the phase fraction does not jump
+    (it is never used there).
     """
 
     params: RelaxParams
+    flip: np.ndarray
     ordering: np.ndarray
     u1_star: np.ndarray
     u2_star: np.ndarray
     pi1_star: np.ndarray
     alpha1_l: np.ndarray
     alpha1_r: np.ndarray
-    breaks1: np.ndarray   # (4, ...)
-    tau1: np.ndarray      # (5, ...)
-    u1: np.ndarray
-    pi1: np.ndarray
-    E1: np.ndarray
-    breaks2: np.ndarray   # (3, ...)
-    tau2: np.ndarray      # (4, ...)
-    u2: np.ndarray
-    pi2: np.ndarray
-    E2: np.ndarray
+    phase1: OrientedPhase
+    phase2: OrientedPhase
 
 
 @dataclass(frozen=True)
@@ -359,14 +383,11 @@ class SampledState:
         return 1.0 / self.tau2
 
 
-def _oriented_regions(wl, wr, s, params, m_star, mach, nu, u2s):
-    """Region specific volumes and velocities of the oriented problem
-    (u_cap >= 0, so u2* <= u1*), as ``(tau, u, side, inner)`` per phase.
+def _oriented_phases(wl, wr, s, params, m_star, mach, nu, u2s, eos1, eos2):
+    """Both phases of the oriented problem (u_cap >= 0, so u2* <= u1*).
 
-    Both phases run from the left to the right end state.  ``side`` tells
-    which side of the phase's contact each region lies on (0 left, 1 right),
-    and ``inner`` holds the speeds of the waves between the acoustic ones:
-    the coupling wave and, for phase 1, its contact.
+    Each runs from the left to the right end state; between its acoustic
+    waves lie the coupling wave and, for phase 1, its contact.
     """
     a1 = params.a1
     shift = (m_star - nu * mach) / (1.0 + nu * mach)
@@ -377,31 +398,51 @@ def _oriented_regions(wl, wr, s, params, m_star, mach, nu, u2s):
     u1m = u2s + a1 * mach * tau1m
     t2L, t2R = 1.0 / wl.rho2, 1.0 / wr.rho2
     tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wl.u2, wr.u2, u2s, params.a2)
-    return (((1.0 / wl.rho1, tau1m, tau1p, tau1rs, 1.0 / wr.rho1),
-             (wl.u1, u1m, u1s, u1s, wr.u1), [0, 0, 0, 1, 1], (u2s, u1s)),
-            ((t2L, tau2ls, tau2rs, t2R), (wl.u2, u2s, u2s, wr.u2), [0, 0, 1, 1], (u2s,)))
+    return (_oriented_phase((1.0 / wl.rho1, tau1m, tau1p, tau1rs, 1.0 / wr.rho1),
+                            (wl.u1, u1m, u1s, u1s, wr.u1), (u2s, u1s),
+                            (wl.rho1, wl.p1), (wr.rho1, wr.p1), eos1, a1),
+            _oriented_phase((t2L, tau2ls, tau2rs, t2R), (wl.u2, u2s, u2s, wr.u2), (u2s,),
+                            (wl.rho2, wl.p2), (wr.rho2, wr.p2), eos2, params.a2))
 
 
-def _phase_tables(tau, u, side, inner, ends, eos, a):
-    """Stacked (breaks, tau, u, pi, E) tables of one phase.
+def _oriented_phase(tau, u, inner, left, right, eos, a) -> OrientedPhase:
+    """One phase from its region values and the (rho, p) of its end states.
 
-    ``ends`` holds the (rho, p) of the left and right end states, whose
-    specific volumes are the first and last ``tau``.  Each region is tied to
-    the end state on its ``side`` by the Lagrangian relations
-    ``pi = p0 + a^2 (tau0 - tau)`` and
-    ``E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2)``, which give ``p0`` and
-    ``u0^2/2 + e0`` exactly at the end states themselves.  The breaks are the
-    acoustic speeds ``u0 -+ a tau0`` of the end states around ``inner``.
+    The breaks are the acoustic speeds ``u0 -+ a tau0`` of the end states
+    around the ``inner`` wave speeds.
     """
     tau, u = np.stack(tau), np.stack(u)
-    (rhoL, pL), (rhoR, pR) = ends
-    e = (eos.internal_energy(rhoL, pL), eos.internal_energy(rhoR, pR))
-    tau0, p0, e0 = (np.stack(end)[side] for end in ((tau[0], tau[-1]), (pL, pR), e))
+    breaks = np.stack([u[0] - a * tau[0], *inner, u[-1] + a * tau[-1]])
+    return OrientedPhase(breaks, tau, u, left[1], right[1],
+                         eos.internal_energy(*left), eos.internal_energy(*right))
+
+
+def _closure(tau, u, tau0, p0, e0, a):
+    """(pi, E) of regions tied to the end state ``(tau0, p0, e0)`` on their
+    side of the phase's contact by the Lagrangian relations
+    ``pi = p0 + a^2 (tau0 - tau)`` and
+    ``E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2)``, which give ``p0`` and
+    ``u0^2/2 + e0`` exactly at the end state itself."""
     a_sq = a ** 2
     pi = p0 + a_sq * (tau0 - tau)
     E = 0.5 * u ** 2 + e0 + (pi ** 2 - p0 ** 2) / (2.0 * a_sq)
-    breaks = np.stack([u[0] - a * tau[0], *inner, u[-1] + a * tau[-1]])
-    return breaks, tau, u, pi, E
+    return pi, E
+
+
+def _regions(phase: OrientedPhase, a, idx):
+    """Oriented (tau, u, pi, E) of the regions ``idx`` of each interface.
+
+    ``idx`` holds one region per interface, or a column of regions that
+    broadcasts over the interfaces.
+    """
+    n = phase.tau.shape[1]
+    flat = idx * n + np.arange(n)
+    tau, u = phase.tau.take(flat), phase.u.take(flat)
+    right = idx >= phase.tau.shape[0] - 2
+    pi, E = _closure(tau, u, np.where(right, phase.tau[-1], phase.tau[0]),
+                     np.where(right, phase.p_r, phase.p_l),
+                     np.where(right, phase.e_r, phase.e_l), a)
+    return tau, u, pi, E
 
 
 def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
@@ -449,13 +490,18 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     # root is the right-hand side itself; taking it exactly (and the
     # phase-2 star speed verbatim below) decouples the phases bitwise
     m_star = np.where(coincident, 0.0, np.clip(ctx.rhs, 0.0, 1.0))
+    # so is the Mach map: with equal fractions mach_conservative(m) is m and
+    # mach_cap(m) >= m, so mach(m) = m; the coincident ordering has m = 0
+    mach = m_star.copy()
     # solve_star's bracket check sees only the jumping interfaces; the others
     # could not fail it, since coincident ones have no equation to solve and
     # with equal fractions psi(1) >= 1 > rhs
     jump = ~(coincident | equal_frac)
     if np.any(jump):
-        m_star[jump] = solve_star(*(take_interfaces(x, jump) for x in (ctx, s, params)))[0]
-    mach = np.where(coincident, 0.0, ctx.mach(m_star))
+        ctx_jump = take_interfaces(ctx, jump)
+        m_star[jump] = m_jump = solve_star(ctx_jump, *(take_interfaces(x, jump)
+                                                       for x in (s, params)))[0]
+        mach[jump] = ctx_jump.mach(m_jump)
     u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - params.a1 * s.tau_sharp1_l * m_star)
 
     # coupling pressure: defined only when the phase fraction jumps
@@ -465,66 +511,55 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
         pi1_star = s.pi_sharp2 - params.a2 * al2sum / dal * (u2s - s.u_sharp2)
     pi1_star = np.where(dal == 0.0, np.nan, pi1_star)
 
-    def unflip(table, sign):
-        """``table`` reflected back: regions reversed, times ``sign`` (-1 for speeds)."""
-        return np.where(flip, sign * table[::-1], table)
-
-    phase1, phase2 = _oriented_regions(wl, wr, s, params, m_star, mach, ctx.nu, u2s)
-    tables = {}
-    for k, regions, ends, eos, a in (
-            ("1", phase1, ((wl.rho1, wl.p1), (wr.rho1, wr.p1)), eos1, params.a1),
-            ("2", phase2, ((wl.rho2, wl.p2), (wr.rho2, wr.p2)), eos2, params.a2)):
-        for name, sign, table in zip(("breaks", "tau", "u", "pi", "E"), (-1.0, 1.0, -1.0, 1.0, 1.0),
-                                     _phase_tables(*regions, ends, eos, a)):
-            tables[name + k] = unflip(table, sign)
-
+    phase1, phase2 = _oriented_phases(wl, wr, s, params, m_star, mach, ctx.nu, u2s, eos1, eos2)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
-        params=params, ordering=np.where(flip, -ordering, ordering).astype(np.int8),
-        u1_star=tables["u1"][2], u2_star=tables["u2"][1], pi1_star=pi1_star,
-        alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, **tables)
-
-
-def _region_index(breaks, xi, side):
-    xi = np.asarray(xi, dtype=float)
-    if side == "+":
-        return (breaks <= xi).sum(axis=0)
-    return (breaks < xi).sum(axis=0)
-
-
-def _take(regions, idx):
-    return regions[idx, np.arange(idx.shape[0])]
+        params=params, flip=flip, ordering=np.where(flip, -ordering, ordering).astype(np.int8),
+        u1_star=pick(phase1.u[2], -phase1.u[2]), u2_star=pick(phase2.u[1], -phase2.u[1]),
+        pi1_star=pi1_star, alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, phase1=phase1, phase2=phase2)
 
 
 def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
     """State at self-similar speed ``xi``; the right limit at a wave speed.
 
     ``side='-'`` takes the left limit instead (used for the flux traces).
+    Only here, and in ``region_tables``, are pi and E of a region formed.
     """
-    i1 = _region_index(sol.breaks1, xi, side)
-    i2 = _region_index(sol.breaks2, xi, side)
-    on_left_of_coupling = (np.asarray(xi) < sol.u2_star) | \
-        ((np.asarray(xi) == sol.u2_star) & (side == "-"))
-    alpha1 = np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r)
-    return SampledState(
-        alpha1=alpha1,
-        tau1=_take(sol.tau1, i1), u1=_take(sol.u1, i1),
-        pi1=_take(sol.pi1, i1), E1=_take(sol.E1, i1),
-        tau2=_take(sol.tau2, i2), u2=_take(sol.u2, i2),
-        pi2=_take(sol.pi2, i2), E2=_take(sol.E2, i2),
-    )
+    xi = np.asarray(xi, dtype=float)
+    flip = sol.flip
+    # a reflected interface is read at -xi in its oriented frame, where the
+    # requested one-sided limit is the other one.  A break at the oriented
+    # speed counts as passed where flip != (side == "+"); there the speed is
+    # replaced by the next float up, since b <= x is b < nextafter(x, inf)
+    kept, reflected = xi, -xi
+    if side == "+":
+        kept = np.nextafter(kept, np.inf)
+    else:
+        reflected = np.nextafter(reflected, np.inf)
+    xi_o = np.where(flip, reflected, kept)
+    sign = np.where(flip, -1.0, 1.0)
+    on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
+    states = [np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r)]
+    for phase, a in ((sol.phase1, sol.params.a1), (sol.phase2, sol.params.a2)):
+        # a count of at most four breaks: int8 holds it and sums fastest
+        idx = (phase.breaks < xi_o).sum(axis=0, dtype=np.int8).astype(np.intp)
+        tau, u, pi, E = _regions(phase, a, idx)
+        states += [tau, sign * u, pi, E]
+    return SampledState(*states)
 
 
-def interface_jump(sol: RelaxRiemannSolution):
-    """Coupling-wave data: (u2_star, pi1_star, Dirac weight vector).
+def region_tables(sol: RelaxRiemannSolution) -> dict:
+    """Every region of a solved row in the original frame, for tests and audits.
 
-    The weight is the 7-component vector multiplying the jump measure in the
-    nonconservative product; its entropy slots are zero and the momentum
-    entries cancel across phases.  Where the phase fraction does not jump the
-    weight is identically zero and pi1_star stays NaN (never consumed).
+    Keys are ``breaks``, ``tau``, ``u``, ``pi`` and ``E`` with the phase
+    number appended (``tau1``, ``E2``, ...); region axis first, breaks in
+    ascending order.  A reflected interface has its regions reversed and its
+    speeds and velocities negated.
     """
-    dal = sol.alpha1_r - sol.alpha1_l
-    pi = np.where(dal == 0.0, 0.0, sol.pi1_star)
-    zeros = np.zeros_like(dal)
-    dstar = np.stack([dal * sol.u2_star, zeros, zeros, -dal * pi, dal * pi, zeros, zeros])
-    return sol.u2_star, sol.pi1_star, dstar
+    tables = {}
+    for k, phase, a in (("1", sol.phase1, sol.params.a1), ("2", sol.phase2, sol.params.a2)):
+        idx = np.arange(phase.tau.shape[0])[:, None]
+        for name, sign, table in zip(("breaks", "tau", "u", "pi", "E"), (-1.0, 1.0, -1.0, 1.0, 1.0),
+                                     (phase.breaks, *_regions(phase, a, idx))):
+            tables[name + k] = np.where(sol.flip, sign * table[::-1], table)
+    return tables

@@ -144,7 +144,8 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
                 s = sharp_quantities(wl, wr, sub)
         part = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
         sol = part if sol is None else put_interfaces(sol, at, part)
-        bad = (part.tau1[1:4] <= 0.0).any(axis=0) | (part.tau2[1:3] <= 0.0).any(axis=0)
+        # the oriented regions serve: reflection maps the intermediate ones onto themselves
+        bad = (part.phase1.tau[1:4] <= 0.0).any(axis=0) | (part.phase2.tau[1:3] <= 0.0).any(axis=0)
         if not np.any(bad):
             return params, sol
         at = at[bad]
@@ -219,10 +220,11 @@ def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float):
 
     The outermost breaks of each phase are its acoustic speeds
     ``u_L - a tau_L`` and ``u_R + a tau_R``, which bound every other wave.
+    Reflection only negates and swaps them, so the oriented breaks serve.
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
-    smax = max(float(np.max(np.abs(breaks[[0, -1]]))) for breaks in (sol.breaks1, sol.breaks2))
+    smax = max(float(np.max(np.abs(phase.breaks[[0, -1]]))) for phase in (sol.phase1, sol.phase2))
     if smax == 0.0:
         raise SolverError("fully degenerate field: zero wave speeds")
     return cfl * dx / smax

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveOrdering,
-                      build_solution, classify_ordering, fixed_point_context,
-                      interface_jump, riemann, sample, select_parameters, sharp_quantities,
-                      solve_star)
+                      build_solution, classify_ordering, fixed_point_context, region_tables,
+                      riemann, sample, select_parameters, sharp_quantities, solve_star)
 from bn_relax.riemann import STOP_TOL, FixedPointContext, take_interfaces
 from bn_relax.state import VARIABLES
 from conftest import random_primitive
@@ -206,6 +205,16 @@ def test_solve_star_root_where_mach_cap_is_active(where):
     assert sweeps <= BISECTION_HALVINGS
 
 
+def test_mach_is_the_identity_for_equal_fractions(rng):
+    # build_solution takes mach = m without evaluating it where the phase
+    # fractions are equal (nu = 1): the cap never rounds below m there
+    m = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], rng.uniform(0.0, 1.0, 2000)])
+    for tau_ratio in np.concatenate([[1e-12, 1.0 / 0.9, 1e12], rng.lognormal(0.0, 3.0, 20)]):
+        ctx = FixedPointContext(nu=1.0, m_sharp=0.0, p_sharp=0.0, tau_ratio=tau_ratio,
+                                coupling=0.5, rhs=0.0)
+        assert ctx.mach(m).tobytes() == m.tobytes(), tau_ratio
+
+
 def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
     # a row of random pairs, every third with equal fractions, closed by a
     # stationary contact whose fraction jump sits on the coincident ordering
@@ -233,10 +242,17 @@ def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
     assert np.count_nonzero(wL.alpha1 == wR.alpha1) == 10
     assert np.all(nu != 1.0)
     assert nu.size == np.count_nonzero(jumps)
+    def compared(sol):
+        tables = region_tables(sol)
+        return {"u1_star": sol.u1_star, "u2_star": sol.u2_star,
+                "tau1": tables["tau1"], "E1": tables["E1"]}
+
+    in_row = compared(sol)
     for j in range(wL.alpha1.size):
-        alone = build_solution(wL[[j]], wR[[j]], IDEAL, IDEAL, take_interfaces(params, [j]))
+        alone = compared(build_solution(wL[[j]], wR[[j]], IDEAL, IDEAL,
+                                        take_interfaces(params, [j])))
         for field in ("u1_star", "u2_star", "tau1", "E1"):
-            got, want = getattr(sol, field)[..., j], getattr(alone, field)[..., 0]
+            got, want = in_row[field][..., j], alone[field][..., 0]
             assert got.tobytes() == want.tobytes(), (j, field)
 
 
@@ -331,10 +347,11 @@ def test_uniform_data_solution_constant():
 
 def test_sample_beyond_fan_returns_inputs(rng):
     wL, wR, params, sol = feasible_pair(rng)
-    lo = float(np.min(sol.breaks1[0])) - 1.0
-    hi = float(np.max(sol.breaks2[2])) + 1.0
-    far_left = sample(sol, min(lo, float(np.min(sol.breaks2[0])) - 1.0))
-    far_right = sample(sol, max(hi, float(np.max(sol.breaks1[3])) + 1.0))
+    tables = region_tables(sol)
+    lo = float(np.min(tables["breaks1"][0])) - 1.0
+    hi = float(np.max(tables["breaks2"][2])) + 1.0
+    far_left = sample(sol, min(lo, float(np.min(tables["breaks2"][0])) - 1.0))
+    far_right = sample(sol, max(hi, float(np.max(tables["breaks1"][3])) + 1.0))
     assert far_left.tau1 == pytest.approx(1.0 / wL.rho1[0], rel=1e-14)
     assert far_left.u2 == pytest.approx(wL.u2[0], abs=1e-14)
     assert far_right.tau2 == pytest.approx(1.0 / wR.rho2[0], rel=1e-14)
@@ -349,23 +366,6 @@ def test_sample_right_limit_convention(rng):
     assert at_wave.tau1 == pytest.approx(just_right.tau1, rel=1e-9)
     left_limit = sample(sol, sc(sol.u2_star), side="-")
     assert left_limit.alpha1 == wL.alpha1[0]
-
-
-def test_interface_jump_zero_without_alpha_jump():
-    w = uniform_state()
-    wR = PrimitiveState(w.alpha1, 0.7, 0.0, 1.2, 1.9, 0.1, 0.9)
-    params, sol = params_for(w, wR, IDEAL, IDEAL)
-    u2s, pi1s, dstar = interface_jump(sol)
-    assert np.isnan(pi1s)
-    assert np.all(dstar == 0.0)
-
-
-def test_interface_jump_momentum_cancellation(rng):
-    for _ in range(20):
-        wL, wR, params, sol = feasible_pair(rng)
-        _, _, dstar = interface_jump(sol)
-        assert dstar[3] + dstar[4] == pytest.approx(0.0, abs=1e-15)
-        assert dstar[1] == 0.0 and dstar[2] == 0.0
 
 
 # ------------------------------------------------------------ jump-condition audit
@@ -386,8 +386,9 @@ def table_balances(sol):
     pi_star = 0.0 if dal1 == 0.0 else sol.pi1_star[0]
     residuals = {"mass": [], "momentum": [], "energy": []}
     q, scale = None, 1.0
+    tables = region_tables(sol)
     for k in (1, 2):
-        breaks, tau, u, pi, E = (getattr(sol, name + str(k))[:, 0]
+        breaks, tau, u, pi, E = (tables[name + str(k)][:, 0]
                                  for name in ("breaks", "tau", "u", "pi", "E"))
         # index of the coupling wave among the breaks; the regions up to it
         # carry the left phase fraction
@@ -457,7 +458,8 @@ def test_near_window_pair_coupling_dissipation():
     wR = PrimitiveState(*(np.array([v]) for v in
                           (0.59469, 1.34446, -0.61696, 2.65631, 0.63076, -0.86140, 2.90413)))
     params, sol = params_for(wL, wR, IDEAL, IDEAL)
-    assert np.all(sol.tau1[1:4] > 0.0) and np.all(sol.tau2[1:3] > 0.0)
+    tables = region_tables(sol)
+    assert np.all(tables["tau1"][1:4] > 0.0) and np.all(tables["tau2"][1:3] > 0.0)
     s = sharp_quantities(wL, wR, params)
     assert sc(-params.a1 * s.tau_sharp1_r) < sc(s.u_cap) < sc(params.a1 * s.tau_sharp1_l)
     _assert_jump_conditions(sol)
@@ -472,7 +474,8 @@ def check_whole_interface(left, right, eos2):
         _, sol = select_parameters(wL, wR, IDEAL, eos2)
     except SolverError:
         return False
-    assert np.all(sol.tau1[1:4] > 0.0) and np.all(sol.tau2[1:3] > 0.0)
+    tables = region_tables(sol)
+    assert np.all(tables["tau1"][1:4] > 0.0) and np.all(tables["tau2"][1:3] > 0.0)
     _assert_jump_conditions(sol)
     return True
 
@@ -504,7 +507,8 @@ def test_subsonic_ordering_and_phase2_window(rng):
         assert np.all(u2s < wR.u1 + a1 / wR.rho1)
         assert np.all(wL.u2 - a2 / wL.rho2 < u2s)
         assert np.all(u2s < wR.u2 + a2 / wR.rho2)
-        assert np.all(sol.tau1[1:4] > 0.0) and np.all(sol.tau2[1:3] > 0.0)
+        tables = region_tables(sol)
+    assert np.all(tables["tau1"][1:4] > 0.0) and np.all(tables["tau2"][1:3] > 0.0)
 
 
 def test_psi_residual_at_solution(rng):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, WaveOrdering,
-                      assemble_fluxes, build_solution, cfl_dt, get_case, interface_fluxes, run,
-                      scheme, select_parameters, step, to_conserved, to_primitive)
-from bn_relax.riemann import RelaxParams
+                      assemble_fluxes, build_solution, cfl_dt, get_case, interface_fluxes,
+                      region_tables, run, sample, scheme, select_parameters, step,
+                      to_conserved, to_primitive)
+from bn_relax.riemann import RelaxParams, SampledState
 from bn_relax.scheme import ETA
 from bn_relax.state import VARIABLES
 from conftest import random_primitive
@@ -59,7 +60,7 @@ def test_near_vacuum_interface_terminates():
     star = PrimitiveState(0.2, 0.0219, 0.0, 0.0019, 0.0219, 0.0, 0.0019)
     params, sol = select_parameters(case.left, star, case.eos1, case.eos2)
     assert np.all(np.isfinite(np.atleast_1d(params.a2)))
-    assert np.all(sol.tau2[1:3] > 0.0)
+    assert np.all(region_tables(sol)["tau2"][1:3] > 0.0)
 
 
 def test_whitham_bound_always_respected(rng):
@@ -80,10 +81,11 @@ def test_selection_is_row_independent(rng):
     w = random_primitive(rng, 800)
     wL, wR = w[slice(0, 400)], w[slice(400, 800)]
     params, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    tau1 = region_tables(sol)["tau1"]
     for j in range(400):
         pj, sj = select_parameters(wL[j], wR[j], IDEAL, IDEAL)
-        in_row = (params.a1[j], params.a2[j], sol.tau1[:, j], sol.u2_star[j])
-        alone = (pj.a1, pj.a2, sj.tau1[:, 0], sj.u2_star)
+        in_row = (params.a1[j], params.a2[j], tau1[:, j], sol.u2_star[j])
+        alone = (pj.a1, pj.a2, region_tables(sj)["tau1"][:, 0], sj.u2_star)
         for got, want in zip(in_row, alone):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
     start1 = (1.0 + ETA) * np.maximum(IDEAL.lagrangian_sound_speed(wL.rho1, wL.p1),
@@ -165,6 +167,119 @@ def test_moving_coupled_contact_flux_exactness():
     assert np.allclose(updated_right, exact_right, rtol=1e-13, atol=1e-14)
     updated_left = uL - lam * (np.ravel(fx.f_minus) - np.ravel(fxL.f_plus))
     assert np.allclose(updated_left, uL, rtol=0, atol=1e-14)
+
+
+def trace_fluxes(sol):
+    """(F-, F+) of the sampled 0- and 0+ traces without the coupling terms.
+
+    Components 1-4 of F- take the 0- trace and everything else the 0+ trace,
+    as in ``assemble_fluxes``; component 0, the phase-fraction flux, is zero.
+    """
+    def flux(w):
+        al1, al2 = w.alpha1, 1.0 - w.alpha1
+        return np.stack([np.zeros_like(al1),
+                         al1 * w.u1 / w.tau1, al2 * w.u2 / w.tau2,
+                         al1 * (w.u1 * w.u1 / w.tau1 + w.pi1), al2 * (w.u2 * w.u2 / w.tau2 + w.pi2),
+                         al1 * (w.E1 / w.tau1 + w.pi1) * w.u1, al2 * (w.E2 / w.tau2 + w.pi2) * w.u2])
+    gm, gp = flux(sample(sol, 0.0, side="-")), flux(sample(sol, 0.0, side="+"))
+    return np.concatenate([gm[:5], gp[5:]]), gp
+
+
+def test_coupling_terms_zero_without_alpha_jump():
+    wL = PrimitiveState(0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)
+    wR = PrimitiveState(wL.alpha1, 0.7, 0.0, 1.2, 1.9, 0.1, 0.9)
+    _, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    fx = assemble_fluxes(sol)
+    assert np.isnan(sc(sol.pi1_star))
+    for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
+        assert sc(got[0]) == 0.0
+        for i in range(1, 7):
+            assert sc(got[i]) == pytest.approx(sc(trace[i]), rel=1e-15, abs=1e-15), i
+
+
+def test_coupling_terms_cancel_in_mixture_momentum_and_energy(rng):
+    # the coupling wave moves momentum and energy between the phases, never
+    # into or out of the mixture, and never adds to a partial mass
+    w = random_primitive(rng, 400)
+    _, sol = select_parameters(w[slice(0, 200)], w[slice(200, 400)], IDEAL, IDEAL)
+    fx = assemble_fluxes(sol)
+    eps = np.finfo(float).eps
+    for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
+        coupling = got - trace
+        assert np.all(coupling[1:3] == 0.0)
+        for i in (3, 5):
+            # each difference above rounds within an ulp of its terms
+            ulps = 4.0 * eps * (np.abs(got[i]) + np.abs(got[i + 1]) + np.abs(trace[i])
+                                + np.abs(trace[i + 1]))
+            assert np.all(np.abs(coupling[i] + coupling[i + 1]) <= ulps), i
+            assert np.any(np.abs(coupling[i]) > 1e-3), i
+
+
+def table_sample(sol, xi, side):
+    """``sample`` read off the original-frame region tables by the rule the
+    whole-table sampler used: a break at ``xi`` counts as passed for the
+    right limit (``breaks <= xi``) and not for the left one (``breaks < xi``)."""
+    tables = region_tables(sol)
+    cols = np.arange(sol.u2_star.size)
+    on_left = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
+    out = [np.where(on_left, sol.alpha1_l, sol.alpha1_r)]
+    for k in ("1", "2"):
+        breaks = tables["breaks" + k]
+        idx = (breaks <= xi if side == "+" else breaks < xi).sum(axis=0)
+        out += [tables[name + k][idx, cols] for name in ("tau", "u", "pi", "E")]
+    return SampledState(*out)
+
+
+def tie_row(rng, n):
+    """Pairs whose waves sit exactly at speed 0, on either side of the
+    reflection: ``n`` stationary contacts of both phases between different
+    densities (half with an alpha1 jump), ``n`` with one phase at rest and
+    the other moving at a random speed (equal fractions, so the contact at
+    rest keeps speed 0 bitwise), ``n`` random pairs and ``n`` bitwise-uniform
+    pairs."""
+    zeros, p = np.zeros(n), rng.uniform(0.2, 3.0, n)
+    rest_l, rest_r = (PrimitiveState(
+        alpha1=alpha, rho1=rng.uniform(0.2, 3.0, n), u1=zeros, p1=p,
+        rho2=rng.uniform(0.2, 3.0, n), u2=zeros, p2=p)
+        for alpha in (np.full(n, 0.3), np.where(np.arange(n) % 2 == 0, 0.3, 0.6)))
+    moving = random_primitive(rng, 2 * n)
+    v, p1, p2 = rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n)
+    at_rest = np.arange(n) % 2 == 0      # which phase is at rest
+    half_l, half_r = (PrimitiveState(
+        alpha1=moving.alpha1[:n], rho1=moving.rho1[sl], u1=np.where(at_rest, 0.0, v), p1=p1,
+        rho2=moving.rho2[sl], u2=np.where(at_rest, v, 0.0), p2=p2)
+        for sl in (slice(0, n), slice(n, 2 * n)))
+    general = random_primitive(rng, 2 * n)
+    uniform = random_primitive(rng, n)
+    parts_l = (rest_l, half_l, general[slice(0, n)], uniform)
+    parts_r = (rest_r, half_r, general[slice(n, 2 * n)], uniform)
+    return tuple(PrimitiveState(*(np.concatenate([getattr(w, f) for w in parts]) for f in VARIABLES))
+                 for parts in (parts_l, parts_r))
+
+
+def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
+    # a reflected interface is sampled at -xi in its oriented frame, where
+    # 0- of the original frame is 0+; the traces and the fluxes must equal,
+    # bitwise, those read off the original-frame tables
+    wL, wR = tie_row(rng, 500)
+    _, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    tables = region_tables(sol)
+    at_zero = (tables["breaks1"] == 0.0).any(axis=0) | (tables["breaks2"] == 0.0).any(axis=0)
+    assert np.count_nonzero(at_zero & sol.flip) > 100
+    assert np.count_nonzero(at_zero & ~sol.flip) > 100
+    assert np.count_nonzero(sol.ordering == WaveOrdering.COINCIDENT) > 100
+    left, right = table_sample(sol, 0.0, "-"), table_sample(sol, 0.0, "+")
+    # the limits differ at the ties, so a swapped limit would show
+    assert np.count_nonzero((left.tau1 != right.tau1) & sol.flip) > 100
+    for side, want in (("-", left), ("+", right)):
+        got = sample(sol, 0.0, side)
+        for field in ("alpha1", "tau1", "u1", "pi1", "E1", "tau2", "u2", "pi2", "E2"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (side, field)
+    fluxes = assemble_fluxes(sol)
+    monkeypatch.setattr(scheme, "sample", table_sample)
+    reference = assemble_fluxes(sol)
+    assert fluxes.f_minus.tobytes() == reference.f_minus.tobytes()
+    assert fluxes.f_plus.tobytes() == reference.f_plus.tobytes()
 
 
 # ------------------------------------------------------------ time step
