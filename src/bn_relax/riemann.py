@@ -98,13 +98,11 @@ def take_interfaces(data, at):
     """The interfaces ``at`` (a mask or indices) of a dataclass of per-interface arrays.
 
     The interface axis is the last one.  A 0-d field holds for every
-    interface and is kept as it is; nested dataclasses are taken the same way.
+    interface and is kept as it is.
     """
     idx = np.flatnonzero(at) if np.asarray(at).dtype == bool else at
 
     def part(v):
-        if is_dataclass(v):
-            return take_interfaces(v, idx)
         v = np.asarray(v)
         return v.take(idx, axis=-1) if v.ndim else v
     return type(data)(**{f.name: part(getattr(data, f.name)) for f in fields(data)})

@@ -508,7 +508,7 @@ def test_subsonic_ordering_and_phase2_window(rng):
         assert np.all(wL.u2 - a2 / wL.rho2 < u2s)
         assert np.all(u2s < wR.u2 + a2 / wR.rho2)
         tables = region_tables(sol)
-    assert np.all(tables["tau1"][1:4] > 0.0) and np.all(tables["tau2"][1:3] > 0.0)
+        assert np.all(tables["tau1"][1:4] > 0.0) and np.all(tables["tau2"][1:3] > 0.0)
 
 
 def test_psi_residual_at_solution(rng):
