@@ -123,6 +123,20 @@ def bench(case: TestCase, levels, schemes=("relaxation", "rusanov")):
     return rows
 
 
+def error_at_cost(costs, errors, cost: float) -> float:
+    """Error of a mesh-refinement study at CPU time ``cost``.
+
+    ``costs`` and ``errors`` hold one entry per mesh level, in any order.  The
+    error is interpolated linearly in log(cost) against log(error) between the
+    two levels around ``cost``; it is NaN outside the range of ``costs``.
+    """
+    costs, errors = np.asarray(costs, dtype=float), np.asarray(errors, dtype=float)
+    order = np.argsort(costs)
+    log_err = np.interp(math.log(cost), np.log(costs[order]), np.log(errors[order]),
+                        left=math.nan, right=math.nan)
+    return float(np.exp(log_err))
+
+
 # ---------------------------------------------------------------- file I/O
 
 _PROFILE_HEADER = "x," + ",".join(VARIABLES)

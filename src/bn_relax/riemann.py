@@ -11,8 +11,9 @@ velocities, which gives the exact floating-point values that reflecting the
 whole solution back would, by symmetry of the formulas.
 
 The coupling-wave speed solves a scalar equation, ``psi(m) = rhs``, which
-``solve_star`` iterates only at interfaces where the phase fraction jumps
-and the waves do not coincide; elsewhere the root is known in closed form.
+``solve_star`` iterates, from a bracket narrowed around a closed-form seed,
+only at interfaces where the phase fraction jumps and the waves do not
+coincide; elsewhere the root is known in closed form.
 
 Per phase, the solution holds the specific volumes and velocities of its
 piecewise-constant regions, the wave speeds between them, and the pressure
@@ -255,13 +256,63 @@ def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantiti
     )
 
 
-def solve_star(ctx: FixedPointContext, s: SharpQuantities, params: RelaxParams):
-    """Solve psi(m) = rhs on (0, 1) and return (m_star, u2_star, u1_star).
+def _seed(ctx: FixedPointContext):
+    """Approximate root of psi(m) = rhs in [0, 1]; 0 where none is found.
+
+    psi is the larger of its two branches, the conservative one (``mach =
+    mach_conservative``) and the cap (``mach = mach_cap``), so its root is
+    the smaller of the branch roots in [0, 1] of the increasing ones.  On a
+    branch, psi(m) = rhs makes the Mach number linear in m, ``mach = alpha m
+    + beta`` with ``beta <= 0``, so the cap branch is a linear equation.  On
+    the conservative branch, the line put into the quadratic ``2m M^2 - q (1
+    + m^2) M + 2m/nu = 0`` of ``mach_conservative`` gives a cubic ``f(m) = 2m
+    (M - M-)(M - M+)``, with M- < M+ the roots of the quadratic.  The line
+    starts below M-, which stays below ``1/sqrt(nu)``, and rises without
+    bound, so ``f > 0`` up to the root sought, its first crossing of M-, and
+    ``f < 0`` past it; with ``f(-inf) < 0 < f(inf)`` that root is the middle
+    one of three real roots, which is taken in trigonometric form.  The cubic
+    is ill-conditioned where psi is, so the seed only narrows a bracket.
+    """
+    c, nu, rhs = ctx.coupling, ctx.nu, ctx.rhs
+    c_nu = c * nu
+    q = 1.0 + 1.0 / nu
+    alpha = (1.0 + c * (1.0 + nu)) / (2.0 * c_nu)
+    beta = -rhs / (2.0 * c_nu)
+    # monic cubic m^3 + b m^2 + d1 m + d0: its coefficients divided by
+    # 2 alpha^2 - q alpha = alpha / (c nu), and 4 alpha beta - q beta taken as
+    # beta (q + 2 / (c nu)); both differences cancel for large c
+    scale = c_nu / alpha
+    b = beta * (q + 2.0 / c_nu) * scale
+    d1 = (2.0 * beta * beta - q * alpha + 2.0 / nu) * scale
+    d0 = -q * beta * scale
+    shift = b / 3.0
+    p = d1 - b * shift                       # m = t - shift: t^3 + p t + r = 0
+    r = (2.0 * shift * shift - d1) * shift + d0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        amp = 2.0 * np.sqrt(-p / 3.0)
+        angle = np.arccos(np.clip(-4.0 * r / (amp * amp * amp), -1.0, 1.0)) / 3.0
+        conservative = amp * np.cos(angle - 2.0 * np.pi / 3.0) - shift
+        shift_cap, slope, _ = ctx._cap_coeffs
+        # an active cap has a positive slope; a decreasing branch gives a negative root
+        cap = (slope * shift_cap - beta) / (alpha - slope)
+    conservative = np.where((conservative >= 0.0) & (conservative <= 1.0), conservative, np.inf)
+    cap = np.where((slope > 0.0) & (cap >= 0.0) & (cap <= 1.0), cap, np.inf)
+    seed = np.minimum(conservative, cap)
+    return np.where(np.isfinite(seed), seed, 0.0)
+
+
+def solve_star(ctx: FixedPointContext):
+    """Solve psi(m) = rhs on (0, 1) and return (m_star, mach(m_star)).
 
     Assumes the oriented ordering (u_cap >= 0).  psi(0) = 0 <= rhs and
     psi(1) > rhs whenever the existence condition holds, so (0, 1) brackets
     the root; its absence is an internal error.  psi is increasing, with a
     kink wherever ``mach_cap`` takes over from ``mach_conservative``.
+
+    One evaluation of psi, at 0, ``m0 (1 -+ 2**-30)`` and 1, both checks the
+    bracket and narrows it: ``m0`` is the closed-form seed of ``_seed``, and
+    the bracket becomes the first of (0, m0-), (m0-, m0+), (m0+, 1) in which
+    psi - rhs changes sign.  A poor seed only leaves a wider bracket.
 
     Each sweep evaluates psi once per interface at the Illinois point: the
     secant point of the bracket (lo, hi), after halving the residual of an
@@ -275,14 +326,19 @@ def solve_star(ctx: FixedPointContext, s: SharpQuantities, params: RelaxParams):
     hi - lo <= STOP_TOL hi, with m the last point evaluated.
     """
     rhs = np.asarray(ctx.rhs, dtype=float)
-    lo = np.zeros_like(rhs)
-    hi = np.ones_like(rhs)
-    f_lo = -rhs                     # psi(0) = 0
-    f_hi = ctx.psi(hi) - rhs
-    if np.any(f_hi <= 0.0) or np.any(rhs < 0.0):
+    m0 = _seed(ctx)
+    points = np.stack([np.zeros_like(rhs), m0 * (1.0 - 2.0 ** -30),
+                       np.minimum(m0 * (1.0 + 2.0 ** -30), 1.0), np.ones_like(rhs)])
+    f = ctx.psi(points) - rhs               # psi(0) = 0 exactly
+    if np.any(f[-1] <= 0.0) or np.any(rhs < 0.0):
         raise SolverError("fixed point bracket failure on (0, 1)")
+    # the first sign change: f[k] <= 0 < f[k + 1]
+    k = np.argmax(f[1:] > 0.0, axis=0)
+    ends = np.stack([k, k + 1])
+    lo, hi = np.take_along_axis(points, ends, axis=0)
+    f_lo, f_hi = np.take_along_axis(f, ends, axis=0)
     tol = STOP_TOL * np.maximum(1.0, rhs)
-    m = lo
+    m = np.zeros_like(rhs)
     widths = [np.inf] * 3                   # bracket widths before the last three sweeps
     moved_lo = np.full(rhs.shape, -1)       # end moved by the last sweep: 1 lo, 0 hi, -1 none
     active = rhs > tol
@@ -305,10 +361,7 @@ def solve_star(ctx: FixedPointContext, s: SharpQuantities, params: RelaxParams):
         moved_lo = to_lo
         m = np.where(active, x, m)
         active &= (np.abs(f) > tol) & (hi - lo > STOP_TOL * hi)
-    mach = ctx.mach(m)
-    u2_star = s.u_sharp1 - params.a1 * s.tau_sharp1_l * m
-    u1_star = s.u_sharp1 - params.a1 * s.tau_sharp1_l * (m - ctx.nu * mach) / (1.0 + ctx.nu * mach)
-    return m, u2_star, u1_star
+    return m, ctx.mach(m)
 
 
 @dataclass(frozen=True)
@@ -496,10 +549,7 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     # with equal fractions psi(1) >= 1 > rhs
     jump = ~(coincident | equal_frac)
     if np.any(jump):
-        ctx_jump = take_interfaces(ctx, jump)
-        m_star[jump] = m_jump = solve_star(ctx_jump, *(take_interfaces(x, jump)
-                                                       for x in (s, params)))[0]
-        mach[jump] = ctx_jump.mach(m_jump)
+        m_star[jump], mach[jump] = solve_star(take_interfaces(ctx, jump))
     u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - params.a1 * s.tau_sharp1_l * m_star)
 
     # coupling pressure: defined only when the phase fraction jumps

@@ -27,10 +27,13 @@ ETA = 0.01
 #: rungs each ladder may climb, and a2 retries each interface may take, before
 #: selection reports the interface.  The cap turns a runaway search into a
 #: diagnosable error; it bounds the growth of each parameter at
-#: (1 + ETA)**MAX_INFLATIONS, and must accommodate locally supersonic relative
-#: velocities (benchmark case 2 needs roughly a five-fold growth of a1 near the
-#: strong right shock).
+#: (1 + ETA)**MAX_INFLATIONS (about 2.1e4), and must accommodate locally
+#: supersonic relative velocities: benchmark case 2 climbs a1 by up to 475
+#: rungs, a 113-fold growth, near the strong right shock at 200, 800 and 3200
+#: cells.
 MAX_INFLATIONS = 1000
+#: multiplier of the starting value at each rung of a ladder, rung 0 the start itself
+LADDER = np.concatenate([[1.0], np.cumprod(np.full(MAX_INFLATIONS, 1.0 + ETA))])
 
 
 @dataclass(frozen=True)
@@ -76,33 +79,96 @@ def _existence_ok(s, params):
     return ok
 
 
-def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, holds) -> RelaxParams:
-    """Advance a1 or a2 (``grow`` is 1 or 2) up its (1 + ETA)**k ladder at interfaces ``idx``.
+def _largest_root(a, b, c):
+    """Largest real root of ``a x^2 + b x + c`` (``a >= 0``); -inf where it has none.
 
-    Each failing interface takes its first rung where ``holds(s, params)`` is
-    true.  Rungs are evaluated in broadcast blocks, which reaches the same
-    value as the one-rung-at-a-time loop without paying for the whole ladder
-    when a low rung works.
+    Above it the quadratic is positive.  The root is formed without
+    cancellation; with ``a = 0`` it is that of the linear part.  For
+    ``b >= 0`` its denominator ``-b - sqrt(disc)`` vanishes only where
+    ``b = c = 0``, whose largest root is 0.
     """
-    rungs = np.cumprod(np.full(MAX_INFLATIONS, 1.0 + ETA))
-    chosen = np.full(idx.size, -1, dtype=np.int64)
-    open_cols = np.arange(idx.size)
-    block = 128
-    for start in range(0, MAX_INFLATIONS, block):
-        cols = idx[open_cols]
-        sub_a1, sub_a2 = params.a1[cols], params.a2[cols]
-        r = rungs[start:start + block, None]
-        cand = RelaxParams(sub_a1 * r, sub_a2) if grow == 1 else RelaxParams(sub_a1, sub_a2 * r)
-        ok = holds(sharp_quantities(wL[cols], wR[cols], cand), cand)
-        hit = ok.any(axis=0)
-        chosen[open_cols[hit]] = start + ok.argmax(axis=0)[hit]
-        open_cols = open_cols[~hit]
-        if open_cols.size == 0:
-            break
-    if open_cols.size:
-        raise _infeasible(f"a{grow}", wL, wR, int(idx[open_cols[0]]))
-    out = (params.a1 if grow == 1 else params.a2).copy()
-    out[idx] = out[idx] * rungs[chosen]
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    den = -b - sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(b < 0.0, (sq - b) / (2.0 * a), np.where(den < 0.0, 2.0 * c / den, 0.0))
+    return np.where(disc >= 0.0, root, -np.inf)
+
+
+def _tau_roots(tauL, tauR, du, dp):
+    """Largest roots in ``a`` of the two tau predictors of a phase times ``a^2``.
+
+    ``tau_sharp_l > 0`` iff ``tauL a^2 + (du/2) a - dp/2 > 0``, and
+    ``tau_sharp_r > 0`` iff ``tauR a^2 + (du/2) a + dp/2 > 0``, with
+    ``du = uR - uL`` and ``dp = pR - pL``.
+    """
+    return _largest_root(tauL, 0.5 * du, -0.5 * dp), _largest_root(tauR, 0.5 * du, 0.5 * dp)
+
+
+def _a2_least(wl, wr, s, params):
+    """a2 above which both tau predictors of phase 2 are positive."""
+    return np.maximum(*_tau_roots(1.0 / wl.rho2, 1.0 / wr.rho2, wr.u2 - wl.u2, wr.p2 - wl.p2))
+
+
+def _a1_least(wl, wr, s, params):
+    """a1 above which phase 1's tau predictors are positive and ``u_cap`` lies
+    inside its window, with a2 and phase 2's predictors those of ``s``.
+
+    Multiplied by ``a1 (1 + (a1/a2)|lambda|)``, each bound of the window is a
+    quadratic in a1 too: its constant terms cancel.
+    """
+    tauL, tauR = 1.0 / wl.rho1, 1.0 / wr.rho1
+    du, dp = wr.u1 - wl.u1, wr.p1 - wl.p1
+    lam = s.lambda_alpha
+    g = np.abs(lam) / params.a2
+    h = lam * du / (2.0 * params.a2)
+    c0 = (0.5 * (wl.u1 + wr.u1) - s.u_sharp2
+          - lam * (0.5 * (wl.p1 + wr.p1) - s.pi_sharp2) / params.a2)
+    upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
+    lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
+    return np.max([*_tau_roots(tauL, tauR, du, dp), upper, lower], axis=0)
+
+
+def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, holds, least) -> RelaxParams:
+    """Advance a1 or a2 (``grow`` is 1 or 2) up its ``LADDER`` at interfaces ``idx``.
+
+    Each interface fails ``holds(s, params)`` at rung 0 and takes its first
+    rung where the predicate is true.  Every predicate is the positivity of
+    quadratics in the climbing parameter, so it holds above the largest of
+    their roots, ``least``: the climb starts at the first rung above it, k0,
+    and one call checks rungs k0 - 1 and k0 with the exact predicate.  Where
+    that check does not confirm k0 (a rung within rounding of a root), a
+    bisection over the rung index finds the first rung that holds.  Both take
+    the predicate to be false below some rung and true from it on.  A
+    quadratic is negative only between its roots, so that fails only where
+    one of them is positive at the start and has both roots above it; no
+    climb of the benchmark cases or of random rows with near-vacuum phases
+    and strong jumps does that, and the tests compare the climb with a scan
+    of every rung.
+    """
+    climbing = params.a1 if grow == 1 else params.a2
+    base, other = climbing[idx], (params.a2 if grow == 1 else params.a1)[idx]
+    wl, wr = wL[idx], wR[idx]
+
+    def check(cols, rungs):
+        value = base[cols] * LADDER[rungs]
+        cand = (RelaxParams(value, other[cols]) if grow == 1
+                else RelaxParams(other[cols], value))
+        return holds(sharp_quantities(wl[cols], wr[cols], cand), cand)
+
+    k0 = np.clip(np.searchsorted(LADDER, least / base, side="right"), 1, MAX_INFLATIONS)
+    below, at = check(slice(None), np.stack([k0 - 1, k0]))
+    # bracket (lo, hi]: rung lo fails, rung hi holds (MAX_INFLATIONS + 1: none does)
+    lo = np.where(below, 0, np.where(at, k0 - 1, k0))
+    hi = np.where(below, k0 - 1, np.where(at, k0, MAX_INFLATIONS + 1))
+    while (cols := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[cols] + hi[cols]) // 2
+        ok = check(cols, mid)
+        lo[cols], hi[cols] = np.where(ok, lo[cols], mid), np.where(ok, mid, hi[cols])
+    if np.any(hi > MAX_INFLATIONS):
+        raise _infeasible(f"a{grow}", wL, wR, int(idx[np.argmax(hi > MAX_INFLATIONS)]))
+    out = climbing.copy()
+    out[idx] = base * LADDER[hi]
     return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
 
 
@@ -136,10 +202,11 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
     sol = None
     while True:
         s = sharp_quantities(wl, wr, sub)
-        for grow, holds in ((2, _tau2_ok), (1, _existence_ok)):
+        for grow, holds, least in ((2, _tau2_ok, _a2_least), (1, _existence_ok, _a1_least)):
             bad = ~holds(s, sub)
             if np.any(bad):
-                params = _climb_ladder(wL, wR, params, at[bad], grow, holds)
+                params = _climb_ladder(wL, wR, params, at[bad], grow, holds,
+                                       least(wl, wr, s, sub)[bad])
                 sub = take_interfaces(params, at)
                 s = sharp_quantities(wl, wr, sub)
         part = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)

@@ -312,7 +312,8 @@ def test_criterion_8_kernel_properties(rng):
     coincident = sol.ordering == WaveOrdering.COINCIDENT
     import dataclasses
     safe = dataclasses.replace(ctx, rhs=np.where(coincident, 0.0, ctx.rhs))
-    m, u2s, _ = solve_star(safe, s, params)
+    m, _ = solve_star(safe)
+    u2s = build_solution(wl, wr, IDEAL, IDEAL, params).u2_star
     residual = np.abs(safe.psi(m) - safe.rhs)[~coincident]
     assert np.max(residual) <= 1e-12
     got = np.where(flip, -u2s, u2s)[~coincident]

@@ -7,8 +7,8 @@ import pytest
 
 from bn_relax import (AdmissibilityError, PrimitiveState, get_case, l1_error, load_case_json,
                       run_case, scheme)
-from bn_relax.harness import (bench, case_error, convergence_study, read_profile_csv,
-                              write_bench_csv, write_profile_csv)
+from bn_relax.harness import (bench, case_error, convergence_study, error_at_cost,
+                              read_profile_csv, write_bench_csv, write_profile_csv)
 
 
 def prof(**kw):
@@ -29,6 +29,17 @@ def test_l1_hand_value():
     e = prof(rho1=[1.0, 1.0])
     rep = l1_error(a, e, dx=0.5)
     assert rep.errors["rho1"] == pytest.approx(0.5)
+
+
+def test_error_at_cost_is_log_log_interpolation():
+    # errors halve each time the cost quadruples: error = 0.2 / sqrt(cost);
+    # the levels may come in any order, as noisy timings can put them
+    costs, errors = [16.0, 1.0, 4.0], [0.05, 0.2, 0.1]
+    assert error_at_cost(costs, errors, 2.0) == pytest.approx(0.2 / math.sqrt(2.0), rel=1e-14)
+    assert error_at_cost(costs, errors, 8.0) == pytest.approx(0.2 / math.sqrt(8.0), rel=1e-14)
+    assert error_at_cost(costs, errors, 4.0) == pytest.approx(0.1, rel=1e-14)
+    assert math.isnan(error_at_cost(costs, errors, 0.5))
+    assert math.isnan(error_at_cost(costs, errors, 17.0))
 
 
 def test_l1_scaling_invariance():

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, WaveOrdering,
-                      assemble_fluxes, build_solution, cfl_dt, get_case, interface_fluxes,
-                      region_tables, run, sample, scheme, select_parameters, step,
-                      to_conserved, to_primitive)
+from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, SolverError,
+                      WaveOrdering, assemble_fluxes, build_solution, cfl_dt, get_case,
+                      interface_fluxes, region_tables, run, sample, scheme, select_parameters,
+                      sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams, SampledState
-from bn_relax.scheme import ETA
+from bn_relax.scheme import ETA, LADDER, MAX_INFLATIONS
 from bn_relax.state import VARIABLES
 from conftest import random_primitive
 
 IDEAL = EosParams(1.4)
+STIFF = EosParams(3.0, 100.0)
 
 
 def sc(x):
@@ -93,6 +94,104 @@ def test_selection_is_row_independent(rng):
     start2 = (1.0 + ETA) * np.maximum(IDEAL.lagrangian_sound_speed(wL.rho2, wL.p2),
                                       IDEAL.lagrangian_sound_speed(wR.rho2, wR.p2))
     assert np.any(params.a1 > start1) and np.any(params.a2 > start2)
+
+
+def hard_row(rng, n):
+    """One side of a row of pairs that climb both ladders often: alpha1
+    log-uniform down to 1e-9 from either end, pressures 0.2-200 and
+    velocities in +-4."""
+    alpha = 10.0 ** rng.uniform(-9.0, np.log10(0.5), n)
+    alpha = np.where(rng.random(n) < 0.5, alpha, 1.0 - alpha)
+    pressure = 10.0 ** rng.uniform(np.log10(0.2), np.log10(200.0), (2, n))
+    return PrimitiveState(alpha, rng.uniform(0.2, 3.0, n), rng.uniform(-4.0, 4.0, n),
+                          pressure[0], rng.uniform(0.2, 3.0, n), rng.uniform(-4.0, 4.0, n),
+                          pressure[1])
+
+
+def recorded_climbs(rng, monkeypatch, rows=6, n=250):
+    """Every ``_climb_ladder`` call made while selecting parameters on hard
+    rows, half with a stiffened phase 2, as (arguments, returned params)."""
+    climbs = []
+    climb = scheme._climb_ladder
+
+    def recording(*args):
+        out = climb(*args)
+        climbs.append((args, out))
+        return out
+
+    monkeypatch.setattr(scheme, "_climb_ladder", recording)
+    for r in range(rows):
+        select_parameters(hard_row(rng, n), hard_row(rng, n), IDEAL, (IDEAL, STIFF)[r % 2])
+    monkeypatch.undo()
+    return climbs
+
+
+def reference_rungs(wL, wR, params, idx, grow, holds):
+    """First rung of every climbing interface by a scan that evaluates the
+    predicate at every rung of the ladder; -1 where none holds."""
+    base = (params.a1 if grow == 1 else params.a2)[idx]
+    other = (params.a2 if grow == 1 else params.a1)[idx]
+    value = base * LADDER[:, None]
+    cand = RelaxParams(value, other) if grow == 1 else RelaxParams(other, value)
+    ok = holds(sharp_quantities(wL[idx], wR[idx], cand), cand)
+    assert not np.any(ok[0])              # the start fails: that is why it climbs
+    return np.where(ok.any(axis=0), ok.argmax(axis=0), -1)
+
+
+def climbed(args, out):
+    """The values a climb chose for its interfaces."""
+    _, _, _, idx, grow, _, _ = args
+    return (out.a1 if grow == 1 else out.a2)[idx]
+
+
+def test_ladder_matches_a_rung_by_rung_scan(rng, monkeypatch):
+    climbs = recorded_climbs(rng, monkeypatch)
+    assert {args[4] for args, _ in climbs} == {1, 2}
+    assert sum(args[3].size for args, _ in climbs if args[4] == 1) > 200
+    for args, out in climbs:
+        wL, wR, params, idx, grow, holds, _ = args
+        first = reference_rungs(wL, wR, params, idx, grow, holds)
+        assert np.all(first >= 1)
+        base = (params.a1 if grow == 1 else params.a2)[idx]
+        assert climbed(args, out).tobytes() == (base * LADDER[first]).tobytes()
+        # the other parameter and the other interfaces are untouched
+        for name in ("a1", "a2"):
+            rest = np.ones(getattr(params, name).size, bool)
+            if name == f"a{grow}":
+                rest[idx] = False
+            assert np.array_equal(getattr(out, name)[rest], getattr(params, name)[rest])
+
+
+def test_ladder_bisection_finds_the_rung_from_a_wrong_start(rng, monkeypatch):
+    # a start rung off by up to the whole ladder, or from a least value of
+    # 0 or inf, sends every climb to the bisection, which must land on the
+    # same rung
+    climbs = recorded_climbs(rng, monkeypatch, rows=2)
+    assert climbs
+    for args, out in climbs:
+        wL, wR, params, idx, grow, holds, least = args
+        off = LADDER[rng.integers(2, 2 * MAX_INFLATIONS, idx.size) % (MAX_INFLATIONS + 1)]
+        zero, inf = np.zeros_like(least), np.full_like(least, np.inf)
+        for wrong in (least * off, least / off, zero, inf):
+            again = scheme._climb_ladder(wL, wR, params, idx, grow, holds, wrong)
+            assert climbed(args, again).tobytes() == climbed(args, out).tobytes()
+
+
+def test_ladder_inflation_cap_is_an_error():
+    # phase 1 moves through phase 2 at a relative speed u_rel in the middle
+    # pair, so a1 tau1 must exceed u_rel.  a1 starts at 1.01 rho1 c1 = 1.195:
+    # a relative speed of 1e4 needs an 8.4e3-fold growth, within the
+    # 2.1e4-fold the ladder allows, and 1e5 needs more than that
+    def row(u_rel):
+        cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (3, 1))
+        cells[1, 2] = u_rel                 # u1 of the middle pair
+        w = PrimitiveState(*cells.T)
+        return select_parameters(w, w, IDEAL, IDEAL)
+
+    params, _ = row(1e4)
+    assert params.a1[1] > 1e4 and params.a1[1] < LADDER[-1] * params.a1[0]
+    with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 1;"):
+        row(1e5)
 
 
 # ------------------------------------------------------------ fluxes
