@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Relaxation's error over Rusanov's at equal CPU time, per case and variable.
 
-For each case the relaxation scheme runs on 100 * 2**n cells, n < --levels,
-and Rusanov's scheme on a reference mesh (--reference-cells).  A run's CPU
-time is that of its time loop, the median over --repeats runs, because single
-runs move with host speed.  Relaxation's L1 error of each variable is
+For cases 1, 2 and 4 the relaxation scheme runs on 100 * 2**n cells,
+n < --levels, and Rusanov's scheme on a reference mesh (--reference-cells).
+A run's CPU time is that of its time loop, the median of three runs, because
+single runs move with host speed.  Relaxation's L1 error of each variable is
 interpolated log-log at Rusanov's time on the reference mesh and divided by
 Rusanov's error there: a ratio below 1 means relaxation is the more accurate
 scheme at that cost.  Usage:
 
-    PYTHONPATH=src python scripts/equal_cost.py [--cases 1 2 4] [--reference-cells 1600]
+    PYTHONPATH=src python scripts/equal_cost.py [--levels 5] [--reference-cells 1600]
 """
 import argparse
 import statistics
@@ -18,29 +18,31 @@ from bn_relax import get_case
 from bn_relax.harness import case_error, error_at_cost, run_case
 from bn_relax.state import VARIABLES
 
+CASES = (1, 2, 4)
+#: runs per mesh; their median time is the cost
+REPEATS = 3
 
-def timed(case, scheme, cells, repeats):
-    """(median time-loop seconds, L1 errors by variable) of ``repeats`` runs."""
-    runs = [run_case(case, scheme, cells) for _ in range(repeats)]
+
+def timed(case, scheme, cells):
+    """(median time-loop seconds, L1 errors by variable) of ``REPEATS`` runs."""
+    runs = [run_case(case, scheme, cells) for _ in range(REPEATS)]
     return statistics.median(r.wall_time for r in runs), case_error(case, runs[0]).errors
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--cases", type=int, nargs="+", default=[1, 2, 4], choices=range(1, 6))
     ap.add_argument("--levels", type=int, default=5,
                     help="relaxation meshes: 100 * 2**n cells for n < LEVELS (default 5)")
     ap.add_argument("--reference-cells", type=int, default=1600,
                     help="Rusanov's mesh (default 1600)")
-    ap.add_argument("--repeats", type=int, default=3, help="runs per mesh (default 3)")
     args = ap.parse_args()
 
-    for cid in args.cases:
+    for cid in CASES:
         case = get_case(cid)
         cells = [100 * 2 ** n for n in range(args.levels)]
-        levels = [timed(case, "relaxation", n, args.repeats) for n in cells]
-        cost, reference = timed(case, "rusanov", args.reference_cells, args.repeats)
+        levels = [timed(case, "relaxation", n) for n in cells]
+        cost, reference = timed(case, "rusanov", args.reference_cells)
         print(f"case {cid}: rusanov {args.reference_cells} cells {cost:.3f} s; relaxation "
               + ", ".join(f"{n} cells {t:.3f} s" for n, (t, _) in zip(cells, levels)))
         for var in VARIABLES:

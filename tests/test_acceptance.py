@@ -313,7 +313,7 @@ def test_criterion_8_kernel_properties(rng):
     import dataclasses
     safe = dataclasses.replace(ctx, rhs=np.where(coincident, 0.0, ctx.rhs))
     m, _ = solve_star(safe)
-    u2s = build_solution(wl, wr, IDEAL, IDEAL, params).u2_star
+    u2s = s.u_sharp1 - params.a1 * s.tau_sharp1_l * m
     residual = np.abs(safe.psi(m) - safe.rhs)[~coincident]
     assert np.max(residual) <= 1e-12
     got = np.where(flip, -u2s, u2s)[~coincident]

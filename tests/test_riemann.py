@@ -105,15 +105,26 @@ def test_mach_conservative_spot_value():
     assert ctx.mach_conservative(1.0) == pytest.approx(0.5, rel=1e-13)
 
 
+def star_velocities(ctx, s, params, m, mach):
+    """(u2*, u1*) of the oriented problem from a root of the star solve, formed
+    here as a reference for build_solution."""
+    u2s = s.u_sharp1 - params.a1 * s.tau_sharp1_l * m
+    u1s = s.u_sharp1 - params.a1 * s.tau_sharp1_l * (m - ctx.nu * mach) / (1.0 + ctx.nu * mach)
+    return u2s, u1s
+
+
 def test_solve_star_uniform_data_recovers_velocities():
     w = uniform_state(u1=0.25, u2=0.1)
     params = RelaxParams(3.0, 3.0)
     s = sharp_quantities(w, w, params)
     ctx = fixed_point_context(w, w, s, params)
-    m, _ = solve_star(ctx)
-    sol = build_solution(w, w, IDEAL, IDEAL, params)
+    m, mach = solve_star(ctx)
     assert abs(ctx.psi(m) - ctx.rhs) <= 1e-12
     assert m == pytest.approx(ctx.m_sharp, abs=1e-13)
+    u2s, u1s = star_velocities(ctx, s, params, m, mach)
+    assert u2s == pytest.approx(0.1, abs=1e-12)
+    assert u1s == pytest.approx(0.25, abs=1e-12)
+    sol = build_solution(w, w, IDEAL, IDEAL, params)
     assert sol.u2_star == pytest.approx(0.1, abs=1e-12)
     assert sol.u1_star == pytest.approx(0.25, abs=1e-12)
 
@@ -123,9 +134,10 @@ def test_solve_star_zero_contrast_limit():
     params = RelaxParams(3.0, 3.0)
     s = sharp_quantities(w, w, params)
     ctx = fixed_point_context(w, w, s, params)
-    m, _ = solve_star(ctx)
-    sol = build_solution(w, w, IDEAL, IDEAL, params)
+    m, mach = solve_star(ctx)
     assert m == pytest.approx(0.0, abs=1e-12)
+    assert star_velocities(ctx, s, params, m, mach)[0] == pytest.approx(s.u_sharp1, abs=1e-12)
+    sol = build_solution(w, w, IDEAL, IDEAL, params)
     assert sol.u2_star == pytest.approx(s.u_sharp1, abs=1e-12)
 
 
@@ -557,8 +569,8 @@ def test_psi_residual_at_solution(rng):
         if int(np.atleast_1d(sol.ordering)[0]) == WaveOrdering.COINCIDENT:
             continue
         ctx = fixed_point_context(wL, wR, s, params)
-        m, _ = solve_star(ctx)
-        u2s = build_solution(wL, wR, IDEAL, IDEAL, params).u2_star
+        m, mach = solve_star(ctx)
+        u2s = star_velocities(ctx, s, params, m, mach)[0]
         assert abs(sc(ctx.psi(m) - ctx.rhs)) <= 1e-12
         expect = -u2s if flip else u2s
         assert sc(np.abs(expect - sol.u2_star)) <= 1e-12 * max(1.0, abs(sc(u2s)))
