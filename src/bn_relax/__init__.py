@@ -10,7 +10,7 @@ from .riemann import (FixedPointContext, RelaxParams, RelaxRiemannSolution, Shar
                       solve_star)
 from .rusanov import rusanov_fluxes, rusanov_step
 from .scheme import (InitialData, InterfaceFluxes, RunConfig, RunResult, assemble_fluxes, cfl_dt,
-                     interface_fluxes, run, select_parameters, step)
+                     run, select_parameters, step)
 from .state import (AdmissibilityError, ConservedState, PrimitiveState, VARIABLES,
                     max_abs_eigenvalue, to_conserved, to_primitive, validate_conserved,
                     validate_primitive)

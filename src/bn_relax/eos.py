@@ -26,24 +26,19 @@ class EosParams:
         Ratio of specific heats, > 1.
     p_inf : float
         Pressure offset, >= 0 (0 for an ideal gas).
-    cv : float
-        Heat capacity at constant volume; only normalizes the entropy.
-    s_ref : float
-        Additive reference entropy.
+
+    The entropy and temperature are those of a unit heat capacity at
+    constant volume and zero reference entropy.
     """
 
     gamma: float
     p_inf: float = 0.0
-    cv: float = 1.0
-    s_ref: float = 0.0
 
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.p_inf < 0.0:
             raise ValueError(f"p_inf must be >= 0, got {self.p_inf}")
-        if not self.cv > 0.0:
-            raise ValueError(f"cv must be positive, got {self.cv}")
 
     def pressure(self, rho, e):
         """Pressure from density and specific internal energy."""
@@ -77,7 +72,7 @@ class EosParams:
         return np.asarray(rho, dtype=float) * self.sound_speed(rho, p)
 
     def entropy(self, rho, e):
-        """Mathematical entropy ``s_ref - cv log((rho e - p_inf) / rho**gamma)``.
+        """Mathematical entropy ``-log((rho e - p_inf) / rho**gamma)``.
 
         Decreasing in ``e`` at fixed ``rho`` (ds/de = -1/T < 0).
         """
@@ -88,7 +83,7 @@ class EosParams:
         arg = rho * e - self.p_inf
         if np.any(arg <= 0.0):
             raise EosDomainError("entropy: rho e <= p_inf (outside hyperbolicity region)")
-        return self.s_ref - self.cv * (np.log(arg) - self.gamma * np.log(rho))
+        return self.gamma * np.log(rho) - np.log(arg)
 
     def temperature(self, rho, e):
         """Positive integrating factor T with ds/de = -1/T."""
@@ -99,4 +94,4 @@ class EosParams:
         arg = rho * e - self.p_inf
         if np.any(arg <= 0.0):
             raise EosDomainError("temperature: rho e <= p_inf (outside hyperbolicity region)")
-        return arg / (self.cv * rho)
+        return arg / rho

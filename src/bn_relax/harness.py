@@ -65,7 +65,7 @@ def case_error(case: TestCase, result: RunResult) -> ErrorReport:
     return rep
 
 
-def convergence_study(case: TestCase, scheme: str, levels, cfl: float | None = None):
+def convergence_study(case: TestCase, scheme: str, levels):
     """Run each mesh level and attach observed orders between consecutive levels.
 
     A level that fails with a solver, admissibility or EOS-domain error is
@@ -79,7 +79,7 @@ def convergence_study(case: TestCase, scheme: str, levels, cfl: float | None = N
     reports = []
     for cells in levels:
         try:
-            result = run_case(case, scheme, cells, cfl=cfl)
+            result = run_case(case, scheme, cells)
             reports.append(case_error(case, result))
         except (SolverError, AdmissibilityError, EosDomainError) as exc:
             rep = ErrorReport(cells=cells, dx=(case.domain[1] - case.domain[0]) / cells,

@@ -33,7 +33,7 @@ job of ``scheme.select_parameters``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -109,22 +109,6 @@ def take_interfaces(data, at):
     return type(data)(**{f.name: part(getattr(data, f.name)) for f in fields(data)})
 
 
-def put_interfaces(row, at, data):
-    """Copy of ``row`` with its interfaces ``at`` replaced by those of ``data``.
-
-    ``data`` is ``take_interfaces(row, at)`` solved again; nested dataclasses
-    (the parameters and phases of a solution) are replaced the same way.
-    """
-    def put(old, new):
-        if is_dataclass(old):
-            return put_interfaces(old, at, new)
-        out = np.array(old)
-        out[..., at] = new
-        return out
-    return type(row)(**{f.name: put(getattr(row, f.name), getattr(data, f.name))
-                        for f in fields(row)})
-
-
 def _acoustic_taus(tauL, tauR, uL, uR, u_s, a):
     """Specific volumes behind the left and right acoustic waves of a phase
     whose contact moves at ``u_s``."""
@@ -190,11 +174,9 @@ class FixedPointContext:
     """
 
     nu: np.ndarray            # alpha1_l / alpha1_r
-    m_sharp: np.ndarray       # (u_sharp1 - u_sharp2) / (a1 tau_sharp1_l)
-    p_sharp: np.ndarray       # (pi_sharp1 - pi_sharp2) / (a1^2 tau_sharp1_l)
     tau_ratio: np.ndarray     # tau_sharp1_r / tau_sharp1_l
     coupling: np.ndarray      # (a1/a2) alpha1_r / (alpha2_l + alpha2_r)
-    rhs: np.ndarray           # target value of psi
+    rhs: np.ndarray           # target value of psi: m_sharp - (a1/a2) lambda_alpha p_sharp
 
     @cached_property
     def _conservative_coeffs(self):
@@ -243,13 +225,12 @@ def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantiti
     a1L = np.asarray(wL.alpha1, dtype=float)
     a1R = np.asarray(wR.alpha1, dtype=float)
     scale = params.a1 * s.tau_sharp1_l
+    # the predictors' velocity and pressure differences, made dimensionless
     m_sharp = (s.u_sharp1 - s.u_sharp2) / scale
     p_sharp = (s.pi_sharp1 - s.pi_sharp2) / (params.a1 * scale)
     ratio = params.a1 / params.a2
     return FixedPointContext(
         nu=a1L / a1R,
-        m_sharp=m_sharp,
-        p_sharp=p_sharp,
         tau_ratio=s.tau_sharp1_r / s.tau_sharp1_l,
         coupling=ratio * a1R / ((1.0 - a1L) + (1.0 - a1R)),
         rhs=m_sharp - ratio * s.lambda_alpha * p_sharp,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .eos import EosParams
 from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, as_cellwise,
-                      build_solution, classify_ordering, put_interfaces, sample,
+                      build_solution, classify_ordering, sample,
                       sharp_quantities, take_interfaces)
 from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_primitive,
                     validate_conserved)
@@ -172,8 +172,10 @@ def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, holds, least) -> Relax
     return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
 
 
-def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams):
-    """Pick per-interface (a1, a2) and return them with the solved Riemann problem.
+def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
+                      eos2: EosParams) -> RelaxRiemannSolution:
+    """Pick per-interface (a1, a2) and return the solved Riemann problem,
+    whose ``params`` hold them.
 
     Starts from the Whitham-like bound (1 + ETA) max(rho c) over the two end
     states and climbs until three predicates hold at every interface:
@@ -181,14 +183,15 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
     1. the tau predictors of phase 2 are positive (a2 climbs its ladder);
     2. the tau predictors of phase 1 are positive and the existence
        condition holds (a1 climbs its ladder);
-    3. every intermediate specific volume of the solution is positive (a2 is
-       multiplied by 1 + ETA, then 1 and 2 are checked again).
+    3. every intermediate specific volume of the solution is positive and
+       finite (a2 is multiplied by 1 + ETA, then 1 and 2 are checked again).
 
-    Each interface climbs on its own, so its parameters do not depend on the
-    rest of the row; a retry for predicate 3 solves only the interfaces that
-    failed it again.  Any interface exceeding the rung cap is reported with
-    its states.  Parameters and solution are one-dimensional, also for
-    scalar input.
+    Each interface climbs on its own, so its parameters and its solution do
+    not depend on the rest of the row.  A round of retries for predicate 3
+    solves only the interfaces that failed it; after retries the whole row is
+    solved once more with the final parameters.  Any interface exceeding the
+    rung cap is reported with its states.  Parameters and solution are
+    one-dimensional, also for scalar input.
     """
     wL, wR = as_cellwise(wL), as_cellwise(wR)
     params = RelaxParams(
@@ -198,9 +201,7 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
                                  eos2.lagrangian_sound_speed(wR.rho2, wR.p2)))
     at = np.arange(params.a2.size)  # interfaces solved in this round: the whole row at first
     wl, wr, sub = wL, wR, params
-    retries = np.zeros(at.size, dtype=np.int64)
-    sol = None
-    while True:
+    for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(wl, wr, sub)
         for grow, holds, least in ((2, _tau2_ok, _a2_least), (1, _existence_ok, _a1_least)):
             bad = ~holds(s, sub)
@@ -209,20 +210,18 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, e
                                        least(wl, wr, s, sub)[bad])
                 sub = take_interfaces(params, at)
                 s = sharp_quantities(wl, wr, sub)
-        part = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
-        sol = part if sol is None else put_interfaces(sol, at, part)
+        sol = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
         # the oriented regions serve: reflection maps the intermediate ones onto themselves
-        bad = (part.phase1.tau[1:4] <= 0.0).any(axis=0) | (part.phase2.tau[1:3] <= 0.0).any(axis=0)
+        tau = np.concatenate([sol.phase1.tau[1:4], sol.phase2.tau[1:3]])
+        bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
         if not np.any(bad):
-            return params, sol
+            return sol if at.size == params.a2.size else build_solution(wL, wR, eos1, eos2, params)
         at = at[bad]
-        retries[at] += 1
-        if np.any(retries > MAX_INFLATIONS):
-            raise _infeasible("a2", wL, wR, int(np.argmax(retries > MAX_INFLATIONS)))
         a2 = params.a2.copy()
         a2[at] *= 1.0 + ETA
         params = RelaxParams(params.a1, a2)
         wl, wr, sub = wL[at], wR[at], take_interfaces(params, at)
+    raise _infeasible("a2", wL, wR, int(at[0]))
 
 
 def _dump(w: PrimitiveState, j):
@@ -275,13 +274,6 @@ def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     return InterfaceFluxes(f_minus=f_minus, f_plus=f_plus)
 
 
-def interface_fluxes(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
-                     eos2: EosParams) -> InterfaceFluxes:
-    """Select parameters, solve, and assemble fluxes in one call."""
-    _, sol = select_parameters(wL, wR, eos1, eos2)
-    return assemble_fluxes(sol)
-
-
 def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float):
     """Time step from the fastest wave of a solved interface row.
 
@@ -326,7 +318,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     if prim is None:
         prim = to_primitive(cells, eos1, eos2)
     padded = _pad(prim)
-    _, sol = select_parameters(padded[:-1], padded[1:], eos1, eos2)
+    sol = select_parameters(padded[:-1], padded[1:], eos1, eos2)
     dt = min(cfl_dt(sol, dx, cfg.cfl), dt_cap)
     fluxes = assemble_fluxes(sol)
     lam = dt / dx
@@ -421,12 +413,12 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     t = 0.0
     nstep = 0
     prim = to_primitive(cells, eos1, eos2)
+    totals_new = _totals(cells)
     if audit_entropy:
         entropies = _phase_entropies(prim, eos1, eos2)
     tic = time.perf_counter()
     while t < cfg.t_final:
-        old = cells
-        totals_old = _totals(old)
+        old, totals_old = cells, totals_new
         if cfg.scheme == "relaxation":
             cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
         else:

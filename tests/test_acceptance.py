@@ -293,7 +293,8 @@ def test_criterion_8_kernel_properties(rng):
     n = 10_000
     w = random_primitive(rng, 2 * n)
     wL, wR = w[slice(0, n)], w[slice(n, 2 * n)]
-    params, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    params = sol.params
 
     # subsonic ordering and the phase-2 positivity window
     assert np.all(wL.u1 - params.a1 / wL.rho1 < sol.u2_star)
@@ -334,7 +335,8 @@ def test_criterion_8_kernel_properties(rng):
     # equal-fraction pairs decouple into two single-phase star states;
     # pi and u deviations are scaled naturally since both can vanish
     wRd = PrimitiveState(wL.alpha1, wR.rho1, wR.u1, wR.p1, wR.rho2, wR.u2, wR.p2)
-    params_d, sol_d = select_parameters(wL, wRd, IDEAL, IDEAL)
+    sol_d = select_parameters(wL, wRd, IDEAL, IDEAL)
+    params_d = sol_d.params
     for k, (uL, uR, pL, pR, tL, tR, a) in enumerate((
             (wL.u1, wRd.u1, wL.p1, wRd.p1, 1 / wL.rho1, 1 / wRd.rho1, params_d.a1),
             (wL.u2, wRd.u2, wL.p2, wRd.p2, 1 / wL.rho2, 1 / wRd.rho2, params_d.a2)), start=1):

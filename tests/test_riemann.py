@@ -32,7 +32,8 @@ def sc(x):
 
 
 def params_for(wL, wR, eos1, eos2):
-    return select_parameters(wL, wR, eos1, eos2)
+    sol = select_parameters(wL, wR, eos1, eos2)
+    return sol.params, sol
 
 
 def uniform_state(alpha=0.4, rho1=1.0, u1=0.1, p1=1.0, rho2=2.0, u2=-0.3, p2=0.8):
@@ -120,7 +121,8 @@ def test_solve_star_uniform_data_recovers_velocities():
     ctx = fixed_point_context(w, w, s, params)
     m, mach = solve_star(ctx)
     assert abs(ctx.psi(m) - ctx.rhs) <= 1e-12
-    assert m == pytest.approx(ctx.m_sharp, abs=1e-13)
+    # no fraction jump: the root is the scaled predictor velocity difference
+    assert m == pytest.approx((s.u_sharp1 - s.u_sharp2) / (params.a1 * s.tau_sharp1_l), abs=1e-13)
     u2s, u1s = star_velocities(ctx, s, params, m, mach)
     assert u2s == pytest.approx(0.1, abs=1e-12)
     assert u1s == pytest.approx(0.25, abs=1e-12)
@@ -205,8 +207,7 @@ def test_solve_star_root_where_mach_cap_is_active(where):
     # number for m in about (0.17, 0.88), with a kink of psi at either end.
     # A root at the kink is the slow case: the secant straddles two slopes
     # and the iteration converges only linearly there
-    base = FixedPointContext(nu=2.0, m_sharp=0.0, p_sharp=0.0, tau_ratio=0.05,
-                             coupling=0.5, rhs=0.0)
+    base = FixedPointContext(nu=2.0, tau_ratio=0.05, coupling=0.5, rhs=0.0)
     kink = mach_cap_kink(base)
     root = kink if where == "at the kink" else 0.5
     assert 0.1 < kink < 0.2 and base.mach_cap(0.5) < base.mach_conservative(0.5)
@@ -222,8 +223,7 @@ def test_mach_is_the_identity_for_equal_fractions(rng):
     # fractions are equal (nu = 1): the cap never rounds below m there
     m = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], rng.uniform(0.0, 1.0, 2000)])
     for tau_ratio in np.concatenate([[1e-12, 1.0 / 0.9, 1e12], rng.lognormal(0.0, 3.0, 20)]):
-        ctx = FixedPointContext(nu=1.0, m_sharp=0.0, p_sharp=0.0, tau_ratio=tau_ratio,
-                                coupling=0.5, rhs=0.0)
+        ctx = FixedPointContext(nu=1.0, tau_ratio=tau_ratio, coupling=0.5, rhs=0.0)
         assert ctx.mach(m).tobytes() == m.tobytes(), tau_ratio
 
 
@@ -238,7 +238,7 @@ def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
     cR = PrimitiveState(0.7, 0.5, 0.0, 1.0, 1.5, 0.0, 1.0)
     wL, wR = (PrimitiveState(*(np.append(getattr(a, v), getattr(b, v)) for v in VARIABLES))
               for a, b in ((wL, cL), (wR, cR)))
-    params, _ = select_parameters(wL, wR, IDEAL, IDEAL)
+    params = select_parameters(wL, wR, IDEAL, IDEAL).params
 
     solved_nu = []
 
@@ -285,7 +285,8 @@ def check_star_solve(left, right, eos2):
     against a bisection to adjacent floats.  Returns False, checking
     nothing, when the phase fraction does not jump at the coupling wave."""
     wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
-    params, sol = select_parameters(wL, wR, IDEAL, eos2)
+    sol = select_parameters(wL, wR, IDEAL, eos2)
+    params = sol.params
     if sol.ordering[0] == WaveOrdering.ORDER_21:
         wL, wR = wR.mirrored(), wL.mirrored()
     s = sharp_quantities(wL, wR, params)
@@ -347,9 +348,8 @@ def test_seed_is_close_to_the_root_on_both_branches(rng):
     n = 2000
     nu, coupling = 10.0 ** rng.uniform(-1.0, 1.0, (2, n))
     root = rng.uniform(0.0, 1.0, n)
-    base = FixedPointContext(nu=nu, m_sharp=0.0 * nu, p_sharp=0.0 * nu,
-                             tau_ratio=10.0 ** rng.uniform(-2.0, 1.0, n), coupling=coupling,
-                             rhs=0.0 * nu)
+    base = FixedPointContext(nu=nu, tau_ratio=10.0 ** rng.uniform(-2.0, 1.0, n),
+                             coupling=coupling, rhs=0.0 * nu)
     ctx = dataclasses.replace(base, rhs=base.psi(root))
     capped = base.mach_cap(root) < base.mach_conservative(root)
     assert 0.05 < np.mean(capped) < 0.5
@@ -518,7 +518,7 @@ def check_whole_interface(left, right, eos2):
     checking nothing, when selection gives up on the pair."""
     wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
     try:
-        _, sol = select_parameters(wL, wR, IDEAL, eos2)
+        sol = select_parameters(wL, wR, IDEAL, eos2)
     except SolverError:
         return False
     tables = region_tables(sol)
@@ -539,7 +539,7 @@ def test_waves_closer_than_a_sampling_offset():
     # balances on its own
     left, right = (0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0), (1e-9, 1.0, 0.0, 1.0, 1.0, 0.5, 1.0)
     wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
-    _, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(wL, wR, IDEAL, IDEAL)
     assert 0.0 < abs(sol.u1_star[0] - sol.u2_star[0]) < 1e-8
     assert check_whole_interface(left, right, IDEAL)
 

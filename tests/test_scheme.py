@@ -3,8 +3,8 @@ import pytest
 
 from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, SolverError,
                       WaveOrdering, assemble_fluxes, build_solution, cfl_dt, get_case,
-                      interface_fluxes, region_tables, run, sample, scheme, select_parameters,
-                      sharp_quantities, step, to_conserved, to_primitive)
+                      region_tables, run, sample, scheme, select_parameters, sharp_quantities,
+                      step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams, SampledState
 from bn_relax.scheme import ETA, LADDER, MAX_INFLATIONS
 from bn_relax.state import VARIABLES
@@ -38,7 +38,7 @@ def flux_vector(w: PrimitiveState, eos1, eos2):
 
 def test_whitham_init_case1_interface():
     case = get_case(1)
-    params, _ = select_parameters(case.left, case.right, case.eos1, case.eos2)
+    params = select_parameters(case.left, case.right, case.eos1, case.eos2).params
     # this interface is feasible straight from the (1 + eta) Whitham bound
     assert sc(params.a1) == pytest.approx(1.1516, abs=2e-4)
     rc_max = max(sc(case.eos2.lagrangian_sound_speed(case.left.rho2, case.left.p2)),
@@ -48,7 +48,7 @@ def test_whitham_init_case1_interface():
 
 def test_uniform_data_zero_inflations():
     w = PrimitiveState(0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)
-    params, _ = select_parameters(w, w, IDEAL, IDEAL)
+    params = select_parameters(w, w, IDEAL, IDEAL).params
     assert sc(params.a1) == pytest.approx(1.01 * sc(IDEAL.lagrangian_sound_speed(1.0, 1.0)),
                                           rel=1e-13)
     assert sc(params.a2) == pytest.approx(1.01 * sc(IDEAL.lagrangian_sound_speed(2.0, 0.8)),
@@ -59,7 +59,8 @@ def test_near_vacuum_interface_terminates():
     # case-3 star region sits near vacuum; the loop must still settle
     case = get_case(3)
     star = PrimitiveState(0.2, 0.0219, 0.0, 0.0019, 0.0219, 0.0, 0.0019)
-    params, sol = select_parameters(case.left, star, case.eos1, case.eos2)
+    sol = select_parameters(case.left, star, case.eos1, case.eos2)
+    params = sol.params
     assert np.all(np.isfinite(np.atleast_1d(params.a2)))
     assert np.all(region_tables(sol)["tau2"][1:3] > 0.0)
 
@@ -67,7 +68,7 @@ def test_near_vacuum_interface_terminates():
 def test_whitham_bound_always_respected(rng):
     w = random_primitive(rng, 60)
     wL, wR = w[slice(0, 30)], w[slice(30, 60)]
-    params, _ = select_parameters(wL, wR, IDEAL, IDEAL)
+    params = select_parameters(wL, wR, IDEAL, IDEAL).params
     floor1 = np.maximum(IDEAL.lagrangian_sound_speed(wL.rho1, wL.p1),
                         IDEAL.lagrangian_sound_speed(wR.rho1, wR.p1))
     floor2 = np.maximum(IDEAL.lagrangian_sound_speed(wL.rho2, wL.p2),
@@ -81,10 +82,12 @@ def test_selection_is_row_independent(rng):
     # interface the bits it gets alone, on the a1 and a2 ladders and retries
     w = random_primitive(rng, 800)
     wL, wR = w[slice(0, 400)], w[slice(400, 800)]
-    params, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    params = sol.params
     tau1 = region_tables(sol)["tau1"]
     for j in range(400):
-        pj, sj = select_parameters(wL[j], wR[j], IDEAL, IDEAL)
+        sj = select_parameters(wL[j], wR[j], IDEAL, IDEAL)
+        pj = sj.params
         in_row = (params.a1[j], params.a2[j], tau1[:, j], sol.u2_star[j])
         alone = (pj.a1, pj.a2, region_tables(sj)["tau1"][:, 0], sj.u2_star)
         for got, want in zip(in_row, alone):
@@ -94,6 +97,38 @@ def test_selection_is_row_independent(rng):
     start2 = (1.0 + ETA) * np.maximum(IDEAL.lagrangian_sound_speed(wL.rho2, wL.p2),
                                       IDEAL.lagrangian_sound_speed(wR.rho2, wR.p2))
     assert np.any(params.a1 > start1) and np.any(params.a2 > start2)
+
+
+@pytest.mark.parametrize("bad_tau", [np.nan, np.inf])
+def test_non_finite_intermediate_volume_takes_a_retry(monkeypatch, bad_tau):
+    # a NaN or infinite intermediate specific volume is not a positive one:
+    # the interface takes a positivity retry, as for a negative volume.  The
+    # row is case 1's pair and two uniform pairs, none of which retries
+    case = get_case(1)
+    wL, wR = (PrimitiveState(*(np.array([getattr(a, v), getattr(b, v), getattr(c, v)], float)
+                               for v in VARIABLES))
+              for a, b, c in ((case.left, case.left, case.right),
+                              (case.right, case.left, case.right)))
+    plain = select_parameters(wL, wR, case.eos1, case.eos2)
+    solve = scheme.build_solution
+    calls = []
+
+    def corrupt_first(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        if not calls:
+            sol.phase1.tau[2, 0] = bad_tau
+        calls.append(sol)
+        return sol
+
+    monkeypatch.setattr(scheme, "build_solution", corrupt_first)
+    sol = select_parameters(wL, wR, case.eos1, case.eos2)
+    assert len(calls) > 1
+    want = plain.params.a2.copy()
+    want[0] *= 1.0 + ETA
+    assert sol.params.a2.tobytes() == want.tobytes()
+    assert sol.params.a1.tobytes() == plain.params.a1.tobytes()
+    tables = region_tables(sol)
+    assert np.all(np.isfinite(tables["tau1"])) and np.all(np.isfinite(tables["tau2"]))
 
 
 def hard_row(rng, n):
@@ -188,7 +223,7 @@ def test_ladder_inflation_cap_is_an_error():
         w = PrimitiveState(*cells.T)
         return select_parameters(w, w, IDEAL, IDEAL)
 
-    params, _ = row(1e4)
+    params = row(1e4).params
     assert params.a1[1] > 1e4 and params.a1[1] < LADDER[-1] * params.a1[0]
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 1;"):
         row(1e5)
@@ -198,7 +233,7 @@ def test_ladder_inflation_cap_is_an_error():
 
 def test_uniform_fluxes_are_physical():
     w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
-    fx = interface_fluxes(w, w, IDEAL, IDEAL)
+    fx = assemble_fluxes(select_parameters(w, w, IDEAL, IDEAL))
     expect = flux_vector(w, IDEAL, IDEAL)
     assert np.allclose(np.asarray(fx.f_minus, dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
     assert np.allclose(np.asarray(fx.f_plus, dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
@@ -207,7 +242,7 @@ def test_uniform_fluxes_are_physical():
 def test_flux_conservation_structure(rng):
     w = random_primitive(rng, 40)
     wL, wR = w[slice(0, 20)], w[slice(20, 40)]
-    fx = interface_fluxes(wL, wR, IDEAL, IDEAL)
+    fx = assemble_fluxes(select_parameters(wL, wR, IDEAL, IDEAL))
     fm, fp = fx.f_minus, fx.f_plus
     assert np.allclose(fm[1], fp[1], rtol=1e-13, atol=1e-14)       # partial masses
     assert np.allclose(fm[2], fp[2], rtol=1e-13, atol=1e-14)
@@ -223,7 +258,7 @@ def stationary_contact_pair():
 
 def test_stationary_contact_fluxes_balance():
     wL, wR = stationary_contact_pair()
-    fx = interface_fluxes(wL, wR, IDEAL, IDEAL)
+    fx = assemble_fluxes(select_parameters(wL, wR, IDEAL, IDEAL))
     # mass and energy fluxes vanish; momentum fluxes match the one-sided
     # exact fluxes so that neither neighbor cell changes
     for i in (1, 2, 5, 6):
@@ -237,12 +272,12 @@ def test_equal_fraction_fluxes_decouple(rng):
     # with no fraction jump the fluxes are two independent single-phase fluxes
     wL = PrimitiveState(0.35, 1.0, 0.2, 1.0, 2.0, -0.1, 0.7)
     wR = PrimitiveState(0.35, 0.8, 0.1, 1.2, 1.7, 0.2, 0.9)
-    params, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(wL, wR, IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     # swapping the OTHER phase's data must not change this phase's fluxes
     wL2 = PrimitiveState(0.35, wL.rho1, wL.u1, wL.p1, 1.1, 0.4, 1.3)
     wR2 = PrimitiveState(0.35, wR.rho1, wR.u1, wR.p1, 2.2, -0.3, 0.6)
-    params2, sol2 = select_parameters(wL2, wR2, IDEAL, IDEAL)
+    sol2 = select_parameters(wL2, wR2, IDEAL, IDEAL)
     fx2 = assemble_fluxes(sol2)
     for i in (1, 3):
         assert sc(fx.f_minus[i]) == pytest.approx(sc(fx2.f_minus[i]), rel=1e-12)
@@ -255,9 +290,9 @@ def test_moving_coupled_contact_flux_exactness():
     u0 = 0.4
     wL = PrimitiveState(0.2, 1.0, u0, 1.0, 2.0, u0, 1.0)
     wR = PrimitiveState(0.7, 0.5, u0, 1.0, 1.5, u0, 1.0)
-    fxL = interface_fluxes(wL, wL, IDEAL, IDEAL)
-    fx = interface_fluxes(wL, wR, IDEAL, IDEAL)
-    fxR = interface_fluxes(wR, wR, IDEAL, IDEAL)
+    fxL = assemble_fluxes(select_parameters(wL, wL, IDEAL, IDEAL))
+    fx = assemble_fluxes(select_parameters(wL, wR, IDEAL, IDEAL))
+    fxR = assemble_fluxes(select_parameters(wR, wR, IDEAL, IDEAL))
     uL = to_conserved(wL, IDEAL, IDEAL).stack().ravel()
     uR = to_conserved(wR, IDEAL, IDEAL).stack().ravel()
     lam = 0.05
@@ -287,7 +322,7 @@ def trace_fluxes(sol):
 def test_coupling_terms_zero_without_alpha_jump():
     wL = PrimitiveState(0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)
     wR = PrimitiveState(wL.alpha1, 0.7, 0.0, 1.2, 1.9, 0.1, 0.9)
-    _, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(wL, wR, IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     assert np.isnan(sc(sol.pi1_star))
     for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
@@ -300,7 +335,7 @@ def test_coupling_terms_cancel_in_mixture_momentum_and_energy(rng):
     # the coupling wave moves momentum and energy between the phases, never
     # into or out of the mixture, and never adds to a partial mass
     w = random_primitive(rng, 400)
-    _, sol = select_parameters(w[slice(0, 200)], w[slice(200, 400)], IDEAL, IDEAL)
+    sol = select_parameters(w[slice(0, 200)], w[slice(200, 400)], IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     eps = np.finfo(float).eps
     for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
@@ -361,7 +396,7 @@ def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
     # 0- of the original frame is 0+; the traces and the fluxes must equal,
     # bitwise, those read off the original-frame tables
     wL, wR = tie_row(rng, 500)
-    _, sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(wL, wR, IDEAL, IDEAL)
     tables = region_tables(sol)
     at_zero = (tables["breaks1"] == 0.0).any(axis=0) | (tables["breaks2"] == 0.0).any(axis=0)
     assert np.count_nonzero(at_zero & sol.flip) > 100
@@ -419,7 +454,8 @@ def test_cfl_dt_equals_padded_cell_speeds(rng):
                                        cells.rho1, cells.u1, cells.p1)
             padded = PrimitiveState(*(np.concatenate([v[:1], v, v[-1:]])
                                       for v in (getattr(cells, f) for f in VARIABLES)))
-            params, sol = select_parameters(padded[:-1], padded[1:], IDEAL, IDEAL)
+            sol = select_parameters(padded[:-1], padded[1:], IDEAL, IDEAL)
+            params = sol.params
             assert np.any(sol.ordering == WaveOrdering.ORDER_21)
             assert np.any(sol.ordering == WaveOrdering.COINCIDENT)
             speeds = []
