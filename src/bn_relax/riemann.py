@@ -406,14 +406,6 @@ class SampledState:
     pi2: np.ndarray
     E2: np.ndarray
 
-    @property
-    def rho1(self):
-        return 1.0 / self.tau1
-
-    @property
-    def rho2(self):
-        return 1.0 / self.tau2
-
 
 def _oriented_phases(wl, wr, s, params, m_star, mach, nu, u2s, eos1, eos2):
     """Both phases of the oriented problem (u_cap >= 0, so u2* <= u1*).

@@ -22,18 +22,17 @@ from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_
                     validate_conserved)
 
 
-#: inflation factor of the (1 + ETA)**k parameter ladders
+#: inflation factor of the parameters: the Whitham-like start and each climb
+#: past a threshold are (1 + ETA) times the value they exceed
 ETA = 0.01
-#: rungs each ladder may climb, and a2 retries each interface may take, before
-#: selection reports the interface.  The cap turns a runaway search into a
-#: diagnosable error; it bounds the growth of each parameter at
-#: (1 + ETA)**MAX_INFLATIONS (about 2.1e4), and must accommodate locally
-#: supersonic relative velocities: benchmark case 2 climbs a1 by up to 475
-#: rungs, a 113-fold growth, near the strong right shock at 200, 800 and 3200
-#: cells.
+#: a2 retries each interface may take, and the growth (1 + ETA)**MAX_INFLATIONS
+#: (about 2.1e4) each climb may make, before selection reports the interface.
+#: The cap turns a runaway search into a diagnosable error, and must
+#: accommodate locally supersonic relative velocities: benchmark case 2
+#: climbs a1 by up to a 113-fold growth at 200, 800 and 3200 cells, every
+#: climb at an equal-fraction interface, most where phase 1 is its cold state
+#: (rho1 = 1, p1 = 0.01) on both sides and |u1 - u2| exceeds its sound speed.
 MAX_INFLATIONS = 1000
-#: multiplier of the starting value at each rung of a ladder, rung 0 the start itself
-LADDER = np.concatenate([[1.0], np.cumprod(np.full(MAX_INFLATIONS, 1.0 + ETA))])
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,8 @@ class InterfaceFluxes:
     f_plus: np.ndarray
 
 
-def _infeasible(which, wL, wR, j):
-    return SolverError(
-        f"non-subsonic or infeasible interface: {which} inflation cap exceeded at "
-        f"interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
+def _interface_error(what, wL, wR, j):
+    return SolverError(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
 
 
 def _tau2_ok(s, params):
@@ -129,46 +126,25 @@ def _a1_least(wl, wr, s, params):
     return np.max([*_tau_roots(tauL, tauR, du, dp), upper, lower], axis=0)
 
 
-def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, holds, least) -> RelaxParams:
-    """Advance a1 or a2 (``grow`` is 1 or 2) up its ``LADDER`` at interfaces ``idx``.
+def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
+    """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx``.
 
-    Each interface fails ``holds(s, params)`` at rung 0 and takes its first
-    rung where the predicate is true.  Every predicate is the positivity of
-    quadratics in the climbing parameter, so it holds above the largest of
-    their roots, ``least``: the climb starts at the first rung above it, k0,
-    and one call checks rungs k0 - 1 and k0 with the exact predicate.  Where
-    that check does not confirm k0 (a rung within rounding of a root), a
-    bisection over the rung index finds the first rung that holds.  Both take
-    the predicate to be false below some rung and true from it on.  A
-    quadratic is negative only between its roots, so that fails only where
-    one of them is positive at the start and has both roots above it; no
-    climb of the benchmark cases or of random rows with near-vacuum phases
-    and strong jumps does that, and the tests compare the climb with a scan
-    of every rung.
+    Every predicate is the positivity of quadratics in the climbing
+    parameter, so it holds above the largest of their roots, ``least``.  Each
+    interface takes ``(1 + ETA) max(a, least)``: a margin of ETA above the
+    threshold, and a growth of at least ``1 + ETA`` where rounding puts the
+    threshold below the value that failed.  A growth beyond
+    ``(1 + ETA)**MAX_INFLATIONS`` is reported as an error.
     """
     climbing = params.a1 if grow == 1 else params.a2
-    base, other = climbing[idx], (params.a2 if grow == 1 else params.a1)[idx]
-    wl, wr = wL[idx], wR[idx]
-
-    def check(cols, rungs):
-        value = base[cols] * LADDER[rungs]
-        cand = (RelaxParams(value, other[cols]) if grow == 1
-                else RelaxParams(other[cols], value))
-        return holds(sharp_quantities(wl[cols], wr[cols], cand), cand)
-
-    k0 = np.clip(np.searchsorted(LADDER, least / base, side="right"), 1, MAX_INFLATIONS)
-    below, at = check(slice(None), np.stack([k0 - 1, k0]))
-    # bracket (lo, hi]: rung lo fails, rung hi holds (MAX_INFLATIONS + 1: none does)
-    lo = np.where(below, 0, np.where(at, k0 - 1, k0))
-    hi = np.where(below, k0 - 1, np.where(at, k0, MAX_INFLATIONS + 1))
-    while (cols := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[cols] + hi[cols]) // 2
-        ok = check(cols, mid)
-        lo[cols], hi[cols] = np.where(ok, lo[cols], mid), np.where(ok, mid, hi[cols])
-    if np.any(hi > MAX_INFLATIONS):
-        raise _infeasible(f"a{grow}", wL, wR, int(idx[np.argmax(hi > MAX_INFLATIONS)]))
+    base = climbing[idx]
+    value = (1.0 + ETA) * np.maximum(base, least)
+    over = value > (1.0 + ETA) ** MAX_INFLATIONS * base
+    if np.any(over):
+        raise _interface_error(f"non-subsonic or infeasible interface: a{grow} inflation cap "
+                               "exceeded", wL, wR, int(idx[np.argmax(over)]))
     out = climbing.copy()
-    out[idx] = base * LADDER[hi]
+    out[idx] = value
     return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
 
 
@@ -180,18 +156,23 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     Starts from the Whitham-like bound (1 + ETA) max(rho c) over the two end
     states and climbs until three predicates hold at every interface:
 
-    1. the tau predictors of phase 2 are positive (a2 climbs its ladder);
+    1. the tau predictors of phase 2 are positive (a2 climbs past the
+       closed-form threshold ``_a2_least``);
     2. the tau predictors of phase 1 are positive and the existence
-       condition holds (a1 climbs its ladder);
+       condition holds (a1 climbs past ``_a1_least``);
     3. every intermediate specific volume of the solution is positive and
        finite (a2 is multiplied by 1 + ETA, then 1 and 2 are checked again).
 
-    Each interface climbs on its own, so its parameters and its solution do
-    not depend on the rest of the row.  A round of retries for predicate 3
-    solves only the interfaces that failed it; after retries the whole row is
-    solved once more with the final parameters.  Any interface exceeding the
-    rung cap is reported with its states.  Parameters and solution are
-    one-dimensional, also for scalar input.
+    A climb lands ETA above its threshold, so one climb per predicate and
+    round suffices: the predicate is checked again on the climbed parameters,
+    and an interface where it still fails is reported as an error, as is a
+    climb beyond the growth cap or an interface still failing predicate 3
+    after MAX_INFLATIONS retries.  Each interface climbs on its own, so its
+    parameters and its solution do not depend on the rest of the row.  A
+    round of retries for predicate 3 solves only the interfaces that failed
+    it; after retries the whole row is solved once more with the final
+    parameters.  Parameters and solution are one-dimensional, also for scalar
+    input.
     """
     wL, wR = as_cellwise(wL), as_cellwise(wR)
     params = RelaxParams(
@@ -206,10 +187,13 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
         for grow, holds, least in ((2, _tau2_ok, _a2_least), (1, _existence_ok, _a1_least)):
             bad = ~holds(s, sub)
             if np.any(bad):
-                params = _climb_ladder(wL, wR, params, at[bad], grow, holds,
-                                       least(wl, wr, s, sub)[bad])
+                params = _climb_ladder(wL, wR, params, at[bad], grow, least(wl, wr, s, sub)[bad])
                 sub = take_interfaces(params, at)
                 s = sharp_quantities(wl, wr, sub)
+                missed = ~holds(s, sub)
+                if np.any(missed):
+                    raise _interface_error(f"a{grow} climbed past its threshold, yet its "
+                                           "predicate fails", wL, wR, int(at[np.argmax(missed)]))
         sol = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
         # the oriented regions serve: reflection maps the intermediate ones onto themselves
         tau = np.concatenate([sol.phase1.tau[1:4], sol.phase2.tau[1:3]])
@@ -221,7 +205,8 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
         a2[at] *= 1.0 + ETA
         params = RelaxParams(params.a1, a2)
         wl, wr, sub = wL[at], wR[at], take_interfaces(params, at)
-    raise _infeasible("a2", wL, wR, int(at[0]))
+    raise _interface_error("non-subsonic or infeasible interface: a2 inflation cap exceeded",
+                           wL, wR, int(at[0]))
 
 
 def _dump(w: PrimitiveState, j):

@@ -135,6 +135,18 @@ def test_load_case_json_inadmissible_state(tmp_path):
         load_case_json(path)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_load_case_json_stiffened_pressure_below_minus_p_inf(tmp_path, side):
+    # p + p_inf = 0 leaves the stiffened gas without a real sound speed
+    bad = json.loads(json.dumps(CASE1_JSON))
+    bad["eos2"]["p_inf"] = 100.0
+    bad[side]["p2"] = -100.0
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(AdmissibilityError, match=rf"phase 2: p \+ p_inf <= 0 .*\[{side}\]"):
+        load_case_json(path)
+
+
 def test_convergence_study_structure():
     case = get_case(1)
     reports = convergence_study(case, "relaxation", [25, 50])

@@ -6,7 +6,7 @@ from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, SolverE
                       region_tables, run, sample, scheme, select_parameters, sharp_quantities,
                       step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams, SampledState
-from bn_relax.scheme import ETA, LADDER, MAX_INFLATIONS
+from bn_relax.scheme import ETA, MAX_INFLATIONS
 from bn_relax.state import VARIABLES
 from conftest import random_primitive
 
@@ -161,34 +161,38 @@ def recorded_climbs(rng, monkeypatch, rows=6, n=250):
     return climbs
 
 
-def reference_rungs(wL, wR, params, idx, grow, holds):
-    """First rung of every climbing interface by a scan that evaluates the
-    predicate at every rung of the ladder; -1 where none holds."""
-    base = (params.a1 if grow == 1 else params.a2)[idx]
+#: the predicate each parameter climbs for, by ``grow``
+PREDICATES = {1: scheme._existence_ok, 2: scheme._tau2_ok}
+
+
+def holds_at(args, value):
+    """The exact predicate of a recorded climb, with its climbing parameter
+    set to ``value`` at the climbing interfaces."""
+    wL, wR, params, idx, grow, _ = args
     other = (params.a2 if grow == 1 else params.a1)[idx]
-    value = base * LADDER[:, None]
     cand = RelaxParams(value, other) if grow == 1 else RelaxParams(other, value)
-    ok = holds(sharp_quantities(wL[idx], wR[idx], cand), cand)
-    assert not np.any(ok[0])              # the start fails: that is why it climbs
-    return np.where(ok.any(axis=0), ok.argmax(axis=0), -1)
+    return PREDICATES[grow](sharp_quantities(wL[idx], wR[idx], cand), cand)
 
 
 def climbed(args, out):
     """The values a climb chose for its interfaces."""
-    _, _, _, idx, grow, _, _ = args
+    _, _, _, idx, grow, _ = args
     return (out.a1 if grow == 1 else out.a2)[idx]
 
 
-def test_ladder_matches_a_rung_by_rung_scan(rng, monkeypatch):
+def test_ladder_climbs_eta_past_the_threshold(rng, monkeypatch):
     climbs = recorded_climbs(rng, monkeypatch)
     assert {args[4] for args, _ in climbs} == {1, 2}
     assert sum(args[3].size for args, _ in climbs if args[4] == 1) > 200
     for args, out in climbs:
-        wL, wR, params, idx, grow, holds, _ = args
-        first = reference_rungs(wL, wR, params, idx, grow, holds)
-        assert np.all(first >= 1)
+        _, _, params, idx, grow, least = args
         base = (params.a1 if grow == 1 else params.a2)[idx]
-        assert climbed(args, out).tobytes() == (base * LADDER[first]).tobytes()
+        assert not np.any(holds_at(args, base))      # the start fails: that is why it climbs
+        value = climbed(args, out)
+        assert value.tobytes() == ((1.0 + ETA) * np.maximum(base, least)).tobytes()
+        # the threshold is exact: the predicate holds above it and fails just below
+        assert np.all(holds_at(args, value))
+        assert not np.any(holds_at(args, (1.0 - 1e-6) * least))
         # the other parameter and the other interfaces are untouched
         for name in ("a1", "a2"):
             rest = np.ones(getattr(params, name).size, bool)
@@ -197,26 +201,22 @@ def test_ladder_matches_a_rung_by_rung_scan(rng, monkeypatch):
             assert np.array_equal(getattr(out, name)[rest], getattr(params, name)[rest])
 
 
-def test_ladder_bisection_finds_the_rung_from_a_wrong_start(rng, monkeypatch):
-    # a start rung off by up to the whole ladder, or from a least value of
-    # 0 or inf, sends every climb to the bisection, which must land on the
-    # same rung
-    climbs = recorded_climbs(rng, monkeypatch, rows=2)
-    assert climbs
-    for args, out in climbs:
-        wL, wR, params, idx, grow, holds, least = args
-        off = LADDER[rng.integers(2, 2 * MAX_INFLATIONS, idx.size) % (MAX_INFLATIONS + 1)]
-        zero, inf = np.zeros_like(least), np.full_like(least, np.inf)
-        for wrong in (least * off, least / off, zero, inf):
-            again = scheme._climb_ladder(wL, wR, params, idx, grow, holds, wrong)
-            assert climbed(args, again).tobytes() == climbed(args, out).tobytes()
+@pytest.mark.parametrize("grow", [1, 2])
+def test_climb_short_of_its_threshold_is_an_error(rng, monkeypatch, grow):
+    # a threshold computed too low leaves the predicate failing after the
+    # climb: selection reports the interface instead of solving it
+    least = getattr(scheme, f"_a{grow}_least")
+    monkeypatch.setattr(scheme, f"_a{grow}_least", lambda *args: 0.5 * least(*args))
+    with pytest.raises(SolverError, match=rf"a{grow} climbed past its threshold, yet its "
+                                          r"predicate fails at interface \d+;"):
+        select_parameters(hard_row(rng, 250), hard_row(rng, 250), IDEAL, IDEAL)
 
 
 def test_ladder_inflation_cap_is_an_error():
     # phase 1 moves through phase 2 at a relative speed u_rel in the middle
     # pair, so a1 tau1 must exceed u_rel.  a1 starts at 1.01 rho1 c1 = 1.195:
     # a relative speed of 1e4 needs an 8.4e3-fold growth, within the
-    # 2.1e4-fold the ladder allows, and 1e5 needs more than that
+    # 2.1e4-fold growth a climb may make, and 1e5 needs more than that
     def row(u_rel):
         cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (3, 1))
         cells[1, 2] = u_rel                 # u1 of the middle pair
@@ -224,7 +224,7 @@ def test_ladder_inflation_cap_is_an_error():
         return select_parameters(w, w, IDEAL, IDEAL)
 
     params = row(1e4).params
-    assert params.a1[1] > 1e4 and params.a1[1] < LADDER[-1] * params.a1[0]
+    assert 1e4 < params.a1[1] < (1.0 + ETA) ** MAX_INFLATIONS * params.a1[0]
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 1;"):
         row(1e5)
 
