@@ -83,8 +83,6 @@ class SharpQuantities:
     tau_sharp1_r: np.ndarray
     u_sharp2: np.ndarray
     pi_sharp2: np.ndarray
-    tau_sharp2_l: np.ndarray
-    tau_sharp2_r: np.ndarray
     lambda_alpha: np.ndarray
     u_cap: np.ndarray
 
@@ -115,10 +113,10 @@ def _acoustic_taus(tauL, tauR, uL, uR, u_s, a):
     return tauL + (u_s - uL) / a, tauR - (u_s - uR) / a
 
 
-def _star_predictors(uL, uR, pL, pR, tauL, tauR, a):
+def _star_predictors(uL, uR, pL, pR, a):
     u_s = 0.5 * (uL + uR) - (pR - pL) / (2.0 * a)
     pi_s = 0.5 * (pL + pR) - 0.5 * a * (uR - uL)
-    return (u_s, pi_s) + _acoustic_taus(tauL, tauR, uL, uR, u_s, a)
+    return u_s, pi_s
 
 
 def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams) -> SharpQuantities:
@@ -127,18 +125,16 @@ def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams
     Pure algebra on the inputs; non-positive tau predictors are reported by
     the caller's feasibility test, not here.
     """
-    u1, pi1, t1l, t1r = _star_predictors(wL.u1, wR.u1, wL.p1, wR.p1,
-                                         1.0 / np.asarray(wL.rho1, dtype=float),
-                                         1.0 / np.asarray(wR.rho1, dtype=float), params.a1)
-    u2, pi2, t2l, t2r = _star_predictors(wL.u2, wR.u2, wL.p2, wR.p2,
-                                         1.0 / np.asarray(wL.rho2, dtype=float),
-                                         1.0 / np.asarray(wR.rho2, dtype=float), params.a2)
+    u1, pi1 = _star_predictors(wL.u1, wR.u1, wL.p1, wR.p1, params.a1)
+    t1l, t1r = _acoustic_taus(1.0 / np.asarray(wL.rho1, dtype=float),
+                              1.0 / np.asarray(wR.rho1, dtype=float), wL.u1, wR.u1, u1, params.a1)
+    u2, pi2 = _star_predictors(wL.u2, wR.u2, wL.p2, wR.p2, params.a2)
     a2L = 1.0 - np.asarray(wL.alpha1, dtype=float)
     a2R = 1.0 - np.asarray(wR.alpha1, dtype=float)
     lam = (a2R - a2L) / (a2R + a2L)
     ratio = params.a1 / params.a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / params.a2) / (1.0 + ratio * np.abs(lam))
-    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, t2l, t2r, lam, u_cap)
+    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap)
 
 
 def coincident_band(s: SharpQuantities, params: RelaxParams):
@@ -500,8 +496,6 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
         tau_sharp1_l=pick(s0.tau_sharp1_l, s0.tau_sharp1_r),
         tau_sharp1_r=pick(s0.tau_sharp1_r, s0.tau_sharp1_l),
         u_sharp2=pick(s0.u_sharp2, -s0.u_sharp2), pi_sharp2=s0.pi_sharp2,
-        tau_sharp2_l=pick(s0.tau_sharp2_l, s0.tau_sharp2_r),
-        tau_sharp2_r=pick(s0.tau_sharp2_r, s0.tau_sharp2_l),
         lambda_alpha=pick(s0.lambda_alpha, -s0.lambda_alpha), u_cap=pick(s0.u_cap, -s0.u_cap))
     ordering, feasible = classify_ordering(s, params)
     if np.any(~feasible):

@@ -25,13 +25,16 @@ from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_
 #: inflation factor of the parameters: the Whitham-like start and each climb
 #: past a threshold are (1 + ETA) times the value they exceed
 ETA = 0.01
-#: a2 retries each interface may take, and the growth (1 + ETA)**MAX_INFLATIONS
-#: (about 2.1e4) each climb may make, before selection reports the interface.
-#: The cap turns a runaway search into a diagnosable error, and must
-#: accommodate locally supersonic relative velocities: benchmark case 2
-#: climbs a1 by up to a 113-fold growth at 200, 800 and 3200 cells, every
-#: climb at an equal-fraction interface, most where phase 1 is its cold state
-#: (rho1 = 1, p1 = 0.01) on both sides and |u1 - u2| exceeds its sound speed.
+#: rounds of a2 climbs each interface may take, and the growth
+#: (1 + ETA)**MAX_INFLATIONS (about 2.1e4) each climb may make, before
+#: selection reports the interface.  The cap turns a runaway search into a
+#: diagnosable error.  On rows of 250 hard pairs (near-vacuum phases,
+#: velocities in +-4) one selection calls build_solution at most 9 times.  The
+#: growth must accommodate locally supersonic relative velocities: benchmark
+#: case 2 climbs a1 by up to a 113-fold growth at 200, 800 and 3200 cells,
+#: every climb at an equal-fraction interface, most where phase 1 is its
+#: cold state (rho1 = 1, p1 = 0.01) on both sides and |u1 - u2| exceeds its
+#: sound speed.
 MAX_INFLATIONS = 1000
 
 
@@ -67,15 +70,6 @@ def _interface_error(what, wL, wR, j):
     return SolverError(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
 
 
-def _tau2_ok(s, params):
-    return (s.tau_sharp2_l > 0.0) & (s.tau_sharp2_r > 0.0)
-
-
-def _existence_ok(s, params):
-    _, ok = classify_ordering(s, params)
-    return ok
-
-
 def _largest_root(a, b, c):
     """Largest real root of ``a x^2 + b x + c`` (``a >= 0``); -inf where it has none.
 
@@ -92,19 +86,18 @@ def _largest_root(a, b, c):
     return np.where(disc >= 0.0, root, -np.inf)
 
 
-def _tau_roots(tauL, tauR, du, dp):
-    """Largest roots in ``a`` of the two tau predictors of a phase times ``a^2``.
+def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
+    """Largest root in ``a`` of the two quadratics that give the positivity
+    of a phase's specific volumes on either side of its middle wave.
 
-    ``tau_sharp_l > 0`` iff ``tauL a^2 + (du/2) a - dp/2 > 0``, and
-    ``tau_sharp_r > 0`` iff ``tauR a^2 + (du/2) a + dp/2 > 0``, with
-    ``du = uR - uL`` and ``dp = pR - pL``.
+    With ``du = uR - uL``, ``dp = pR - pL`` and the middle wave at ``u_sharp
+    + lam du/2 + k/a``, where ``u_sharp`` is the phase's star predictor, the
+    volumes times ``a^2`` are ``tauL a^2 + (1 + lam)(du/2) a + k - dp/2`` and
+    ``tauR a^2 + (1 - lam)(du/2) a + dp/2 - k``.  With ``lam = k = 0`` they
+    are the tau predictors.
     """
-    return _largest_root(tauL, 0.5 * du, -0.5 * dp), _largest_root(tauR, 0.5 * du, 0.5 * dp)
-
-
-def _a2_least(wl, wr, s, params):
-    """a2 above which both tau predictors of phase 2 are positive."""
-    return np.maximum(*_tau_roots(1.0 / wl.rho2, 1.0 / wr.rho2, wr.u2 - wl.u2, wr.p2 - wl.p2))
+    return np.maximum(_largest_root(tauL, (1.0 + lam) * du / 2.0, k - dp / 2.0),
+                      _largest_root(tauR, (1.0 - lam) * du / 2.0, dp / 2.0 - k))
 
 
 def _a1_least(wl, wr, s, params):
@@ -123,14 +116,15 @@ def _a1_least(wl, wr, s, params):
           - lam * (0.5 * (wl.p1 + wr.p1) - s.pi_sharp2) / params.a2)
     upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
     lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
-    return np.max([*_tau_roots(tauL, tauR, du, dp), upper, lower], axis=0)
+    return np.max([_volume_least(tauL, tauR, du, dp), upper, lower], axis=0)
 
 
 def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
     """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx``.
 
     Every predicate is the positivity of quadratics in the climbing
-    parameter, so it holds above the largest of their roots, ``least``.  Each
+    parameter (for a2, with the coupling term of its last solve held fixed),
+    so it holds above the largest of their roots, ``least``.  Each
     interface takes ``(1 + ETA) max(a, least)``: a margin of ETA above the
     threshold, and a growth of at least ``1 + ETA`` where rounding puts the
     threshold below the value that failed.  A growth beyond
@@ -153,57 +147,61 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     """Pick per-interface (a1, a2) and return the solved Riemann problem,
     whose ``params`` hold them.
 
-    Starts from the Whitham-like bound (1 + ETA) max(rho c) over the two end
-    states and climbs until three predicates hold at every interface:
+    Both start from the Whitham-like bound (1 + ETA) max(rho c) over the two
+    end states, and each climbs for one predicate:
 
-    1. the tau predictors of phase 2 are positive (a2 climbs past the
-       closed-form threshold ``_a2_least``);
-    2. the tau predictors of phase 1 are positive and the existence
-       condition holds (a1 climbs past ``_a1_least``);
-    3. every intermediate specific volume of the solution is positive and
-       finite (a2 is multiplied by 1 + ETA, then 1 and 2 are checked again).
+    1. a1, for the existence condition: phase 1's tau predictors are
+       positive and ``u_cap`` lies inside its window (``_a1_least``);
+    2. a2, for the solution: every intermediate specific volume is positive
+       and finite (the largest root of phase 2's volumes beside the coupling
+       wave, with the coupling term of the failing solve held fixed).
 
-    A climb lands ETA above its threshold, so one climb per predicate and
-    round suffices: the predicate is checked again on the climbed parameters,
-    and an interface where it still fails is reported as an error, as is a
-    climb beyond the growth cap or an interface still failing predicate 3
-    after MAX_INFLATIONS retries.  Each interface climbs on its own, so its
-    parameters and its solution do not depend on the rest of the row.  A
-    round of retries for predicate 3 solves only the interfaces that failed
-    it; after retries the whole row is solved once more with the final
-    parameters.  Parameters and solution are one-dimensional, also for scalar
-    input.
+    Each climb takes its parameter to ``(1 + ETA) max(a, least)``.  The a1
+    threshold is exact, and a1 is checked once on the climbed parameters;
+    the a2 threshold is exact where alpha1 does not jump and an estimate
+    where it does, which the next round's solve checks.  An interface that
+    fails predicate 2 takes a1 from its Whitham start again, so ``(a1, a2)``
+    do not depend on the order of the climbs.  A climb beyond the growth cap,
+    an a1 climb after which the existence condition still fails, and an
+    interface failing predicate 2 after MAX_INFLATIONS rounds are reported
+    as errors.  Each interface climbs on its own, so its parameters and its
+    solution do not depend on the rest of the row.  Later rounds solve only
+    the interfaces that failed predicate 2, and after them the whole row is
+    solved once more.  Parameters and solution are one-dimensional, also for
+    scalar input.
     """
     wL, wR = as_cellwise(wL), as_cellwise(wR)
-    params = RelaxParams(
+    start = RelaxParams(
         (1.0 + ETA) * np.maximum(eos1.lagrangian_sound_speed(wL.rho1, wL.p1),
                                  eos1.lagrangian_sound_speed(wR.rho1, wR.p1)),
         (1.0 + ETA) * np.maximum(eos2.lagrangian_sound_speed(wL.rho2, wL.p2),
                                  eos2.lagrangian_sound_speed(wR.rho2, wR.p2)))
-    at = np.arange(params.a2.size)  # interfaces solved in this round: the whole row at first
-    wl, wr, sub = wL, wR, params
+    at = np.arange(start.a2.size)  # interfaces solved in this round: the whole row at first
+    wl, wr, params, sub = wL, wR, start, start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(wl, wr, sub)
-        for grow, holds, least in ((2, _tau2_ok, _a2_least), (1, _existence_ok, _a1_least)):
-            bad = ~holds(s, sub)
-            if np.any(bad):
-                params = _climb_ladder(wL, wR, params, at[bad], grow, least(wl, wr, s, sub)[bad])
-                sub = take_interfaces(params, at)
-                s = sharp_quantities(wl, wr, sub)
-                missed = ~holds(s, sub)
-                if np.any(missed):
-                    raise _interface_error(f"a{grow} climbed past its threshold, yet its "
-                                           "predicate fails", wL, wR, int(at[np.argmax(missed)]))
+        bad = ~classify_ordering(s, sub)[1]
+        if np.any(bad):
+            params = _climb_ladder(wL, wR, params, at[bad], 1, _a1_least(wl, wr, s, sub)[bad])
+            sub = take_interfaces(params, at)
+            s = sharp_quantities(wl, wr, sub)
+            missed = ~classify_ordering(s, sub)[1]
+            if np.any(missed):
+                raise _interface_error("a1 climbed past its threshold, yet its predicate fails",
+                                       wL, wR, int(at[np.argmax(missed)]))
         sol = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
         # the oriented regions serve: reflection maps the intermediate ones onto themselves
         tau = np.concatenate([sol.phase1.tau[1:4], sol.phase2.tau[1:3]])
         bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
         if not np.any(bad):
-            return sol if at.size == params.a2.size else build_solution(wL, wR, eos1, eos2, params)
+            return sol if at.size == start.a2.size else build_solution(wL, wR, eos1, eos2, params)
+        du, dp, lam = wr.u2 - wl.u2, wr.p2 - wl.p2, s.lambda_alpha
+        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * sub.a2
+        least = _volume_least(1.0 / wl.rho2, 1.0 / wr.rho2, du, dp, lam, k)[bad]
         at = at[bad]
-        a2 = params.a2.copy()
-        a2[at] *= 1.0 + ETA
-        params = RelaxParams(params.a1, a2)
+        a1 = params.a1.copy()
+        a1[at] = start.a1[at]
+        params = _climb_ladder(wL, wR, RelaxParams(a1, params.a2), at, 2, least)
         wl, wr, sub = wL[at], wR[at], take_interfaces(params, at)
     raise _interface_error("non-subsonic or infeasible interface: a2 inflation cap exceeded",
                            wL, wR, int(at[0]))

@@ -67,31 +67,39 @@ class ConservedState:
     def from_stack(cls, arr):
         return cls(*arr)
 
-    def __getitem__(self, idx):
-        return ConservedState(*(np.asarray(getattr(self, f))[idx] for f in self._FIELDS))
-
 
 def _first_bad(mask):
-    idx = np.argwhere(np.atleast_1d(mask))
-    return int(idx[0][0]) if idx.size else -1
+    return int(np.argmax(np.atleast_1d(mask)))
+
+
+# Each check is written ``np.all(x > bound)`` so that NaN, which compares
+# false, fails it; ``~(x > bound)`` marks the entries it reports.
+
+def _check_alpha1(alpha1, ctx):
+    a = np.asarray(alpha1, dtype=float)
+    ok = (a > 0.0) & (a < 1.0)
+    if not np.all(ok):
+        raise AdmissibilityError(f"alpha1 outside (0,1) at index {_first_bad(~ok)}{ctx}")
+    return a
 
 
 def validate_primitive(w: PrimitiveState, eos1: EosParams, eos2: EosParams, where: str = ""):
     """Raise AdmissibilityError unless every entry of ``w`` is admissible."""
     ctx = f" [{where}]" if where else ""
-    a = np.asarray(w.alpha1, dtype=float)
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
-        raise AdmissibilityError(
-            f"alpha1 outside (0,1) at index {_first_bad((a <= 0) | (a >= 1))}{ctx}")
+    _check_alpha1(w.alpha1, ctx)
     for name, rho in (("rho1", w.rho1), ("rho2", w.rho2)):
         r = np.asarray(rho, dtype=float)
-        if np.any(r <= 0.0):
-            raise AdmissibilityError(f"non-positive {name} at index {_first_bad(r <= 0)}{ctx}")
+        if not np.all(r > 0.0):
+            raise AdmissibilityError(f"non-positive {name} at index {_first_bad(~(r > 0))}{ctx}")
+    for name, u in (("u1", w.u1), ("u2", w.u2)):
+        finite = np.isfinite(u)
+        if not np.all(finite):
+            raise AdmissibilityError(f"non-finite {name} at index {_first_bad(~finite)}{ctx}")
     for name, rho, p, eos in (("phase 1", w.rho1, w.p1, eos1), ("phase 2", w.rho2, w.p2, eos2)):
         hyp = np.asarray(p, dtype=float) + eos.p_inf
-        if np.any(hyp <= 0.0):
-            raise AdmissibilityError(
-                f"{name}: p + p_inf <= 0 (complex sound speed) at index {_first_bad(hyp <= 0)}{ctx}")
+        if not np.all(hyp > 0.0):
+            raise AdmissibilityError(f"{name}: p + p_inf <= 0 (complex sound speed) at index "
+                                     f"{_first_bad(~(hyp > 0))}{ctx}")
 
 
 def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
@@ -102,31 +110,28 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
     ``rho_k e_k > p_inf_k`` needed for real sound speeds.
     """
     ctx = f" [{where}]" if where else ""
-    a = np.asarray(u.alpha1, dtype=float)
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
-        raise AdmissibilityError(
-            f"alpha1 outside (0,1) at index {_first_bad((a <= 0) | (a >= 1))}{ctx}")
+    a = _check_alpha1(u.alpha1, ctx)
     for name, m in (("m1", u.m1), ("m2", u.m2)):
         mv = np.asarray(m, dtype=float)
-        if np.any(mv <= 0.0):
+        if not np.all(mv > 0.0):
             raise AdmissibilityError(
-                f"non-positive partial mass {name} at index {_first_bad(mv <= 0)}{ctx}")
+                f"non-positive partial mass {name} at index {_first_bad(~(mv > 0))}{ctx}")
     for k, (m, q, eta, alpha, eos) in enumerate(
             ((u.m1, u.q1, u.eta1, a, eos1), (u.m2, u.q2, u.eta2, 1.0 - a, eos2)), start=1):
         m = np.asarray(m, dtype=float)
         q = np.asarray(q, dtype=float)
         eta = np.asarray(eta, dtype=float)
         eint = eta - 0.5 * q * q / m  # alpha_k rho_k e_k
-        if np.any(eint <= 0.0):
+        if not np.all(eint > 0.0):
             raise AdmissibilityError(
-                f"non-positive internal energy, phase {k}, index {_first_bad(eint <= 0)}{ctx}")
+                f"non-positive internal energy, phase {k}, index {_first_bad(~(eint > 0))}{ctx}")
         if eos.p_inf > 0.0:
             # rho_k e_k = (alpha rho e) / alpha_k
             rho_e = eint / alpha
-            if np.any(rho_e <= eos.p_inf):
+            if not np.all(rho_e > eos.p_inf):
                 raise AdmissibilityError(
                     f"rho e <= p_inf (sound speed loss), phase {k}, "
-                    f"index {_first_bad(rho_e <= eos.p_inf)}{ctx}")
+                    f"index {_first_bad(~(rho_e > eos.p_inf))}{ctx}")
 
 
 def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> ConservedState:

@@ -147,6 +147,17 @@ def test_load_case_json_stiffened_pressure_below_minus_p_inf(tmp_path, side):
         load_case_json(path)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_load_case_json_nan_pressure(tmp_path, side):
+    # json reads NaN; it must not pass the admissibility check
+    bad = json.loads(json.dumps(CASE1_JSON))
+    bad[side]["p1"] = float("nan")
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(AdmissibilityError, match=rf"phase 1: .*\[{side}\]"):
+        load_case_json(path)
+
+
 def test_convergence_study_structure():
     case = get_case(1)
     reports = convergence_study(case, "relaxation", [25, 50])

@@ -81,6 +81,32 @@ def test_stiffened_sound_speed_loss_distinct():
         to_primitive(bad, IDEAL, stiff)
 
 
+#: what the check a NaN in each field fails names, by field
+PRIMITIVE_CHECKS = {"alpha1": "alpha1", "rho1": "rho1", "u1": "u1", "p1": "phase 1",
+                    "rho2": "rho2", "u2": "u2", "p2": "phase 2"}
+CONSERVED_CHECKS = {"alpha1": "alpha1", "m1": "m1", "m2": "m2", "q1": "phase 1",
+                    "q2": "phase 2", "eta1": "phase 1", "eta2": "phase 2"}
+
+
+@pytest.mark.parametrize("field", list(PRIMITIVE_CHECKS))
+def test_nan_primitive_field_rejected(field):
+    # NaN compares false with every bound, so each check must require the
+    # admissible side rather than reject the other one
+    w = PrimitiveState(*(np.full(4, v) for v in (0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)))
+    getattr(w, field)[2] = np.nan
+    with pytest.raises(AdmissibilityError, match=rf"{PRIMITIVE_CHECKS[field]}.*index 2"):
+        to_conserved(w, IDEAL, IDEAL)
+
+
+@pytest.mark.parametrize("field", list(CONSERVED_CHECKS))
+def test_nan_conserved_field_rejected(field):
+    w = PrimitiveState(*(np.full(4, v) for v in (0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)))
+    u = to_conserved(w, IDEAL, IDEAL)
+    getattr(u, field)[2] = np.nan
+    with pytest.raises(AdmissibilityError, match=rf"{CONSERVED_CHECKS[field]}.*index 2"):
+        to_primitive(u, IDEAL, IDEAL)
+
+
 def test_max_abs_eigenvalue_case1_left():
     lam = max_abs_eigenvalue(CASE1_LEFT, IDEAL, IDEAL)
     assert lam == pytest.approx(1.42604, abs=2e-5)
