@@ -87,10 +87,15 @@ class SharpQuantities:
     u_cap: np.ndarray
 
 
-def as_cellwise(w: PrimitiveState) -> PrimitiveState:
-    """View of a state with every field at least one-dimensional."""
-    return PrimitiveState(*(np.atleast_1d(np.asarray(getattr(w, v), dtype=float))
-                            for v in VARIABLES))
+def as_row(wL: PrimitiveState, wR: PrimitiveState):
+    """Views of the two sides of a row of interfaces with every field
+    one-dimensional and of the row's length; a scalar field holds for every
+    interface."""
+    fields = np.atleast_1d(*(np.asarray(getattr(w, v), dtype=float)
+                             for w in (wL, wR) for v in VARIABLES))
+    if len({f.shape for f in fields}) > 1:
+        fields = np.broadcast_arrays(*fields)
+    return PrimitiveState(*fields[:7]), PrimitiveState(*fields[7:])
 
 
 def take_interfaces(data, at):
@@ -137,11 +142,6 @@ def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams
     return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap)
 
 
-def coincident_band(s: SharpQuantities, params: RelaxParams):
-    """Scaled band around u_cap = 0 treated as the coincident ordering."""
-    return 1e-12 * params.a1 * np.maximum(s.tau_sharp1_l, s.tau_sharp1_r)
-
-
 def classify_ordering(s: SharpQuantities, params: RelaxParams):
     """Return (ordering, feasible) arrays.
 
@@ -150,7 +150,8 @@ def classify_ordering(s: SharpQuantities, params: RelaxParams):
     caller reacts by enlarging a1.  Infeasible entries still carry an
     ordering tag from the sign of u_cap.
     """
-    eps = coincident_band(s, params)
+    # a scaled band around u_cap = 0 counts as the coincident ordering
+    eps = 1e-12 * params.a1 * np.maximum(s.tau_sharp1_l, s.tau_sharp1_r)
     ordering = np.where(np.abs(s.u_cap) <= eps, 0, np.sign(s.u_cap)).astype(np.int8)
     feasible = ((s.tau_sharp1_l > 0.0) & (s.tau_sharp1_r > 0.0)
                 & (s.u_cap > -params.a1 * s.tau_sharp1_r)
@@ -307,7 +308,7 @@ def solve_star(ctx: FixedPointContext):
     points = np.stack([np.zeros_like(rhs), m0 * (1.0 - 2.0 ** -30),
                        np.minimum(m0 * (1.0 + 2.0 ** -30), 1.0), np.ones_like(rhs)])
     f = ctx.psi(points) - rhs               # psi(0) = 0 exactly
-    if np.any(f[-1] <= 0.0) or np.any(rhs < 0.0):
+    if (f[-1] <= 0.0).any() or (rhs < 0.0).any():
         raise SolverError("fixed point bracket failure on (0, 1)")
     # the first sign change: f[k] <= 0 < f[k + 1]
     k = np.argmax(f[1:] > 0.0, axis=0)
@@ -320,7 +321,7 @@ def solve_star(ctx: FixedPointContext):
     moved_lo = np.full(rhs.shape, -1)       # end moved by the last sweep: 1 lo, 0 hi, -1 none
     active = rhs > tol
     for _ in range(MAX_SWEEPS):
-        if not np.any(active):
+        if not active.any():
             break
         width = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -341,34 +342,43 @@ def solve_star(ctx: FixedPointContext):
     return m, ctx.mach(m)
 
 
+#: rows of each phase in ``RelaxRiemannSolution.regions``
+_PHASE_ROWS = (slice(0, 5), slice(5, 9))
+#: first row of each phase, as a column
+_FIRST_REGION = np.array([[rows.start] for rows in _PHASE_ROWS])
+#: row of ``RelaxRiemannSolution.ends`` that each region is tied to by the
+#: Lagrangian relations: the end state on its side of its phase's contact
+_END_OF_REGION = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3])
+
+
 @dataclass(frozen=True)
 class OrientedPhase:
-    """One phase of a solved row in the oriented frame (``u2* <= u1*``).
+    """One phase of a solved row in the oriented frame (``u2* <= u1*``), as
+    views of the solution's tables.
 
     ``tau`` and ``u`` hold the region values, region axis first, from the
     left end state to the right one; the last two regions lie right of the
     phase's contact and the others left of it.  ``breaks`` holds the wave
-    speeds between the regions in ascending order.  ``p_l``, ``e_l`` and
-    ``p_r``, ``e_r`` are the pressure and specific internal energy of the
-    end states, whose specific volumes are ``tau[0]`` and ``tau[-1]``.
+    speeds between the regions in ascending order.
     """
 
     breaks: np.ndarray
     tau: np.ndarray
     u: np.ndarray
-    p_l: np.ndarray
-    p_r: np.ndarray
-    e_l: np.ndarray
-    e_r: np.ndarray
 
 
 @dataclass(frozen=True)
 class RelaxRiemannSolution:
     """Piecewise-constant self-similar solution of a row of interfaces.
 
-    ``phase1`` has five regions (separated by the left acoustic, coupling,
-    phase-1 contact and right acoustic waves) and ``phase2`` four, both in
+    Phase 1 has five regions (separated by the left acoustic, coupling,
+    phase-1 contact and right acoustic waves) and phase 2 four, both in
     the oriented frame; ``flip`` marks the interfaces solved reflected.
+    ``regions`` holds (tau, u) of phase 1's regions and then of phase 2's,
+    region axis second; ``ends`` holds (tau, p, e) of phase 1's left and
+    right end states and then of phase 2's; ``breaks`` holds, per phase,
+    the wave speeds between its regions in ascending order, phase 2's
+    padded with +inf.  ``phase1`` and ``phase2`` view them per phase.
     ``sample`` and ``region_tables`` read the phases in the original frame,
     in which ``ordering``, the contact speeds and the phase fractions are
     given: the phase fraction jumps from ``alpha1_l`` to ``alpha1_r`` at
@@ -384,8 +394,17 @@ class RelaxRiemannSolution:
     pi1_star: np.ndarray
     alpha1_l: np.ndarray
     alpha1_r: np.ndarray
-    phase1: OrientedPhase
-    phase2: OrientedPhase
+    breaks: np.ndarray
+    regions: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def phase1(self) -> OrientedPhase:
+        return OrientedPhase(self.breaks[0], *self.regions[:, _PHASE_ROWS[0]])
+
+    @property
+    def phase2(self) -> OrientedPhase:
+        return OrientedPhase(self.breaks[1, :3], *self.regions[:, _PHASE_ROWS[1]])
 
 
 @dataclass(frozen=True)
@@ -403,38 +422,32 @@ class SampledState:
     E2: np.ndarray
 
 
-def _oriented_phases(wl, wr, s, params, m_star, mach, nu, u2s, eos1, eos2):
-    """Both phases of the oriented problem (u_cap >= 0, so u2* <= u1*).
+def _tables(wl, wr, s, params, m_star, mach, nu, u2s, eos1, eos2):
+    """(breaks, regions, ends) of the oriented problem (u_cap >= 0, so u2* <= u1*).
 
-    Each runs from the left to the right end state; between its acoustic
-    waves lie the coupling wave and, for phase 1, its contact.
+    Each phase runs from the left to the right end state; between its
+    acoustic waves, the speeds ``u0 -+ a tau0`` of the end states, lie the
+    coupling wave and, for phase 1, its contact.
     """
-    a1 = params.a1
+    a1, a2 = params.a1, params.a2
     shift = (m_star - nu * mach) / (1.0 + nu * mach)
     u1s = s.u_sharp1 - a1 * s.tau_sharp1_l * shift
     tau1m = s.tau_sharp1_l * (1.0 - m_star) / (1.0 - mach)
     tau1p = s.tau_sharp1_l * (1.0 + m_star) / (1.0 + nu * mach)
     tau1rs = s.tau_sharp1_r + s.tau_sharp1_l * shift
     u1m = u2s + a1 * mach * tau1m
-    t2L, t2R = 1.0 / wl.rho2, 1.0 / wr.rho2
-    tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wl.u2, wr.u2, u2s, params.a2)
-    return (_oriented_phase((1.0 / wl.rho1, tau1m, tau1p, tau1rs, 1.0 / wr.rho1),
-                            (wl.u1, u1m, u1s, u1s, wr.u1), (u2s, u1s),
-                            (wl.rho1, wl.p1), (wr.rho1, wr.p1), eos1, a1),
-            _oriented_phase((t2L, tau2ls, tau2rs, t2R), (wl.u2, u2s, u2s, wr.u2), (u2s,),
-                            (wl.rho2, wl.p2), (wr.rho2, wr.p2), eos2, params.a2))
-
-
-def _oriented_phase(tau, u, inner, left, right, eos, a) -> OrientedPhase:
-    """One phase from its region values and the (rho, p) of its end states.
-
-    The breaks are the acoustic speeds ``u0 -+ a tau0`` of the end states
-    around the ``inner`` wave speeds.
-    """
-    tau, u = np.stack(tau), np.stack(u)
-    breaks = np.stack([u[0] - a * tau[0], *inner, u[-1] + a * tau[-1]])
-    return OrientedPhase(breaks, tau, u, left[1], right[1],
-                         eos.internal_energy(*left), eos.internal_energy(*right))
+    rho = np.array([wl.rho1, wr.rho1, wl.rho2, wr.rho2])
+    p = np.array([wl.p1, wr.p1, wl.p2, wr.p2])
+    tau = 1.0 / rho
+    t1L, t1R, t2L, t2R = tau
+    tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wl.u2, wr.u2, u2s, a2)
+    e = np.concatenate([eos1.internal_energy(rho[:2], p[:2]),
+                        eos2.internal_energy(rho[2:], p[2:])])
+    breaks = np.array([[wl.u1 - a1 * t1L, u2s, u1s, wr.u1 + a1 * t1R],
+                       [wl.u2 - a2 * t2L, u2s, wr.u2 + a2 * t2R, np.full_like(u2s, np.inf)]])
+    regions = np.array([[t1L, tau1m, tau1p, tau1rs, t1R, t2L, tau2ls, tau2rs, t2R],
+                        [wl.u1, u1m, u1s, u1s, wr.u1, wl.u2, u2s, u2s, wr.u2]])
+    return breaks, regions, np.array([tau, p, e])
 
 
 def _closure(tau, u, tau0, p0, e0, a):
@@ -449,20 +462,28 @@ def _closure(tau, u, tau0, p0, e0, a):
     return pi, E
 
 
-def _regions(phase: OrientedPhase, a, idx):
-    """Oriented (tau, u, pi, E) of the regions ``idx`` of each interface.
+def _regions(sol: RelaxRiemannSolution, rows, a):
+    """Oriented (tau, u, pi, E) of the regions ``rows`` of ``sol.regions``,
+    whose phases have the parameters ``a``.
 
-    ``idx`` holds one region per interface, or a column of regions that
-    broadcasts over the interfaces.
+    ``rows`` holds one row per interface, or a column of rows that
+    broadcasts over the interfaces; each quantity is gathered by one
+    ``take`` of a stacked table.
     """
-    n = phase.tau.shape[1]
-    flat = idx * n + np.arange(n)
-    tau, u = phase.tau.take(flat), phase.u.take(flat)
-    right = idx >= phase.tau.shape[0] - 2
-    pi, E = _closure(tau, u, np.where(right, phase.tau[-1], phase.tau[0]),
-                     np.where(right, phase.p_r, phase.p_l),
-                     np.where(right, phase.e_r, phase.e_l), a)
-    return tau, u, pi, E
+    n = sol.regions.shape[-1]
+    cols = np.arange(n)
+    tau, u = sol.regions.reshape(2, -1).take(rows * n + cols, axis=1)
+    tau0, p0, e0 = sol.ends.reshape(3, -1).take(_END_OF_REGION[rows] * n + cols, axis=1)
+    return (tau, u, *_closure(tau, u, tau0, p0, e0, a))
+
+
+def _phase_params(params: RelaxParams):
+    """(a1, a2) stacked as a column per phase."""
+    return np.array([params.a1, params.a2]).reshape(2, -1)
+
+
+#: reflection of a stacked pair of primitive states: velocities negated
+_MIRROR = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
 
 
 def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
@@ -476,30 +497,28 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     predicates ``scheme.select_parameters`` climbs a2 for.  The solution is
     one-dimensional, also for scalar input.
     """
-    wL, wR = as_cellwise(wL), as_cellwise(wR)
+    wL, wR = as_row(wL, wR)
     s0 = precomputed if precomputed is not None else sharp_quantities(wL, wR, params)
-    eps = coincident_band(s0, params)
-    flip = s0.u_cap < -eps
+    # the existence condition and the ordering hold in the original frame:
+    # the window and the coincident band are symmetric under reflection
+    ordering, feasible = classify_ordering(s0, params)
+    if not feasible.all():
+        raise SolverError("existence condition violated; select parameters before solving")
+    flip = ordering < 0
+    sign = np.where(flip, -1.0, 1.0)
 
-    def pick(a, b):
-        """``a`` where the interface keeps its orientation, ``b`` where it is reflected."""
-        return np.where(flip, b, a)
-
-    mL, mR = wL.mirrored(), wR.mirrored()
-    wl = PrimitiveState(*(pick(getattr(wL, v), getattr(mR, v)) for v in VARIABLES))
-    wr = PrimitiveState(*(pick(getattr(wR, v), getattr(mL, v)) for v in VARIABLES))
+    # a reflected interface swaps its sides and negates their velocities
+    pair = np.array([[getattr(w, v) for v in VARIABLES] for w in (wL, wR)])
+    wl, wr = (PrimitiveState(*w) for w in np.where(flip, pair[::-1] * _MIRROR, pair))
 
     # reflection maps the predictors exactly: u and u_cap flip sign, pi is
     # untouched, the tau predictors swap sides
+    taus = np.array([s0.tau_sharp1_l, s0.tau_sharp1_r])
+    tau_l, tau_r = np.where(flip, taus[::-1], taus)
     s = SharpQuantities(
-        u_sharp1=pick(s0.u_sharp1, -s0.u_sharp1), pi_sharp1=s0.pi_sharp1,
-        tau_sharp1_l=pick(s0.tau_sharp1_l, s0.tau_sharp1_r),
-        tau_sharp1_r=pick(s0.tau_sharp1_r, s0.tau_sharp1_l),
-        u_sharp2=pick(s0.u_sharp2, -s0.u_sharp2), pi_sharp2=s0.pi_sharp2,
-        lambda_alpha=pick(s0.lambda_alpha, -s0.lambda_alpha), u_cap=pick(s0.u_cap, -s0.u_cap))
-    ordering, feasible = classify_ordering(s, params)
-    if np.any(~feasible):
-        raise SolverError("existence condition violated; select parameters before solving")
+        u_sharp1=sign * s0.u_sharp1, pi_sharp1=s0.pi_sharp1, tau_sharp1_l=tau_l, tau_sharp1_r=tau_r,
+        u_sharp2=sign * s0.u_sharp2, pi_sharp2=s0.pi_sharp2,
+        lambda_alpha=sign * s0.lambda_alpha, u_cap=sign * s0.u_cap)
 
     ctx = fixed_point_context(wl, wr, s, params)
     coincident = ordering == 0
@@ -515,7 +534,7 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     # could not fail it, since coincident ones have no equation to solve and
     # with equal fractions psi(1) >= 1 > rhs
     jump = ~(coincident | equal_frac)
-    if np.any(jump):
+    if jump.any():
         m_star[jump], mach[jump] = solve_star(take_interfaces(ctx, jump))
     u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - params.a1 * s.tau_sharp1_l * m_star)
 
@@ -526,19 +545,20 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
         pi1_star = s.pi_sharp2 - params.a2 * al2sum / dal * (u2s - s.u_sharp2)
     pi1_star = np.where(dal == 0.0, np.nan, pi1_star)
 
-    phase1, phase2 = _oriented_phases(wl, wr, s, params, m_star, mach, ctx.nu, u2s, eos1, eos2)
+    breaks, regions, ends = _tables(wl, wr, s, params, m_star, mach, ctx.nu, u2s, eos1, eos2)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
-        params=params, flip=flip, ordering=np.where(flip, -ordering, ordering).astype(np.int8),
-        u1_star=pick(phase1.u[2], -phase1.u[2]), u2_star=pick(phase2.u[1], -phase2.u[1]),
-        pi1_star=pi1_star, alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, phase1=phase1, phase2=phase2)
+        params=params, flip=flip, ordering=ordering,
+        u1_star=sign * regions[1, 2], u2_star=sign * regions[1, 6], pi1_star=pi1_star,
+        alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, breaks=breaks, regions=regions, ends=ends)
 
 
 def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
     """State at self-similar speed ``xi``; the right limit at a wave speed.
 
     ``side='-'`` takes the left limit instead (used for the flux traces).
-    Only here, and in ``region_tables``, are pi and E of a region formed.
+    Only here, and in ``region_tables``, are pi and E of a region formed;
+    both phases are read together.
     """
     xi = np.asarray(xi, dtype=float)
     flip = sol.flip
@@ -552,15 +572,13 @@ def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
     else:
         reflected = np.nextafter(reflected, np.inf)
     xi_o = np.where(flip, reflected, kept)
-    sign = np.where(flip, -1.0, 1.0)
     on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
-    states = [np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r)]
-    for phase, a in ((sol.phase1, sol.params.a1), (sol.phase2, sol.params.a2)):
-        # a count of at most four breaks: int8 holds it and sums fastest
-        idx = (phase.breaks < xi_o).sum(axis=0, dtype=np.int8).astype(np.intp)
-        tau, u, pi, E = _regions(phase, a, idx)
-        states += [tau, sign * u, pi, E]
-    return SampledState(*states)
+    # per phase a count of at most four breaks: int8 holds it and sums fastest
+    rows = (sol.breaks < xi_o).sum(axis=1, dtype=np.int8) + _FIRST_REGION
+    tau, u, pi, E = _regions(sol, rows, _phase_params(sol.params))
+    u = np.where(flip, -1.0, 1.0) * u
+    return SampledState(np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r),
+                        tau[0], u[0], pi[0], E[0], tau[1], u[1], pi[1], E[1])
 
 
 def region_tables(sol: RelaxRiemannSolution) -> dict:
@@ -571,10 +589,12 @@ def region_tables(sol: RelaxRiemannSolution) -> dict:
     ascending order.  A reflected interface has its regions reversed and its
     speeds and velocities negated.
     """
+    rows = np.arange(sol.regions.shape[1])[:, None]
+    a = np.repeat(_phase_params(sol.params), [r.stop - r.start for r in _PHASE_ROWS], axis=0)
+    quantities = _regions(sol, rows, a)
     tables = {}
-    for k, phase, a in (("1", sol.phase1, sol.params.a1), ("2", sol.phase2, sol.params.a2)):
-        idx = np.arange(phase.tau.shape[0])[:, None]
+    for k, phase, cut in zip("12", (sol.phase1, sol.phase2), _PHASE_ROWS):
         for name, sign, table in zip(("breaks", "tau", "u", "pi", "E"), (-1.0, 1.0, -1.0, 1.0, 1.0),
-                                     (phase.breaks, *_regions(phase, a, idx))):
+                                     (phase.breaks, *(q[cut] for q in quantities))):
             tables[name + k] = np.where(sol.flip, sign * table[::-1], table)
     return tables

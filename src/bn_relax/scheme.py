@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import EosParams
-from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, as_cellwise,
-                      build_solution, classify_ordering, sample,
+from .riemann import (RelaxParams, RelaxRiemannSolution, SampledState, SolverError,
+                      as_row, build_solution, classify_ordering, sample,
                       sharp_quantities, take_interfaces)
 from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_primitive,
                     validate_conserved)
@@ -66,8 +66,13 @@ class InterfaceFluxes:
     f_plus: np.ndarray
 
 
-def _interface_error(what, wL, wR, j):
-    return SolverError(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
+class InterfaceError(SolverError):
+    """SolverError at interface ``j`` of the row ``(wL, wR)``, whose states the
+    message gives; ``what`` is the failure and ``interface`` is ``j``."""
+
+    def __init__(self, what, wL, wR, j):
+        super().__init__(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
+        self.what, self.interface = what, j
 
 
 def _largest_root(a, b, c):
@@ -116,7 +121,7 @@ def _a1_least(wl, wr, s, params):
           - lam * (0.5 * (wl.p1 + wr.p1) - s.pi_sharp2) / params.a2)
     upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
     lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
-    return np.max([_volume_least(tauL, tauR, du, dp), upper, lower], axis=0)
+    return np.maximum(np.maximum(_volume_least(tauL, tauR, du, dp), upper), lower)
 
 
 def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
@@ -134,9 +139,9 @@ def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
     base = climbing[idx]
     value = (1.0 + ETA) * np.maximum(base, least)
     over = value > (1.0 + ETA) ** MAX_INFLATIONS * base
-    if np.any(over):
-        raise _interface_error(f"non-subsonic or infeasible interface: a{grow} inflation cap "
-                               "exceeded", wL, wR, int(idx[np.argmax(over)]))
+    if over.any():
+        raise InterfaceError(f"non-subsonic or infeasible interface: a{grow} inflation cap "
+                             "exceeded", wL, wR, int(idx[np.argmax(over)]))
     out = climbing.copy()
     out[idx] = value
     return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
@@ -170,30 +175,31 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     solved once more.  Parameters and solution are one-dimensional, also for
     scalar input.
     """
-    wL, wR = as_cellwise(wL), as_cellwise(wR)
-    start = RelaxParams(
-        (1.0 + ETA) * np.maximum(eos1.lagrangian_sound_speed(wL.rho1, wL.p1),
-                                 eos1.lagrangian_sound_speed(wR.rho1, wR.p1)),
-        (1.0 + ETA) * np.maximum(eos2.lagrangian_sound_speed(wL.rho2, wL.p2),
-                                 eos2.lagrangian_sound_speed(wR.rho2, wR.p2)))
+    wL, wR = as_row(wL, wR)
+    # one evaluation per phase of both sides' rho c, stacked
+    start = RelaxParams(*(
+        (1.0 + ETA) * eos.lagrangian_sound_speed(np.array([rhoL, rhoR]), np.array([pL, pR])).max(axis=0)
+        for eos, rhoL, rhoR, pL, pR in ((eos1, wL.rho1, wR.rho1, wL.p1, wR.p1),
+                                        (eos2, wL.rho2, wR.rho2, wL.p2, wR.p2))))
     at = np.arange(start.a2.size)  # interfaces solved in this round: the whole row at first
     wl, wr, params, sub = wL, wR, start, start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(wl, wr, sub)
         bad = ~classify_ordering(s, sub)[1]
-        if np.any(bad):
+        if bad.any():
             params = _climb_ladder(wL, wR, params, at[bad], 1, _a1_least(wl, wr, s, sub)[bad])
             sub = take_interfaces(params, at)
             s = sharp_quantities(wl, wr, sub)
             missed = ~classify_ordering(s, sub)[1]
-            if np.any(missed):
-                raise _interface_error("a1 climbed past its threshold, yet its predicate fails",
-                                       wL, wR, int(at[np.argmax(missed)]))
+            if missed.any():
+                raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
+                                     wL, wR, int(at[np.argmax(missed)]))
         sol = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
-        # the oriented regions serve: reflection maps the intermediate ones onto themselves
-        tau = np.concatenate([sol.phase1.tau[1:4], sol.phase2.tau[1:3]])
+        # phase 1's regions 1-3 and phase 2's 1-2; the oriented regions serve,
+        # since reflection maps the intermediate ones onto themselves
+        tau = sol.regions[0, [1, 2, 3, 6, 7]]
         bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
-        if not np.any(bad):
+        if not bad.any():
             return sol if at.size == start.a2.size else build_solution(wL, wR, eos1, eos2, params)
         du, dp, lam = wr.u2 - wl.u2, wr.p2 - wl.p2, s.lambda_alpha
         k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * sub.a2
@@ -203,8 +209,8 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
         a1[at] = start.a1[at]
         params = _climb_ladder(wL, wR, RelaxParams(a1, params.a2), at, 2, least)
         wl, wr, sub = wL[at], wR[at], take_interfaces(params, at)
-    raise _interface_error("non-subsonic or infeasible interface: a2 inflation cap exceeded",
-                           wL, wR, int(at[0]))
+    raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",
+                         wL, wR, int(at[0]))
 
 
 def _dump(w: PrimitiveState, j):
@@ -212,61 +218,53 @@ def _dump(w: PrimitiveState, j):
     return "{" + ", ".join(f"{k}={v:.6g}" for k, v in vals.items()) + "}"
 
 
+def _trace_flux(w: SampledState):
+    """Components 1-6 of the physical flux of a state given by alpha1 and, per
+    phase, (tau, u, pi, E): of a sampled trace, and of a calm interface's state."""
+    al1 = w.alpha1
+    al2 = 1.0 - al1
+    return (al1 * w.u1 / w.tau1,
+            al2 * w.u2 / w.tau2,
+            al1 * (w.u1 * w.u1 / w.tau1 + w.pi1),
+            al2 * (w.u2 * w.u2 / w.tau2 + w.pi2),
+            al1 * (w.E1 / w.tau1 + w.pi1) * w.u1,
+            al2 * (w.E2 / w.tau2 + w.pi2) * w.u2)
+
+
 def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     """Numerical fluxes from a solved interface row."""
-    wm = sample(sol, 0.0, side="-")
-    wp = sample(sol, 0.0, side="+")
-
-    def gflux(w):
-        al1 = w.alpha1
-        al2 = 1.0 - al1
-        return (al1 * w.u1 / w.tau1,
-                al2 * w.u2 / w.tau2,
-                al1 * (w.u1 * w.u1 / w.tau1 + w.pi1),
-                al2 * (w.u2 * w.u2 / w.tau2 + w.pi2),
-                al1 * (w.E1 / w.tau1 + w.pi1) * w.u1,
-                al2 * (w.E2 / w.tau2 + w.pi2) * w.u2)
-
-    gm = gflux(wm)
-    gp = gflux(wp)
+    gm = _trace_flux(sample(sol, 0.0, side="-"))
+    gp = _trace_flux(sample(sol, 0.0, side="+"))
     dal = sol.alpha1_r - sol.alpha1_l
     u2s = sol.u2_star
     pi1s = np.where(dal == 0.0, 0.0, sol.pi1_star)
     u2s_pos = np.maximum(u2s, 0.0)
     u2s_neg = np.minimum(u2s, 0.0)
-    moving_left = (u2s < 0.0).astype(float)
-    moving_right = (u2s > 0.0).astype(float)
-
-    zeros = np.zeros_like(u2s)
-    f_minus = np.stack([
-        u2s_neg * dal,
-        gm[0], gm[1],
-        gm[2] - moving_left * pi1s * dal,
-        gm[3] + moving_left * pi1s * dal,
-        gp[4] - u2s_neg * pi1s * dal,
-        gp[5] + u2s_neg * pi1s * dal,
-    ])
-    f_plus = np.stack([
-        zeros - u2s_pos * dal,
-        gp[0], gp[1],
-        gp[2] + moving_right * pi1s * dal,
-        gp[3] - moving_right * pi1s * dal,
-        gp[4] + u2s_pos * pi1s * dal,
-        gp[5] - u2s_pos * pi1s * dal,
-    ])
-    return InterfaceFluxes(f_minus=f_minus, f_plus=f_plus)
+    # the coupling terms: work of pi1* on each side of the coupling wave
+    left = (u2s < 0.0) * pi1s * dal
+    right = (u2s > 0.0) * pi1s * dal
+    neg = u2s_neg * pi1s * dal
+    pos = u2s_pos * pi1s * dal
+    f = np.stack([u2s_neg * dal, gm[0], gm[1], gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg,
+                  0.0 - u2s_pos * dal, gp[0], gp[1], gp[2] + right, gp[3] - right,
+                  gp[4] + pos, gp[5] - pos]).reshape(2, 7, -1)
+    return InterfaceFluxes(f_minus=f[0], f_plus=f[1])
 
 
-def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float):
+def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
     """Time step from the fastest wave of a solved interface row.
 
     The outermost breaks of each phase are its acoustic speeds
     ``u_L - a tau_L`` and ``u_R + a tau_R``, which bound every other wave.
     Reflection only negates and swaps them, so the oriented breaks serve.
+    ``calm_speeds`` adds the acoustic speeds of interfaces solved outside
+    ``sol``.
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
-    smax = max(float(np.max(np.abs(phase.breaks[[0, -1]]))) for phase in (sol.phase1, sol.phase2))
+    # the first and the last break of each phase
+    outer = [phase.breaks[::len(phase.breaks) - 1] for phase in (sol.phase1, sol.phase2)]
+    smax = max(float(np.abs(s).max(initial=0.0)) for s in (*outer, np.asarray(calm_speeds)))
     if smax == 0.0:
         raise SolverError("fully degenerate field: zero wave speeds")
     return cfl * dx / smax
@@ -278,38 +276,81 @@ def _pad_edges(v):
     return np.concatenate([v[:1], v, v[-1:]])
 
 
-def _pad(w: PrimitiveState) -> PrimitiveState:
-    """Transmissive ghost cells of every field."""
-    return PrimitiveState(*(_pad_edges(getattr(w, f)) for f in VARIABLES))
+def _constant_row(w, eos1, eos2):
+    """Exact solution and acoustic speeds of interfaces whose two states are
+    both ``w``, a stack of primitive columns.
+
+    The solution is the constant state, given as ``sample`` gives an end
+    state.  The speed of an interface is the largest of ``|u_k| + a_k tau_k``,
+    the outer breaks that the Whitham-like start ``a_k = (1 + ETA) rho_k c_k``
+    of the parameters gives.
+    """
+    alpha1, rho1, u1, p1, rho2, u2, p2 = w
+    tau1, tau2 = 1.0 / rho1, 1.0 / rho2
+    state = SampledState(alpha1, tau1, u1, p1, 0.5 * u1 ** 2 + eos1.internal_energy(rho1, p1),
+                         tau2, u2, p2, 0.5 * u2 ** 2 + eos2.internal_energy(rho2, p2))
+    speed1, speed2 = (np.abs(u) + (1.0 + ETA) * eos.lagrangian_sound_speed(rho, p) * tau
+                      for u, rho, p, tau, eos in ((u1, rho1, p1, tau1, eos1),
+                                                  (u2, rho2, p2, tau2, eos2)))
+    return state, np.maximum(speed1, speed2)
 
 
 @dataclass
 class StepInfo:
+    """``sol`` is the relaxation solution at the mesh interfaces ``waves``;
+    the other interfaces are calm.  Both are None for the Rusanov scheme."""
+
     dt: float
     fluxes: InterfaceFluxes
     sol: RelaxRiemannSolution | None = None
+    waves: np.ndarray | None = None
 
 
 def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
          dx: float, dt_cap: float = np.inf, prim: PrimitiveState | None = None):
     """One explicit update with transmissive boundaries.
 
+    The relaxation Riemann problem is solved only at the wave interfaces,
+    whose two states differ in some field.  At a calm interface, with
+    bitwise equal states, its exact solution is the constant state: the
+    interface takes the physical flux of that state, and gives ``cfl_dt``
+    the acoustic speeds of the parameters' Whitham-like start.
+
     Returns (updated cells, StepInfo).  Raises AdmissibilityError with the
     offending cell index if the post-state leaves the admissible region,
     which signals a bug or a CFL breach rather than a recoverable condition.
+    A SolverError names the mesh interface.
     """
     if prim is None:
         prim = to_primitive(cells, eos1, eos2)
-    padded = _pad(prim)
-    sol = select_parameters(padded[:-1], padded[1:], eos1, eos2)
-    dt = min(cfl_dt(sol, dx, cfg.cfl), dt_cap)
-    fluxes = assemble_fluxes(sol)
+    w = np.array([getattr(prim, v) for v in VARIABLES])
+    w = np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)   # transmissive ghost cells
+    wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
+    waves = np.flatnonzero(wave)
+    try:
+        sol = select_parameters(PrimitiveState(*w[:, waves]), PrimitiveState(*w[:, waves + 1]),
+                                eos1, eos2)
+    except InterfaceError as err:
+        raise InterfaceError(err.what, PrimitiveState(*w[:, :-1]), PrimitiveState(*w[:, 1:]),
+                             int(waves[err.interface])) from None
+    # every interface is first given the exact solution of its left state,
+    # which is its own where it is calm; the wave interfaces take theirs below
+    state, speeds = _constant_row(w[:, :-1], eos1, eos2)
+    dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave, 0.0, speeds)), dt_cap)
+    solved = assemble_fluxes(sol)
+    f = np.empty((2, 7, wave.size))
+    f[0, 0] = 0.0                       # alpha1 jumps at no calm interface
+    f[0, 1:] = _trace_flux(state)
+    f[1] = f[0]
+    f[0][:, waves] = solved.f_minus
+    f[1][:, waves] = solved.f_plus
+    fluxes = InterfaceFluxes(f_minus=f[0], f_plus=f[1])
     lam = dt / dx
     u = cells.stack()
     unew = u - lam * (fluxes.f_minus[:, 1:] - fluxes.f_plus[:, :-1])
     out = ConservedState.from_stack(unew)
     validate_conserved(out, eos1, eos2, where=f"post-step, dt={dt:.3e}")
-    return out, StepInfo(dt=dt, fluxes=fluxes, sol=sol)
+    return out, StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves)
 
 
 @dataclass(frozen=True)
@@ -431,11 +472,15 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
             # per cell and phase: the entropy balance with the phase's mass
             # flux upwinded by its contact speed
             new_entropies = _phase_entropies(prim, eos1, eos2)
-            for m_old, m_new, s_old, s_new, mass_flux, u_star in zip(
+            # contact speeds: 0 at calm interfaces, whose two neighbours
+            # have bitwise equal entropies, so either serves as upwind
+            u_star = np.zeros((2, fm.shape[1]))
+            u_star[:, info.waves] = info.sol.u1_star, info.sol.u2_star
+            for m_old, m_new, s_old, s_new, mass_flux, u_k in zip(
                     (old.m1, old.m2), (cells.m1, cells.m2), entropies, new_entropies,
-                    fm[1:3], (info.sol.u1_star, info.sol.u2_star)):
+                    fm[1:3], u_star):
                 s_pad = _pad_edges(s_old)
-                phi = mass_flux * np.where(u_star > 0.0, s_pad[:-1], s_pad[1:])
+                phi = mass_flux * np.where(u_k > 0.0, s_pad[:-1], s_pad[1:])
                 balance = m_new * s_new - m_old * s_old + lam * (phi[1:] - phi[:-1])
                 scale = np.maximum(1.0, np.maximum(np.abs(m_old * s_old),
                                                    lam * (np.abs(phi[1:]) + np.abs(phi[:-1]))))

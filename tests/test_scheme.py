@@ -570,11 +570,86 @@ def grid_of(w: PrimitiveState, n):
 
 
 def test_uniform_field_unchanged():
+    # every interface is calm, so none is solved: the field marches bitwise
+    # unchanged, and dt comes from the Whitham-like start of the parameters
     w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
     cells = to_conserved(grid_of(w, 16), IDEAL, IDEAL)
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0))
     out, info = step(cells, cfg, IDEAL, IDEAL, dx=1.0 / 16)
-    assert np.allclose(out.stack(), cells.stack(), rtol=1e-13, atol=1e-14)
+    assert out.stack().tobytes() == cells.stack().tobytes()
+    assert info.waves.size == 0
+    # |u_k| + (1 + ETA) rho_k c_k / rho_k, with 1 / rho_k formed first as in
+    # the outer breaks u -+ a tau of a solved interface
+    speed = max(abs(u) + (1.0 + ETA) * sc(IDEAL.lagrangian_sound_speed(rho, p)) * (1.0 / rho)
+                for u, rho, p in ((w.u1, w.rho1, w.p1), (w.u2, w.rho2, w.p2)))
+    assert info.dt == cfg.cfl * (1.0 / 16) / speed
+
+
+def padded_row(w: PrimitiveState):
+    """The cells of ``w`` between transmissive ghost cells."""
+    return PrimitiveState(*(np.concatenate([v[:1], v, v[-1:]])
+                            for v in (getattr(w, f) for f in VARIABLES)))
+
+
+def test_calm_interfaces_take_the_physical_flux():
+    # a mid-run row of case 1: step solves only the interfaces whose states
+    # differ, with the fluxes a whole-row solve gives there, bit for bit.  A
+    # calm interface takes the physical flux of its state; the whole-row
+    # solve samples a middle region there, which may be off by an ulp
+    case = get_case(1)
+    cfg = RunConfig(cells=200, t_final=case.t_max / 2, domain=case.domain, cfl=case.cfl)
+    res = run(case.initial, cfg, case.eos1, case.eos2)
+    _, info = step(res.cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=res.prim)
+    padded = padded_row(res.prim)
+    full = assemble_fluxes(select_parameters(padded[:-1], padded[1:], case.eos1, case.eos2))
+    wave = np.zeros(201, bool)
+    wave[info.waves] = True
+    calm = np.flatnonzero(~wave)
+    assert 50 < calm.size < 150
+    assert np.array_equal(wave, (padded.stack()[:, :-1] != padded.stack()[:, 1:]).any(axis=0))
+    for got, want in ((info.fluxes.f_minus, full.f_minus), (info.fluxes.f_plus, full.f_plus)):
+        assert got[:, wave].tobytes() == want[:, wave].tobytes()
+        assert np.all(np.abs(got[:, calm] - want[:, calm]) <= 1e-15 * np.abs(want[:, calm]))
+        assert np.all(got[0, calm] == 0.0)
+        for j in calm:
+            assert np.allclose(got[:, j], flux_vector(padded[j], case.eos1, case.eos2),
+                               rtol=1e-14, atol=0.0), j
+
+
+def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
+    # case 2's cold phase 1 (rho1 = 1, p1 = 0.01) moving through phase 2 at
+    # |u1 - u2| > (1 + ETA) c1.  Solved as a Riemann problem the pair climbs
+    # a1, though its exact solution is the constant state; as a calm
+    # interface it takes that state without a climb
+    case = get_case(2)
+    w = PrimitiveState(0.8, 1.0, -19.59741, 0.01, 1.6087, -6.3085, 466.72591)
+    assert abs(w.u1 - w.u2) > (1.0 + ETA) * case.eos1.sound_speed(w.rho1, w.p1)
+    grows = []
+    climb = scheme._climb_ladder
+    monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[4]) or climb(*args))
+    select_parameters(w, w, case.eos1, case.eos2)
+    assert grows == [1]
+    grows.clear()
+    cells = to_conserved(grid_of(w, 16), case.eos1, case.eos2)
+    cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0), cfl=case.cfl)
+    out = cells
+    for _ in range(3):
+        out, info = step(out, cfg, case.eos1, case.eos2, dx=1.0 / 16)
+    assert out.stack().tobytes() == cells.stack().tobytes()
+    assert grows == []
+
+
+def test_step_error_names_the_mesh_interface():
+    # the middle cell moves phase 1 at 1e5 through phase 2, beyond the a1
+    # cap (see test_ladder_inflation_cap_is_an_error).  Only interfaces 2
+    # and 3 of the mesh are solved; the error names the mesh's interface 3,
+    # not its position 1 among the solved ones
+    cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (5, 1))
+    cells[2, 2] = 1e5
+    u = to_conserved(PrimitiveState(*cells.T), IDEAL, IDEAL)
+    with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 3; "
+                                          r"left=\{alpha1=0.5, rho1=1, u1=100000, "):
+        step(u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL, dx=0.2)
 
 
 def test_stationary_contact_field_unchanged():
