@@ -12,6 +12,13 @@ The entropy slack of cases 1-5 at 200 cells, run with ``entropy_audit=True``,
 is printed with ``float.hex``; the audit reads the contact speeds ``u1*`` and
 ``u2*``, which the final state does not depend on.
 
+A step updates only the cells between its first and last wave interface,
+and the path where that window reaches a domain end is covered from both
+sides: some steps of case 2 (82 steps), case 3 (71) and case 4 (31) at 200
+cells and of case 2 at 3200 cells (1304) have a window that touches a
+domain end, and no step of cases 1 and 5 at 200 cells or of case 1 at 800
+and 3200 cells has.
+
 None of these runs takes a positivity retry in parameter selection, so the
 last line digests ``a1``, ``a2`` and the specific volumes of every region
 that ``select_parameters`` gives on two fixed rows of hard pairs, one with an

@@ -212,9 +212,14 @@ class FixedPointContext:
     def mach(self, m):
         return np.minimum(self.mach_conservative(m), self.mach_cap(m))
 
-    def psi(self, m):
+    def psi_mach(self, m):
+        """``(psi(m), mach(m))``: psi together with the Mach number it is built on."""
         m = np.asarray(m, dtype=float)
-        return m + self.coupling * ((1.0 + self.nu) * m - 2.0 * self.nu * self.mach(m))
+        mach = self.mach(m)
+        return m + self.coupling * ((1.0 + self.nu) * m - 2.0 * self.nu * mach), mach
+
+    def psi(self, m):
+        return self.psi_mach(m)[0]
 
 
 def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantities,
@@ -279,6 +284,15 @@ def _seed(ctx: FixedPointContext):
     return np.where(np.isfinite(seed), seed, 0.0)
 
 
+#: the bracket points of ``solve_star`` are ``m0 * _BRACKET[0] + _BRACKET[1]``,
+#: capped at 1
+_BRACKET = np.array([[0.0, 1.0 - 2.0 ** -30, 1.0 + 2.0 ** -30, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])[:, :, None]
+#: rows of (lo, hi, f(lo), f(hi)) past the first sign change ``k`` in the
+#: stacked bracket points and values
+_BRACKET_ENDS = np.array([[0], [1], [4], [5]])
+
+
 def solve_star(ctx: FixedPointContext):
     """Solve psi(m) = rhs on (0, 1) and return (m_star, mach(m_star)).
 
@@ -304,19 +318,20 @@ def solve_star(ctx: FixedPointContext):
     hi - lo <= STOP_TOL hi, with m the last point evaluated.
     """
     rhs = np.asarray(ctx.rhs, dtype=float)
-    m0 = _seed(ctx)
-    points = np.stack([np.zeros_like(rhs), m0 * (1.0 - 2.0 ** -30),
-                       np.minimum(m0 * (1.0 + 2.0 ** -30), 1.0), np.ones_like(rhs)])
-    f = ctx.psi(points) - rhs               # psi(0) = 0 exactly
+    n = rhs.size
+    # m0 lies in [0, 1], so the rows of points are 0, m0 (1 - 2**-30),
+    # min(m0 (1 + 2**-30), 1) and 1
+    points = np.minimum(_seed(ctx) * _BRACKET[0] + _BRACKET[1], 1.0)
+    f, mach_points = ctx.psi_mach(points)
+    f -= rhs                                # psi(0) = 0 exactly
     if (f[-1] <= 0.0).any() or (rhs < 0.0).any():
         raise SolverError("fixed point bracket failure on (0, 1)")
-    # the first sign change: f[k] <= 0 < f[k + 1]
-    k = np.argmax(f[1:] > 0.0, axis=0)
-    ends = np.stack([k, k + 1])
-    lo, hi = np.take_along_axis(points, ends, axis=0)
-    f_lo, f_hi = np.take_along_axis(f, ends, axis=0)
+    # the first sign change: f[k] <= 0 < f[k + 1]; points and f stacked are
+    # one table, whose rows k and k + 1 of each are the bracket
+    k = (f[1:] > 0.0).argmax(axis=0)
+    lo, hi, f_lo, f_hi = np.concatenate([points, f]).take((k + _BRACKET_ENDS) * n + np.arange(n))
     tol = STOP_TOL * np.maximum(1.0, rhs)
-    m = np.zeros_like(rhs)
+    m, mach = points[0], mach_points[0]
     widths = [np.inf] * 3                   # bracket widths before the last three sweeps
     moved_lo = np.full(rhs.shape, -1)       # end moved by the last sweep: 1 lo, 0 hi, -1 none
     active = rhs > tol
@@ -329,7 +344,8 @@ def solve_star(ctx: FixedPointContext):
         bisect = ~((x > lo) & (x < hi)) | (width > 0.5 * widths[0])
         widths = widths[1:] + [width]
         x = np.where(bisect, lo + 0.5 * width, x)
-        f = ctx.psi(x) - rhs
+        f, mach_x = ctx.psi_mach(x)
+        f -= rhs
         # converged interfaces sweep on harmlessly; only m is frozen for them
         to_lo = f <= 0.0
         again = to_lo == moved_lo
@@ -338,8 +354,10 @@ def solve_star(ctx: FixedPointContext):
         f_hi = np.where(to_lo, np.where(again, 0.5 * f_hi, f_hi), f)
         moved_lo = to_lo
         m = np.where(active, x, m)
+        mach = np.where(active, mach_x, mach)
         active &= (np.abs(f) > tol) & (hi - lo > STOP_TOL * hi)
-    return m, ctx.mach(m)
+    # the bracket table is two-dimensional, also for a scalar context
+    return m.reshape(rhs.shape), mach.reshape(rhs.shape)
 
 
 #: rows of each phase in ``RelaxRiemannSolution.regions``

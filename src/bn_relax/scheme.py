@@ -18,8 +18,8 @@ from .eos import EosParams
 from .riemann import (RelaxParams, RelaxRiemannSolution, SampledState, SolverError,
                       as_row, build_solution, classify_ordering, sample,
                       sharp_quantities, take_interfaces)
-from .state import (VARIABLES, ConservedState, PrimitiveState, to_conserved, to_primitive,
-                    validate_conserved)
+from .state import (VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
+                    to_conserved, to_primitive, validate_conserved)
 
 
 #: inflation factor of the parameters: the Whitham-like start and each climb
@@ -298,12 +298,14 @@ def _constant_row(w, eos1, eos2):
 @dataclass
 class StepInfo:
     """``sol`` is the relaxation solution at the mesh interfaces ``waves``;
-    the other interfaces are calm.  Both are None for the Rusanov scheme."""
+    the other interfaces are calm.  Both are None for the Rusanov scheme.
+    ``updated`` is the slice of cells the step changed; None for every cell."""
 
     dt: float
     fluxes: InterfaceFluxes
     sol: RelaxRiemannSolution | None = None
     waves: np.ndarray | None = None
+    updated: slice | None = None
 
 
 def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
@@ -316,8 +318,17 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     interface takes the physical flux of that state, and gives ``cfl_dt``
     the acoustic speeds of the parameters' Whitham-like start.
 
+    Only the cells beside a wave change.  The interfaces ``a`` before the
+    first wave interface and ``b`` after the last one (both 0 on a fully
+    calm row) are calm, since interfaces 0 and n lie between a cell and its
+    ghost copy.  Every interface left of ``a`` carries the state of ``a``,
+    and every one right of ``b`` that of ``b``.  So the calm row is formed
+    on the window ``[a, b]`` only, the fluxes outside it are copies of its
+    end columns, and the cells outside ``[a, b)``, whose two fluxes are the
+    same floats, keep their bits.
+
     Returns (updated cells, StepInfo).  Raises AdmissibilityError with the
-    offending cell index if the post-state leaves the admissible region,
+    offending cell's mesh index if the post-state leaves the admissible region,
     which signals a bug or a CFL breach rather than a recoverable condition.
     A SolverError names the mesh interface.
     """
@@ -333,24 +344,32 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     except InterfaceError as err:
         raise InterfaceError(err.what, PrimitiveState(*w[:, :-1]), PrimitiveState(*w[:, 1:]),
                              int(waves[err.interface])) from None
-    # every interface is first given the exact solution of its left state,
-    # which is its own where it is calm; the wave interfaces take theirs below
-    state, speeds = _constant_row(w[:, :-1], eos1, eos2)
-    dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave, 0.0, speeds)), dt_cap)
+    a, b = (int(waves[0]) - 1, int(waves[-1]) + 1) if waves.size else (0, 0)
+    # every interface of the window is first given the exact solution of its
+    # left state, which is its own where it is calm; the wave interfaces
+    # take theirs below
+    state, speeds = _constant_row(w[:, a:b + 1], eos1, eos2)
+    dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave[a:b + 1], 0.0, speeds)), dt_cap)
     solved = assemble_fluxes(sol)
     f = np.empty((2, 7, wave.size))
-    f[0, 0] = 0.0                       # alpha1 jumps at no calm interface
-    f[0, 1:] = _trace_flux(state)
-    f[1] = f[0]
+    f[0, 0, a:b + 1] = 0.0              # alpha1 jumps at no calm interface
+    f[0, 1:, a:b + 1] = _trace_flux(state)
+    f[1, :, a:b + 1] = f[0, :, a:b + 1]
     f[0][:, waves] = solved.f_minus
     f[1][:, waves] = solved.f_plus
+    f[:, :, :a] = f[:, :, a:a + 1]
+    f[:, :, b + 1:] = f[:, :, b:b + 1]
     fluxes = InterfaceFluxes(f_minus=f[0], f_plus=f[1])
     lam = dt / dx
     u = cells.stack()
-    unew = u - lam * (fluxes.f_minus[:, 1:] - fluxes.f_plus[:, :-1])
-    out = ConservedState.from_stack(unew)
-    validate_conserved(out, eos1, eos2, where=f"post-step, dt={dt:.3e}")
-    return out, StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves)
+    u[:, a:b] -= lam * (f[0, :, a + 1:b + 1] - f[1, :, a:b])
+    try:
+        validate_conserved(ConservedState.from_stack(u[:, a:b]), eos1, eos2,
+                           where=f"post-step, dt={dt:.3e}")
+    except AdmissibilityError as err:
+        raise AdmissibilityError(err.what, a + err.index, err.where) from None
+    return ConservedState.from_stack(u), StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves,
+                                                  updated=slice(a, b))
 
 
 @dataclass(frozen=True)
@@ -437,6 +456,10 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     t = 0.0
     nstep = 0
     prim = to_primitive(cells, eos1, eos2)
+    if cfg.scheme == "relaxation":
+        # owned rows, into which each step's window is spliced
+        prim_rows = prim.stack()
+        prim = PrimitiveState(*prim_rows)
     totals_new = _totals(cells)
     if audit_entropy:
         entropies = _phase_entropies(prim, eos1, eos2)
@@ -445,9 +468,14 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
         old, totals_old = cells, totals_new
         if cfg.scheme == "relaxation":
             cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
+            # the cells outside the window kept their bits, and so their primitives
+            window = ConservedState.from_stack([getattr(cells, f)[info.updated]
+                                                for f in ConservedState._FIELDS])
+            part = to_primitive(window, eos1, eos2)
+            prim_rows[:, info.updated] = [getattr(part, v) for v in VARIABLES]
         else:
             cells, info = rusanov.rusanov_step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)
-        prim = to_primitive(cells, eos1, eos2)
+            prim = to_primitive(cells, eos1, eos2)
         dt = info.dt
         lam = dt / dx
 

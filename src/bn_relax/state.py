@@ -17,7 +17,18 @@ VARIABLES = ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")
 
 
 class AdmissibilityError(ValueError):
-    """A state left the admissible region; message names the violated invariant."""
+    """A state left the admissible region.
+
+    ``what`` names the violated invariant, ``index`` the first entry that
+    violates it and ``where`` the check's context; the message gives all three.
+    """
+
+    def __init__(self, what, index, where=""):
+        super().__init__(f"{what} at index {index}" + (f" [{where}]" if where else ""))
+        self.what, self.index, self.where = what, index, where
+
+    def __reduce__(self):
+        return type(self), (self.what, self.index, self.where)
 
 
 @dataclass(frozen=True)
@@ -75,31 +86,30 @@ def _first_bad(mask):
 # Each check is written ``np.all(x > bound)`` so that NaN, which compares
 # false, fails it; ``~(x > bound)`` marks the entries it reports.
 
-def _check_alpha1(alpha1, ctx):
+def _check_alpha1(alpha1, where):
     a = np.asarray(alpha1, dtype=float)
     ok = (a > 0.0) & (a < 1.0)
     if not np.all(ok):
-        raise AdmissibilityError(f"alpha1 outside (0,1) at index {_first_bad(~ok)}{ctx}")
+        raise AdmissibilityError("alpha1 outside (0,1)", _first_bad(~ok), where)
     return a
 
 
 def validate_primitive(w: PrimitiveState, eos1: EosParams, eos2: EosParams, where: str = ""):
     """Raise AdmissibilityError unless every entry of ``w`` is admissible."""
-    ctx = f" [{where}]" if where else ""
-    _check_alpha1(w.alpha1, ctx)
+    _check_alpha1(w.alpha1, where)
     for name, rho in (("rho1", w.rho1), ("rho2", w.rho2)):
         r = np.asarray(rho, dtype=float)
         if not np.all(r > 0.0):
-            raise AdmissibilityError(f"non-positive {name} at index {_first_bad(~(r > 0))}{ctx}")
+            raise AdmissibilityError(f"non-positive {name}", _first_bad(~(r > 0)), where)
     for name, u in (("u1", w.u1), ("u2", w.u2)):
         finite = np.isfinite(u)
         if not np.all(finite):
-            raise AdmissibilityError(f"non-finite {name} at index {_first_bad(~finite)}{ctx}")
+            raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
     for name, rho, p, eos in (("phase 1", w.rho1, w.p1, eos1), ("phase 2", w.rho2, w.p2, eos2)):
         hyp = np.asarray(p, dtype=float) + eos.p_inf
         if not np.all(hyp > 0.0):
-            raise AdmissibilityError(f"{name}: p + p_inf <= 0 (complex sound speed) at index "
-                                     f"{_first_bad(~(hyp > 0))}{ctx}")
+            raise AdmissibilityError(f"{name}: p + p_inf <= 0 (complex sound speed)",
+                                     _first_bad(~(hyp > 0)), where)
 
 
 def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
@@ -109,13 +119,12 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
     partial internal energies, and for stiffened gas the stricter
     ``rho_k e_k > p_inf_k`` needed for real sound speeds.
     """
-    ctx = f" [{where}]" if where else ""
-    a = _check_alpha1(u.alpha1, ctx)
+    a = _check_alpha1(u.alpha1, where)
     for name, m in (("m1", u.m1), ("m2", u.m2)):
         mv = np.asarray(m, dtype=float)
         if not np.all(mv > 0.0):
-            raise AdmissibilityError(
-                f"non-positive partial mass {name} at index {_first_bad(~(mv > 0))}{ctx}")
+            raise AdmissibilityError(f"non-positive partial mass {name}", _first_bad(~(mv > 0)),
+                                     where)
     for k, (m, q, eta, alpha, eos) in enumerate(
             ((u.m1, u.q1, u.eta1, a, eos1), (u.m2, u.q2, u.eta2, 1.0 - a, eos2)), start=1):
         m = np.asarray(m, dtype=float)
@@ -123,15 +132,14 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
         eta = np.asarray(eta, dtype=float)
         eint = eta - 0.5 * q * q / m  # alpha_k rho_k e_k
         if not np.all(eint > 0.0):
-            raise AdmissibilityError(
-                f"non-positive internal energy, phase {k}, index {_first_bad(~(eint > 0))}{ctx}")
+            raise AdmissibilityError(f"non-positive internal energy, phase {k}",
+                                     _first_bad(~(eint > 0)), where)
         if eos.p_inf > 0.0:
             # rho_k e_k = (alpha rho e) / alpha_k
             rho_e = eint / alpha
             if not np.all(rho_e > eos.p_inf):
-                raise AdmissibilityError(
-                    f"rho e <= p_inf (sound speed loss), phase {k}, "
-                    f"index {_first_bad(~(rho_e > eos.p_inf))}{ctx}")
+                raise AdmissibilityError(f"rho e <= p_inf (sound speed loss), phase {k}",
+                                         _first_bad(~(rho_e > eos.p_inf)), where)
 
 
 def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> ConservedState:

@@ -155,19 +155,20 @@ def test_solve_star_bracket_failure_is_error():
 
 @contextlib.contextmanager
 def counting_psi():
-    """Count evaluations of ``FixedPointContext.psi`` inside the block."""
+    """Count evaluations of psi inside the block: ``FixedPointContext.psi_mach``
+    evaluates psi with its Mach number, and ``psi`` calls it."""
     calls = []
-    original = FixedPointContext.psi
+    original = FixedPointContext.psi_mach
 
-    def psi(self, m):
+    def psi_mach(self, m):
         calls.append(m)
         return original(self, m)
 
-    FixedPointContext.psi = psi
+    FixedPointContext.psi_mach = psi_mach
     try:
         yield calls
     finally:
-        FixedPointContext.psi = original
+        FixedPointContext.psi_mach = original
 
 
 def solve_counting_sweeps(ctx):

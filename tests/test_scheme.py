@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bn_relax import (EosParams, InitialData, PrimitiveState, RunConfig, SolverError,
-                      WaveOrdering, assemble_fluxes, build_solution, cfl_dt, get_case,
-                      region_tables, run, sample, scheme, select_parameters, sharp_quantities,
-                      step, to_conserved, to_primitive)
+from bn_relax import (AdmissibilityError, EosParams, InitialData, PrimitiveState, RunConfig,
+                      SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
+                      get_case, region_tables, run, sample, scheme, select_parameters,
+                      sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams, SampledState, classify_ordering
 from bn_relax.scheme import ETA, MAX_INFLATIONS
 from bn_relax.state import VARIABLES
@@ -577,7 +577,7 @@ def test_uniform_field_unchanged():
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0))
     out, info = step(cells, cfg, IDEAL, IDEAL, dx=1.0 / 16)
     assert out.stack().tobytes() == cells.stack().tobytes()
-    assert info.waves.size == 0
+    assert info.waves.size == 0 and info.updated == slice(0, 0)
     # |u_k| + (1 + ETA) rho_k c_k / rho_k, with 1 / rho_k formed first as in
     # the outer breaks u -+ a tau of a solved interface
     speed = max(abs(u) + (1.0 + ETA) * sc(IDEAL.lagrangian_sound_speed(rho, p)) * (1.0 / rho)
@@ -650,6 +650,107 @@ def test_step_error_names_the_mesh_interface():
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 3; "
                                           r"left=\{alpha1=0.5, rho1=1, u1=100000, "):
         step(u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL, dx=0.2)
+
+
+def full_row_step(cells, prim, cfl, eos1, eos2, dx):
+    """(updated cells, (f_minus, f_plus), dt) by the whole-row formula: the
+    wave interfaces solved, every calm one taking the flux and speed of its
+    constant state, and every cell updated."""
+    padded = padded_row(prim)
+    w = padded.stack()
+    wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
+    waves = np.flatnonzero(wave)
+    sol = select_parameters(padded[waves], padded[waves + 1], eos1, eos2)
+    state, speeds = scheme._constant_row(w[:, :-1], eos1, eos2)
+    dt = cfl_dt(sol, dx, cfl, np.where(wave, 0.0, speeds))
+    solved = assemble_fluxes(sol)
+    fm, fp = np.zeros((2, 7, wave.size))
+    fm[1:] = fp[1:] = scheme._trace_flux(state)
+    fm[:, waves], fp[:, waves] = solved.f_minus, solved.f_plus
+    u = cells.stack()
+    return u - dt / dx * (fm[:, 1:] - fp[:, :-1]), (fm, fp), dt
+
+
+def mid_run(cid, cells, t_frac):
+    """(config, conserved cells, primitive cells) of case ``cid`` at ``t_frac`` t_max."""
+    case = get_case(cid)
+    cfg = RunConfig(cells=cells, t_final=case.t_max * t_frac, domain=case.domain, cfl=case.cfl)
+    res = run(case.initial, cfg, case.eos1, case.eos2)
+    return cfg, res.cells, res.prim
+
+
+def window_rows():
+    """Three rows as (config, cells, primitives, eos1, eos2): a case-1 row whose
+    window lies inside the mesh, a late case-2 row whose window reaches the
+    left end and holds calm interfaces, and four cells of four states."""
+    for cid, t_frac in ((1, 0.5), (2, 0.75)):
+        case = get_case(cid)
+        yield (*mid_run(cid, 200, t_frac), case.eos1, case.eos2)
+    prim = random_primitive(np.random.default_rng(4), 4)
+    yield RunConfig(cells=4, t_final=1.0), to_conserved(prim, IDEAL, IDEAL), prim, IDEAL, IDEAL
+
+
+def test_step_updates_the_wave_window_only():
+    windows = []
+    for cfg, cells, prim, eos1, eos2 in window_rows():
+        dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
+        out, info = step(cells, cfg, eos1, eos2, dx, prim=prim)
+        want, (fm, fp), dt = full_row_step(cells, prim, cfg.cfl, eos1, eos2, dx)
+        assert out.stack().tobytes() == want.tobytes()
+        assert info.fluxes.f_minus.tobytes() == fm.tobytes()
+        assert info.fluxes.f_plus.tobytes() == fp.tobytes()
+        assert info.dt == dt
+        a, b = info.updated.start, info.updated.stop
+        assert (a, b) == (info.waves[0] - 1, info.waves[-1] + 1)
+        u, new = cells.stack(), out.stack()
+        for part in (slice(0, a), slice(b, None)):
+            assert new[:, part].tobytes() == u[:, part].tobytes()
+        calm_inside = np.setdiff1d(np.arange(a + 1, b), info.waves).size
+        windows.append((a, b, cfg.cells, calm_inside))
+    (a1, b1, n1, _), (a2, b2, n2, calm2), (a3, b3, n3, _) = windows
+    assert 0 < a1 and b1 < n1                       # strictly inside the mesh
+    assert (a2 == 0 or b2 == n2) and calm2 > 0      # reaches an end, calm inside
+    assert (a3, b3) == (0, n3)                      # the whole row
+
+
+def test_run_splices_the_primitive_window_bitwise(monkeypatch):
+    # the primitive cells run hands each step equal, bit for bit, those of
+    # the whole state converted afresh
+    seen = []
+    original = scheme.step
+
+    def checking(cells, *args, prim, **kwargs):
+        fresh = to_primitive(cells, case.eos1, case.eos2)
+        seen.append(prim.stack().tobytes() == fresh.stack().tobytes())
+        return original(cells, *args, prim=prim, **kwargs)
+
+    monkeypatch.setattr(scheme, "step", checking)
+    case = get_case(2)
+    cfg = RunConfig(cells=100, t_final=case.t_max, domain=case.domain, cfl=case.cfl)
+    res = run(case.initial, cfg, case.eos1, case.eos2)
+    assert len(seen) == res.steps > 0 and all(seen)
+
+
+def test_post_step_error_names_the_mesh_cell(monkeypatch):
+    # the window of a mid-run case-1 row starts well inside the mesh; an m1
+    # flux that empties the cell left of a wave interface is reported at
+    # that cell's mesh index, not at its position in the window
+    case = get_case(1)
+    cfg, cells, prim = mid_run(1, 200, 0.5)
+    waves = step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=prim)[1].waves
+    assert waves[0] > 20
+    k = waves.size // 2
+    solve = scheme.assemble_fluxes
+
+    def emptying(sol):
+        fluxes = solve(sol)
+        fluxes.f_minus[1, k] = 1e6
+        return fluxes
+
+    monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
+    with pytest.raises(AdmissibilityError, match=rf"partial mass m1 at index {waves[k] - 1} ") as err:
+        step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=prim)
+    assert err.value.index == waves[k] - 1
 
 
 def test_stationary_contact_field_unchanged():

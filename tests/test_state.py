@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ def test_nan_conserved_field_rejected(field):
     getattr(u, field)[2] = np.nan
     with pytest.raises(AdmissibilityError, match=rf"{CONSERVED_CHECKS[field]}.*index 2"):
         to_primitive(u, IDEAL, IDEAL)
+
+
+def test_admissibility_error_round_trips_through_pickle():
+    err = pickle.loads(pickle.dumps(AdmissibilityError("non-positive rho1", 3, "initial data")))
+    assert (err.what, err.index, err.where) == ("non-positive rho1", 3, "initial data")
+    assert str(err) == "non-positive rho1 at index 3 [initial data]"
 
 
 def test_max_abs_eigenvalue_case1_left():
