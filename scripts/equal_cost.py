@@ -3,8 +3,11 @@
 
 For cases 1, 2 and 4 the relaxation scheme runs on 100 * 2**n cells,
 n < --levels, and Rusanov's scheme on a reference mesh (--reference-cells).
-A run's CPU time is that of its time loop, the median of three runs, because
-single runs move with host speed.  Relaxation's L1 error of each variable is
+A run's CPU time is that of its time loop scaled to the reference host
+speed of ``perfbench/hostspeed.py``, as the benchmark scales its steps: the
+host-speed kernel is timed just before and just after the run, and the time
+is multiplied by ``REFERENCE_NS`` over the mean of the two.  The cost is the
+median of three such runs.  Relaxation's L1 error of each variable is
 interpolated log-log at Rusanov's time on the reference mesh and divided by
 Rusanov's error there: a ratio below 1 means relaxation is the more accurate
 scheme at that cost.  Usage:
@@ -13,6 +16,11 @@ scheme at that cost.  Usage:
 """
 import argparse
 import statistics
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import hostspeed
 
 from bn_relax import get_case
 from bn_relax.harness import case_error, error_at_cost, run_case
@@ -23,10 +31,18 @@ CASES = (1, 2, 4)
 REPEATS = 3
 
 
+def scaled_run(case, scheme, cells):
+    """(run, its time-loop seconds at the reference host speed)."""
+    before = hostspeed.kernel_ns()
+    res = run_case(case, scheme, cells)
+    after = hostspeed.kernel_ns()
+    return res, res.wall_time * hostspeed.REFERENCE_NS / (0.5 * (before + after))
+
+
 def timed(case, scheme, cells):
-    """(median time-loop seconds, L1 errors by variable) of ``REPEATS`` runs."""
-    runs = [run_case(case, scheme, cells) for _ in range(REPEATS)]
-    return statistics.median(r.wall_time for r in runs), case_error(case, runs[0]).errors
+    """(median scaled time-loop seconds, L1 errors by variable) of ``REPEATS`` runs."""
+    runs = [scaled_run(case, scheme, cells) for _ in range(REPEATS)]
+    return statistics.median(t for _, t in runs), case_error(case, runs[0][0]).errors
 
 
 def main():

@@ -48,7 +48,7 @@ def _run(cid, cells, t_frac=1.0, entropy_audit=False):
 
 
 def _hard_side(rng, n):
-    """One side of a row of pairs that climb both ladders and take positivity
+    """One side of a row of pairs that climb a1 and a2 and take positivity
     retries: alpha1 log-uniform down to 1e-9 from either end, pressures
     0.2-200 and velocities in +-4."""
     alpha = 10.0 ** rng.uniform(-9.0, np.log10(0.5), n)

@@ -56,9 +56,10 @@ def run_case(case: TestCase, scheme: str, cells: int, cfl: float | None = None,
 
 
 def case_error(case: TestCase, result: RunResult) -> ErrorReport:
-    """Error report of a finished run against the case's exact solution."""
+    """Error report of a run against the case's exact solution at the time
+    the run reached."""
     dx = (case.domain[1] - case.domain[0]) / len(result.x)
-    _, exact = exact_profile(case, len(result.x), case.t_max)
+    _, exact = exact_profile(case, len(result.x), result.t)
     rep = l1_error(result.prim, exact, dx)
     rep.wall_seconds = result.wall_time
     return rep
@@ -202,10 +203,9 @@ def write_bench_csv(path, rows):
                          else f"{row[c]:.17g}" for c in cols)
 
 
-_CASE_SCHEMA = {
-    "eos1": dict, "eos2": dict, "x0": (int, float), "t_max": (int, float),
-    "cfl": (int, float), "domain": list, "left": dict, "right": dict,
-}
+#: the objects of a case file; every other entry is a number
+_CASE_OBJECTS = {"eos1": dict, "eos2": dict, "domain": list, "left": dict, "right": dict}
+_CASE_NUMBERS = ("x0", "t_max", "cfl")
 _EOS_KEYS = ("gamma", "p_inf")
 _STATE_KEYS = VARIABLES
 
@@ -213,24 +213,31 @@ _STATE_KEYS = VARIABLES
 def load_case_json(path) -> TestCase:
     """Parse a user-provided Riemann case; no exact solution attached.
 
-    Raises ValueError naming the first offending key on schema violations and
-    AdmissibilityError for inadmissible states.
+    Every numeric entry must be a JSON number (``true`` and ``false`` are
+    not).  Raises ValueError naming the first offending key on schema
+    violations and AdmissibilityError for inadmissible states.
     """
     with open(path) as fh:
         raw = json.load(fh)
-    for key, typ in _CASE_SCHEMA.items():
+    if not isinstance(raw, dict):
+        raise ValueError(f"case file {path}: not a JSON object")
+    for key in (*_CASE_OBJECTS, *_CASE_NUMBERS):
         if key not in raw:
             raise ValueError(f"case file {path}: missing key {key!r}")
+    for key, typ in _CASE_OBJECTS.items():
         if not isinstance(raw[key], typ):
             raise ValueError(f"case file {path}: key {key!r} has wrong type")
-    for side in ("eos1", "eos2"):
-        for key in _EOS_KEYS:
+    numbers = {key: raw[key] for key in _CASE_NUMBERS}
+    for side, keys in (("eos1", _EOS_KEYS), ("eos2", _EOS_KEYS),
+                       ("left", _STATE_KEYS), ("right", _STATE_KEYS)):
+        for key in keys:
             if key not in raw[side]:
                 raise ValueError(f"case file {path}: missing key {side}.{key}")
-    for side in ("left", "right"):
-        for key in _STATE_KEYS:
-            if key not in raw[side]:
-                raise ValueError(f"case file {path}: missing key {side}.{key}")
+            numbers[f"{side}.{key}"] = raw[side][key]
+    numbers.update({f"domain[{i}]": v for i, v in enumerate(raw["domain"])})
+    for key, value in numbers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"case file {path}: key {key!r} must be a number")
     if len(raw["domain"]) != 2 or not raw["domain"][0] < raw["domain"][1]:
         raise ValueError(f"case file {path}: 'domain' must be [a, b] with a < b")
     if not 0.0 < raw["cfl"] < 0.5:

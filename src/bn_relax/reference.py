@@ -144,10 +144,7 @@ def exact_sample(fan: ExactWaveFan, xi, eos1: EosParams, eos2: EosParams) -> Pri
     r2, u2, p2 = _phase_values(fan, fan.phase2, eos2, xi)
     alpha1 = np.where(xi >= fan.u2_star, fan.alpha1_right, fan.alpha1_left)
     w = PrimitiveState(alpha1, r1, u1, p1, r2, u2, p2)
-    if scalar:
-        w = PrimitiveState(*(np.asarray(getattr(w, f))[0] for f in
-                             ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")))
-    return w
+    return w[0] if scalar else w
 
 
 def exact_profile(case: TestCase, cells: int, t: float) -> tuple:

@@ -57,8 +57,8 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
     u = cells.stack()
     upad = np.concatenate([u[:, :1], u, u[:, -1:]], axis=1)
     n = u.shape[1]
-    left = ConservedState.from_stack(upad[:, :n + 1])
-    right = ConservedState.from_stack(upad[:, 1:])
+    left = ConservedState(*upad[:, :n + 1])
+    right = ConservedState(*upad[:, 1:])
     flux, _ = rusanov_fluxes(left, right, eos1, eos2)
 
     # centered treatment of the alpha1-gradient products, cell coefficients
@@ -69,6 +69,6 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
                      -prim.p1, prim.p1, -prim.p1 * prim.u2, prim.p1 * prim.u2])
 
     unew = u - lam * (flux[:, 1:] - flux[:, :-1]) - lam * cvec * dalpha
-    out = ConservedState.from_stack(unew)
+    out = ConservedState(*unew)
     validate_conserved(out, eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
     return out, StepInfo(dt=dt, fluxes=InterfaceFluxes(f_minus=flux, f_plus=flux), sol=None)

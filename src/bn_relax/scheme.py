@@ -17,7 +17,7 @@ import numpy as np
 from .eos import EosParams
 from .riemann import (RelaxParams, RelaxRiemannSolution, SampledState, SolverError,
                       as_row, build_solution, classify_ordering, sample,
-                      sharp_quantities, take_interfaces)
+                      sharp_quantities)
 from .state import (VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
                     to_conserved, to_primitive, validate_conserved)
 
@@ -29,7 +29,7 @@ ETA = 0.01
 #: (1 + ETA)**MAX_INFLATIONS (about 2.1e4) each climb may make, before
 #: selection reports the interface.  The cap turns a runaway search into a
 #: diagnosable error.  On rows of 250 hard pairs (near-vacuum phases,
-#: velocities in +-4) one selection calls build_solution at most 9 times.  The
+#: velocities in +-4) one selection calls build_solution at most 8 times.  The
 #: growth must accommodate locally supersonic relative velocities: benchmark
 #: case 2 climbs a1 by up to a 113-fold growth at 200, 800 and 3200 cells,
 #: every climb at an equal-fraction interface, most where phase 1 is its
@@ -73,6 +73,11 @@ class InterfaceError(SolverError):
     def __init__(self, what, wL, wR, j):
         super().__init__(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
         self.what, self.interface = what, j
+
+
+def _whitham(eos: EosParams, rho, p):
+    """The Whitham-like start ``(1 + ETA) rho c`` of a phase's parameter."""
+    return (1.0 + ETA) * eos.lagrangian_sound_speed(rho, p)
 
 
 def _largest_root(a, b, c):
@@ -170,47 +175,42 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     an a1 climb after which the existence condition still fails, and an
     interface failing predicate 2 after MAX_INFLATIONS rounds are reported
     as errors.  Each interface climbs on its own, so its parameters and its
-    solution do not depend on the rest of the row.  Later rounds solve only
-    the interfaces that failed predicate 2, and after them the whole row is
-    solved once more.  Parameters and solution are one-dimensional, also for
-    scalar input.
+    solution do not depend on the rest of the row: every round solves the
+    whole row, an interface that passed keeps its parameters and its bits,
+    and the first round with no failing interface gives the solution.
+    Parameters and solution are one-dimensional, also for scalar input.
     """
     wL, wR = as_row(wL, wR)
     # one evaluation per phase of both sides' rho c, stacked
-    start = RelaxParams(*(
-        (1.0 + ETA) * eos.lagrangian_sound_speed(np.array([rhoL, rhoR]), np.array([pL, pR])).max(axis=0)
-        for eos, rhoL, rhoR, pL, pR in ((eos1, wL.rho1, wR.rho1, wL.p1, wR.p1),
-                                        (eos2, wL.rho2, wR.rho2, wL.p2, wR.p2))))
-    at = np.arange(start.a2.size)  # interfaces solved in this round: the whole row at first
-    wl, wr, params, sub = wL, wR, start, start
+    start = RelaxParams(*(_whitham(eos, np.array([rhoL, rhoR]), np.array([pL, pR])).max(axis=0)
+                          for eos, rhoL, rhoR, pL, pR in ((eos1, wL.rho1, wR.rho1, wL.p1, wR.p1),
+                                                          (eos2, wL.rho2, wR.rho2, wL.p2, wR.p2))))
+    params = start
     for _ in range(MAX_INFLATIONS + 1):
-        s = sharp_quantities(wl, wr, sub)
-        bad = ~classify_ordering(s, sub)[1]
+        s = sharp_quantities(wL, wR, params)
+        bad = ~classify_ordering(s, params)[1]
         if bad.any():
-            params = _climb_ladder(wL, wR, params, at[bad], 1, _a1_least(wl, wr, s, sub)[bad])
-            sub = take_interfaces(params, at)
-            s = sharp_quantities(wl, wr, sub)
-            missed = ~classify_ordering(s, sub)[1]
+            params = _climb_ladder(wL, wR, params, np.flatnonzero(bad), 1,
+                                   _a1_least(wL, wR, s, params)[bad])
+            s = sharp_quantities(wL, wR, params)
+            missed = ~classify_ordering(s, params)[1]
             if missed.any():
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
-                                     wL, wR, int(at[np.argmax(missed)]))
-        sol = build_solution(wl, wr, eos1, eos2, sub, precomputed=s)
+                                     wL, wR, int(np.argmax(missed)))
+        sol = build_solution(wL, wR, eos1, eos2, params, precomputed=s)
         # phase 1's regions 1-3 and phase 2's 1-2; the oriented regions serve,
         # since reflection maps the intermediate ones onto themselves
         tau = sol.regions[0, [1, 2, 3, 6, 7]]
         bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
         if not bad.any():
-            return sol if at.size == start.a2.size else build_solution(wL, wR, eos1, eos2, params)
-        du, dp, lam = wr.u2 - wl.u2, wr.p2 - wl.p2, s.lambda_alpha
-        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * sub.a2
-        least = _volume_least(1.0 / wl.rho2, 1.0 / wr.rho2, du, dp, lam, k)[bad]
-        at = at[bad]
-        a1 = params.a1.copy()
-        a1[at] = start.a1[at]
-        params = _climb_ladder(wL, wR, RelaxParams(a1, params.a2), at, 2, least)
-        wl, wr, sub = wL[at], wR[at], take_interfaces(params, at)
+            return sol
+        du, dp, lam = wR.u2 - wL.u2, wR.p2 - wL.p2, s.lambda_alpha
+        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a2
+        least = _volume_least(1.0 / wL.rho2, 1.0 / wR.rho2, du, dp, lam, k)[bad]
+        params = _climb_ladder(wL, wR, RelaxParams(np.where(bad, start.a1, params.a1), params.a2),
+                               np.flatnonzero(bad), 2, least)
     raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",
-                         wL, wR, int(at[0]))
+                         wL, wR, int(np.argmax(bad)))
 
 
 def _dump(w: PrimitiveState, j):
@@ -271,9 +271,8 @@ def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
 
 
 def _pad_edges(v):
-    """Transmissive ghost cells of one field: replicate its edge values."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return np.concatenate([v[:1], v, v[-1:]])
+    """Transmissive ghost cells: replicate the edge values along the last axis."""
+    return np.concatenate([v[..., :1], v, v[..., -1:]], axis=-1)
 
 
 def _constant_row(w, eos1, eos2):
@@ -289,7 +288,7 @@ def _constant_row(w, eos1, eos2):
     tau1, tau2 = 1.0 / rho1, 1.0 / rho2
     state = SampledState(alpha1, tau1, u1, p1, 0.5 * u1 ** 2 + eos1.internal_energy(rho1, p1),
                          tau2, u2, p2, 0.5 * u2 ** 2 + eos2.internal_energy(rho2, p2))
-    speed1, speed2 = (np.abs(u) + (1.0 + ETA) * eos.lagrangian_sound_speed(rho, p) * tau
+    speed1, speed2 = (np.abs(u) + _whitham(eos, rho, p) * tau
                       for u, rho, p, tau, eos in ((u1, rho1, p1, tau1, eos1),
                                                   (u2, rho2, p2, tau2, eos2)))
     return state, np.maximum(speed1, speed2)
@@ -334,8 +333,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     """
     if prim is None:
         prim = to_primitive(cells, eos1, eos2)
-    w = np.array([getattr(prim, v) for v in VARIABLES])
-    w = np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)   # transmissive ghost cells
+    w = _pad_edges(np.array([getattr(prim, v) for v in VARIABLES]))
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
     waves = np.flatnonzero(wave)
     try:
@@ -363,13 +361,12 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     lam = dt / dx
     u = cells.stack()
     u[:, a:b] -= lam * (f[0, :, a + 1:b + 1] - f[1, :, a:b])
+    new = ConservedState(*u)
     try:
-        validate_conserved(ConservedState.from_stack(u[:, a:b]), eos1, eos2,
-                           where=f"post-step, dt={dt:.3e}")
+        validate_conserved(new[a:b], eos1, eos2, where=f"post-step, dt={dt:.3e}")
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, err.where) from None
-    return ConservedState.from_stack(u), StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves,
-                                                  updated=slice(a, b))
+    return new, StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves, updated=slice(a, b))
 
 
 @dataclass(frozen=True)
@@ -429,7 +426,7 @@ def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedS
     edges = x_left + dx * np.arange(n + 1)
     frac_left = np.clip((init.x0 - edges[:-1]) / dx, 0.0, 1.0)
     u = uL[:, None] * frac_left + uR[:, None] * (1.0 - frac_left)
-    return ConservedState.from_stack(u)
+    return ConservedState(*u)
 
 
 def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) -> RunResult:
@@ -469,9 +466,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
         if cfg.scheme == "relaxation":
             cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
             # the cells outside the window kept their bits, and so their primitives
-            window = ConservedState.from_stack([getattr(cells, f)[info.updated]
-                                                for f in ConservedState._FIELDS])
-            part = to_primitive(window, eos1, eos2)
+            part = to_primitive(cells[info.updated], eos1, eos2)
             prim_rows[:, info.updated] = [getattr(part, v) for v in VARIABLES]
         else:
             cells, info = rusanov.rusanov_step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)

@@ -41,10 +41,6 @@ class PrimitiveState:
     u2: np.ndarray
     p2: np.ndarray
 
-    @property
-    def alpha2(self):
-        return 1.0 - self.alpha1
-
     def mirrored(self):
         """Same state with both velocities negated."""
         return PrimitiveState(self.alpha1, self.rho1, -self.u1, self.p1,
@@ -74,9 +70,8 @@ class ConservedState:
     def stack(self):
         return np.stack([np.asarray(getattr(self, f), dtype=float) for f in self._FIELDS])
 
-    @classmethod
-    def from_stack(cls, arr):
-        return cls(*arr)
+    def __getitem__(self, idx):
+        return ConservedState(*(np.asarray(getattr(self, f))[idx] for f in self._FIELDS))
 
 
 def _first_bad(mask):

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bn_relax import (AdmissibilityError, PrimitiveState, get_case, l1_error, load_case_json,
-                      run_case, scheme)
+from bn_relax import (AdmissibilityError, PrimitiveState, RunConfig, exact_profile, get_case,
+                      l1_error, load_case_json, run, run_case, scheme)
+from bn_relax.cli import main
 from bn_relax.harness import (bench, case_error, convergence_study, error_at_cost,
                               read_profile_csv, write_bench_csv, write_profile_csv)
 
@@ -156,6 +158,44 @@ def test_load_case_json_nan_pressure(tmp_path, side):
     path.write_text(json.dumps(bad))
     with pytest.raises(AdmissibilityError, match=rf"phase 1: .*\[{side}\]"):
         load_case_json(path)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("eos1.gamma", ("eos1", "gamma"), "1.4"), ("domain[1]", ("domain", 1), "1"),
+    ("left.alpha1", ("left", "alpha1"), None), ("right.p2", ("right", "p2"), "0.5"),
+    ("t_max", (None, "t_max"), True), ("cfl", (None, "cfl"), "0.45")])
+def test_load_case_json_rejects_non_numbers(tmp_path, capsys, name, key, value):
+    # every numeric entry must be a JSON number, not a string, null or boolean;
+    # the CLI reports the file as an error instead of crashing
+    bad = json.loads(json.dumps(CASE1_JSON))
+    outer, last = key
+    (bad[outer] if outer else bad)[last] = value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=rf"key '{re.escape(name)}' must be a number"):
+        load_case_json(path)
+    assert main(["run", "--config", str(path), "--cells", "20",
+                 "--out", str(tmp_path / "sol.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
+def test_load_case_json_rejects_non_objects(tmp_path, text):
+    path = tmp_path / "case.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        load_case_json(path)
+
+
+def test_case_error_compares_at_the_time_reached():
+    # a run stopped at half the case's final time is compared with the
+    # exact profile at that time, not at t_max
+    case = get_case(1)
+    cfg = RunConfig(cells=200, t_final=case.t_max / 2, domain=case.domain, cfl=case.cfl)
+    res = run(case.initial, cfg, case.eos1, case.eos2)
+    want = l1_error(res.prim, exact_profile(case, 200, res.t)[1], 1.0 / 200)
+    assert case_error(case, res).errors == want.errors
 
 
 def test_convergence_study_structure():

@@ -285,6 +285,27 @@ def test_retries_take_few_solves(rng, monkeypatch):
     assert max(per_call) <= 16
 
 
+def test_every_round_solves_the_whole_row(rng, monkeypatch):
+    # each round of selection solves the whole row, and the first round with
+    # no failing interface gives the solution: no subset is solved, and no
+    # closing solve follows
+    solve, solves = scheme.build_solution, []
+
+    def recording_solve(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(scheme, "build_solution", recording_solve)
+    retried = 0
+    for wL, wR, eos2 in hard_rows(rng):
+        solves.clear()
+        sol = select_parameters(wL, wR, IDEAL, eos2)
+        assert all(s.params.a1.size == s.u2_star.size == wL.alpha1.size for s in solves)
+        assert sol is solves[-1]
+        retried += len(solves) > 1
+    assert retried
+
+
 @pytest.mark.parametrize("grow", [1])
 def test_climb_short_of_its_threshold_is_an_error(rng, monkeypatch, grow):
     # a threshold computed too low leaves the predicate failing after the
