@@ -3,11 +3,15 @@
 
 For cases 1, 2 and 4 the relaxation scheme runs on 100 * 2**n cells,
 n < --levels, and Rusanov's scheme on a reference mesh (--reference-cells).
-A run's CPU time is that of its time loop scaled to the reference host
-speed of ``perfbench/hostspeed.py``, as the benchmark scales its steps: the
-host-speed kernel is timed just before and just after the run, and the time
-is multiplied by ``REFERENCE_NS`` over the mean of the two.  The cost is the
-median of three such runs.  Relaxation's L1 error of each variable is
+A run's CPU time is scaled to the reference host speed of
+``perfbench/hostspeed.py`` stretch by stretch, as ``perfbench/run.py``
+forms ``wall_s``: the run is timed under ``perfbench/tracer.py``'s step
+timer, which times the host-speed kernel at most every ``PERIOD_NS``, just
+before a step.  Each stretch of the run, from the call to the first step,
+from one step's entry to the next and from the last step to the return, has
+the sampling pause before it taken out and is multiplied by
+``REFERENCE_NS`` over the latest kernel time.  The cost is the median of
+three such runs.  Relaxation's L1 error of each variable is
 interpolated log-log at Rusanov's time on the reference mesh and divided by
 Rusanov's error there: a ratio below 1 means relaxation is the more accurate
 scheme at that cost.  Usage:
@@ -18,9 +22,13 @@ import argparse
 import statistics
 import sys
 from pathlib import Path
+from time import perf_counter_ns
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import hostspeed
+from tracer import StepTimer
 
 from bn_relax import get_case
 from bn_relax.harness import case_error, error_at_cost, run_case
@@ -31,17 +39,22 @@ CASES = (1, 2, 4)
 REPEATS = 3
 
 
-def scaled_run(case, scheme, cells):
-    """(run, its time-loop seconds at the reference host speed)."""
-    before = hostspeed.kernel_ns()
-    res = run_case(case, scheme, cells)
-    after = hostspeed.kernel_ns()
-    return res, res.wall_time * hostspeed.REFERENCE_NS / (0.5 * (before + after))
+def scaled_run(timer: StepTimer, case, scheme, cells):
+    """(run, its seconds at the reference host speed), timed by ``timer``."""
+    timer.clear()
+    with timer.installed():
+        t0 = perf_counter_ns()
+        res = run_case(case, scheme, cells)
+        t1 = perf_counter_ns()
+    scale = hostspeed.REFERENCE_NS / np.asarray(timer.kernel, dtype=float)
+    stretches = np.diff([t0, *timer.entry, t1]).astype(float)
+    stretches[:-1] -= timer.pause
+    return res, float(stretches @ np.append(scale, scale[-1])) * 1e-9
 
 
-def timed(case, scheme, cells):
-    """(median scaled time-loop seconds, L1 errors by variable) of ``REPEATS`` runs."""
-    runs = [scaled_run(case, scheme, cells) for _ in range(REPEATS)]
+def timed(timer, case, scheme, cells):
+    """(median scaled seconds, L1 errors by variable) of ``REPEATS`` runs."""
+    runs = [scaled_run(timer, case, scheme, cells) for _ in range(REPEATS)]
     return statistics.median(t for _, t in runs), case_error(case, runs[0][0]).errors
 
 
@@ -54,11 +67,12 @@ def main():
                     help="Rusanov's mesh (default 1600)")
     args = ap.parse_args()
 
+    timer = StepTimer()
     for cid in CASES:
         case = get_case(cid)
         cells = [100 * 2 ** n for n in range(args.levels)]
-        levels = [timed(case, "relaxation", n) for n in cells]
-        cost, reference = timed(case, "rusanov", args.reference_cells)
+        levels = [timed(timer, case, "relaxation", n) for n in cells]
+        cost, reference = timed(timer, case, "rusanov", args.reference_cells)
         print(f"case {cid}: rusanov {args.reference_cells} cells {cost:.3f} s; relaxation "
               + ", ".join(f"{n} cells {t:.3f} s" for n, (t, _) in zip(cells, levels)))
         for var in VARIABLES:

@@ -20,15 +20,29 @@ domain end, and no step of cases 1 and 5 at 200 cells or of case 1 at 800
 and 3200 cells has.
 
 None of these runs takes a positivity retry in parameter selection, so the
-last line digests ``a1``, ``a2`` and the specific volumes of every region
+next line digests ``a1``, ``a2`` and the specific volumes of every region
 that ``select_parameters`` gives on two fixed rows of hard pairs, one with an
 ideal-gas and one with a stiffened-gas phase 2; the first takes retries.
+
+The audits and the written files are gated too.  Cases 1-5 run at 200
+cells with both schemes (Rusanov skips case 5, which it fails by design).
+For each run the script prints every ``conservation_error`` value with
+``float.hex``, and a digest of the bytes of its profile CSV and its
+``--log`` diagnostics CSV.  The last line digests a convergence CSV (case
+1, relaxation, 50 and 100 cells) together with a bench CSV (case 5, 50
+cells, both schemes; its Rusanov row records an AdmissibilityError), both
+with ``wall_seconds`` set to 1.0 so that the bytes do not depend on the
+host.  Usage:
+
+    PYTHONPATH=src python scripts/gate_digests.py
 """
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from bn_relax import EosParams, PrimitiveState, get_case, region_tables, select_parameters
+from bn_relax import EosParams, PrimitiveState, get_case, harness, region_tables, select_parameters
 from bn_relax.scheme import RunConfig, run
 
 #: (case, cells, share of the case's t_max)
@@ -38,6 +52,9 @@ GATE_RUNS = ([(cid, 200, 1.0) for cid in range(1, 6)]
 AUDITED_CASES = range(1, 6)
 #: seed and pairs per row of the hard rows of the selection digest
 HARD_SEED, HARD_PAIRS = 1, 250
+#: (case, scheme) of the runs whose audits and files are printed, at 200 cells
+FILE_RUNS = [(cid, scheme) for cid in range(1, 6) for scheme in ("relaxation", "rusanov")
+             if (cid, scheme) != (5, "rusanov")]
 
 
 def _run(cid, cells, t_frac=1.0, entropy_audit=False):
@@ -71,6 +88,34 @@ def _selection_digest():
     return digest.hexdigest()[:16]
 
 
+def _file_digest(*paths):
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(Path(path).read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _audit_lines(tmp):
+    for cid, scheme in FILE_RUNS:
+        res = harness.run_case(get_case(cid), scheme, 200)
+        audits = ", ".join(f"{k} {float.hex(v)}" for k, v in res.conservation_error.items())
+        print(f"case {cid} cells 200 {scheme} conservation_error: {audits}")
+        profile, log = tmp / "profile.csv", tmp / "log.csv"
+        harness.write_profile_csv(profile, res.x, res.prim)
+        harness.write_diagnostics_csv(log, res.records)
+        print(f"case {cid} cells 200 {scheme} profile and log: {_file_digest(profile, log)}")
+    reports = harness.convergence_study(get_case(1), "relaxation", [50, 100])
+    rows = harness.bench(get_case(5), [50])
+    for rep in reports:
+        rep.wall_seconds = 1.0
+    for row in rows:
+        row["wall_seconds"] = 1.0
+    conv, bench = tmp / "conv.csv", tmp / "bench.csv"
+    harness.write_convergence_csv(conv, reports)
+    harness.write_bench_csv(bench, rows)
+    print(f"convergence case 1 cells 50,100 and bench case 5 cells 50: {_file_digest(conv, bench)}")
+
+
 def main():
     for cid, cells, t_frac in GATE_RUNS:
         res = _run(cid, cells, t_frac)
@@ -80,6 +125,8 @@ def main():
         res = _run(cid, 200, entropy_audit=True)
         print(f"case {cid} cells 200 entropy_slack: {float.hex(res.entropy_slack)}")
     print(f"hard rows seed {HARD_SEED} pairs {HARD_PAIRS} selection: {_selection_digest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        _audit_lines(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -71,18 +71,17 @@ def main(argv=None) -> int:
             x, prof = exact_profile(case, args.cells, case.t_max)
             harness.write_profile_csv(args.out, x, prof)
             print(f"wrote {args.out}: exact case {args.case} at t={case.t_max}")
-        elif args.command == "convergence":
+        else:
             case = get_case(args.case)
             levels = [100 * 2 ** n for n in range(args.levels)]
-            reports = harness.convergence_study(case, _SCHEMES[args.scheme], levels)
-            harness.write_convergence_csv(args.out, reports, with_orders=len(levels) > 1)
-            print(f"wrote {args.out}: levels {levels}")
-        elif args.command == "bench":
-            case = get_case(args.case)
-            levels = [100 * 2 ** n for n in range(args.levels)]
-            rows = harness.bench(case, levels)
-            harness.write_bench_csv(args.out, rows)
-            print(f"wrote {args.out}: {len(rows)} rows")
+            if args.command == "convergence":
+                reports = harness.convergence_study(case, _SCHEMES[args.scheme], levels)
+                harness.write_convergence_csv(args.out, reports)
+                print(f"wrote {args.out}: levels {levels}")
+            else:
+                rows = harness.bench(case, levels)
+                harness.write_bench_csv(args.out, rows)
+                print(f"wrote {args.out}: {len(rows)} rows")
     except (SolverError, AdmissibilityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

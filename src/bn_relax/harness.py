@@ -4,14 +4,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .eos import EosDomainError, EosParams
 from .reference import TestCase, exact_profile, get_case
 from .riemann import SolverError
-from .scheme import RunConfig, RunResult, run
+from .scheme import RunConfig, RunResult, StepRecord, run
 from .state import AdmissibilityError, PrimitiveState, VARIABLES, validate_primitive
 
 
@@ -107,20 +107,20 @@ def least_squares_order(reports, var: str) -> float:
     return float(np.polyfit(logx, loge, 1)[0])
 
 
+#: keys of a ``bench`` row and columns of its CSV file
+BENCH_COLUMNS = ("scheme", "cells", "dx", "wall_seconds", *(f"E_{v}" for v in VARIABLES),
+                 "failure")
+
+
 def bench(case: TestCase, levels, schemes=("relaxation", "rusanov")):
-    """Error-vs-CPU rows: one per (scheme, level).
+    """Error-vs-CPU rows: one per (scheme, level), keyed by ``BENCH_COLUMNS``.
 
     A failed level keeps its reason in ``failure`` (empty otherwise), next to
     its NaN errors and time.
     """
-    rows = []
-    for scheme in schemes:
-        for rep in convergence_study(case, scheme, levels):
-            rows.append({"scheme": scheme, "cells": rep.cells, "dx": rep.dx,
-                         "wall_seconds": rep.wall_seconds,
-                         **{f"E_{v}": rep.errors[v] for v in VARIABLES},
-                         "failure": rep.failure})
-    return rows
+    return [dict(zip(BENCH_COLUMNS, (scheme, rep.cells, rep.dx, rep.wall_seconds,
+                                     *(rep.errors[v] for v in VARIABLES), rep.failure)))
+            for scheme in schemes for rep in convergence_study(case, scheme, levels)]
 
 
 def error_at_cost(costs, errors, cost: float) -> float:
@@ -139,68 +139,64 @@ def error_at_cost(costs, errors, cost: float) -> float:
 
 # ---------------------------------------------------------------- file I/O
 
-_PROFILE_HEADER = "x," + ",".join(VARIABLES)
+_PROFILE_HEADER = ("x", *VARIABLES)
+
+
+def _write_csv(path, header, rows):
+    """CSV file of ``header`` and ``rows``: floats at 17 significant digits,
+    every other value as ``str``; a field is quoted where it holds a comma."""
+    try:
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+                          for row in rows)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def write_profile_csv(path, xs, profile: PrimitiveState):
-    """Profile CSV: header row then one row per cell, 17 significant digits."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    cols = [xs] + [np.atleast_1d(np.asarray(getattr(profile, v), dtype=float))
-                   for v in VARIABLES]
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_PROFILE_HEADER + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write profile to {path}: {exc}") from exc
+    """Profile CSV: header row then one row per cell."""
+    cols = [np.atleast_1d(np.asarray(v, dtype=float))
+            for v in (xs, *(getattr(profile, name) for name in VARIABLES))]
+    _write_csv(path, _PROFILE_HEADER, zip(*cols))
 
 
 def read_profile_csv(path):
     """Inverse of write_profile_csv: (x array, PrimitiveState)."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != _PROFILE_HEADER:
+        if header != ",".join(_PROFILE_HEADER):
             raise ValueError(f"unexpected profile header in {path}: {header!r}")
         data = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
     return data[:, 0], PrimitiveState(*data[:, 1:].T)
 
 
-def write_convergence_csv(path, reports, with_orders=True):
+def write_convergence_csv(path, reports):
+    """Reports of ``convergence_study``, with the observed orders where there
+    is more than one; wall times and orders are written at 6 digits."""
+    with_orders = len(reports) > 1
     cols = ["cells", "dx", "wall_seconds"] + [f"E_{v}" for v in VARIABLES]
     if with_orders:
         cols += [f"order_{v}" for v in VARIABLES]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rep in reports:
-            row = [f"{rep.cells}", f"{rep.dx:.17g}", f"{rep.wall_seconds:.6g}"]
-            row += [f"{rep.errors[v]:.17g}" for v in VARIABLES]
-            if with_orders:
-                row += [f"{rep.orders[v]:.6g}" if v in rep.orders else "" for v in VARIABLES]
-            fh.write(",".join(row) + "\n")
+    rows = []
+    for rep in reports:
+        row = [rep.cells, rep.dx, f"{rep.wall_seconds:.6g}", *(rep.errors[v] for v in VARIABLES)]
+        if with_orders:
+            row += [f"{rep.orders[v]:.6g}" if v in rep.orders else "" for v in VARIABLES]
+        rows.append(row)
+    _write_csv(path, cols, rows)
 
 
 def write_diagnostics_csv(path, records):
-    """Per-step audit log of a run: dt, conserved totals, admissibility minima."""
-    cols = ("step", "t", "dt", "mass1", "mass2", "momentum", "energy",
-            "min_alpha1", "min_alpha2", "min_rho1", "min_rho2", "min_e1", "min_e2")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            fh.write(",".join(str(getattr(rec, c)) if c == "step"
-                              else f"{getattr(rec, c):.17g}" for c in cols) + "\n")
+    """Per-step log of a run: one column per ``StepRecord`` field."""
+    names = [f.name for f in fields(StepRecord)]
+    _write_csv(path, names, ([getattr(rec, n) for n in names] for rec in records))
 
 
 def write_bench_csv(path, rows):
-    """Rows of ``bench``; the failure reason is the last column, quoted where
-    it holds a comma."""
-    cols = ["scheme", "cells", "dx", "wall_seconds"] + [f"E_{v}" for v in VARIABLES] + ["failure"]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(cols)
-        for row in rows:
-            out.writerow(str(row[c]) if c in ("scheme", "cells", "failure")
-                         else f"{row[c]:.17g}" for c in cols)
+    """Rows of ``bench``; the failure reason is the last column."""
+    _write_csv(path, BENCH_COLUMNS, ([row[c] for c in BENCH_COLUMNS] for row in rows))
 
 
 #: the objects of a case file; every other entry is a number

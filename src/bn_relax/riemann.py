@@ -362,6 +362,8 @@ def solve_star(ctx: FixedPointContext):
 
 #: rows of each phase in ``RelaxRiemannSolution.regions``
 _PHASE_ROWS = (slice(0, 5), slice(5, 9))
+#: columns of each phase's breaks in its row of ``RelaxRiemannSolution.breaks``
+_PHASE_BREAKS = (slice(0, 4), slice(0, 3))
 #: first row of each phase, as a column
 _FIRST_REGION = np.array([[rows.start] for rows in _PHASE_ROWS])
 #: row of ``RelaxRiemannSolution.ends`` that each region is tied to by the
@@ -370,38 +372,24 @@ _END_OF_REGION = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3])
 
 
 @dataclass(frozen=True)
-class OrientedPhase:
-    """One phase of a solved row in the oriented frame (``u2* <= u1*``), as
-    views of the solution's tables.
-
-    ``tau`` and ``u`` hold the region values, region axis first, from the
-    left end state to the right one; the last two regions lie right of the
-    phase's contact and the others left of it.  ``breaks`` holds the wave
-    speeds between the regions in ascending order.
-    """
-
-    breaks: np.ndarray
-    tau: np.ndarray
-    u: np.ndarray
-
-
-@dataclass(frozen=True)
 class RelaxRiemannSolution:
     """Piecewise-constant self-similar solution of a row of interfaces.
 
     Phase 1 has five regions (separated by the left acoustic, coupling,
     phase-1 contact and right acoustic waves) and phase 2 four, both in
-    the oriented frame; ``flip`` marks the interfaces solved reflected.
-    ``regions`` holds (tau, u) of phase 1's regions and then of phase 2's,
-    region axis second; ``ends`` holds (tau, p, e) of phase 1's left and
-    right end states and then of phase 2's; ``breaks`` holds, per phase,
-    the wave speeds between its regions in ascending order, phase 2's
-    padded with +inf.  ``phase1`` and ``phase2`` view them per phase.
-    ``sample`` and ``region_tables`` read the phases in the original frame,
-    in which ``ordering``, the contact speeds and the phase fractions are
-    given: the phase fraction jumps from ``alpha1_l`` to ``alpha1_r`` at
-    ``u2_star``.  ``pi1_star`` is NaN where the phase fraction does not jump
-    (it is never used there).
+    the oriented frame (``u2* <= u1*``); ``flip`` marks the interfaces
+    solved reflected.  ``regions`` holds (tau, u) of phase 1's regions and
+    then of phase 2's (rows ``_PHASE_ROWS``), region axis second, each phase
+    from its left end state to its right one; the last two regions of a
+    phase lie right of its contact.  ``ends`` holds (tau, p, e) of phase
+    1's left and right end states and then of phase 2's; ``breaks`` holds,
+    per phase, the wave speeds between its regions in ascending order
+    (columns ``_PHASE_BREAKS``), phase 2's padded with +inf.  ``sample`` and
+    ``region_tables`` read the phases in the original frame, in which
+    ``ordering``, the contact speeds and the phase fractions are given: the
+    phase fraction jumps from ``alpha1_l`` to ``alpha1_r`` at ``u2_star``.
+    ``pi1_star`` is NaN where the phase fraction does not jump (it is never
+    used there).
     """
 
     params: RelaxParams
@@ -415,14 +403,6 @@ class RelaxRiemannSolution:
     breaks: np.ndarray
     regions: np.ndarray
     ends: np.ndarray
-
-    @property
-    def phase1(self) -> OrientedPhase:
-        return OrientedPhase(self.breaks[0], *self.regions[:, _PHASE_ROWS[0]])
-
-    @property
-    def phase2(self) -> OrientedPhase:
-        return OrientedPhase(self.breaks[1, :3], *self.regions[:, _PHASE_ROWS[1]])
 
 
 @dataclass(frozen=True)
@@ -611,8 +591,8 @@ def region_tables(sol: RelaxRiemannSolution) -> dict:
     a = np.repeat(_phase_params(sol.params), [r.stop - r.start for r in _PHASE_ROWS], axis=0)
     quantities = _regions(sol, rows, a)
     tables = {}
-    for k, phase, cut in zip("12", (sol.phase1, sol.phase2), _PHASE_ROWS):
+    for k, (rows, cut) in enumerate(zip(_PHASE_ROWS, _PHASE_BREAKS)):
         for name, sign, table in zip(("breaks", "tau", "u", "pi", "E"), (-1.0, 1.0, -1.0, 1.0, 1.0),
-                                     (phase.breaks, *(q[cut] for q in quantities))):
-            tables[name + k] = np.where(sol.flip, sign * table[::-1], table)
+                                     (sol.breaks[k, cut], *(q[rows] for q in quantities))):
+            tables[f"{name}{k + 1}"] = np.where(sol.flip, sign * table[::-1], table)
     return tables

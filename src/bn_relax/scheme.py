@@ -262,9 +262,9 @@ def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
-    # the first and the last break of each phase
-    outer = [phase.breaks[::len(phase.breaks) - 1] for phase in (sol.phase1, sol.phase2)]
-    smax = max(float(np.abs(s).max(initial=0.0)) for s in (*outer, np.asarray(calm_speeds)))
+    # the first and the last break of phase 1 (four breaks) and of phase 2 (three)
+    outer = sol.breaks[[0, 0, 1, 1], [0, 3, 0, 2]]
+    smax = max(float(np.abs(s).max(initial=0.0)) for s in (outer, np.asarray(calm_speeds)))
     if smax == 0.0:
         raise SolverError("fully degenerate field: zero wave speeds")
     return cfl * dx / smax
@@ -380,6 +380,9 @@ class InitialData:
 
 @dataclass
 class StepRecord:
+    """What ``run`` records of one step.  Its fields, in order, are the
+    columns of ``harness.write_diagnostics_csv`` (``bn-relax run --log``)."""
+
     step: int
     t: float
     dt: float
@@ -409,14 +412,24 @@ class RunResult:
 
 
 def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
-    """Mathematical entropy of each phase of a primitive state."""
-    return [eos.entropy(rho, eos.internal_energy(rho, p))
-            for rho, p, eos in ((w.rho1, w.p1, eos1), (w.rho2, w.p2, eos2))]
+    """Mathematical entropy of each phase of a primitive state, phase axis first."""
+    return np.array([eos.entropy(rho, eos.internal_energy(rho, p))
+                     for rho, p, eos in ((w.rho1, w.p1, eos1), (w.rho2, w.p2, eos2))])
 
 
-def _totals(u: ConservedState):
-    return (float(np.sum(u.m1)), float(np.sum(u.m2)),
-            float(np.sum(u.q1 + u.q2)), float(np.sum(u.eta1 + u.eta2)))
+#: the conserved families that ``run`` audits, in the order of ``_families``;
+#: the keys of ``RunResult.conservation_error`` and fields of ``StepRecord``
+FAMILIES = ("mass1", "mass2", "momentum", "energy")
+
+
+def _families(u: ConservedState):
+    """Partial masses, mixture momentum and mixture energy of a conserved
+    row, each summed over the row, or of a single conserved vector.  A flux
+    column has the layout of a conserved vector, so of it they are the
+    families' fluxes.  Each family is summed on its own, as ``np.sum`` sums
+    it: stacking the four rows first would allocate a (4, n) array per step."""
+    rows = (u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2)
+    return np.array([np.add.reduce(v, axis=-1) for v in rows] if np.ndim(u.m1) else rows)
 
 
 def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedState:
@@ -432,11 +445,11 @@ def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedS
 def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) -> RunResult:
     """March the scheme to ``cfg.t_final``; the last step lands on it exactly.
 
-    Per step the record captures dt, the four conserved-family totals and the
+    Per step the record captures dt, the totals of the ``FAMILIES`` and the
     minima entering the admissibility proof.  Conservation of each family is
     audited against the fluxes through the two domain ends; with ``cfg.entropy_audit`` the
-    per-cell discrete entropy balance is accumulated as well (relaxation
-    scheme only).
+    per-cell discrete entropy balance of both phases is accumulated as well
+    (relaxation scheme only).
     """
     from . import rusanov  # deferred: rusanov reuses this runner
 
@@ -447,7 +460,10 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     validate_conserved(cells, eos1, eos2, where="initial data")
 
     records = []
-    cons_err = {"mass1": 0.0, "mass2": 0.0, "momentum": 0.0, "energy": 0.0}
+    # the baseline's alpha-gradient terms do not telescope, so only its
+    # mass families admit an audit against the end fluxes
+    audited = len(FAMILIES) if cfg.scheme == "relaxation" else 2
+    drift = np.zeros(len(FAMILIES))
     audit_entropy = cfg.entropy_audit and cfg.scheme == "relaxation"
     entropy_slack = -np.inf
     t = 0.0
@@ -457,12 +473,12 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
         # owned rows, into which each step's window is spliced
         prim_rows = prim.stack()
         prim = PrimitiveState(*prim_rows)
-    totals_new = _totals(cells)
+    totals = _families(cells)
     if audit_entropy:
         entropies = _phase_entropies(prim, eos1, eos2)
     tic = time.perf_counter()
     while t < cfg.t_final:
-        old, totals_old = cells, totals_new
+        old, totals_old = cells, totals
         if cfg.scheme == "relaxation":
             cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
             # the cells outside the window kept their bits, and so their primitives
@@ -474,22 +490,11 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
         dt = info.dt
         lam = dt / dx
 
-        totals_new = _totals(cells)
+        totals = _families(cells)
         fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-        end_fluxes = (
-            (fm[1, -1], fp[1, 0]),
-            (fm[2, -1], fp[2, 0]),
-            (fm[3, -1] + fm[4, -1], fp[3, 0] + fp[4, 0]),
-            (fm[5, -1] + fm[6, -1], fp[5, 0] + fp[6, 0]),
-        )
-        # the baseline's alpha-gradient terms do not telescope, so only its
-        # mass families admit an audit against the end fluxes
-        audited = 4 if cfg.scheme == "relaxation" else 2
-        for name, new, oldv, (f_out, f_in) in list(zip(cons_err, totals_new, totals_old,
-                                                       end_fluxes))[:audited]:
-            drift = abs(new - oldv + lam * (f_out - f_in))
-            scale = max(1.0, abs(oldv))
-            cons_err[name] = max(cons_err[name], drift / scale)
+        through = _families(ConservedState(*fm[:, -1])) - _families(ConservedState(*fp[:, 0]))
+        drift = np.maximum(drift, np.abs(totals - totals_old + lam * through)
+                           / np.maximum(1.0, np.abs(totals_old)))
 
         if audit_entropy:
             # per cell and phase: the entropy balance with the phase's mass
@@ -499,23 +504,19 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
             # have bitwise equal entropies, so either serves as upwind
             u_star = np.zeros((2, fm.shape[1]))
             u_star[:, info.waves] = info.sol.u1_star, info.sol.u2_star
-            for m_old, m_new, s_old, s_new, mass_flux, u_k in zip(
-                    (old.m1, old.m2), (cells.m1, cells.m2), entropies, new_entropies,
-                    fm[1:3], u_star):
-                s_pad = _pad_edges(s_old)
-                phi = mass_flux * np.where(u_k > 0.0, s_pad[:-1], s_pad[1:])
-                balance = m_new * s_new - m_old * s_old + lam * (phi[1:] - phi[:-1])
-                scale = np.maximum(1.0, np.maximum(np.abs(m_old * s_old),
-                                                   lam * (np.abs(phi[1:]) + np.abs(phi[:-1]))))
-                entropy_slack = max(entropy_slack, float(np.max(balance / scale)))
+            m_old, m_new = np.array([old.m1, old.m2]), np.array([cells.m1, cells.m2])
+            s_pad = _pad_edges(entropies)
+            phi = fm[1:3] * np.where(u_star > 0.0, s_pad[:, :-1], s_pad[:, 1:])
+            balance = m_new * new_entropies - m_old * entropies + lam * (phi[:, 1:] - phi[:, :-1])
+            scale = np.maximum(1.0, np.maximum(np.abs(m_old * entropies),
+                                               lam * (np.abs(phi[:, 1:]) + np.abs(phi[:, :-1]))))
+            entropy_slack = max(entropy_slack, float(np.max(balance / scale)))
             entropies = new_entropies
 
         t += dt
         nstep += 1
         records.append(StepRecord(
-            step=nstep, t=t, dt=dt,
-            mass1=totals_new[0], mass2=totals_new[1],
-            momentum=totals_new[2], energy=totals_new[3],
+            step=nstep, t=t, dt=dt, **dict(zip(FAMILIES, totals.tolist())),
             min_alpha1=float(np.min(cells.alpha1)),
             min_alpha2=float(np.min(1.0 - cells.alpha1)),
             min_rho1=float(np.min(prim.rho1)), min_rho2=float(np.min(prim.rho2)),
@@ -526,6 +527,8 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
     return RunResult(
         x=x, cells=cells, prim=to_primitive(cells, eos1, eos2), t=t, steps=nstep,
-        wall_time=wall, records=records, conservation_error=cons_err,
+        wall_time=wall, records=records,
+        conservation_error={name: float(drift[k]) if k < audited else 0.0
+                            for k, name in enumerate(FAMILIES)},
         entropy_slack=entropy_slack,
     )

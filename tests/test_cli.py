@@ -1,9 +1,13 @@
+import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 
+from bn_relax import get_case
 from bn_relax.cli import main
-from bn_relax.harness import read_profile_csv
+from bn_relax.harness import read_profile_csv, run_case
+from bn_relax.scheme import StepRecord
 
 
 def test_no_arguments_usage_error(capsys):
@@ -21,6 +25,21 @@ def test_run_writes_profile(tmp_path):
     xs, prof = read_profile_csv(out)
     assert xs.shape == (24,)
     assert np.all(prof.rho1 > 0)
+
+
+def test_run_log_holds_the_step_records(tmp_path):
+    out, log = tmp_path / "sol.csv", tmp_path / "log.csv"
+    assert main(["run", "--case", "1", "--cells", "50", "--out", str(out),
+                 "--log", str(log)]) == 0
+    records = run_case(get_case(1), "relaxation", 50).records
+    with open(log, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    names = [f.name for f in fields(StepRecord)]
+    assert header == names
+    assert len(rows) == len(records) > 0
+    assert [int(row[0]) for row in rows] == list(range(1, len(records) + 1))
+    for row, rec in zip(rows, records):
+        assert [float(v) for v in row[1:]] == [getattr(rec, n) for n in names[1:]]
 
 
 def test_run_rusanov_scheme(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from bn_relax import (AdmissibilityError, EosParams, InitialData, PrimitiveState, RunConfig,
-                      SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
+from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData, PrimitiveState,
+                      RunConfig, SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
                       get_case, region_tables, run, sample, scheme, select_parameters,
                       sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.riemann import RelaxParams, SampledState, classify_ordering
-from bn_relax.scheme import ETA, MAX_INFLATIONS
-from bn_relax.state import VARIABLES
+from bn_relax.scheme import ETA, MAX_INFLATIONS, _families
+from bn_relax.state import VARIABLES, ConservedState
 from conftest import random_primitive
 
 IDEAL = EosParams(1.4)
@@ -118,7 +118,7 @@ def test_non_finite_intermediate_volume_takes_a_retry(monkeypatch, bad_tau):
         def corrupt_first(*args, **kwargs):
             sol = solve(*args, **kwargs)
             if not calls:
-                sol.phase1.tau[2, 0] = bad_tau
+                sol.regions[0, 2, 0] = bad_tau
                 if bad_u2_star:
                     sol.u2_star[0] = np.nan
             calls.append(sol)
@@ -213,7 +213,7 @@ def rebuilt_a2_least(solve):
     ``lambda du/2`` times a2, held fixed."""
     (wl, wr, _, _, sub), kwargs, sol = solve
     s = kwargs["precomputed"]
-    tau = np.concatenate([sol.phase1.tau[1:4], sol.phase2.tau[1:3]])
+    tau = sol.regions[0, [1, 2, 3, 6, 7]]
     bad = ~((tau > 0.0) & np.isfinite(tau)).all(axis=0)
     du, dp, lam = wr.u2 - wl.u2, wr.p2 - wl.p2, s.lambda_alpha
     k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * sub.a2
@@ -874,6 +874,30 @@ def test_whole_steps_on_adversarial_riemann_problems(rng, monkeypatch):
         assert max(res.conservation_error.values()) <= 1e-12, r
         climbing_a2 += 2 in grows
     assert climbing_a2 > 0
+
+
+def test_whole_steps_on_rows_of_many_states(rng):
+    # rows of 4-16 cells, each cell an independent hard_row state, so that
+    # every interface is a wave (ideal and stiffened phase 2 in turn).  Each
+    # step is admissible and conserves every audited family to roundoff
+    # against the fluxes through the row's ends.  entropy_slack is not
+    # asserted (ROADMAP item 5)
+    for r in range(300):
+        n = int(rng.integers(4, 17))
+        eos2 = (IDEAL, STIFF)[r % 2]
+        cells = to_conserved(hard_row(rng, n), IDEAL, eos2)
+        cfg = RunConfig(cells=n, t_final=1.0, domain=(-0.5, 0.5), cfl=0.45)
+        dx = 1.0 / n
+        for k in range(5):
+            before = _families(cells)
+            try:
+                cells, info = step(cells, cfg, IDEAL, eos2, dx)
+            except (SolverError, AdmissibilityError, EosDomainError) as exc:
+                pytest.fail(f"row {r}, step {k}: {exc!r}")
+            fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
+            through = _families(ConservedState(*fm[:, -1])) - _families(ConservedState(*fp[:, 0]))
+            drift = np.abs(_families(cells) - before + info.dt / dx * through)
+            assert np.all(drift <= 1e-12 * np.maximum(1.0, np.abs(before))), (r, k, drift)
 
 
 def test_run_well_balanced_100_steps():
