@@ -23,6 +23,9 @@ None of these runs takes a positivity retry in parameter selection, so the
 next line digests ``a1``, ``a2`` and the specific volumes of every region
 that ``select_parameters`` gives on two fixed rows of hard pairs, one with an
 ideal-gas and one with a stiffened-gas phase 2; the first takes retries.
+The line after it digests the rest of the same two solved rows: every
+``region_tables`` entry (keys in sorted order), ``u1_star``, ``u2_star``,
+``pi1_star`` and both rows of ``assemble_fluxes``.
 
 The audits and the written files are gated too.  Cases 1-5 run at 200
 cells with both schemes (Rusanov skips case 5, which it fails by design).
@@ -43,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from bn_relax import EosParams, PrimitiveState, get_case, harness, region_tables, select_parameters
-from bn_relax.scheme import RunConfig, run
+from bn_relax.scheme import RunConfig, assemble_fluxes, run
 
 #: (case, cells, share of the case's t_max)
 GATE_RUNS = ([(cid, 200, 1.0) for cid in range(1, 6)]
@@ -76,16 +79,31 @@ def _hard_side(rng, n):
                           pressure[1])
 
 
-def _selection_digest():
+def _hard_solutions():
+    """The two solved rows of hard pairs: ideal-gas, then stiffened-gas phase 2."""
     rng = np.random.default_rng(HARD_SEED)
+    return [select_parameters(_hard_side(rng, HARD_PAIRS), _hard_side(rng, HARD_PAIRS),
+                              EosParams(1.4), eos2)
+            for eos2 in (EosParams(1.4), EosParams(3.0, 100.0))]
+
+
+def _array_digest(arrays):
     digest = hashlib.sha256()
-    for eos2 in (EosParams(1.4), EosParams(3.0, 100.0)):
-        sol = select_parameters(_hard_side(rng, HARD_PAIRS), _hard_side(rng, HARD_PAIRS),
-                                EosParams(1.4), eos2)
-        tables = region_tables(sol)
-        for v in (sol.params.a1, sol.params.a2, tables["tau1"], tables["tau2"]):
-            digest.update(np.ascontiguousarray(v).tobytes())
+    for v in arrays:
+        digest.update(np.ascontiguousarray(v).tobytes())
     return digest.hexdigest()[:16]
+
+
+def _selection_digests():
+    """(a1, a2 and the region volumes; the rest of the solved rows) of the hard rows."""
+    selection, solved = [], []
+    for sol in _hard_solutions():
+        tables = region_tables(sol)
+        fluxes = assemble_fluxes(sol)
+        selection += [sol.params.a1, sol.params.a2, tables["tau1"], tables["tau2"]]
+        solved += [*(tables[key] for key in sorted(tables)), sol.u1_star, sol.u2_star, sol.pi1_star,
+                   fluxes.f_minus, fluxes.f_plus]
+    return _array_digest(selection), _array_digest(solved)
 
 
 def _file_digest(*paths):
@@ -124,7 +142,9 @@ def main():
     for cid in AUDITED_CASES:
         res = _run(cid, 200, entropy_audit=True)
         print(f"case {cid} cells 200 entropy_slack: {float.hex(res.entropy_slack)}")
-    print(f"hard rows seed {HARD_SEED} pairs {HARD_PAIRS} selection: {_selection_digest()}")
+    selection, solved = _selection_digests()
+    print(f"hard rows seed {HARD_SEED} pairs {HARD_PAIRS} selection: {selection}")
+    print(f"hard rows seed {HARD_SEED} pairs {HARD_PAIRS} solved rows: {solved}")
     with tempfile.TemporaryDirectory() as tmp:
         _audit_lines(Path(tmp))
 

@@ -74,6 +74,8 @@ def convergence_study(case: TestCase, scheme: str, levels):
     exception is a bug and propagates.
     """
     levels = list(levels)
+    if not levels:
+        raise ValueError("a convergence study needs at least one mesh level")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     reports = []

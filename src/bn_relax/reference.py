@@ -151,6 +151,8 @@ def exact_profile(case: TestCase, cells: int, t: float) -> tuple:
     """(x, exact PrimitiveState) sampled at the cell centers at time t > 0."""
     if t <= 0.0:
         raise ValueError("exact profile needs t > 0")
+    if cells < 1:
+        raise ValueError(f"exact profile needs at least one cell, got {cells}")
     x_left, x_right = case.domain
     dx = (x_right - x_left) / cells
     x = x_left + dx * (np.arange(cells) + 0.5)

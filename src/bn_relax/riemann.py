@@ -3,28 +3,27 @@
 Every function is elementwise over numpy arrays, so a whole row of interfaces
 is solved in one call.  The construction is carried out for the wave ordering
 ``u2* <= u1*``; an interface with the opposite ordering is reflected first
-(velocities negated, sides swapped) and solved in that oriented frame.  The
-solution stays in it, together with the ``flip`` mask of the reflected
-interfaces.  Sampling a reflected interface at ``xi`` reads its oriented
-solution at ``-xi``, takes the other one-sided limit there and negates the
-velocities, which gives the exact floating-point values that reflecting the
-whole solution back would, by symmetry of the formulas.
+(velocities negated, sides swapped) and solved in that oriented frame.  Its
+contact speeds and phase 1's middle states are mapped back, in ``_tables``
+only, and the solution is stored in the original frame; the coupling
+pressure is the same in both frames.  Every other value is the same formula
+of the original states in either frame, and equals the reflected oriented
+value bit for bit, since IEEE rounding is symmetric under negation.
 
 The coupling-wave speed solves a scalar equation, ``psi(m) = rhs``, which
 ``solve_star`` iterates, from a bracket narrowed around a closed-form seed,
 only at interfaces where the phase fraction jumps and the waves do not
 coincide; elsewhere the root is known in closed form.
 
-Per phase, the solution holds the specific volumes and velocities of its
-piecewise-constant regions, the wave speeds between them, and the pressure
-and internal energy of its two end states; the phase fraction jumps at the
-coupling wave.  The other nonconservative variables of a region, pi and E,
-follow from the Suliciu-type Lagrangian relations to the end state on the
-same side of the phase's contact.  ``sample`` applies them only to the
-regions it reads, and ``region_tables`` to every region, for tests and
-audits.  The outermost breaks, the acoustic speeds ``u -+ a tau`` of the end
-states, also give the time step.  Sampling at a wave speed returns the right
-limit.
+Per phase, the solution holds the specific volume, velocity, pi and E of
+each of its piecewise-constant regions and the wave speeds between them; the
+phase fraction jumps at the coupling wave.  pi and E of a region follow from
+the Suliciu-type Lagrangian relations to the end state on the same side of
+the phase's contact, and are formed once, when the row is solved.
+``sample`` only counts the breaks passed and looks the regions up, and
+``region_tables`` gives views of the same arrays, for tests and audits.  The
+outermost breaks, the acoustic speeds ``u -+ a tau`` of the end states, also
+give the time step.  Sampling at a wave speed returns the right limit.
 
 The solver takes the relaxation parameters as given.  Choosing them so that
 the problem has a solution with positive intermediate specific volumes is the
@@ -366,8 +365,10 @@ _PHASE_ROWS = (slice(0, 5), slice(5, 9))
 _PHASE_BREAKS = (slice(0, 4), slice(0, 3))
 #: first row of each phase, as a column
 _FIRST_REGION = np.array([[rows.start] for rows in _PHASE_ROWS])
-#: row of ``RelaxRiemannSolution.ends`` that each region is tied to by the
-#: Lagrangian relations: the end state on its side of its phase's contact
+#: end state (phase 1's left and right, then phase 2's) that each region is
+#: tied to by the Lagrangian relations, the one on its side of its phase's
+#: contact, for the ordering ``u2* <= u1*``; with the other ordering phase 1's
+#: middle region lies right of its contact
 _END_OF_REGION = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3])
 
 
@@ -375,25 +376,20 @@ _END_OF_REGION = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3])
 class RelaxRiemannSolution:
     """Piecewise-constant self-similar solution of a row of interfaces.
 
-    Phase 1 has five regions (separated by the left acoustic, coupling,
-    phase-1 contact and right acoustic waves) and phase 2 four, both in
-    the oriented frame (``u2* <= u1*``); ``flip`` marks the interfaces
-    solved reflected.  ``regions`` holds (tau, u) of phase 1's regions and
-    then of phase 2's (rows ``_PHASE_ROWS``), region axis second, each phase
-    from its left end state to its right one; the last two regions of a
-    phase lie right of its contact.  ``ends`` holds (tau, p, e) of phase
-    1's left and right end states and then of phase 2's; ``breaks`` holds,
-    per phase, the wave speeds between its regions in ascending order
-    (columns ``_PHASE_BREAKS``), phase 2's padded with +inf.  ``sample`` and
-    ``region_tables`` read the phases in the original frame, in which
-    ``ordering``, the contact speeds and the phase fractions are given: the
-    phase fraction jumps from ``alpha1_l`` to ``alpha1_r`` at ``u2_star``.
-    ``pi1_star`` is NaN where the phase fraction does not jump (it is never
-    used there).
+    Phase 1 has five regions (separated by the left acoustic wave, the
+    coupling wave and phase 1's contact in the order of ``ordering``, and
+    the right acoustic wave) and phase 2 four, all in the original frame.
+    ``regions`` holds (tau, u, pi, E) of phase 1's regions and then of
+    phase 2's (rows ``_PHASE_ROWS``), region axis second, each phase from
+    its left end state to its right one; the last two regions of phase 2
+    lie right of its contact.  ``breaks`` holds, per phase, the wave speeds
+    between its regions in ascending order (columns ``_PHASE_BREAKS``),
+    phase 2's padded with +inf.  The phase fraction jumps from ``alpha1_l``
+    to ``alpha1_r`` at ``u2_star``.  ``pi1_star`` is NaN where the phase
+    fraction does not jump (it is never used there).
     """
 
     params: RelaxParams
-    flip: np.ndarray
     ordering: np.ndarray
     u1_star: np.ndarray
     u2_star: np.ndarray
@@ -402,7 +398,6 @@ class RelaxRiemannSolution:
     alpha1_r: np.ndarray
     breaks: np.ndarray
     regions: np.ndarray
-    ends: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -420,64 +415,65 @@ class SampledState:
     E2: np.ndarray
 
 
-def _tables(wl, wr, s, params, m_star, mach, nu, u2s, eos1, eos2):
-    """(breaks, regions, ends) of the oriented problem (u_cap >= 0, so u2* <= u1*).
+def _tables(wL, wR, s, params, m_star, mach, nu, u2s, flip, eos1, eos2):
+    """(breaks, regions) in the original frame of a row solved in the oriented one.
 
-    Each phase runs from the left to the right end state; between its
-    acoustic waves, the speeds ``u0 -+ a tau0`` of the end states, lie the
-    coupling wave and, for phase 1, its contact.
+    ``s``, ``m_star``, ``mach``, ``nu`` and the phase-2 contact speed ``u2s``
+    belong to the oriented problem (u_cap >= 0, so u2* <= u1*), which
+    ``flip`` marks as reflected.  Both contact speeds and phase 1's middle
+    states are mapped back: the velocities are negated and, where ``flip``
+    holds, phase 1's regions on either side of its two contacts trade
+    places, its two middle breaks swap, and its middle region is tied to the
+    right end state.  Everything else is formed from the original end states
+    and contact speeds.
     """
     a1, a2 = params.a1, params.a2
+    sign = np.where(flip, -1.0, 1.0)
     shift = (m_star - nu * mach) / (1.0 + nu * mach)
     u1s = s.u_sharp1 - a1 * s.tau_sharp1_l * shift
     tau1m = s.tau_sharp1_l * (1.0 - m_star) / (1.0 - mach)
     tau1p = s.tau_sharp1_l * (1.0 + m_star) / (1.0 + nu * mach)
     tau1rs = s.tau_sharp1_r + s.tau_sharp1_l * shift
-    u1m = u2s + a1 * mach * tau1m
-    rho = np.array([wl.rho1, wr.rho1, wl.rho2, wr.rho2])
-    p = np.array([wl.p1, wr.p1, wl.p2, wr.p2])
+    u1m = sign * (u2s + a1 * mach * tau1m)
+    u1s, u2s = sign * u1s, sign * u2s
+    rho = np.array([wL.rho1, wR.rho1, wL.rho2, wR.rho2])
+    p = np.array([wL.p1, wR.p1, wL.p2, wR.p2])
     tau = 1.0 / rho
     t1L, t1R, t2L, t2R = tau
-    tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wl.u2, wr.u2, u2s, a2)
+    tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wL.u2, wR.u2, u2s, a2)
     e = np.concatenate([eos1.internal_energy(rho[:2], p[:2]),
                         eos2.internal_energy(rho[2:], p[2:])])
-    breaks = np.array([[wl.u1 - a1 * t1L, u2s, u1s, wr.u1 + a1 * t1R],
-                       [wl.u2 - a2 * t2L, u2s, wr.u2 + a2 * t2R, np.full_like(u2s, np.inf)]])
-    regions = np.array([[t1L, tau1m, tau1p, tau1rs, t1R, t2L, tau2ls, tau2rs, t2R],
-                        [wl.u1, u1m, u1s, u1s, wr.u1, wl.u2, u2s, u2s, wr.u2]])
-    return breaks, regions, np.array([tau, p, e])
-
-
-def _closure(tau, u, tau0, p0, e0, a):
-    """(pi, E) of regions tied to the end state ``(tau0, p0, e0)`` on their
-    side of the phase's contact by the Lagrangian relations
-    ``pi = p0 + a^2 (tau0 - tau)`` and
-    ``E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2)``, which give ``p0`` and
-    ``u0^2/2 + e0`` exactly at the end state itself."""
-    a_sq = a ** 2
-    pi = p0 + a_sq * (tau0 - tau)
-    E = 0.5 * u ** 2 + e0 + (pi ** 2 - p0 ** 2) / (2.0 * a_sq)
-    return pi, E
-
-
-def _regions(sol: RelaxRiemannSolution, rows, a):
-    """Oriented (tau, u, pi, E) of the regions ``rows`` of ``sol.regions``,
-    whose phases have the parameters ``a``.
-
-    ``rows`` holds one row per interface, or a column of rows that
-    broadcasts over the interfaces; each quantity is gathered by one
-    ``take`` of a stacked table.
-    """
-    n = sol.regions.shape[-1]
-    cols = np.arange(n)
-    tau, u = sol.regions.reshape(2, -1).take(rows * n + cols, axis=1)
-    tau0, p0, e0 = sol.ends.reshape(3, -1).take(_END_OF_REGION[rows] * n + cols, axis=1)
-    return (tau, u, *_closure(tau, u, tau0, p0, e0, a))
-
-
-def _phase_params(params: RelaxParams):
-    """(a1, a2) stacked as a column per phase."""
-    return np.array([params.a1, params.a2]).reshape(2, -1)
+    breaks = np.array([[wL.u1 - a1 * t1L, u2s, u1s, wR.u1 + a1 * t1R],
+                       [wL.u2 - a2 * t2L, u2s, wR.u2 + a2 * t2R, np.full_like(u2s, np.inf)]])
+    regions = np.empty((4, 9, u2s.size))
+    tau_r, u_r, pi, E = regions
+    np.stack([t1L, tau1m, tau1p, tau1rs, t1R, t2L, tau2ls, tau2rs, t2R], out=tau_r)
+    np.stack([wL.u1, u1m, u1s, u1s, wR.u1, wL.u2, u2s, u2s, wR.u2], out=u_r)
+    ends = np.stack([tau, p, e]).take(_END_OF_REGION, axis=1)
+    # with the other ordering phase 1's two middle breaks swap, the regions
+    # beside them trade places, and its middle region lies right of its contact
+    breaks[0, 1:3] = np.where(flip, breaks[0, 2:0:-1], breaks[0, 1:3])
+    regions[:2, 1:4:2] = np.where(flip, regions[:2, 3:0:-2], regions[:2, 1:4:2])
+    np.copyto(ends[:, 2], ends[:, 3], where=flip)
+    # the Lagrangian relations to each region's end state (tau0, p0, e0):
+    # pi = p0 + a^2 (tau0 - tau) and E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2),
+    # which give p0 and u0^2/2 + e0 exactly at the end state itself
+    tau0, p0, e0 = ends
+    a_sq = np.empty_like(pi)
+    a_sq[_PHASE_ROWS[0]], a_sq[_PHASE_ROWS[1]] = a1 ** 2, a2 ** 2
+    np.subtract(tau0, tau_r, out=pi)
+    pi *= a_sq
+    pi += p0
+    np.square(u_r, out=E)
+    E *= 0.5
+    E += e0
+    # the last term in the buffers of tau0 and p0, which are not read again
+    np.square(pi, out=tau0)
+    tau0 -= np.square(p0, out=p0)
+    a_sq *= 2.0
+    tau0 /= a_sq
+    E += tau0
+    return breaks, regions
 
 
 #: reflection of a stacked pair of primitive states: velocities negated
@@ -543,56 +539,42 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
         pi1_star = s.pi_sharp2 - params.a2 * al2sum / dal * (u2s - s.u_sharp2)
     pi1_star = np.where(dal == 0.0, np.nan, pi1_star)
 
-    breaks, regions, ends = _tables(wl, wr, s, params, m_star, mach, ctx.nu, u2s, eos1, eos2)
+    breaks, regions = _tables(wL, wR, s, params, m_star, mach, ctx.nu, u2s, flip, eos1, eos2)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
-        params=params, flip=flip, ordering=ordering,
-        u1_star=sign * regions[1, 2], u2_star=sign * regions[1, 6], pi1_star=pi1_star,
-        alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, breaks=breaks, regions=regions, ends=ends)
+        params=params, ordering=ordering,
+        u1_star=regions[1, 2], u2_star=regions[1, 6], pi1_star=pi1_star,
+        alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, breaks=breaks, regions=regions)
 
 
 def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
     """State at self-similar speed ``xi``; the right limit at a wave speed.
 
-    ``side='-'`` takes the left limit instead (used for the flux traces).
-    Only here, and in ``region_tables``, are pi and E of a region formed;
-    both phases are read together.
+    ``side='-'`` takes the left limit instead (used for the flux traces): a
+    break at ``xi`` counts as passed for the right limit and not for the
+    left one.  Both phases are looked up together.
     """
     xi = np.asarray(xi, dtype=float)
-    flip = sol.flip
-    # a reflected interface is read at -xi in its oriented frame, where the
-    # requested one-sided limit is the other one.  A break at the oriented
-    # speed counts as passed where flip != (side == "+"); there the speed is
-    # replaced by the next float up, since b <= x is b < nextafter(x, inf)
-    kept, reflected = xi, -xi
-    if side == "+":
-        kept = np.nextafter(kept, np.inf)
-    else:
-        reflected = np.nextafter(reflected, np.inf)
-    xi_o = np.where(flip, reflected, kept)
     on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
+    passed = (sol.breaks <= xi) if side == "+" else (sol.breaks < xi)
     # per phase a count of at most four breaks: int8 holds it and sums fastest
-    rows = (sol.breaks < xi_o).sum(axis=1, dtype=np.int8) + _FIRST_REGION
-    tau, u, pi, E = _regions(sol, rows, _phase_params(sol.params))
-    u = np.where(flip, -1.0, 1.0) * u
+    rows = passed.sum(axis=1, dtype=np.int8) + _FIRST_REGION
+    n = sol.regions.shape[-1]
+    tau, u, pi, E = sol.regions.reshape(4, -1).take(rows * n + np.arange(n), axis=1)
     return SampledState(np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r),
                         tau[0], u[0], pi[0], E[0], tau[1], u[1], pi[1], E[1])
 
 
 def region_tables(sol: RelaxRiemannSolution) -> dict:
-    """Every region of a solved row in the original frame, for tests and audits.
+    """Every region of a solved row, for tests and audits: views of its arrays.
 
     Keys are ``breaks``, ``tau``, ``u``, ``pi`` and ``E`` with the phase
     number appended (``tau1``, ``E2``, ...); region axis first, breaks in
-    ascending order.  A reflected interface has its regions reversed and its
-    speeds and velocities negated.
+    ascending order.
     """
-    rows = np.arange(sol.regions.shape[1])[:, None]
-    a = np.repeat(_phase_params(sol.params), [r.stop - r.start for r in _PHASE_ROWS], axis=0)
-    quantities = _regions(sol, rows, a)
     tables = {}
     for k, (rows, cut) in enumerate(zip(_PHASE_ROWS, _PHASE_BREAKS)):
-        for name, sign, table in zip(("breaks", "tau", "u", "pi", "E"), (-1.0, 1.0, -1.0, 1.0, 1.0),
-                                     (sol.breaks[k, cut], *(q[rows] for q in quantities))):
-            tables[f"{name}{k + 1}"] = np.where(sol.flip, sign * table[::-1], table)
+        tables[f"breaks{k + 1}"] = sol.breaks[k, cut]
+        for name, table in zip(("tau", "u", "pi", "E"), sol.regions):
+            tables[f"{name}{k + 1}"] = table[rows]
     return tables

@@ -198,8 +198,7 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
                                      wL, wR, int(np.argmax(missed)))
         sol = build_solution(wL, wR, eos1, eos2, params, precomputed=s)
-        # phase 1's regions 1-3 and phase 2's 1-2; the oriented regions serve,
-        # since reflection maps the intermediate ones onto themselves
+        # the intermediate regions: phase 1's regions 1-3 and phase 2's 1-2
         tau = sol.regions[0, [1, 2, 3, 6, 7]]
         bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
         if not bad.any():
@@ -256,7 +255,6 @@ def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
 
     The outermost breaks of each phase are its acoustic speeds
     ``u_L - a tau_L`` and ``u_R + a tau_R``, which bound every other wave.
-    Reflection only negates and swaps them, so the oriented breaks serve.
     ``calm_speeds`` adds the acoustic speeds of interfaces solved outside
     ``sol``.
     """

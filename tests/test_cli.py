@@ -3,6 +3,7 @@ import json
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from bn_relax import get_case
 from bn_relax.cli import main
@@ -102,3 +103,16 @@ def test_bench_csv(tmp_path):
     assert lines[2].startswith("rusanov,100")
     wall = [float(line.split(",")[3]) for line in lines[1:]]
     assert all(w > 0 for w in wall)
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--case", "1", "--cells", "0"],
+    ["exact", "--case", "1", "--cells", "-4"],
+    ["convergence", "--case", "1", "--levels", "0"],
+    ["bench", "--case", "1", "--levels", "0"],
+])
+def test_empty_mesh_is_error_and_writes_nothing(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

@@ -497,19 +497,20 @@ def tie_row(rng, n):
 
 
 def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
-    # a reflected interface is sampled at -xi in its oriented frame, where
-    # 0- of the original frame is 0+; the traces and the fluxes must equal,
-    # bitwise, those read off the original-frame tables
+    # waves at speed 0, of interfaces solved reflected and not: the traces
+    # and the fluxes must equal, bitwise, those read off the region tables
+    # by the one-sided rule, so a swapped limit or break would show
     wL, wR = tie_row(rng, 500)
     sol = select_parameters(wL, wR, IDEAL, IDEAL)
     tables = region_tables(sol)
     at_zero = (tables["breaks1"] == 0.0).any(axis=0) | (tables["breaks2"] == 0.0).any(axis=0)
-    assert np.count_nonzero(at_zero & sol.flip) > 100
-    assert np.count_nonzero(at_zero & ~sol.flip) > 100
+    reflected = sol.ordering == WaveOrdering.ORDER_21
+    assert np.count_nonzero(at_zero & reflected) > 100
+    assert np.count_nonzero(at_zero & ~reflected) > 100
     assert np.count_nonzero(sol.ordering == WaveOrdering.COINCIDENT) > 100
     left, right = table_sample(sol, 0.0, "-"), table_sample(sol, 0.0, "+")
     # the limits differ at the ties, so a swapped limit would show
-    assert np.count_nonzero((left.tau1 != right.tau1) & sol.flip) > 100
+    assert np.count_nonzero((left.tau1 != right.tau1) & reflected) > 100
     for side, want in (("-", left), ("+", right)):
         got = sample(sol, 0.0, side)
         for field in ("alpha1", "tau1", "u1", "pi1", "E1", "tau2", "u2", "pi2", "E2"):
@@ -519,6 +520,31 @@ def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
     reference = assemble_fluxes(sol)
     assert fluxes.f_minus.tobytes() == reference.f_minus.tobytes()
     assert fluxes.f_plus.tobytes() == reference.f_plus.tobytes()
+
+
+def test_reflection_is_exact_for_whole_tables(rng):
+    # the mirrored problem is solved in the other frame wherever the waves do
+    # not coincide: its tables are the original's reversed, with speeds and
+    # velocities negated, and its samples at -xi with the other limit are the
+    # original's at xi, bit for bit, also at the wave speeds themselves
+    reflected = 0
+    for wL, wR, eos2 in hard_rows(rng):
+        sol = select_parameters(wL, wR, IDEAL, eos2)
+        mirrored = build_solution(wR.mirrored(), wL.mirrored(), IDEAL, eos2, sol.params)
+        reflected += np.count_nonzero(sol.ordering == WaveOrdering.ORDER_21)
+        tables, mirrored_tables = region_tables(sol), region_tables(mirrored)
+        for key, table in tables.items():
+            sign = -1.0 if key.startswith(("breaks", "u")) else 1.0
+            assert (sign * mirrored_tables[key][::-1]).tobytes() == table.tobytes(), key
+        speeds = [-3.0, -0.5, 0.0, 0.5, 3.0, *tables["breaks1"], *tables["breaks2"]]
+        for xi in speeds:
+            for side, other in (("+", "-"), ("-", "+")):
+                got, want = sample(mirrored, -xi, other), sample(sol, xi, side)
+                for field in ("alpha1", "tau1", "u1", "pi1", "E1", "tau2", "u2", "pi2", "E2"):
+                    sign = -1.0 if field.startswith("u") else 1.0
+                    assert (sign * getattr(got, field)).tobytes() == \
+                        getattr(want, field).tobytes(), (side, field)
+    assert reflected > 500
 
 
 # ------------------------------------------------------------ time step
