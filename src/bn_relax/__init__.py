@@ -2,7 +2,7 @@
 
 from .eos import EosDomainError, EosParams
 from .harness import (ErrorReport, bench, case_error, convergence_study, l1_error,
-                      least_squares_order, load_case_json, run_case, write_profile_csv)
+                      load_case_json, run_case, write_profile_csv)
 from .reference import ExactWaveFan, TestCase, exact_profile, exact_sample, get_case
 from .riemann import (FixedPointContext, RelaxParams, RelaxRiemannSolution, SharpQuantities,
                       SolverError, WaveOrdering, build_solution, classify_ordering,

@@ -4,12 +4,38 @@ The pressure law is ``p = (gamma - 1) rho e - gamma p_inf``.  Real sound
 speeds require ``rho e > p_inf``, which is stricter than positivity of the
 internal energy when ``p_inf > 0``.  The entropy returned here is the
 mathematical (convex, dissipated) one; the physical entropy is its negative.
+
+The formulas of ``e(rho, p)``, ``c^2`` and ``rho c`` live in module-level
+kernels that take ``gamma`` and ``p_inf`` as arguments, so one evaluation
+serves a stack of both phases with ``gamma`` and ``p_inf`` as (2, 1) columns
+(``phase_columns``).  The kernels check nothing: outside the domain they
+return NaN, inf or a wrong sign.  Only the relaxation solver calls them, on
+rows that ``state.validate_conserved`` accepted or, for the public entry
+points, that ``riemann.checked_row`` checked.  Every other caller (Rusanov,
+``state``, users) uses the checked ``EosParams`` methods, whose energy and
+sound speed are formed by the same kernels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+
+def internal_energy_of(rho, p, gamma, p_inf):
+    """Unchecked specific internal energy ``(p + gamma p_inf) / ((gamma - 1) rho)``."""
+    return (p + gamma * p_inf) / ((gamma - 1.0) * rho)
+
+
+def sound_speed_squared_of(rho, p, gamma, p_inf):
+    """Unchecked ``c^2 = gamma (p + p_inf) / rho``."""
+    return gamma * (p + p_inf) / rho
+
+
+def lagrangian_sound_speed_of(rho, p, gamma, p_inf):
+    """Unchecked ``rho c``, the lower bound of a phase's relaxation parameter."""
+    return rho * np.sqrt(sound_speed_squared_of(rho, p, gamma, p_inf))
 
 
 class EosDomainError(ValueError):
@@ -52,7 +78,7 @@ class EosParams:
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0):
             raise EosDomainError("internal_energy: non-positive density")
-        return (np.asarray(p, dtype=float) + self.gamma * self.p_inf) / ((self.gamma - 1.0) * rho)
+        return internal_energy_of(rho, np.asarray(p, dtype=float), self.gamma, self.p_inf)
 
     def sound_speed(self, rho, p):
         """Speed of sound ``sqrt(gamma (p + p_inf) / rho)``."""
@@ -60,7 +86,7 @@ class EosParams:
         p = np.asarray(p, dtype=float)
         if np.any(rho <= 0.0):
             raise EosDomainError("sound_speed: non-positive density")
-        arg = self.gamma * (p + self.p_inf) / rho
+        arg = sound_speed_squared_of(rho, p, self.gamma, self.p_inf)
         if np.any(arg <= 0.0):
             raise EosDomainError(
                 "sound_speed: complex sound speed (p + p_inf <= 0, hyperbolicity lost)"
@@ -95,3 +121,14 @@ class EosParams:
         if np.any(arg <= 0.0):
             raise EosDomainError("temperature: rho e <= p_inf (outside hyperbolicity region)")
         return arg / rho
+
+
+@lru_cache(maxsize=16)
+def phase_columns(eos1: EosParams, eos2: EosParams):
+    """``(gamma, p_inf)`` of both phases as read-only (2, 1) columns, phase 1
+    first: the parameters of a kernel evaluated on a (2, k) stack of both
+    phases.  Kept per pair of phases, since every step asks for them."""
+    columns = np.array([[eos1.gamma], [eos2.gamma]]), np.array([[eos1.p_inf], [eos2.p_inf]])
+    for c in columns:
+        c.flags.writeable = False
+    return columns

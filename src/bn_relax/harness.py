@@ -98,17 +98,6 @@ def convergence_study(case: TestCase, scheme: str, levels):
     return reports
 
 
-def least_squares_order(reports, var: str) -> float:
-    """Least-squares slope of log E against log dx across a study."""
-    pts = [(r.dx, r.errors[var]) for r in reports
-           if var in r.errors and r.errors[var] > 0 and not math.isnan(r.errors[var])]
-    if len(pts) < 2:
-        return math.nan
-    logx = np.log([p[0] for p in pts])
-    loge = np.log([p[1] for p in pts])
-    return float(np.polyfit(logx, loge, 1)[0])
-
-
 #: keys of a ``bench`` row and columns of its CSV file
 BENCH_COLUMNS = ("scheme", "cells", "dx", "wall_seconds", *(f"E_{v}" for v in VARIABLES),
                  "failure")
@@ -211,9 +200,10 @@ _STATE_KEYS = VARIABLES
 def load_case_json(path) -> TestCase:
     """Parse a user-provided Riemann case; no exact solution attached.
 
-    Every numeric entry must be a JSON number (``true`` and ``false`` are
-    not).  Raises ValueError naming the first offending key on schema
-    violations and AdmissibilityError for inadmissible states.
+    Every numeric entry must be a finite JSON number (``true`` and ``false``
+    are not).  Raises ValueError naming the first offending key on schema
+    violations and AdmissibilityError for inadmissible states, a NaN state
+    entry among them.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -236,6 +226,12 @@ def load_case_json(path) -> TestCase:
     for key, value in numbers.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"case file {path}: key {key!r} must be a number")
+    # json reads NaN and +-Infinity; a NaN state entry is left to
+    # validate_primitive, which names the invariant it breaks
+    for key, value in numbers.items():
+        state_nan = math.isnan(value) and key.startswith(("left.", "right."))
+        if not (math.isfinite(value) or state_nan):
+            raise ValueError(f"case file {path}: key {key!r} must be finite")
     if len(raw["domain"]) != 2 or not raw["domain"][0] < raw["domain"][1]:
         raise ValueError(f"case file {path}: 'domain' must be [a, b] with a < b")
     if not 0.0 < raw["cfl"] < 0.5:

@@ -32,13 +32,13 @@ job of ``scheme.select_parameters``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .eos import EosParams
-from .state import VARIABLES, PrimitiveState
+from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
+from .state import P, RHO, PrimitiveState
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -74,6 +74,8 @@ class SharpQuantities:
 
     ``u_cap`` is the effective relative velocity whose position inside
     ``(-a1 tau_sharp1_r, a1 tau_sharp1_l)`` decides feasibility and ordering.
+    ``ordering`` and ``feasible`` are ``classify_ordering``'s verdict for the
+    parameters the predictors were built with.
     """
 
     u_sharp1: np.ndarray
@@ -84,31 +86,28 @@ class SharpQuantities:
     pi_sharp2: np.ndarray
     lambda_alpha: np.ndarray
     u_cap: np.ndarray
+    ordering: np.ndarray
+    feasible: np.ndarray
 
 
 def as_row(wL: PrimitiveState, wR: PrimitiveState):
-    """Views of the two sides of a row of interfaces with every field
-    one-dimensional and of the row's length; a scalar field holds for every
-    interface."""
-    fields = np.atleast_1d(*(np.asarray(getattr(w, v), dtype=float)
-                             for w in (wL, wR) for v in VARIABLES))
-    if len({f.shape for f in fields}) > 1:
+    """The two sides of a row of interfaces as one (2, 7, k) float array:
+    side (left first), primitive variable (``VARIABLES`` order), interface.
+    A scalar field holds for every interface."""
+    fields = [np.asarray(v, dtype=float) for v in (*wL.astuple(), *wR.astuple())]
+    if len({v.shape for v in fields}) > 1:
         fields = np.broadcast_arrays(*fields)
-    return PrimitiveState(*fields[:7]), PrimitiveState(*fields[7:])
+    return np.array(fields).reshape(2, 7, -1)
 
 
-def take_interfaces(data, at):
-    """The interfaces ``at`` (a mask or indices) of a dataclass of per-interface arrays.
-
-    The interface axis is the last one.  A 0-d field holds for every
-    interface and is kept as it is.
-    """
-    idx = np.flatnonzero(at) if np.asarray(at).dtype == bool else at
-
-    def part(v):
-        v = np.asarray(v)
-        return v.take(idx, axis=-1) if v.ndim else v
-    return type(data)(**{f.name: part(getattr(data, f.name)) for f in fields(data)})
+def checked_row(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams):
+    """``as_row`` of a pair, after one check that every density and every
+    ``p + p_inf`` is positive: the domain of the EOS kernels that the
+    relaxation solver evaluates on it.  Raises EosDomainError otherwise."""
+    pair = as_row(wL, wR)
+    if not ((pair[:, RHO] > 0.0) & (pair[:, P] + phase_columns(eos1, eos2)[1] > 0.0)).all():
+        raise EosDomainError("interface pair: non-positive density or p + p_inf <= 0")
+    return pair
 
 
 def _acoustic_taus(tauL, tauR, uL, uR, u_s, a):
@@ -123,39 +122,44 @@ def _star_predictors(uL, uR, pL, pR, a):
     return u_s, pi_s
 
 
+def _classify(u_cap, tau_l, tau_r, a1):
+    # a scaled band around u_cap = 0 counts as the coincident ordering
+    eps = 1e-12 * a1 * np.maximum(tau_l, tau_r)
+    ordering = np.where(np.abs(u_cap) <= eps, 0, np.sign(u_cap)).astype(np.int8)
+    feasible = (tau_l > 0.0) & (tau_r > 0.0) & (u_cap > -a1 * tau_r) & (u_cap < a1 * tau_l)
+    return ordering, feasible
+
+
 def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams) -> SharpQuantities:
-    """Evaluate all star-state predictors from the interface pair.
+    """Evaluate all star-state predictors from the interface pair, and
+    classify them (``classify_ordering``).
 
     Pure algebra on the inputs; non-positive tau predictors are reported by
-    the caller's feasibility test, not here.
+    the feasibility test, not here.
     """
-    u1, pi1 = _star_predictors(wL.u1, wR.u1, wL.p1, wR.p1, params.a1)
+    a1, a2 = params.a1, params.a2
+    u1, pi1 = _star_predictors(wL.u1, wR.u1, wL.p1, wR.p1, a1)
     t1l, t1r = _acoustic_taus(1.0 / np.asarray(wL.rho1, dtype=float),
-                              1.0 / np.asarray(wR.rho1, dtype=float), wL.u1, wR.u1, u1, params.a1)
-    u2, pi2 = _star_predictors(wL.u2, wR.u2, wL.p2, wR.p2, params.a2)
+                              1.0 / np.asarray(wR.rho1, dtype=float), wL.u1, wR.u1, u1, a1)
+    u2, pi2 = _star_predictors(wL.u2, wR.u2, wL.p2, wR.p2, a2)
     a2L = 1.0 - np.asarray(wL.alpha1, dtype=float)
     a2R = 1.0 - np.asarray(wR.alpha1, dtype=float)
     lam = (a2R - a2L) / (a2R + a2L)
-    ratio = params.a1 / params.a2
-    u_cap = (u1 - u2 - lam * (pi1 - pi2) / params.a2) / (1.0 + ratio * np.abs(lam))
-    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap)
+    ratio = a1 / a2
+    u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
+    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))
 
 
 def classify_ordering(s: SharpQuantities, params: RelaxParams):
-    """Return (ordering, feasible) arrays.
+    """Return (ordering, feasible) arrays of ``s`` for the parameters ``params``.
 
     ``feasible`` is False where the existence condition fails (tau predictors
     of phase 1 non-positive, or u_cap outside the open subsonic window); the
     caller reacts by enlarging a1.  Infeasible entries still carry an
-    ordering tag from the sign of u_cap.
+    ordering tag from the sign of u_cap.  For the parameters ``s`` was built
+    with, this is ``(s.ordering, s.feasible)``.
     """
-    # a scaled band around u_cap = 0 counts as the coincident ordering
-    eps = 1e-12 * params.a1 * np.maximum(s.tau_sharp1_l, s.tau_sharp1_r)
-    ordering = np.where(np.abs(s.u_cap) <= eps, 0, np.sign(s.u_cap)).astype(np.int8)
-    feasible = ((s.tau_sharp1_l > 0.0) & (s.tau_sharp1_r > 0.0)
-                & (s.u_cap > -params.a1 * s.tau_sharp1_r)
-                & (s.u_cap < params.a1 * s.tau_sharp1_l))
-    return ordering, feasible
+    return _classify(s.u_cap, s.tau_sharp1_l, s.tau_sharp1_r, params.a1)
 
 
 @dataclass(frozen=True)
@@ -217,25 +221,35 @@ class FixedPointContext:
         mach = self.mach(m)
         return m + self.coupling * ((1.0 + self.nu) * m - 2.0 * self.nu * mach), mach
 
-    def psi(self, m):
-        return self.psi_mach(m)[0]
+    def at(self, idx):
+        """The context of the interfaces ``idx`` (a mask or indices)."""
+        return FixedPointContext(self.nu[idx], self.tau_ratio[idx], self.coupling[idx],
+                                 self.rhs[idx])
+
+
+def _context(a1L, a1R, du, dpi, tau_l, tau_r, lam, a1, a2) -> FixedPointContext:
+    """The context of sides with phase fractions ``a1L`` and ``a1R``, whose
+    predictors have the differences ``du = u_sharp1 - u_sharp2`` and ``dpi =
+    pi_sharp1 - pi_sharp2``, the tau predictors ``tau_l`` and ``tau_r`` and
+    the fraction jump ``lam`` (``lambda_alpha``)."""
+    scale = a1 * tau_l
+    # the predictors' velocity and pressure differences, made dimensionless
+    m_sharp = du / scale
+    p_sharp = dpi / (a1 * scale)
+    ratio = a1 / a2
+    return FixedPointContext(
+        nu=a1L / a1R,
+        tau_ratio=tau_r / tau_l,
+        coupling=ratio * a1R / ((1.0 - a1L) + (1.0 - a1R)),
+        rhs=m_sharp - ratio * lam * p_sharp,
+    )
 
 
 def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantities,
                         params: RelaxParams) -> FixedPointContext:
-    a1L = np.asarray(wL.alpha1, dtype=float)
-    a1R = np.asarray(wR.alpha1, dtype=float)
-    scale = params.a1 * s.tau_sharp1_l
-    # the predictors' velocity and pressure differences, made dimensionless
-    m_sharp = (s.u_sharp1 - s.u_sharp2) / scale
-    p_sharp = (s.pi_sharp1 - s.pi_sharp2) / (params.a1 * scale)
-    ratio = params.a1 / params.a2
-    return FixedPointContext(
-        nu=a1L / a1R,
-        tau_ratio=s.tau_sharp1_r / s.tau_sharp1_l,
-        coupling=ratio * a1R / ((1.0 - a1L) + (1.0 - a1R)),
-        rhs=m_sharp - ratio * s.lambda_alpha * p_sharp,
-    )
+    return _context(np.asarray(wL.alpha1, dtype=float), np.asarray(wR.alpha1, dtype=float),
+                    s.u_sharp1 - s.u_sharp2, s.pi_sharp1 - s.pi_sharp2, s.tau_sharp1_l,
+                    s.tau_sharp1_r, s.lambda_alpha, params.a1, params.a2)
 
 
 def _seed(ctx: FixedPointContext):
@@ -334,27 +348,29 @@ def solve_star(ctx: FixedPointContext):
     widths = [np.inf] * 3                   # bracket widths before the last three sweeps
     moved_lo = np.full(rhs.shape, -1)       # end moved by the last sweep: 1 lo, 0 hi, -1 none
     active = rhs > tol
-    for _ in range(MAX_SWEEPS):
-        if not active.any():
-            break
-        width = hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # the secant point divides by f_hi - f_lo, which vanishes on converged
+    # interfaces; the sweep replaces such a point by the midpoint
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_SWEEPS):
+            if not active.any():
+                break
+            width = hi - lo
             x = lo - f_lo * (width / (f_hi - f_lo))
-        bisect = ~((x > lo) & (x < hi)) | (width > 0.5 * widths[0])
-        widths = widths[1:] + [width]
-        x = np.where(bisect, lo + 0.5 * width, x)
-        f, mach_x = ctx.psi_mach(x)
-        f -= rhs
-        # converged interfaces sweep on harmlessly; only m is frozen for them
-        to_lo = f <= 0.0
-        again = to_lo == moved_lo
-        lo, hi = np.where(to_lo, x, lo), np.where(to_lo, hi, x)
-        f_lo = np.where(to_lo, f, np.where(again, 0.5 * f_lo, f_lo))
-        f_hi = np.where(to_lo, np.where(again, 0.5 * f_hi, f_hi), f)
-        moved_lo = to_lo
-        m = np.where(active, x, m)
-        mach = np.where(active, mach_x, mach)
-        active &= (np.abs(f) > tol) & (hi - lo > STOP_TOL * hi)
+            bisect = ~((x > lo) & (x < hi)) | (width > 0.5 * widths[0])
+            widths = widths[1:] + [width]
+            x = np.where(bisect, lo + 0.5 * width, x)
+            f, mach_x = ctx.psi_mach(x)
+            f -= rhs
+            # converged interfaces sweep on harmlessly; only m is frozen for them
+            to_lo = f <= 0.0
+            again = to_lo == moved_lo
+            lo, hi = np.where(to_lo, x, lo), np.where(to_lo, hi, x)
+            f_lo = np.where(to_lo, f, np.where(again, 0.5 * f_lo, f_lo))
+            f_hi = np.where(to_lo, np.where(again, 0.5 * f_hi, f_hi), f)
+            moved_lo = to_lo
+            m = np.where(active, x, m)
+            mach = np.where(active, mach_x, mach)
+            active &= (np.abs(f) > tol) & (hi - lo > STOP_TOL * hi)
     # the bracket table is two-dimensional, also for a scalar context
     return m.reshape(rhs.shape), mach.reshape(rhs.shape)
 
@@ -365,11 +381,17 @@ _PHASE_ROWS = (slice(0, 5), slice(5, 9))
 _PHASE_BREAKS = (slice(0, 4), slice(0, 3))
 #: first row of each phase, as a column
 _FIRST_REGION = np.array([[rows.start] for rows in _PHASE_ROWS])
-#: end state (phase 1's left and right, then phase 2's) that each region is
-#: tied to by the Lagrangian relations, the one on its side of its phase's
-#: contact, for the ordering ``u2* <= u1*``; with the other ordering phase 1's
-#: middle region lies right of its contact
-_END_OF_REGION = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3])
+#: phase of each row of ``RelaxRiemannSolution.regions``
+_PHASE_OF_REGION = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
+#: rows of the end states in ``RelaxRiemannSolution.regions``: [side, phase]
+_END_REGION = np.array([[0, 5], [4, 8]])
+#: end state that each region is tied to by the Lagrangian relations, the
+#: one on its side of its phase's contact, for the ordering ``u2* <= u1*``,
+#: as an index into the (side, phase) stack of end states flattened; with
+#: the other ordering phase 1's middle region lies right of its contact
+_END_OF_REGION = 2 * np.array([0, 0, 0, 1, 1, 0, 0, 1, 1]) + _PHASE_OF_REGION
+#: direction of each side's acoustic waves, for a (side, phase, k) stack
+_OUTWARD = np.array([-1.0, 1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -415,52 +437,58 @@ class SampledState:
     E2: np.ndarray
 
 
-def _tables(wL, wR, s, params, m_star, mach, nu, u2s, flip, eos1, eos2):
+def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2s, flip, sign):
     """(breaks, regions) in the original frame of a row solved in the oriented one.
 
-    ``s``, ``m_star``, ``mach``, ``nu`` and the phase-2 contact speed ``u2s``
-    belong to the oriented problem (u_cap >= 0, so u2* <= u1*), which
-    ``flip`` marks as reflected.  Both contact speeds and phase 1's middle
-    states are mapped back: the velocities are negated and, where ``flip``
-    holds, phase 1's regions on either side of its two contacts trade
-    places, its two middle breaks swap, and its middle region is tied to the
-    right end state.  Everything else is formed from the original end states
-    and contact speeds.
+    ``sides`` holds (rho, u, p) of the end states, shape (2, 3, 2, k): side
+    (left first), variable, phase, interface.  ``sides`` and the parameters
+    ``a`` = (a1, a2) belong to the original frame; ``gamma`` and ``p_inf``
+    are the EOS columns.  Phase 1's predictor ``u_sharp1`` and tau
+    predictors, ``m_star``, ``mach``, ``nu`` and the phase-2 contact speed
+    ``u2s`` belong to the oriented problem (u_cap >= 0, so u2* <= u1*),
+    which ``flip`` marks as reflected and ``sign`` maps back.  Both contact
+    speeds and phase 1's middle states are mapped back: the velocities are
+    negated and, where ``flip`` holds, phase 1's regions on either side of
+    its two contacts trade places, its two middle breaks swap, and its
+    middle region is tied to the right end state.  Everything else is
+    formed from the original end states and contact speeds, each end-state
+    formula once on the (side, phase) stack.
     """
-    a1, a2 = params.a1, params.a2
-    sign = np.where(flip, -1.0, 1.0)
+    a1, a2 = a
     shift = (m_star - nu * mach) / (1.0 + nu * mach)
-    u1s = s.u_sharp1 - a1 * s.tau_sharp1_l * shift
-    tau1m = s.tau_sharp1_l * (1.0 - m_star) / (1.0 - mach)
-    tau1p = s.tau_sharp1_l * (1.0 + m_star) / (1.0 + nu * mach)
-    tau1rs = s.tau_sharp1_r + s.tau_sharp1_l * shift
+    u1s = u_sharp1 - a1 * tau_l * shift
+    tau1m = tau_l * (1.0 - m_star) / (1.0 - mach)
+    tau1p = tau_l * (1.0 + m_star) / (1.0 + nu * mach)
+    tau1rs = tau_r + tau_l * shift
     u1m = sign * (u2s + a1 * mach * tau1m)
     u1s, u2s = sign * u1s, sign * u2s
-    rho = np.array([wL.rho1, wR.rho1, wL.rho2, wR.rho2])
-    p = np.array([wL.p1, wR.p1, wL.p2, wR.p2])
+    # the end states, [side, phase]
+    rho, u, p = sides[:, 0], sides[:, 1], sides[:, 2]
     tau = 1.0 / rho
-    t1L, t1R, t2L, t2R = tau
-    tau2ls, tau2rs = _acoustic_taus(t2L, t2R, wL.u2, wR.u2, u2s, a2)
-    e = np.concatenate([eos1.internal_energy(rho[:2], p[:2]),
-                        eos2.internal_energy(rho[2:], p[2:])])
-    breaks = np.array([[wL.u1 - a1 * t1L, u2s, u1s, wR.u1 + a1 * t1R],
-                       [wL.u2 - a2 * t2L, u2s, wR.u2 + a2 * t2R, np.full_like(u2s, np.inf)]])
+    # the acoustic speeds u_L - a tau_L and u_R + a tau_R of both phases
+    outer = u + _OUTWARD * (a * tau)
+    breaks = np.empty((2, 4, u2s.size))
+    breaks[:, 0], breaks[0, 3], breaks[1, 2] = outer[0], outer[1, 0], outer[1, 1]
+    # with the other ordering phase 1's two middle breaks swap
+    breaks[0, 1:3] = np.where(flip, (u1s, u2s), (u2s, u1s))
+    breaks[1, 1], breaks[1, 3] = u2s, np.inf
     regions = np.empty((4, 9, u2s.size))
     tau_r, u_r, pi, E = regions
-    np.stack([t1L, tau1m, tau1p, tau1rs, t1R, t2L, tau2ls, tau2rs, t2R], out=tau_r)
-    np.stack([wL.u1, u1m, u1s, u1s, wR.u1, wL.u2, u2s, u2s, wR.u2], out=u_r)
-    ends = np.stack([tau, p, e]).take(_END_OF_REGION, axis=1)
-    # with the other ordering phase 1's two middle breaks swap, the regions
-    # beside them trade places, and its middle region lies right of its contact
-    breaks[0, 1:3] = np.where(flip, breaks[0, 2:0:-1], breaks[0, 1:3])
+    tau_r[_END_REGION], u_r[_END_REGION] = tau, u
+    tau_r[1], tau_r[2], tau_r[3] = tau1m, tau1p, tau1rs
+    tau_r[6], tau_r[7] = _acoustic_taus(tau[0, 1], tau[1, 1], u[0, 1], u[1, 1], u2s, a2)
+    u_r[1], u_r[2], u_r[3], u_r[6], u_r[7] = u1m, u1s, u1s, u2s, u2s
+    e = internal_energy_of(rho, p, gamma, p_inf)
+    ends = np.array([tau, p, e]).reshape(3, 4, -1).take(_END_OF_REGION, axis=1)
+    # with the other ordering the regions beside phase 1's contacts trade
+    # places, and its middle region lies right of its contact
     regions[:2, 1:4:2] = np.where(flip, regions[:2, 3:0:-2], regions[:2, 1:4:2])
     np.copyto(ends[:, 2], ends[:, 3], where=flip)
     # the Lagrangian relations to each region's end state (tau0, p0, e0):
     # pi = p0 + a^2 (tau0 - tau) and E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2),
     # which give p0 and u0^2/2 + e0 exactly at the end state itself
     tau0, p0, e0 = ends
-    a_sq = np.empty_like(pi)
-    a_sq[_PHASE_ROWS[0]], a_sq[_PHASE_ROWS[1]] = a1 ** 2, a2 ** 2
+    a_sq = (a ** 2)[_PHASE_OF_REGION]
     np.subtract(tau0, tau_r, out=pi)
     pi *= a_sq
     pi += p0
@@ -476,47 +504,50 @@ def _tables(wL, wR, s, params, m_star, mach, nu, u2s, flip, eos1, eos2):
     return breaks, regions
 
 
-#: reflection of a stacked pair of primitive states: velocities negated
-_MIRROR = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
-
-
 def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
                    params: RelaxParams,
                    precomputed: SharpQuantities | None = None) -> RelaxRiemannSolution:
     """Solve the interface Riemann problems for already-feasible parameters.
 
-    Raises SolverError if the existence condition does not hold (callers are
-    expected to have selected parameters first).  Intermediate specific
-    volumes are returned whatever their sign: their positivity is one of the
-    predicates ``scheme.select_parameters`` climbs a2 for.  The solution is
+    Raises EosDomainError unless every density and every ``p + p_inf`` of
+    the pair is positive (``checked_row``), and SolverError if the existence
+    condition does not hold (callers are expected to have selected
+    parameters first).  ``precomputed`` is for ``scheme.select_parameters``,
+    which passes rows it checked and the sharp quantities it formed on
+    them: the pair is then not checked again, its sides are taken as the
+    one-dimensional rows they are, and the predictors and their ordering
+    are those ``precomputed`` holds.  The EOS is evaluated with the
+    unchecked kernels.  Intermediate specific volumes are returned whatever
+    their sign: their positivity is one of the predicates
+    ``scheme.select_parameters`` climbs a2 for.  The solution is
     one-dimensional, also for scalar input.
     """
-    wL, wR = as_row(wL, wR)
-    s0 = precomputed if precomputed is not None else sharp_quantities(wL, wR, params)
+    if precomputed is None:
+        pair = checked_row(wL, wR, eos1, eos2)
+        wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
+        s = sharp_quantities(wL, wR, params)
+    else:
+        s = precomputed
     # the existence condition and the ordering hold in the original frame:
     # the window and the coincident band are symmetric under reflection
-    ordering, feasible = classify_ordering(s0, params)
-    if not feasible.all():
+    if not s.feasible.all():
         raise SolverError("existence condition violated; select parameters before solving")
-    flip = ordering < 0
+    flip = s.ordering < 0
     sign = np.where(flip, -1.0, 1.0)
+    a = np.empty((2, flip.size))
+    a[0], a[1] = params.a1, params.a2
 
-    # a reflected interface swaps its sides and negates their velocities
-    pair = np.array([[getattr(w, v) for v in VARIABLES] for w in (wL, wR)])
-    wl, wr = (PrimitiveState(*w) for w in np.where(flip, pair[::-1] * _MIRROR, pair))
-
-    # reflection maps the predictors exactly: u and u_cap flip sign, pi is
-    # untouched, the tau predictors swap sides
-    taus = np.array([s0.tau_sharp1_l, s0.tau_sharp1_r])
-    tau_l, tau_r = np.where(flip, taus[::-1], taus)
-    s = SharpQuantities(
-        u_sharp1=sign * s0.u_sharp1, pi_sharp1=s0.pi_sharp1, tau_sharp1_l=tau_l, tau_sharp1_r=tau_r,
-        u_sharp2=sign * s0.u_sharp2, pi_sharp2=s0.pi_sharp2,
-        lambda_alpha=sign * s0.lambda_alpha, u_cap=sign * s0.u_cap)
-
-    ctx = fixed_point_context(wl, wr, s, params)
-    coincident = ordering == 0
-    equal_frac = wl.alpha1 == wr.alpha1
+    # a reflected interface swaps its sides and negates their velocities,
+    # and reflection maps the predictors exactly: u and u_cap flip sign, pi
+    # is untouched, the tau predictors swap sides
+    al, ar = np.where(flip, (wR.alpha1, wL.alpha1), (wL.alpha1, wR.alpha1))
+    tau_l, tau_r = np.where(flip, (s.tau_sharp1_r, s.tau_sharp1_l),
+                            (s.tau_sharp1_l, s.tau_sharp1_r))
+    u_sharp1, u_sharp2 = sign * s.u_sharp1, sign * s.u_sharp2
+    ctx = _context(al, ar, sign * (s.u_sharp1 - s.u_sharp2), s.pi_sharp1 - s.pi_sharp2,
+                   tau_l, tau_r, sign * s.lambda_alpha, *a)
+    coincident = s.ordering == 0
+    equal_frac = al == ar
     # without a fraction jump the scalar equation is the identity, so the
     # root is the right-hand side itself; taking it exactly (and the
     # phase-2 star speed verbatim below) decouples the phases bitwise
@@ -529,20 +560,22 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     # with equal fractions psi(1) >= 1 > rhs
     jump = ~(coincident | equal_frac)
     if jump.any():
-        m_star[jump], mach[jump] = solve_star(take_interfaces(ctx, jump))
-    u2s = np.where(equal_frac, s.u_sharp2, s.u_sharp1 - params.a1 * s.tau_sharp1_l * m_star)
+        m_star[jump], mach[jump] = solve_star(ctx.at(jump))
+    u2s = np.where(equal_frac, u_sharp2, u_sharp1 - a[0] * tau_l * m_star)
 
     # coupling pressure: defined only when the phase fraction jumps
-    dal = wr.alpha1 - wl.alpha1
-    al2sum = (1.0 - wl.alpha1) + (1.0 - wr.alpha1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi1_star = s.pi_sharp2 - params.a2 * al2sum / dal * (u2s - s.u_sharp2)
-    pi1_star = np.where(dal == 0.0, np.nan, pi1_star)
+    dal = ar - al
+    jumps = dal != 0.0
+    pi1_star = np.where(jumps, s.pi_sharp2 - a[1] * ((1.0 - al) + (1.0 - ar))
+                        / np.where(jumps, dal, 1.0) * (u2s - u_sharp2), np.nan)
 
-    breaks, regions = _tables(wL, wR, s, params, m_star, mach, ctx.nu, u2s, flip, eos1, eos2)
+    # the sides' density, velocity and pressure of both phases, gathered once
+    sides = np.array([((w.rho1, w.rho2), (w.u1, w.u2), (w.p1, w.p2)) for w in (wL, wR)])
+    breaks, regions = _tables(sides, a, *phase_columns(eos1, eos2), u_sharp1, tau_l, tau_r,
+                              m_star, mach, ctx.nu, u2s, flip, sign)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
-        params=params, ordering=ordering,
+        params=params, ordering=s.ordering,
         u1_star=regions[1, 2], u2_star=regions[1, 6], pi1_star=pi1_star,
         alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, breaks=breaks, regions=regions)
 
@@ -552,7 +585,9 @@ def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
 
     ``side='-'`` takes the left limit instead (used for the flux traces): a
     break at ``xi`` counts as passed for the right limit and not for the
-    left one.  Both phases are looked up together.
+    left one.  Both phases are looked up together, in one ``take`` from the
+    region table: a (4, 2, n) table of (tau, u, pi, E), phase axis second,
+    whose rows are the state's per-phase fields.
     """
     xi = np.asarray(xi, dtype=float)
     on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))

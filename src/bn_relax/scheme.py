@@ -9,16 +9,16 @@ masses, mixture momentum and mixture energy are conservative by construction.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams
-from .riemann import (RelaxParams, RelaxRiemannSolution, SampledState, SolverError,
-                      as_row, build_solution, classify_ordering, sample,
-                      sharp_quantities)
-from .state import (VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
+from .eos import EosParams, internal_energy_of, lagrangian_sound_speed_of, phase_columns
+from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, build_solution,
+                      checked_row, sample, sharp_quantities)
+from .state import (P, RHO, U, VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
                     to_conserved, to_primitive, validate_conserved)
 
 
@@ -54,8 +54,8 @@ class RunConfig:
             raise ValueError("need at least 2 cells")
         if self.scheme not in ("relaxation", "rusanov"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be >= 0")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,6 @@ class InterfaceError(SolverError):
     def __init__(self, what, wL, wR, j):
         super().__init__(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
         self.what, self.interface = what, j
-
-
-def _whitham(eos: EosParams, rho, p):
-    """The Whitham-like start ``(1 + ETA) rho c`` of a phase's parameter."""
-    return (1.0 + ETA) * eos.lagrangian_sound_speed(rho, p)
 
 
 def _largest_root(a, b, c):
@@ -152,6 +147,10 @@ def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
     return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
 
 
+#: the intermediate regions: phase 1's regions 1-3 and phase 2's 1-2
+_MIDDLE_REGIONS = np.array([1, 2, 3, 6, 7])
+
+
 def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
                       eos2: EosParams) -> RelaxRiemannSolution:
     """Pick per-interface (a1, a2) and return the solved Riemann problem,
@@ -178,28 +177,30 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     solution do not depend on the rest of the row: every round solves the
     whole row, an interface that passed keeps its parameters and its bits,
     and the first round with no failing interface gives the solution.
-    Parameters and solution are one-dimensional, also for scalar input.
+    Parameters and solution are one-dimensional, also for scalar input.  A
+    pair with a non-positive density or ``p + p_inf`` raises EosDomainError
+    (``checked_row``), before any parameter is formed.
     """
-    wL, wR = as_row(wL, wR)
-    # one evaluation per phase of both sides' rho c, stacked
-    start = RelaxParams(*(_whitham(eos, np.array([rhoL, rhoR]), np.array([pL, pR])).max(axis=0)
-                          for eos, rhoL, rhoR, pL, pR in ((eos1, wL.rho1, wR.rho1, wL.p1, wR.p1),
-                                                          (eos2, wL.rho2, wR.rho2, wL.p2, wR.p2))))
+    pair = checked_row(wL, wR, eos1, eos2)
+    wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
+    # the Whitham-like start (1 + ETA) rho c of both sides and phases in one
+    # evaluation, on the (side, phase) stack
+    start = RelaxParams(*((1.0 + ETA) * lagrangian_sound_speed_of(
+        pair[:, RHO], pair[:, P], *phase_columns(eos1, eos2))).max(axis=0))
     params = start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(wL, wR, params)
-        bad = ~classify_ordering(s, params)[1]
+        bad = ~s.feasible
         if bad.any():
-            params = _climb_ladder(wL, wR, params, np.flatnonzero(bad), 1,
+            params = _climb_ladder(wL, wR, params, bad.nonzero()[0], 1,
                                    _a1_least(wL, wR, s, params)[bad])
             s = sharp_quantities(wL, wR, params)
-            missed = ~classify_ordering(s, params)[1]
+            missed = ~s.feasible
             if missed.any():
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
                                      wL, wR, int(np.argmax(missed)))
         sol = build_solution(wL, wR, eos1, eos2, params, precomputed=s)
-        # the intermediate regions: phase 1's regions 1-3 and phase 2's 1-2
-        tau = sol.regions[0, [1, 2, 3, 6, 7]]
+        tau = sol.regions[0, _MIDDLE_REGIONS]
         bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
         if not bad.any():
             return sol
@@ -207,7 +208,7 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
         k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a2
         least = _volume_least(1.0 / wL.rho2, 1.0 / wR.rho2, du, dp, lam, k)[bad]
         params = _climb_ladder(wL, wR, RelaxParams(np.where(bad, start.a1, params.a1), params.a2),
-                               np.flatnonzero(bad), 2, least)
+                               bad.nonzero()[0], 2, least)
     raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",
                          wL, wR, int(np.argmax(bad)))
 
@@ -217,23 +218,30 @@ def _dump(w: PrimitiveState, j):
     return "{" + ", ".join(f"{k}={v:.6g}" for k, v in vals.items()) + "}"
 
 
-def _trace_flux(w: SampledState):
-    """Components 1-6 of the physical flux of a state given by alpha1 and, per
-    phase, (tau, u, pi, E): of a sampled trace, and of a calm interface's state."""
-    al1 = w.alpha1
-    al2 = 1.0 - al1
-    return (al1 * w.u1 / w.tau1,
-            al2 * w.u2 / w.tau2,
-            al1 * (w.u1 * w.u1 / w.tau1 + w.pi1),
-            al2 * (w.u2 * w.u2 / w.tau2 + w.pi2),
-            al1 * (w.E1 / w.tau1 + w.pi1) * w.u1,
-            al2 * (w.E2 / w.tau2 + w.pi2) * w.u2)
+def _trace_flux(alpha1, table):
+    """Components 1-6 of the physical flux, as a (6, n) array, of a state
+    given by ``alpha1`` and ``table``, the (4, 2, n) table of (tau, u, pi,
+    E) of both phases (``sample``'s, phase axis second): of a sampled trace,
+    and of a calm interface's state.  Each of the three formulas (mass,
+    momentum, energy) is evaluated once, on the (2, n) phase stack."""
+    tau, u, pi, E = table
+    al = np.array([alpha1, 1.0 - alpha1])
+    out = np.empty((3,) + tau.shape)
+    np.divide(al * u, tau, out=out[0])
+    np.multiply(al, u * u / tau + pi, out=out[1])
+    np.multiply(al * (E / tau + pi), u, out=out[2])
+    return out.reshape(6, -1)
+
+
+def _sampled_table(w):
+    """``_trace_flux``'s arguments of a sampled state."""
+    return w.alpha1, np.array([[w.tau1, w.tau2], [w.u1, w.u2], [w.pi1, w.pi2], [w.E1, w.E2]])
 
 
 def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     """Numerical fluxes from a solved interface row."""
-    gm = _trace_flux(sample(sol, 0.0, side="-"))
-    gp = _trace_flux(sample(sol, 0.0, side="+"))
+    gm = _trace_flux(*_sampled_table(sample(sol, 0.0, side="-")))
+    gp = _trace_flux(*_sampled_table(sample(sol, 0.0, side="+")))
     dal = sol.alpha1_r - sol.alpha1_l
     u2s = sol.u2_star
     pi1s = np.where(dal == 0.0, 0.0, sol.pi1_star)
@@ -244,9 +252,11 @@ def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     right = (u2s > 0.0) * pi1s * dal
     neg = u2s_neg * pi1s * dal
     pos = u2s_pos * pi1s * dal
-    f = np.stack([u2s_neg * dal, gm[0], gm[1], gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg,
-                  0.0 - u2s_pos * dal, gp[0], gp[1], gp[2] + right, gp[3] - right,
-                  gp[4] + pos, gp[5] - pos]).reshape(2, 7, -1)
+    f = np.empty((2, 7, u2s.size))
+    f[0, 0], f[1, 0] = u2s_neg * dal, 0.0 - u2s_pos * dal
+    f[0, 1:3], f[1, 1:3] = gm[:2], gp[:2]
+    f[0, 3], f[0, 4], f[0, 5], f[0, 6] = gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg
+    f[1, 3], f[1, 4], f[1, 5], f[1, 6] = gp[2] + right, gp[3] - right, gp[4] + pos, gp[5] - pos
     return InterfaceFluxes(f_minus=f[0], f_plus=f[1])
 
 
@@ -275,21 +285,22 @@ def _pad_edges(v):
 
 def _constant_row(w, eos1, eos2):
     """Exact solution and acoustic speeds of interfaces whose two states are
-    both ``w``, a stack of primitive columns.
+    both ``w``, a stack of primitive columns that ``validate_conserved``
+    accepted.
 
-    The solution is the constant state, given as ``sample`` gives an end
-    state.  The speed of an interface is the largest of ``|u_k| + a_k tau_k``,
-    the outer breaks that the Whitham-like start ``a_k = (1 + ETA) rho_k c_k``
-    of the parameters gives.
+    The solution is the constant state, given as ``sample``'s table of an end
+    state: (tau, u, pi, E) of both phases, shape (4, 2, n).  The speed of an
+    interface is the largest of ``|u_k| + a_k tau_k``, the outer breaks that
+    the Whitham-like start ``a_k = (1 + ETA) rho_k c_k`` of the parameters
+    gives.  Every formula is evaluated once, on the (2, n) phase stack, with
+    the unchecked EOS kernels.
     """
-    alpha1, rho1, u1, p1, rho2, u2, p2 = w
-    tau1, tau2 = 1.0 / rho1, 1.0 / rho2
-    state = SampledState(alpha1, tau1, u1, p1, 0.5 * u1 ** 2 + eos1.internal_energy(rho1, p1),
-                         tau2, u2, p2, 0.5 * u2 ** 2 + eos2.internal_energy(rho2, p2))
-    speed1, speed2 = (np.abs(u) + _whitham(eos, rho, p) * tau
-                      for u, rho, p, tau, eos in ((u1, rho1, p1, tau1, eos1),
-                                                  (u2, rho2, p2, tau2, eos2)))
-    return state, np.maximum(speed1, speed2)
+    gamma, p_inf = phase_columns(eos1, eos2)
+    rho, u, p = w[RHO], w[U], w[P]
+    tau = 1.0 / rho
+    table = np.array([tau, u, p, 0.5 * u ** 2 + internal_energy_of(rho, p, gamma, p_inf)])
+    speeds = np.abs(u) + (1.0 + ETA) * lagrangian_sound_speed_of(rho, p, gamma, p_inf) * tau
+    return table, speeds.max(axis=0)
 
 
 @dataclass
@@ -331,9 +342,13 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     """
     if prim is None:
         prim = to_primitive(cells, eos1, eos2)
-    w = _pad_edges(np.array([getattr(prim, v) for v in VARIABLES]))
+    # the primitive row between transmissive ghost cells, copied once
+    n = prim.alpha1.size
+    w = np.empty((7, n + 2))
+    w[:, 1:-1] = prim.astuple()
+    w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
-    waves = np.flatnonzero(wave)
+    waves = wave.nonzero()[0]
     try:
         sol = select_parameters(PrimitiveState(*w[:, waves]), PrimitiveState(*w[:, waves + 1]),
                                 eos1, eos2)
@@ -344,12 +359,12 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     # every interface of the window is first given the exact solution of its
     # left state, which is its own where it is calm; the wave interfaces
     # take theirs below
-    state, speeds = _constant_row(w[:, a:b + 1], eos1, eos2)
+    table, speeds = _constant_row(w[:, a:b + 1], eos1, eos2)
     dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave[a:b + 1], 0.0, speeds)), dt_cap)
     solved = assemble_fluxes(sol)
     f = np.empty((2, 7, wave.size))
     f[0, 0, a:b + 1] = 0.0              # alpha1 jumps at no calm interface
-    f[0, 1:, a:b + 1] = _trace_flux(state)
+    f[0, 1:, a:b + 1] = _trace_flux(w[0, a:b + 1], table)
     f[1, :, a:b + 1] = f[0, :, a:b + 1]
     f[0][:, waves] = solved.f_minus
     f[1][:, waves] = solved.f_plus
@@ -357,11 +372,11 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     f[:, :, b + 1:] = f[:, :, b:b + 1]
     fluxes = InterfaceFluxes(f_minus=f[0], f_plus=f[1])
     lam = dt / dx
-    u = cells.stack()
+    u = np.array(cells.astuple())
     u[:, a:b] -= lam * (f[0, :, a + 1:b + 1] - f[1, :, a:b])
     new = ConservedState(*u)
     try:
-        validate_conserved(new[a:b], eos1, eos2, where=f"post-step, dt={dt:.3e}")
+        validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2, where=f"post-step, dt={dt:.3e}")
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, err.where) from None
     return new, StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves, updated=slice(a, b))
@@ -420,14 +435,27 @@ def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
 FAMILIES = ("mass1", "mass2", "momentum", "energy")
 
 
+def _family_values(u: ConservedState):
+    """Partial masses, mixture momentum and mixture energy of conserved
+    states, entrywise."""
+    return u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2
+
+
 def _families(u: ConservedState):
-    """Partial masses, mixture momentum and mixture energy of a conserved
-    row, each summed over the row, or of a single conserved vector.  A flux
-    column has the layout of a conserved vector, so of it they are the
-    families' fluxes.  Each family is summed on its own, as ``np.sum`` sums
-    it: stacking the four rows first would allocate a (4, n) array per step."""
-    rows = (u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2)
+    """The families of a conserved row, each summed over the row, or of a
+    single conserved vector.  Each family is summed on its own, as ``np.sum``
+    sums it: stacking the four rows first would allocate a (4, n) array per
+    step."""
+    rows = _family_values(u)
     return np.array([np.add.reduce(v, axis=-1) for v in rows] if np.ndim(u.m1) else rows)
+
+
+def _through_ends(f_minus, f_plus):
+    """The families' flux out through the right domain end minus that in
+    through the left one.  A flux column has the layout of a conserved
+    vector, so its families are the families' fluxes."""
+    ends = np.array(_family_values(ConservedState(*np.array([f_minus[:, -1], f_plus[:, 0]]).T)))
+    return ends[:, 0] - ends[:, 1]
 
 
 def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedState:
@@ -466,6 +494,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     entropy_slack = -np.inf
     t = 0.0
     nstep = 0
+    eos_columns = phase_columns(eos1, eos2)
     prim = to_primitive(cells, eos1, eos2)
     if cfg.scheme == "relaxation":
         # owned rows, into which each step's window is spliced
@@ -481,7 +510,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
             cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
             # the cells outside the window kept their bits, and so their primitives
             part = to_primitive(cells[info.updated], eos1, eos2)
-            prim_rows[:, info.updated] = [getattr(part, v) for v in VARIABLES]
+            prim_rows[:, info.updated] = part.astuple()
         else:
             cells, info = rusanov.rusanov_step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)
             prim = to_primitive(cells, eos1, eos2)
@@ -490,7 +519,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
         totals = _families(cells)
         fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-        through = _families(ConservedState(*fm[:, -1])) - _families(ConservedState(*fp[:, 0]))
+        through = _through_ends(fm, fp)
         drift = np.maximum(drift, np.abs(totals - totals_old + lam * through)
                            / np.maximum(1.0, np.abs(totals_old)))
 
@@ -513,13 +542,15 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
         t += dt
         nstep += 1
+        # both phases' minima from one (2, n) stack each, the energies from
+        # the unchecked kernel: prim holds validated states
+        rho, p = np.array([prim.rho1, prim.rho2]), np.array([prim.p1, prim.p2])
+        min_rho1, min_rho2 = rho.min(axis=1).tolist()
+        min_e1, min_e2 = internal_energy_of(rho, p, *eos_columns).min(axis=1).tolist()
         records.append(StepRecord(
             step=nstep, t=t, dt=dt, **dict(zip(FAMILIES, totals.tolist())),
-            min_alpha1=float(np.min(cells.alpha1)),
-            min_alpha2=float(np.min(1.0 - cells.alpha1)),
-            min_rho1=float(np.min(prim.rho1)), min_rho2=float(np.min(prim.rho2)),
-            min_e1=float(np.min(eos1.internal_energy(prim.rho1, prim.p1))),
-            min_e2=float(np.min(eos2.internal_energy(prim.rho2, prim.p2))),
+            min_alpha1=float(cells.alpha1.min()), min_alpha2=float((1.0 - cells.alpha1).min()),
+            min_rho1=min_rho1, min_rho2=min_rho2, min_e1=min_e1, min_e2=min_e2,
         ))
     wall = time.perf_counter() - tic
 

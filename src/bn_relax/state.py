@@ -14,6 +14,9 @@ from .eos import EosParams
 
 #: order of the primitive variables in profiles and CSV files
 VARIABLES = ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")
+#: rows of the density, velocity and pressure of both phases, phase 1 first,
+#: in a stack of primitive variables in ``VARIABLES`` order
+RHO, U, P = np.array([1, 4]), np.array([2, 5]), np.array([3, 6])
 
 
 class AdmissibilityError(ValueError):
@@ -46,6 +49,10 @@ class PrimitiveState:
         return PrimitiveState(self.alpha1, self.rho1, -self.u1, self.p1,
                               self.rho2, -self.u2, self.p2)
 
+    def astuple(self):
+        """The fields in ``VARIABLES`` order, not copied."""
+        return self.alpha1, self.rho1, self.u1, self.p1, self.rho2, self.u2, self.p2
+
     def stack(self):
         return np.stack([np.asarray(getattr(self, v), dtype=float) for v in VARIABLES])
 
@@ -66,6 +73,10 @@ class ConservedState:
     eta2: np.ndarray
 
     _FIELDS = ("alpha1", "m1", "m2", "q1", "q2", "eta1", "eta2")
+
+    def astuple(self):
+        """The fields in ``_FIELDS`` order, not copied."""
+        return self.alpha1, self.m1, self.m2, self.q1, self.q2, self.eta1, self.eta2
 
     def stack(self):
         return np.stack([np.asarray(getattr(self, f), dtype=float) for f in self._FIELDS])

@@ -26,6 +26,11 @@ def random_primitive(rng, n, alpha_range=(0.05, 0.95), rho_range=(0.2, 3.0),
     )
 
 
+def psi(ctx, m):
+    """The left-hand side psi(m) of the star solve's scalar equation."""
+    return ctx.psi_mach(m)[0]
+
+
 @pytest.fixture(scope="session")
 def ideal():
     return EosParams(gamma=1.4)

@@ -180,6 +180,26 @@ def test_load_case_json_rejects_non_numbers(tmp_path, capsys, name, key, value):
     assert err.startswith("error: ") and "must be a number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("t_max", (None, "t_max"), math.inf), ("t_max", (None, "t_max"), math.nan),
+    ("x0", (None, "x0"), math.nan), ("domain[0]", ("domain", 0), -math.inf)])
+def test_load_case_json_rejects_non_finite_numbers(tmp_path, capsys, name, key, value):
+    # json reads NaN and +-Infinity.  An infinite t_max made the run march
+    # forever and a NaN one took no step; the loader reports the key before
+    # any run starts, and the CLI writes nothing
+    bad = json.loads(json.dumps(CASE1_JSON))
+    outer, last = key
+    (bad[outer] if outer else bad)[last] = value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=rf"key '{re.escape(name)}' must be finite"):
+        load_case_json(path)
+    out = tmp_path / "sol.csv"
+    assert main(["run", "--config", str(path), "--cells", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
 def test_load_case_json_rejects_non_objects(tmp_path, text):
     path = tmp_path / "case.json"

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData
                       RunConfig, SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
                       get_case, region_tables, run, sample, scheme, select_parameters,
                       sharp_quantities, step, to_conserved, to_primitive)
+from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
+                          sound_speed_squared_of)
 from bn_relax.riemann import RelaxParams, SampledState, classify_ordering
 from bn_relax.scheme import ETA, MAX_INFLATIONS, _families
 from bn_relax.state import VARIABLES, ConservedState
@@ -332,6 +337,45 @@ def test_ladder_inflation_cap_is_an_error():
     assert 1e4 < params.a1[1] < (1.0 + ETA) ** MAX_INFLATIONS * params.a1[0]
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 1;"):
         row(1e5)
+
+
+def test_eos_kernels_equal_the_checked_methods(rng):
+    # the relaxation path evaluates the unchecked kernels once on a (2, k)
+    # stack of both phases; on admissible states they give, bit for bit, what
+    # the checked methods give phase by phase, and so on scalars
+    for wL, wR, eos2 in hard_rows(rng):
+        gamma, p_inf = phase_columns(IDEAL, eos2)
+        for w in (wL, wR):
+            rho, p = np.array([w.rho1, w.rho2]), np.array([w.p1, w.p2])
+            e = internal_energy_of(rho, p, gamma, p_inf)
+            rho_c = lagrangian_sound_speed_of(rho, p, gamma, p_inf)
+            for k, eos in enumerate((IDEAL, eos2)):
+                assert e[k].tobytes() == eos.internal_energy(rho[k], p[k]).tobytes()
+                assert rho_c[k].tobytes() == eos.lagrangian_sound_speed(rho[k], p[k]).tobytes()
+                c = np.sqrt(sound_speed_squared_of(rho[k], p[k], eos.gamma, eos.p_inf))
+                assert c.tobytes() == eos.sound_speed(rho[k], p[k]).tobytes()
+    for eos in (IDEAL, STIFF):
+        for kernel, method in ((internal_energy_of, eos.internal_energy),
+                               (lagrangian_sound_speed_of, eos.lagrangian_sound_speed)):
+            got = kernel(1.3, 2.7, eos.gamma, eos.p_inf)
+            assert np.float64(got).tobytes() == np.float64(method(1.3, 2.7)).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("rho1", 0.0), ("rho1", -1.0), ("p2", -100.0),
+                                          ("p2", -150.0), ("p1", np.nan)])
+def test_public_solvers_reject_an_inadmissible_pair(field, value):
+    # select_parameters and build_solution evaluate the unchecked EOS
+    # kernels, so one check of the pair's densities and p + p_inf comes
+    # first: an inadmissible pair raises EosDomainError, not NaN parameters
+    good = PrimitiveState(0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+    bad = dataclasses.replace(good, **{field: value})
+    params = RelaxParams(np.array([3.0]), np.array([30.0]))
+    for call in (lambda: select_parameters(good, bad, IDEAL, STIFF),
+                 lambda: select_parameters(bad, good, IDEAL, STIFF),
+                 lambda: build_solution(bad, good, IDEAL, STIFF, params),
+                 lambda: build_solution(good, bad, IDEAL, STIFF, params)):
+        with pytest.raises(EosDomainError, match=r"non-positive density or p \+ p_inf <= 0"):
+            call()
 
 
 # ------------------------------------------------------------ fluxes
@@ -708,11 +752,11 @@ def full_row_step(cells, prim, cfl, eos1, eos2, dx):
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
     waves = np.flatnonzero(wave)
     sol = select_parameters(padded[waves], padded[waves + 1], eos1, eos2)
-    state, speeds = scheme._constant_row(w[:, :-1], eos1, eos2)
+    table, speeds = scheme._constant_row(w[:, :-1], eos1, eos2)
     dt = cfl_dt(sol, dx, cfl, np.where(wave, 0.0, speeds))
     solved = assemble_fluxes(sol)
     fm, fp = np.zeros((2, 7, wave.size))
-    fm[1:] = fp[1:] = scheme._trace_flux(state)
+    fm[1:] = fp[1:] = scheme._trace_flux(w[0, :-1], table)
     fm[:, waves], fp[:, waves] = solved.f_minus, solved.f_plus
     u = cells.stack()
     return u - dt / dx * (fm[:, 1:] - fp[:, :-1]), (fm, fp), dt
@@ -835,6 +879,13 @@ def test_run_zero_time_returns_projection():
     left_cells = res.x < case.x0
     assert np.allclose(res.prim.rho1[left_cells], case.left.rho1, rtol=1e-13)
     assert np.allclose(res.prim.rho1[~left_cells], case.right.rho1, rtol=1e-13)
+
+
+@pytest.mark.parametrize("t_final", [math.inf, math.nan, -1.0])
+def test_run_config_rejects_a_final_time_never_reached(t_final):
+    # an infinite final time would march forever, a NaN one takes no step
+    with pytest.raises(ValueError, match="t_final must be finite and >= 0"):
+        RunConfig(cells=10, t_final=t_final)
 
 
 def test_run_conservation_audit():
