@@ -14,7 +14,9 @@ the sampling pause before it taken out and is multiplied by
 three such runs.  Relaxation's L1 error of each variable is
 interpolated log-log at Rusanov's time on the reference mesh and divided by
 Rusanov's error there: a ratio below 1 means relaxation is the more accurate
-scheme at that cost.  Usage:
+scheme at that cost.  The report is a check of the paper's cost argument:
+the script exits 1, naming each case and variable, when any ratio is at
+least 1 or is NaN.  Usage:
 
     PYTHONPATH=src python scripts/equal_cost.py [--levels 5] [--reference-cells 1600]
 """
@@ -68,6 +70,7 @@ def main():
     args = ap.parse_args()
 
     timer = StepTimer()
+    behind = []
     for cid in CASES:
         case = get_case(cid)
         cells = [100 * 2 ** n for n in range(args.levels)]
@@ -77,7 +80,12 @@ def main():
               + ", ".join(f"{n} cells {t:.3f} s" for n, (t, _) in zip(cells, levels)))
         for var in VARIABLES:
             err = error_at_cost([t for t, _ in levels], [e[var] for _, e in levels], cost)
-            print(f"  {var:7s} {err / reference[var]:.3f}")
+            ratio = err / reference[var]
+            print(f"  {var:7s} {ratio:.3f}")
+            if not ratio < 1.0:
+                behind.append(f"case {cid} {var} ({ratio:.3f})")
+    if behind:
+        sys.exit("relaxation is not more accurate at equal cost: " + ", ".join(behind))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ sound speed are formed by the same kernels.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,45 +50,50 @@ class EosParams:
     Parameters
     ----------
     gamma : float
-        Ratio of specific heats, > 1.
+        Ratio of specific heats, finite and > 1.
     p_inf : float
-        Pressure offset, >= 0 (0 for an ideal gas).
+        Pressure offset, finite and >= 0 (0 for an ideal gas).
 
     The entropy and temperature are those of a unit heat capacity at
-    constant volume and zero reference entropy.
+    constant volume and zero reference entropy.  Each method raises
+    EosDomainError outside its domain.  Every check is written ``np.all(x >
+    bound)``, or on ``np.isfinite``, so that NaN, which compares false,
+    fails it.
     """
 
     gamma: float
     p_inf: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.p_inf < 0.0:
-            raise ValueError(f"p_inf must be >= 0, got {self.p_inf}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not 0.0 <= self.p_inf < math.inf:
+            raise ValueError(f"p_inf must be finite and >= 0, got {self.p_inf}")
 
     def pressure(self, rho, e):
         """Pressure from density and specific internal energy."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
-            raise EosDomainError("pressure: non-positive density")
-        return (self.gamma - 1.0) * rho * np.asarray(e, dtype=float) - self.gamma * self.p_inf
+        e = np.asarray(e, dtype=float)
+        if not np.all((rho > 0.0) & np.isfinite(e)):
+            raise EosDomainError("pressure: non-positive density or non-finite energy")
+        return (self.gamma - 1.0) * rho * e - self.gamma * self.p_inf
 
     def internal_energy(self, rho, p):
         """Specific internal energy from density and pressure."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
-            raise EosDomainError("internal_energy: non-positive density")
-        return internal_energy_of(rho, np.asarray(p, dtype=float), self.gamma, self.p_inf)
+        p = np.asarray(p, dtype=float)
+        if not np.all((rho > 0.0) & np.isfinite(p)):
+            raise EosDomainError("internal_energy: non-positive density or non-finite pressure")
+        return internal_energy_of(rho, p, self.gamma, self.p_inf)
 
     def sound_speed(self, rho, p):
         """Speed of sound ``sqrt(gamma (p + p_inf) / rho)``."""
         rho = np.asarray(rho, dtype=float)
         p = np.asarray(p, dtype=float)
-        if np.any(rho <= 0.0):
+        if not np.all(rho > 0.0):
             raise EosDomainError("sound_speed: non-positive density")
         arg = sound_speed_squared_of(rho, p, self.gamma, self.p_inf)
-        if np.any(arg <= 0.0):
+        if not np.all(arg > 0.0):
             raise EosDomainError(
                 "sound_speed: complex sound speed (p + p_inf <= 0, hyperbolicity lost)"
             )
@@ -104,10 +110,10 @@ class EosParams:
         """
         rho = np.asarray(rho, dtype=float)
         e = np.asarray(e, dtype=float)
-        if np.any(rho <= 0.0):
+        if not np.all(rho > 0.0):
             raise EosDomainError("entropy: non-positive density")
         arg = rho * e - self.p_inf
-        if np.any(arg <= 0.0):
+        if not np.all(arg > 0.0):
             raise EosDomainError("entropy: rho e <= p_inf (outside hyperbolicity region)")
         return self.gamma * np.log(rho) - np.log(arg)
 
@@ -115,10 +121,10 @@ class EosParams:
         """Positive integrating factor T with ds/de = -1/T."""
         rho = np.asarray(rho, dtype=float)
         e = np.asarray(e, dtype=float)
-        if np.any(rho <= 0.0):
+        if not np.all(rho > 0.0):
             raise EosDomainError("temperature: non-positive density")
         arg = rho * e - self.p_inf
-        if np.any(arg <= 0.0):
+        if not np.all(arg > 0.0):
             raise EosDomainError("temperature: rho e <= p_inf (outside hyperbolicity region)")
         return arg / rho
 

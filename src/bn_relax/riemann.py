@@ -20,8 +20,9 @@ each of its piecewise-constant regions and the wave speeds between them; the
 phase fraction jumps at the coupling wave.  pi and E of a region follow from
 the Suliciu-type Lagrangian relations to the end state on the same side of
 the phase's contact, and are formed once, when the row is solved.
-``sample`` only counts the breaks passed and looks the regions up, and
-``region_tables`` gives views of the same arrays, for tests and audits.  The
+``sample`` only counts the breaks passed and looks the regions up, into the
+(4, 2, n) table that ``scheme`` reads, and ``region_tables`` gives views of
+the same arrays, for tests and audits.  The
 outermost breaks, the acoustic speeds ``u -+ a tau`` of the end states, also
 give the time step.  Sampling at a wave speed returns the right limit.
 
@@ -74,8 +75,9 @@ class SharpQuantities:
 
     ``u_cap`` is the effective relative velocity whose position inside
     ``(-a1 tau_sharp1_r, a1 tau_sharp1_l)`` decides feasibility and ordering.
-    ``ordering`` and ``feasible`` are ``classify_ordering``'s verdict for the
-    parameters the predictors were built with.
+    ``ordering`` is the sign of ``u_cap`` (0 in a narrow band), and
+    ``feasible`` the existence condition for the parameters the predictors
+    were built with; an infeasible entry still carries its ordering.
     """
 
     u_sharp1: np.ndarray
@@ -90,21 +92,16 @@ class SharpQuantities:
     feasible: np.ndarray
 
 
-def as_row(wL: PrimitiveState, wR: PrimitiveState):
+def checked_row(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams):
     """The two sides of a row of interfaces as one (2, 7, k) float array:
-    side (left first), primitive variable (``VARIABLES`` order), interface.
-    A scalar field holds for every interface."""
+    side (left first), primitive variable (``VARIABLES`` order), interface;
+    a scalar field holds for every interface.  Raises EosDomainError unless
+    every density and every ``p + p_inf`` is positive: the domain of the EOS
+    kernels that the relaxation solver evaluates on the row."""
     fields = [np.asarray(v, dtype=float) for v in (*wL.astuple(), *wR.astuple())]
     if len({v.shape for v in fields}) > 1:
         fields = np.broadcast_arrays(*fields)
-    return np.array(fields).reshape(2, 7, -1)
-
-
-def checked_row(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams):
-    """``as_row`` of a pair, after one check that every density and every
-    ``p + p_inf`` is positive: the domain of the EOS kernels that the
-    relaxation solver evaluates on it.  Raises EosDomainError otherwise."""
-    pair = as_row(wL, wR)
+    pair = np.array(fields).reshape(2, 7, -1)
     if not ((pair[:, RHO] > 0.0) & (pair[:, P] + phase_columns(eos1, eos2)[1] > 0.0)).all():
         raise EosDomainError("interface pair: non-positive density or p + p_inf <= 0")
     return pair
@@ -132,7 +129,7 @@ def _classify(u_cap, tau_l, tau_r, a1):
 
 def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams) -> SharpQuantities:
     """Evaluate all star-state predictors from the interface pair, and
-    classify them (``classify_ordering``).
+    classify them (``ordering``, ``feasible``).
 
     Pure algebra on the inputs; non-positive tau predictors are reported by
     the feasibility test, not here.
@@ -148,18 +145,6 @@ def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
     return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))
-
-
-def classify_ordering(s: SharpQuantities, params: RelaxParams):
-    """Return (ordering, feasible) arrays of ``s`` for the parameters ``params``.
-
-    ``feasible`` is False where the existence condition fails (tau predictors
-    of phase 1 non-positive, or u_cap outside the open subsonic window); the
-    caller reacts by enlarging a1.  Infeasible entries still carry an
-    ordering tag from the sign of u_cap.  For the parameters ``s`` was built
-    with, this is ``(s.ordering, s.feasible)``.
-    """
-    return _classify(s.u_cap, s.tau_sharp1_l, s.tau_sharp1_r, params.a1)
 
 
 @dataclass(frozen=True)
@@ -422,21 +407,6 @@ class RelaxRiemannSolution:
     regions: np.ndarray
 
 
-@dataclass(frozen=True)
-class SampledState:
-    """Nonconservative state at one self-similar speed."""
-
-    alpha1: np.ndarray
-    tau1: np.ndarray
-    u1: np.ndarray
-    pi1: np.ndarray
-    E1: np.ndarray
-    tau2: np.ndarray
-    u2: np.ndarray
-    pi2: np.ndarray
-    E2: np.ndarray
-
-
 def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2s, flip, sign):
     """(breaks, regions) in the original frame of a row solved in the oriented one.
 
@@ -580,14 +550,15 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
         alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, breaks=breaks, regions=regions)
 
 
-def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
+def sample(sol: RelaxRiemannSolution, xi, side: str = "+"):
     """State at self-similar speed ``xi``; the right limit at a wave speed.
 
-    ``side='-'`` takes the left limit instead (used for the flux traces): a
-    break at ``xi`` counts as passed for the right limit and not for the
-    left one.  Both phases are looked up together, in one ``take`` from the
-    region table: a (4, 2, n) table of (tau, u, pi, E), phase axis second,
-    whose rows are the state's per-phase fields.
+    Returns ``(alpha1, table)``: the phase fraction, and the (4, 2, n) table
+    of (tau, u, pi, E) of both phases, phase axis second, the layout that
+    ``scheme._trace_flux`` reads.  ``side='-'`` takes the left limit instead
+    (used for the flux traces): a break at ``xi`` counts as passed for the
+    right limit and not for the left one.  Both phases are looked up
+    together, in one ``take`` from the region table.
     """
     xi = np.asarray(xi, dtype=float)
     on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
@@ -595,9 +566,8 @@ def sample(sol: RelaxRiemannSolution, xi, side: str = "+") -> SampledState:
     # per phase a count of at most four breaks: int8 holds it and sums fastest
     rows = passed.sum(axis=1, dtype=np.int8) + _FIRST_REGION
     n = sol.regions.shape[-1]
-    tau, u, pi, E = sol.regions.reshape(4, -1).take(rows * n + np.arange(n), axis=1)
-    return SampledState(np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r),
-                        tau[0], u[0], pi[0], E[0], tau[1], u[1], pi[1], E[1])
+    table = sol.regions.reshape(4, -1).take(rows * n + np.arange(n), axis=1)
+    return np.where(on_left_of_coupling, sol.alpha1_l, sol.alpha1_r), table
 
 
 def region_tables(sol: RelaxRiemannSolution) -> dict:

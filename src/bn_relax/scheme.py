@@ -10,6 +10,7 @@ masses, mixture momentum and mixture energy are conservative by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -50,8 +51,12 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl < 0.5:
             raise ValueError("cfl must lie in (0, 0.5)")
+        if isinstance(self.cells, bool) or not isinstance(self.cells, numbers.Integral):
+            raise ValueError(f"cells must be an integer, got {self.cells!r}")
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
+        if len(self.domain) != 2 or not -math.inf < self.domain[0] < self.domain[1] < math.inf:
+            raise ValueError("domain must be (a, b), finite with a < b")
         if self.scheme not in ("relaxation", "rusanov"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.t_final < math.inf:
@@ -151,6 +156,12 @@ def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
 _MIDDLE_REGIONS = np.array([1, 2, 3, 6, 7])
 
 
+def _whitham_start(rho, p, gamma, p_inf):
+    """The parameters' Whitham-like start ``(1 + ETA) rho c`` at ``(rho, p)``
+    (unchecked), for selection and for the speeds of calm interfaces."""
+    return (1.0 + ETA) * lagrangian_sound_speed_of(rho, p, gamma, p_inf)
+
+
 def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
                       eos2: EosParams) -> RelaxRiemannSolution:
     """Pick per-interface (a1, a2) and return the solved Riemann problem,
@@ -183,10 +194,9 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     """
     pair = checked_row(wL, wR, eos1, eos2)
     wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
-    # the Whitham-like start (1 + ETA) rho c of both sides and phases in one
-    # evaluation, on the (side, phase) stack
-    start = RelaxParams(*((1.0 + ETA) * lagrangian_sound_speed_of(
-        pair[:, RHO], pair[:, P], *phase_columns(eos1, eos2))).max(axis=0))
+    # the start of both sides and phases, on the (side, phase) stack
+    start = RelaxParams(*_whitham_start(pair[:, RHO], pair[:, P],
+                                        *phase_columns(eos1, eos2)).max(axis=0))
     params = start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(wL, wR, params)
@@ -221,9 +231,10 @@ def _dump(w: PrimitiveState, j):
 def _trace_flux(alpha1, table):
     """Components 1-6 of the physical flux, as a (6, n) array, of a state
     given by ``alpha1`` and ``table``, the (4, 2, n) table of (tau, u, pi,
-    E) of both phases (``sample``'s, phase axis second): of a sampled trace,
-    and of a calm interface's state.  Each of the three formulas (mass,
-    momentum, energy) is evaluated once, on the (2, n) phase stack."""
+    E) of both phases, phase axis second: ``sample``'s result of a trace,
+    and ``_constant_row``'s table of a calm interface's state.  Each of the
+    three formulas (mass, momentum, energy) is evaluated once, on the (2, n)
+    phase stack."""
     tau, u, pi, E = table
     al = np.array([alpha1, 1.0 - alpha1])
     out = np.empty((3,) + tau.shape)
@@ -233,15 +244,10 @@ def _trace_flux(alpha1, table):
     return out.reshape(6, -1)
 
 
-def _sampled_table(w):
-    """``_trace_flux``'s arguments of a sampled state."""
-    return w.alpha1, np.array([[w.tau1, w.tau2], [w.u1, w.u2], [w.pi1, w.pi2], [w.E1, w.E2]])
-
-
 def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     """Numerical fluxes from a solved interface row."""
-    gm = _trace_flux(*_sampled_table(sample(sol, 0.0, side="-")))
-    gp = _trace_flux(*_sampled_table(sample(sol, 0.0, side="+")))
+    gm = _trace_flux(*sample(sol, 0.0, side="-"))
+    gp = _trace_flux(*sample(sol, 0.0, side="+"))
     dal = sol.alpha1_r - sol.alpha1_l
     u2s = sol.u2_star
     pi1s = np.where(dal == 0.0, 0.0, sol.pi1_star)
@@ -278,9 +284,13 @@ def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
     return cfl * dx / smax
 
 
-def _pad_edges(v):
-    """Transmissive ghost cells: replicate the edge values along the last axis."""
-    return np.concatenate([v[..., :1], v, v[..., -1:]], axis=-1)
+def _pad_edges(rows):
+    """Transmissive ghost cells: the k rows of length n of ``rows`` (an array
+    or a sequence) between copies of their edge values, in one new array."""
+    out = np.empty((len(rows), rows[0].size + 2))
+    out[:, 1:-1] = rows
+    out[:, 0], out[:, -1] = out[:, 1], out[:, -2]
+    return out
 
 
 def _constant_row(w, eos1, eos2):
@@ -288,18 +298,17 @@ def _constant_row(w, eos1, eos2):
     both ``w``, a stack of primitive columns that ``validate_conserved``
     accepted.
 
-    The solution is the constant state, given as ``sample``'s table of an end
-    state: (tau, u, pi, E) of both phases, shape (4, 2, n).  The speed of an
-    interface is the largest of ``|u_k| + a_k tau_k``, the outer breaks that
-    the Whitham-like start ``a_k = (1 + ETA) rho_k c_k`` of the parameters
-    gives.  Every formula is evaluated once, on the (2, n) phase stack, with
-    the unchecked EOS kernels.
+    The solution is the constant state, as ``sample``'s table: (tau, u, pi,
+    E) of both phases, shape (4, 2, n).  The speed of an interface is the
+    largest of ``|u_k| + a_k tau_k``, the outer breaks that selection's
+    start ``a_k`` (``_whitham_start``) gives.  Every formula is evaluated
+    once, on the (2, n) phase stack, with the unchecked EOS kernels.
     """
     gamma, p_inf = phase_columns(eos1, eos2)
     rho, u, p = w[RHO], w[U], w[P]
     tau = 1.0 / rho
     table = np.array([tau, u, p, 0.5 * u ** 2 + internal_energy_of(rho, p, gamma, p_inf)])
-    speeds = np.abs(u) + (1.0 + ETA) * lagrangian_sound_speed_of(rho, p, gamma, p_inf) * tau
+    speeds = np.abs(u) + _whitham_start(rho, p, gamma, p_inf) * tau
     return table, speeds.max(axis=0)
 
 
@@ -343,10 +352,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     if prim is None:
         prim = to_primitive(cells, eos1, eos2)
     # the primitive row between transmissive ghost cells, copied once
-    n = prim.alpha1.size
-    w = np.empty((7, n + 2))
-    w[:, 1:-1] = prim.astuple()
-    w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
+    w = _pad_edges(prim.astuple())
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
     waves = wave.nonzero()[0]
     try:
@@ -442,12 +448,11 @@ def _family_values(u: ConservedState):
 
 
 def _families(u: ConservedState):
-    """The families of a conserved row, each summed over the row, or of a
-    single conserved vector.  Each family is summed on its own, as ``np.sum``
-    sums it: stacking the four rows first would allocate a (4, n) array per
-    step."""
-    rows = _family_values(u)
-    return np.array([np.add.reduce(v, axis=-1) for v in rows] if np.ndim(u.m1) else rows)
+    """The families of a conserved row, each summed over the row; a single
+    conserved vector, whose sums are its own entries, gives its families.
+    Each family is summed on its own, as ``np.sum`` sums it: stacking the
+    four rows first would allocate a (4, n) array per step."""
+    return np.array([np.add.reduce(v, axis=-1) for v in _family_values(u)])
 
 
 def _through_ends(f_minus, f_plus):

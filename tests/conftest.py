@@ -1,4 +1,5 @@
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,19 @@ def random_primitive(rng, n, alpha_range=(0.05, 0.95), rho_range=(0.2, 3.0),
         rho2=rng.uniform(*rho_range, n), u2=rng.uniform(*u_range, n),
         p2=rng.uniform(*p_range, n),
     )
+
+
+#: the nine rows of a sampled state, by the names ``fields`` gives them
+SAMPLED = ("alpha1", "tau1", "u1", "pi1", "E1", "tau2", "u2", "pi2", "E2")
+
+
+def fields(sampled):
+    """``sample``'s result ``(alpha1, table)`` with its nine rows named
+    (``SAMPLED``): ``alpha1``, then tau, u, pi and E of phase 1 and of
+    phase 2, each a view of the table."""
+    alpha1, table = sampled
+    return SimpleNamespace(alpha1=alpha1, **{f"{name}{k + 1}": table[i, k] for k in range(2)
+                                             for i, name in enumerate(("tau", "u", "pi", "E"))})
 
 
 def psi(ctx, m):

@@ -19,7 +19,7 @@ from bn_relax import (EosParams, PrimitiveState, RunConfig, WaveOrdering, build_
 from bn_relax.harness import bench, case_error, convergence_study
 from bn_relax.reference import wave_speeds
 from bn_relax.state import VARIABLES
-from conftest import psi, random_primitive
+from conftest import fields, psi, random_primitive
 
 IDEAL = EosParams(1.4)
 
@@ -335,8 +335,8 @@ def test_criterion_8_kernel_properties(rng):
     # reflection identity on sampled states
     mirrored = build_solution(wR.mirrored(), wL.mirrored(), IDEAL, IDEAL, params)
     for xi in (-0.9, -0.2, 0.0, 0.31, 1.1):
-        a = sample(sol, xi)
-        b = sample(mirrored, -xi, side="-")
+        a = fields(sample(sol, xi))
+        b = fields(sample(mirrored, -xi, side="-"))
         for field, sign in (("alpha1", 1), ("tau1", 1), ("u1", -1), ("pi1", 1), ("E1", 1),
                             ("tau2", 1), ("u2", -1), ("pi2", 1), ("E2", 1)):
             va = np.asarray(getattr(a, field))
@@ -357,8 +357,8 @@ def test_criterion_8_kernel_properties(rng):
         u_scale = np.abs(uL) + np.abs(uR) + np.abs(pR - pL) / a
         tau_ls = tL + (u_star - uL) / a
         tau_rs = tR - (u_star - uR) / a
-        left = sample(sol_d, u_star - 1e-9)
-        right = sample(sol_d, u_star + 1e-9)
+        left = fields(sample(sol_d, u_star - 1e-9))
+        right = fields(sample(sol_d, u_star + 1e-9))
         got_tl = left.tau1 if k == 1 else left.tau2
         got_tr = right.tau1 if k == 1 else right.tau2
         got_pl = left.pi1 if k == 1 else left.pi2

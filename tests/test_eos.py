@@ -40,6 +40,24 @@ def test_negative_density_rejected():
             fn()
 
 
+@pytest.mark.parametrize("method", ["pressure", "internal_energy", "sound_speed",
+                                    "lagrangian_sound_speed", "entropy", "temperature"])
+@pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan),
+                                  (np.ones(3), np.array([1.0, math.nan, 1.0]))],
+                         ids=["nan-first", "nan-second", "nan-entry"])
+def test_nan_is_outside_the_domain(method, args):
+    # NaN compares false, so each check must fail on it, not pass it through
+    with pytest.raises(EosDomainError):
+        getattr(EosParams(1.4), method)(*args)
+
+
+@pytest.mark.parametrize("gamma, p_inf", [(1.4, math.nan), (math.inf, 0.0), (1.4, math.inf),
+                                          (math.nan, 0.0)])
+def test_eos_parameters_must_be_finite(gamma, p_inf):
+    with pytest.raises(ValueError, match="must be finite"):
+        EosParams(gamma, p_inf)
+
+
 def test_entropy_hand_values():
     eos = EosParams(1.4)
     assert eos.entropy(1.0, 2.5) == pytest.approx(-math.log(2.5), rel=1e-12)

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveOrdering,
-                      build_solution, classify_ordering, fixed_point_context, region_tables,
-                      riemann, sample, select_parameters, sharp_quantities, solve_star)
+                      build_solution, fixed_point_context, region_tables, riemann, sample,
+                      select_parameters, sharp_quantities, solve_star)
 from bn_relax.riemann import STOP_TOL, FixedPointContext
 from bn_relax.state import VARIABLES
-from conftest import psi, random_primitive
+from conftest import fields, psi, random_primitive
 
 IDEAL = EosParams(1.4)
 STIFF = EosParams(3.0, 100.0)
@@ -84,7 +84,7 @@ def test_sharp_quantities_hand_example():
 def test_classify_symmetric_is_coincident():
     w = uniform_state(u1=0.2, u2=0.2)
     s = sharp_quantities(w, w, RelaxParams(2.0, 3.0))
-    ordering, feasible = classify_ordering(s, RelaxParams(2.0, 3.0))
+    ordering, feasible = s.ordering, s.feasible
     assert feasible and ordering == WaveOrdering.COINCIDENT
 
 
@@ -94,7 +94,7 @@ def test_classify_order12_hand_example():
     params = RelaxParams(2.0, 2.0)
     s = sharp_quantities(wL, wR, params)
     assert s.u_cap == pytest.approx(0.75)      # equal fractions: u_cap = du of sharp speeds
-    ordering, feasible = classify_ordering(s, params)
+    ordering, feasible = s.ordering, s.feasible
     assert feasible and ordering == WaveOrdering.ORDER_12
     assert s.u_cap < params.a1 * s.tau_sharp1_l
 
@@ -104,8 +104,7 @@ def test_classify_infeasible_when_window_violated():
     wR = PrimitiveState(0.2, 1.0, 5.5, 1.0, 1.0, 0.0, 1.0)
     params = RelaxParams(0.5, 2.0)   # far below the relative speed
     s = sharp_quantities(wL, wR, params)
-    _, feasible = classify_ordering(s, params)
-    assert not feasible
+    assert not s.feasible
 
 
 # ------------------------------------------------------------ fixed point
@@ -398,7 +397,7 @@ def test_uniform_data_solution_constant():
     w = uniform_state()
     params, sol = params_for(w, w, IDEAL, IDEAL)
     for xi in (-10.0, -0.5, 0.0, 0.3, 10.0):
-        out = sample(sol, xi)
+        out = fields(sample(sol, xi))
         assert out.tau1 == pytest.approx(1.0 / w.rho1, rel=1e-12)
         assert out.u1 == pytest.approx(w.u1, abs=1e-13)
         assert out.pi1 == pytest.approx(w.p1, rel=1e-12)
@@ -412,8 +411,8 @@ def test_sample_beyond_fan_returns_inputs(rng):
     tables = region_tables(sol)
     lo = float(np.min(tables["breaks1"][0])) - 1.0
     hi = float(np.max(tables["breaks2"][2])) + 1.0
-    far_left = sample(sol, min(lo, float(np.min(tables["breaks2"][0])) - 1.0))
-    far_right = sample(sol, max(hi, float(np.max(tables["breaks1"][3])) + 1.0))
+    far_left = fields(sample(sol, min(lo, float(np.min(tables["breaks2"][0])) - 1.0)))
+    far_right = fields(sample(sol, max(hi, float(np.max(tables["breaks1"][3])) + 1.0)))
     assert far_left.tau1 == pytest.approx(1.0 / wL.rho1[0], rel=1e-14)
     assert far_left.u2 == pytest.approx(wL.u2[0], abs=1e-14)
     assert far_right.tau2 == pytest.approx(1.0 / wR.rho2[0], rel=1e-14)
@@ -422,11 +421,11 @@ def test_sample_beyond_fan_returns_inputs(rng):
 
 def test_sample_right_limit_convention(rng):
     wL, wR, params, sol = feasible_pair(rng)
-    at_wave = sample(sol, sc(sol.u2_star))
-    just_right = sample(sol, sc(sol.u2_star) + 1e-11)
+    at_wave = fields(sample(sol, sc(sol.u2_star)))
+    just_right = fields(sample(sol, sc(sol.u2_star) + 1e-11))
     assert at_wave.alpha1 == pytest.approx(just_right.alpha1, rel=1e-13)
     assert at_wave.tau1 == pytest.approx(just_right.tau1, rel=1e-9)
-    left_limit = sample(sol, sc(sol.u2_star), side="-")
+    left_limit = fields(sample(sol, sc(sol.u2_star), side="-"))
     assert left_limit.alpha1 == wL.alpha1[0]
 
 
@@ -609,8 +608,8 @@ def test_mirror_symmetry(rng):
         wL, wR, params, sol = feasible_pair(rng)
         mirrored_sol = build_solution(wR.mirrored(), wL.mirrored(), IDEAL, IDEAL, params)
         for xi in xs:
-            a = sample(sol, xi)
-            b = sample(mirrored_sol, -xi, side="-")
+            a = fields(sample(sol, xi))
+            b = fields(sample(mirrored_sol, -xi, side="-"))
             for field, sign in (("alpha1", 1), ("tau1", 1), ("u1", -1), ("pi1", 1), ("E1", 1),
                                 ("tau2", 1), ("u2", -1), ("pi2", 1), ("E2", 1)):
                 va = float(np.atleast_1d(getattr(a, field))[0])
@@ -644,8 +643,8 @@ def test_equal_fraction_decoupling(rng):
             u_scale = abs(sc(uL)) + abs(sc(uR)) + abs(sc(pR) - sc(pL)) / sc(a)
             pi_scale = 0.5 * (sc(pL) + sc(pR)) + 0.5 * sc(a) * abs(sc(uR) - sc(uL))
             eps = 1e-9
-            mid_l = sample(sol, u - eps)
-            mid_r = sample(sol, u + eps)
+            mid_l = fields(sample(sol, u - eps))
+            mid_r = fields(sample(sol, u + eps))
             got = ((mid_l.tau1, mid_r.tau1, mid_l.pi1, mid_r.pi1, mid_l.u1) if k == 1
                    else (mid_l.tau2, mid_r.tau2, mid_l.pi2, mid_r.pi2, mid_l.u2))
             assert abs(sc(got[0]) - tauls) <= 1e-13 * tauls, k
@@ -669,7 +668,7 @@ def test_sampled_energy_consistent_with_advected_data(rng):
         p1 = [sc(wL.p1), sc(wR.p1)]
         p2 = [sc(wL.p2), sc(wR.p2)]
         for xi in np.linspace(-3, 3, 25):
-            w = sample(sol, xi)
+            w = fields(sample(sol, xi))
             k1 = int(xi >= sc(sol.u1_star))
             k2 = int(xi >= sc(sol.u2_star))
             E1 = 0.5 * sc(w.u1) ** 2 + e1[k1] + (sc(w.pi1) ** 2 - p1[k1] ** 2) / (2 * a1 ** 2)

@@ -10,10 +10,10 @@ from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData
                       sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
                           sound_speed_squared_of)
-from bn_relax.riemann import RelaxParams, SampledState, classify_ordering
+from bn_relax.riemann import RelaxParams
 from bn_relax.scheme import ETA, MAX_INFLATIONS, _families
 from bn_relax.state import VARIABLES, ConservedState
-from conftest import random_primitive
+from conftest import SAMPLED, fields, random_primitive
 
 IDEAL = EosParams(1.4)
 STIFF = EosParams(3.0, 100.0)
@@ -196,8 +196,7 @@ def holds_at(args, value):
     """The existence condition of a recorded climb of a1, with a1 set to
     ``value`` at the climbing interfaces."""
     wL, wR, params, idx, _, _ = args
-    cand = RelaxParams(value, params.a2[idx])
-    return classify_ordering(sharp_quantities(wL[idx], wR[idx], cand), cand)[1]
+    return sharp_quantities(wL[idx], wR[idx], RelaxParams(value, params.a2[idx])).feasible
 
 
 def climbed(args, out):
@@ -279,7 +278,7 @@ def test_a1_climbs_from_its_start_at_the_returned_a2(rng):
         start = whitham_a1(wL, wR)
         cand = RelaxParams(start, params.a2)
         s = sharp_quantities(wL, wR, cand)
-        ok = classify_ordering(s, cand)[1]
+        ok = s.feasible
         want = np.where(ok, start, (1.0 + ETA) * np.maximum(start, scheme._a1_least(wL, wR, s, cand)))
         assert params.a1.tobytes() == want.tobytes()
 
@@ -464,7 +463,7 @@ def trace_fluxes(sol):
                          al1 * w.u1 / w.tau1, al2 * w.u2 / w.tau2,
                          al1 * (w.u1 * w.u1 / w.tau1 + w.pi1), al2 * (w.u2 * w.u2 / w.tau2 + w.pi2),
                          al1 * (w.E1 / w.tau1 + w.pi1) * w.u1, al2 * (w.E2 / w.tau2 + w.pi2) * w.u2])
-    gm, gp = flux(sample(sol, 0.0, side="-")), flux(sample(sol, 0.0, side="+"))
+    gm, gp = (flux(fields(sample(sol, 0.0, side))) for side in "-+")
     return np.concatenate([gm[:5], gp[5:]]), gp
 
 
@@ -505,12 +504,13 @@ def table_sample(sol, xi, side):
     tables = region_tables(sol)
     cols = np.arange(sol.u2_star.size)
     on_left = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
-    out = [np.where(on_left, sol.alpha1_l, sol.alpha1_r)]
-    for k in ("1", "2"):
-        breaks = tables["breaks" + k]
+    table = np.empty((4, 2, cols.size))
+    for k in (0, 1):
+        breaks = tables[f"breaks{k + 1}"]
         idx = (breaks <= xi if side == "+" else breaks < xi).sum(axis=0)
-        out += [tables[name + k][idx, cols] for name in ("tau", "u", "pi", "E")]
-    return SampledState(*out)
+        for i, name in enumerate(("tau", "u", "pi", "E")):
+            table[i, k] = tables[f"{name}{k + 1}"][idx, cols]
+    return np.where(on_left, sol.alpha1_l, sol.alpha1_r), table
 
 
 def tie_row(rng, n):
@@ -552,12 +552,12 @@ def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
     assert np.count_nonzero(at_zero & reflected) > 100
     assert np.count_nonzero(at_zero & ~reflected) > 100
     assert np.count_nonzero(sol.ordering == WaveOrdering.COINCIDENT) > 100
-    left, right = table_sample(sol, 0.0, "-"), table_sample(sol, 0.0, "+")
+    left, right = fields(table_sample(sol, 0.0, "-")), fields(table_sample(sol, 0.0, "+"))
     # the limits differ at the ties, so a swapped limit would show
     assert np.count_nonzero((left.tau1 != right.tau1) & reflected) > 100
     for side, want in (("-", left), ("+", right)):
-        got = sample(sol, 0.0, side)
-        for field in ("alpha1", "tau1", "u1", "pi1", "E1", "tau2", "u2", "pi2", "E2"):
+        got = fields(sample(sol, 0.0, side))
+        for field in SAMPLED:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (side, field)
     fluxes = assemble_fluxes(sol)
     monkeypatch.setattr(scheme, "sample", table_sample)
@@ -583,8 +583,8 @@ def test_reflection_is_exact_for_whole_tables(rng):
         speeds = [-3.0, -0.5, 0.0, 0.5, 3.0, *tables["breaks1"], *tables["breaks2"]]
         for xi in speeds:
             for side, other in (("+", "-"), ("-", "+")):
-                got, want = sample(mirrored, -xi, other), sample(sol, xi, side)
-                for field in ("alpha1", "tau1", "u1", "pi1", "E1", "tau2", "u2", "pi2", "E2"):
+                got, want = fields(sample(mirrored, -xi, other)), fields(sample(sol, xi, side))
+                for field in SAMPLED:
                     sign = -1.0 if field.startswith("u") else 1.0
                     assert (sign * getattr(got, field)).tobytes() == \
                         getattr(want, field).tobytes(), (side, field)
@@ -705,6 +705,22 @@ def test_calm_interfaces_take_the_physical_flux():
         for j in calm:
             assert np.allclose(got[:, j], flux_vector(padded[j], case.eos1, case.eos2),
                                rtol=1e-14, atol=0.0), j
+
+
+@pytest.mark.parametrize("eos2", [IDEAL, STIFF], ids=["ideal", "stiffened"])
+def test_calm_speed_is_the_outer_break_of_the_start(rng, eos2):
+    # a calm interface gives cfl_dt the acoustic speeds of the start that
+    # selection takes: where a uniform pair solved as a Riemann problem keeps
+    # that start (no climb), its fastest outer break is the calm speed, bitwise
+    w = random_primitive(rng, 2000)
+    sol = select_parameters(w, w, IDEAL, eos2)
+    start = [(1.0 + ETA) * eos.lagrangian_sound_speed(rho, p)
+             for eos, rho, p in ((IDEAL, w.rho1, w.p1), (eos2, w.rho2, w.p2))]
+    kept = (sol.params.a1 == start[0]) & (sol.params.a2 == start[1])
+    assert 1000 < np.count_nonzero(kept) < 2000
+    outer = np.abs(sol.breaks[[0, 0, 1, 1], [0, 3, 0, 2]]).max(axis=0)
+    speeds = scheme._constant_row(w.stack(), IDEAL, eos2)[1]
+    assert outer[kept].tobytes() == speeds[kept].tobytes()
 
 
 def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
@@ -886,6 +902,22 @@ def test_run_config_rejects_a_final_time_never_reached(t_final):
     # an infinite final time would march forever, a NaN one takes no step
     with pytest.raises(ValueError, match="t_final must be finite and >= 0"):
         RunConfig(cells=10, t_final=t_final)
+
+
+@pytest.mark.parametrize("cells, domain", [
+    (20, (0.5, -0.5)), (20, (0.0, 0.0)), (20, (0.0, math.nan)), (20, (0.0, math.inf)),
+    (20, (-math.inf, 0.0)), (20, (0.0,)), (20.5, (-0.5, 0.5)), (True, (-0.5, 0.5)),
+    (1, (-0.5, 0.5))])
+def test_run_config_rejects_a_mesh_that_cannot_be_marched(cells, domain):
+    # a reversed domain makes dx and dt negative, so run would never end; an
+    # empty or non-finite one, or a fractional number of cells, is no mesh
+    with pytest.raises(ValueError, match="cells|domain"):
+        RunConfig(cells=cells, t_final=0.01, domain=domain)
+
+
+def test_run_config_takes_numpy_and_list_input():
+    cfg = RunConfig(cells=np.int64(20), t_final=0.01, domain=[np.float64(0.0), 1])
+    assert cfg.cells == 20
 
 
 def test_run_conservation_audit():
