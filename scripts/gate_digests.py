@@ -45,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bn_relax import EosParams, PrimitiveState, get_case, harness, region_tables, select_parameters
+from bn_relax import (EosParams, PrimitiveState, get_case, harness, interface_pair, region_tables,
+                      select_parameters)
 from bn_relax.scheme import RunConfig, assemble_fluxes, run
 
 #: (case, cells, share of the case's t_max)
@@ -82,8 +83,8 @@ def _hard_side(rng, n):
 def _hard_solutions():
     """The two solved rows of hard pairs: ideal-gas, then stiffened-gas phase 2."""
     rng = np.random.default_rng(HARD_SEED)
-    return [select_parameters(_hard_side(rng, HARD_PAIRS), _hard_side(rng, HARD_PAIRS),
-                              EosParams(1.4), eos2)
+    return [select_parameters(interface_pair(_hard_side(rng, HARD_PAIRS),
+                                             _hard_side(rng, HARD_PAIRS)), EosParams(1.4), eos2)
             for eos2 in (EosParams(1.4), EosParams(3.0, 100.0))]
 
 

@@ -5,8 +5,8 @@ from .harness import (ErrorReport, bench, case_error, convergence_study, l1_erro
                       load_case_json, run_case, write_profile_csv)
 from .reference import ExactWaveFan, TestCase, exact_profile, exact_sample, get_case
 from .riemann import (FixedPointContext, RelaxParams, RelaxRiemannSolution, SharpQuantities,
-                      SolverError, WaveOrdering, build_solution, fixed_point_context,
-                      region_tables, sample, sharp_quantities, solve_star)
+                      SolverError, WaveOrdering, build_solution, check_pair, fixed_point_context,
+                      interface_pair, region_tables, sample, sharp_quantities, solve_star)
 from .rusanov import rusanov_fluxes, rusanov_step
 from .scheme import (InitialData, InterfaceFluxes, RunConfig, RunResult, assemble_fluxes, cfl_dt,
                      run, select_parameters, step)

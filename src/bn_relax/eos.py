@@ -11,7 +11,7 @@ serves a stack of both phases with ``gamma`` and ``p_inf`` as (2, 1) columns
 (``phase_columns``).  The kernels check nothing: outside the domain they
 return NaN, inf or a wrong sign.  Only the relaxation solver calls them, on
 rows that ``state.validate_conserved`` accepted or, for the public entry
-points, that ``riemann.checked_row`` checked.  Every other caller (Rusanov,
+points, that ``riemann.check_pair`` checked.  Every other caller (Rusanov,
 ``state``, users) uses the checked ``EosParams`` methods, whose energy and
 sound speed are formed by the same kernels.
 """

@@ -1,9 +1,17 @@
 """Exact solver for the relaxation Riemann problem at one interface.
 
 Every function is elementwise over numpy arrays, so a whole row of interfaces
-is solved in one call.  The construction is carried out for the wave ordering
-``u2* <= u1*``; an interface with the opposite ordering is reflected first
-(velocities negated, sides swapped) and solved in that oriented frame.  Its
+is solved in one call.  The entry point ``build_solution`` takes the row's
+interface pair as one (2, 7, k) array: side (left first), primitive variable
+in ``VARIABLES`` order, interface.  ``interface_pair`` forms it from two
+``PrimitiveState``s, and ``check_pair`` is the one check of it, against the
+domain of the EOS kernels the solver evaluates unchecked.  The predictor
+algebra (``sharp_quantities``, ``fixed_point_context``) reads the two sides
+as ``PrimitiveState``s, which may be views of the pair.
+
+The construction is carried out for the wave ordering ``u2* <= u1*``; an
+interface with the opposite ordering is reflected first (velocities
+negated, sides swapped) and solved in that oriented frame.  Its
 contact speeds and phase 1's middle states are mapped back, in ``_tables``
 only, and the solution is stored in the original frame; the coupling
 pressure is the same in both frames.  Every other value is the same formula
@@ -34,12 +42,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
-from .state import P, RHO, PrimitiveState
+from .state import P, RHO, U, VARIABLES, PrimitiveState
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -92,19 +100,48 @@ class SharpQuantities:
     feasible: np.ndarray
 
 
-def checked_row(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams):
+def interface_pair(wL: PrimitiveState, wR: PrimitiveState):
     """The two sides of a row of interfaces as one (2, 7, k) float array:
-    side (left first), primitive variable (``VARIABLES`` order), interface;
-    a scalar field holds for every interface.  Raises EosDomainError unless
-    every density and every ``p + p_inf`` is positive: the domain of the EOS
-    kernels that the relaxation solver evaluates on the row."""
+    side (left first), primitive variable (``VARIABLES`` order), interface.
+    A scalar field holds for every interface.  Checks nothing: the entry
+    points that take the pair call ``check_pair``."""
     fields = [np.asarray(v, dtype=float) for v in (*wL.astuple(), *wR.astuple())]
     if len({v.shape for v in fields}) > 1:
         fields = np.broadcast_arrays(*fields)
-    pair = np.array(fields).reshape(2, 7, -1)
-    if not ((pair[:, RHO] > 0.0) & (pair[:, P] + phase_columns(eos1, eos2)[1] > 0.0)).all():
-        raise EosDomainError("interface pair: non-positive density or p + p_inf <= 0")
-    return pair
+    return np.array(fields).reshape(2, 7, -1)
+
+
+@lru_cache(maxsize=16)
+def _pair_bounds(eos1: EosParams, eos2: EosParams):
+    """Open lower and upper bounds of each primitive variable of a pair, as
+    (7, 1) columns: alpha1 in (0, 1), rho > 0, p > -p_inf and every entry
+    finite.  ``p > -p_inf`` holds exactly where ``p + p_inf > 0`` does."""
+    lower, upper = np.full((7, 1), -np.inf), np.full((7, 1), np.inf)
+    lower[0], upper[0] = 0.0, 1.0
+    lower[RHO] = 0.0
+    lower[P] = -phase_columns(eos1, eos2)[1]
+    for c in (lower, upper):
+        c.flags.writeable = False
+    return lower, upper
+
+
+def check_pair(pair, eos1: EosParams, eos2: EosParams):
+    """The one domain check of an interface pair, the (2, 7, k) array of
+    ``interface_pair``: the domain of the EOS kernels that the relaxation
+    solver evaluates on it unchecked.  Raises ValueError unless ``pair`` has
+    that shape, and EosDomainError unless every entry is finite, ``0 <
+    alpha1 < 1``, and every density and every ``p + p_inf`` is positive.
+    NaN compares false, so it fails the check."""
+    if pair.ndim != 3 or pair.shape[:2] != (2, 7):
+        raise ValueError(f"an interface pair has shape (2, 7, k), got {pair.shape}")
+    lower, upper = _pair_bounds(eos1, eos2)
+    ok = (pair > lower) & (pair < upper)
+    if not ok.all():
+        side, var, j = np.argwhere(~ok)[0]
+        raise EosDomainError("interface pair: non-finite entry, alpha1 outside (0, 1), "
+                             "non-positive density or p + p_inf <= 0: "
+                             f"{VARIABLES[var]} of side {('left', 'right')[side]} "
+                             f"at interface {j}")
 
 
 def _acoustic_taus(tauL, tauR, uL, uR, u_s, a):
@@ -375,6 +412,9 @@ _END_REGION = np.array([[0, 5], [4, 8]])
 #: as an index into the (side, phase) stack of end states flattened; with
 #: the other ordering phase 1's middle region lies right of its contact
 _END_OF_REGION = 2 * np.array([0, 0, 0, 1, 1, 0, 0, 1, 1]) + _PHASE_OF_REGION
+#: rows of (rho, u, p) of both phases in a pair: ``pair[:, _SIDE_ROWS]`` is
+#: the (side, variable, phase, k) stack that ``_tables`` reads
+_SIDE_ROWS = np.array([RHO, U, P])
 #: direction of each side's acoustic waves, for a (side, phase, k) stack
 _OUTWARD = np.array([-1.0, 1.0])[:, None, None]
 
@@ -474,28 +514,27 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     return breaks, regions
 
 
-def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2: EosParams,
-                   params: RelaxParams,
+def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
                    precomputed: SharpQuantities | None = None) -> RelaxRiemannSolution:
-    """Solve the interface Riemann problems for already-feasible parameters.
+    """Solve the interface Riemann problems of ``pair``, the (2, 7, k) array
+    of ``interface_pair``, for already-feasible parameters.
 
-    Raises EosDomainError unless every density and every ``p + p_inf`` of
-    the pair is positive (``checked_row``), and SolverError if the existence
-    condition does not hold (callers are expected to have selected
-    parameters first).  ``precomputed`` is for ``scheme.select_parameters``,
-    which passes rows it checked and the sharp quantities it formed on
-    them: the pair is then not checked again, its sides are taken as the
-    one-dimensional rows they are, and the predictors and their ordering
-    are those ``precomputed`` holds.  The EOS is evaluated with the
-    unchecked kernels.  Intermediate specific volumes are returned whatever
-    their sign: their positivity is one of the predicates
-    ``scheme.select_parameters`` climbs a2 for.  The solution is
-    one-dimensional, also for scalar input.
+    Raises EosDomainError if the pair leaves the EOS domain
+    (``check_pair``), and SolverError if the existence condition does not
+    hold (callers are expected to have selected parameters first).
+    ``precomputed`` is for ``scheme.select_parameters``, which passes the
+    pair it checked and the sharp quantities it formed on it: the pair is
+    then neither checked again nor are the predictors and their ordering
+    formed again, since selection solves every round on the same pair, and
+    a check per round would cost more than the solve saves.  Public callers
+    leave it None.  The EOS is evaluated with the unchecked kernels.
+    Intermediate specific volumes are returned whatever their sign: their
+    positivity is one of the predicates ``scheme.select_parameters`` climbs
+    a2 for.  The solution is one-dimensional.
     """
     if precomputed is None:
-        pair = checked_row(wL, wR, eos1, eos2)
-        wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
-        s = sharp_quantities(wL, wR, params)
+        check_pair(pair, eos1, eos2)
+        s = sharp_quantities(PrimitiveState(*pair[0]), PrimitiveState(*pair[1]), params)
     else:
         s = precomputed
     # the existence condition and the ordering hold in the original frame:
@@ -510,7 +549,7 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     # a reflected interface swaps its sides and negates their velocities,
     # and reflection maps the predictors exactly: u and u_cap flip sign, pi
     # is untouched, the tau predictors swap sides
-    al, ar = np.where(flip, (wR.alpha1, wL.alpha1), (wL.alpha1, wR.alpha1))
+    al, ar = np.where(flip, pair[::-1, 0], pair[:, 0])
     tau_l, tau_r = np.where(flip, (s.tau_sharp1_r, s.tau_sharp1_l),
                             (s.tau_sharp1_l, s.tau_sharp1_r))
     u_sharp1, u_sharp2 = sign * s.u_sharp1, sign * s.u_sharp2
@@ -539,15 +578,14 @@ def build_solution(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams, eos2
     pi1_star = np.where(jumps, s.pi_sharp2 - a[1] * ((1.0 - al) + (1.0 - ar))
                         / np.where(jumps, dal, 1.0) * (u2s - u_sharp2), np.nan)
 
-    # the sides' density, velocity and pressure of both phases, gathered once
-    sides = np.array([((w.rho1, w.rho2), (w.u1, w.u2), (w.p1, w.p2)) for w in (wL, wR)])
-    breaks, regions = _tables(sides, a, *phase_columns(eos1, eos2), u_sharp1, tau_l, tau_r,
-                              m_star, mach, ctx.nu, u2s, flip, sign)
+    # the sides' density, velocity and pressure of both phases
+    breaks, regions = _tables(pair[:, _SIDE_ROWS], a, *phase_columns(eos1, eos2), u_sharp1,
+                              tau_l, tau_r, m_star, mach, ctx.nu, u2s, flip, sign)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
         params=params, ordering=s.ordering,
         u1_star=regions[1, 2], u2_star=regions[1, 6], pi1_star=pi1_star,
-        alpha1_l=wL.alpha1, alpha1_r=wR.alpha1, breaks=breaks, regions=regions)
+        alpha1_l=pair[0, 0], alpha1_r=pair[1, 0], breaks=breaks, regions=regions)
 
 
 def sample(sol: RelaxRiemannSolution, xi, side: str = "+"):
@@ -557,9 +595,12 @@ def sample(sol: RelaxRiemannSolution, xi, side: str = "+"):
     of (tau, u, pi, E) of both phases, phase axis second, the layout that
     ``scheme._trace_flux`` reads.  ``side='-'`` takes the left limit instead
     (used for the flux traces): a break at ``xi`` counts as passed for the
-    right limit and not for the left one.  Both phases are looked up
-    together, in one ``take`` from the region table.
+    right limit and not for the left one; any other ``side`` raises
+    ValueError.  Both phases are looked up together, in one ``take`` from
+    the region table.
     """
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
     xi = np.asarray(xi, dtype=float)
     on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
     passed = (sol.breaks <= xi) if side == "+" else (sol.breaks < xi)

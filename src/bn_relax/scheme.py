@@ -18,7 +18,7 @@ import numpy as np
 
 from .eos import EosParams, internal_energy_of, lagrangian_sound_speed_of, phase_columns
 from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, build_solution,
-                      checked_row, sample, sharp_quantities)
+                      check_pair, sample, sharp_quantities)
 from .state import (P, RHO, U, VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
                     to_conserved, to_primitive, validate_conserved)
 
@@ -162,10 +162,10 @@ def _whitham_start(rho, p, gamma, p_inf):
     return (1.0 + ETA) * lagrangian_sound_speed_of(rho, p, gamma, p_inf)
 
 
-def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
-                      eos2: EosParams) -> RelaxRiemannSolution:
-    """Pick per-interface (a1, a2) and return the solved Riemann problem,
-    whose ``params`` hold them.
+def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSolution:
+    """Pick per-interface (a1, a2) for ``pair``, the (2, 7, k) array of
+    ``riemann.interface_pair``, and return the solved Riemann problem, whose
+    ``params`` hold them.
 
     Both start from the Whitham-like bound (1 + ETA) max(rho c) over the two
     end states, and each climbs for one predicate:
@@ -188,11 +188,14 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
     solution do not depend on the rest of the row: every round solves the
     whole row, an interface that passed keeps its parameters and its bits,
     and the first round with no failing interface gives the solution.
-    Parameters and solution are one-dimensional, also for scalar input.  A
-    pair with a non-positive density or ``p + p_inf`` raises EosDomainError
-    (``checked_row``), before any parameter is formed.
+    Parameters and solution are one-dimensional.  The pair is checked once
+    (``check_pair``: EosDomainError outside the EOS domain, ValueError for
+    another shape), before any parameter is formed; every round's
+    ``build_solution`` takes it with the sharp quantities formed on it, so
+    it checks nothing again.  The predictor algebra reads the two sides as
+    ``PrimitiveState`` views of the pair, formed once.
     """
-    pair = checked_row(wL, wR, eos1, eos2)
+    check_pair(pair, eos1, eos2)
     wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
     # the start of both sides and phases, on the (side, phase) stack
     start = RelaxParams(*_whitham_start(pair[:, RHO], pair[:, P],
@@ -209,7 +212,7 @@ def select_parameters(wL: PrimitiveState, wR: PrimitiveState, eos1: EosParams,
             if missed.any():
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
                                      wL, wR, int(np.argmax(missed)))
-        sol = build_solution(wL, wR, eos1, eos2, params, precomputed=s)
+        sol = build_solution(pair, eos1, eos2, params, precomputed=s)
         tau = sol.regions[0, _MIDDLE_REGIONS]
         bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
         if not bad.any():
@@ -344,6 +347,10 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     end columns, and the cells outside ``[a, b)``, whose two fluxes are the
     same floats, keep their bits.
 
+    The wave interfaces' (2, 7, k) pair is one gather of the padded
+    primitive row; a ``PrimitiveState`` of the row is formed only to report
+    a selection failure at its mesh interface.
+
     Returns (updated cells, StepInfo).  Raises AdmissibilityError with the
     offending cell's mesh index if the post-state leaves the admissible region,
     which signals a bug or a CFL breach rather than a recoverable condition.
@@ -356,8 +363,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
     waves = wave.nonzero()[0]
     try:
-        sol = select_parameters(PrimitiveState(*w[:, waves]), PrimitiveState(*w[:, waves + 1]),
-                                eos1, eos2)
+        sol = select_parameters(w[:, [waves, waves + 1]].swapaxes(0, 1), eos1, eos2)
     except InterfaceError as err:
         raise InterfaceError(err.what, PrimitiveState(*w[:, :-1]), PrimitiveState(*w[:, 1:]),
                              int(waves[err.interface])) from None

@@ -101,21 +101,25 @@ def _check_alpha1(alpha1, where):
 
 
 def validate_primitive(w: PrimitiveState, eos1: EosParams, eos2: EosParams, where: str = ""):
-    """Raise AdmissibilityError unless every entry of ``w`` is admissible."""
+    """Raise AdmissibilityError unless every entry of ``w`` is admissible.
+
+    Checks, in order: alpha1 in (0,1), positive densities, positive ``p +
+    p_inf``, and then finite densities, velocities and pressures.
+    """
     _check_alpha1(w.alpha1, where)
     for name, rho in (("rho1", w.rho1), ("rho2", w.rho2)):
         r = np.asarray(rho, dtype=float)
         if not np.all(r > 0.0):
             raise AdmissibilityError(f"non-positive {name}", _first_bad(~(r > 0)), where)
-    for name, u in (("u1", w.u1), ("u2", w.u2)):
-        finite = np.isfinite(u)
-        if not np.all(finite):
-            raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
     for name, rho, p, eos in (("phase 1", w.rho1, w.p1, eos1), ("phase 2", w.rho2, w.p2, eos2)):
         hyp = np.asarray(p, dtype=float) + eos.p_inf
         if not np.all(hyp > 0.0):
             raise AdmissibilityError(f"{name}: p + p_inf <= 0 (complex sound speed)",
                                      _first_bad(~(hyp > 0)), where)
+    for name in VARIABLES[1:]:
+        finite = np.isfinite(getattr(w, name))
+        if not np.all(finite):
+            raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
 
 
 def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):

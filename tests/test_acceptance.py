@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from bn_relax import (EosParams, PrimitiveState, RunConfig, WaveOrdering, build_solution,
-                      fixed_point_context, get_case, run_case, sample, select_parameters,
-                      sharp_quantities, solve_star, step, to_conserved)
+                      fixed_point_context, get_case, interface_pair, run_case, sample,
+                      select_parameters, sharp_quantities, solve_star, step, to_conserved)
 from bn_relax.harness import bench, case_error, convergence_study
 from bn_relax.reference import wave_speeds
 from bn_relax.state import VARIABLES
@@ -304,7 +304,7 @@ def test_criterion_8_kernel_properties(rng):
     n = 10_000
     w = random_primitive(rng, 2 * n)
     wL, wR = w[slice(0, n)], w[slice(n, 2 * n)]
-    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     params = sol.params
 
     # subsonic ordering and the phase-2 positivity window
@@ -333,7 +333,7 @@ def test_criterion_8_kernel_properties(rng):
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
     # reflection identity on sampled states
-    mirrored = build_solution(wR.mirrored(), wL.mirrored(), IDEAL, IDEAL, params)
+    mirrored = build_solution(interface_pair(wR.mirrored(), wL.mirrored()), IDEAL, IDEAL, params)
     for xi in (-0.9, -0.2, 0.0, 0.31, 1.1):
         a = fields(sample(sol, xi))
         b = fields(sample(mirrored, -xi, side="-"))
@@ -346,7 +346,7 @@ def test_criterion_8_kernel_properties(rng):
     # equal-fraction pairs decouple into two single-phase star states;
     # pi and u deviations are scaled naturally since both can vanish
     wRd = PrimitiveState(wL.alpha1, wR.rho1, wR.u1, wR.p1, wR.rho2, wR.u2, wR.p2)
-    sol_d = select_parameters(wL, wRd, IDEAL, IDEAL)
+    sol_d = select_parameters(interface_pair(wL, wRd), IDEAL, IDEAL)
     params_d = sol_d.params
     for k, (uL, uR, pL, pR, tL, tR, a) in enumerate((
             (wL.u1, wRd.u1, wL.p1, wRd.p1, 1 / wL.rho1, 1 / wRd.rho1, params_d.a1),

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveOrdering,
-                      build_solution, fixed_point_context, region_tables, riemann, sample,
-                      select_parameters, sharp_quantities, solve_star)
+                      build_solution, fixed_point_context, interface_pair, region_tables, riemann,
+                      sample, select_parameters, sharp_quantities, solve_star)
 from bn_relax.riemann import STOP_TOL, FixedPointContext
 from bn_relax.state import VARIABLES
 from conftest import fields, psi, random_primitive
@@ -32,7 +32,7 @@ def sc(x):
 
 
 def params_for(wL, wR, eos1, eos2):
-    sol = select_parameters(wL, wR, eos1, eos2)
+    sol = select_parameters(interface_pair(wL, wR), eos1, eos2)
     return sol.params, sol
 
 
@@ -139,7 +139,7 @@ def test_solve_star_uniform_data_recovers_velocities():
     u2s, u1s = star_velocities(ctx, s, params, m, mach)
     assert u2s == pytest.approx(0.1, abs=1e-12)
     assert u1s == pytest.approx(0.25, abs=1e-12)
-    sol = build_solution(w, w, IDEAL, IDEAL, params)
+    sol = build_solution(interface_pair(w, w), IDEAL, IDEAL, params)
     assert sol.u2_star == pytest.approx(0.1, abs=1e-12)
     assert sol.u1_star == pytest.approx(0.25, abs=1e-12)
 
@@ -152,7 +152,7 @@ def test_solve_star_zero_contrast_limit():
     m, mach = solve_star(ctx)
     assert m == pytest.approx(0.0, abs=1e-12)
     assert star_velocities(ctx, s, params, m, mach)[0] == pytest.approx(s.u_sharp1, abs=1e-12)
-    sol = build_solution(w, w, IDEAL, IDEAL, params)
+    sol = build_solution(interface_pair(w, w), IDEAL, IDEAL, params)
     assert sol.u2_star == pytest.approx(s.u_sharp1, abs=1e-12)
 
 
@@ -252,7 +252,7 @@ def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
     cR = PrimitiveState(0.7, 0.5, 0.0, 1.0, 1.5, 0.0, 1.0)
     wL, wR = (PrimitiveState(*(np.append(getattr(a, v), getattr(b, v)) for v in VARIABLES))
               for a, b in ((wL, cL), (wR, cR)))
-    params = select_parameters(wL, wR, IDEAL, IDEAL).params
+    params = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL).params
 
     solved_nu = []
 
@@ -261,7 +261,7 @@ def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
         return solve_star(ctx)
 
     monkeypatch.setattr(riemann, "solve_star", recording)
-    sol = build_solution(wL, wR, IDEAL, IDEAL, params)
+    sol = build_solution(interface_pair(wL, wR), IDEAL, IDEAL, params)
     nu = np.concatenate(solved_nu)
     jumps = (sol.ordering != WaveOrdering.COINCIDENT) & (wL.alpha1 != wR.alpha1)
     assert sol.ordering[-1] == WaveOrdering.COINCIDENT and np.any(jumps)
@@ -275,7 +275,7 @@ def test_build_solution_solves_only_jumping_interfaces(rng, monkeypatch):
 
     in_row = compared(sol)
     for j in range(wL.alpha1.size):
-        alone = compared(build_solution(wL[[j]], wR[[j]], IDEAL, IDEAL,
+        alone = compared(build_solution(interface_pair(wL[[j]], wR[[j]]), IDEAL, IDEAL,
                                         take_interfaces(params, [j])))
         for field in ("u1_star", "u2_star", "tau1", "E1"):
             got, want = in_row[field][..., j], alone[field][..., 0]
@@ -299,7 +299,7 @@ def check_star_solve(left, right, eos2):
     against a bisection to adjacent floats.  Returns False, checking
     nothing, when the phase fraction does not jump at the coupling wave."""
     wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
-    sol = select_parameters(wL, wR, IDEAL, eos2)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, eos2)
     params = sol.params
     if sol.ordering[0] == WaveOrdering.ORDER_21:
         wL, wR = wR.mirrored(), wL.mirrored()
@@ -429,6 +429,15 @@ def test_sample_right_limit_convention(rng):
     assert left_limit.alpha1 == wL.alpha1[0]
 
 
+@pytest.mark.parametrize("side", ["x", "", "+-", "left", None])
+def test_sample_rejects_an_unknown_side(rng, side):
+    # "+" takes the right limit at a wave speed and "-" the left one; any
+    # other side used to take alpha1 of one limit with the table of the other
+    sol = feasible_pair(rng)[3]
+    with pytest.raises(ValueError, match="side must be '\\+' or '-'"):
+        sample(sol, sc(sol.u2_star), side=side)
+
+
 # ------------------------------------------------------------ jump-condition audit
 
 def table_balances(sol):
@@ -529,11 +538,11 @@ def test_near_window_pair_coupling_dissipation():
     near = RelaxParams(np.array([float.fromhex("0x1.0d5bfbe9885e7p+2")]),
                        np.array([float.fromhex("0x1.9e0fe43ed8d15p+0")]))
     assert 0.99999 < window_fraction(near) < 1.0
-    sol = build_solution(wL, wR, IDEAL, IDEAL, near)
+    sol = build_solution(interface_pair(wL, wR), IDEAL, IDEAL, near)
     tables = region_tables(sol)
     assert np.all(tables["tau1"][1:4] > 0.0) and np.all(tables["tau2"][1:3] > 0.0)
     _assert_jump_conditions(sol)
-    assert window_fraction(select_parameters(wL, wR, IDEAL, IDEAL).params) < 0.999
+    assert window_fraction(select_parameters(interface_pair(wL, wR), IDEAL, IDEAL).params) < 0.999
 
 
 def check_whole_interface(left, right, eos2):
@@ -542,7 +551,7 @@ def check_whole_interface(left, right, eos2):
     checking nothing, when selection gives up on the pair."""
     wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
     try:
-        sol = select_parameters(wL, wR, IDEAL, eos2)
+        sol = select_parameters(interface_pair(wL, wR), IDEAL, eos2)
     except SolverError:
         return False
     tables = region_tables(sol)
@@ -563,7 +572,7 @@ def test_waves_closer_than_a_sampling_offset():
     # balances on its own
     left, right = (0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0), (1e-9, 1.0, 0.0, 1.0, 1.0, 0.5, 1.0)
     wL, wR = (PrimitiveState(*(np.array([v]) for v in side)) for side in (left, right))
-    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     assert 0.0 < abs(sol.u1_star[0] - sol.u2_star[0]) < 1e-8
     assert check_whole_interface(left, right, IDEAL)
 
@@ -606,7 +615,8 @@ def test_mirror_symmetry(rng):
     xs = np.linspace(-3.0, 3.0, 41)
     for _ in range(100):
         wL, wR, params, sol = feasible_pair(rng)
-        mirrored_sol = build_solution(wR.mirrored(), wL.mirrored(), IDEAL, IDEAL, params)
+        mirrored_sol = build_solution(interface_pair(wR.mirrored(), wL.mirrored()), IDEAL, IDEAL,
+                                      params)
         for xi in xs:
             a = fields(sample(sol, xi))
             b = fields(sample(mirrored_sol, -xi, side="-"))

@@ -6,8 +6,8 @@ import pytest
 
 from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData, PrimitiveState,
                       RunConfig, SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
-                      get_case, region_tables, run, sample, scheme, select_parameters,
-                      sharp_quantities, step, to_conserved, to_primitive)
+                      get_case, interface_pair, region_tables, run, sample, scheme,
+                      select_parameters, sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
                           sound_speed_squared_of)
 from bn_relax.riemann import RelaxParams
@@ -43,7 +43,7 @@ def flux_vector(w: PrimitiveState, eos1, eos2):
 
 def test_whitham_init_case1_interface():
     case = get_case(1)
-    params = select_parameters(case.left, case.right, case.eos1, case.eos2).params
+    params = select_parameters(interface_pair(case.left, case.right), case.eos1, case.eos2).params
     # this interface is feasible straight from the (1 + eta) Whitham bound
     assert sc(params.a1) == pytest.approx(1.1516, abs=2e-4)
     rc_max = max(sc(case.eos2.lagrangian_sound_speed(case.left.rho2, case.left.p2)),
@@ -53,7 +53,7 @@ def test_whitham_init_case1_interface():
 
 def test_uniform_data_zero_inflations():
     w = PrimitiveState(0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)
-    params = select_parameters(w, w, IDEAL, IDEAL).params
+    params = select_parameters(interface_pair(w, w), IDEAL, IDEAL).params
     assert sc(params.a1) == pytest.approx(1.01 * sc(IDEAL.lagrangian_sound_speed(1.0, 1.0)),
                                           rel=1e-13)
     assert sc(params.a2) == pytest.approx(1.01 * sc(IDEAL.lagrangian_sound_speed(2.0, 0.8)),
@@ -64,7 +64,7 @@ def test_near_vacuum_interface_terminates():
     # case-3 star region sits near vacuum; the loop must still settle
     case = get_case(3)
     star = PrimitiveState(0.2, 0.0219, 0.0, 0.0019, 0.0219, 0.0, 0.0019)
-    sol = select_parameters(case.left, star, case.eos1, case.eos2)
+    sol = select_parameters(interface_pair(case.left, star), case.eos1, case.eos2)
     params = sol.params
     assert np.all(np.isfinite(np.atleast_1d(params.a2)))
     assert np.all(region_tables(sol)["tau2"][1:3] > 0.0)
@@ -73,7 +73,7 @@ def test_near_vacuum_interface_terminates():
 def test_whitham_bound_always_respected(rng):
     w = random_primitive(rng, 60)
     wL, wR = w[slice(0, 30)], w[slice(30, 60)]
-    params = select_parameters(wL, wR, IDEAL, IDEAL).params
+    params = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL).params
     floor1 = np.maximum(IDEAL.lagrangian_sound_speed(wL.rho1, wL.p1),
                         IDEAL.lagrangian_sound_speed(wR.rho1, wR.p1))
     floor2 = np.maximum(IDEAL.lagrangian_sound_speed(wL.rho2, wL.p2),
@@ -87,11 +87,11 @@ def test_selection_is_row_independent(rng):
     # interface the bits it gets alone, on the a1 and a2 ladders and retries
     w = random_primitive(rng, 800)
     wL, wR = w[slice(0, 400)], w[slice(400, 800)]
-    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     params = sol.params
     tau1 = region_tables(sol)["tau1"]
     for j in range(400):
-        sj = select_parameters(wL[j], wR[j], IDEAL, IDEAL)
+        sj = select_parameters(interface_pair(wL[j], wR[j]), IDEAL, IDEAL)
         pj = sj.params
         in_row = (params.a1[j], params.a2[j], tau1[:, j], sol.u2_star[j])
         alone = (pj.a1, pj.a2, region_tables(sj)["tau1"][:, 0], sj.u2_star)
@@ -115,7 +115,7 @@ def test_non_finite_intermediate_volume_takes_a_retry(monkeypatch, bad_tau):
                                for v in VARIABLES))
               for a, b, c in ((case.left, case.left, case.right),
                               (case.right, case.left, case.right)))
-    plain = select_parameters(wL, wR, case.eos1, case.eos2)
+    plain = select_parameters(interface_pair(wL, wR), case.eos1, case.eos2)
     solve = scheme.build_solution
     for bad_u2_star in (False, True):
         calls = []
@@ -130,7 +130,7 @@ def test_non_finite_intermediate_volume_takes_a_retry(monkeypatch, bad_tau):
             return sol
 
         monkeypatch.setattr(scheme, "build_solution", corrupt_first)
-        sol = select_parameters(wL, wR, case.eos1, case.eos2)
+        sol = select_parameters(interface_pair(wL, wR), case.eos1, case.eos2)
         assert len(calls) > 1
         want = plain.params.a2.copy()
         want[0] *= 1.0 + ETA
@@ -186,7 +186,7 @@ def recorded_climbs(rng, monkeypatch, **rows):
     monkeypatch.setattr(scheme, "build_solution", recording_solve)
     for wL, wR, eos2 in hard_rows(rng, **rows):
         solves.clear()
-        select_parameters(wL, wR, IDEAL, eos2)
+        select_parameters(interface_pair(wL, wR), IDEAL, eos2)
         per_call.append(len(solves))
     monkeypatch.undo()
     return climbs, per_call
@@ -215,7 +215,8 @@ def rebuilt_a2_least(solve):
     largest root in a2 of its two phase-2 volumes beside the coupling wave
     times a2^2, with ``k``, the coupling wave's shift of u2* beyond
     ``lambda du/2`` times a2, held fixed."""
-    (wl, wr, _, _, sub), kwargs, sol = solve
+    (pair, _, _, sub), kwargs, sol = solve
+    wl, wr = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
     s = kwargs["precomputed"]
     tau = sol.regions[0, [1, 2, 3, 6, 7]]
     bad = ~((tau > 0.0) & np.isfinite(tau)).all(axis=0)
@@ -274,7 +275,7 @@ def test_a1_climbs_from_its_start_at_the_returned_a2(rng):
     # a retry takes a1 from its Whitham start again, so the returned a1 is
     # one climb from that start at the returned a2, whatever the retries were
     for wL, wR, eos2 in hard_rows(rng):
-        params = select_parameters(wL, wR, IDEAL, eos2).params
+        params = select_parameters(interface_pair(wL, wR), IDEAL, eos2).params
         start = whitham_a1(wL, wR)
         cand = RelaxParams(start, params.a2)
         s = sharp_quantities(wL, wR, cand)
@@ -303,7 +304,7 @@ def test_every_round_solves_the_whole_row(rng, monkeypatch):
     retried = 0
     for wL, wR, eos2 in hard_rows(rng):
         solves.clear()
-        sol = select_parameters(wL, wR, IDEAL, eos2)
+        sol = select_parameters(interface_pair(wL, wR), IDEAL, eos2)
         assert all(s.params.a1.size == s.u2_star.size == wL.alpha1.size for s in solves)
         assert sol is solves[-1]
         retried += len(solves) > 1
@@ -318,7 +319,7 @@ def test_climb_short_of_its_threshold_is_an_error(rng, monkeypatch, grow):
     monkeypatch.setattr(scheme, f"_a{grow}_least", lambda *args: 0.5 * least(*args))
     with pytest.raises(SolverError, match=rf"a{grow} climbed past its threshold, yet its "
                                           r"predicate fails at interface \d+;"):
-        select_parameters(hard_row(rng, 250), hard_row(rng, 250), IDEAL, IDEAL)
+        select_parameters(interface_pair(hard_row(rng, 250), hard_row(rng, 250)), IDEAL, IDEAL)
 
 
 def test_ladder_inflation_cap_is_an_error():
@@ -330,7 +331,7 @@ def test_ladder_inflation_cap_is_an_error():
         cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (3, 1))
         cells[1, 2] = u_rel                 # u1 of the middle pair
         w = PrimitiveState(*cells.T)
-        return select_parameters(w, w, IDEAL, IDEAL)
+        return select_parameters(interface_pair(w, w), IDEAL, IDEAL)
 
     params = row(1e4).params
     assert 1e4 < params.a1[1] < (1.0 + ETA) ** MAX_INFLATIONS * params.a1[0]
@@ -369,11 +370,42 @@ def test_public_solvers_reject_an_inadmissible_pair(field, value):
     good = PrimitiveState(0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     bad = dataclasses.replace(good, **{field: value})
     params = RelaxParams(np.array([3.0]), np.array([30.0]))
-    for call in (lambda: select_parameters(good, bad, IDEAL, STIFF),
-                 lambda: select_parameters(bad, good, IDEAL, STIFF),
-                 lambda: build_solution(bad, good, IDEAL, STIFF, params),
-                 lambda: build_solution(good, bad, IDEAL, STIFF, params)):
+    for call in (lambda: select_parameters(interface_pair(good, bad), IDEAL, STIFF),
+                 lambda: select_parameters(interface_pair(bad, good), IDEAL, STIFF),
+                 lambda: build_solution(interface_pair(bad, good), IDEAL, STIFF, params),
+                 lambda: build_solution(interface_pair(good, bad), IDEAL, STIFF, params)):
         with pytest.raises(EosDomainError, match=r"non-positive density or p \+ p_inf <= 0"):
+            call()
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("entry", ["select_parameters", "build_solution"])
+@pytest.mark.parametrize("field, value", [("u1", np.nan), ("u2", np.inf), ("alpha1", np.nan),
+                                          ("alpha1", 1.5), ("rho1", np.inf), ("p2", np.inf)])
+def test_public_solvers_check_the_whole_domain(field, value, entry, side):
+    # the check of the pair covers every entry: a non-finite field or an
+    # alpha1 outside (0, 1) raises EosDomainError naming it, before the
+    # solver forms NaN predictors from it
+    good = PrimitiveState(0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+    bad = dataclasses.replace(good, **{field: value})
+    pair = interface_pair(*((good, bad) if side else (bad, good)))
+    params = RelaxParams(np.array([3.0]), np.array([30.0]))
+    call = {"select_parameters": lambda: select_parameters(pair, IDEAL, STIFF),
+            "build_solution": lambda: build_solution(pair, IDEAL, STIFF, params)}[entry]
+    with pytest.raises(EosDomainError, match=rf"{field} of side {('left', 'right')[side]} "
+                                             r"at interface 0"):
+        call()
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (2, 7), (1, 7, 3), (2, 6, 3), (2, 7, 3, 1)])
+def test_public_solvers_reject_a_pair_of_another_shape(shape):
+    # a pair is (side, variable, interface); an admissible state in every
+    # entry leaves the shape as the only fault
+    pair = np.full(shape, 0.5)
+    params = RelaxParams(np.array([3.0]), np.array([30.0]))
+    for call in (lambda: select_parameters(pair, IDEAL, IDEAL),
+                 lambda: build_solution(pair, IDEAL, IDEAL, params)):
+        with pytest.raises(ValueError, match=r"shape \(2, 7, k\)"):
             call()
 
 
@@ -381,7 +413,7 @@ def test_public_solvers_reject_an_inadmissible_pair(field, value):
 
 def test_uniform_fluxes_are_physical():
     w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
-    fx = assemble_fluxes(select_parameters(w, w, IDEAL, IDEAL))
+    fx = assemble_fluxes(select_parameters(interface_pair(w, w), IDEAL, IDEAL))
     expect = flux_vector(w, IDEAL, IDEAL)
     assert np.allclose(np.asarray(fx.f_minus, dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
     assert np.allclose(np.asarray(fx.f_plus, dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
@@ -390,7 +422,7 @@ def test_uniform_fluxes_are_physical():
 def test_flux_conservation_structure(rng):
     w = random_primitive(rng, 40)
     wL, wR = w[slice(0, 20)], w[slice(20, 40)]
-    fx = assemble_fluxes(select_parameters(wL, wR, IDEAL, IDEAL))
+    fx = assemble_fluxes(select_parameters(interface_pair(wL, wR), IDEAL, IDEAL))
     fm, fp = fx.f_minus, fx.f_plus
     assert np.allclose(fm[1], fp[1], rtol=1e-13, atol=1e-14)       # partial masses
     assert np.allclose(fm[2], fp[2], rtol=1e-13, atol=1e-14)
@@ -406,7 +438,7 @@ def stationary_contact_pair():
 
 def test_stationary_contact_fluxes_balance():
     wL, wR = stationary_contact_pair()
-    fx = assemble_fluxes(select_parameters(wL, wR, IDEAL, IDEAL))
+    fx = assemble_fluxes(select_parameters(interface_pair(wL, wR), IDEAL, IDEAL))
     # mass and energy fluxes vanish; momentum fluxes match the one-sided
     # exact fluxes so that neither neighbor cell changes
     for i in (1, 2, 5, 6):
@@ -420,12 +452,12 @@ def test_equal_fraction_fluxes_decouple(rng):
     # with no fraction jump the fluxes are two independent single-phase fluxes
     wL = PrimitiveState(0.35, 1.0, 0.2, 1.0, 2.0, -0.1, 0.7)
     wR = PrimitiveState(0.35, 0.8, 0.1, 1.2, 1.7, 0.2, 0.9)
-    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     # swapping the OTHER phase's data must not change this phase's fluxes
     wL2 = PrimitiveState(0.35, wL.rho1, wL.u1, wL.p1, 1.1, 0.4, 1.3)
     wR2 = PrimitiveState(0.35, wR.rho1, wR.u1, wR.p1, 2.2, -0.3, 0.6)
-    sol2 = select_parameters(wL2, wR2, IDEAL, IDEAL)
+    sol2 = select_parameters(interface_pair(wL2, wR2), IDEAL, IDEAL)
     fx2 = assemble_fluxes(sol2)
     for i in (1, 3):
         assert sc(fx.f_minus[i]) == pytest.approx(sc(fx2.f_minus[i]), rel=1e-12)
@@ -438,9 +470,9 @@ def test_moving_coupled_contact_flux_exactness():
     u0 = 0.4
     wL = PrimitiveState(0.2, 1.0, u0, 1.0, 2.0, u0, 1.0)
     wR = PrimitiveState(0.7, 0.5, u0, 1.0, 1.5, u0, 1.0)
-    fxL = assemble_fluxes(select_parameters(wL, wL, IDEAL, IDEAL))
-    fx = assemble_fluxes(select_parameters(wL, wR, IDEAL, IDEAL))
-    fxR = assemble_fluxes(select_parameters(wR, wR, IDEAL, IDEAL))
+    fxL = assemble_fluxes(select_parameters(interface_pair(wL, wL), IDEAL, IDEAL))
+    fx = assemble_fluxes(select_parameters(interface_pair(wL, wR), IDEAL, IDEAL))
+    fxR = assemble_fluxes(select_parameters(interface_pair(wR, wR), IDEAL, IDEAL))
     uL = to_conserved(wL, IDEAL, IDEAL).stack().ravel()
     uR = to_conserved(wR, IDEAL, IDEAL).stack().ravel()
     lam = 0.05
@@ -470,7 +502,7 @@ def trace_fluxes(sol):
 def test_coupling_terms_zero_without_alpha_jump():
     wL = PrimitiveState(0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)
     wR = PrimitiveState(wL.alpha1, 0.7, 0.0, 1.2, 1.9, 0.1, 0.9)
-    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     assert np.isnan(sc(sol.pi1_star))
     for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
@@ -483,7 +515,7 @@ def test_coupling_terms_cancel_in_mixture_momentum_and_energy(rng):
     # the coupling wave moves momentum and energy between the phases, never
     # into or out of the mixture, and never adds to a partial mass
     w = random_primitive(rng, 400)
-    sol = select_parameters(w[slice(0, 200)], w[slice(200, 400)], IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(w[slice(0, 200)], w[slice(200, 400)]), IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     eps = np.finfo(float).eps
     for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
@@ -545,7 +577,7 @@ def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
     # and the fluxes must equal, bitwise, those read off the region tables
     # by the one-sided rule, so a swapped limit or break would show
     wL, wR = tie_row(rng, 500)
-    sol = select_parameters(wL, wR, IDEAL, IDEAL)
+    sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     tables = region_tables(sol)
     at_zero = (tables["breaks1"] == 0.0).any(axis=0) | (tables["breaks2"] == 0.0).any(axis=0)
     reflected = sol.ordering == WaveOrdering.ORDER_21
@@ -573,8 +605,9 @@ def test_reflection_is_exact_for_whole_tables(rng):
     # original's at xi, bit for bit, also at the wave speeds themselves
     reflected = 0
     for wL, wR, eos2 in hard_rows(rng):
-        sol = select_parameters(wL, wR, IDEAL, eos2)
-        mirrored = build_solution(wR.mirrored(), wL.mirrored(), IDEAL, eos2, sol.params)
+        sol = select_parameters(interface_pair(wL, wR), IDEAL, eos2)
+        mirrored = build_solution(interface_pair(wR.mirrored(), wL.mirrored()), IDEAL, eos2,
+                                  sol.params)
         reflected += np.count_nonzero(sol.ordering == WaveOrdering.ORDER_21)
         tables, mirrored_tables = region_tables(sol), region_tables(mirrored)
         for key, table in tables.items():
@@ -597,7 +630,7 @@ def rest_cell_solution():
     """Both interfaces of one uniform rest cell with tau = 1, solved with a = 2."""
     w = PrimitiveState(*(np.full(2, v) for v in (0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)))
     params = RelaxParams(np.array([2.0, 2.0]), np.array([2.0, 2.0]))
-    return build_solution(w, w, IDEAL, IDEAL, params)
+    return build_solution(interface_pair(w, w), IDEAL, IDEAL, params)
 
 
 def test_cfl_dt_hand_value():
@@ -629,7 +662,7 @@ def test_cfl_dt_equals_padded_cell_speeds(rng):
                                        cells.rho1, cells.u1, cells.p1)
             padded = PrimitiveState(*(np.concatenate([v[:1], v, v[-1:]])
                                       for v in (getattr(cells, f) for f in VARIABLES)))
-            sol = select_parameters(padded[:-1], padded[1:], IDEAL, IDEAL)
+            sol = select_parameters(interface_pair(padded[:-1], padded[1:]), IDEAL, IDEAL)
             params = sol.params
             assert np.any(sol.ordering == WaveOrdering.ORDER_21)
             assert np.any(sol.ordering == WaveOrdering.COINCIDENT)
@@ -692,7 +725,8 @@ def test_calm_interfaces_take_the_physical_flux():
     res = run(case.initial, cfg, case.eos1, case.eos2)
     _, info = step(res.cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=res.prim)
     padded = padded_row(res.prim)
-    full = assemble_fluxes(select_parameters(padded[:-1], padded[1:], case.eos1, case.eos2))
+    full = assemble_fluxes(select_parameters(interface_pair(padded[:-1], padded[1:]), case.eos1,
+                                             case.eos2))
     wave = np.zeros(201, bool)
     wave[info.waves] = True
     calm = np.flatnonzero(~wave)
@@ -713,7 +747,7 @@ def test_calm_speed_is_the_outer_break_of_the_start(rng, eos2):
     # selection takes: where a uniform pair solved as a Riemann problem keeps
     # that start (no climb), its fastest outer break is the calm speed, bitwise
     w = random_primitive(rng, 2000)
-    sol = select_parameters(w, w, IDEAL, eos2)
+    sol = select_parameters(interface_pair(w, w), IDEAL, eos2)
     start = [(1.0 + ETA) * eos.lagrangian_sound_speed(rho, p)
              for eos, rho, p in ((IDEAL, w.rho1, w.p1), (eos2, w.rho2, w.p2))]
     kept = (sol.params.a1 == start[0]) & (sol.params.a2 == start[1])
@@ -734,7 +768,7 @@ def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
     grows = []
     climb = scheme._climb_ladder
     monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[4]) or climb(*args))
-    select_parameters(w, w, case.eos1, case.eos2)
+    select_parameters(interface_pair(w, w), case.eos1, case.eos2)
     assert grows == [1]
     grows.clear()
     cells = to_conserved(grid_of(w, 16), case.eos1, case.eos2)
@@ -767,7 +801,7 @@ def full_row_step(cells, prim, cfl, eos1, eos2, dx):
     w = padded.stack()
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
     waves = np.flatnonzero(wave)
-    sol = select_parameters(padded[waves], padded[waves + 1], eos1, eos2)
+    sol = select_parameters(interface_pair(padded[waves], padded[waves + 1]), eos1, eos2)
     table, speeds = scheme._constant_row(w[:, :-1], eos1, eos2)
     dt = cfl_dt(sol, dx, cfl, np.where(wave, 0.0, speeds))
     solved = assemble_fluxes(sol)

@@ -109,6 +109,16 @@ def test_nan_conserved_field_rejected(field):
         to_primitive(u, IDEAL, IDEAL)
 
 
+@pytest.mark.parametrize("field", ["rho1", "p1", "rho2", "p2"])
+def test_infinite_primitive_field_rejected(field):
+    # an infinite density or pressure passes the positivity checks, so the
+    # finiteness check after them names it
+    w = PrimitiveState(*(np.full(4, v) for v in (0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)))
+    getattr(w, field)[2] = np.inf
+    with pytest.raises(AdmissibilityError, match=rf"non-finite {field} at index 2"):
+        to_conserved(w, IDEAL, IDEAL)
+
+
 def test_admissibility_error_round_trips_through_pickle():
     err = pickle.loads(pickle.dumps(AdmissibilityError("non-positive rho1", 3, "initial data")))
     assert (err.what, err.index, err.where) == ("non-positive rho1", 3, "initial data")
