@@ -1,50 +1,65 @@
 #!/usr/bin/env python3
-"""Print the exact number of Python-level calls per relaxation step.
+"""Print the exact number of Python-level calls per relaxation step of a run.
 
-For cases 1, 2 and 4 at 200 cells the script marches 40 steps unprofiled,
-then profiles 20 more with ``cProfile``: each profiled call is one
-``scheme.step``, which converts the cells to primitive variables itself,
-followed by the ``to_primitive`` of the updated window that ``scheme.run``
-makes after each step.  It prints the profiler's total call count divided by
-20; the profiler's own ``disable`` calls are not counted.  The count does
-not depend on the host or on timing, so two runs give the same figure.
-numpy ufunc calls and slot calls such as indexing are not Python-level
-calls and are not counted.  Usage:
+For cases 1, 2 and 4 at 200 cells the script calls ``scheme.run`` and
+profiles steps 41 to 60 with ``cProfile``: the profile starts at the call of
+step 41 and stops at the call of step 61, where the run is cut short.  So it
+counts each step as ``run`` makes it, together with ``run``'s bookkeeping of
+that step (splicing the updated window into its rows, the totals, the
+minima, the conservation audit and the step record).  It prints the
+profiler's total call count divided by 20; the wrapper that starts and stops
+the profile and the profiler's own ``disable`` call are not counted.  The
+count does not depend on the host or on timing, so two runs give the same
+figure.  numpy ufunc calls and slot calls such as indexing are not
+Python-level calls and are not counted.  Usage:
 
     PYTHONPATH=src python scripts/dispatch_count.py
 """
 import cProfile
 import pstats
 
-from bn_relax import get_case
-from bn_relax.scheme import RunConfig, _project_initial, step
-from bn_relax.state import to_primitive
+from bn_relax import get_case, scheme
+from bn_relax.scheme import RunConfig
 
 CASES = (1, 2, 4)
 CELLS = 200
 WARM_STEPS, PROFILED_STEPS = 40, 20
 
 
+class _Profiled(Exception):
+    """Raised at the step after the profiled ones, to end the run there."""
+
+
 def calls_per_step(cid):
     case = get_case(cid)
     cfg = RunConfig(cells=CELLS, t_final=case.t_max, domain=case.domain, cfl=case.cfl)
-    dx = (cfg.domain[1] - cfg.domain[0]) / CELLS
-    cells = _project_initial(case.initial, cfg.domain[0], dx, CELLS, case.eos1, case.eos2)
     profile = cProfile.Profile()
-    t = 0.0
-    for k in range(WARM_STEPS + PROFILED_STEPS):
-        profiled = k >= WARM_STEPS
-        if profiled:
+    original = scheme.step
+    started = 0
+
+    def profiling(*args, **kwargs):
+        nonlocal started
+        started += 1
+        if started == WARM_STEPS + 1:
             profile.enable()
-        cells, info = step(cells, cfg, case.eos1, case.eos2, dx, dt_cap=cfg.t_final - t)
-        to_primitive(cells[info.updated], case.eos1, case.eos2)
-        if profiled:
+        elif started == WARM_STEPS + PROFILED_STEPS + 1:
             profile.disable()
-        t += info.dt
-    stats = pstats.Stats(profile).stats
-    own = sum(calls for (_, _, name), (_, calls, *_) in stats.items()
-              if name == "<method 'disable' of '_lsprof.Profiler' objects>")
-    return (pstats.Stats(profile).total_calls - own) / PROFILED_STEPS
+            raise _Profiled
+        return original(*args, **kwargs)
+
+    scheme.step = profiling
+    try:
+        scheme.run(case.initial, cfg, case.eos1, case.eos2)
+        raise RuntimeError(f"case {cid} ended before step {WARM_STEPS + PROFILED_STEPS + 1}")
+    except _Profiled:
+        pass
+    finally:
+        scheme.step = original
+    stats = pstats.Stats(profile)
+    own = sum(calls for (_, _, name), (_, calls, *_) in stats.stats.items()
+              if name in ("<method 'disable' of '_lsprof.Profiler' objects>",
+                          profiling.__name__))
+    return (stats.total_calls - own) / PROFILED_STEPS
 
 
 def main():

@@ -13,6 +13,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,43 @@ class InterfaceFluxes:
 
     f_minus: np.ndarray
     f_plus: np.ndarray
+
+    def ends(self):
+        """The flux columns through the right and through the left domain end."""
+        return self.f_minus[:, -1], self.f_plus[:, 0]
+
+
+class WindowFluxes:
+    """The fluxes of a relaxation step whose window is the interfaces [a, b]:
+    ``window`` holds their (-, +) fluxes, shape (2, 7, b - a + 1).  Every
+    interface left of ``a`` carries the fluxes of ``a`` and every one right
+    of ``b`` those of ``b``, so the (7, n_interfaces) rows ``f_minus`` and
+    ``f_plus`` are formed from the window on their first read, and
+    ``ends`` reads the window's end columns."""
+
+    def __init__(self, window, a, interfaces):
+        self.window, self.a, self.interfaces = window, a, interfaces
+
+    @cached_property
+    def _rows(self):
+        a, b = self.a, self.a + self.window.shape[-1] - 1
+        f = np.empty((2, 7, self.interfaces))
+        f[:, :, a:b + 1] = self.window
+        f[:, :, :a] = self.window[:, :, :1]
+        f[:, :, b + 1:] = self.window[:, :, -1:]
+        return f
+
+    @property
+    def f_minus(self):
+        return self._rows[0]
+
+    @property
+    def f_plus(self):
+        return self._rows[1]
+
+    def ends(self):
+        """The window's end columns, which the rows copy beyond the window."""
+        return self.window[0, :, -1], self.window[1, :, 0]
 
 
 class InterfaceError(SolverError):
@@ -315,21 +353,85 @@ def _constant_row(w, eos1, eos2):
     return table, speeds.max(axis=0)
 
 
+class MarchRows:
+    """The rows that a relaxation march owns, formed from the state ``cells``
+    whose primitive variables are ``prim``; both are copied, never written:
+
+    - ``w``, the primitive row between transmissive ghost cells, (7, n + 2);
+    - ``wave``, the wave mask of the n + 1 interfaces, True where the two
+      states differ in some field;
+    - ``u``, the conserved stack, (7, n), whose rows ``cells`` views;
+    - ``families``, the ``FAMILIES`` entrywise, (4, n);
+    - ``energies``, the specific internal energy of each phase, (2, n).
+
+    Every wave interface lies in ``span`` = (lo, hi), the interfaces [lo,
+    hi].  ``step`` updates ``u`` on its window [a, b) in place, and
+    ``splice`` then brings the other rows in line on that window, so a step
+    and its bookkeeping cost the window rather than the row.  After an
+    error of ``step`` the rows are not consistent.
+    """
+
+    def __init__(self, cells: ConservedState, prim: PrimitiveState, eos1, eos2):
+        self.u = cells.stack()
+        self.cells = ConservedState(*self.u)
+        self.w = _pad_edges(prim.astuple())
+        self.wave = np.empty(self.w.shape[1] - 1, bool)
+        self._mark(0, self.wave.size - 1)
+        self.families = np.array(_family_values(self.cells))
+        self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1],
+                                           *phase_columns(eos1, eos2))
+
+    def _mark(self, lo, hi):
+        """Form the wave mask of the interfaces [lo, hi] and make them the span."""
+        w = self.w
+        self.wave[lo:hi + 1] = (w[:, lo:hi + 1] != w[:, lo + 1:hi + 2]).any(axis=0)
+        self.span = lo, hi
+
+    def splice(self, updated: slice, eos1, eos2):
+        """Bring the rows in line with ``u`` after a step changed its cells
+        ``updated`` = [a, b): the window's primitives (``to_primitive``
+        validates them) and both ghost cells, then the wave mask of the
+        interfaces [a, b], the only ones beside a changed cell, and the
+        families and energies of [a, b).  Every other entry keeps its bits,
+        since its cells did."""
+        a, b = updated.start, updated.stop
+        w, part = self.w, ConservedState(*self.u[:, a:b])
+        w[:, a + 1:b + 1] = to_primitive(part, eos1, eos2).astuple()
+        w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
+        self._mark(a, b)
+        self.families[:, a:b] = _family_values(part)
+        self.energies[:, a:b] = internal_energy_of(w[RHO, a + 1:b + 1], w[P, a + 1:b + 1],
+                                                   *phase_columns(eos1, eos2))
+
+    def totals(self):
+        """The families summed over the row: each row of ``families`` is
+        reduced as ``np.sum`` reduces it on its own, bit for bit."""
+        return np.add.reduce(self.families, axis=-1)
+
+    def minima(self):
+        """The ``StepRecord`` minima of the row; rows 1 and 4 of ``w`` (``RHO``)
+        are the densities, read as a view."""
+        return _minima(self.u[0], self.w[1:5:3, 1:-1], self.energies)
+
+
 @dataclass
 class StepInfo:
     """``sol`` is the relaxation solution at the mesh interfaces ``waves``;
     the other interfaces are calm.  Both are None for the Rusanov scheme.
-    ``updated`` is the slice of cells the step changed; None for every cell."""
+    ``updated`` is the slice of cells the step changed; None for every cell.
+    ``fluxes`` is an ``InterfaceFluxes`` for the Rusanov scheme and a
+    ``WindowFluxes`` for the relaxation scheme, whose whole rows are formed
+    only when read."""
 
     dt: float
-    fluxes: InterfaceFluxes
+    fluxes: InterfaceFluxes | WindowFluxes
     sol: RelaxRiemannSolution | None = None
     waves: np.ndarray | None = None
     updated: slice | None = None
 
 
 def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
-         dx: float, dt_cap: float = np.inf, prim: PrimitiveState | None = None):
+         dx: float, dt_cap: float = np.inf, rows: MarchRows | None = None):
     """One explicit update with transmissive boundaries.
 
     The relaxation Riemann problem is solved only at the wave interfaces,
@@ -342,10 +444,19 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     first wave interface and ``b`` after the last one (both 0 on a fully
     calm row) are calm, since interfaces 0 and n lie between a cell and its
     ghost copy.  Every interface left of ``a`` carries the state of ``a``,
-    and every one right of ``b`` that of ``b``.  So the calm row is formed
-    on the window ``[a, b]`` only, the fluxes outside it are copies of its
-    end columns, and the cells outside ``[a, b)``, whose two fluxes are the
-    same floats, keep their bits.
+    and every one right of ``b`` that of ``b``.  So the calm row and the
+    fluxes are formed on the window ``[a, b]`` only (``WindowFluxes``), and
+    the cells outside ``[a, b)``, whose two fluxes are the same floats, keep
+    their bits.
+
+    ``rows`` holds the state in the layout a march owns (``MarchRows``):
+    ``step`` reads its padded primitive row and wave mask, searches the
+    mask on its span only, and updates the window of its conserved stack
+    in place; ``cells`` is then not read.  The returned cells are views of
+    that stack, which the next step on ``rows`` overwrites, and the caller
+    brings the other rows in line with ``rows.splice``.  Without ``rows``
+    the step forms them from ``cells``, which it leaves untouched, and
+    returns cells of its own.
 
     The wave interfaces' (2, 7, k) pair is one gather of the padded
     primitive row; a ``PrimitiveState`` of the row is formed only to report
@@ -356,12 +467,10 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     which signals a bug or a CFL breach rather than a recoverable condition.
     A SolverError names the mesh interface.
     """
-    if prim is None:
-        prim = to_primitive(cells, eos1, eos2)
-    # the primitive row between transmissive ghost cells, copied once
-    w = _pad_edges(prim.astuple())
-    wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
-    waves = wave.nonzero()[0]
+    if rows is None:
+        rows = MarchRows(cells, to_primitive(cells, eos1, eos2), eos1, eos2)
+    w, wave, (lo, hi) = rows.w, rows.wave, rows.span
+    waves = lo + wave[lo:hi + 1].nonzero()[0]
     try:
         sol = select_parameters(w[:, [waves, waves + 1]].swapaxes(0, 1), eos1, eos2)
     except InterfaceError as err:
@@ -374,24 +483,20 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     table, speeds = _constant_row(w[:, a:b + 1], eos1, eos2)
     dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave[a:b + 1], 0.0, speeds)), dt_cap)
     solved = assemble_fluxes(sol)
-    f = np.empty((2, 7, wave.size))
-    f[0, 0, a:b + 1] = 0.0              # alpha1 jumps at no calm interface
-    f[0, 1:, a:b + 1] = _trace_flux(w[0, a:b + 1], table)
-    f[1, :, a:b + 1] = f[0, :, a:b + 1]
-    f[0][:, waves] = solved.f_minus
-    f[1][:, waves] = solved.f_plus
-    f[:, :, :a] = f[:, :, a:a + 1]
-    f[:, :, b + 1:] = f[:, :, b:b + 1]
-    fluxes = InterfaceFluxes(f_minus=f[0], f_plus=f[1])
-    lam = dt / dx
-    u = np.array(cells.astuple())
-    u[:, a:b] -= lam * (f[0, :, a + 1:b + 1] - f[1, :, a:b])
-    new = ConservedState(*u)
+    f = np.empty((2, 7, b + 1 - a))
+    f[0, 0] = 0.0                       # alpha1 jumps at no calm interface
+    f[0, 1:] = _trace_flux(w[0, a:b + 1], table)
+    f[1] = f[0]
+    f[0][:, waves - a] = solved.f_minus
+    f[1][:, waves - a] = solved.f_plus
+    u = rows.u
+    u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
         validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2, where=f"post-step, dt={dt:.3e}")
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, err.where) from None
-    return new, StepInfo(dt=dt, fluxes=fluxes, sol=sol, waves=waves, updated=slice(a, b))
+    return rows.cells, StepInfo(dt=dt, fluxes=WindowFluxes(f, a, wave.size), sol=sol,
+                                waves=waves, updated=slice(a, b))
 
 
 @dataclass(frozen=True)
@@ -461,12 +566,20 @@ def _families(u: ConservedState):
     return np.array([np.add.reduce(v, axis=-1) for v in _family_values(u)])
 
 
-def _through_ends(f_minus, f_plus):
+def _through_ends(fluxes):
     """The families' flux out through the right domain end minus that in
     through the left one.  A flux column has the layout of a conserved
     vector, so its families are the families' fluxes."""
-    ends = np.array(_family_values(ConservedState(*np.array([f_minus[:, -1], f_plus[:, 0]]).T)))
+    ends = np.array(_family_values(ConservedState(*np.array(fluxes.ends()).T)))
     return ends[:, 0] - ends[:, 1]
+
+
+def _minima(alpha1, rho, e):
+    """The minima of a ``StepRecord``, in its field order, from the alpha1 row
+    and the (2, n) phase stacks of densities and internal energies.  As
+    ``fl(1 - x)`` falls with ``x``, min alpha2 is ``1 - max alpha1`` exactly."""
+    return (float(alpha1.min()), float(1.0 - alpha1.max()),
+            *rho.min(axis=1).tolist(), *e.min(axis=1).tolist())
 
 
 def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedState:
@@ -487,6 +600,13 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     audited against the fluxes through the two domain ends; with ``cfg.entropy_audit`` the
     per-cell discrete entropy balance of both phases is accumulated as well
     (relaxation scheme only).
+
+    A relaxation march owns its rows (``MarchRows``): each step updates the
+    conserved stack on its window, and ``MarchRows.splice`` converts that
+    window and updates the wave mask, families and energies there.  The
+    totals and minima are reductions of the owned rows, and the
+    conservation audit reads only the end columns of the step's window
+    fluxes.  The Rusanov scheme forms every row afresh each step.
     """
     from . import rusanov  # deferred: rusanov reuses this runner
 
@@ -497,52 +617,56 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     validate_conserved(cells, eos1, eos2, where="initial data")
 
     records = []
+    relaxation = cfg.scheme == "relaxation"
     # the baseline's alpha-gradient terms do not telescope, so only its
     # mass families admit an audit against the end fluxes
-    audited = len(FAMILIES) if cfg.scheme == "relaxation" else 2
+    audited = len(FAMILIES) if relaxation else 2
     drift = np.zeros(len(FAMILIES))
-    audit_entropy = cfg.entropy_audit and cfg.scheme == "relaxation"
+    audit_entropy = cfg.entropy_audit and relaxation
     entropy_slack = -np.inf
     t = 0.0
     nstep = 0
     eos_columns = phase_columns(eos1, eos2)
     prim = to_primitive(cells, eos1, eos2)
-    if cfg.scheme == "relaxation":
-        # owned rows, into which each step's window is spliced
-        prim_rows = prim.stack()
-        prim = PrimitiveState(*prim_rows)
-    totals = _families(cells)
+    if relaxation:
+        rows = MarchRows(cells, prim, eos1, eos2)
+        cells, prim = rows.cells, PrimitiveState(*rows.w[:, 1:-1])
+        totals = rows.totals()
+    else:
+        totals = _families(cells)
     if audit_entropy:
         entropies = _phase_entropies(prim, eos1, eos2)
     tic = time.perf_counter()
     while t < cfg.t_final:
-        old, totals_old = cells, totals
-        if cfg.scheme == "relaxation":
-            cells, info = step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, prim=prim)
-            # the cells outside the window kept their bits, and so their primitives
-            part = to_primitive(cells[info.updated], eos1, eos2)
-            prim_rows[:, info.updated] = part.astuple()
+        totals_old = totals
+        if relaxation:
+            if audit_entropy:
+                m_old = rows.u[1:3].copy()     # the step overwrites the owned rows
+            cells, info = step(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, rows=rows)
+            rows.splice(info.updated, eos1, eos2)
+            totals, minima = rows.totals(), rows.minima()
         else:
-            cells, info = rusanov.rusanov_step(old, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)
+            cells, info = rusanov.rusanov_step(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)
             prim = to_primitive(cells, eos1, eos2)
+            totals = _families(cells)
+            # the energies from the unchecked kernel: prim holds validated states
+            rho, p = np.array([prim.rho1, prim.rho2]), np.array([prim.p1, prim.p2])
+            minima = _minima(cells.alpha1, rho, internal_energy_of(rho, p, *eos_columns))
         dt = info.dt
         lam = dt / dx
-
-        totals = _families(cells)
-        fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-        through = _through_ends(fm, fp)
-        drift = np.maximum(drift, np.abs(totals - totals_old + lam * through)
+        drift = np.maximum(drift, np.abs(totals - totals_old + lam * _through_ends(info.fluxes))
                            / np.maximum(1.0, np.abs(totals_old)))
 
         if audit_entropy:
             # per cell and phase: the entropy balance with the phase's mass
             # flux upwinded by its contact speed
             new_entropies = _phase_entropies(prim, eos1, eos2)
+            fm = info.fluxes.f_minus
             # contact speeds: 0 at calm interfaces, whose two neighbours
             # have bitwise equal entropies, so either serves as upwind
             u_star = np.zeros((2, fm.shape[1]))
             u_star[:, info.waves] = info.sol.u1_star, info.sol.u2_star
-            m_old, m_new = np.array([old.m1, old.m2]), np.array([cells.m1, cells.m2])
+            m_new = rows.u[1:3]
             s_pad = _pad_edges(entropies)
             phi = fm[1:3] * np.where(u_star > 0.0, s_pad[:, :-1], s_pad[:, 1:])
             balance = m_new * new_entropies - m_old * entropies + lam * (phi[:, 1:] - phi[:, :-1])
@@ -553,16 +677,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
         t += dt
         nstep += 1
-        # both phases' minima from one (2, n) stack each, the energies from
-        # the unchecked kernel: prim holds validated states
-        rho, p = np.array([prim.rho1, prim.rho2]), np.array([prim.p1, prim.p2])
-        min_rho1, min_rho2 = rho.min(axis=1).tolist()
-        min_e1, min_e2 = internal_energy_of(rho, p, *eos_columns).min(axis=1).tolist()
-        records.append(StepRecord(
-            step=nstep, t=t, dt=dt, **dict(zip(FAMILIES, totals.tolist())),
-            min_alpha1=float(cells.alpha1.min()), min_alpha2=float((1.0 - cells.alpha1).min()),
-            min_rho1=min_rho1, min_rho2=min_rho2, min_e1=min_e1, min_e2=min_e2,
-        ))
+        records.append(StepRecord(nstep, t, dt, *totals.tolist(), *minima))
     wall = time.perf_counter() - tic
 
     return RunResult(

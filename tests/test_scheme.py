@@ -11,7 +11,7 @@ from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData
 from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
                           sound_speed_squared_of)
 from bn_relax.riemann import RelaxParams
-from bn_relax.scheme import ETA, MAX_INFLATIONS, _families
+from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord, _families
 from bn_relax.state import VARIABLES, ConservedState
 from conftest import SAMPLED, fields, random_primitive
 
@@ -723,7 +723,8 @@ def test_calm_interfaces_take_the_physical_flux():
     case = get_case(1)
     cfg = RunConfig(cells=200, t_final=case.t_max / 2, domain=case.domain, cfl=case.cfl)
     res = run(case.initial, cfg, case.eos1, case.eos2)
-    _, info = step(res.cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=res.prim)
+    _, info = step(res.cells, cfg, case.eos1, case.eos2, dx=1.0 / 200,
+                   rows=MarchRows(res.cells, res.prim, case.eos1, case.eos2))
     padded = padded_row(res.prim)
     full = assemble_fluxes(select_parameters(interface_pair(padded[:-1], padded[1:]), case.eos1,
                                              case.eos2))
@@ -835,7 +836,7 @@ def test_step_updates_the_wave_window_only():
     windows = []
     for cfg, cells, prim, eos1, eos2 in window_rows():
         dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
-        out, info = step(cells, cfg, eos1, eos2, dx, prim=prim)
+        out, info = step(cells, cfg, eos1, eos2, dx, rows=MarchRows(cells, prim, eos1, eos2))
         want, (fm, fp), dt = full_row_step(cells, prim, cfg.cfl, eos1, eos2, dx)
         assert out.stack().tobytes() == want.tobytes()
         assert info.fluxes.f_minus.tobytes() == fm.tobytes()
@@ -854,16 +855,39 @@ def test_step_updates_the_wave_window_only():
     assert (a3, b3) == (0, n3)                      # the whole row
 
 
+def test_public_step_mutates_nothing():
+    # without owned rows, or with rows formed from its arguments, a step
+    # leaves the bytes of its cells and primitives as they were; the whole
+    # flux rows, formed on first read, read the same twice and end in the
+    # columns the conservation audit reads
+    for cfg, cells, prim, eos1, eos2 in window_rows():
+        dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
+        before = cells.stack().tobytes(), prim.stack().tobytes()
+        for rows in (None, MarchRows(cells, prim, eos1, eos2)):
+            _, info = step(cells, cfg, eos1, eos2, dx, rows=rows)
+            assert (cells.stack().tobytes(), prim.stack().tobytes()) == before
+            fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
+            assert info.fluxes.f_minus.tobytes() == fm.tobytes()
+            assert info.fluxes.f_plus.tobytes() == fp.tobytes()
+            right, left = info.fluxes.ends()
+            assert (right.tobytes(), left.tobytes()) == (fm[:, -1].tobytes(), fp[:, 0].tobytes())
+
+
 def test_run_splices_the_primitive_window_bitwise(monkeypatch):
-    # the primitive cells run hands each step equal, bit for bit, those of
-    # the whole state converted afresh
+    # the rows run hands each step equal, bit for bit, those formed afresh
+    # from the whole state: the padded primitive row, the wave mask, the
+    # conserved stack, the families and the energies; and every wave
+    # interface lies in the span the step searches
     seen = []
     original = scheme.step
 
-    def checking(cells, *args, prim, **kwargs):
-        fresh = to_primitive(cells, case.eos1, case.eos2)
-        seen.append(prim.stack().tobytes() == fresh.stack().tobytes())
-        return original(cells, *args, prim=prim, **kwargs)
+    def checking(cells, *args, rows, **kwargs):
+        fresh = MarchRows(cells, to_primitive(cells, case.eos1, case.eos2), case.eos1, case.eos2)
+        lo, hi = rows.span
+        seen.append(all(getattr(rows, k).tobytes() == getattr(fresh, k).tobytes()
+                        for k in ("w", "wave", "u", "families", "energies"))
+                    and not fresh.wave[:lo].any() and not fresh.wave[hi + 1:].any())
+        return original(cells, *args, rows=rows, **kwargs)
 
     monkeypatch.setattr(scheme, "step", checking)
     case = get_case(2)
@@ -872,13 +896,66 @@ def test_run_splices_the_primitive_window_bitwise(monkeypatch):
     assert len(seen) == res.steps > 0 and all(seen)
 
 
+def family_sums(u: ConservedState):
+    """The four audited families of a conserved row, each summed with ``np.sum``."""
+    return np.array([np.sum(v) for v in (u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2)])
+
+
+def public_march(case, cfg):
+    """(final cells, step records, conservation errors) of ``run``'s relaxation
+    march made of public ``step`` calls: each step converts every cell afresh
+    and forms the totals, the families' fluxes through the ends and the
+    minima on whole rows."""
+    dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
+    cells = scheme._project_initial(case.initial, cfg.domain[0], dx, cfg.cells,
+                                    case.eos1, case.eos2)
+    totals, drift, records, t = family_sums(cells), np.zeros(4), [], 0.0
+    while t < cfg.t_final:
+        cells, info = step(cells, cfg, case.eos1, case.eos2, dx, dt_cap=cfg.t_final - t)
+        prim = to_primitive(cells, case.eos1, case.eos2)
+        before, totals = totals, family_sums(cells)
+        fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
+        through = family_sums(ConservedState(*fm[:, -1:])) - family_sums(ConservedState(*fp[:, :1]))
+        drift = np.maximum(drift, np.abs(totals - before + info.dt / dx * through)
+                           / np.maximum(1.0, np.abs(before)))
+        t += info.dt
+        e1 = case.eos1.internal_energy(prim.rho1, prim.p1)
+        e2 = case.eos2.internal_energy(prim.rho2, prim.p2)
+        records.append(StepRecord(len(records) + 1, t, info.dt, *totals.tolist(),
+                                  float(cells.alpha1.min()), float((1.0 - cells.alpha1).min()),
+                                  float(prim.rho1.min()), float(prim.rho2.min()),
+                                  float(e1.min()), float(e2.min())))
+    return cells, records, dict(zip(scheme.FAMILIES, drift.tolist()))
+
+
+@pytest.mark.parametrize("cid", [2, 4])
+def test_run_equals_the_public_full_row_march(cid):
+    # run's owned rows, updated on the window, give the march of public
+    # steps bit for bit: final cells, every record and every conservation
+    # error.  Some windows of both cases reach a domain end
+    case = get_case(cid)
+    cfg = RunConfig(cells=200, t_final=case.t_max, domain=case.domain, cfl=case.cfl)
+    res = run(case.initial, cfg, case.eos1, case.eos2)
+    cells, records, errors = public_march(case, cfg)
+
+    def hexed(record):
+        return tuple(float(v).hex() for v in dataclasses.astuple(record))
+
+    assert res.cells.stack().tobytes() == cells.stack().tobytes()
+    assert len(res.records) == len(records) == res.steps
+    assert [hexed(r) for r in res.records] == [hexed(r) for r in records]
+    assert {k: v.hex() for k, v in res.conservation_error.items()} == \
+        {k: v.hex() for k, v in errors.items()}
+
+
 def test_post_step_error_names_the_mesh_cell(monkeypatch):
     # the window of a mid-run case-1 row starts well inside the mesh; an m1
     # flux that empties the cell left of a wave interface is reported at
     # that cell's mesh index, not at its position in the window
     case = get_case(1)
     cfg, cells, prim = mid_run(1, 200, 0.5)
-    waves = step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=prim)[1].waves
+    waves = step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200,
+                 rows=MarchRows(cells, prim, case.eos1, case.eos2))[1].waves
     assert waves[0] > 20
     k = waves.size // 2
     solve = scheme.assemble_fluxes
@@ -890,7 +967,8 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
 
     monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
     with pytest.raises(AdmissibilityError, match=rf"partial mass m1 at index {waves[k] - 1} ") as err:
-        step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200, prim=prim)
+        step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200,
+             rows=MarchRows(cells, prim, case.eos1, case.eos2))
     assert err.value.index == waves[k] - 1
 
 
