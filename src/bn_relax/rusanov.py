@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eos import EosParams
-from .scheme import InterfaceFluxes, RunConfig, StepInfo
+from .scheme import InterfaceFluxes, MarchRows, RunConfig, StepInfo
 from .state import ConservedState, PrimitiveState, max_abs_eigenvalue, to_primitive, validate_conserved
 
 
@@ -45,8 +45,20 @@ def rusanov_fluxes(uL: ConservedState, uR: ConservedState, eos1: EosParams, eos2
 
 
 def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
-                 dx: float, dt_cap: float = np.inf):
-    """One explicit Rusanov update with transmissive boundaries."""
+                 dx: float, dt_cap: float = np.inf, rows: MarchRows | None = None):
+    """One explicit Rusanov update with transmissive boundaries.
+
+    Every cell is updated: ``StepInfo.updated`` is ``slice(0, n)``, and the
+    fluxes' window is the whole row, one flux serving as both the - and the
+    + flux of its interface.  ``rows`` is the layout a march owns
+    (``MarchRows``), as for ``scheme.step``: the step then reads
+    ``rows.cells``, not ``cells``, its new conserved stack becomes
+    ``rows.u`` and the returned cells view it; the caller brings the other
+    rows in line with ``rows.splice``.  Without ``rows`` the step returns
+    cells of its own.  ``cells`` is never written.
+    """
+    if rows is not None:
+        cells = rows.cells
     prim = to_primitive(cells, eos1, eos2)
     c1 = eos1.sound_speed(prim.rho1, prim.p1)
     c2 = eos2.sound_speed(prim.rho2, prim.p2)
@@ -54,7 +66,7 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
     dt = min(cfg.cfl * dx / smax, dt_cap)
     lam = dt / dx
 
-    u = cells.stack()
+    u = cells.stack() if rows is None else rows.u
     upad = np.concatenate([u[:, :1], u, u[:, -1:]], axis=1)
     n = u.shape[1]
     left = ConservedState(*upad[:, :n + 1])
@@ -69,6 +81,11 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
                      -prim.p1, prim.p1, -prim.p1 * prim.u2, prim.p1 * prim.u2])
 
     unew = u - lam * (flux[:, 1:] - flux[:, :-1]) - lam * cvec * dalpha
-    out = ConservedState(*unew)
+    # the new stack is adopted rather than written into rows.u: the update
+    # in place is bitwise too, but once every per-step temporary is freed
+    # the allocator trims the heap top and faults it back in the next step
+    # (about 7 times the minor page faults of a 3200-cell march)
+    out = ConservedState(*unew) if rows is None else rows.adopt(unew)
     validate_conserved(out, eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
-    return out, StepInfo(dt=dt, fluxes=InterfaceFluxes(f_minus=flux, f_plus=flux), sol=None)
+    return out, StepInfo(dt=dt, fluxes=InterfaceFluxes(np.broadcast_to(flux, (2,) + flux.shape),
+                                                       0, n + 1), updated=slice(0, n))

@@ -60,29 +60,20 @@ class RunConfig:
             raise ValueError("domain must be (a, b), finite with a < b")
         if self.scheme not in ("relaxation", "rusanov"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.entropy_audit and self.scheme != "relaxation":
+            raise ValueError("the entropy audit needs the relaxation scheme")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= 0")
 
 
-@dataclass(frozen=True)
 class InterfaceFluxes:
-    """Left/right numerical fluxes, shape (7, n_interfaces)."""
-
-    f_minus: np.ndarray
-    f_plus: np.ndarray
-
-    def ends(self):
-        """The flux columns through the right and through the left domain end."""
-        return self.f_minus[:, -1], self.f_plus[:, 0]
-
-
-class WindowFluxes:
-    """The fluxes of a relaxation step whose window is the interfaces [a, b]:
-    ``window`` holds their (-, +) fluxes, shape (2, 7, b - a + 1).  Every
-    interface left of ``a`` carries the fluxes of ``a`` and every one right
-    of ``b`` those of ``b``, so the (7, n_interfaces) rows ``f_minus`` and
-    ``f_plus`` are formed from the window on their first read, and
-    ``ends`` reads the window's end columns."""
+    """The fluxes of a step whose window is the interfaces [a, b] of a row of
+    ``interfaces``: ``window`` holds their (-, +) fluxes, shape (2, 7, b - a
+    + 1).  Every interface left of ``a`` carries the fluxes of ``a`` and
+    every one right of ``b`` those of ``b``, so the (7, interfaces) rows
+    ``f_minus`` and ``f_plus`` are formed from the window on their first
+    read, and ``ends`` reads the window's end columns.  A window of the
+    whole row has ``a = 0`` and ``interfaces`` columns."""
 
     def __init__(self, window, a, interfaces):
         self.window, self.a, self.interfaces = window, a, interfaces
@@ -105,7 +96,8 @@ class WindowFluxes:
         return self._rows[1]
 
     def ends(self):
-        """The window's end columns, which the rows copy beyond the window."""
+        """The flux columns through the right and through the left domain
+        end: the window's end columns, which the rows copy beyond it."""
         return self.window[0, :, -1], self.window[1, :, 0]
 
 
@@ -286,7 +278,8 @@ def _trace_flux(alpha1, table):
 
 
 def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
-    """Numerical fluxes from a solved interface row."""
+    """Numerical fluxes from a solved interface row, whose interfaces are
+    the whole window."""
     gm = _trace_flux(*sample(sol, 0.0, side="-"))
     gp = _trace_flux(*sample(sol, 0.0, side="+"))
     dal = sol.alpha1_r - sol.alpha1_l
@@ -304,7 +297,7 @@ def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     f[0, 1:3], f[1, 1:3] = gm[:2], gp[:2]
     f[0, 3], f[0, 4], f[0, 5], f[0, 6] = gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg
     f[1, 3], f[1, 4], f[1, 5], f[1, 6] = gp[2] + right, gp[3] - right, gp[4] + pos, gp[5] - pos
-    return InterfaceFluxes(f_minus=f[0], f_plus=f[1])
+    return InterfaceFluxes(f, 0, u2s.size)
 
 
 def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
@@ -354,8 +347,8 @@ def _constant_row(w, eos1, eos2):
 
 
 class MarchRows:
-    """The rows that a relaxation march owns, formed from the state ``cells``
-    whose primitive variables are ``prim``; both are copied, never written:
+    """The rows that a march owns, formed from the state ``cells`` whose
+    primitive variables are ``prim``; both are copied, never written:
 
     - ``w``, the primitive row between transmissive ghost cells, (7, n + 2);
     - ``wave``, the wave mask of the n + 1 interfaces, True where the two
@@ -365,15 +358,15 @@ class MarchRows:
     - ``energies``, the specific internal energy of each phase, (2, n).
 
     Every wave interface lies in ``span`` = (lo, hi), the interfaces [lo,
-    hi].  ``step`` updates ``u`` on its window [a, b) in place, and
-    ``splice`` then brings the other rows in line on that window, so a step
-    and its bookkeeping cost the window rather than the row.  After an
-    error of ``step`` the rows are not consistent.
+    hi].  ``step`` updates ``u`` on its window [a, b) in place,
+    ``rusanov_step`` hands its new stack to ``adopt``, and ``splice`` then
+    brings the other rows in line on the cells the step changed, so a
+    relaxation step and its bookkeeping cost the window rather than the
+    row.  After an error of a step the rows are not consistent.
     """
 
     def __init__(self, cells: ConservedState, prim: PrimitiveState, eos1, eos2):
-        self.u = cells.stack()
-        self.cells = ConservedState(*self.u)
+        self.adopt(cells.stack())
         self.w = _pad_edges(prim.astuple())
         self.wave = np.empty(self.w.shape[1] - 1, bool)
         self._mark(0, self.wave.size - 1)
@@ -386,6 +379,13 @@ class MarchRows:
         w = self.w
         self.wave[lo:hi + 1] = (w[:, lo:hi + 1] != w[:, lo + 1:hi + 2]).any(axis=0)
         self.span = lo, hi
+
+    def adopt(self, u):
+        """Make the (7, n) array ``u`` the conserved stack, which ``cells``
+        then views, and return ``cells``; the other rows wait for
+        ``splice``."""
+        self.u, self.cells = u, ConservedState(*u)
+        return self.cells
 
     def splice(self, updated: slice, eos1, eos2):
         """Bring the rows in line with ``u`` after a step changed its cells
@@ -409,30 +409,33 @@ class MarchRows:
         return np.add.reduce(self.families, axis=-1)
 
     def minima(self):
-        """The ``StepRecord`` minima of the row; rows 1 and 4 of ``w`` (``RHO``)
-        are the densities, read as a view."""
-        return _minima(self.u[0], self.w[1:5:3, 1:-1], self.energies)
+        """The ``StepRecord`` minima of the row, in its field order; rows 1
+        and 4 of ``w`` (``RHO``) are the densities, read as a view.  As
+        ``fl(1 - x)`` falls with ``x``, min alpha2 is ``1 - max alpha1``
+        exactly."""
+        alpha1 = self.u[0]
+        return (float(alpha1.min()), float(1.0 - alpha1.max()),
+                *self.w[1:5:3, 1:-1].min(axis=1).tolist(), *self.energies.min(axis=1).tolist())
 
 
 @dataclass
 class StepInfo:
-    """``sol`` is the relaxation solution at the mesh interfaces ``waves``;
-    the other interfaces are calm.  Both are None for the Rusanov scheme.
-    ``updated`` is the slice of cells the step changed; None for every cell.
-    ``fluxes`` is an ``InterfaceFluxes`` for the Rusanov scheme and a
-    ``WindowFluxes`` for the relaxation scheme, whose whole rows are formed
-    only when read."""
+    """A step of length ``dt`` changed the cells ``updated`` = [a, b), and
+    ``fluxes`` has the interfaces [a, b] as its window; a Rusanov step
+    changes every cell.  ``sol`` is the relaxation solution at the mesh
+    interfaces ``waves``, and the other interfaces are calm; both are None
+    for the Rusanov scheme."""
 
     dt: float
-    fluxes: InterfaceFluxes | WindowFluxes
+    fluxes: InterfaceFluxes
+    updated: slice
     sol: RelaxRiemannSolution | None = None
     waves: np.ndarray | None = None
-    updated: slice | None = None
 
 
 def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
          dx: float, dt_cap: float = np.inf, rows: MarchRows | None = None):
-    """One explicit update with transmissive boundaries.
+    """One explicit relaxation update with transmissive boundaries.
 
     The relaxation Riemann problem is solved only at the wave interfaces,
     whose two states differ in some field.  At a calm interface, with
@@ -445,18 +448,19 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     calm row) are calm, since interfaces 0 and n lie between a cell and its
     ghost copy.  Every interface left of ``a`` carries the state of ``a``,
     and every one right of ``b`` that of ``b``.  So the calm row and the
-    fluxes are formed on the window ``[a, b]`` only (``WindowFluxes``), and
-    the cells outside ``[a, b)``, whose two fluxes are the same floats, keep
-    their bits.
+    fluxes are formed on the window ``[a, b]`` only: the window of the
+    returned ``InterfaceFluxes``, into which the wave interfaces' columns of
+    ``assemble_fluxes`` are scattered.  The cells outside ``[a, b)``, whose
+    two fluxes are the same floats, keep their bits.
 
     ``rows`` holds the state in the layout a march owns (``MarchRows``):
     ``step`` reads its padded primitive row and wave mask, searches the
     mask on its span only, and updates the window of its conserved stack
     in place; ``cells`` is then not read.  The returned cells are views of
     that stack, which the next step on ``rows`` overwrites, and the caller
-    brings the other rows in line with ``rows.splice``.  Without ``rows``
-    the step forms them from ``cells``, which it leaves untouched, and
-    returns cells of its own.
+    brings the other rows in line with ``rows.splice``; ``rusanov_step``
+    takes ``rows`` alike.  Without ``rows`` the step forms them from
+    ``cells``, which it leaves untouched, and returns cells of its own.
 
     The wave interfaces' (2, 7, k) pair is one gather of the padded
     primitive row; a ``PrimitiveState`` of the row is formed only to report
@@ -482,21 +486,19 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     # take theirs below
     table, speeds = _constant_row(w[:, a:b + 1], eos1, eos2)
     dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave[a:b + 1], 0.0, speeds)), dt_cap)
-    solved = assemble_fluxes(sol)
     f = np.empty((2, 7, b + 1 - a))
     f[0, 0] = 0.0                       # alpha1 jumps at no calm interface
     f[0, 1:] = _trace_flux(w[0, a:b + 1], table)
     f[1] = f[0]
-    f[0][:, waves - a] = solved.f_minus
-    f[1][:, waves - a] = solved.f_plus
+    f[:, :, waves - a] = assemble_fluxes(sol).window
     u = rows.u
     u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
         validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2, where=f"post-step, dt={dt:.3e}")
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, err.where) from None
-    return rows.cells, StepInfo(dt=dt, fluxes=WindowFluxes(f, a, wave.size), sol=sol,
-                                waves=waves, updated=slice(a, b))
+    return rows.cells, StepInfo(dt=dt, fluxes=InterfaceFluxes(f, a, wave.size),
+                                updated=slice(a, b), sol=sol, waves=waves)
 
 
 @dataclass(frozen=True)
@@ -547,7 +549,7 @@ def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
                      for rho, p, eos in ((w.rho1, w.p1, eos1), (w.rho2, w.p2, eos2))])
 
 
-#: the conserved families that ``run`` audits, in the order of ``_families``;
+#: the conserved families that ``run`` audits, in the order of ``_family_values``;
 #: the keys of ``RunResult.conservation_error`` and fields of ``StepRecord``
 FAMILIES = ("mass1", "mass2", "momentum", "energy")
 
@@ -558,28 +560,12 @@ def _family_values(u: ConservedState):
     return u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2
 
 
-def _families(u: ConservedState):
-    """The families of a conserved row, each summed over the row; a single
-    conserved vector, whose sums are its own entries, gives its families.
-    Each family is summed on its own, as ``np.sum`` sums it: stacking the
-    four rows first would allocate a (4, n) array per step."""
-    return np.array([np.add.reduce(v, axis=-1) for v in _family_values(u)])
-
-
 def _through_ends(fluxes):
     """The families' flux out through the right domain end minus that in
     through the left one.  A flux column has the layout of a conserved
     vector, so its families are the families' fluxes."""
     ends = np.array(_family_values(ConservedState(*np.array(fluxes.ends()).T)))
     return ends[:, 0] - ends[:, 1]
-
-
-def _minima(alpha1, rho, e):
-    """The minima of a ``StepRecord``, in its field order, from the alpha1 row
-    and the (2, n) phase stacks of densities and internal energies.  As
-    ``fl(1 - x)`` falls with ``x``, min alpha2 is ``1 - max alpha1`` exactly."""
-    return (float(alpha1.min()), float(1.0 - alpha1.max()),
-            *rho.min(axis=1).tolist(), *e.min(axis=1).tolist())
 
 
 def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedState:
@@ -598,15 +584,14 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     Per step the record captures dt, the totals of the ``FAMILIES`` and the
     minima entering the admissibility proof.  Conservation of each family is
     audited against the fluxes through the two domain ends; with ``cfg.entropy_audit`` the
-    per-cell discrete entropy balance of both phases is accumulated as well
-    (relaxation scheme only).
+    per-cell discrete entropy balance of both phases is accumulated as well.
 
-    A relaxation march owns its rows (``MarchRows``): each step updates the
-    conserved stack on its window, and ``MarchRows.splice`` converts that
-    window and updates the wave mask, families and energies there.  The
-    totals and minima are reductions of the owned rows, and the
-    conservation audit reads only the end columns of the step's window
-    fluxes.  The Rusanov scheme forms every row afresh each step.
+    The march owns its rows (``MarchRows``) with either scheme: each step
+    updates the conserved stack, a relaxation step on its window and a
+    Rusanov step on the whole row, and ``MarchRows.splice`` converts the
+    cells the step changed and updates the wave mask, families and energies
+    there.  The totals and minima are reductions of the owned rows, and the
+    conservation audit reads only the end columns of the step's fluxes.
     """
     from . import rusanov  # deferred: rusanov reuses this runner
 
@@ -618,46 +603,33 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
     records = []
     relaxation = cfg.scheme == "relaxation"
+    advance = step if relaxation else rusanov.rusanov_step
     # the baseline's alpha-gradient terms do not telescope, so only its
     # mass families admit an audit against the end fluxes
     audited = len(FAMILIES) if relaxation else 2
     drift = np.zeros(len(FAMILIES))
-    audit_entropy = cfg.entropy_audit and relaxation
     entropy_slack = -np.inf
     t = 0.0
     nstep = 0
-    eos_columns = phase_columns(eos1, eos2)
-    prim = to_primitive(cells, eos1, eos2)
-    if relaxation:
-        rows = MarchRows(cells, prim, eos1, eos2)
-        cells, prim = rows.cells, PrimitiveState(*rows.w[:, 1:-1])
-        totals = rows.totals()
-    else:
-        totals = _families(cells)
-    if audit_entropy:
+    rows = MarchRows(cells, to_primitive(cells, eos1, eos2), eos1, eos2)
+    cells, prim = rows.cells, PrimitiveState(*rows.w[:, 1:-1])
+    totals = rows.totals()
+    if cfg.entropy_audit:
         entropies = _phase_entropies(prim, eos1, eos2)
     tic = time.perf_counter()
     while t < cfg.t_final:
         totals_old = totals
-        if relaxation:
-            if audit_entropy:
-                m_old = rows.u[1:3].copy()     # the step overwrites the owned rows
-            cells, info = step(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, rows=rows)
-            rows.splice(info.updated, eos1, eos2)
-            totals, minima = rows.totals(), rows.minima()
-        else:
-            cells, info = rusanov.rusanov_step(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t)
-            prim = to_primitive(cells, eos1, eos2)
-            totals = _families(cells)
-            # the energies from the unchecked kernel: prim holds validated states
-            rho, p = np.array([prim.rho1, prim.rho2]), np.array([prim.p1, prim.p2])
-            minima = _minima(cells.alpha1, rho, internal_energy_of(rho, p, *eos_columns))
+        if cfg.entropy_audit:
+            m_old = rows.u[1:3].copy()     # the step overwrites the owned rows
+        cells, info = advance(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, rows=rows)
+        rows.splice(info.updated, eos1, eos2)
+        totals, minima = rows.totals(), rows.minima()
         dt = info.dt
         lam = dt / dx
         drift = np.maximum(drift, np.abs(totals - totals_old + lam * _through_ends(info.fluxes))
                            / np.maximum(1.0, np.abs(totals_old)))
 
-        if audit_entropy:
+        if cfg.entropy_audit:
             # per cell and phase: the entropy balance with the phase's mass
             # flux upwinded by its contact speed
             new_entropies = _phase_entropies(prim, eos1, eos2)

@@ -6,12 +6,12 @@ import pytest
 
 from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData, PrimitiveState,
                       RunConfig, SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
-                      get_case, interface_pair, region_tables, run, sample, scheme,
+                      get_case, interface_pair, region_tables, run, rusanov_step, sample, scheme,
                       select_parameters, sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
                           sound_speed_squared_of)
 from bn_relax.riemann import RelaxParams
-from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord, _families
+from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord
 from bn_relax.state import VARIABLES, ConservedState
 from conftest import SAMPLED, fields, random_primitive
 
@@ -856,21 +856,33 @@ def test_step_updates_the_wave_window_only():
 
 
 def test_public_step_mutates_nothing():
-    # without owned rows, or with rows formed from its arguments, a step
-    # leaves the bytes of its cells and primitives as they were; the whole
-    # flux rows, formed on first read, read the same twice and end in the
-    # columns the conservation audit reads
+    # without owned rows, or with rows formed from its arguments, a step of
+    # either scheme leaves the bytes of its cells and primitives as they
+    # were; with rows, the returned cells view the owned conserved stack.
+    # The whole flux rows, formed on first read, read the same twice and end
+    # in the columns the conservation audit reads.  On the mid-run rows,
+    # whose primitives are to_primitive's of their cells, both calls give
+    # the same bytes.  Rusanov's scheme has no positivity guarantee, so it
+    # does not step the random four-cell row
     for cfg, cells, prim, eos1, eos2 in window_rows():
         dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
         before = cells.stack().tobytes(), prim.stack().tobytes()
-        for rows in (None, MarchRows(cells, prim, eos1, eos2)):
-            _, info = step(cells, cfg, eos1, eos2, dx, rows=rows)
-            assert (cells.stack().tobytes(), prim.stack().tobytes()) == before
-            fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-            assert info.fluxes.f_minus.tobytes() == fm.tobytes()
-            assert info.fluxes.f_plus.tobytes() == fp.tobytes()
-            right, left = info.fluxes.ends()
-            assert (right.tobytes(), left.tobytes()) == (fm[:, -1].tobytes(), fp[:, 0].tobytes())
+        mid_run_row = cfg.cells > 4
+        for advance in (step, rusanov_step) if mid_run_row else (step,):
+            outs = []
+            for rows in (None, MarchRows(cells, prim, eos1, eos2)):
+                out, info = advance(cells, cfg, eos1, eos2, dx, rows=rows)
+                assert (cells.stack().tobytes(), prim.stack().tobytes()) == before
+                if rows is not None:
+                    assert all(v.base is rows.u for v in out.astuple())
+                outs.append(out.stack().tobytes())
+                fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
+                assert info.fluxes.f_minus.tobytes() == fm.tobytes()
+                assert info.fluxes.f_plus.tobytes() == fp.tobytes()
+                right, left = info.fluxes.ends()
+                assert (right.tobytes(), left.tobytes()) == (fm[:, -1].tobytes(),
+                                                             fp[:, 0].tobytes())
+            assert outs[0] == outs[1] or not mid_run_row
 
 
 def test_run_splices_the_primitive_window_bitwise(monkeypatch):
@@ -901,17 +913,17 @@ def family_sums(u: ConservedState):
     return np.array([np.sum(v) for v in (u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2)])
 
 
-def public_march(case, cfg):
-    """(final cells, step records, conservation errors) of ``run``'s relaxation
-    march made of public ``step`` calls: each step converts every cell afresh
-    and forms the totals, the families' fluxes through the ends and the
-    minima on whole rows."""
+def public_march(case, cfg, advance):
+    """(final cells, step records, conservation errors) of ``run``'s march
+    made of public ``advance`` calls (``step`` or ``rusanov_step``): each
+    step converts every cell afresh and forms the totals, the families'
+    fluxes through the ends and the minima on whole rows."""
     dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
     cells = scheme._project_initial(case.initial, cfg.domain[0], dx, cfg.cells,
                                     case.eos1, case.eos2)
     totals, drift, records, t = family_sums(cells), np.zeros(4), [], 0.0
     while t < cfg.t_final:
-        cells, info = step(cells, cfg, case.eos1, case.eos2, dx, dt_cap=cfg.t_final - t)
+        cells, info = advance(cells, cfg, case.eos1, case.eos2, dx, dt_cap=cfg.t_final - t)
         prim = to_primitive(cells, case.eos1, case.eos2)
         before, totals = totals, family_sums(cells)
         fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
@@ -928,15 +940,20 @@ def public_march(case, cfg):
     return cells, records, dict(zip(scheme.FAMILIES, drift.tolist()))
 
 
-@pytest.mark.parametrize("cid", [2, 4])
-def test_run_equals_the_public_full_row_march(cid):
-    # run's owned rows, updated on the window, give the march of public
-    # steps bit for bit: final cells, every record and every conservation
-    # error.  Some windows of both cases reach a domain end
+@pytest.mark.parametrize("name, cid", [("relaxation", 2), ("relaxation", 4), ("rusanov", 1),
+                                       ("rusanov", 2)],
+                         ids=["2", "4", "rusanov-1", "rusanov-2"])
+def test_run_equals_the_public_full_row_march(name, cid):
+    # run's owned rows, updated on the window by a relaxation step and
+    # handed a new stack by a Rusanov step, give the march of public steps
+    # bit for bit: final cells, every record and every audited conservation
+    # error (Rusanov's scheme audits its two masses only).  Some relaxation
+    # windows of both cases reach a domain end
     case = get_case(cid)
-    cfg = RunConfig(cells=200, t_final=case.t_max, domain=case.domain, cfl=case.cfl)
+    cfg = RunConfig(cells=200, t_final=case.t_max, domain=case.domain, cfl=case.cfl, scheme=name)
     res = run(case.initial, cfg, case.eos1, case.eos2)
-    cells, records, errors = public_march(case, cfg)
+    cells, records, errors = public_march(case, cfg, step if name == "relaxation" else rusanov_step)
+    audited = scheme.FAMILIES if name == "relaxation" else ("mass1", "mass2")
 
     def hexed(record):
         return tuple(float(v).hex() for v in dataclasses.astuple(record))
@@ -944,8 +961,8 @@ def test_run_equals_the_public_full_row_march(cid):
     assert res.cells.stack().tobytes() == cells.stack().tobytes()
     assert len(res.records) == len(records) == res.steps
     assert [hexed(r) for r in res.records] == [hexed(r) for r in records]
-    assert {k: v.hex() for k, v in res.conservation_error.items()} == \
-        {k: v.hex() for k, v in errors.items()}
+    assert {k: res.conservation_error[k].hex() for k in audited} == \
+        {k: errors[k].hex() for k in audited}
 
 
 def test_post_step_error_names_the_mesh_cell(monkeypatch):
@@ -962,7 +979,7 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
 
     def emptying(sol):
         fluxes = solve(sol)
-        fluxes.f_minus[1, k] = 1e6
+        fluxes.window[0, 1, k] = 1e6
         return fluxes
 
     monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
@@ -1025,6 +1042,12 @@ def test_run_config_rejects_a_mesh_that_cannot_be_marched(cells, domain):
     # empty or non-finite one, or a fractional number of cells, is no mesh
     with pytest.raises(ValueError, match="cells|domain"):
         RunConfig(cells=cells, t_final=0.01, domain=domain)
+
+
+def test_run_config_rejects_an_entropy_audit_of_the_rusanov_scheme():
+    # the entropy balance needs the relaxation solution's contact speeds
+    with pytest.raises(ValueError, match="entropy audit"):
+        RunConfig(cells=10, t_final=0.01, scheme="rusanov", entropy_audit=True)
 
 
 def test_run_config_takes_numpy_and_list_input():
@@ -1110,14 +1133,15 @@ def test_whole_steps_on_rows_of_many_states(rng):
         cfg = RunConfig(cells=n, t_final=1.0, domain=(-0.5, 0.5), cfl=0.45)
         dx = 1.0 / n
         for k in range(5):
-            before = _families(cells)
+            before = family_sums(cells)
             try:
                 cells, info = step(cells, cfg, IDEAL, eos2, dx)
             except (SolverError, AdmissibilityError, EosDomainError) as exc:
                 pytest.fail(f"row {r}, step {k}: {exc!r}")
             fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-            through = _families(ConservedState(*fm[:, -1])) - _families(ConservedState(*fp[:, 0]))
-            drift = np.abs(_families(cells) - before + info.dt / dx * through)
+            through = (family_sums(ConservedState(*fm[:, -1]))
+                       - family_sums(ConservedState(*fp[:, 0])))
+            drift = np.abs(family_sums(cells) - before + info.dt / dx * through)
             assert np.all(drift <= 1e-12 * np.maximum(1.0, np.abs(before))), (r, k, drift)
 
 
