@@ -6,17 +6,19 @@ profiles steps 41 to 60 with ``cProfile``: the profile starts at the call of
 step 41 and stops at the call of step 61, where the run is cut short.  So it
 counts each step as ``run`` makes it, together with ``run``'s bookkeeping of
 that step (splicing the updated window into its rows, the totals, the
-minima, the conservation audit and the step record).  It prints the
-profiler's total call count divided by 20; the wrapper that starts and stops
-the profile and the profiler's own ``disable`` call are not counted.  The
-count does not depend on the host or on timing, so two runs give the same
-figure.  numpy ufunc calls and slot calls such as indexing are not
-Python-level calls and are not counted.  Usage:
+minima, the conservation audit and the step record).  It prints the sum of
+the call counts of the profiler's raw entries (``getstats``) divided by 20;
+the wrapper that starts and stops the profile and the profiler's own
+``disable`` call are not counted.  The raw entries are kept per code
+object, so every function is counted: ``pstats`` keys them by file, line
+and name, which merges the ``__init__`` of every dataclass, all compiled
+from ``<string>``.  The count does not depend on the host or on timing, so
+two runs give the same figure.  numpy ufunc calls and slot calls such as
+indexing are not Python-level calls and are not counted.  Usage:
 
     PYTHONPATH=src python scripts/dispatch_count.py
 """
 import cProfile
-import pstats
 
 from bn_relax import get_case, scheme
 from bn_relax.scheme import RunConfig
@@ -55,11 +57,10 @@ def calls_per_step(cid):
         pass
     finally:
         scheme.step = original
-    stats = pstats.Stats(profile)
-    own = sum(calls for (_, _, name), (_, calls, *_) in stats.stats.items()
-              if name in ("<method 'disable' of '_lsprof.Profiler' objects>",
-                          profiling.__name__))
-    return (stats.total_calls - own) / PROFILED_STEPS
+    calls = sum(entry.callcount for entry in profile.getstats()
+                if entry.code is not profiling.__code__
+                and entry.code != "<method 'disable' of '_lsprof.Profiler' objects>")
+    return calls / PROFILED_STEPS
 
 
 def main():

@@ -56,9 +56,11 @@ class EosParams:
 
     The entropy and temperature are those of a unit heat capacity at
     constant volume and zero reference entropy.  Each method raises
-    EosDomainError outside its domain.  Every check is written ``np.all(x >
-    bound)``, or on ``np.isfinite``, so that NaN, which compares false,
-    fails it.
+    EosDomainError outside its domain.  Every check requires ``x > bound``,
+    or ``np.isfinite``, of every entry, so that NaN, which compares false,
+    fails it.  ``pressure``, which ``state.to_primitive`` calls on every
+    relaxation step, reduces with the ``.all()`` method rather than the
+    slower ``np.all`` wrapper.
     """
 
     gamma: float
@@ -74,7 +76,7 @@ class EosParams:
         """Pressure from density and specific internal energy."""
         rho = np.asarray(rho, dtype=float)
         e = np.asarray(e, dtype=float)
-        if not np.all((rho > 0.0) & np.isfinite(e)):
+        if not ((rho > 0.0) & np.isfinite(e)).all():
             raise EosDomainError("pressure: non-positive density or non-finite energy")
         return (self.gamma - 1.0) * rho * e - self.gamma * self.p_inf
 

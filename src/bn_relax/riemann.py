@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
-from .state import P, RHO, U, VARIABLES, PrimitiveState
+from .state import P, RHO, RHO_U_P, VARIABLES, PrimitiveState
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -112,14 +112,16 @@ def interface_pair(wL: PrimitiveState, wR: PrimitiveState):
 
 
 @lru_cache(maxsize=16)
-def _pair_bounds(eos1: EosParams, eos2: EosParams):
-    """Open lower and upper bounds of each primitive variable of a pair, as
-    (7, 1) columns: alpha1 in (0, 1), rho > 0, p > -p_inf and every entry
-    finite.  ``p > -p_inf`` holds exactly where ``p + p_inf > 0`` does."""
+def _pair_bounds(p_inf1: float, p_inf2: float):
+    """Open lower and upper bounds of each primitive variable of a pair of
+    phases with the given ``p_inf``, as (7, 1) columns: alpha1 in (0, 1), rho
+    > 0, p > -p_inf and every entry finite.  ``p > -p_inf`` holds exactly
+    where ``p + p_inf > 0`` does.  Keyed on the floats, which hash without
+    a Python-level call."""
     lower, upper = np.full((7, 1), -np.inf), np.full((7, 1), np.inf)
     lower[0], upper[0] = 0.0, 1.0
     lower[RHO] = 0.0
-    lower[P] = -phase_columns(eos1, eos2)[1]
+    lower[P] = -np.array([[p_inf1], [p_inf2]])
     for c in (lower, upper):
         c.flags.writeable = False
     return lower, upper
@@ -134,7 +136,7 @@ def check_pair(pair, eos1: EosParams, eos2: EosParams):
     NaN compares false, so it fails the check."""
     if pair.ndim != 3 or pair.shape[:2] != (2, 7):
         raise ValueError(f"an interface pair has shape (2, 7, k), got {pair.shape}")
-    lower, upper = _pair_bounds(eos1, eos2)
+    lower, upper = _pair_bounds(eos1.p_inf, eos2.p_inf)
     ok = (pair > lower) & (pair < upper)
     if not ok.all():
         side, var, j = np.argwhere(~ok)[0]
@@ -190,9 +192,12 @@ class FixedPointContext:
 
     Valid for interfaces already oriented to ``u_cap >= 0``.  ``MU`` caps how
     far the dissipation branch may compress the rightmost phase-1 specific
-    volume (it is floored at ``MU * tau_sharp1_r``).  The coefficients of
-    ``mach`` are computed on first use and kept, because ``solve_star``
-    evaluates ``psi`` once per sweep.
+    volume (it is floored at ``MU * tau_sharp1_r``).  Every coefficient that
+    psi and its Mach number read (``_coeffs``), among them ``1 + nu``, ``2
+    nu`` and whether some ``nu`` is 1, is formed once, on first use, because
+    ``solve_star`` evaluates ``psi_mach`` once per sweep; the identity taken
+    where ``nu`` is 1 costs an evaluation only when some ``nu`` is.  Both
+    branches of the Mach number are formed in one body, ``_branches``.
     """
 
     nu: np.ndarray            # alpha1_l / alpha1_r
@@ -201,47 +206,55 @@ class FixedPointContext:
     rhs: np.ndarray           # target value of psi: m_sharp - (a1/a2) lambda_alpha p_sharp
 
     @cached_property
-    def _conservative_coeffs(self):
-        q = 1.0 + 1.0 / self.nu
-        rs = 1.0 / np.sqrt(self.nu)
-        return q, 2.0 * (1.0 - rs) ** 2, 4.0 * rs, 4.0 / self.nu
+    def _coeffs(self):
+        """The coefficients of ``_branches`` and ``psi_mach``, as three
+        tuples: those of the conservative branch (``unit`` is the mask of
+        equal phase fractions, None where there is none), those of the cap
+        (an inactive cap gets slope 0 and offset +inf) and ``(1 + nu, 2 nu)``."""
+        nu = self.nu
+        rs = 1.0 / np.sqrt(nu)
+        unit = np.equal(nu, 1.0)
+        shift = (1.0 - MU) * self.tau_ratio
+        den = 1.0 - shift
+        capped = den > 0.0
+        return ((1.0 + 1.0 / nu, 2.0 * (1.0 - rs) ** 2, 4.0 * rs, 4.0 / nu,
+                 unit if unit.any() else None),
+                (shift, 1.0 / (nu * np.where(capped, den, np.inf)), np.where(capped, 0.0, np.inf)),
+                (1.0 + nu, 2.0 * nu))
 
-    def mach_conservative(self, m):
-        """Energy-preserving transmitted Mach number (non-negative, < 1)."""
-        m = np.asarray(m, dtype=float)
-        q, drift, four_rs, four_over_nu = self._conservative_coeffs
+    def _branches(self, m):
+        """``(mach_conservative(m), mach_cap(m))`` of a float array ``m``."""
+        (q, drift, four_rs, four_over_nu, unit), (shift, slope, offset), _ = self._coeffs
         # smaller root (c/2) / (b + sqrt(b^2 - c)) of the quadratic with
         # b = q (1 + m^2) / (2m), c = 4 / nu, multiplied through by 2m so that
         # m = 0 needs no guard; b^2 - c factors into non-negative terms, which
         # avoids the catastrophic cancellation of the naive form near m = 1
         two_mb = q * (1.0 + m * m)
         disc = np.sqrt((q * (1.0 - m) ** 2 + drift * m) * (two_mb + four_rs * m))
-        out = four_over_nu * m / (two_mb + disc)
-        # for equal phase fractions the map is the identity; taking it
-        # exactly makes the phases decouple to machine precision
-        return np.where(self.nu == 1.0, m, out)
+        conservative = four_over_nu * m / (two_mb + disc)
+        if unit is not None:
+            # for equal phase fractions the map is the identity; taking it
+            # exactly makes the phases decouple to machine precision
+            conservative = np.where(unit, m, conservative)
+        return conservative, (m + shift) * slope + offset
 
-    @cached_property
-    def _cap_coeffs(self):
-        shift = (1.0 - MU) * self.tau_ratio
-        den = 1.0 - shift
-        # an inactive cap gets slope 0 and offset +inf
-        return shift, 1.0 / (self.nu * np.where(den > 0.0, den, np.inf)), \
-            np.where(den > 0.0, 0.0, np.inf)
+    def mach_conservative(self, m):
+        """Energy-preserving transmitted Mach number (non-negative, < 1)."""
+        return self._branches(np.asarray(m, dtype=float))[0]
 
     def mach_cap(self, m):
         """Dissipative cap keeping tau1_r* >= MU tau_sharp1_r; +inf when inactive."""
-        shift, slope, offset = self._cap_coeffs
-        return (np.asarray(m, dtype=float) + shift) * slope + offset
+        return self._branches(np.asarray(m, dtype=float))[1]
 
     def mach(self, m):
-        return np.minimum(self.mach_conservative(m), self.mach_cap(m))
+        return np.minimum(*self._branches(np.asarray(m, dtype=float)))
 
     def psi_mach(self, m):
         """``(psi(m), mach(m))``: psi together with the Mach number it is built on."""
         m = np.asarray(m, dtype=float)
-        mach = self.mach(m)
-        return m + self.coupling * ((1.0 + self.nu) * m - 2.0 * self.nu * mach), mach
+        mach = np.minimum(*self._branches(m))
+        one_plus_nu, two_nu = self._coeffs[2]
+        return m + self.coupling * (one_plus_nu * m - two_nu * mach), mach
 
     def at(self, idx):
         """The context of the interfaces ``idx`` (a mask or indices)."""
@@ -292,10 +305,11 @@ def _seed(ctx: FixedPointContext):
     is ill-conditioned where psi is, so the seed only narrows a bracket.
     """
     c, nu, rhs = ctx.coupling, ctx.nu, ctx.rhs
+    (q, *_), (shift_cap, slope, _), (one_plus_nu, _) = ctx._coeffs
     c_nu = c * nu
-    q = 1.0 + 1.0 / nu
-    alpha = (1.0 + c * (1.0 + nu)) / (2.0 * c_nu)
-    beta = -rhs / (2.0 * c_nu)
+    two_c_nu = 2.0 * c_nu
+    alpha = (1.0 + c * one_plus_nu) / two_c_nu
+    beta = -rhs / two_c_nu
     # monic cubic m^3 + b m^2 + d1 m + d0: its coefficients divided by
     # 2 alpha^2 - q alpha = alpha / (c nu), and 4 alpha beta - q beta taken as
     # beta (q + 2 / (c nu)); both differences cancel for large c
@@ -308,9 +322,9 @@ def _seed(ctx: FixedPointContext):
     r = (2.0 * shift * shift - d1) * shift + d0
     with np.errstate(invalid="ignore", divide="ignore"):
         amp = 2.0 * np.sqrt(-p / 3.0)
-        angle = np.arccos(np.clip(-4.0 * r / (amp * amp * amp), -1.0, 1.0)) / 3.0
+        # clipped to [-1, 1]; NaN stays NaN
+        angle = np.arccos(np.minimum(np.maximum(-4.0 * r / (amp * amp * amp), -1.0), 1.0)) / 3.0
         conservative = amp * np.cos(angle - 2.0 * np.pi / 3.0) - shift
-        shift_cap, slope, _ = ctx._cap_coeffs
         # an active cap has a positive slope; a decreasing branch gives a negative root
         cap = (slope * shift_cap - beta) / (alpha - slope)
     conservative = np.where((conservative >= 0.0) & (conservative <= 1.0), conservative, np.inf)
@@ -351,6 +365,11 @@ def solve_star(ctx: FixedPointContext):
     at the first m with |psi(m) - rhs| <= STOP_TOL max(1, rhs), which is
     m = 0 with no sweep when rhs itself is that small, or when
     hi - lo <= STOP_TOL hi, with m the last point evaluated.
+
+    The sweep after which no interface is active returns at once: it does
+    not update the residuals of the bracket ends, which no later sweep
+    reads.  Most calls return after one sweep.  The ends, their residuals
+    and the result are updated in place, only where they change.
     """
     rhs = np.asarray(ctx.rhs, dtype=float)
     n = rhs.size
@@ -359,40 +378,50 @@ def solve_star(ctx: FixedPointContext):
     points = np.minimum(_seed(ctx) * _BRACKET[0] + _BRACKET[1], 1.0)
     f, mach_points = ctx.psi_mach(points)
     f -= rhs                                # psi(0) = 0 exactly
-    if (f[-1] <= 0.0).any() or (rhs < 0.0).any():
+    if ((f[-1] <= 0.0) | (rhs < 0.0)).any():
         raise SolverError("fixed point bracket failure on (0, 1)")
     # the first sign change: f[k] <= 0 < f[k + 1]; points and f stacked are
     # one table, whose rows k and k + 1 of each are the bracket
     k = (f[1:] > 0.0).argmax(axis=0)
     lo, hi, f_lo, f_hi = np.concatenate([points, f]).take((k + _BRACKET_ENDS) * n + np.arange(n))
     tol = STOP_TOL * np.maximum(1.0, rhs)
-    m, mach = points[0], mach_points[0]
-    widths = [np.inf] * 3                   # bracket widths before the last three sweeps
-    moved_lo = np.full(rhs.shape, -1)       # end moved by the last sweep: 1 lo, 0 hi, -1 none
+    m, mach = points[0], mach_points[0]     # rows of fresh arrays, written in place
     active = rhs > tol
+    if not active.any():
+        return m.reshape(rhs.shape), mach.reshape(rhs.shape)
+    widths = [np.inf] * 3                   # bracket widths before the last three sweeps
+    moved_lo = None                         # the end moved by the last sweep: to_lo
     # the secant point divides by f_hi - f_lo, which vanishes on converged
     # interfaces; the sweep replaces such a point by the midpoint
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_SWEEPS):
-            if not active.any():
-                break
+        for sweep in range(MAX_SWEEPS):
             width = hi - lo
             x = lo - f_lo * (width / (f_hi - f_lo))
-            bisect = ~((x > lo) & (x < hi)) | (width > 0.5 * widths[0])
+            bisect = ~((x > lo) & (x < hi))
+            if sweep >= 3:                  # before, widths[0] is inf
+                bisect |= width > 0.5 * widths[0]
             widths = widths[1:] + [width]
-            x = np.where(bisect, lo + 0.5 * width, x)
+            np.putmask(x, bisect, lo + 0.5 * width)
             f, mach_x = ctx.psi_mach(x)
             f -= rhs
             # converged interfaces sweep on harmlessly; only m is frozen for them
+            np.putmask(m, active, x)
+            np.putmask(mach, active, mach_x)
             to_lo = f <= 0.0
-            again = to_lo == moved_lo
-            lo, hi = np.where(to_lo, x, lo), np.where(to_lo, hi, x)
-            f_lo = np.where(to_lo, f, np.where(again, 0.5 * f_lo, f_lo))
-            f_hi = np.where(to_lo, np.where(again, 0.5 * f_hi, f_hi), f)
-            moved_lo = to_lo
-            m = np.where(active, x, m)
-            mach = np.where(active, mach_x, mach)
+            to_hi = ~to_lo
+            np.putmask(lo, to_lo, x)
+            np.putmask(hi, to_hi, x)
             active &= (np.abs(f) > tol) & (hi - lo > STOP_TOL * hi)
+            if not active.any():
+                break
+            if moved_lo is not None:
+                # halve the residual of an end that both sweeps kept
+                again = to_lo == moved_lo
+                np.putmask(f_lo, again, 0.5 * f_lo)
+                np.putmask(f_hi, again, 0.5 * f_hi)
+            np.putmask(f_lo, to_lo, f)
+            np.putmask(f_hi, to_hi, f)
+            moved_lo = to_lo
     # the bracket table is two-dimensional, also for a scalar context
     return m.reshape(rhs.shape), mach.reshape(rhs.shape)
 
@@ -412,9 +441,6 @@ _END_REGION = np.array([[0, 5], [4, 8]])
 #: as an index into the (side, phase) stack of end states flattened; with
 #: the other ordering phase 1's middle region lies right of its contact
 _END_OF_REGION = 2 * np.array([0, 0, 0, 1, 1, 0, 0, 1, 1]) + _PHASE_OF_REGION
-#: rows of (rho, u, p) of both phases in a pair: ``pair[:, _SIDE_ROWS]`` is
-#: the (side, variable, phase, k) stack that ``_tables`` reads
-_SIDE_ROWS = np.array([RHO, U, P])
 #: direction of each side's acoustic waves, for a (side, phase, k) stack
 _OUTWARD = np.array([-1.0, 1.0])[:, None, None]
 
@@ -465,10 +491,12 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     formula once on the (side, phase) stack.
     """
     a1, a2 = a
-    shift = (m_star - nu * mach) / (1.0 + nu * mach)
+    nu_mach = nu * mach
+    one_nu_mach = 1.0 + nu_mach
+    shift = (m_star - nu_mach) / one_nu_mach
     u1s = u_sharp1 - a1 * tau_l * shift
     tau1m = tau_l * (1.0 - m_star) / (1.0 - mach)
-    tau1p = tau_l * (1.0 + m_star) / (1.0 + nu * mach)
+    tau1p = tau_l * (1.0 + m_star) / one_nu_mach
     tau1rs = tau_r + tau_l * shift
     u1m = sign * (u2s + a1 * mach * tau1m)
     u1s, u2s = sign * u1s, sign * u2s
@@ -480,7 +508,8 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     breaks = np.empty((2, 4, u2s.size))
     breaks[:, 0], breaks[0, 3], breaks[1, 2] = outer[0], outer[1, 0], outer[1, 1]
     # with the other ordering phase 1's two middle breaks swap
-    breaks[0, 1:3] = np.where(flip, (u1s, u2s), (u2s, u1s))
+    middle = np.array([u2s, u1s])
+    breaks[0, 1:3] = np.where(flip, middle[::-1], middle)
     breaks[1, 1], breaks[1, 3] = u2s, np.inf
     regions = np.empty((4, 9, u2s.size))
     tau_r, u_r, pi, E = regions
@@ -498,7 +527,7 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     # pi = p0 + a^2 (tau0 - tau) and E = u^2/2 + e0 + (pi^2 - p0^2) / (2 a^2),
     # which give p0 and u0^2/2 + e0 exactly at the end state itself
     tau0, p0, e0 = ends
-    a_sq = (a ** 2)[_PHASE_OF_REGION]
+    a_sq = (a ** 2).take(_PHASE_OF_REGION, axis=0)
     np.subtract(tau0, tau_r, out=pi)
     pi *= a_sq
     pi += p0
@@ -515,7 +544,7 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
 
 
 def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
-                   precomputed: SharpQuantities | None = None) -> RelaxRiemannSolution:
+                   precomputed: tuple | None = None) -> RelaxRiemannSolution:
     """Solve the interface Riemann problems of ``pair``, the (2, 7, k) array
     of ``interface_pair``, for already-feasible parameters.
 
@@ -523,24 +552,27 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     (``check_pair``), and SolverError if the existence condition does not
     hold (callers are expected to have selected parameters first).
     ``precomputed`` is for ``scheme.select_parameters``, which passes the
-    pair it checked and the sharp quantities it formed on it: the pair is
-    then neither checked again nor are the predictors and their ordering
-    formed again, since selection solves every round on the same pair, and
-    a check per round would cost more than the solve saves.  Public callers
-    leave it None.  The EOS is evaluated with the unchecked kernels.
+    pair it checked with ``(s, columns)``: the sharp quantities it formed on
+    the pair, which meet the existence condition, and the ``phase_columns``
+    it looked up.  The pair is then neither checked again nor are the
+    predictors, their ordering and the existence condition formed again,
+    since selection solves every round on the same pair, and a check per
+    round would cost more than the solve saves.  Public callers leave it
+    None.  The EOS is evaluated with the unchecked kernels.
     Intermediate specific volumes are returned whatever their sign: their
     positivity is one of the predicates ``scheme.select_parameters`` climbs
     a2 for.  The solution is one-dimensional.
     """
+    # the existence condition and the ordering hold in the original frame:
+    # the window and the coincident band are symmetric under reflection
     if precomputed is None:
         check_pair(pair, eos1, eos2)
         s = sharp_quantities(PrimitiveState(*pair[0]), PrimitiveState(*pair[1]), params)
+        columns = phase_columns(eos1, eos2)
+        if not s.feasible.all():
+            raise SolverError("existence condition violated; select parameters before solving")
     else:
-        s = precomputed
-    # the existence condition and the ordering hold in the original frame:
-    # the window and the coincident band are symmetric under reflection
-    if not s.feasible.all():
-        raise SolverError("existence condition violated; select parameters before solving")
+        s, columns = precomputed
     flip = s.ordering < 0
     sign = np.where(flip, -1.0, 1.0)
     a = np.empty((2, flip.size))
@@ -550,8 +582,8 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     # and reflection maps the predictors exactly: u and u_cap flip sign, pi
     # is untouched, the tau predictors swap sides
     al, ar = np.where(flip, pair[::-1, 0], pair[:, 0])
-    tau_l, tau_r = np.where(flip, (s.tau_sharp1_r, s.tau_sharp1_l),
-                            (s.tau_sharp1_l, s.tau_sharp1_r))
+    taus = np.array([s.tau_sharp1_l, s.tau_sharp1_r])
+    tau_l, tau_r = np.where(flip, taus[::-1], taus)
     u_sharp1, u_sharp2 = sign * s.u_sharp1, sign * s.u_sharp2
     ctx = _context(al, ar, sign * (s.u_sharp1 - s.u_sharp2), s.pi_sharp1 - s.pi_sharp2,
                    tau_l, tau_r, sign * s.lambda_alpha, *a)
@@ -560,26 +592,27 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     # without a fraction jump the scalar equation is the identity, so the
     # root is the right-hand side itself; taking it exactly (and the
     # phase-2 star speed verbatim below) decouples the phases bitwise
-    m_star = np.where(coincident, 0.0, np.clip(ctx.rhs, 0.0, 1.0))
+    # (rhs clipped to [0, 1] as np.clip clips it: np.maximum with the bound
+    # first keeps rhs where the two tie, so -0.0 stays -0.0)
+    m_star = np.where(coincident, 0.0, np.minimum(np.maximum(0.0, ctx.rhs), 1.0))
     # so is the Mach map: with equal fractions mach_conservative(m) is m and
     # mach_cap(m) >= m, so mach(m) = m; the coincident ordering has m = 0
     mach = m_star.copy()
     # solve_star's bracket check sees only the jumping interfaces; the others
     # could not fail it, since coincident ones have no equation to solve and
     # with equal fractions psi(1) >= 1 > rhs
-    jump = ~(coincident | equal_frac)
-    if jump.any():
+    jump = (~(coincident | equal_frac)).nonzero()[0]
+    if jump.size:
         m_star[jump], mach[jump] = solve_star(ctx.at(jump))
     u2s = np.where(equal_frac, u_sharp2, u_sharp1 - a[0] * tau_l * m_star)
 
-    # coupling pressure: defined only when the phase fraction jumps
-    dal = ar - al
-    jumps = dal != 0.0
-    pi1_star = np.where(jumps, s.pi_sharp2 - a[1] * ((1.0 - al) + (1.0 - ar))
-                        / np.where(jumps, dal, 1.0) * (u2s - u_sharp2), np.nan)
+    # coupling pressure: defined only when the phase fraction jumps, that is
+    # where ar - al != 0, which for finite fractions is where ar != al
+    pi1_star = np.where(equal_frac, np.nan, s.pi_sharp2 - a[1] * ((1.0 - al) + (1.0 - ar))
+                        / np.where(equal_frac, 1.0, ar - al) * (u2s - u_sharp2))
 
     # the sides' density, velocity and pressure of both phases
-    breaks, regions = _tables(pair[:, _SIDE_ROWS], a, *phase_columns(eos1, eos2), u_sharp1,
+    breaks, regions = _tables(pair.take(RHO_U_P, axis=1), a, *columns, u_sharp1,
                               tau_l, tau_r, m_star, mach, ctx.nu, u2s, flip, sign)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
@@ -602,8 +635,10 @@ def sample(sol: RelaxRiemannSolution, xi, side: str = "+"):
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     xi = np.asarray(xi, dtype=float)
-    on_left_of_coupling = (xi < sol.u2_star) | ((xi == sol.u2_star) & (side == "-"))
-    passed = (sol.breaks <= xi) if side == "+" else (sol.breaks < xi)
+    if side == "+":
+        on_left_of_coupling, passed = xi < sol.u2_star, sol.breaks <= xi
+    else:
+        on_left_of_coupling, passed = xi <= sol.u2_star, sol.breaks < xi
     # per phase a count of at most four breaks: int8 holds it and sums fastest
     rows = passed.sum(axis=1, dtype=np.int8) + _FIRST_REGION
     n = sol.regions.shape[-1]

@@ -126,9 +126,10 @@ def _largest_root(a, b, c):
     return np.where(disc >= 0.0, root, -np.inf)
 
 
-def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
-    """Largest root in ``a`` of the two quadratics that give the positivity
-    of a phase's specific volumes on either side of its middle wave.
+def _volume_quadratics(tauL, tauR, du, dp, lam=0.0, k=0.0):
+    """The two quadratics in ``a`` that give the positivity of a phase's
+    specific volumes on either side of its middle wave, as the lists of
+    their ``a^2``, ``a`` and constant coefficients, left volume first.
 
     With ``du = uR - uL``, ``dp = pR - pL`` and the middle wave at ``u_sharp
     + lam du/2 + k/a``, where ``u_sharp`` is the phase's star predictor, the
@@ -136,8 +137,20 @@ def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
     ``tauR a^2 + (1 - lam)(du/2) a + dp/2 - k``.  With ``lam = k = 0`` they
     are the tau predictors.
     """
-    return np.maximum(_largest_root(tauL, (1.0 + lam) * du / 2.0, k - dp / 2.0),
-                      _largest_root(tauR, (1.0 - lam) * du / 2.0, dp / 2.0 - k))
+    return ([tauL, tauR], [(1.0 + lam) * du / 2.0, (1.0 - lam) * du / 2.0],
+            [k - dp / 2.0, dp / 2.0 - k])
+
+
+def _least(coefficients):
+    """The largest ``_largest_root`` of several quadratics, given as the
+    lists of their coefficients: one evaluation on the stacked quadratics,
+    reduced in list order as chained ``np.maximum`` reduces them."""
+    return _largest_root(*(np.array(c) for c in coefficients)).max(axis=0)
+
+
+def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
+    """Largest root in ``a`` of the two ``_volume_quadratics``."""
+    return _least(_volume_quadratics(tauL, tauR, du, dp, lam, k))
 
 
 def _a1_least(wl, wr, s, params):
@@ -154,9 +167,12 @@ def _a1_least(wl, wr, s, params):
     h = lam * du / (2.0 * params.a2)
     c0 = (0.5 * (wl.u1 + wr.u1) - s.u_sharp2
           - lam * (0.5 * (wl.p1 + wr.p1) - s.pi_sharp2) / params.a2)
-    upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
-    lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
-    return np.maximum(np.maximum(_volume_least(tauL, tauR, du, dp), upper), lower)
+    a, b, c = _volume_quadratics(tauL, tauR, du, dp)
+    # the upper and the lower bound of the window
+    a += [g * tauL, g * tauR]
+    b += [tauL + 0.5 * g * du - h, tauR + 0.5 * g * du + h]
+    c += [0.5 * du - 0.5 * g * dp - c0, c0 + 0.5 * du + 0.5 * g * dp]
+    return _least((a, b, c))
 
 
 def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
@@ -221,20 +237,21 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     Parameters and solution are one-dimensional.  The pair is checked once
     (``check_pair``: EosDomainError outside the EOS domain, ValueError for
     another shape), before any parameter is formed; every round's
-    ``build_solution`` takes it with the sharp quantities formed on it, so
-    it checks nothing again.  The predictor algebra reads the two sides as
-    ``PrimitiveState`` views of the pair, formed once.
+    ``build_solution`` takes it with the sharp quantities formed on it and
+    the phase columns, looked up once, so it checks nothing again.  The
+    predictor algebra reads the two sides as ``PrimitiveState`` views of the
+    pair, formed once.
     """
     check_pair(pair, eos1, eos2)
     wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
+    columns = phase_columns(eos1, eos2)
     # the start of both sides and phases, on the (side, phase) stack
-    start = RelaxParams(*_whitham_start(pair[:, RHO], pair[:, P],
-                                        *phase_columns(eos1, eos2)).max(axis=0))
+    start = RelaxParams(*_whitham_start(pair[:, RHO], pair[:, P], *columns).max(axis=0))
     params = start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(wL, wR, params)
-        bad = ~s.feasible
-        if bad.any():
+        if not s.feasible.all():
+            bad = ~s.feasible
             params = _climb_ladder(wL, wR, params, bad.nonzero()[0], 1,
                                    _a1_least(wL, wR, s, params)[bad])
             s = sharp_quantities(wL, wR, params)
@@ -242,11 +259,12 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
             if missed.any():
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
                                      wL, wR, int(np.argmax(missed)))
-        sol = build_solution(pair, eos1, eos2, params, precomputed=s)
-        tau = sol.regions[0, _MIDDLE_REGIONS]
-        bad = ~((tau > 0.0) & (tau < np.inf)).all(axis=0)
-        if not bad.any():
+        sol = build_solution(pair, eos1, eos2, params, precomputed=(s, columns))
+        tau = sol.regions[0].take(_MIDDLE_REGIONS, axis=0)
+        ok = (tau > 0.0) & (tau < np.inf)
+        if ok.all():
             return sol
+        bad = ~ok.all(axis=0)
         du, dp, lam = wR.u2 - wL.u2, wR.p2 - wL.p2, s.lambda_alpha
         k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a2
         least = _volume_least(1.0 / wL.rho2, 1.0 / wR.rho2, du, dp, lam, k)[bad]
@@ -277,27 +295,42 @@ def _trace_flux(alpha1, table):
     return out.reshape(6, -1)
 
 
+#: sign of the coupling term in components 3-6 of F- (row 0) and F+ (row 1)
+_COUPLING_SIGNS = np.array([[-1.0, 1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
+#: which coupling term each of those components takes, as rows of ``terms``
+#: in ``assemble_fluxes``: left, right, neg, pos
+_COUPLING_TERMS = np.array([[0, 0, 2, 2], [1, 1, 3, 3]])
+
+
 def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     """Numerical fluxes from a solved interface row, whose interfaces are
-    the whole window."""
-    gm = _trace_flux(*sample(sol, 0.0, side="-"))
-    gp = _trace_flux(*sample(sol, 0.0, side="+"))
+    the whole window.  The flux formulas are evaluated once, on both traces
+    side by side, and the coupling terms once, as one stack."""
+    am, tm = sample(sol, 0.0, side="-")
+    ap, tp = sample(sol, 0.0, side="+")
+    n = am.size
+    g = _trace_flux(np.concatenate([am, ap]), np.concatenate([tm, tp], axis=-1))
+    gm, gp = g[:, :n], g[:, n:]
     dal = sol.alpha1_r - sol.alpha1_l
     u2s = sol.u2_star
     pi1s = np.where(dal == 0.0, 0.0, sol.pi1_star)
     u2s_pos = np.maximum(u2s, 0.0)
     u2s_neg = np.minimum(u2s, 0.0)
-    # the coupling terms: work of pi1* on each side of the coupling wave
-    left = (u2s < 0.0) * pi1s * dal
-    right = (u2s > 0.0) * pi1s * dal
-    neg = u2s_neg * pi1s * dal
-    pos = u2s_pos * pi1s * dal
-    f = np.empty((2, 7, u2s.size))
+    # the coupling terms, work of pi1* on each side of the coupling wave:
+    # left, right, neg and pos, each (factor * pi1s) * dal
+    terms = np.array([u2s < 0.0, u2s > 0.0, u2s_neg, u2s_pos]) * pi1s * dal
+    f = np.empty((2, 7, n))
     f[0, 0], f[1, 0] = u2s_neg * dal, 0.0 - u2s_pos * dal
-    f[0, 1:3], f[1, 1:3] = gm[:2], gp[:2]
-    f[0, 3], f[0, 4], f[0, 5], f[0, 6] = gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg
-    f[1, 3], f[1, 4], f[1, 5], f[1, 6] = gp[2] + right, gp[3] - right, gp[4] + pos, gp[5] - pos
-    return InterfaceFluxes(f, 0, u2s.size)
+    f[0, 1:5], f[0, 5:] = gm[:4], gp[4:]
+    f[1, 1:] = gp
+    # a trace minus a term is the trace plus the negated term, bit for bit
+    f[:, 3:] += _COUPLING_SIGNS * terms[_COUPLING_TERMS]
+    return InterfaceFluxes(f, 0, n)
+
+
+#: the first and the last break of each phase, as rows of the breaks of
+#: both phases flattened: phase 1 has four breaks, phase 2 three
+_OUTER_BREAKS = np.array([0, 3, 4, 6])
 
 
 def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
@@ -310,9 +343,8 @@ def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
-    # the first and the last break of phase 1 (four breaks) and of phase 2 (three)
-    outer = sol.breaks[[0, 0, 1, 1], [0, 3, 0, 2]]
-    smax = max(float(np.abs(s).max(initial=0.0)) for s in (outer, np.asarray(calm_speeds)))
+    outer = sol.breaks.reshape(8, -1).take(_OUTER_BREAKS, axis=0)
+    smax = float(np.abs(np.concatenate([outer.ravel(), np.ravel(calm_speeds)])).max(initial=0.0))
     if smax == 0.0:
         raise SolverError("fully degenerate field: zero wave speeds")
     return cfl * dx / smax
@@ -327,10 +359,11 @@ def _pad_edges(rows):
     return out
 
 
-def _constant_row(w, eos1, eos2):
+def _constant_row(w, gamma, p_inf):
     """Exact solution and acoustic speeds of interfaces whose two states are
     both ``w``, a stack of primitive columns that ``validate_conserved``
-    accepted.
+    accepted, for the phases whose ``phase_columns`` are ``gamma`` and
+    ``p_inf``.
 
     The solution is the constant state, as ``sample``'s table: (tau, u, pi,
     E) of both phases, shape (4, 2, n).  The speed of an interface is the
@@ -338,7 +371,6 @@ def _constant_row(w, eos1, eos2):
     start ``a_k`` (``_whitham_start``) gives.  Every formula is evaluated
     once, on the (2, n) phase stack, with the unchecked EOS kernels.
     """
-    gamma, p_inf = phase_columns(eos1, eos2)
     rho, u, p = w[RHO], w[U], w[P]
     tau = 1.0 / rho
     table = np.array([tau, u, p, 0.5 * u ** 2 + internal_energy_of(rho, p, gamma, p_inf)])
@@ -355,7 +387,8 @@ class MarchRows:
       states differ in some field;
     - ``u``, the conserved stack, (7, n), whose rows ``cells`` views;
     - ``families``, the ``FAMILIES`` entrywise, (4, n);
-    - ``energies``, the specific internal energy of each phase, (2, n).
+    - ``energies``, the specific internal energy of each phase, (2, n);
+    - ``columns``, the ``phase_columns`` of the two phases, looked up once.
 
     Every wave interface lies in ``span`` = (lo, hi), the interfaces [lo,
     hi].  ``step`` updates ``u`` on its window [a, b) in place,
@@ -371,8 +404,8 @@ class MarchRows:
         self.wave = np.empty(self.w.shape[1] - 1, bool)
         self._mark(0, self.wave.size - 1)
         self.families = np.array(_family_values(self.cells))
-        self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1],
-                                           *phase_columns(eos1, eos2))
+        self.columns = phase_columns(eos1, eos2)
+        self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1], *self.columns)
 
     def _mark(self, lo, hi):
         """Form the wave mask of the interfaces [lo, hi] and make them the span."""
@@ -401,7 +434,7 @@ class MarchRows:
         self._mark(a, b)
         self.families[:, a:b] = _family_values(part)
         self.energies[:, a:b] = internal_energy_of(w[RHO, a + 1:b + 1], w[P, a + 1:b + 1],
-                                                   *phase_columns(eos1, eos2))
+                                                   *self.columns)
 
     def totals(self):
         """The families summed over the row: each row of ``families`` is
@@ -409,13 +442,12 @@ class MarchRows:
         return np.add.reduce(self.families, axis=-1)
 
     def minima(self):
-        """The ``StepRecord`` minima of the row, in its field order; rows 1
-        and 4 of ``w`` (``RHO``) are the densities, read as a view.  As
-        ``fl(1 - x)`` falls with ``x``, min alpha2 is ``1 - max alpha1``
-        exactly."""
+        """The ``StepRecord`` minima of the row, in its field order; the
+        densities (rows ``RHO`` of ``w``) are read as a view.  As ``fl(1 -
+        x)`` falls with ``x``, min alpha2 is ``1 - max alpha1`` exactly."""
         alpha1 = self.u[0]
         return (float(alpha1.min()), float(1.0 - alpha1.max()),
-                *self.w[1:5:3, 1:-1].min(axis=1).tolist(), *self.energies.min(axis=1).tolist())
+                *self.w[RHO, 1:-1].min(axis=1).tolist(), *self.energies.min(axis=1).tolist())
 
 
 @dataclass
@@ -447,11 +479,14 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     first wave interface and ``b`` after the last one (both 0 on a fully
     calm row) are calm, since interfaces 0 and n lie between a cell and its
     ghost copy.  Every interface left of ``a`` carries the state of ``a``,
-    and every one right of ``b`` that of ``b``.  So the calm row and the
-    fluxes are formed on the window ``[a, b]`` only: the window of the
-    returned ``InterfaceFluxes``, into which the wave interfaces' columns of
-    ``assemble_fluxes`` are scattered.  The cells outside ``[a, b)``, whose
-    two fluxes are the same floats, keep their bits.
+    and every one right of ``b`` that of ``b``.  So the fluxes are formed
+    on the window ``[a, b]`` only: the window of the returned
+    ``InterfaceFluxes``, into which the columns of the calm interfaces of
+    the window (``a``, ``b`` and any between two waves) and the wave
+    interfaces' columns of ``assemble_fluxes`` are scattered; the wave
+    interfaces are often all of ``[a + 1, b - 1]``, and then a slice.  The
+    cells outside ``[a, b)``, whose two fluxes are the same floats, keep
+    their bits.
 
     ``rows`` holds the state in the layout a march owns (``MarchRows``):
     ``step`` reads its padded primitive row and wave mask, searches the
@@ -476,27 +511,30 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     w, wave, (lo, hi) = rows.w, rows.wave, rows.span
     waves = lo + wave[lo:hi + 1].nonzero()[0]
     try:
-        sol = select_parameters(w[:, [waves, waves + 1]].swapaxes(0, 1), eos1, eos2)
+        sol = select_parameters(w.take(np.array([waves, waves + 1]), axis=1).swapaxes(0, 1),
+                                eos1, eos2)
     except InterfaceError as err:
         raise InterfaceError(err.what, PrimitiveState(*w[:, :-1]), PrimitiveState(*w[:, 1:]),
                              int(waves[err.interface])) from None
     a, b = (int(waves[0]) - 1, int(waves[-1]) + 1) if waves.size else (0, 0)
-    # every interface of the window is first given the exact solution of its
-    # left state, which is its own where it is calm; the wave interfaces
-    # take theirs below
-    table, speeds = _constant_row(w[:, a:b + 1], eos1, eos2)
-    dt = min(cfl_dt(sol, dx, cfg.cfl, np.where(wave[a:b + 1], 0.0, speeds)), dt_cap)
+    # the calm interfaces of the window, as columns of it, and their states
+    calm = (~wave[a:b + 1]).nonzero()[0]
+    w_calm = w.take(a + calm, axis=1)
+    table, speeds = _constant_row(w_calm, *rows.columns)
+    dt = min(cfl_dt(sol, dx, cfg.cfl, speeds), dt_cap)
     f = np.empty((2, 7, b + 1 - a))
-    f[0, 0] = 0.0                       # alpha1 jumps at no calm interface
-    f[0, 1:] = _trace_flux(w[0, a:b + 1], table)
-    f[1] = f[0]
-    f[:, :, waves - a] = assemble_fluxes(sol).window
+    f_calm = np.empty((7, calm.size))
+    f_calm[0] = 0.0                     # alpha1 jumps at no calm interface
+    f_calm[1:] = _trace_flux(w_calm[0], table)
+    f[:, :, calm] = f_calm
+    # a slice is the cheaper scatter where no calm interface lies between waves
+    f[:, :, slice(1, -1) if calm.size == 2 else waves - a] = assemble_fluxes(sol).window
     u = rows.u
     u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
-        validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2, where=f"post-step, dt={dt:.3e}")
+        validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2)
     except AdmissibilityError as err:
-        raise AdmissibilityError(err.what, a + err.index, err.where) from None
+        raise AdmissibilityError(err.what, a + err.index, f"post-step, dt={dt:.3e}") from None
     return rows.cells, StepInfo(dt=dt, fluxes=InterfaceFluxes(f, a, wave.size),
                                 updated=slice(a, b), sol=sol, waves=waves)
 

@@ -15,8 +15,12 @@ from .eos import EosParams
 #: order of the primitive variables in profiles and CSV files
 VARIABLES = ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")
 #: rows of the density, velocity and pressure of both phases, phase 1 first,
-#: in a stack of primitive variables in ``VARIABLES`` order
-RHO, U, P = np.array([1, 4]), np.array([2, 5]), np.array([3, 6])
+#: in a stack of primitive variables in ``VARIABLES`` order; slices, so that
+#: they index views
+RHO, U, P = slice(1, 5, 3), slice(2, 6, 3), slice(3, 7, 3)
+#: the same rows as one (3, 2) index: a ``take`` of it along the variable
+#: axis gathers (rho, u, p) of both phases at once
+RHO_U_P = np.array([[1, 4], [2, 5], [3, 6]])
 
 
 class AdmissibilityError(ValueError):
@@ -122,13 +126,39 @@ def validate_primitive(w: PrimitiveState, eos1: EosParams, eos2: EosParams, wher
             raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
 
 
-def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
-    """Raise AdmissibilityError unless every entry of ``u`` is admissible.
+#: open upper bounds of the conserved fields, as a column: alpha1 < 1 and
+#: every other field finite
+_UPPER = np.array([[1.0]] + [[np.inf]] * 6)
+_UPPER.flags.writeable = False
 
-    Checks, in order: alpha1 in (0,1), positive partial masses, positive
-    partial internal energies, and for stiffened gas the stricter
-    ``rho_k e_k > p_inf_k`` needed for real sound speeds.
-    """
+
+def _admissible(u: ConservedState, eos1: EosParams, eos2: EosParams):
+    """Whether every entry of ``u`` passes every check of ``_diagnose``, in
+    one pass over its fields stacked into one (7, k) array (broadcast to one
+    shape first where they differ), with one reduction.  Each predicate is
+    written ``x > bound`` or ``x < bound`` so that NaN fails it.  The
+    partial momenta are required finite too, which the checks imply: with
+    finite positive masses and finite energies an infinite momentum gives
+    an internal energy of -inf, and NaN propagates."""
+    fields = u.astuple()
+    if len({getattr(v, "shape", ()) for v in fields}) > 1:
+        fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields))
+    s = np.array(fields, dtype=float).reshape(7, -1)
+    ok = s < _UPPER
+    ok[:3] &= s[:3] > 0.0
+    eint = s[5:7] - 0.5 * s[3:5] * s[3:5] / s[1:3]  # alpha_k rho_k e_k
+    if eos1.p_inf > 0.0 or eos2.p_inf > 0.0:
+        # rho_k e_k > p_inf_k: with alpha1 in (0, 1) this implies eint > 0,
+        # and with p_inf_k = 0 it is eint > 0
+        ok[5:7] &= eint / np.array([s[0], 1.0 - s[0]]) > [[eos1.p_inf], [eos2.p_inf]]
+    else:
+        ok[5:7] &= eint > 0.0
+    return ok.all()
+
+
+def _diagnose(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str):
+    """The checks of ``validate_conserved`` one by one, in their order:
+    raise AdmissibilityError for the first that fails, at its first index."""
     a = _check_alpha1(u.alpha1, where)
     for name, m in (("m1", u.m1), ("m2", u.m2)):
         mv = np.asarray(m, dtype=float)
@@ -150,6 +180,26 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
             if not np.all(rho_e > eos.p_inf):
                 raise AdmissibilityError(f"rho e <= p_inf (sound speed loss), phase {k}",
                                          _first_bad(~(rho_e > eos.p_inf)), where)
+    for name in ("m1", "m2", "eta1", "eta2"):
+        finite = np.isfinite(getattr(u, name))
+        if not np.all(finite):
+            raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
+
+
+def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
+    """Raise AdmissibilityError unless every entry of ``u`` is admissible.
+
+    Checks, in order: alpha1 in (0,1), positive partial masses, positive
+    partial internal energies, for stiffened gas the stricter ``rho_k e_k >
+    p_inf_k`` needed for real sound speeds, and finite partial masses and
+    energies.  All of them are first formed in one pass and reduced once
+    (``_admissible``); only when that fails are they run one by one, in
+    this order (``_diagnose``), so the error names the first failing check
+    and its first failing index.
+    """
+    if not _admissible(u, eos1, eos2):
+        _diagnose(u, eos1, eos2, where)
+        raise AssertionError("the one-pass admissibility check and its diagnosis disagree")
 
 
 def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> ConservedState:

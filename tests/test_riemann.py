@@ -18,6 +18,7 @@ from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveO
 from bn_relax.riemann import STOP_TOL, FixedPointContext
 from bn_relax.state import VARIABLES
 from conftest import fields, psi, random_primitive
+import frozen_star
 
 IDEAL = EosParams(1.4)
 STIFF = EosParams(3.0, 100.0)
@@ -378,6 +379,86 @@ def test_star_solve_vanishing_phase2_on_the_right(left_alpha1):
     # (bisection to adjacent floats leaves residuals of 3e-12 on the first)
     assert check_star_solve((left_alpha1, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
                             (0.999999999, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0), IDEAL)
+
+
+# ------------------------------------------------------------ bitwise oracle of the star solve
+
+def solve_like_the_frozen_copy(ctx, seed_of=None):
+    """Assert that ``solve_star(ctx)``, with ``seed_of`` applied to the seed
+    when given, returns the bytes and shapes of the frozen copy's result;
+    return the frozen copy's sweep count.  The seed and psi are compared
+    too."""
+    frozen = frozen_star.FrozenContext(ctx)
+    assert np.asarray(riemann._seed(ctx)).tobytes() == \
+        np.asarray(frozen_star.seed(frozen)).tobytes()
+    m = np.linspace(0.0, 1.0, 7).reshape(-1, 1) * np.ones(np.shape(ctx.rhs))
+    for got, want in zip(ctx.psi_mach(m), frozen.psi_mach(m)):
+        assert got.tobytes() == want.tobytes()
+    if seed_of is None:
+        got = solve_star(ctx)
+        *want, sweeps = frozen_star.solve_star(ctx)
+    else:
+        seed = riemann._seed
+        riemann._seed = lambda c: seed_of(seed(c))
+        try:
+            got = solve_star(ctx)
+        finally:
+            riemann._seed = seed
+        *want, sweeps = frozen_star.solve_star(ctx, seed_of)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    return sweeps
+
+
+def fuzzed_contexts(rng, n=400):
+    """Contexts with a known root in (0, 1): nu over six decades, some
+    within 1e-9 of 1 and some exactly 1, coupling from 1e-2 to 3e4 (large
+    where a phase vanishes), both branches of the Mach number active."""
+    nu = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    nu[:20] = 1.0 + rng.uniform(-1e-9, 1e-9, 20)
+    nu[20:25] = 1.0
+    coupling = 10.0 ** rng.uniform(-2.0, 4.5, n)
+    base = FixedPointContext(nu=nu, tau_ratio=10.0 ** rng.uniform(-2.0, 1.0, n),
+                             coupling=coupling, rhs=0.0 * nu)
+    return dataclasses.replace(base, rhs=psi(base, rng.uniform(0.0, 1.0, n)))
+
+
+def test_star_solve_matches_the_frozen_copy_on_a_fuzzed_batch(rng):
+    ctx = fuzzed_contexts(rng)
+    # the batch leaves the one-sweep path: some interfaces take many sweeps
+    assert solve_like_the_frozen_copy(ctx) > 2
+    # and each interface on its own, where the first sweep often ends the call
+    sweeps = [solve_like_the_frozen_copy(ctx.at(np.array([j]))) for j in range(0, 400, 3)]
+    assert min(sweeps) == 1 and max(sweeps) > 2
+
+
+@pytest.mark.parametrize("where", ["at the kink", "past the kink"])
+def test_star_solve_matches_the_frozen_copy_at_the_kink(where):
+    # scalar contexts, as in test_solve_star_root_where_mach_cap_is_active
+    base = FixedPointContext(nu=2.0, tau_ratio=0.05, coupling=0.5, rhs=0.0)
+    root = mach_cap_kink(base) if where == "at the kink" else 0.5
+    ctx = dataclasses.replace(base, rhs=psi(base, root))
+    # the root at the kink is the slow case of the secant
+    assert solve_like_the_frozen_copy(ctx) > (1 if where == "at the kink" else 0)
+    # a 0-d array context gives the same bytes and shapes
+    solve_like_the_frozen_copy(FixedPointContext(*(np.asarray(v) for v in (
+        ctx.nu, ctx.tau_ratio, ctx.coupling, ctx.rhs))))
+
+
+@pytest.mark.parametrize("wrong", list(WRONG_SEEDS))
+def test_star_solve_matches_the_frozen_copy_from_a_wrong_seed(wrong, rng):
+    assert solve_like_the_frozen_copy(fuzzed_contexts(rng), WRONG_SEEDS[wrong]) > 1
+
+
+def test_star_solve_matches_the_frozen_copy_when_rhs_is_within_tolerance(rng):
+    # rhs <= STOP_TOL max(1, rhs) is solved by m = 0 before any sweep: for a
+    # whole batch, and beside interfaces that do sweep
+    ctx = fuzzed_contexts(rng, 60)
+    small = np.array([0.0, 5e-324, 1e-300, STOP_TOL / 2, STOP_TOL])
+    assert solve_like_the_frozen_copy(dataclasses.replace(ctx.at(np.arange(5)), rhs=small)) == 0
+    mixed = dataclasses.replace(ctx, rhs=np.where(np.arange(60) % 3 == 0, 0.0, ctx.rhs))
+    assert solve_like_the_frozen_copy(mixed) > 1
+    assert solve_like_the_frozen_copy(dataclasses.replace(ctx.at(0), rhs=0.0)) == 0
 
 
 # ------------------------------------------------------------ full solutions

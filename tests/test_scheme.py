@@ -217,7 +217,7 @@ def rebuilt_a2_least(solve):
     ``lambda du/2`` times a2, held fixed."""
     (pair, _, _, sub), kwargs, sol = solve
     wl, wr = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
-    s = kwargs["precomputed"]
+    s = kwargs["precomputed"][0]
     tau = sol.regions[0, [1, 2, 3, 6, 7]]
     bad = ~((tau > 0.0) & np.isfinite(tau)).all(axis=0)
     du, dp, lam = wr.u2 - wl.u2, wr.p2 - wl.p2, s.lambda_alpha
@@ -754,7 +754,7 @@ def test_calm_speed_is_the_outer_break_of_the_start(rng, eos2):
     kept = (sol.params.a1 == start[0]) & (sol.params.a2 == start[1])
     assert 1000 < np.count_nonzero(kept) < 2000
     outer = np.abs(sol.breaks[[0, 0, 1, 1], [0, 3, 0, 2]]).max(axis=0)
-    speeds = scheme._constant_row(w.stack(), IDEAL, eos2)[1]
+    speeds = scheme._constant_row(w.stack(), *phase_columns(IDEAL, eos2))[1]
     assert outer[kept].tobytes() == speeds[kept].tobytes()
 
 
@@ -803,7 +803,7 @@ def full_row_step(cells, prim, cfl, eos1, eos2, dx):
     wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
     waves = np.flatnonzero(wave)
     sol = select_parameters(interface_pair(padded[waves], padded[waves + 1]), eos1, eos2)
-    table, speeds = scheme._constant_row(w[:, :-1], eos1, eos2)
+    table, speeds = scheme._constant_row(w[:, :-1], *phase_columns(eos1, eos2))
     dt = cfl_dt(sol, dx, cfl, np.where(wave, 0.0, speeds))
     solved = assemble_fluxes(sol)
     fm, fp = np.zeros((2, 7, wave.size))

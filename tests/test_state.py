@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bn_relax import (AdmissibilityError, ConservedState, EosParams, PrimitiveState,
-                      max_abs_eigenvalue, to_conserved, to_primitive)
+                      max_abs_eigenvalue, to_conserved, to_primitive, validate_conserved)
 from conftest import random_primitive
 
 IDEAL = EosParams(1.4)
@@ -117,6 +117,98 @@ def test_infinite_primitive_field_rejected(field):
     getattr(w, field)[2] = np.inf
     with pytest.raises(AdmissibilityError, match=rf"non-finite {field} at index 2"):
         to_conserved(w, IDEAL, IDEAL)
+
+
+@pytest.mark.parametrize("field", ["m1", "m2", "eta1", "eta2"])
+def test_infinite_conserved_field_rejected(field):
+    # an infinite partial mass or energy passes the positivity checks, so
+    # the finiteness checks after them name it
+    w = PrimitiveState(*(np.full(4, v) for v in (0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)))
+    u = to_conserved(w, IDEAL, IDEAL)
+    getattr(u, field)[2] = np.inf
+    with pytest.raises(AdmissibilityError, match=rf"non-finite {field} at index 2"):
+        to_primitive(u, IDEAL, IDEAL)
+
+
+def ordered_checks(u, eos1, eos2, where):
+    """The conserved-state checks one by one, as ``validate_conserved`` ran
+    them before they were first formed in one pass, followed by the
+    finiteness checks of the partial masses and energies: the oracle of the
+    error it reports."""
+    def first(mask):
+        return int(np.argmax(np.atleast_1d(mask)))
+
+    a = np.asarray(u.alpha1, dtype=float)
+    ok = (a > 0.0) & (a < 1.0)
+    if not np.all(ok):
+        raise AdmissibilityError("alpha1 outside (0,1)", first(~ok), where)
+    for name, m in (("m1", u.m1), ("m2", u.m2)):
+        mv = np.asarray(m, dtype=float)
+        if not np.all(mv > 0.0):
+            raise AdmissibilityError(f"non-positive partial mass {name}", first(~(mv > 0)), where)
+    for k, (m, q, eta, alpha, eos) in enumerate(
+            ((u.m1, u.q1, u.eta1, a, eos1), (u.m2, u.q2, u.eta2, 1.0 - a, eos2)), start=1):
+        eint = np.asarray(eta, dtype=float) - 0.5 * np.asarray(q) * q / np.asarray(m)
+        if not np.all(eint > 0.0):
+            raise AdmissibilityError(f"non-positive internal energy, phase {k}",
+                                     first(~(eint > 0)), where)
+        if eos.p_inf > 0.0:
+            rho_e = eint / alpha
+            if not np.all(rho_e > eos.p_inf):
+                raise AdmissibilityError(f"rho e <= p_inf (sound speed loss), phase {k}",
+                                         first(~(rho_e > eos.p_inf)), where)
+    for name in ("m1", "m2", "eta1", "eta2"):
+        finite = np.isfinite(getattr(u, name))
+        if not np.all(finite):
+            raise AdmissibilityError(f"non-finite {name}", first(~finite), where)
+
+
+def with_fault(u, kind, j, eos1, eos2):
+    """``u`` with the fault ``kind`` put into entry ``j`` (in place)."""
+    if kind == "alpha1":
+        u.alpha1[j] = 1.5
+    elif kind in ("m1", "m2"):
+        getattr(u, kind)[j] *= -1.0 if kind == "m1" else 0.0
+    elif kind.startswith("energy"):
+        k = kind[-1]
+        getattr(u, f"q{k}")[j] = 3.0 * np.sqrt(getattr(u, f"m{k}")[j] * getattr(u, f"eta{k}")[j])
+    elif kind.startswith("sound"):
+        # a positive internal energy below alpha_k p_inf_k
+        k, eos = kind[-1], (eos1, eos2)[int(kind[-1]) - 1]
+        alpha = u.alpha1[j] if k == "1" else 1.0 - u.alpha1[j]
+        m, q = getattr(u, f"m{k}")[j], getattr(u, f"q{k}")[j]
+        getattr(u, f"eta{k}")[j] = 0.5 * q * q / m + 0.5 * alpha * eos.p_inf
+    else:
+        value, field = kind.split()
+        getattr(u, field)[j] = float(value)
+    return u
+
+
+FAULTS = ["alpha1", "m1", "m2", "energy1", "energy2", "inf m1", "inf m2", "inf eta1", "inf eta2",
+          "nan q1", "nan eta2", "-inf eta1"]
+
+
+@pytest.mark.parametrize("eos1, eos2", [(IDEAL, IDEAL), (EosParams(3.0, 100.0), IDEAL),
+                                        (EosParams(3.0, 100.0), EosParams(2.5, 50.0))])
+def test_one_pass_check_reports_what_the_ordered_checks_report(eos1, eos2):
+    # every pair of faults at two different indices, in either order: the
+    # error names the check and the index that the ordered checks name
+    w = PrimitiveState(*(np.full(5, v) for v in (0.4, 1.0, 0.1, 150.0, 2.0, -0.3, 120.0)))
+    faults = FAULTS + [f"sound{k}" for k, eos in ((1, eos1), (2, eos2)) if eos.p_inf > 0.0]
+    checked = 0
+    for first_kind in faults:
+        for second_kind in faults:
+            for i, j in ((3, 1), (1, 3)):
+                u = ConservedState(*to_conserved(w, eos1, eos2).stack())
+                with_fault(with_fault(u, first_kind, i, eos1, eos2), second_kind, j, eos1, eos2)
+                with pytest.raises(AdmissibilityError) as want, np.errstate(all="ignore"):
+                    ordered_checks(u, eos1, eos2, "here")
+                with pytest.raises(AdmissibilityError) as got, np.errstate(all="ignore"):
+                    validate_conserved(u, eos1, eos2, where="here")
+                assert (str(got.value), got.value.index) == (str(want.value), want.value.index), \
+                    (first_kind, i, second_kind, j)
+                checked += 1
+    assert checked == 2 * len(faults) ** 2
 
 
 def test_admissibility_error_round_trips_through_pickle():
