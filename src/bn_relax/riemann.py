@@ -544,35 +544,37 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
 
 
 def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
-                   precomputed: tuple | None = None) -> RelaxRiemannSolution:
+                   precomputed: SharpQuantities | None = None,
+                   columns: tuple | None = None) -> RelaxRiemannSolution:
     """Solve the interface Riemann problems of ``pair``, the (2, 7, k) array
     of ``interface_pair``, for already-feasible parameters.
 
     Raises EosDomainError if the pair leaves the EOS domain
     (``check_pair``), and SolverError if the existence condition does not
     hold (callers are expected to have selected parameters first).
-    ``precomputed`` is for ``scheme.select_parameters``, which passes the
-    pair it checked with ``(s, columns)``: the sharp quantities it formed on
-    the pair, which meet the existence condition, and the ``phase_columns``
-    it looked up.  The pair is then neither checked again nor are the
-    predictors, their ordering and the existence condition formed again,
-    since selection solves every round on the same pair, and a check per
-    round would cost more than the solve saves.  Public callers leave it
+    ``precomputed`` and ``columns`` are private to
+    ``scheme.select_parameters``, which passes the pair it checked, the
+    sharp quantities it formed on it and the ``phase_columns`` it looked up:
+    the pair is then neither checked again nor are the predictors and their
+    ordering formed again, since selection solves every round on the same
+    pair, and a check per round would cost more than the solve saves.  The
+    existence condition is checked either way.  Public callers leave both
     None.  The EOS is evaluated with the unchecked kernels.
     Intermediate specific volumes are returned whatever their sign: their
     positivity is one of the predicates ``scheme.select_parameters`` climbs
     a2 for.  The solution is one-dimensional.
     """
-    # the existence condition and the ordering hold in the original frame:
-    # the window and the coincident band are symmetric under reflection
     if precomputed is None:
         check_pair(pair, eos1, eos2)
         s = sharp_quantities(PrimitiveState(*pair[0]), PrimitiveState(*pair[1]), params)
-        columns = phase_columns(eos1, eos2)
-        if not s.feasible.all():
-            raise SolverError("existence condition violated; select parameters before solving")
     else:
-        s, columns = precomputed
+        s = precomputed
+    if columns is None:
+        columns = phase_columns(eos1, eos2)
+    # the existence condition and the ordering hold in the original frame:
+    # the window and the coincident band are symmetric under reflection
+    if not s.feasible.all():
+        raise SolverError("existence condition violated; select parameters before solving")
     flip = s.ordering < 0
     sign = np.where(flip, -1.0, 1.0)
     a = np.empty((2, flip.size))

@@ -126,10 +126,9 @@ def _largest_root(a, b, c):
     return np.where(disc >= 0.0, root, -np.inf)
 
 
-def _volume_quadratics(tauL, tauR, du, dp, lam=0.0, k=0.0):
-    """The two quadratics in ``a`` that give the positivity of a phase's
-    specific volumes on either side of its middle wave, as the lists of
-    their ``a^2``, ``a`` and constant coefficients, left volume first.
+def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
+    """Largest root in ``a`` of the two quadratics that give the positivity
+    of a phase's specific volumes on either side of its middle wave.
 
     With ``du = uR - uL``, ``dp = pR - pL`` and the middle wave at ``u_sharp
     + lam du/2 + k/a``, where ``u_sharp`` is the phase's star predictor, the
@@ -137,20 +136,8 @@ def _volume_quadratics(tauL, tauR, du, dp, lam=0.0, k=0.0):
     ``tauR a^2 + (1 - lam)(du/2) a + dp/2 - k``.  With ``lam = k = 0`` they
     are the tau predictors.
     """
-    return ([tauL, tauR], [(1.0 + lam) * du / 2.0, (1.0 - lam) * du / 2.0],
-            [k - dp / 2.0, dp / 2.0 - k])
-
-
-def _least(coefficients):
-    """The largest ``_largest_root`` of several quadratics, given as the
-    lists of their coefficients: one evaluation on the stacked quadratics,
-    reduced in list order as chained ``np.maximum`` reduces them."""
-    return _largest_root(*(np.array(c) for c in coefficients)).max(axis=0)
-
-
-def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
-    """Largest root in ``a`` of the two ``_volume_quadratics``."""
-    return _least(_volume_quadratics(tauL, tauR, du, dp, lam, k))
+    return np.maximum(_largest_root(tauL, (1.0 + lam) * du / 2.0, k - dp / 2.0),
+                      _largest_root(tauR, (1.0 - lam) * du / 2.0, dp / 2.0 - k))
 
 
 def _a1_least(wl, wr, s, params):
@@ -167,12 +154,9 @@ def _a1_least(wl, wr, s, params):
     h = lam * du / (2.0 * params.a2)
     c0 = (0.5 * (wl.u1 + wr.u1) - s.u_sharp2
           - lam * (0.5 * (wl.p1 + wr.p1) - s.pi_sharp2) / params.a2)
-    a, b, c = _volume_quadratics(tauL, tauR, du, dp)
-    # the upper and the lower bound of the window
-    a += [g * tauL, g * tauR]
-    b += [tauL + 0.5 * g * du - h, tauR + 0.5 * g * du + h]
-    c += [0.5 * du - 0.5 * g * dp - c0, c0 + 0.5 * du + 0.5 * g * dp]
-    return _least((a, b, c))
+    upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
+    lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
+    return np.maximum(np.maximum(_volume_least(tauL, tauR, du, dp), upper), lower)
 
 
 def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
@@ -259,7 +243,7 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
             if missed.any():
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
                                      wL, wR, int(np.argmax(missed)))
-        sol = build_solution(pair, eos1, eos2, params, precomputed=(s, columns))
+        sol = build_solution(pair, eos1, eos2, params, precomputed=s, columns=columns)
         tau = sol.regions[0].take(_MIDDLE_REGIONS, axis=0)
         ok = (tau > 0.0) & (tau < np.inf)
         if ok.all():
@@ -295,37 +279,27 @@ def _trace_flux(alpha1, table):
     return out.reshape(6, -1)
 
 
-#: sign of the coupling term in components 3-6 of F- (row 0) and F+ (row 1)
-_COUPLING_SIGNS = np.array([[-1.0, 1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
-#: which coupling term each of those components takes, as rows of ``terms``
-#: in ``assemble_fluxes``: left, right, neg, pos
-_COUPLING_TERMS = np.array([[0, 0, 2, 2], [1, 1, 3, 3]])
-
-
 def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     """Numerical fluxes from a solved interface row, whose interfaces are
-    the whole window.  The flux formulas are evaluated once, on both traces
-    side by side, and the coupling terms once, as one stack."""
-    am, tm = sample(sol, 0.0, side="-")
-    ap, tp = sample(sol, 0.0, side="+")
-    n = am.size
-    g = _trace_flux(np.concatenate([am, ap]), np.concatenate([tm, tp], axis=-1))
-    gm, gp = g[:, :n], g[:, n:]
+    the whole window."""
+    gm = _trace_flux(*sample(sol, 0.0, side="-"))
+    gp = _trace_flux(*sample(sol, 0.0, side="+"))
     dal = sol.alpha1_r - sol.alpha1_l
     u2s = sol.u2_star
     pi1s = np.where(dal == 0.0, 0.0, sol.pi1_star)
     u2s_pos = np.maximum(u2s, 0.0)
     u2s_neg = np.minimum(u2s, 0.0)
-    # the coupling terms, work of pi1* on each side of the coupling wave:
-    # left, right, neg and pos, each (factor * pi1s) * dal
-    terms = np.array([u2s < 0.0, u2s > 0.0, u2s_neg, u2s_pos]) * pi1s * dal
-    f = np.empty((2, 7, n))
+    # the coupling terms: work of pi1* on each side of the coupling wave
+    left = (u2s < 0.0) * pi1s * dal
+    right = (u2s > 0.0) * pi1s * dal
+    neg = u2s_neg * pi1s * dal
+    pos = u2s_pos * pi1s * dal
+    f = np.empty((2, 7, u2s.size))
     f[0, 0], f[1, 0] = u2s_neg * dal, 0.0 - u2s_pos * dal
-    f[0, 1:5], f[0, 5:] = gm[:4], gp[4:]
-    f[1, 1:] = gp
-    # a trace minus a term is the trace plus the negated term, bit for bit
-    f[:, 3:] += _COUPLING_SIGNS * terms[_COUPLING_TERMS]
-    return InterfaceFluxes(f, 0, n)
+    f[0, 1:3], f[1, 1:3] = gm[:2], gp[:2]
+    f[0, 3], f[0, 4], f[0, 5], f[0, 6] = gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg
+    f[1, 3], f[1, 4], f[1, 5], f[1, 6] = gp[2] + right, gp[3] - right, gp[4] + pos, gp[5] - pos
+    return InterfaceFluxes(f, 0, u2s.size)
 
 
 #: the first and the last break of each phase, as rows of the breaks of
@@ -483,9 +457,8 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     on the window ``[a, b]`` only: the window of the returned
     ``InterfaceFluxes``, into which the columns of the calm interfaces of
     the window (``a``, ``b`` and any between two waves) and the wave
-    interfaces' columns of ``assemble_fluxes`` are scattered; the wave
-    interfaces are often all of ``[a + 1, b - 1]``, and then a slice.  The
-    cells outside ``[a, b)``, whose two fluxes are the same floats, keep
+    interfaces' columns of ``assemble_fluxes`` are scattered.  The cells
+    outside ``[a, b)``, whose two fluxes are the same floats, keep
     their bits.
 
     ``rows`` holds the state in the layout a march owns (``MarchRows``):
@@ -527,8 +500,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     f_calm[0] = 0.0                     # alpha1 jumps at no calm interface
     f_calm[1:] = _trace_flux(w_calm[0], table)
     f[:, :, calm] = f_calm
-    # a slice is the cheaper scatter where no calm interface lies between waves
-    f[:, :, slice(1, -1) if calm.size == 2 else waves - a] = assemble_fluxes(sol).window
+    f[:, :, waves - a] = assemble_fluxes(sol).window
     u = rows.u
     u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:

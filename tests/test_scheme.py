@@ -217,7 +217,7 @@ def rebuilt_a2_least(solve):
     ``lambda du/2`` times a2, held fixed."""
     (pair, _, _, sub), kwargs, sol = solve
     wl, wr = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
-    s = kwargs["precomputed"][0]
+    s = kwargs["precomputed"]
     tau = sol.regions[0, [1, 2, 3, 6, 7]]
     bad = ~((tau > 0.0) & np.isfinite(tau)).all(axis=0)
     du, dp, lam = wr.u2 - wl.u2, wr.p2 - wl.p2, s.lambda_alpha
