@@ -6,8 +6,8 @@ interface pair as one (2, 7, k) array: side (left first), primitive variable
 in ``VARIABLES`` order, interface.  ``interface_pair`` forms it from two
 ``PrimitiveState``s, and ``check_pair`` is the one check of it, against the
 domain of the EOS kernels the solver evaluates unchecked.  The predictor
-algebra (``sharp_quantities``, ``fixed_point_context``) reads the two sides
-as ``PrimitiveState``s, which may be views of the pair.
+algebra (``sharp_quantities``, ``fixed_point_context``) reads the rows of the
+checked pair too.
 
 The construction is carried out for the wave ordering ``u2* <= u1*``; an
 interface with the opposite ordering is reflected first (velocities
@@ -166,20 +166,20 @@ def _classify(u_cap, tau_l, tau_r, a1):
     return ordering, feasible
 
 
-def sharp_quantities(wL: PrimitiveState, wR: PrimitiveState, params: RelaxParams) -> SharpQuantities:
+def sharp_quantities(pair, params: RelaxParams) -> SharpQuantities:
     """Evaluate all star-state predictors from the interface pair, and
     classify them (``ordering``, ``feasible``).
 
-    Pure algebra on the inputs; non-positive tau predictors are reported by
-    the feasibility test, not here.
+    Pure algebra on the rows of ``pair``, a checked (2, 7, k) pair or a
+    (2, 7) one; non-positive tau predictors are reported by the feasibility
+    test, not here.
     """
     a1, a2 = params.a1, params.a2
-    u1, pi1 = _star_predictors(wL.u1, wR.u1, wL.p1, wR.p1, a1)
-    t1l, t1r = _acoustic_taus(1.0 / np.asarray(wL.rho1, dtype=float),
-                              1.0 / np.asarray(wR.rho1, dtype=float), wL.u1, wR.u1, u1, a1)
-    u2, pi2 = _star_predictors(wL.u2, wR.u2, wL.p2, wR.p2, a2)
-    a2L = 1.0 - np.asarray(wL.alpha1, dtype=float)
-    a2R = 1.0 - np.asarray(wR.alpha1, dtype=float)
+    (al, rho1l, u1l, p1l, _, u2l, p2l), (ar, rho1r, u1r, p1r, _, u2r, p2r) = pair
+    u1, pi1 = _star_predictors(u1l, u1r, p1l, p1r, a1)
+    t1l, t1r = _acoustic_taus(1.0 / rho1l, 1.0 / rho1r, u1l, u1r, u1, a1)
+    u2, pi2 = _star_predictors(u2l, u2r, p2l, p2r, a2)
+    a2L, a2R = 1.0 - al, 1.0 - ar
     lam = (a2R - a2L) / (a2R + a2L)
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
@@ -280,11 +280,10 @@ def _context(a1L, a1R, du, dpi, tau_l, tau_r, lam, a1, a2) -> FixedPointContext:
     )
 
 
-def fixed_point_context(wL: PrimitiveState, wR: PrimitiveState, s: SharpQuantities,
-                        params: RelaxParams) -> FixedPointContext:
-    return _context(np.asarray(wL.alpha1, dtype=float), np.asarray(wR.alpha1, dtype=float),
-                    s.u_sharp1 - s.u_sharp2, s.pi_sharp1 - s.pi_sharp2, s.tau_sharp1_l,
-                    s.tau_sharp1_r, s.lambda_alpha, params.a1, params.a2)
+def fixed_point_context(pair, s: SharpQuantities, params: RelaxParams) -> FixedPointContext:
+    """The context of ``pair`` (as ``sharp_quantities`` takes it) with the predictors ``s``."""
+    return _context(pair[0, 0], pair[1, 0], s.u_sharp1 - s.u_sharp2, s.pi_sharp1 - s.pi_sharp2,
+                    s.tau_sharp1_l, s.tau_sharp1_r, s.lambda_alpha, params.a1, params.a2)
 
 
 def _seed(ctx: FixedPointContext):
@@ -566,7 +565,7 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     """
     if precomputed is None:
         check_pair(pair, eos1, eos2)
-        s = sharp_quantities(PrimitiveState(*pair[0]), PrimitiveState(*pair[1]), params)
+        s = sharp_quantities(pair, params)
     else:
         s = precomputed
     if columns is None:

@@ -102,11 +102,12 @@ class InterfaceFluxes:
 
 
 class InterfaceError(SolverError):
-    """SolverError at interface ``j`` of the row ``(wL, wR)``, whose states the
-    message gives; ``what`` is the failure and ``interface`` is ``j``."""
+    """SolverError at interface ``j`` of ``pair`` (its two (7, k) sides), whose
+    states the message gives; ``what`` is the failure and ``interface`` is ``j``."""
 
-    def __init__(self, what, wL, wR, j):
-        super().__init__(f"{what} at interface {j}; left={_dump(wL, j)} right={_dump(wR, j)}")
+    def __init__(self, what, pair, j):
+        left, right = pair
+        super().__init__(f"{what} at interface {j}; left={_dump(left, j)} right={_dump(right, j)}")
         self.what, self.interface = what, j
 
 
@@ -140,27 +141,28 @@ def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
                       _largest_root(tauR, (1.0 - lam) * du / 2.0, dp / 2.0 - k))
 
 
-def _a1_least(wl, wr, s, params):
+def _a1_least(pair, s, params):
     """a1 above which phase 1's tau predictors are positive and ``u_cap`` lies
-    inside its window, with a2 and phase 2's predictors those of ``s``.
+    inside its window at the interfaces of ``pair``, with a2 and phase 2's
+    predictors those of ``s``.
 
     Multiplied by ``a1 (1 + (a1/a2)|lambda|)``, each bound of the window is a
     quadratic in a1 too: its constant terms cancel.
     """
-    tauL, tauR = 1.0 / wl.rho1, 1.0 / wr.rho1
-    du, dp = wr.u1 - wl.u1, wr.p1 - wl.p1
+    tauL, tauR = 1.0 / pair[:, 1]
+    # phase 1's velocity and pressure: jumps, and means times 2
+    (du, dp), (u_sum, p_sum) = pair[1, 2:4] - pair[0, 2:4], pair[0, 2:4] + pair[1, 2:4]
     lam = s.lambda_alpha
     g = np.abs(lam) / params.a2
     h = lam * du / (2.0 * params.a2)
-    c0 = (0.5 * (wl.u1 + wr.u1) - s.u_sharp2
-          - lam * (0.5 * (wl.p1 + wr.p1) - s.pi_sharp2) / params.a2)
+    c0 = 0.5 * u_sum - s.u_sharp2 - lam * (0.5 * p_sum - s.pi_sharp2) / params.a2
     upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
     lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
     return np.maximum(np.maximum(_volume_least(tauL, tauR, du, dp), upper), lower)
 
 
-def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
-    """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx``.
+def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
+    """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx`` of ``pair``.
 
     Every predicate is the positivity of quadratics in the climbing
     parameter (for a2, with the coupling term of its last solve held fixed),
@@ -176,7 +178,7 @@ def _climb_ladder(wL, wR, params: RelaxParams, idx, grow, least) -> RelaxParams:
     over = value > (1.0 + ETA) ** MAX_INFLATIONS * base
     if over.any():
         raise InterfaceError(f"non-subsonic or infeasible interface: a{grow} inflation cap "
-                             "exceeded", wL, wR, int(idx[np.argmax(over)]))
+                             "exceeded", pair, int(idx[np.argmax(over)]))
     out = climbing.copy()
     out[idx] = value
     return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
@@ -223,44 +225,43 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     another shape), before any parameter is formed; every round's
     ``build_solution`` takes it with the sharp quantities formed on it and
     the phase columns, looked up once, so it checks nothing again.  The
-    predictor algebra reads the two sides as ``PrimitiveState`` views of the
-    pair, formed once.
+    predictor algebra, the thresholds and the errors read the rows of the
+    checked pair.
     """
     check_pair(pair, eos1, eos2)
-    wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
     columns = phase_columns(eos1, eos2)
     # the start of both sides and phases, on the (side, phase) stack
     start = RelaxParams(*_whitham_start(pair[:, RHO], pair[:, P], *columns).max(axis=0))
     params = start
     for _ in range(MAX_INFLATIONS + 1):
-        s = sharp_quantities(wL, wR, params)
+        s = sharp_quantities(pair, params)
         if not s.feasible.all():
             bad = ~s.feasible
-            params = _climb_ladder(wL, wR, params, bad.nonzero()[0], 1,
-                                   _a1_least(wL, wR, s, params)[bad])
-            s = sharp_quantities(wL, wR, params)
+            params = _climb_ladder(pair, params, bad.nonzero()[0], 1,
+                                   _a1_least(pair, s, params)[bad])
+            s = sharp_quantities(pair, params)
             missed = ~s.feasible
             if missed.any():
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
-                                     wL, wR, int(np.argmax(missed)))
+                                     pair, int(np.argmax(missed)))
         sol = build_solution(pair, eos1, eos2, params, precomputed=s, columns=columns)
         tau = sol.regions[0].take(_MIDDLE_REGIONS, axis=0)
         ok = (tau > 0.0) & (tau < np.inf)
         if ok.all():
             return sol
         bad = ~ok.all(axis=0)
-        du, dp, lam = wR.u2 - wL.u2, wR.p2 - wL.p2, s.lambda_alpha
+        (du, dp), lam = pair[1, 5:] - pair[0, 5:], s.lambda_alpha  # phase 2's jumps
         k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a2
-        least = _volume_least(1.0 / wL.rho2, 1.0 / wR.rho2, du, dp, lam, k)[bad]
-        params = _climb_ladder(wL, wR, RelaxParams(np.where(bad, start.a1, params.a1), params.a2),
+        least = _volume_least(*(1.0 / pair[:, 4]), du, dp, lam, k)[bad]
+        params = _climb_ladder(pair, RelaxParams(np.where(bad, start.a1, params.a1), params.a2),
                                bad.nonzero()[0], 2, least)
     raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",
-                         wL, wR, int(np.argmax(bad)))
+                         pair, int(np.argmax(bad)))
 
 
-def _dump(w: PrimitiveState, j):
-    vals = {k: float(getattr(w, k)[j]) for k in VARIABLES}
-    return "{" + ", ".join(f"{k}={v:.6g}" for k, v in vals.items()) + "}"
+def _dump(side, j):
+    """The state of interface ``j`` of ``side``, (7, k) rows in ``VARIABLES`` order."""
+    return "{" + ", ".join(f"{k}={float(v[j]):.6g}" for k, v in zip(VARIABLES, side)) + "}"
 
 
 def _trace_flux(alpha1, table):
@@ -377,7 +378,7 @@ class MarchRows:
         self.w = _pad_edges(prim.astuple())
         self.wave = np.empty(self.w.shape[1] - 1, bool)
         self._mark(0, self.wave.size - 1)
-        self.families = np.array(_family_values(self.cells))
+        self.families = np.array(_family_values(self.u))
         self.columns = phase_columns(eos1, eos2)
         self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1], *self.columns)
 
@@ -402,8 +403,8 @@ class MarchRows:
         families and energies of [a, b).  Every other entry keeps its bits,
         since its cells did."""
         a, b = updated.start, updated.stop
-        w, part = self.w, ConservedState(*self.u[:, a:b])
-        w[:, a + 1:b + 1] = to_primitive(part, eos1, eos2).astuple()
+        w, part = self.w, self.u[:, a:b]
+        w[:, a + 1:b + 1] = to_primitive(ConservedState(*part), eos1, eos2).astuple()
         w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
         self._mark(a, b)
         self.families[:, a:b] = _family_values(part)
@@ -471,8 +472,8 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     ``cells``, which it leaves untouched, and returns cells of its own.
 
     The wave interfaces' (2, 7, k) pair is one gather of the padded
-    primitive row; a ``PrimitiveState`` of the row is formed only to report
-    a selection failure at its mesh interface.
+    primitive row; a selection failure is reported at its mesh interface
+    from the pair of the whole row, ``(w[:, :-1], w[:, 1:])``.
 
     Returns (updated cells, StepInfo).  Raises AdmissibilityError with the
     offending cell's mesh index if the post-state leaves the admissible region,
@@ -487,8 +488,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
         sol = select_parameters(w.take(np.array([waves, waves + 1]), axis=1).swapaxes(0, 1),
                                 eos1, eos2)
     except InterfaceError as err:
-        raise InterfaceError(err.what, PrimitiveState(*w[:, :-1]), PrimitiveState(*w[:, 1:]),
-                             int(waves[err.interface])) from None
+        raise InterfaceError(err.what, (w[:, :-1], w[:, 1:]), int(waves[err.interface])) from None
     a, b = (int(waves[0]) - 1, int(waves[-1]) + 1) if waves.size else (0, 0)
     # the calm interfaces of the window, as columns of it, and their states
     calm = (~wave[a:b + 1]).nonzero()[0]
@@ -564,17 +564,18 @@ def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
 FAMILIES = ("mass1", "mass2", "momentum", "energy")
 
 
-def _family_values(u: ConservedState):
-    """Partial masses, mixture momentum and mixture energy of conserved
-    states, entrywise."""
-    return u.m1, u.m2, u.q1 + u.q2, u.eta1 + u.eta2
+def _family_values(u):
+    """Partial masses, mixture momentum and mixture energy of a conserved
+    stack ``u``, rows in ``ConservedState`` field order, entrywise."""
+    _, m1, m2, q1, q2, eta1, eta2 = u
+    return m1, m2, q1 + q2, eta1 + eta2
 
 
 def _through_ends(fluxes):
     """The families' flux out through the right domain end minus that in
     through the left one.  A flux column has the layout of a conserved
     vector, so its families are the families' fluxes."""
-    ends = np.array(_family_values(ConservedState(*np.array(fluxes.ends()).T)))
+    ends = np.array(_family_values(np.array(fluxes.ends()).T))
     return ends[:, 0] - ends[:, 1]
 
 

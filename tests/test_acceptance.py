@@ -319,8 +319,9 @@ def test_criterion_8_kernel_properties(rng):
                           for f in VARIABLES))
     wr = PrimitiveState(*(np.where(flip, getattr(wL.mirrored(), f), getattr(wR, f))
                           for f in VARIABLES))
-    s = sharp_quantities(wl, wr, params)
-    ctx = fixed_point_context(wl, wr, s, params)
+    pair = interface_pair(wl, wr)
+    s = sharp_quantities(pair, params)
+    ctx = fixed_point_context(pair, s, params)
     coincident = sol.ordering == WaveOrdering.COINCIDENT
     import dataclasses
     safe = dataclasses.replace(ctx, rhs=np.where(coincident, 0.0, ctx.rhs))

@@ -18,7 +18,9 @@ from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveO
 from bn_relax.riemann import STOP_TOL, FixedPointContext
 from bn_relax.state import VARIABLES
 from conftest import fields, psi, random_primitive
+import frozen_predictors
 import frozen_star
+from test_scripts import load
 
 IDEAL = EosParams(1.4)
 STIFF = EosParams(3.0, 100.0)
@@ -55,11 +57,17 @@ def uniform_state(alpha=0.4, rho1=1.0, u1=0.1, p1=1.0, rho2=2.0, u2=-0.3, p2=0.8
     return PrimitiveState(alpha, rho1, u1, p1, rho2, u2, p2)
 
 
+def scalar_pair(wL, wR):
+    """The (2, 7) pair of two single states, on which the predictor algebra
+    gives scalars."""
+    return interface_pair(wL, wR)[..., 0]
+
+
 # ------------------------------------------------------------ sharp quantities
 
 def test_sharp_quantities_uniform():
     w = uniform_state()
-    s = sharp_quantities(w, w, RelaxParams(2.0, 3.0))
+    s = sharp_quantities(scalar_pair(w, w), RelaxParams(2.0, 3.0))
     assert s.u_sharp1 == w.u1 and s.u_sharp2 == w.u2
     assert s.pi_sharp1 == w.p1 and s.pi_sharp2 == w.p2
     assert s.tau_sharp1_l == pytest.approx(1.0 / w.rho1, rel=1e-15)
@@ -72,7 +80,7 @@ def test_sharp_quantities_hand_example():
     # phase 2 mirrors phase 1 at rest so the contrast numbers stay simple
     wL = PrimitiveState(0.2, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(0.7, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
-    s = sharp_quantities(wL, wR, RelaxParams(2.0, 2.0))
+    s = sharp_quantities(scalar_pair(wL, wR), RelaxParams(2.0, 2.0))
     assert s.u_sharp1 == pytest.approx(0.75)
     assert s.pi_sharp1 == pytest.approx(0.5)
     assert s.tau_sharp1_l == pytest.approx(1.375)
@@ -84,7 +92,7 @@ def test_sharp_quantities_hand_example():
 
 def test_classify_symmetric_is_coincident():
     w = uniform_state(u1=0.2, u2=0.2)
-    s = sharp_quantities(w, w, RelaxParams(2.0, 3.0))
+    s = sharp_quantities(scalar_pair(w, w), RelaxParams(2.0, 3.0))
     ordering, feasible = s.ordering, s.feasible
     assert feasible and ordering == WaveOrdering.COINCIDENT
 
@@ -93,7 +101,7 @@ def test_classify_order12_hand_example():
     wL = PrimitiveState(0.2, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(0.2, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
     params = RelaxParams(2.0, 2.0)
-    s = sharp_quantities(wL, wR, params)
+    s = sharp_quantities(scalar_pair(wL, wR), params)
     assert s.u_cap == pytest.approx(0.75)      # equal fractions: u_cap = du of sharp speeds
     ordering, feasible = s.ordering, s.feasible
     assert feasible and ordering == WaveOrdering.ORDER_12
@@ -104,7 +112,7 @@ def test_classify_infeasible_when_window_violated():
     wL = PrimitiveState(0.2, 1.0, 5.0, 2.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(0.2, 1.0, 5.5, 1.0, 1.0, 0.0, 1.0)
     params = RelaxParams(0.5, 2.0)   # far below the relative speed
-    s = sharp_quantities(wL, wR, params)
+    s = sharp_quantities(scalar_pair(wL, wR), params)
     assert not s.feasible
 
 
@@ -114,7 +122,8 @@ def test_mach_conservative_spot_value():
     wL = PrimitiveState(2 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(1 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     params = RelaxParams(1.0, 1.0)
-    ctx = fixed_point_context(wL, wR, sharp_quantities(wL, wR, params), params)
+    pair = scalar_pair(wL, wR)
+    ctx = fixed_point_context(pair, sharp_quantities(pair, params), params)
     assert ctx.nu == pytest.approx(2.0)
     # at m = 1 the spot value is (1/2)(1.5 - 0.5) for nu = 2
     assert ctx.mach_conservative(1.0) == pytest.approx(0.5, rel=1e-13)
@@ -131,8 +140,9 @@ def star_velocities(ctx, s, params, m, mach):
 def test_solve_star_uniform_data_recovers_velocities():
     w = uniform_state(u1=0.25, u2=0.1)
     params = RelaxParams(3.0, 3.0)
-    s = sharp_quantities(w, w, params)
-    ctx = fixed_point_context(w, w, s, params)
+    pair = scalar_pair(w, w)
+    s = sharp_quantities(pair, params)
+    ctx = fixed_point_context(pair, s, params)
     m, mach = solve_star(ctx)
     assert abs(psi(ctx, m) - ctx.rhs) <= 1e-12
     # no fraction jump: the root is the scaled predictor velocity difference
@@ -148,8 +158,9 @@ def test_solve_star_uniform_data_recovers_velocities():
 def test_solve_star_zero_contrast_limit():
     w = uniform_state(u1=0.1, u2=0.1)
     params = RelaxParams(3.0, 3.0)
-    s = sharp_quantities(w, w, params)
-    ctx = fixed_point_context(w, w, s, params)
+    pair = scalar_pair(w, w)
+    s = sharp_quantities(pair, params)
+    ctx = fixed_point_context(pair, s, params)
     m, mach = solve_star(ctx)
     assert m == pytest.approx(0.0, abs=1e-12)
     assert star_velocities(ctx, s, params, m, mach)[0] == pytest.approx(s.u_sharp1, abs=1e-12)
@@ -160,8 +171,9 @@ def test_solve_star_zero_contrast_limit():
 def test_solve_star_bracket_failure_is_error():
     w = uniform_state(u1=0.25, u2=0.1)
     params = RelaxParams(3.0, 3.0)
-    s = sharp_quantities(w, w, params)
-    ctx = fixed_point_context(w, w, s, params)
+    pair = scalar_pair(w, w)
+    s = sharp_quantities(pair, params)
+    ctx = fixed_point_context(pair, s, params)
     bad = dataclasses.replace(ctx, rhs=np.asarray(5.0))
     with pytest.raises(SolverError, match="bracket"):
         solve_star(bad)
@@ -198,8 +210,9 @@ def test_solve_star_sweep_counts():
     # rhs = 0 is solved by m = 0 before any sweep
     params = RelaxParams(3.0, 3.0)
     for w, want in ((uniform_state(u1=0.25, u2=0.1), 1), (uniform_state(u1=0.1, u2=0.1), 0)):
-        s = sharp_quantities(w, w, params)
-        ctx = fixed_point_context(w, w, s, params)
+        pair = scalar_pair(w, w)
+        s = sharp_quantities(pair, params)
+        ctx = fixed_point_context(pair, s, params)
         m, sweeps = solve_counting_sweeps(ctx)
         assert sweeps == want
         assert abs(psi(ctx, m) - ctx.rhs) <= STOP_TOL * max(1.0, ctx.rhs)
@@ -304,8 +317,9 @@ def check_star_solve(left, right, eos2):
     params = sol.params
     if sol.ordering[0] == WaveOrdering.ORDER_21:
         wL, wR = wR.mirrored(), wL.mirrored()
-    s = sharp_quantities(wL, wR, params)
-    ctx = take_interfaces(fixed_point_context(wL, wR, s, params), 0)
+    pair = interface_pair(wL, wR)
+    s = sharp_quantities(pair, params)
+    ctx = take_interfaces(fixed_point_context(pair, s, params), 0)
     if sol.ordering[0] == WaveOrdering.COINCIDENT or ctx.nu == 1.0:
         return False
     m, sweeps = solve_counting_sweeps(ctx)
@@ -461,6 +475,82 @@ def test_star_solve_matches_the_frozen_copy_when_rhs_is_within_tolerance(rng):
     assert solve_like_the_frozen_copy(dataclasses.replace(ctx.at(0), rhs=0.0)) == 0
 
 
+# ------------------------------------------------------------ bitwise oracle of the predictors
+
+def predictors_like_the_frozen_copy(wL, wR, params):
+    """Assert that the pair-based ``sharp_quantities`` and
+    ``fixed_point_context`` of ``(wL, wR)`` give the dtype, shape and bytes
+    of the frozen view-based ones in every field; a pair of single states is
+    taken as its (2, 7) pair.  Return the sharp quantities.  Infeasible
+    parameters may give a zero tau predictor, which the context divides by."""
+    pair = interface_pair(wL, wR)
+    if np.ndim(wL.alpha1) == 0:
+        pair = pair[..., 0]
+    got, want = sharp_quantities(pair, params), frozen_predictors.sharp_quantities(wL, wR, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairs = [(got, want), (fixed_point_context(pair, got, params),
+                               frozen_predictors.fixed_point_context(wL, wR, want, params))]
+    for g, w in pairs:
+        for f in dataclasses.fields(w):
+            a, b = np.asarray(getattr(g, f.name)), np.asarray(getattr(w, f.name))
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    return got
+
+
+def test_predictors_match_the_frozen_copy_on_scalar_pairs():
+    # the pairs of the hand examples above, their mirror images, a uniform
+    # pair and one with equal velocities, at feasible and infeasible (a1, a2)
+    hand = [(PrimitiveState(0.2, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0),
+             PrimitiveState(alpha, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)) for alpha in (0.7, 0.2)]
+    hand += [(wR.mirrored(), wL.mirrored()) for wL, wR in hand]
+    hand += [(uniform_state(), uniform_state()), (uniform_state(u2=0.1), uniform_state(u2=0.1)),
+             (PrimitiveState(2 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0),
+              PrimitiveState(1 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0))]
+    orderings = set()
+    for wL, wR in hand:
+        for params in (RelaxParams(2.0, 3.0), RelaxParams(2.0, 2.0), RelaxParams(0.5, 2.0)):
+            s = predictors_like_the_frozen_copy(wL, wR, params)
+            assert np.ndim(s.u_cap) == 0
+            orderings.add(int(s.ordering))
+    assert orderings == {-1, 0, 1}
+
+
+def test_predictors_match_the_frozen_copy_on_rows(rng):
+    # random pairs and their mirror images (both signs of u_cap), every
+    # third with equal fractions, uniform pairs with u1 = u2 (u_cap = 0) and
+    # pairs whose u_cap is inside the coincident band without being 0
+    n = 120
+    w = random_primitive(rng, 2 * n)
+    wL, wR = w[slice(0, n)], w[slice(n, 2 * n)]
+    wR.alpha1[::3] = wL.alpha1[::3]
+    still = dataclasses.replace(wL, u2=wL.u1)
+    band = dataclasses.replace(still, u1=still.u1 + 1e-14)
+    wL, wR = (PrimitiveState(*(np.concatenate([getattr(v, f) for v in parts]) for f in VARIABLES))
+              for parts in ((wL, wR.mirrored(), still, still), (wR, wL.mirrored(), still, band)))
+    params = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL).params
+    s = predictors_like_the_frozen_copy(wL, wR, params)
+    assert set(s.ordering.tolist()) == {-1, 0, 1} and s.feasible.all()
+    assert np.any((s.ordering == 0) & (s.u_cap != 0.0))
+    low = RelaxParams(0.5 * params.a1, params.a2)
+    assert not predictors_like_the_frozen_copy(wL, wR, low).feasible.all()
+
+
+def test_predictors_match_the_frozen_copy_on_stiffened_and_hard_rows(rng):
+    # the fuzzed hard rows of the gate (alpha1 down to 1e-9, velocities in
+    # +-4), with an ideal and a stiffened phase 2; the stiffened rows also
+    # hold negative pressures above -p_inf.  Compared at the selected
+    # parameters and at random ones, many of them infeasible
+    hard_side = load("gate_digests")._hard_side
+    for eos2 in (IDEAL, STIFF, STIFF):
+        wL, wR = hard_side(rng, 250), hard_side(rng, 250)
+        if eos2 is STIFF:
+            wR.p2[::2] = rng.uniform(-0.99, 0.0, 125) * STIFF.p_inf
+        params = select_parameters(interface_pair(wL, wR), IDEAL, eos2).params
+        assert predictors_like_the_frozen_copy(wL, wR, params).feasible.all()
+        random = RelaxParams(*10.0 ** rng.uniform(-1.0, 1.5, (2, 250)))
+        assert not predictors_like_the_frozen_copy(wL, wR, random).feasible.all()
+
+
 # ------------------------------------------------------------ full solutions
 
 def feasible_pair(rng):
@@ -612,7 +702,7 @@ def test_near_window_pair_coupling_dissipation():
                           (0.59469, 1.34446, -0.61696, 2.65631, 0.63076, -0.86140, 2.90413)))
 
     def window_fraction(params):
-        s = sharp_quantities(wL, wR, params)
+        s = sharp_quantities(interface_pair(wL, wR), params)
         return sc((s.u_cap + params.a1 * s.tau_sharp1_r)
                   / (params.a1 * (s.tau_sharp1_l + s.tau_sharp1_r)))
 
@@ -675,14 +765,14 @@ def test_subsonic_ordering_and_phase2_window(rng):
 def test_psi_residual_at_solution(rng):
     for _ in range(100):
         wL, wR, params, sol = feasible_pair(rng)
-        s = sharp_quantities(wL, wR, params)
+        s = sharp_quantities(interface_pair(wL, wR), params)
         flip = int(np.atleast_1d(sol.ordering)[0]) == WaveOrdering.ORDER_21
         if flip:
             wL, wR = wR.mirrored(), wL.mirrored()
-            s = sharp_quantities(wL, wR, params)
+            s = sharp_quantities(interface_pair(wL, wR), params)
         if int(np.atleast_1d(sol.ordering)[0]) == WaveOrdering.COINCIDENT:
             continue
-        ctx = fixed_point_context(wL, wR, s, params)
+        ctx = fixed_point_context(interface_pair(wL, wR), s, params)
         m, mach = solve_star(ctx)
         u2s = star_velocities(ctx, s, params, m, mach)[0]
         assert abs(sc(psi(ctx, m) - ctx.rhs)) <= 1e-12

@@ -14,6 +14,7 @@ from bn_relax.riemann import RelaxParams
 from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord
 from bn_relax.state import VARIABLES, ConservedState
 from conftest import SAMPLED, fields, random_primitive
+import frozen_predictors
 
 IDEAL = EosParams(1.4)
 STIFF = EosParams(3.0, 100.0)
@@ -195,13 +196,13 @@ def recorded_climbs(rng, monkeypatch, **rows):
 def holds_at(args, value):
     """The existence condition of a recorded climb of a1, with a1 set to
     ``value`` at the climbing interfaces."""
-    wL, wR, params, idx, _, _ = args
-    return sharp_quantities(wL[idx], wR[idx], RelaxParams(value, params.a2[idx])).feasible
+    pair, params, idx, _, _ = args
+    return sharp_quantities(pair[:, :, idx], RelaxParams(value, params.a2[idx])).feasible
 
 
 def climbed(args, out):
     """The values a climb chose for its interfaces."""
-    _, _, _, idx, grow, _ = args
+    _, _, idx, grow, _ = args
     return (out.a1 if grow == 1 else out.a2)[idx]
 
 
@@ -238,11 +239,12 @@ def test_ladder_climbs_eta_past_the_threshold(rng, monkeypatch):
     climbs = []
     for equal_fractions in (False, True):
         climbs += recorded_climbs(rng, monkeypatch, equal_fractions=equal_fractions)[0]
-    assert {args[4] for args, _, _ in climbs} == {1, 2}
-    assert sum(args[3].size for args, _, _ in climbs if args[4] == 1) > 200
+    assert {args[3] for args, _, _ in climbs} == {1, 2}
+    assert sum(args[2].size for args, _, _ in climbs if args[3] == 1) > 200
     exact = 0
     for args, out, solve in climbs:
-        wL, wR, params, idx, grow, least = args
+        pair, params, idx, grow, least = args
+        wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
         base = (params.a1 if grow == 1 else params.a2)[idx]
         value = climbed(args, out)
         assert value.tobytes() == ((1.0 + ETA) * np.maximum(base, least)).tobytes()
@@ -278,9 +280,10 @@ def test_a1_climbs_from_its_start_at_the_returned_a2(rng):
         params = select_parameters(interface_pair(wL, wR), IDEAL, eos2).params
         start = whitham_a1(wL, wR)
         cand = RelaxParams(start, params.a2)
-        s = sharp_quantities(wL, wR, cand)
+        pair = interface_pair(wL, wR)
+        s = sharp_quantities(pair, cand)
         ok = s.feasible
-        want = np.where(ok, start, (1.0 + ETA) * np.maximum(start, scheme._a1_least(wL, wR, s, cand)))
+        want = np.where(ok, start, (1.0 + ETA) * np.maximum(start, scheme._a1_least(pair, s, cand)))
         assert params.a1.tobytes() == want.tobytes()
 
 
@@ -768,7 +771,7 @@ def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
     assert abs(w.u1 - w.u2) > (1.0 + ETA) * case.eos1.sound_speed(w.rho1, w.p1)
     grows = []
     climb = scheme._climb_ladder
-    monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[4]) or climb(*args))
+    monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
     select_parameters(interface_pair(w, w), case.eos1, case.eos2)
     assert grows == [1]
     grows.clear()
@@ -792,6 +795,65 @@ def test_step_error_names_the_mesh_interface():
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 3; "
                                           r"left=\{alpha1=0.5, rho1=1, u1=100000, "):
         step(u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL, dx=0.2)
+
+
+def assert_frozen_message(caught, site, what, pair, j):
+    """Assert that ``caught`` holds an ``InterfaceError`` raised in the
+    function ``site`` at interface ``j`` of ``pair``, whose message is the
+    frozen one of ``PrimitiveState`` views of the pair's two sides."""
+    err = caught.value
+    wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
+    assert caught.traceback[-1].name == site
+    assert str(err) == frozen_predictors.interface_error_message(what, wL, wR, j)
+    assert (err.what, err.interface) == (what, j)
+
+
+def test_interface_error_messages_keep_their_bytes(rng, monkeypatch):
+    # every raise site of selection, and step's re-raise at the mesh
+    # interface, gives the message the view-based error gave.  The climb's
+    # growth cap: the middle pair of test_ladder_inflation_cap_is_an_error
+    cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (5, 1))
+    cells[2, 2] = 1e5
+    pair = interface_pair(*(PrimitiveState(*cells[1:4].T),) * 2)
+    cap = "non-subsonic or infeasible interface: a1 inflation cap exceeded"
+    with pytest.raises(scheme.InterfaceError) as caught:
+        select_parameters(pair, IDEAL, IDEAL)
+    assert_frozen_message(caught, "_climb_ladder", cap, pair, 1)
+    # step's re-raise names the mesh interface of its padded primitive row
+    u = to_conserved(PrimitiveState(*cells.T), IDEAL, IDEAL)
+    w = MarchRows(u, to_primitive(u, IDEAL, IDEAL), IDEAL, IDEAL).w
+    with pytest.raises(scheme.InterfaceError) as caught:
+        step(u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL, dx=0.2)
+    assert_frozen_message(caught, "step", cap, np.array([w[:, :-1], w[:, 1:]]), 3)
+    # an a1 threshold computed too low (test_climb_short_of_its_threshold_is_an_error)
+    least = scheme._a1_least
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme, "_a1_least", lambda *args: 0.5 * least(*args))
+        pair = interface_pair(hard_row(rng, 250), hard_row(rng, 250))
+        with pytest.raises(scheme.InterfaceError) as caught:
+            select_parameters(pair, IDEAL, IDEAL)
+    assert_frozen_message(caught, "select_parameters",
+                          "a1 climbed past its threshold, yet its predicate fails", pair,
+                          caught.value.interface)
+    # the rounds run out: every solve has a NaN volume at interface 0, which
+    # takes an a2 climb per round, each within the cap
+    solve = scheme.build_solution
+
+    def corrupt(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.regions[0, 2, 0] = np.nan
+        return sol
+
+    case = get_case(1)
+    pair = interface_pair(*(PrimitiveState(*(np.array([getattr(a, v), getattr(b, v)], float)
+                                             for v in VARIABLES))
+                            for a, b in ((case.left, case.left), (case.right, case.left))))
+    monkeypatch.setattr(scheme, "build_solution", corrupt)
+    monkeypatch.setattr(scheme, "MAX_INFLATIONS", 3)
+    with pytest.raises(scheme.InterfaceError) as caught:
+        select_parameters(pair, case.eos1, case.eos2)
+    assert_frozen_message(caught, "select_parameters",
+                          "non-subsonic or infeasible interface: a2 inflation cap exceeded", pair, 0)
 
 
 def full_row_step(cells, prim, cfl, eos1, eos2, dx):
@@ -1106,7 +1168,7 @@ def test_whole_steps_on_adversarial_riemann_problems(rng, monkeypatch):
     # asserted: it exceeds roundoff on some of these runs (ROADMAP item 5)
     grows = []
     climb = scheme._climb_ladder
-    monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[4]) or climb(*args))
+    monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
     climbing_a2 = 0
     for r in range(100):
         w = hard_row(rng, 2)
