@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eos import EosParams
-from .scheme import InterfaceFluxes, MarchRows, RunConfig, StepInfo
+from .scheme import MarchRows, RunConfig, StepInfo, _pad_edges
 from .state import ConservedState, PrimitiveState, max_abs_eigenvalue, to_primitive, validate_conserved
 
 
@@ -48,9 +48,11 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
                  dx: float, dt_cap: float = np.inf, rows: MarchRows | None = None):
     """One explicit Rusanov update with transmissive boundaries.
 
-    Every cell is updated: ``StepInfo.updated`` is ``slice(0, n)``, and the
-    fluxes' window is the whole row, one flux serving as both the - and the
-    + flux of its interface.  ``rows`` is the layout a march owns
+    Every cell is updated: the window of the returned ``StepInfo`` is the
+    whole row, ``a = 0``, one flux serving as both the - and the + flux of
+    its interface, so its ``updated`` is ``slice(0, n)``.  The time step
+    takes the spectral radius of ``max_abs_eigenvalue``, and the ghost
+    cells come from ``scheme._pad_edges``.  ``rows`` is the layout a march owns
     (``MarchRows``), as for ``scheme.step``: the step then reads
     ``rows.cells``, not ``cells``, its new conserved stack becomes
     ``rows.u`` and the returned cells view it; the caller brings the other
@@ -60,14 +62,12 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
     if rows is not None:
         cells = rows.cells
     prim = to_primitive(cells, eos1, eos2)
-    c1 = eos1.sound_speed(prim.rho1, prim.p1)
-    c2 = eos2.sound_speed(prim.rho2, prim.p2)
-    smax = max(float(np.max(np.abs(prim.u1) + c1)), float(np.max(np.abs(prim.u2) + c2)))
+    smax = float(np.max(max_abs_eigenvalue(prim, eos1, eos2)))
     dt = min(cfg.cfl * dx / smax, dt_cap)
     lam = dt / dx
 
     u = cells.stack() if rows is None else rows.u
-    upad = np.concatenate([u[:, :1], u, u[:, -1:]], axis=1)
+    upad = _pad_edges(u)
     n = u.shape[1]
     left = ConservedState(*upad[:, :n + 1])
     right = ConservedState(*upad[:, 1:])
@@ -87,5 +87,4 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
     # (about 7 times the minor page faults of a 3200-cell march)
     out = ConservedState(*unew) if rows is None else rows.adopt(unew)
     validate_conserved(out, eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
-    return out, StepInfo(dt=dt, fluxes=InterfaceFluxes(np.broadcast_to(flux, (2,) + flux.shape),
-                                                       0, n + 1), updated=slice(0, n))
+    return out, StepInfo(dt=dt, fluxes=np.broadcast_to(flux, (2,) + flux.shape), a=0)

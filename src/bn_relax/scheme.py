@@ -13,7 +13,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,41 +63,6 @@ class RunConfig:
             raise ValueError("the entropy audit needs the relaxation scheme")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= 0")
-
-
-class InterfaceFluxes:
-    """The fluxes of a step whose window is the interfaces [a, b] of a row of
-    ``interfaces``: ``window`` holds their (-, +) fluxes, shape (2, 7, b - a
-    + 1).  Every interface left of ``a`` carries the fluxes of ``a`` and
-    every one right of ``b`` those of ``b``, so the (7, interfaces) rows
-    ``f_minus`` and ``f_plus`` are formed from the window on their first
-    read, and ``ends`` reads the window's end columns.  A window of the
-    whole row has ``a = 0`` and ``interfaces`` columns."""
-
-    def __init__(self, window, a, interfaces):
-        self.window, self.a, self.interfaces = window, a, interfaces
-
-    @cached_property
-    def _rows(self):
-        a, b = self.a, self.a + self.window.shape[-1] - 1
-        f = np.empty((2, 7, self.interfaces))
-        f[:, :, a:b + 1] = self.window
-        f[:, :, :a] = self.window[:, :, :1]
-        f[:, :, b + 1:] = self.window[:, :, -1:]
-        return f
-
-    @property
-    def f_minus(self):
-        return self._rows[0]
-
-    @property
-    def f_plus(self):
-        return self._rows[1]
-
-    def ends(self):
-        """The flux columns through the right and through the left domain
-        end: the window's end columns, which the rows copy beyond it."""
-        return self.window[0, :, -1], self.window[1, :, 0]
 
 
 class InterfaceError(SolverError):
@@ -280,9 +244,10 @@ def _trace_flux(alpha1, table):
     return out.reshape(6, -1)
 
 
-def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
-    """Numerical fluxes from a solved interface row, whose interfaces are
-    the whole window."""
+def assemble_fluxes(sol: RelaxRiemannSolution) -> np.ndarray:
+    """Numerical fluxes of a solved interface row of k interfaces: the (2, 7,
+    k) array of their - and + fluxes, components in ``ConservedState`` field
+    order."""
     gm = _trace_flux(*sample(sol, 0.0, side="-"))
     gp = _trace_flux(*sample(sol, 0.0, side="+"))
     dal = sol.alpha1_r - sol.alpha1_l
@@ -300,7 +265,7 @@ def assemble_fluxes(sol: RelaxRiemannSolution) -> InterfaceFluxes:
     f[0, 1:3], f[1, 1:3] = gm[:2], gp[:2]
     f[0, 3], f[0, 4], f[0, 5], f[0, 6] = gm[2] - left, gm[3] + left, gp[4] - neg, gp[5] + neg
     f[1, 3], f[1, 4], f[1, 5], f[1, 6] = gp[2] + right, gp[3] - right, gp[4] + pos, gp[5] - pos
-    return InterfaceFluxes(f, 0, u2s.size)
+    return f
 
 
 #: the first and the last break of each phase, as rows of the breaks of
@@ -378,7 +343,7 @@ class MarchRows:
         self.w = _pad_edges(prim.astuple())
         self.wave = np.empty(self.w.shape[1] - 1, bool)
         self._mark(0, self.wave.size - 1)
-        self.families = np.array(_family_values(self.u))
+        self.families = _family_values(self.u)
         self.columns = phase_columns(eos1, eos2)
         self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1], *self.columns)
 
@@ -407,7 +372,7 @@ class MarchRows:
         w[:, a + 1:b + 1] = to_primitive(ConservedState(*part), eos1, eos2).astuple()
         w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
         self._mark(a, b)
-        self.families[:, a:b] = _family_values(part)
+        _family_values(part, out=self.families[:, a:b])
         self.energies[:, a:b] = internal_energy_of(w[RHO, a + 1:b + 1], w[P, a + 1:b + 1],
                                                    *self.columns)
 
@@ -427,17 +392,28 @@ class MarchRows:
 
 @dataclass
 class StepInfo:
-    """A step of length ``dt`` changed the cells ``updated`` = [a, b), and
-    ``fluxes`` has the interfaces [a, b] as its window; a Rusanov step
-    changes every cell.  ``sol`` is the relaxation solution at the mesh
-    interfaces ``waves``, and the other interfaces are calm; both are None
-    for the Rusanov scheme."""
+    """A step of length ``dt`` whose window is the interfaces [a, b]:
+    ``fluxes`` holds their - and + fluxes, shape (2, 7, b - a + 1), and the
+    step changed the cells ``updated`` = [a, b) only.  Every interface left
+    of ``a`` carries the fluxes of ``a``, and every one right of ``b`` those
+    of ``b``.  A Rusanov step's window is the whole row, ``a = 0``.  ``sol``
+    is the relaxation solution at the mesh interfaces ``waves``, and the
+    other interfaces are calm; both are None for the Rusanov scheme."""
 
     dt: float
-    fluxes: InterfaceFluxes
-    updated: slice
+    fluxes: np.ndarray
+    a: int
     sol: RelaxRiemannSolution | None = None
     waves: np.ndarray | None = None
+
+    @property
+    def updated(self) -> slice:
+        return slice(self.a, self.a + self.fluxes.shape[-1] - 1)
+
+    def ends(self):
+        """The flux through the right and through the left domain end, the
+        columns of a (7, 2) conserved stack: the window's end columns."""
+        return np.array((self.fluxes[0, :, -1], self.fluxes[1, :, 0])).T
 
 
 def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
@@ -455,12 +431,11 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     calm row) are calm, since interfaces 0 and n lie between a cell and its
     ghost copy.  Every interface left of ``a`` carries the state of ``a``,
     and every one right of ``b`` that of ``b``.  So the fluxes are formed
-    on the window ``[a, b]`` only: the window of the returned
-    ``InterfaceFluxes``, into which the columns of the calm interfaces of
-    the window (``a``, ``b`` and any between two waves) and the wave
-    interfaces' columns of ``assemble_fluxes`` are scattered.  The cells
-    outside ``[a, b)``, whose two fluxes are the same floats, keep
-    their bits.
+    on the window ``[a, b]`` only, the (2, 7, b - a + 1) ``StepInfo.fluxes``,
+    into which the columns of the calm interfaces of the window (``a``,
+    ``b`` and any between two waves) and the wave interfaces' columns of
+    ``assemble_fluxes`` are scattered.  The cells outside ``[a, b)``, whose
+    two fluxes are the same floats, keep their bits.
 
     ``rows`` holds the state in the layout a march owns (``MarchRows``):
     ``step`` reads its padded primitive row and wave mask, searches the
@@ -500,15 +475,14 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     f_calm[0] = 0.0                     # alpha1 jumps at no calm interface
     f_calm[1:] = _trace_flux(w_calm[0], table)
     f[:, :, calm] = f_calm
-    f[:, :, waves - a] = assemble_fluxes(sol).window
+    f[:, :, waves - a] = assemble_fluxes(sol)
     u = rows.u
     u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
         validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2)
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, f"post-step, dt={dt:.3e}") from None
-    return rows.cells, StepInfo(dt=dt, fluxes=InterfaceFluxes(f, a, wave.size),
-                                updated=slice(a, b), sol=sol, waves=waves)
+    return rows.cells, StepInfo(dt=dt, fluxes=f, a=a, sol=sol, waves=waves)
 
 
 @dataclass(frozen=True)
@@ -553,10 +527,48 @@ class RunResult:
     entropy_slack: float  # most positive per-cell violation seen; -inf if not audited
 
 
-def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
-    """Mathematical entropy of each phase of a primitive state, phase axis first."""
-    return np.array([eos.entropy(rho, eos.internal_energy(rho, p))
-                     for rho, p, eos in ((w.rho1, w.p1, eos1), (w.rho2, w.p2, eos2))])
+class EntropyAudit:
+    """The per-cell discrete entropy balance of both phases of a relaxation
+    march on the rows ``rows`` (``MarchRows``), each phase's mass flux
+    upwinded by its contact speed.  It keeps the mathematical entropy of
+    each phase between transmissive ghost cells, (2, n + 2), and the
+    partial masses times it, (2, n), and brings both in line on the cells a
+    step changed, so a step's audit costs its window."""
+
+    def __init__(self, rows: MarchRows, eos1: EosParams, eos2: EosParams):
+        self.rows, self.eos = rows, (eos1, eos2)
+        self.s = _pad_edges(self._entropies(0, rows.u.shape[1]))
+        self.ms = rows.u[1:3] * self.s[:, 1:-1]
+
+    def _entropies(self, a, b):
+        """Each phase's entropy of the cells [a, b), from the rows' densities
+        and energies."""
+        rows = self.rows
+        return np.array([eos.entropy(rho, e) for eos, rho, e in
+                         zip(self.eos, rows.w[RHO, a + 1:b + 1], rows.energies[:, a:b])])
+
+    def slack(self, info: StepInfo, lam: float) -> float:
+        """The most positive balance over its scale of the step ``info``
+        (``lam`` is dt/dx), after ``MarchRows.splice``.  Only the cells
+        [a, b) of its window are balanced: every other cell keeps its bits
+        and its two fluxes are the same floats, so its balance is 0.0
+        exactly, which ``initial`` stands for."""
+        a, b = info.updated.start, info.updated.stop
+        s, ms = self.s, self.ms
+        fm = info.fluxes[0, 1:3]
+        # contact speeds: 0 at calm interfaces, whose two neighbours have
+        # bitwise equal entropies, so either serves as upwind
+        u_star = np.zeros(fm.shape)
+        u_star[:, info.waves - a] = info.sol.u1_star, info.sol.u2_star
+        phi = fm * np.where(u_star > 0.0, s[:, a:b + 1], s[:, a + 1:b + 2])
+        new = self._entropies(a, b)
+        ms_new = self.rows.u[1:3, a:b] * new
+        balance = ms_new - ms[:, a:b] + lam * (phi[:, 1:] - phi[:, :-1])
+        scale = np.maximum(1.0, np.maximum(np.abs(ms[:, a:b]),
+                                           lam * (np.abs(phi[:, 1:]) + np.abs(phi[:, :-1]))))
+        s[:, a + 1:b + 1], ms[:, a:b] = new, ms_new
+        s[:, 0], s[:, -1] = s[:, 1], s[:, -2]
+        return float(np.max(balance / scale, initial=0.0 if b - a < ms.shape[1] else -np.inf))
 
 
 #: the conserved families that ``run`` audits, in the order of ``_family_values``;
@@ -564,19 +576,14 @@ def _phase_entropies(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
 FAMILIES = ("mass1", "mass2", "momentum", "energy")
 
 
-def _family_values(u):
+def _family_values(u, out=None):
     """Partial masses, mixture momentum and mixture energy of a conserved
-    stack ``u``, rows in ``ConservedState`` field order, entrywise."""
-    _, m1, m2, q1, q2, eta1, eta2 = u
-    return m1, m2, q1 + q2, eta1 + eta2
-
-
-def _through_ends(fluxes):
-    """The families' flux out through the right domain end minus that in
-    through the left one.  A flux column has the layout of a conserved
-    vector, so its families are the families' fluxes."""
-    ends = np.array(_family_values(np.array(fluxes.ends()).T))
-    return ends[:, 0] - ends[:, 1]
+    stack ``u``, rows in ``ConservedState`` field order, entrywise: a (4, k)
+    array, written into ``out`` if given."""
+    out = np.empty((4, u.shape[1])) if out is None else out
+    out[:2] = u[1:3]
+    np.add(u[3::2], u[4::2], out=out[2:])     # (q1, eta1) + (q2, eta2)
+    return out
 
 
 def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedState:
@@ -594,15 +601,18 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
 
     Per step the record captures dt, the totals of the ``FAMILIES`` and the
     minima entering the admissibility proof.  Conservation of each family is
-    audited against the fluxes through the two domain ends; with ``cfg.entropy_audit`` the
-    per-cell discrete entropy balance of both phases is accumulated as well.
+    audited against the fluxes through the two domain ends; with
+    ``cfg.entropy_audit`` the per-cell discrete entropy balance of both
+    phases is accumulated as well (``EntropyAudit``).
 
     The march owns its rows (``MarchRows``) with either scheme: each step
     updates the conserved stack, a relaxation step on its window and a
     Rusanov step on the whole row, and ``MarchRows.splice`` converts the
-    cells the step changed and updates the wave mask, families and energies
-    there.  The totals and minima are reductions of the owned rows, and the
-    conservation audit reads only the end columns of the step's fluxes.
+    cells the step changed (``StepInfo.updated``) and updates the wave
+    mask, families and energies there.  The totals and minima are
+    reductions of the owned rows.  The conservation audit reads only the
+    two end columns of the step's record (``StepInfo.ends``), and the
+    entropy audit only the step's window.
     """
     from . import rusanov  # deferred: rusanov reuses this runner
 
@@ -623,41 +633,22 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     t = 0.0
     nstep = 0
     rows = MarchRows(cells, to_primitive(cells, eos1, eos2), eos1, eos2)
-    cells, prim = rows.cells, PrimitiveState(*rows.w[:, 1:-1])
-    totals = rows.totals()
-    if cfg.entropy_audit:
-        entropies = _phase_entropies(prim, eos1, eos2)
+    cells, totals = rows.cells, rows.totals()
+    audit = EntropyAudit(rows, eos1, eos2) if cfg.entropy_audit else None
     tic = time.perf_counter()
     while t < cfg.t_final:
         totals_old = totals
-        if cfg.entropy_audit:
-            m_old = rows.u[1:3].copy()     # the step overwrites the owned rows
         cells, info = advance(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, rows=rows)
         rows.splice(info.updated, eos1, eos2)
         totals, minima = rows.totals(), rows.minima()
         dt = info.dt
         lam = dt / dx
-        drift = np.maximum(drift, np.abs(totals - totals_old + lam * _through_ends(info.fluxes))
+        # the families' flux through the right end and through the left one
+        ends = _family_values(info.ends())
+        drift = np.maximum(drift, np.abs(totals - totals_old + lam * (ends[:, 0] - ends[:, 1]))
                            / np.maximum(1.0, np.abs(totals_old)))
-
-        if cfg.entropy_audit:
-            # per cell and phase: the entropy balance with the phase's mass
-            # flux upwinded by its contact speed
-            new_entropies = _phase_entropies(prim, eos1, eos2)
-            fm = info.fluxes.f_minus
-            # contact speeds: 0 at calm interfaces, whose two neighbours
-            # have bitwise equal entropies, so either serves as upwind
-            u_star = np.zeros((2, fm.shape[1]))
-            u_star[:, info.waves] = info.sol.u1_star, info.sol.u2_star
-            m_new = rows.u[1:3]
-            s_pad = _pad_edges(entropies)
-            phi = fm[1:3] * np.where(u_star > 0.0, s_pad[:, :-1], s_pad[:, 1:])
-            balance = m_new * new_entropies - m_old * entropies + lam * (phi[:, 1:] - phi[:, :-1])
-            scale = np.maximum(1.0, np.maximum(np.abs(m_old * entropies),
-                                               lam * (np.abs(phi[:, 1:]) + np.abs(phi[:, :-1]))))
-            entropy_slack = max(entropy_slack, float(np.max(balance / scale)))
-            entropies = new_entropies
-
+        if audit is not None:
+            entropy_slack = max(entropy_slack, audit.slack(info, lam))
         t += dt
         nstep += 1
         records.append(StepRecord(nstep, t, dt, *totals.tolist(), *minima))

@@ -7,12 +7,17 @@ import pytest
 from bn_relax import EosParams, PrimitiveState
 
 
+def rng_of(nodeid):
+    """The generator of the ``rng`` fixture of the test ``nodeid``."""
+    return np.random.default_rng([20260810, zlib.crc32(nodeid.encode())])
+
+
 @pytest.fixture
 def rng(request):
     """Generator private to each test, so its draws do not depend on which
     tests ran before it.  The seed mixes a fixed base with a stable hash of
     the test's node id (``hash`` of a str changes between processes)."""
-    return np.random.default_rng([20260810, zlib.crc32(request.node.nodeid.encode())])
+    return rng_of(request.node.nodeid)
 
 
 def random_primitive(rng, n, alpha_range=(0.05, 0.95), rho_range=(0.2, 3.0),

@@ -13,8 +13,10 @@ from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_c
 from bn_relax.riemann import RelaxParams
 from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord
 from bn_relax.state import VARIABLES, ConservedState
-from conftest import SAMPLED, fields, random_primitive
+from conftest import SAMPLED, fields, random_primitive, rng_of
+import frozen_audit
 import frozen_predictors
+from frozen_audit import whole_rows
 
 IDEAL = EosParams(1.4)
 STIFF = EosParams(3.0, 100.0)
@@ -418,15 +420,15 @@ def test_uniform_fluxes_are_physical():
     w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
     fx = assemble_fluxes(select_parameters(interface_pair(w, w), IDEAL, IDEAL))
     expect = flux_vector(w, IDEAL, IDEAL)
-    assert np.allclose(np.asarray(fx.f_minus, dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
-    assert np.allclose(np.asarray(fx.f_plus, dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
+    assert np.allclose(np.asarray(fx[0], dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
+    assert np.allclose(np.asarray(fx[1], dtype=float).ravel(), expect, rtol=1e-12, atol=1e-13)
 
 
 def test_flux_conservation_structure(rng):
     w = random_primitive(rng, 40)
     wL, wR = w[slice(0, 20)], w[slice(20, 40)]
     fx = assemble_fluxes(select_parameters(interface_pair(wL, wR), IDEAL, IDEAL))
-    fm, fp = fx.f_minus, fx.f_plus
+    fm, fp = fx[0], fx[1]
     assert np.allclose(fm[1], fp[1], rtol=1e-13, atol=1e-14)       # partial masses
     assert np.allclose(fm[2], fp[2], rtol=1e-13, atol=1e-14)
     assert np.allclose(fm[3] + fm[4], fp[3] + fp[4], rtol=1e-12, atol=1e-13)  # mixture momentum
@@ -445,10 +447,10 @@ def test_stationary_contact_fluxes_balance():
     # mass and energy fluxes vanish; momentum fluxes match the one-sided
     # exact fluxes so that neither neighbor cell changes
     for i in (1, 2, 5, 6):
-        assert sc(fx.f_minus[i]) == pytest.approx(0.0, abs=1e-14)
-        assert sc(fx.f_plus[i]) == pytest.approx(0.0, abs=1e-14)
-    assert sc(fx.f_minus[3]) == pytest.approx(sc(flux_vector(wL, IDEAL, IDEAL)[3]), rel=1e-13)
-    assert sc(fx.f_plus[3]) == pytest.approx(sc(flux_vector(wR, IDEAL, IDEAL)[3]), rel=1e-13)
+        assert sc(fx[0][i]) == pytest.approx(0.0, abs=1e-14)
+        assert sc(fx[1][i]) == pytest.approx(0.0, abs=1e-14)
+    assert sc(fx[0][3]) == pytest.approx(sc(flux_vector(wL, IDEAL, IDEAL)[3]), rel=1e-13)
+    assert sc(fx[1][3]) == pytest.approx(sc(flux_vector(wR, IDEAL, IDEAL)[3]), rel=1e-13)
 
 
 def test_equal_fraction_fluxes_decouple(rng):
@@ -463,8 +465,8 @@ def test_equal_fraction_fluxes_decouple(rng):
     sol2 = select_parameters(interface_pair(wL2, wR2), IDEAL, IDEAL)
     fx2 = assemble_fluxes(sol2)
     for i in (1, 3):
-        assert sc(fx.f_minus[i]) == pytest.approx(sc(fx2.f_minus[i]), rel=1e-12)
-        assert sc(fx.f_plus[i]) == pytest.approx(sc(fx2.f_plus[i]), rel=1e-12)
+        assert sc(fx[0][i]) == pytest.approx(sc(fx2[0][i]), rel=1e-12)
+        assert sc(fx[1][i]) == pytest.approx(sc(fx2[1][i]), rel=1e-12)
 
 
 def test_moving_coupled_contact_flux_exactness():
@@ -479,10 +481,10 @@ def test_moving_coupled_contact_flux_exactness():
     uL = to_conserved(wL, IDEAL, IDEAL).stack().ravel()
     uR = to_conserved(wR, IDEAL, IDEAL).stack().ravel()
     lam = 0.05
-    updated_right = uR - lam * (np.ravel(fxR.f_minus) - np.ravel(fx.f_plus))
+    updated_right = uR - lam * (np.ravel(fxR[0]) - np.ravel(fx[1]))
     exact_right = uR - lam * u0 * (uR - uL)
     assert np.allclose(updated_right, exact_right, rtol=1e-13, atol=1e-14)
-    updated_left = uL - lam * (np.ravel(fx.f_minus) - np.ravel(fxL.f_plus))
+    updated_left = uL - lam * (np.ravel(fx[0]) - np.ravel(fxL[1]))
     assert np.allclose(updated_left, uL, rtol=0, atol=1e-14)
 
 
@@ -508,7 +510,7 @@ def test_coupling_terms_zero_without_alpha_jump():
     sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     assert np.isnan(sc(sol.pi1_star))
-    for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
+    for got, trace in zip((fx[0], fx[1]), trace_fluxes(sol)):
         assert sc(got[0]) == 0.0
         for i in range(1, 7):
             assert sc(got[i]) == pytest.approx(sc(trace[i]), rel=1e-15, abs=1e-15), i
@@ -521,7 +523,7 @@ def test_coupling_terms_cancel_in_mixture_momentum_and_energy(rng):
     sol = select_parameters(interface_pair(w[slice(0, 200)], w[slice(200, 400)]), IDEAL, IDEAL)
     fx = assemble_fluxes(sol)
     eps = np.finfo(float).eps
-    for got, trace in zip((fx.f_minus, fx.f_plus), trace_fluxes(sol)):
+    for got, trace in zip((fx[0], fx[1]), trace_fluxes(sol)):
         coupling = got - trace
         assert np.all(coupling[1:3] == 0.0)
         for i in (3, 5):
@@ -597,8 +599,8 @@ def test_flux_traces_keep_the_one_sided_limit_at_ties(rng, monkeypatch):
     fluxes = assemble_fluxes(sol)
     monkeypatch.setattr(scheme, "sample", table_sample)
     reference = assemble_fluxes(sol)
-    assert fluxes.f_minus.tobytes() == reference.f_minus.tobytes()
-    assert fluxes.f_plus.tobytes() == reference.f_plus.tobytes()
+    assert fluxes[0].tobytes() == reference[0].tobytes()
+    assert fluxes[1].tobytes() == reference[1].tobytes()
 
 
 def test_reflection_is_exact_for_whole_tables(rng):
@@ -736,7 +738,7 @@ def test_calm_interfaces_take_the_physical_flux():
     calm = np.flatnonzero(~wave)
     assert 50 < calm.size < 150
     assert np.array_equal(wave, (padded.stack()[:, :-1] != padded.stack()[:, 1:]).any(axis=0))
-    for got, want in ((info.fluxes.f_minus, full.f_minus), (info.fluxes.f_plus, full.f_plus)):
+    for got, want in zip(whole_rows(info, 201), full):
         assert got[:, wave].tobytes() == want[:, wave].tobytes()
         assert np.all(np.abs(got[:, calm] - want[:, calm]) <= 1e-15 * np.abs(want[:, calm]))
         assert np.all(got[0, calm] == 0.0)
@@ -870,7 +872,7 @@ def full_row_step(cells, prim, cfl, eos1, eos2, dx):
     solved = assemble_fluxes(sol)
     fm, fp = np.zeros((2, 7, wave.size))
     fm[1:] = fp[1:] = scheme._trace_flux(w[0, :-1], table)
-    fm[:, waves], fp[:, waves] = solved.f_minus, solved.f_plus
+    fm[:, waves], fp[:, waves] = solved
     u = cells.stack()
     return u - dt / dx * (fm[:, 1:] - fp[:, :-1]), (fm, fp), dt
 
@@ -901,8 +903,9 @@ def test_step_updates_the_wave_window_only():
         out, info = step(cells, cfg, eos1, eos2, dx, rows=MarchRows(cells, prim, eos1, eos2))
         want, (fm, fp), dt = full_row_step(cells, prim, cfg.cfl, eos1, eos2, dx)
         assert out.stack().tobytes() == want.tobytes()
-        assert info.fluxes.f_minus.tobytes() == fm.tobytes()
-        assert info.fluxes.f_plus.tobytes() == fp.tobytes()
+        f_minus, f_plus = whole_rows(info, cfg.cells + 1)
+        assert f_minus.tobytes() == fm.tobytes()
+        assert f_plus.tobytes() == fp.tobytes()
         assert info.dt == dt
         a, b = info.updated.start, info.updated.stop
         assert (a, b) == (info.waves[0] - 1, info.waves[-1] + 1)
@@ -921,11 +924,11 @@ def test_public_step_mutates_nothing():
     # without owned rows, or with rows formed from its arguments, a step of
     # either scheme leaves the bytes of its cells and primitives as they
     # were; with rows, the returned cells view the owned conserved stack.
-    # The whole flux rows, formed on first read, read the same twice and end
-    # in the columns the conservation audit reads.  On the mid-run rows,
-    # whose primitives are to_primitive's of their cells, both calls give
-    # the same bytes.  Rusanov's scheme has no positivity guarantee, so it
-    # does not step the random four-cell row
+    # The whole flux rows the window expands to read the same twice, and the
+    # record's end columns, which the conservation audit reads, are theirs.
+    # On the mid-run rows, whose primitives are to_primitive's of their
+    # cells, both calls give the same bytes.  Rusanov's scheme has no
+    # positivity guarantee, so it does not step the random four-cell row
     for cfg, cells, prim, eos1, eos2 in window_rows():
         dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
         before = cells.stack().tobytes(), prim.stack().tobytes()
@@ -938,13 +941,38 @@ def test_public_step_mutates_nothing():
                 if rows is not None:
                     assert all(v.base is rows.u for v in out.astuple())
                 outs.append(out.stack().tobytes())
-                fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
-                assert info.fluxes.f_minus.tobytes() == fm.tobytes()
-                assert info.fluxes.f_plus.tobytes() == fp.tobytes()
-                right, left = info.fluxes.ends()
+                fm, fp = whole_rows(info, cfg.cells + 1)
+                f_minus, f_plus = whole_rows(info, cfg.cells + 1)
+                assert f_minus.tobytes() == fm.tobytes()
+                assert f_plus.tobytes() == fp.tobytes()
+                right, left = info.ends().T
                 assert (right.tobytes(), left.tobytes()) == (fm[:, -1].tobytes(),
                                                              fp[:, 0].tobytes())
             assert outs[0] == outs[1] or not mid_run_row
+
+
+def test_step_record_states_its_window_once():
+    # the record derives updated = [a, b) from its window: the cells beside
+    # a wave for a relaxation step, none on a fully calm row, every cell for
+    # a Rusanov step.  Its end columns, which the conservation audit reads,
+    # are those of the whole rows the window expands to.  Rusanov's scheme
+    # does not step the random four-cell row
+    w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
+    calm = (RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0)),
+            to_conserved(grid_of(w, 16), IDEAL, IDEAL), IDEAL, IDEAL)
+    for cfg, cells, eos1, eos2 in [calm] + [(c, u, e1, e2) for c, u, _, e1, e2 in window_rows()]:
+        n = cfg.cells
+        dx = (cfg.domain[1] - cfg.domain[0]) / n
+        info = step(cells, cfg, eos1, eos2, dx)[1]
+        waves = info.waves
+        assert (waves.size == 0) == (cells is calm[1])
+        records = [(info, slice(waves[0] - 1, waves[-1] + 1) if waves.size else slice(0, 0))]
+        if n > 4:
+            records.append((rusanov_step(cells, cfg, eos1, eos2, dx)[1], slice(0, n)))
+        for info, updated in records:
+            assert info.updated == updated
+            fm, fp = whole_rows(info, n + 1)
+            assert info.ends().tobytes() == np.array([fm[:, -1], fp[:, 0]]).T.tobytes()
 
 
 def test_run_splices_the_primitive_window_bitwise(monkeypatch):
@@ -988,7 +1016,7 @@ def public_march(case, cfg, advance):
         cells, info = advance(cells, cfg, case.eos1, case.eos2, dx, dt_cap=cfg.t_final - t)
         prim = to_primitive(cells, case.eos1, case.eos2)
         before, totals = totals, family_sums(cells)
-        fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
+        fm, fp = whole_rows(info, cfg.cells + 1)
         through = family_sums(ConservedState(*fm[:, -1:])) - family_sums(ConservedState(*fp[:, :1]))
         drift = np.maximum(drift, np.abs(totals - before + info.dt / dx * through)
                            / np.maximum(1.0, np.abs(before)))
@@ -1041,7 +1069,7 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
 
     def emptying(sol):
         fluxes = solve(sol)
-        fluxes.window[0, 1, k] = 1e6
+        fluxes[0, 1, k] = 1e6
         return fluxes
 
     monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
@@ -1161,6 +1189,18 @@ def test_run_initial_projection_straddling_cell():
     assert res.cells.m1[mid] == pytest.approx(0.5 * (sc(uL.m1) + sc(uR.m1)), rel=1e-13)
 
 
+def adversarial_problems(rng, **config):
+    """100 two-state problems, as (index, initial data, config, eos2), with
+    sides drawn like the pairs of hard_row (ideal and stiffened phase 2 in
+    turn), at 16 cells to t = 0.02; ``config`` adds RunConfig fields."""
+    for r in range(100):
+        w = hard_row(rng, 2)
+        left, right = (PrimitiveState(*(float(getattr(w, v)[j]) for v in VARIABLES))
+                       for j in (0, 1))
+        cfg = RunConfig(cells=16, t_final=0.02, domain=(-0.5, 0.5), cfl=0.45, **config)
+        yield r, InitialData(0.0, left, right), cfg, (IDEAL, STIFF)[r % 2]
+
+
 def test_whole_steps_on_adversarial_riemann_problems(rng, monkeypatch):
     # two-state problems with sides drawn like the pairs of hard_row (ideal
     # and stiffened phase 2 in turn) march to the end with conservation at
@@ -1170,16 +1210,67 @@ def test_whole_steps_on_adversarial_riemann_problems(rng, monkeypatch):
     climb = scheme._climb_ladder
     monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
     climbing_a2 = 0
-    for r in range(100):
-        w = hard_row(rng, 2)
-        left, right = (PrimitiveState(*(float(getattr(w, v)[j]) for v in VARIABLES))
-                       for j in (0, 1))
-        cfg = RunConfig(cells=16, t_final=0.02, domain=(-0.5, 0.5), cfl=0.45)
+    for r, initial, cfg, eos2 in adversarial_problems(rng):
         grows.clear()
-        res = run(InitialData(0.0, left, right), cfg, IDEAL, (IDEAL, STIFF)[r % 2])
+        res = run(initial, cfg, IDEAL, eos2)
         assert max(res.conservation_error.values()) <= 1e-12, r
         climbing_a2 += 2 in grows
     assert climbing_a2 > 0
+
+
+def frozen_audited_steps(monkeypatch):
+    """Install a check of every entropy audit of the runs that follow
+    against ``frozen_audit``'s whole-row audit, and return the list it
+    appends each step's outcome to: (window slack, whole-row slack, whether
+    every balance outside the window [a, b) is 0.0, whether cells lie
+    outside it, the whole-row audit's largest ratio inside it)."""
+    steps, before = [], {}
+    advance, slack = scheme.step, scheme.EntropyAudit.slack
+
+    def snapshot(cells, cfg, eos1, eos2, *args, rows, **kwargs):
+        before["m"] = rows.u[1:3].copy()
+        before["s"] = frozen_audit.phase_entropies(PrimitiveState(*rows.w[:, 1:-1]), eos1, eos2)
+        return advance(cells, cfg, eos1, eos2, *args, rows=rows, **kwargs)
+
+    def checking(audit, info, lam):
+        got = slack(audit, info, lam)
+        rows = audit.rows
+        new = frozen_audit.phase_entropies(PrimitiveState(*rows.w[:, 1:-1]), *audit.eos)
+        balance, scale = frozen_audit.entropy_balance(info, before["m"], before["s"], rows.u[1:3],
+                                                      new, lam)
+        a, b = info.updated.start, info.updated.stop
+        ratio = balance / scale
+        steps.append((got, float(np.max(ratio)), not balance[:, :a].any() and not balance[:, b:].any(),
+                      b - a < rows.u.shape[1], float(np.max(ratio[:, a:b], initial=-np.inf))))
+        return got
+
+    monkeypatch.setattr(scheme, "step", snapshot)
+    monkeypatch.setattr(scheme.EntropyAudit, "slack", checking)
+    return steps
+
+
+def test_window_entropy_audit_matches_the_whole_row_audit(request, monkeypatch):
+    # every audited step of cases 1-5 at 200 cells and of the problems of
+    # test_whole_steps_on_adversarial_riemann_problems (its draws) gives the
+    # slack of the frozen whole-row audit, bit for bit, and a balance of
+    # exactly 0.0 outside its window.  Windows that leave cells out, some
+    # with only negative balances inside, cover the default of the max
+    steps = frozen_audited_steps(monkeypatch)
+    for cid in range(1, 6):
+        case = get_case(cid)
+        cfg = RunConfig(cells=200, t_final=case.t_max, domain=case.domain, cfl=case.cfl,
+                        entropy_audit=True)
+        run(case.initial, cfg, case.eos1, case.eos2)
+    cases = len(steps)
+    drawn = request.node.nodeid.replace(request.node.name,
+                                        "test_whole_steps_on_adversarial_riemann_problems")
+    for _, initial, cfg, eos2 in adversarial_problems(rng_of(drawn), entropy_audit=True):
+        run(initial, cfg, IDEAL, eos2)
+    assert cases > 500 and len(steps) > cases
+    assert all(got.hex() == want.hex() for got, want, *_ in steps)
+    assert all(zero_outside for _, _, zero_outside, *_ in steps)
+    inside = [largest for *_, some_outside, largest in steps if some_outside]
+    assert len(inside) > 100 and sum(largest < 0.0 for largest in inside) > 10
 
 
 def test_whole_steps_on_rows_of_many_states(rng):
@@ -1200,7 +1291,7 @@ def test_whole_steps_on_rows_of_many_states(rng):
                 cells, info = step(cells, cfg, IDEAL, eos2, dx)
             except (SolverError, AdmissibilityError, EosDomainError) as exc:
                 pytest.fail(f"row {r}, step {k}: {exc!r}")
-            fm, fp = info.fluxes.f_minus, info.fluxes.f_plus
+            fm, fp = whole_rows(info, n + 1)
             through = (family_sums(ConservedState(*fm[:, -1]))
                        - family_sums(ConservedState(*fp[:, 0])))
             drift = np.abs(family_sums(cells) - before + info.dt / dx * through)
