@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
-from .state import P, RHO, RHO_U_P, VARIABLES, PrimitiveState
+from .state import RHO_U_P, VARIABLES, PrimitiveState, _primitive_bounds
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -111,32 +111,18 @@ def interface_pair(wL: PrimitiveState, wR: PrimitiveState):
     return np.array(fields).reshape(2, 7, -1)
 
 
-@lru_cache(maxsize=16)
-def _pair_bounds(p_inf1: float, p_inf2: float):
-    """Open lower and upper bounds of each primitive variable of a pair of
-    phases with the given ``p_inf``, as (7, 1) columns: alpha1 in (0, 1), rho
-    > 0, p > -p_inf and every entry finite.  ``p > -p_inf`` holds exactly
-    where ``p + p_inf > 0`` does.  Keyed on the floats, which hash without
-    a Python-level call."""
-    lower, upper = np.full((7, 1), -np.inf), np.full((7, 1), np.inf)
-    lower[0], upper[0] = 0.0, 1.0
-    lower[RHO] = 0.0
-    lower[P] = -np.array([[p_inf1], [p_inf2]])
-    for c in (lower, upper):
-        c.flags.writeable = False
-    return lower, upper
-
-
 def check_pair(pair, eos1: EosParams, eos2: EosParams):
     """The one domain check of an interface pair, the (2, 7, k) array of
     ``interface_pair``: the domain of the EOS kernels that the relaxation
     solver evaluates on it unchecked.  Raises ValueError unless ``pair`` has
     that shape, and EosDomainError unless every entry is finite, ``0 <
-    alpha1 < 1``, and every density and every ``p + p_inf`` is positive.
-    NaN compares false, so it fails the check."""
+    alpha1 < 1``, and every density and every ``p + p_inf`` is positive:
+    each entry lies within ``state._primitive_bounds``, the bounds that
+    ``validate_primitive`` checks a state against.  NaN compares false, so
+    it fails the check."""
     if pair.ndim != 3 or pair.shape[:2] != (2, 7):
         raise ValueError(f"an interface pair has shape (2, 7, k), got {pair.shape}")
-    lower, upper = _pair_bounds(eos1.p_inf, eos2.p_inf)
+    lower, upper = _primitive_bounds(eos1.p_inf, eos2.p_inf)
     ok = (pair > lower) & (pair < upper)
     if not ok.all():
         side, var, j = np.argwhere(~ok)[0]

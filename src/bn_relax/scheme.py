@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -613,6 +614,10 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     reductions of the owned rows.  The conservation audit reads only the
     two end columns of the step's record (``StepInfo.ends``), and the
     entropy audit only the step's window.
+
+    A step that the final time does not cap and whose dt is at most machine
+    epsilon times ``cfg.t_final`` raises SolverError: at least 1/eps steps
+    would remain, so the march would never end.
     """
     from . import rusanov  # deferred: rusanov reuses this runner
 
@@ -635,13 +640,19 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     rows = MarchRows(cells, to_primitive(cells, eos1, eos2), eos1, eos2)
     cells, totals = rows.cells, rows.totals()
     audit = EntropyAudit(rows, eos1, eos2) if cfg.entropy_audit else None
+    # a time step this small, unless the final time caps it, leaves at
+    # least 1/eps steps to go: the march would not end
+    dt_floor = sys.float_info.epsilon * cfg.t_final
     tic = time.perf_counter()
     while t < cfg.t_final:
         totals_old = totals
         cells, info = advance(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, rows=rows)
+        dt = info.dt
+        if dt <= dt_floor and dt < cfg.t_final - t:
+            raise SolverError(f"time step collapsed: step {nstep + 1} at t = {t:.6e} took "
+                              f"dt = {dt:.6e} <= eps * t_final = {dt_floor:.6e}")
         rows.splice(info.updated, eos1, eos2)
         totals, minima = rows.totals(), rows.minima()
-        dt = info.dt
         lam = dt / dx
         # the families' flux through the right end and through the left one
         ends = _family_values(info.ends())

@@ -7,6 +7,7 @@ complement ``1 - alpha1``: saturation cannot be violated by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,117 +90,106 @@ class ConservedState:
         return ConservedState(*(np.asarray(getattr(self, f))[idx] for f in self._FIELDS))
 
 
-def _first_bad(mask):
-    return int(np.argmax(np.atleast_1d(mask)))
+def _rows(fields):
+    """A state's seven fields as one (7, k) float array, broadcast to one
+    shape first where their shapes differ."""
+    if len({getattr(v, "shape", ()) for v in fields}) > 1:
+        fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields))
+    return np.array(fields, dtype=float).reshape(7, -1)
 
 
-# Each check is written ``np.all(x > bound)`` so that NaN, which compares
-# false, fails it; ``~(x > bound)`` marks the entries it reports.
+def _first_failure(ok, checks, where):
+    """The error of a table ``ok`` of one row per check, in the order of
+    their messages ``checks``: its first failing row at its first failing index."""
+    row, index = np.argwhere(~ok)[0]
+    return AdmissibilityError(checks[row], int(index), where)
 
-def _check_alpha1(alpha1, where):
-    a = np.asarray(alpha1, dtype=float)
-    ok = (a > 0.0) & (a < 1.0)
-    if not np.all(ok):
-        raise AdmissibilityError("alpha1 outside (0,1)", _first_bad(~ok), where)
-    return a
+
+# Each check is written ``x > bound`` or ``x < bound`` so that NaN fails it.
+
+@lru_cache(maxsize=16)
+def _primitive_bounds(p_inf1: float, p_inf2: float):
+    """The primitive domain of a pair of phases with the given ``p_inf``, as
+    open lower and upper bounds of each primitive variable, (7, 1) columns:
+    alpha1 in (0, 1), rho > 0, p > -p_inf and every entry finite.  ``p >
+    -p_inf`` holds exactly where ``p + p_inf > 0`` does.  Keyed on the
+    floats, which hash without a Python-level call."""
+    lower, upper = np.full((7, 1), -np.inf), np.full((7, 1), np.inf)
+    lower[0], upper[0] = 0.0, 1.0
+    lower[RHO] = 0.0
+    lower[P] = -np.array([[p_inf1], [p_inf2]])
+    for c in (lower, upper):
+        c.flags.writeable = False
+    return lower, upper
+
+
+#: the checks of ``validate_primitive`` in their order, and their rows of the
+#: comparisons with ``_primitive_bounds`` stacked as (above the lower bound,
+#: within both): alpha1 within both, densities and then pressures above,
+#: then every field but alpha1 within both.  Once the positivity rows pass,
+#: a density or pressure below its upper bound is finite.
+_PRIMITIVE_CHECKS = ("alpha1 outside (0,1)", "non-positive rho1", "non-positive rho2",
+                     "phase 1: p + p_inf <= 0 (complex sound speed)",
+                     "phase 2: p + p_inf <= 0 (complex sound speed)",
+                     *(f"non-finite {name}" for name in VARIABLES[1:]))
+_PRIMITIVE_ROWS = np.array([7, 1, 4, 3, 6, 8, 9, 10, 11, 12, 13])
 
 
 def validate_primitive(w: PrimitiveState, eos1: EosParams, eos2: EosParams, where: str = ""):
     """Raise AdmissibilityError unless every entry of ``w`` is admissible.
 
     Checks, in order: alpha1 in (0,1), positive densities, positive ``p +
-    p_inf``, and then finite densities, velocities and pressures.
+    p_inf``, and then finite densities, velocities and pressures.  The error
+    names the first failing check and its first failing index.
     """
-    _check_alpha1(w.alpha1, where)
-    for name, rho in (("rho1", w.rho1), ("rho2", w.rho2)):
-        r = np.asarray(rho, dtype=float)
-        if not np.all(r > 0.0):
-            raise AdmissibilityError(f"non-positive {name}", _first_bad(~(r > 0)), where)
-    for name, rho, p, eos in (("phase 1", w.rho1, w.p1, eos1), ("phase 2", w.rho2, w.p2, eos2)):
-        hyp = np.asarray(p, dtype=float) + eos.p_inf
-        if not np.all(hyp > 0.0):
-            raise AdmissibilityError(f"{name}: p + p_inf <= 0 (complex sound speed)",
-                                     _first_bad(~(hyp > 0)), where)
-    for name in VARIABLES[1:]:
-        finite = np.isfinite(getattr(w, name))
-        if not np.all(finite):
-            raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
+    s = _rows(w.astuple())
+    lower, upper = _primitive_bounds(eos1.p_inf, eos2.p_inf)
+    above = s > lower
+    ok = np.concatenate((above, above & (s < upper)))[_PRIMITIVE_ROWS]
+    if not ok.all():
+        raise _first_failure(ok, _PRIMITIVE_CHECKS, where)
 
 
-#: open upper bounds of the conserved fields, as a column: alpha1 < 1 and
-#: every other field finite
-_UPPER = np.array([[1.0]] + [[np.inf]] * 6)
-_UPPER.flags.writeable = False
-
-
-def _admissible(u: ConservedState, eos1: EosParams, eos2: EosParams):
-    """Whether every entry of ``u`` passes every check of ``_diagnose``, in
-    one pass over its fields stacked into one (7, k) array (broadcast to one
-    shape first where they differ), with one reduction.  Each predicate is
-    written ``x > bound`` or ``x < bound`` so that NaN fails it.  The
-    partial momenta are required finite too, which the checks imply: with
-    finite positive masses and finite energies an infinite momentum gives
-    an internal energy of -inf, and NaN propagates."""
-    fields = u.astuple()
-    if len({getattr(v, "shape", ()) for v in fields}) > 1:
-        fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields))
-    s = np.array(fields, dtype=float).reshape(7, -1)
-    ok = s < _UPPER
-    ok[:3] &= s[:3] > 0.0
-    eint = s[5:7] - 0.5 * s[3:5] * s[3:5] / s[1:3]  # alpha_k rho_k e_k
-    if eos1.p_inf > 0.0 or eos2.p_inf > 0.0:
-        # rho_k e_k > p_inf_k: with alpha1 in (0, 1) this implies eint > 0,
-        # and with p_inf_k = 0 it is eint > 0
-        ok[5:7] &= eint / np.array([s[0], 1.0 - s[0]]) > [[eos1.p_inf], [eos2.p_inf]]
-    else:
-        ok[5:7] &= eint > 0.0
-    return ok.all()
-
-
-def _diagnose(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str):
-    """The checks of ``validate_conserved`` one by one, in their order:
-    raise AdmissibilityError for the first that fails, at its first index."""
-    a = _check_alpha1(u.alpha1, where)
-    for name, m in (("m1", u.m1), ("m2", u.m2)):
-        mv = np.asarray(m, dtype=float)
-        if not np.all(mv > 0.0):
-            raise AdmissibilityError(f"non-positive partial mass {name}", _first_bad(~(mv > 0)),
-                                     where)
-    for k, (m, q, eta, alpha, eos) in enumerate(
-            ((u.m1, u.q1, u.eta1, a, eos1), (u.m2, u.q2, u.eta2, 1.0 - a, eos2)), start=1):
-        m = np.asarray(m, dtype=float)
-        q = np.asarray(q, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        eint = eta - 0.5 * q * q / m  # alpha_k rho_k e_k
-        if not np.all(eint > 0.0):
-            raise AdmissibilityError(f"non-positive internal energy, phase {k}",
-                                     _first_bad(~(eint > 0)), where)
-        if eos.p_inf > 0.0:
-            # rho_k e_k = (alpha rho e) / alpha_k
-            rho_e = eint / alpha
-            if not np.all(rho_e > eos.p_inf):
-                raise AdmissibilityError(f"rho e <= p_inf (sound speed loss), phase {k}",
-                                         _first_bad(~(rho_e > eos.p_inf)), where)
-    for name in ("m1", "m2", "eta1", "eta2"):
-        finite = np.isfinite(getattr(u, name))
-        if not np.all(finite):
-            raise AdmissibilityError(f"non-finite {name}", _first_bad(~finite), where)
+#: the checks of ``validate_conserved`` in their order, one row each of its table
+_CONSERVED_CHECKS = ("alpha1 outside (0,1)",
+                     "non-positive partial mass m1", "non-positive partial mass m2",
+                     "non-positive internal energy, phase 1",
+                     "rho e <= p_inf (sound speed loss), phase 1",
+                     "non-positive internal energy, phase 2",
+                     "rho e <= p_inf (sound speed loss), phase 2",
+                     "non-finite m1", "non-finite m2", "non-finite eta1", "non-finite eta2")
+#: the rows of the fields' finiteness that start that table: its last four
+#: are the finiteness checks of m1, m2, eta1 and eta2, the others are overwritten
+_CONSERVED_GATHER = np.array([0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6])
 
 
 def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
     """Raise AdmissibilityError unless every entry of ``u`` is admissible.
 
-    Checks, in order: alpha1 in (0,1), positive partial masses, positive
-    partial internal energies, for stiffened gas the stricter ``rho_k e_k >
-    p_inf_k`` needed for real sound speeds, and finite partial masses and
-    energies.  All of them are first formed in one pass and reduced once
-    (``_admissible``); only when that fails are they run one by one, in
-    this order (``_diagnose``), so the error names the first failing check
-    and its first failing index.
+    Checks, in order: alpha1 in (0,1), positive partial masses, for each
+    phase a positive partial internal energy and, for stiffened gas, the
+    stricter ``rho_k e_k > p_inf_k`` needed for real sound speeds, and
+    finite partial masses and energies.  All of them are formed in one
+    pass, as the rows of one table, and reduced once; the error names the
+    first failing check and its first failing index.  The partial momenta
+    need no check of their own: with finite positive masses and finite
+    energies an infinite momentum gives an internal energy of -inf, and NaN
+    propagates.
     """
-    if not _admissible(u, eos1, eos2):
-        _diagnose(u, eos1, eos2, where)
-        raise AssertionError("the one-pass admissibility check and its diagnosis disagree")
+    s = _rows(u.astuple())
+    ok = np.isfinite(s)[_CONSERVED_GATHER]
+    ok[:3] = s[:3] > 0.0
+    ok[0] &= s[0] < 1.0
+    eint = s[5:7] - 0.5 * s[3:5] * s[3:5] / s[1:3]  # alpha_k rho_k e_k
+    ok[3:7:2] = eint > 0.0
+    if eos1.p_inf > 0.0 or eos2.p_inf > 0.0:
+        # rho_k e_k = (alpha_k rho_k e_k) / alpha_k; for a phase with p_inf_k
+        # = 0 and alpha1 in (0, 1) this row repeats eint > 0
+        ok[4:7:2] = eint / np.array([s[0], 1.0 - s[0]]) > [[eos1.p_inf], [eos2.p_inf]]
+    else:
+        ok[4:7:2] = True  # with p_inf_k = 0 the row would repeat eint > 0
+    if not ok.all():
+        raise _first_failure(ok, _CONSERVED_CHECKS, where)
 
 
 def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> ConservedState:

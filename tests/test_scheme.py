@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1140,6 +1141,46 @@ def test_run_config_rejects_an_entropy_audit_of_the_rusanov_scheme():
         RunConfig(cells=10, t_final=0.01, scheme="rusanov", entropy_audit=True)
 
 
+#: the two-state problems of the ROADMAP item "A march that never ends", on
+#: 16 cells of (-0.5, 0.5) to t = 0.01: (eos1, eos2, left, right)
+RUNAWAYS = {
+    "A": (IDEAL, EosParams(1.67),
+          (0.8283198941288046, 4.943331074391871, 2.83282659053695, 76.67997338626543,
+           3.164012929276797, -5.866454776855649, 15.101908566538354),
+          (4.719829651254759e-12, 0.8965554869502238, 0.9908126867943494, 6858.546229134959,
+           1.055354188591357, 0.5583851174865497, 3.0433930546392114)),
+    "B": (STIFF, EosParams(1.67),
+          (0.9999999999985439, 0.20276464566519176, 5.256447461973021, 2.9775732011818974,
+           0.7983555292968901, -3.262021439286256, 4.927393434056054),
+          (5.581643246631934e-10, 0.4105599143334839, -3.354484009610464, 2345.2273461226296,
+           4.404494232609589, 3.9265446250362555, 0.5099785921005755)),
+}
+
+
+def collapsed_step(name):
+    """The step at which ``run`` stops the runaway ``name`` with its
+    collapsed-time-step SolverError."""
+    eos1, eos2, left, right = RUNAWAYS[name]
+    cfg = RunConfig(cells=16, t_final=0.01, domain=(-0.5, 0.5), cfl=0.45)
+    with pytest.raises(SolverError) as err:
+        run(InitialData(0.0, PrimitiveState(*left), PrimitiveState(*right)), cfg, eos1, eos2)
+    message = re.fullmatch(r"time step collapsed: step (\d+) at t = \S+ took dt = \S+ "
+                           r"<= eps \* t_final = 2\.220446e-18", str(err.value))
+    assert message, str(err.value)
+    return int(message[1])
+
+
+def test_runaway_a_raises_instead_of_marching_forever():
+    # phase 1 runs away where alpha1 is 1e-8 to 5e-12 and dt falls below
+    # roundoff of t_final: run raises instead of marching on
+    assert collapsed_step("A") <= 2500
+
+
+def test_runaway_b_raises_instead_of_marching_forever():
+    # the same runaway with a stiffened phase 1 and a vanishing phase 2 on the left
+    assert collapsed_step("B") <= 2500
+
+
 def test_run_config_takes_numpy_and_list_input():
     cfg = RunConfig(cells=np.int64(20), t_final=0.01, domain=[np.float64(0.0), 1])
     assert cfg.cells == 20
@@ -1205,7 +1246,8 @@ def test_whole_steps_on_adversarial_riemann_problems(rng, monkeypatch):
     # two-state problems with sides drawn like the pairs of hard_row (ideal
     # and stiffened phase 2 in turn) march to the end with conservation at
     # roundoff, some of them through climbs of a2.  entropy_slack is not
-    # asserted: it exceeds roundoff on some of these runs (ROADMAP item 5)
+    # asserted: it exceeds roundoff on some of these runs (ROADMAP, "The
+    # entropy inequality on near-vacuum rows")
     grows = []
     climb = scheme._climb_ladder
     monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
@@ -1278,7 +1320,7 @@ def test_whole_steps_on_rows_of_many_states(rng):
     # every interface is a wave (ideal and stiffened phase 2 in turn).  Each
     # step is admissible and conserves every audited family to roundoff
     # against the fluxes through the row's ends.  entropy_slack is not
-    # asserted (ROADMAP item 5)
+    # asserted (ROADMAP, "The entropy inequality on near-vacuum rows")
     for r in range(300):
         n = int(rng.integers(4, 17))
         eos2 = (IDEAL, STIFF)[r % 2]

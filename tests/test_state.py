@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from bn_relax import (AdmissibilityError, ConservedState, EosParams, PrimitiveState,
-                      max_abs_eigenvalue, to_conserved, to_primitive, validate_conserved)
+                      max_abs_eigenvalue, to_conserved, to_primitive, validate_conserved,
+                      validate_primitive)
+from bn_relax.state import VARIABLES
 from conftest import random_primitive
+import frozen_primitive
 
 IDEAL = EosParams(1.4)
 
@@ -209,6 +212,54 @@ def test_one_pass_check_reports_what_the_ordered_checks_report(eos1, eos2):
                     (first_kind, i, second_kind, j)
                 checked += 1
     assert checked == 2 * len(faults) ** 2
+
+
+def with_primitive_fault(w, kind, j, eos1, eos2):
+    """``w`` with the fault ``kind``, a field and the value it takes, put
+    into entry ``j`` of that field, or into the field itself where it is a
+    scalar."""
+    field, value = kind
+    if callable(value):
+        value = value(eos1, eos2)
+    fields = {name: np.array(getattr(w, name), dtype=float) for name in VARIABLES}
+    if fields[field].ndim:
+        fields[field][j] = value
+    else:
+        fields[field] = np.float64(value)
+    return PrimitiveState(**fields)
+
+
+PRIMITIVE_FAULTS = [("alpha1", 1.5), ("alpha1", 0.0), ("rho1", -1.0), ("rho2", 0.0),
+                    ("p1", lambda eos1, eos2: -eos1.p_inf),
+                    ("p2", lambda eos1, eos2: -eos2.p_inf - 1.0),
+                    *((name, value) for name in VARIABLES for value in (np.nan, np.inf, -np.inf))]
+
+
+@pytest.mark.parametrize("eos1, eos2, scalars", [
+    (IDEAL, IDEAL, ()), (EosParams(3.0, 100.0), IDEAL, ()),
+    (EosParams(3.0, 100.0), EosParams(2.5, 50.0), ()),
+    (IDEAL, EosParams(3.0, 100.0), ("u1", "p2"))])
+def test_primitive_check_reports_what_the_ordered_checks_report(eos1, eos2, scalars):
+    # every pair of faults at two different indices, in either order: the
+    # error names the check and the index that the frozen one-by-one checks
+    # name, also where some fields are scalars and the others arrays
+    w = PrimitiveState(*(v if name in scalars else np.full(5, v) for name, v in
+                         zip(VARIABLES, (0.4, 1.0, 0.1, 150.0, 2.0, -0.3, 120.0))))
+    validate_primitive(w, eos1, eos2)
+    checked = 0
+    for first_kind in PRIMITIVE_FAULTS:
+        for second_kind in PRIMITIVE_FAULTS:
+            for i, j in ((3, 1), (1, 3)):
+                bad = with_primitive_fault(with_primitive_fault(w, first_kind, i, eos1, eos2),
+                                           second_kind, j, eos1, eos2)
+                with pytest.raises(AdmissibilityError) as want:
+                    frozen_primitive.validate_primitive(bad, eos1, eos2, "here")
+                with pytest.raises(AdmissibilityError) as got:
+                    validate_primitive(bad, eos1, eos2, where="here")
+                assert (str(got.value), got.value.index) == (str(want.value), want.value.index), \
+                    (first_kind, i, second_kind, j)
+                checked += 1
+    assert checked == 2 * len(PRIMITIVE_FAULTS) ** 2
 
 
 def test_admissibility_error_round_trips_through_pickle():
