@@ -152,21 +152,26 @@ def _classify(u_cap, tau_l, tau_r, a1):
     return ordering, feasible
 
 
-def sharp_quantities(pair, params: RelaxParams) -> SharpQuantities:
+def sharp_quantities(pair, params: RelaxParams, climbed_from=None) -> SharpQuantities:
     """Evaluate all star-state predictors from the interface pair, and
     classify them (``ordering``, ``feasible``).
 
     Pure algebra on the rows of ``pair``, a checked (2, 7, k) pair or a
     (2, 7) one; non-positive tau predictors are reported by the feasibility
-    test, not here.
+    test, not here.  ``climbed_from``, private to ``scheme.select_parameters``,
+    is the result on the same pair and a2 that a1 climbed from: phase 2's
+    predictors and ``lambda_alpha``, which do not depend on a1, are kept.
     """
     a1, a2 = params.a1, params.a2
     (al, rho1l, u1l, p1l, _, u2l, p2l), (ar, rho1r, u1r, p1r, _, u2r, p2r) = pair
     u1, pi1 = _star_predictors(u1l, u1r, p1l, p1r, a1)
     t1l, t1r = _acoustic_taus(1.0 / rho1l, 1.0 / rho1r, u1l, u1r, u1, a1)
-    u2, pi2 = _star_predictors(u2l, u2r, p2l, p2r, a2)
-    a2L, a2R = 1.0 - al, 1.0 - ar
-    lam = (a2R - a2L) / (a2R + a2L)
+    if climbed_from is None:
+        u2, pi2 = _star_predictors(u2l, u2r, p2l, p2r, a2)
+        a2L, a2R = 1.0 - al, 1.0 - ar
+        lam = (a2R - a2L) / (a2R + a2L)
+    else:
+        u2, pi2, lam = climbed_from.u_sharp2, climbed_from.pi_sharp2, climbed_from.lambda_alpha
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
     return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))

@@ -29,8 +29,10 @@ from .state import (P, RHO, U, VARIABLES, AdmissibilityError, ConservedState, Pr
 ETA = 0.01
 #: rounds of a2 climbs each interface may take, and the growth
 #: (1 + ETA)**MAX_INFLATIONS (about 2.1e4) each climb may make, before
-#: selection reports the interface.  The cap turns a runaway search into a
-#: diagnosable error.  On rows of 250 hard pairs (near-vacuum phases,
+#: selection reports the interface (read at each call).  The cap turns a
+#: runaway search into a diagnosable error.  An a1 climb takes no round: one
+#: stacked root evaluation gives its threshold, and the predictors formed
+#: after it keep phase 2's.  On rows of 250 hard pairs (near-vacuum phases,
 #: velocities in +-4) one selection calls build_solution at most 8 times.  The
 #: growth must accommodate locally supersonic relative velocities: benchmark
 #: case 2 climbs a1 by up to a 113-fold growth at 200, 800 and 3200 cells,
@@ -38,6 +40,8 @@ ETA = 0.01
 #: cold state (rho1 = 1, p1 = 0.01) on both sides and |u1 - u2| exceeds its
 #: sound speed.
 MAX_INFLATIONS = 1000
+#: the signs of the left and right rows of a (2, k) side stack
+_SIDES = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,10 @@ def _largest_root(a, b, c):
     return np.where(disc >= 0.0, root, -np.inf)
 
 
-def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
+def _volume_least(taus, du, dp, lam, k):
     """Largest root in ``a`` of the two quadratics that give the positivity
-    of a phase's specific volumes on either side of its middle wave.
+    of a phase's specific volumes beside its middle wave (the a2 threshold),
+    as one evaluation of their (2, k) stack; ``taus`` stacks the end states'.
 
     With ``du = uR - uL``, ``dp = pR - pL`` and the middle wave at ``u_sharp
     + lam du/2 + k/a``, where ``u_sharp`` is the phase's star predictor, the
@@ -102,8 +107,8 @@ def _volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
     ``tauR a^2 + (1 - lam)(du/2) a + dp/2 - k``.  With ``lam = k = 0`` they
     are the tau predictors.
     """
-    return np.maximum(_largest_root(tauL, (1.0 + lam) * du / 2.0, k - dp / 2.0),
-                      _largest_root(tauR, (1.0 - lam) * du / 2.0, dp / 2.0 - k))
+    return np.maximum.reduce(_largest_root(taus, (1.0 + lam * _SIDES) * du / 2.0,
+                                           np.array([k - dp / 2.0, dp / 2.0 - k])))
 
 
 def _a1_least(pair, s, params):
@@ -112,18 +117,19 @@ def _a1_least(pair, s, params):
     predictors those of ``s``.
 
     Multiplied by ``a1 (1 + (a1/a2)|lambda|)``, each bound of the window is a
-    quadratic in a1 too: its constant terms cancel.
+    quadratic in a1 too: its constant terms cancel.  With the tau predictors'
+    two (``_volume_least``'s at ``lam = k = 0``) they are one (4, k) stack.
     """
-    tauL, tauR = 1.0 / pair[:, 1]
-    # phase 1's velocity and pressure: jumps, and means times 2
-    (du, dp), (u_sum, p_sum) = pair[1, 2:4] - pair[0, 2:4], pair[0, 2:4] + pair[1, 2:4]
-    lam = s.lambda_alpha
-    g = np.abs(lam) / params.a2
-    h = lam * du / (2.0 * params.a2)
-    c0 = 0.5 * u_sum - s.u_sharp2 - lam * (0.5 * p_sum - s.pi_sharp2) / params.a2
-    upper = _largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
-    lower = _largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
-    return np.maximum(np.maximum(_volume_least(tauL, tauR, du, dp), upper), lower)
+    taus, (left, right) = 1.0 / pair[:, 1], pair[:, 2:4]
+    # phase 1's velocity and pressure: jumps, and means
+    jumps, means = right - left, 0.5 * (left + right)
+    lam, a2 = s.lambda_alpha, params.a2
+    g, h = np.abs(lam) / a2, lam * jumps[0] / (2.0 * a2)
+    c0 = means[0] - s.u_sharp2 - lam * (means[1] - s.pi_sharp2) / a2
+    (half_du, half_dp), (g_du, g_dp) = 0.5 * jumps, 0.5 * g * jumps
+    return np.maximum.reduce(_largest_root(
+        np.concatenate((taus, g * taus)), np.array([half_du, half_du, *(taus + g_du - h * _SIDES)]),
+        np.array([0.0 - half_dp, half_dp, half_du - g_dp - c0, c0 + half_du + g_dp])))
 
 
 def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
@@ -170,28 +176,29 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     1. a1, for the existence condition: phase 1's tau predictors are
        positive and ``u_cap`` lies inside its window (``_a1_least``);
     2. a2, for the solution: every intermediate specific volume is positive
-       and finite (the largest root of phase 2's volumes beside the coupling
+       and finite (``_volume_least`` of phase 2's volumes beside the coupling
        wave, with the coupling term of the failing solve held fixed).
 
-    Each climb takes its parameter to ``(1 + ETA) max(a, least)``.  The a1
-    threshold is exact, and a1 is checked once on the climbed parameters;
-    the a2 threshold is exact where alpha1 does not jump and an estimate
-    where it does, which the next round's solve checks.  An interface that
-    fails predicate 2 takes a1 from its Whitham start again, so ``(a1, a2)``
-    do not depend on the order of the climbs.  A climb beyond the growth cap,
-    an a1 climb after which the existence condition still fails, and an
-    interface failing predicate 2 after MAX_INFLATIONS rounds are reported
-    as errors.  Each interface climbs on its own, so its parameters and its
-    solution do not depend on the rest of the row: every round solves the
-    whole row, an interface that passed keeps its parameters and its bits,
-    and the first round with no failing interface gives the solution.
-    Parameters and solution are one-dimensional.  The pair is checked once
-    (``check_pair``: EosDomainError outside the EOS domain, ValueError for
-    another shape), before any parameter is formed; every round's
-    ``build_solution`` takes it with the sharp quantities formed on it and
-    the phase columns, looked up once, so it checks nothing again.  The
-    predictor algebra, the thresholds and the errors read the rows of the
-    checked pair.
+    Each climb takes its parameter to ``(1 + ETA) max(a, least)``, the
+    threshold one root evaluation of stacked quadratics.  The a1 threshold
+    is exact, and a1 is checked once, by predictors that keep phase 2's from
+    before the climb: an a1 climb is a short pass.  The a2 threshold
+    is exact where alpha1 does not jump and an estimate where it does, which
+    the next round's solve checks.  An interface that fails predicate 2
+    takes a1 from its Whitham start again, so ``(a1, a2)`` do not depend on
+    the order of the climbs.  A climb beyond the growth cap, an a1 climb
+    after which the existence condition still fails, and an interface
+    failing predicate 2 after MAX_INFLATIONS rounds are reported as errors.
+    Each interface climbs on its own, so its parameters and its solution do
+    not depend on the rest of the row: every round solves the whole row, an
+    interface that passed keeps its parameters and its bits, and the first
+    round with no failing interface gives the solution.  Parameters and
+    solution are one-dimensional.  The pair is checked once (``check_pair``:
+    EosDomainError outside the EOS domain, ValueError for another shape),
+    before any parameter is formed; every round's ``build_solution`` takes
+    it with the sharp quantities formed on it and the phase columns, looked
+    up once, so it checks nothing again; the predictors, the thresholds and
+    the errors read its rows.
     """
     check_pair(pair, eos1, eos2)
     columns = phase_columns(eos1, eos2)
@@ -200,15 +207,14 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     params = start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(pair, params)
-        if not s.feasible.all():
-            bad = ~s.feasible
-            params = _climb_ladder(pair, params, bad.nonzero()[0], 1,
-                                   _a1_least(pair, s, params)[bad])
-            s = sharp_quantities(pair, params)
-            missed = ~s.feasible
-            if missed.any():
+        bad = (~s.feasible).nonzero()[0]
+        if bad.size:
+            params = _climb_ladder(pair, params, bad, 1, _a1_least(pair, s, params)[bad])
+            s = sharp_quantities(pair, params, s)
+            missed = (~s.feasible).nonzero()[0]
+            if missed.size:
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
-                                     pair, int(np.argmax(missed)))
+                                     pair, int(missed[0]))
         sol = build_solution(pair, eos1, eos2, params, precomputed=s, columns=columns)
         tau = sol.regions[0].take(_MIDDLE_REGIONS, axis=0)
         ok = (tau > 0.0) & (tau < np.inf)
@@ -217,7 +223,7 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
         bad = ~ok.all(axis=0)
         (du, dp), lam = pair[1, 5:] - pair[0, 5:], s.lambda_alpha  # phase 2's jumps
         k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a2
-        least = _volume_least(*(1.0 / pair[:, 4]), du, dp, lam, k)[bad]
+        least = _volume_least(1.0 / pair[:, 4], du, dp, lam, k)[bad]
         params = _climb_ladder(pair, RelaxParams(np.where(bad, start.a1, params.a1), params.a2),
                                bad.nonzero()[0], 2, least)
     raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",

@@ -169,17 +169,20 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
     Checks, in order: alpha1 in (0,1), positive partial masses, for each
     phase a positive partial internal energy and, for stiffened gas, the
     stricter ``rho_k e_k > p_inf_k`` needed for real sound speeds, and
-    finite partial masses and energies.  All of them are formed in one
-    pass, as the rows of one table, and reduced once; the error names the
-    first failing check and its first failing index.  The partial momenta
-    need no check of their own: with finite positive masses and finite
-    energies an infinite momentum gives an internal energy of -inf, and NaN
-    propagates.
+    finite partial masses and energies, the rows of one table (those of
+    alpha1 and the masses, which the others divide by, reduced first); the
+    error names the first failing check and its first failing index.  The
+    partial momenta need no check of their own: with finite positive masses
+    and finite energies an infinite momentum gives an internal energy of
+    -inf, and NaN propagates.
     """
     s = _rows(u.astuple())
     ok = np.isfinite(s)[_CONSERVED_GATHER]
     ok[:3] = s[:3] > 0.0
     ok[0] &= s[0] < 1.0
+    # one C-level reduction: the check runs twice a step
+    if not np.logical_and.reduce(ok[:3], axis=None):
+        raise _first_failure(ok, _CONSERVED_CHECKS, where)
     eint = s[5:7] - 0.5 * s[3:5] * s[3:5] / s[1:3]  # alpha_k rho_k e_k
     ok[3:7:2] = eint > 0.0
     if eos1.p_inf > 0.0 or eos2.p_inf > 0.0:

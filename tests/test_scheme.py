@@ -11,12 +11,14 @@ from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData
                       select_parameters, sharp_quantities, step, to_conserved, to_primitive)
 from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
                           sound_speed_squared_of)
-from bn_relax.riemann import RelaxParams
+from bn_relax.riemann import RelaxParams, SharpQuantities
 from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord
 from bn_relax.state import VARIABLES, ConservedState
 from conftest import SAMPLED, fields, random_primitive, rng_of
 import frozen_audit
+import frozen_climb
 import frozen_predictors
+from test_scripts import load as load_script
 from frozen_audit import whole_rows
 
 IDEAL = EosParams(1.4)
@@ -288,6 +290,104 @@ def test_a1_climbs_from_its_start_at_the_returned_a2(rng):
         ok = s.feasible
         want = np.where(ok, start, (1.0 + ETA) * np.maximum(start, scheme._a1_least(pair, s, cand)))
         assert params.a1.tobytes() == want.tobytes()
+
+
+def same_bytes(got, want):
+    """Assert equal dtype, shape and bytes, field by field for sharp quantities."""
+    if isinstance(want, SharpQuantities):
+        for f in dataclasses.fields(want):
+            same_bytes(getattr(got, f.name), getattr(want, f.name))
+        return
+    a, b = np.asarray(got), np.asarray(want)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def frozen_climb_checks(monkeypatch):
+    """Check every threshold and every predictor evaluation of the
+    selections that follow against ``frozen_climb``, bytes for bytes, and
+    return what they saw: the orderings and the zero ``lambda_alpha`` after
+    each a1 climb at the interfaces that climbed, the a1 thresholds 0 of
+    pairs with no phase-1 jump (the root of ``b = c = 0``), and the numbers
+    of a1 and a2 thresholds formed."""
+    seen = dict(orderings=set(), lam_zero=0, flat_roots=0, a1=0, a2=0)
+    a1_least, volume_least, predictors = (scheme._a1_least, scheme._volume_least,
+                                          scheme.sharp_quantities)
+    last = []
+
+    def checked_a1_least(pair, s, params):
+        least = a1_least(pair, s, params)
+        same_bytes(least, frozen_climb.a1_least(pair, s, params))
+        flat = (pair[1, 2:4] == pair[0, 2:4]).all(axis=0)
+        seen["flat_roots"] += np.count_nonzero(flat & (least == 0.0))
+        seen["a1"] += 1
+        return least
+
+    def checked_volume_least(taus, du, dp, lam, k):
+        least = volume_least(taus, du, dp, lam, k)
+        same_bytes(least, frozen_climb.volume_least(*taus, du, dp, lam, k))
+        seen["a2"] += 1
+        return least
+
+    def checked_predictors(pair, params, *climbed_from):
+        s = predictors(pair, params, *climbed_from)
+        same_bytes(s, frozen_climb.sharp_quantities(pair, params))
+        if climbed_from:
+            climbed = params.a1 != last[-1].a1
+            seen["orderings"] |= set(s.ordering[climbed].tolist())
+            seen["lam_zero"] += np.count_nonzero(s.lambda_alpha[climbed] == 0.0)
+        last.append(params)
+        return s
+
+    monkeypatch.setattr(scheme, "_a1_least", checked_a1_least)
+    monkeypatch.setattr(scheme, "_volume_least", checked_volume_least)
+    monkeypatch.setattr(scheme, "sharp_quantities", checked_predictors)
+    return seen
+
+
+def crafted_climbs():
+    """A row of ideal-gas pairs at equal fractions: three that climb a1 and
+    end with each ordering, and two that do not.  Case 2's cold phase 1
+    (rho1 = 1, p1 = 0.01) moves through phase 2 (u_cap < 0), then its mirror
+    image does (u_cap > 0); both phases collide at +-5 (u_cap = 0).  The
+    pair at rest has no jump, so every root of its a1 threshold is a signed
+    zero, one of them that of ``b = c = 0``; phase 1 expanding at equal
+    pressures around phase 2 at rest has the threshold -0.0, the tau
+    predictors' roots ``2c / (-b - |b|)`` of ``c = 0 - dp/2 = +0``."""
+    cold = PrimitiveState(0.8, 1.0, -19.59741, 0.01, 1.6087, -6.3085, 466.72591)
+    colliding = PrimitiveState(0.5, 1.0, 5.0, 0.01, 1.0, 5.0, 1.0)
+    rest = PrimitiveState(0.4, 1.0, 0.0, 1.0, 2.0, 0.0, 0.8)
+    expanding = PrimitiveState(0.4, 1.0, -1.0, 1.0, 2.0, 0.0, 0.8)
+    sides = [(cold, cold), (cold.mirrored(), cold.mirrored()), (colliding, colliding.mirrored()),
+             (rest, rest), (expanding, expanding.mirrored())]
+    return [PrimitiveState(*np.array([w.astuple() for w in side], dtype=float).T)
+            for side in zip(*sides)]
+
+
+def test_stacked_thresholds_and_kept_predictors_match_the_frozen_copy(rng, monkeypatch):
+    # the a1 and a2 thresholds, each one stacked root evaluation, and the
+    # predictors formed after an a1 climb with phase 2 kept give the bytes
+    # of one root evaluation per quadratic and of predictors formed whole:
+    # on the hard rows (with and without equal fractions), on the gate
+    # script's two hard rows, on a crafted row and on every step of case 2
+    # at 200 cells
+    gate = load_script("gate_digests")
+    draw = np.random.default_rng(gate.HARD_SEED)
+    rows = [(wL, wR, eos2) for equal in (False, True)
+            for wL, wR, eos2 in hard_rows(rng, equal_fractions=equal)]
+    rows += [(gate._hard_side(draw, gate.HARD_PAIRS), gate._hard_side(draw, gate.HARD_PAIRS),
+              eos2) for eos2 in (IDEAL, STIFF)]
+    rows.append((*crafted_climbs(), IDEAL))
+    seen = frozen_climb_checks(monkeypatch)
+    for wL, wR, eos2 in rows:
+        select_parameters(interface_pair(wL, wR), IDEAL, eos2)
+    assert seen["a2"] > 0
+    hard = seen["a1"]
+    case = get_case(2)
+    run(case.initial, RunConfig(cells=200, t_final=case.t_max, domain=case.domain,
+                                cfl=case.cfl), case.eos1, case.eos2)
+    assert seen["a1"] - hard > 200                     # case 2 climbs a1 on most steps
+    assert seen["orderings"] == {-1, 0, 1}
+    assert seen["lam_zero"] > 0 and seen["flat_roots"] > 0
 
 
 def test_retries_take_few_solves(rng, monkeypatch):

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,37 @@ def test_nonpositive_mass_rejected():
     u = ConservedState(0.5, -0.5, 0.5, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(AdmissibilityError, match="partial mass m1"):
         to_primitive(u, IDEAL, IDEAL)
+
+
+def reported_not_warned(u, eos1, eos2):
+    """The AdmissibilityError ``validate_conserved`` raises on ``u``, with
+    every RuntimeWarning an error, so that a warning raised on the way
+    fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AdmissibilityError) as caught:
+            validate_conserved(u, eos1, eos2)
+    return str(caught.value), caught.value.index
+
+
+def test_alpha1_of_one_beside_a_stiffened_phase_2_is_reported_not_warned():
+    # rho2 e2 = (alpha2 rho2 e2) / alpha2 divided by zero at alpha2 = 0
+    u = ConservedState(np.array([0.5, 1.0]), 1.0, 1.0, 0.0, 0.0, 500.0, 500.0)
+    assert reported_not_warned(u, IDEAL, EosParams(3.0, 100.0)) == (
+        "alpha1 outside (0,1) at index 1", 1)
+
+
+def test_zero_partial_mass_of_ideal_phases_is_reported_not_warned():
+    # the kinetic energy q^2 / 2m was 0 / 0 at m = 0
+    u = ConservedState(0.5, np.array([1.0, 0.0]), 1.0, 0.0, 0.0, 5.0, 5.0)
+    assert reported_not_warned(u, IDEAL, IDEAL) == (
+        "non-positive partial mass m1 at index 1", 1)
+
+
+def test_zero_partial_mass_beside_a_stiffened_phase_is_reported_not_warned():
+    u = ConservedState(0.5, 1.0, np.array([1.0, 0.0]), 0.0, 0.0, 500.0, 500.0)
+    assert reported_not_warned(u, IDEAL, EosParams(3.0, 100.0)) == (
+        "non-positive partial mass m2 at index 1", 1)
 
 
 def test_nonpositive_internal_energy_rejected():
