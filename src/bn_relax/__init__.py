@@ -8,8 +8,8 @@ from .riemann import (FixedPointContext, RelaxParams, RelaxRiemannSolution, Shar
                       SolverError, WaveOrdering, build_solution, check_pair, fixed_point_context,
                       interface_pair, region_tables, sample, sharp_quantities, solve_star)
 from .rusanov import rusanov_fluxes, rusanov_step
-from .scheme import (InitialData, RunConfig, RunResult, assemble_fluxes, cfl_dt, run,
-                     select_parameters, step)
+from .scheme import (InitialData, MarchRows, RunConfig, RunResult, assemble_fluxes, cfl_dt,
+                     run, select_parameters, step)
 from .state import (AdmissibilityError, ConservedState, PrimitiveState, VARIABLES,
                     max_abs_eigenvalue, to_conserved, to_primitive, validate_conserved,
                     validate_primitive)

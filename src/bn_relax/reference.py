@@ -159,6 +159,15 @@ def exact_profile(case: TestCase, cells: int, t: float) -> tuple:
     return x, exact_sample(case.fan, (x - case.x0) / t, case.eos1, case.eos2)
 
 
+def _from_fan(case_id, eos1, eos2, fan: ExactWaveFan, x0, t_max, domain) -> TestCase:
+    """The case whose end states are those of its fan: each side's alpha1
+    and the outer regions of both phases."""
+    left = PrimitiveState(fan.alpha1_left, *fan.phase1.regions[0], *fan.phase2.regions[0])
+    right = PrimitiveState(fan.alpha1_right, *fan.phase1.regions[-1], *fan.phase2.regions[-1])
+    return TestCase(case_id, eos1, eos2, x0=x0, t_max=t_max, cfl=0.45, domain=domain,
+                    left=left, right=right, fan=fan)
+
+
 def _case1() -> TestCase:
     eos1 = EosParams(gamma=1.4)
     eos2 = EosParams(gamma=1.4)
@@ -178,10 +187,7 @@ def _case1() -> TestCase:
         waves=(Wave("raref", -1), Wave("coupling"), Wave("shock")),
     )
     fan = ExactWaveFan(0.2, 0.7, u2_star=0.0684, phase1=p1, phase2=p2)
-    left = PrimitiveState(0.2, *p1.regions[0], *p2.regions[0])
-    right = PrimitiveState(0.7, *p1.regions[-1], *p2.regions[-1])
-    return TestCase(1, eos1, eos2, x0=0.0, t_max=0.15, cfl=0.45, domain=(-0.5, 0.5),
-                    left=left, right=right, fan=fan)
+    return _from_fan(1, eos1, eos2, fan, x0=0.0, t_max=0.15, domain=(-0.5, 0.5))
 
 
 def _case2() -> TestCase:
@@ -203,10 +209,7 @@ def _case2() -> TestCase:
         waves=(Wave("raref", -1), Wave("coupling"), Wave("shock")),
     )
     fan = ExactWaveFan(0.3, 0.8, u2_star=-6.3085, phase1=p1, phase2=p2)
-    left = PrimitiveState(0.3, *p1.regions[0], *p2.regions[0])
-    right = PrimitiveState(0.8, *p1.regions[-1], *p2.regions[-1])
-    return TestCase(2, eos1, eos2, x0=0.8, t_max=0.007, cfl=0.45, domain=(0.0, 1.0),
-                    left=left, right=right, fan=fan)
+    return _from_fan(2, eos1, eos2, fan, x0=0.8, t_max=0.007, domain=(0.0, 1.0))
 
 
 def _case3() -> TestCase:
@@ -219,10 +222,7 @@ def _case3() -> TestCase:
     waves = (Wave("raref", -1), Wave("coupling"), Wave("raref", +1))
     fan = ExactWaveFan(0.2, 0.5, u2_star=0.0,
                        phase1=PhaseFan(regions, waves), phase2=PhaseFan(regions, waves))
-    left = PrimitiveState(0.2, *regions[0], *regions[0])
-    right = PrimitiveState(0.5, *regions[-1], *regions[-1])
-    return TestCase(3, eos1, eos2, x0=0.5, t_max=0.15, cfl=0.45, domain=(0.0, 1.0),
-                    left=left, right=right, fan=fan)
+    return _from_fan(3, eos1, eos2, fan, x0=0.5, t_max=0.15, domain=(0.0, 1.0))
 
 
 def _case4() -> TestCase:
@@ -239,18 +239,14 @@ def _case4() -> TestCase:
                  (1.62668, 0.55623, 1.02638)),
         waves=(Wave("shock"), Wave("coupling"), Wave("contact"), Wave("shock")),
     )
-    fill2 = (4.0, 0.1, 2.45335)
     p2 = PhaseFan(
-        regions=(fill2,
+        regions=((4.0, 0.1, 2.45335),     # the fill of the absent phase 2
                  (4.0, 0.1, 2.45335),
                  (7.69667, 0.74797, 6.13338)),
         waves=(Wave("coupling"), Wave("raref", +1)),
     )
     fan = ExactWaveFan(clamp, 0.4, u2_star=0.1, phase1=p1, phase2=p2)
-    left = PrimitiveState(clamp, *p1.regions[0], *fill2)
-    right = PrimitiveState(0.4, *p1.regions[-1], *p2.regions[-1])
-    return TestCase(4, eos1, eos2, x0=0.0, t_max=0.15, cfl=0.45, domain=(-0.5, 0.5),
-                    left=left, right=right, fan=fan)
+    return _from_fan(4, eos1, eos2, fan, x0=0.0, t_max=0.15, domain=(-0.5, 0.5))
 
 
 def _case5() -> TestCase:
@@ -259,25 +255,20 @@ def _case5() -> TestCase:
     eos1 = EosParams(gamma=3.0)
     eos2 = EosParams(gamma=1.4)
     eps = 1e-9
-    fill1 = (2.0, 1.0, 10.0)   # phase-1 values left of the contact
-    fill2 = (2.0, 1.0, 10.0)   # phase-2 values right of the contact
     p1 = PhaseFan(
         regions=((1.6, 1.79057, 5.0),
                  (2.0, 1.0, 10.0),
-                 fill1),
+                 (2.0, 1.0, 10.0)),     # fill: phase-1 values left of the contact
         waves=(Wave("shock"), Wave("coupling")),
     )
     p2 = PhaseFan(
-        regions=(fill2,
+        regions=((2.0, 1.0, 10.0),      # fill: phase-2 values right of the contact
                  (2.0, 1.0, 10.0),
                  (2.67183, 1.78888, 15.0)),
         waves=(Wave("coupling"), Wave("raref", +1)),
     )
     fan = ExactWaveFan(1.0 - eps, eps, u2_star=1.0, phase1=p1, phase2=p2)
-    left = PrimitiveState(1.0 - eps, *p1.regions[0], *fill2)
-    right = PrimitiveState(eps, *fill1, *p2.regions[-1])
-    return TestCase(5, eos1, eos2, x0=0.0, t_max=0.05, cfl=0.45, domain=(-0.5, 0.5),
-                    left=left, right=right, fan=fan)
+    return _from_fan(5, eos1, eos2, fan, x0=0.0, t_max=0.05, domain=(-0.5, 0.5))
 
 
 _BUILDERS = {1: _case1, 2: _case2, 3: _case3, 4: _case4, 5: _case5}

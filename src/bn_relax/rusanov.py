@@ -44,29 +44,26 @@ def rusanov_fluxes(uL: ConservedState, uR: ConservedState, eos1: EosParams, eos2
     return flux, r
 
 
-def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
-                 dx: float, dt_cap: float = np.inf, rows: MarchRows | None = None):
-    """One explicit Rusanov update with transmissive boundaries.
+def rusanov_step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
+    """One explicit Rusanov update with transmissive boundaries of the
+    march's rows ``rows`` (``MarchRows``, as for ``scheme.step``), on the
+    mesh spacing ``cfg.dx``; dt is at most ``dt_cap``.
 
     Every cell is updated: the window of the returned ``StepInfo`` is the
     whole row, ``a = 0``, one flux serving as both the - and the + flux of
     its interface, so its ``updated`` is ``slice(0, n)``.  The time step
     takes the spectral radius of ``max_abs_eigenvalue``, and the ghost
-    cells come from ``scheme._pad_edges``.  ``rows`` is the layout a march owns
-    (``MarchRows``), as for ``scheme.step``: the step then reads
-    ``rows.cells``, not ``cells``, its new conserved stack becomes
-    ``rows.u`` and the returned cells view it; the caller brings the other
-    rows in line with ``rows.splice``.  Without ``rows`` the step returns
-    cells of its own.  ``cells`` is never written.
+    cells come from ``scheme._pad_edges``.  The step reads ``rows.cells``,
+    and its new conserved stack becomes ``rows.u``, which ``rows.cells``
+    then views; the caller brings the other rows in line with
+    ``rows.splice(info.updated)``.
     """
-    if rows is not None:
-        cells = rows.cells
-    prim = to_primitive(cells, eos1, eos2)
+    (eos1, eos2), dx, u = rows.eos, cfg.dx, rows.u
+    prim = to_primitive(rows.cells, eos1, eos2)
     smax = float(np.max(max_abs_eigenvalue(prim, eos1, eos2)))
     dt = min(cfg.cfl * dx / smax, dt_cap)
     lam = dt / dx
 
-    u = cells.stack() if rows is None else rows.u
     upad = _pad_edges(u)
     n = u.shape[1]
     left = ConservedState(*upad[:, :n + 1])
@@ -85,6 +82,5 @@ def rusanov_step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: E
     # in place is bitwise too, but once every per-step temporary is freed
     # the allocator trims the heap top and faults it back in the next step
     # (about 7 times the minor page faults of a 3200-cell march)
-    out = ConservedState(*unew) if rows is None else rows.adopt(unew)
-    validate_conserved(out, eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
-    return out, StepInfo(dt=dt, fluxes=np.broadcast_to(flux, (2,) + flux.shape), a=0)
+    validate_conserved(rows.adopt(unew), eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
+    return StepInfo(dt=dt, fluxes=np.broadcast_to(flux, (2,) + flux.shape), a=0)

@@ -14,6 +14,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class RunConfig:
             raise ValueError("the entropy audit needs the relaxation scheme")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= 0")
+
+    @cached_property
+    def dx(self) -> float:
+        """The mesh spacing, formed at the first read and kept."""
+        return (self.domain[1] - self.domain[0]) / self.cells
 
 
 class InterfaceError(SolverError):
@@ -326,16 +332,17 @@ def _constant_row(w, gamma, p_inf):
 
 
 class MarchRows:
-    """The rows that a march owns, formed from the state ``cells`` whose
-    primitive variables are ``prim``; both are copied, never written:
+    """The rows that a march owns, formed from the state ``cells`` of the
+    phases ``eos`` = (eos1, eos2); ``cells`` is copied, never written:
 
-    - ``w``, the primitive row between transmissive ghost cells, (7, n + 2);
+    - ``w``, the primitive row between transmissive ghost cells, (7, n + 2),
+      formed by ``to_primitive``, which validates ``cells``;
     - ``wave``, the wave mask of the n + 1 interfaces, True where the two
       states differ in some field;
     - ``u``, the conserved stack, (7, n), whose rows ``cells`` views;
     - ``families``, the ``FAMILIES`` entrywise, (4, n);
     - ``energies``, the specific internal energy of each phase, (2, n);
-    - ``columns``, the ``phase_columns`` of the two phases, looked up once.
+    - ``columns``, the ``phase_columns`` of ``eos``, looked up once.
 
     Every wave interface lies in ``span`` = (lo, hi), the interfaces [lo,
     hi].  ``step`` updates ``u`` on its window [a, b) in place,
@@ -345,9 +352,10 @@ class MarchRows:
     row.  After an error of a step the rows are not consistent.
     """
 
-    def __init__(self, cells: ConservedState, prim: PrimitiveState, eos1, eos2):
+    def __init__(self, cells: ConservedState, eos1: EosParams, eos2: EosParams):
+        self.eos = eos1, eos2
         self.adopt(cells.stack())
-        self.w = _pad_edges(prim.astuple())
+        self.w = _pad_edges(to_primitive(cells, eos1, eos2).astuple())
         self.wave = np.empty(self.w.shape[1] - 1, bool)
         self._mark(0, self.wave.size - 1)
         self.families = _family_values(self.u)
@@ -367,7 +375,7 @@ class MarchRows:
         self.u, self.cells = u, ConservedState(*u)
         return self.cells
 
-    def splice(self, updated: slice, eos1, eos2):
+    def splice(self, updated: slice):
         """Bring the rows in line with ``u`` after a step changed its cells
         ``updated`` = [a, b): the window's primitives (``to_primitive``
         validates them) and both ghost cells, then the wave mask of the
@@ -376,7 +384,7 @@ class MarchRows:
         since its cells did."""
         a, b = updated.start, updated.stop
         w, part = self.w, self.u[:, a:b]
-        w[:, a + 1:b + 1] = to_primitive(ConservedState(*part), eos1, eos2).astuple()
+        w[:, a + 1:b + 1] = to_primitive(ConservedState(*part), *self.eos).astuple()
         w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
         self._mark(a, b)
         _family_values(part, out=self.families[:, a:b])
@@ -423,9 +431,10 @@ class StepInfo:
         return np.array((self.fluxes[0, :, -1], self.fluxes[1, :, 0])).T
 
 
-def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams,
-         dx: float, dt_cap: float = np.inf, rows: MarchRows | None = None):
-    """One explicit relaxation update with transmissive boundaries.
+def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
+    """One explicit relaxation update with transmissive boundaries of the
+    march's rows ``rows``, on the mesh spacing ``cfg.dx``; dt is at most
+    ``dt_cap``.
 
     The relaxation Riemann problem is solved only at the wave interfaces,
     whose two states differ in some field.  At a calm interface, with
@@ -444,26 +453,22 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
     ``assemble_fluxes`` are scattered.  The cells outside ``[a, b)``, whose
     two fluxes are the same floats, keep their bits.
 
-    ``rows`` holds the state in the layout a march owns (``MarchRows``):
-    ``step`` reads its padded primitive row and wave mask, searches the
-    mask on its span only, and updates the window of its conserved stack
-    in place; ``cells`` is then not read.  The returned cells are views of
-    that stack, which the next step on ``rows`` overwrites, and the caller
-    brings the other rows in line with ``rows.splice``; ``rusanov_step``
-    takes ``rows`` alike.  Without ``rows`` the step forms them from
-    ``cells``, which it leaves untouched, and returns cells of its own.
+    The step reads the padded primitive row and the wave mask of ``rows``,
+    searches the mask on its span only, and updates the window of the
+    conserved stack ``rows.u`` in place, so ``rows.cells`` holds the new
+    state; the caller then brings the other rows in line with
+    ``rows.splice(info.updated)``.  ``rusanov_step`` takes ``rows`` alike.
 
     The wave interfaces' (2, 7, k) pair is one gather of the padded
     primitive row; a selection failure is reported at its mesh interface
     from the pair of the whole row, ``(w[:, :-1], w[:, 1:])``.
 
-    Returns (updated cells, StepInfo).  Raises AdmissibilityError with the
+    Returns the step's ``StepInfo``.  Raises AdmissibilityError with the
     offending cell's mesh index if the post-state leaves the admissible region,
     which signals a bug or a CFL breach rather than a recoverable condition.
     A SolverError names the mesh interface.
     """
-    if rows is None:
-        rows = MarchRows(cells, to_primitive(cells, eos1, eos2), eos1, eos2)
+    (eos1, eos2), dx = rows.eos, cfg.dx
     w, wave, (lo, hi) = rows.w, rows.wave, rows.span
     waves = lo + wave[lo:hi + 1].nonzero()[0]
     try:
@@ -489,7 +494,7 @@ def step(cells: ConservedState, cfg: RunConfig, eos1: EosParams, eos2: EosParams
         validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2)
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, f"post-step, dt={dt:.3e}") from None
-    return rows.cells, StepInfo(dt=dt, fluxes=f, a=a, sol=sol, waves=waves)
+    return StepInfo(dt=dt, fluxes=f, a=a, sol=sol, waves=waves)
 
 
 @dataclass(frozen=True)
@@ -542,8 +547,8 @@ class EntropyAudit:
     partial masses times it, (2, n), and brings both in line on the cells a
     step changed, so a step's audit costs its window."""
 
-    def __init__(self, rows: MarchRows, eos1: EosParams, eos2: EosParams):
-        self.rows, self.eos = rows, (eos1, eos2)
+    def __init__(self, rows: MarchRows):
+        self.rows = rows
         self.s = _pad_edges(self._entropies(0, rows.u.shape[1]))
         self.ms = rows.u[1:3] * self.s[:, 1:-1]
 
@@ -552,7 +557,7 @@ class EntropyAudit:
         and energies."""
         rows = self.rows
         return np.array([eos.entropy(rho, e) for eos, rho, e in
-                         zip(self.eos, rows.w[RHO, a + 1:b + 1], rows.energies[:, a:b])])
+                         zip(rows.eos, rows.w[RHO, a + 1:b + 1], rows.energies[:, a:b])])
 
     def slack(self, info: StepInfo, lam: float) -> float:
         """The most positive balance over its scale of the step ``info``
@@ -593,14 +598,17 @@ def _family_values(u, out=None):
     return out
 
 
-def _project_initial(init: InitialData, x_left, dx, n, eos1, eos2) -> ConservedState:
-    """Cell averages of the two-state data (exact split in a straddling cell)."""
+def _project_initial(init: InitialData, cfg: RunConfig, eos1, eos2) -> ConservedState:
+    """Cell averages of the two-state data on the mesh of ``cfg`` (exact
+    split in a straddling cell), validated as the initial data."""
     uL = to_conserved(init.left, eos1, eos2).stack()
     uR = to_conserved(init.right, eos1, eos2).stack()
-    edges = x_left + dx * np.arange(n + 1)
-    frac_left = np.clip((init.x0 - edges[:-1]) / dx, 0.0, 1.0)
+    edges = cfg.domain[0] + cfg.dx * np.arange(cfg.cells + 1)
+    frac_left = np.clip((init.x0 - edges[:-1]) / cfg.dx, 0.0, 1.0)
     u = uL[:, None] * frac_left + uR[:, None] * (1.0 - frac_left)
-    return ConservedState(*u)
+    cells = ConservedState(*u)
+    validate_conserved(cells, eos1, eos2, where="initial data")
+    return cells
 
 
 def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) -> RunResult:
@@ -612,14 +620,15 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     ``cfg.entropy_audit`` the per-cell discrete entropy balance of both
     phases is accumulated as well (``EntropyAudit``).
 
-    The march owns its rows (``MarchRows``) with either scheme: each step
-    updates the conserved stack, a relaxation step on its window and a
-    Rusanov step on the whole row, and ``MarchRows.splice`` converts the
-    cells the step changed (``StepInfo.updated``) and updates the wave
-    mask, families and energies there.  The totals and minima are
-    reductions of the owned rows.  The conservation audit reads only the
-    two end columns of the step's record (``StepInfo.ends``), and the
-    entropy audit only the step's window.
+    The march owns its rows (``MarchRows``) with either scheme, and each
+    step takes only them, the config and the time left: it updates the
+    conserved stack, a relaxation step on its window and a Rusanov step on
+    the whole row, and ``MarchRows.splice`` converts the cells the step
+    changed (``StepInfo.updated``) and updates the wave mask, families and
+    energies there.  The totals and minima are reductions of the owned
+    rows.  The conservation audit reads only the two end columns of the
+    step's record (``StepInfo.ends``), and the entropy audit only the
+    step's window.
 
     A step that the final time does not cap and whose dt is at most machine
     epsilon times ``cfg.t_final`` raises SolverError: at least 1/eps steps
@@ -627,12 +636,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     """
     from . import rusanov  # deferred: rusanov reuses this runner
 
-    x_left, x_right = cfg.domain
-    dx = (x_right - x_left) / cfg.cells
-    x = x_left + dx * (np.arange(cfg.cells) + 0.5)
-    cells = _project_initial(initial, x_left, dx, cfg.cells, eos1, eos2)
-    validate_conserved(cells, eos1, eos2, where="initial data")
-
+    x = cfg.domain[0] + cfg.dx * (np.arange(cfg.cells) + 0.5)
     records = []
     relaxation = cfg.scheme == "relaxation"
     advance = step if relaxation else rusanov.rusanov_step
@@ -643,23 +647,26 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     entropy_slack = -np.inf
     t = 0.0
     nstep = 0
-    rows = MarchRows(cells, to_primitive(cells, eos1, eos2), eos1, eos2)
-    cells, totals = rows.cells, rows.totals()
-    audit = EntropyAudit(rows, eos1, eos2) if cfg.entropy_audit else None
+    # the projection is not kept: held through a 3200-cell Rusanov march
+    # (case 1 to t_max / 2), it raised the minor page faults from 145,872 to
+    # 222,549 and the benchmark's Rusanov wall time by about 10 %
+    rows = MarchRows(_project_initial(initial, cfg, eos1, eos2), eos1, eos2)
+    totals = rows.totals()
+    audit = EntropyAudit(rows) if cfg.entropy_audit else None
     # a time step this small, unless the final time caps it, leaves at
     # least 1/eps steps to go: the march would not end
     dt_floor = sys.float_info.epsilon * cfg.t_final
     tic = time.perf_counter()
     while t < cfg.t_final:
         totals_old = totals
-        cells, info = advance(cells, cfg, eos1, eos2, dx, dt_cap=cfg.t_final - t, rows=rows)
+        info = advance(rows, cfg, dt_cap=cfg.t_final - t)
         dt = info.dt
         if dt <= dt_floor and dt < cfg.t_final - t:
             raise SolverError(f"time step collapsed: step {nstep + 1} at t = {t:.6e} took "
                               f"dt = {dt:.6e} <= eps * t_final = {dt_floor:.6e}")
-        rows.splice(info.updated, eos1, eos2)
+        rows.splice(info.updated)
         totals, minima = rows.totals(), rows.minima()
-        lam = dt / dx
+        lam = dt / cfg.dx
         # the families' flux through the right end and through the left one
         ends = _family_values(info.ends())
         drift = np.maximum(drift, np.abs(totals - totals_old + lam * (ends[:, 0] - ends[:, 1]))
@@ -672,7 +679,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     wall = time.perf_counter() - tic
 
     return RunResult(
-        x=x, cells=cells, prim=to_primitive(cells, eos1, eos2), t=t, steps=nstep,
+        x=x, cells=rows.cells, prim=to_primitive(rows.cells, eos1, eos2), t=t, steps=nstep,
         wall_time=wall, records=records,
         conservation_error={name: float(drift[k]) if k < audited else 0.0
                             for k, name in enumerate(FAMILIES)},

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bn_relax import EosParams, PrimitiveState
+from bn_relax import EosParams, MarchRows, PrimitiveState
 
 
 def rng_of(nodeid):
@@ -30,6 +30,15 @@ def random_primitive(rng, n, alpha_range=(0.05, 0.95), rho_range=(0.2, 3.0),
         rho2=rng.uniform(*rho_range, n), u2=rng.uniform(*u_range, n),
         p2=rng.uniform(*p_range, n),
     )
+
+
+def fresh_step(advance, cells, cfg, eos1, eos2, dt_cap=np.inf):
+    """(new cells, StepInfo) of one step ``advance`` (``scheme.step`` or
+    ``rusanov.rusanov_step``) on rows formed afresh from ``cells``, which
+    it leaves untouched; the new cells view the rows' conserved stack."""
+    rows = MarchRows(cells, eos1, eos2)
+    info = advance(rows, cfg, dt_cap)
+    return rows.cells, info
 
 
 #: the nine rows of a sampled state, by the names ``fields`` gives them

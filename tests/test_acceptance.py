@@ -19,7 +19,7 @@ from bn_relax import (EosParams, PrimitiveState, RunConfig, WaveOrdering, build_
 from bn_relax.harness import bench, case_error, convergence_study
 from bn_relax.reference import wave_speeds
 from bn_relax.state import VARIABLES
-from conftest import fields, psi, random_primitive
+from conftest import fields, fresh_step, psi, random_primitive
 
 IDEAL = EosParams(1.4)
 
@@ -243,13 +243,13 @@ def test_criterion_6_well_balanced_contact():
     cfg = RunConfig(cells=n, t_final=1.0, domain=(0.0, 1.0))
     state = cells
     for _ in range(100):
-        state, _ = step(state, cfg, IDEAL, IDEAL, dx=1.0 / n)
+        state, _ = fresh_step(step, state, cfg, IDEAL, IDEAL)
     drift = float(np.max(np.abs(state.stack() - ref)))
     assert drift <= 1e-12
 
     from bn_relax.rusanov import rusanov_step
     cfg_rus = RunConfig(cells=n, t_final=1.0, domain=(0.0, 1.0), scheme="rusanov")
-    diffused, _ = rusanov_step(cells, cfg_rus, IDEAL, IDEAL, dx=1.0 / n)
+    diffused, _ = fresh_step(rusanov_step, cells, cfg_rus, IDEAL, IDEAL)
     rus_drift = float(np.max(np.abs(diffused.stack() - ref)))
     assert rus_drift > 1e-6
     print(f"PASS criterion 6: stationary coupled contact exact to {drift:.1e} "

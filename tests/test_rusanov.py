@@ -3,6 +3,7 @@ import pytest
 
 from bn_relax import (EosParams, PrimitiveState, RunConfig, get_case, max_abs_eigenvalue,
                       run, rusanov_fluxes, rusanov_step, to_conserved)
+from conftest import fresh_step
 
 IDEAL = EosParams(1.4)
 
@@ -40,7 +41,7 @@ def test_uniform_field_unchanged():
                                           ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2"))),
                          IDEAL, IDEAL)
     cfg = RunConfig(cells=n, t_final=1.0, domain=(0.0, 1.0), scheme="rusanov")
-    out, _ = rusanov_step(cells, cfg, IDEAL, IDEAL, dx=1.0 / n)
+    out, _ = fresh_step(rusanov_step, cells, cfg, IDEAL, IDEAL)
     assert np.allclose(out.stack(), cells.stack(), rtol=1e-13, atol=1e-14)
 
 
@@ -52,7 +53,7 @@ def test_stationary_contact_visibly_diffused():
                             for f in ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")))
     cells = to_conserved(grid, IDEAL, IDEAL)
     cfg = RunConfig(cells=n, t_final=1.0, domain=(0.0, 1.0), scheme="rusanov")
-    out, _ = rusanov_step(cells, cfg, IDEAL, IDEAL, dx=1.0 / n)
+    out, _ = fresh_step(rusanov_step, cells, cfg, IDEAL, IDEAL)
     assert np.max(np.abs(out.stack() - cells.stack())) > 1e-6
 
 

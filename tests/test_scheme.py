@@ -7,14 +7,15 @@ import pytest
 
 from bn_relax import (AdmissibilityError, EosDomainError, EosParams, InitialData, PrimitiveState,
                       RunConfig, SolverError, WaveOrdering, assemble_fluxes, build_solution, cfl_dt,
-                      get_case, interface_pair, region_tables, run, rusanov_step, sample, scheme,
-                      select_parameters, sharp_quantities, step, to_conserved, to_primitive)
+                      get_case, interface_pair, region_tables, run, rusanov, rusanov_step, sample,
+                      scheme, select_parameters, sharp_quantities, step, to_conserved,
+                      to_primitive)
 from bn_relax.eos import (internal_energy_of, lagrangian_sound_speed_of, phase_columns,
                           sound_speed_squared_of)
 from bn_relax.riemann import RelaxParams, SharpQuantities
 from bn_relax.scheme import ETA, MAX_INFLATIONS, MarchRows, StepRecord
 from bn_relax.state import VARIABLES, ConservedState
-from conftest import SAMPLED, fields, random_primitive, rng_of
+from conftest import SAMPLED, fields, fresh_step, random_primitive, rng_of
 import frozen_audit
 import frozen_climb
 import frozen_predictors
@@ -805,7 +806,7 @@ def test_uniform_field_unchanged():
     w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
     cells = to_conserved(grid_of(w, 16), IDEAL, IDEAL)
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0))
-    out, info = step(cells, cfg, IDEAL, IDEAL, dx=1.0 / 16)
+    out, info = fresh_step(step, cells, cfg, IDEAL, IDEAL)
     assert out.stack().tobytes() == cells.stack().tobytes()
     assert info.waves.size == 0 and info.updated == slice(0, 0)
     # |u_k| + (1 + ETA) rho_k c_k / rho_k, with 1 / rho_k formed first as in
@@ -829,8 +830,7 @@ def test_calm_interfaces_take_the_physical_flux():
     case = get_case(1)
     cfg = RunConfig(cells=200, t_final=case.t_max / 2, domain=case.domain, cfl=case.cfl)
     res = run(case.initial, cfg, case.eos1, case.eos2)
-    _, info = step(res.cells, cfg, case.eos1, case.eos2, dx=1.0 / 200,
-                   rows=MarchRows(res.cells, res.prim, case.eos1, case.eos2))
+    _, info = fresh_step(step, res.cells, cfg, case.eos1, case.eos2)
     padded = padded_row(res.prim)
     full = assemble_fluxes(select_parameters(interface_pair(padded[:-1], padded[1:]), case.eos1,
                                              case.eos2))
@@ -882,7 +882,7 @@ def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0), cfl=case.cfl)
     out = cells
     for _ in range(3):
-        out, info = step(out, cfg, case.eos1, case.eos2, dx=1.0 / 16)
+        out, info = fresh_step(step, out, cfg, case.eos1, case.eos2)
     assert out.stack().tobytes() == cells.stack().tobytes()
     assert grows == []
 
@@ -897,7 +897,7 @@ def test_step_error_names_the_mesh_interface():
     u = to_conserved(PrimitiveState(*cells.T), IDEAL, IDEAL)
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 3; "
                                           r"left=\{alpha1=0.5, rho1=1, u1=100000, "):
-        step(u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL, dx=0.2)
+        fresh_step(step, u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL)
 
 
 def assert_frozen_message(caught, site, what, pair, j):
@@ -924,9 +924,9 @@ def test_interface_error_messages_keep_their_bytes(rng, monkeypatch):
     assert_frozen_message(caught, "_climb_ladder", cap, pair, 1)
     # step's re-raise names the mesh interface of its padded primitive row
     u = to_conserved(PrimitiveState(*cells.T), IDEAL, IDEAL)
-    w = MarchRows(u, to_primitive(u, IDEAL, IDEAL), IDEAL, IDEAL).w
+    w = MarchRows(u, IDEAL, IDEAL).w
     with pytest.raises(scheme.InterfaceError) as caught:
-        step(u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL, dx=0.2)
+        fresh_step(step, u, RunConfig(cells=5, t_final=1.0), IDEAL, IDEAL)
     assert_frozen_message(caught, "step", cap, np.array([w[:, :-1], w[:, 1:]]), 3)
     # an a1 threshold computed too low (test_climb_short_of_its_threshold_is_an_error)
     least = scheme._a1_least
@@ -987,21 +987,23 @@ def mid_run(cid, cells, t_frac):
 
 
 def window_rows():
-    """Three rows as (config, cells, primitives, eos1, eos2): a case-1 row whose
-    window lies inside the mesh, a late case-2 row whose window reaches the
-    left end and holds calm interfaces, and four cells of four states."""
+    """Three rows as (config, cells, primitives, eos1, eos2), the primitives
+    ``to_primitive``'s of the cells, as in the rows of a march: a case-1 row
+    whose window lies inside the mesh, a late case-2 row whose window
+    reaches the left end and holds calm interfaces, and four cells of four
+    states."""
     for cid, t_frac in ((1, 0.5), (2, 0.75)):
         case = get_case(cid)
         yield (*mid_run(cid, 200, t_frac), case.eos1, case.eos2)
-    prim = random_primitive(np.random.default_rng(4), 4)
-    yield RunConfig(cells=4, t_final=1.0), to_conserved(prim, IDEAL, IDEAL), prim, IDEAL, IDEAL
+    cells = to_conserved(random_primitive(np.random.default_rng(4), 4), IDEAL, IDEAL)
+    yield RunConfig(cells=4, t_final=1.0), cells, to_primitive(cells, IDEAL, IDEAL), IDEAL, IDEAL
 
 
 def test_step_updates_the_wave_window_only():
     windows = []
     for cfg, cells, prim, eos1, eos2 in window_rows():
         dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
-        out, info = step(cells, cfg, eos1, eos2, dx, rows=MarchRows(cells, prim, eos1, eos2))
+        out, info = fresh_step(step, cells, cfg, eos1, eos2)
         want, (fm, fp), dt = full_row_step(cells, prim, cfg.cfl, eos1, eos2, dx)
         assert out.stack().tobytes() == want.tobytes()
         f_minus, f_plus = whole_rows(info, cfg.cells + 1)
@@ -1022,34 +1024,26 @@ def test_step_updates_the_wave_window_only():
 
 
 def test_public_step_mutates_nothing():
-    # without owned rows, or with rows formed from its arguments, a step of
-    # either scheme leaves the bytes of its cells and primitives as they
-    # were; with rows, the returned cells view the owned conserved stack.
-    # The whole flux rows the window expands to read the same twice, and the
-    # record's end columns, which the conservation audit reads, are theirs.
-    # On the mid-run rows, whose primitives are to_primitive's of their
-    # cells, both calls give the same bytes.  Rusanov's scheme has no
+    # a step of either scheme on rows formed from its cells leaves the bytes
+    # of those cells and their primitives as they were, and the rows' cells
+    # view the owned conserved stack.  The whole flux rows the window
+    # expands to read the same twice, and the record's end columns, which
+    # the conservation audit reads, are theirs.  Rusanov's scheme has no
     # positivity guarantee, so it does not step the random four-cell row
     for cfg, cells, prim, eos1, eos2 in window_rows():
-        dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
         before = cells.stack().tobytes(), prim.stack().tobytes()
-        mid_run_row = cfg.cells > 4
-        for advance in (step, rusanov_step) if mid_run_row else (step,):
-            outs = []
-            for rows in (None, MarchRows(cells, prim, eos1, eos2)):
-                out, info = advance(cells, cfg, eos1, eos2, dx, rows=rows)
-                assert (cells.stack().tobytes(), prim.stack().tobytes()) == before
-                if rows is not None:
-                    assert all(v.base is rows.u for v in out.astuple())
-                outs.append(out.stack().tobytes())
-                fm, fp = whole_rows(info, cfg.cells + 1)
-                f_minus, f_plus = whole_rows(info, cfg.cells + 1)
-                assert f_minus.tobytes() == fm.tobytes()
-                assert f_plus.tobytes() == fp.tobytes()
-                right, left = info.ends().T
-                assert (right.tobytes(), left.tobytes()) == (fm[:, -1].tobytes(),
-                                                             fp[:, 0].tobytes())
-            assert outs[0] == outs[1] or not mid_run_row
+        for advance in (step, rusanov_step) if cfg.cells > 4 else (step,):
+            rows = MarchRows(cells, eos1, eos2)
+            info = advance(rows, cfg)
+            assert (cells.stack().tobytes(), prim.stack().tobytes()) == before
+            assert all(v.base is rows.u for v in rows.cells.astuple())
+            fm, fp = whole_rows(info, cfg.cells + 1)
+            f_minus, f_plus = whole_rows(info, cfg.cells + 1)
+            assert f_minus.tobytes() == fm.tobytes()
+            assert f_plus.tobytes() == fp.tobytes()
+            right, left = info.ends().T
+            assert (right.tobytes(), left.tobytes()) == (fm[:, -1].tobytes(),
+                                                         fp[:, 0].tobytes())
 
 
 def test_step_record_states_its_window_once():
@@ -1063,38 +1057,41 @@ def test_step_record_states_its_window_once():
             to_conserved(grid_of(w, 16), IDEAL, IDEAL), IDEAL, IDEAL)
     for cfg, cells, eos1, eos2 in [calm] + [(c, u, e1, e2) for c, u, _, e1, e2 in window_rows()]:
         n = cfg.cells
-        dx = (cfg.domain[1] - cfg.domain[0]) / n
-        info = step(cells, cfg, eos1, eos2, dx)[1]
+        info = fresh_step(step, cells, cfg, eos1, eos2)[1]
         waves = info.waves
         assert (waves.size == 0) == (cells is calm[1])
         records = [(info, slice(waves[0] - 1, waves[-1] + 1) if waves.size else slice(0, 0))]
         if n > 4:
-            records.append((rusanov_step(cells, cfg, eos1, eos2, dx)[1], slice(0, n)))
+            records.append((fresh_step(rusanov_step, cells, cfg, eos1, eos2)[1], slice(0, n)))
         for info, updated in records:
             assert info.updated == updated
             fm, fp = whole_rows(info, n + 1)
             assert info.ends().tobytes() == np.array([fm[:, -1], fp[:, 0]]).T.tobytes()
 
 
-def test_run_splices_the_primitive_window_bitwise(monkeypatch):
+@pytest.mark.parametrize("name, cid", [("relaxation", 2), ("rusanov", 1)],
+                         ids=["relaxation-2", "rusanov-1"])
+def test_run_splices_the_primitive_window_bitwise(monkeypatch, name, cid):
     # the rows run hands each step equal, bit for bit, those formed afresh
     # from the whole state: the padded primitive row, the wave mask, the
     # conserved stack, the families and the energies; and every wave
-    # interface lies in the span the step searches
+    # interface lies in the span the step searches.  A Rusanov step hands
+    # its new stack to MarchRows.adopt, and splice converts the whole row
     seen = []
-    original = scheme.step
+    module, attr = (scheme, "step") if name == "relaxation" else (rusanov, "rusanov_step")
+    original = getattr(module, attr)
 
-    def checking(cells, *args, rows, **kwargs):
-        fresh = MarchRows(cells, to_primitive(cells, case.eos1, case.eos2), case.eos1, case.eos2)
+    def checking(rows, *args, **kwargs):
+        fresh = MarchRows(rows.cells, case.eos1, case.eos2)
         lo, hi = rows.span
         seen.append(all(getattr(rows, k).tobytes() == getattr(fresh, k).tobytes()
                         for k in ("w", "wave", "u", "families", "energies"))
                     and not fresh.wave[:lo].any() and not fresh.wave[hi + 1:].any())
-        return original(cells, *args, rows=rows, **kwargs)
+        return original(rows, *args, **kwargs)
 
-    monkeypatch.setattr(scheme, "step", checking)
-    case = get_case(2)
-    cfg = RunConfig(cells=100, t_final=case.t_max, domain=case.domain, cfl=case.cfl)
+    monkeypatch.setattr(module, attr, checking)
+    case = get_case(cid)
+    cfg = RunConfig(cells=100, t_final=case.t_max, domain=case.domain, cfl=case.cfl, scheme=name)
     res = run(case.initial, cfg, case.eos1, case.eos2)
     assert len(seen) == res.steps > 0 and all(seen)
 
@@ -1110,11 +1107,10 @@ def public_march(case, cfg, advance):
     step converts every cell afresh and forms the totals, the families'
     fluxes through the ends and the minima on whole rows."""
     dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
-    cells = scheme._project_initial(case.initial, cfg.domain[0], dx, cfg.cells,
-                                    case.eos1, case.eos2)
+    cells = scheme._project_initial(case.initial, cfg, case.eos1, case.eos2)
     totals, drift, records, t = family_sums(cells), np.zeros(4), [], 0.0
     while t < cfg.t_final:
-        cells, info = advance(cells, cfg, case.eos1, case.eos2, dx, dt_cap=cfg.t_final - t)
+        cells, info = fresh_step(advance, cells, cfg, case.eos1, case.eos2, cfg.t_final - t)
         prim = to_primitive(cells, case.eos1, case.eos2)
         before, totals = totals, family_sums(cells)
         fm, fp = whole_rows(info, cfg.cells + 1)
@@ -1161,9 +1157,8 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
     # flux that empties the cell left of a wave interface is reported at
     # that cell's mesh index, not at its position in the window
     case = get_case(1)
-    cfg, cells, prim = mid_run(1, 200, 0.5)
-    waves = step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200,
-                 rows=MarchRows(cells, prim, case.eos1, case.eos2))[1].waves
+    cfg, cells, _ = mid_run(1, 200, 0.5)
+    waves = fresh_step(step, cells, cfg, case.eos1, case.eos2)[1].waves
     assert waves[0] > 20
     k = waves.size // 2
     solve = scheme.assemble_fluxes
@@ -1175,8 +1170,7 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
 
     monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
     with pytest.raises(AdmissibilityError, match=rf"partial mass m1 at index {waves[k] - 1} ") as err:
-        step(cells, cfg, case.eos1, case.eos2, dx=1.0 / 200,
-             rows=MarchRows(cells, prim, case.eos1, case.eos2))
+        fresh_step(step, cells, cfg, case.eos1, case.eos2)
     assert err.value.index == waves[k] - 1
 
 
@@ -1189,7 +1183,7 @@ def test_stationary_contact_field_unchanged():
     cfg = RunConfig(cells=n, t_final=1.0, domain=(0.0, 1.0))
     out = cells
     for _ in range(3):
-        out, _ = step(out, cfg, IDEAL, IDEAL, dx=1.0 / n)
+        out, _ = fresh_step(step, out, cfg, IDEAL, IDEAL)
     assert np.max(np.abs(out.stack() - cells.stack())) < 1e-12
 
 
@@ -1200,7 +1194,7 @@ def test_single_step_case1_admissible():
     grid = PrimitiveState(*(np.where(x < case.x0, getattr(case.left, f), getattr(case.right, f))
                             for f in ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")))
     cells = to_conserved(grid, case.eos1, case.eos2)
-    out, info = step(cells, cfg, case.eos1, case.eos2, dx=0.01)
+    out, info = fresh_step(step, cells, cfg, case.eos1, case.eos2)
     prim = to_primitive(out, case.eos1, case.eos2)   # raises if inadmissible
     assert np.all(prim.rho1 > 0) and np.all(prim.rho2 > 0)
 
@@ -1369,15 +1363,15 @@ def frozen_audited_steps(monkeypatch):
     steps, before = [], {}
     advance, slack = scheme.step, scheme.EntropyAudit.slack
 
-    def snapshot(cells, cfg, eos1, eos2, *args, rows, **kwargs):
+    def snapshot(rows, *args, **kwargs):
         before["m"] = rows.u[1:3].copy()
-        before["s"] = frozen_audit.phase_entropies(PrimitiveState(*rows.w[:, 1:-1]), eos1, eos2)
-        return advance(cells, cfg, eos1, eos2, *args, rows=rows, **kwargs)
+        before["s"] = frozen_audit.phase_entropies(PrimitiveState(*rows.w[:, 1:-1]), *rows.eos)
+        return advance(rows, *args, **kwargs)
 
     def checking(audit, info, lam):
         got = slack(audit, info, lam)
         rows = audit.rows
-        new = frozen_audit.phase_entropies(PrimitiveState(*rows.w[:, 1:-1]), *audit.eos)
+        new = frozen_audit.phase_entropies(PrimitiveState(*rows.w[:, 1:-1]), *rows.eos)
         balance, scale = frozen_audit.entropy_balance(info, before["m"], before["s"], rows.u[1:3],
                                                       new, lam)
         a, b = info.updated.start, info.updated.stop
@@ -1430,7 +1424,7 @@ def test_whole_steps_on_rows_of_many_states(rng):
         for k in range(5):
             before = family_sums(cells)
             try:
-                cells, info = step(cells, cfg, IDEAL, eos2, dx)
+                cells, info = fresh_step(step, cells, cfg, IDEAL, eos2)
             except (SolverError, AdmissibilityError, EosDomainError) as exc:
                 pytest.fail(f"row {r}, step {k}: {exc!r}")
             fm, fp = whole_rows(info, n + 1)
@@ -1452,5 +1446,5 @@ def test_run_well_balanced_100_steps():
     ref = cells.stack().copy()
     state = cells
     for _ in range(100):
-        state, _ = step(state, cfg, IDEAL, IDEAL, dx=0.02)
+        state, _ = fresh_step(step, state, cfg, IDEAL, IDEAL)
     assert np.max(np.abs(state.stack() - ref)) < 1e-12

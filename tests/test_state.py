@@ -100,6 +100,24 @@ def test_zero_partial_mass_beside_a_stiffened_phase_is_reported_not_warned():
         "non-positive partial mass m2 at index 1", 1)
 
 
+@pytest.mark.parametrize("eos2", [IDEAL, EosParams(3.0, 100.0)], ids=["ideal", "stiffened"])
+def test_overflowing_momentum_is_reported_not_warned(eos2):
+    # q^2 of a finite q1 = 1e200 overflowed to inf in the kinetic energy
+    u = ConservedState(np.array([0.5, 0.5]), 1.0, 1.0, np.array([0.0, 1e200]), 0.0,
+                       5.0, 500.0)
+    assert reported_not_warned(u, IDEAL, eos2) == (
+        "non-positive internal energy, phase 1 at index 1", 1)
+
+
+@pytest.mark.parametrize("eos2", [IDEAL, EosParams(3.0, 100.0)], ids=["ideal", "stiffened"])
+def test_infinite_momentum_beside_infinite_energy_is_reported_not_warned(eos2):
+    # the internal energy eta1 - q1^2 / 2m1 was inf - inf
+    u = ConservedState(np.array([0.5, 0.5]), 1.0, 1.0, np.array([0.0, np.inf]), 0.0,
+                       np.array([5.0, np.inf]), 500.0)
+    assert reported_not_warned(u, IDEAL, eos2) == (
+        "non-positive internal energy, phase 1 at index 1", 1)
+
+
 def test_nonpositive_internal_energy_rejected():
     # kinetic energy q^2 / 2m exceeds eta
     u = ConservedState(0.5, 1.0, 1.0, 3.0, 0.0, 1.0, 1.0)
