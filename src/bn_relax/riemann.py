@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
-from .state import RHO_U_P, VARIABLES, PrimitiveState, _primitive_bounds
+from .state import P, RHO_U_P, U, VARIABLES, PrimitiveState, _primitive_bounds
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -71,10 +71,20 @@ class WaveOrdering(enum.IntEnum):
 
 @dataclass(frozen=True)
 class RelaxParams:
-    """Per-phase relaxation parameters (units of a mass flux), both positive."""
+    """The relaxation parameters (units of a mass flux, all positive) as one
+    phase stack ``a``, phase 1 first: (2, k) for a row of k interfaces, (2,)
+    for one interface.  ``a1`` and ``a2`` are its rows, for tests and
+    scripts; the solver reads the rows of ``a``."""
 
-    a1: np.ndarray
-    a2: np.ndarray
+    a: np.ndarray
+
+    @property
+    def a1(self):
+        return self.a[0]
+
+    @property
+    def a2(self):
+        return self.a[1]
 
 
 @dataclass(frozen=True)
@@ -152,26 +162,26 @@ def _classify(u_cap, tau_l, tau_r, a1):
     return ordering, feasible
 
 
-def sharp_quantities(pair, params: RelaxParams, climbed_from=None) -> SharpQuantities:
+def sharp_quantities(pair, params: RelaxParams) -> SharpQuantities:
     """Evaluate all star-state predictors from the interface pair, and
     classify them (``ordering``, ``feasible``).
 
-    Pure algebra on the rows of ``pair``, a checked (2, 7, k) pair or a
-    (2, 7) one; non-positive tau predictors are reported by the feasibility
-    test, not here.  ``climbed_from``, private to ``scheme.select_parameters``,
-    is the result on the same pair and a2 that a1 climbed from: phase 2's
-    predictors and ``lambda_alpha``, which do not depend on a1, are kept.
+    Pure algebra on the rows of ``pair``, a checked (2, 7, k) pair with (2,
+    k) parameters, or a (2, 1) column of them for every interface, or a (2,
+    7) one with (2,) parameters; other parameters raise ValueError.
+    Non-positive tau predictors are reported by the feasibility test, not
+    here.  Both
+    phases' predictors are one evaluation on the (side, phase) rows of the
+    pair and the phase stack of the parameters.
     """
-    a1, a2 = params.a1, params.a2
-    (al, rho1l, u1l, p1l, _, u2l, p2l), (ar, rho1r, u1r, p1r, _, u2r, p2r) = pair
-    u1, pi1 = _star_predictors(u1l, u1r, p1l, p1r, a1)
-    t1l, t1r = _acoustic_taus(1.0 / rho1l, 1.0 / rho1r, u1l, u1r, u1, a1)
-    if climbed_from is None:
-        u2, pi2 = _star_predictors(u2l, u2r, p2l, p2r, a2)
-        a2L, a2R = 1.0 - al, 1.0 - ar
-        lam = (a2R - a2L) / (a2R + a2L)
-    else:
-        u2, pi2, lam = climbed_from.u_sharp2, climbed_from.pi_sharp2, climbed_from.lambda_alpha
+    a1, a2 = a = params.a
+    if a.ndim != pair.ndim - 1:
+        raise ValueError(f"parameters of shape {a.shape} for a pair of shape {pair.shape}")
+    (u1, u2), (pi1, pi2) = _star_predictors(*pair[:, U], *pair[:, P], a)
+    (al, _, u1l), (ar, _, u1r) = pair[:, :3]
+    t1l, t1r = _acoustic_taus(*(1.0 / pair[:, 1]), u1l, u1r, u1, a1)
+    a2L, a2R = 1.0 - al, 1.0 - ar
+    lam = (a2R - a2L) / (a2R + a2L)
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
     return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))
@@ -274,7 +284,7 @@ def _context(a1L, a1R, du, dpi, tau_l, tau_r, lam, a1, a2) -> FixedPointContext:
 def fixed_point_context(pair, s: SharpQuantities, params: RelaxParams) -> FixedPointContext:
     """The context of ``pair`` (as ``sharp_quantities`` takes it) with the predictors ``s``."""
     return _context(pair[0, 0], pair[1, 0], s.u_sharp1 - s.u_sharp2, s.pi_sharp1 - s.pi_sharp2,
-                    s.tau_sharp1_l, s.tau_sharp1_r, s.lambda_alpha, params.a1, params.a2)
+                    s.tau_sharp1_l, s.tau_sharp1_r, s.lambda_alpha, *params.a)
 
 
 def _seed(ctx: FixedPointContext):
@@ -552,13 +562,17 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     None.  The EOS is evaluated with the unchecked kernels.
     Intermediate specific volumes are returned whatever their sign: their
     positivity is one of the predicates ``scheme.select_parameters`` climbs
-    a2 for.  The solution is one-dimensional.
+    a2 for.  The solution is one-dimensional; so are its ``params``, whose
+    phase stack is (2, k), or a (2, 1) column where ``params`` were one
+    interface's (2,), which then hold for every interface of the row.
     """
     if precomputed is None:
         check_pair(pair, eos1, eos2)
+        params = RelaxParams(params.a.reshape(2, -1))
         s = sharp_quantities(pair, params)
     else:
         s = precomputed
+    a = params.a
     if columns is None:
         columns = phase_columns(eos1, eos2)
     # the existence condition and the ordering hold in the original frame:
@@ -567,8 +581,6 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
         raise SolverError("existence condition violated; select parameters before solving")
     flip = s.ordering < 0
     sign = np.where(flip, -1.0, 1.0)
-    a = np.empty((2, flip.size))
-    a[0], a[1] = params.a1, params.a2
 
     # a reflected interface swaps its sides and negates their velocities,
     # and reflection maps the predictors exactly: u and u_cap flip sign, pi

@@ -32,14 +32,14 @@ ETA = 0.01
 #: (1 + ETA)**MAX_INFLATIONS (about 2.1e4) each climb may make, before
 #: selection reports the interface (read at each call).  The cap turns a
 #: runaway search into a diagnosable error.  An a1 climb takes no round: one
-#: stacked root evaluation gives its threshold, and the predictors formed
-#: after it keep phase 2's.  On rows of 250 hard pairs (near-vacuum phases,
-#: velocities in +-4) one selection calls build_solution at most 8 times.  The
-#: growth must accommodate locally supersonic relative velocities: benchmark
-#: case 2 climbs a1 by up to a 113-fold growth at 200, 800 and 3200 cells,
-#: every climb at an equal-fraction interface, most where phase 1 is its
-#: cold state (rho1 = 1, p1 = 0.01) on both sides and |u1 - u2| exceeds its
-#: sound speed.
+#: stacked root evaluation gives its threshold, and one evaluation of both
+#: phases' predictors checks it.  On rows of 250 hard pairs (near-vacuum
+#: phases, velocities in +-4) one selection calls build_solution at most 8
+#: times.  The growth must accommodate locally supersonic relative
+#: velocities: benchmark case 2 climbs a1 by up to a 113-fold growth at 200,
+#: 800 and 3200 cells, every climb at an equal-fraction interface, most where
+#: phase 1 is its cold state (rho1 = 1, p1 = 0.01) on both sides and |u1 -
+#: u2| exceeds its sound speed.
 MAX_INFLATIONS = 1000
 #: the signs of the left and right rows of a (2, k) side stack
 _SIDES = np.array([[1.0], [-1.0]])
@@ -129,7 +129,7 @@ def _a1_least(pair, s, params):
     taus, (left, right) = 1.0 / pair[:, 1], pair[:, 2:4]
     # phase 1's velocity and pressure: jumps, and means
     jumps, means = right - left, 0.5 * (left + right)
-    lam, a2 = s.lambda_alpha, params.a2
+    lam, a2 = s.lambda_alpha, params.a[1]
     g, h = np.abs(lam) / a2, lam * jumps[0] / (2.0 * a2)
     c0 = means[0] - s.u_sharp2 - lam * (means[1] - s.pi_sharp2) / a2
     (half_du, half_dp), (g_du, g_dp) = 0.5 * jumps, 0.5 * g * jumps
@@ -139,7 +139,9 @@ def _a1_least(pair, s, params):
 
 
 def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
-    """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx`` of ``pair``.
+    """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx``
+    of ``pair``: new parameters, whose phase stack is a copy of that of
+    ``params`` with row ``grow - 1`` written at ``idx``.
 
     Every predicate is the positivity of quadratics in the climbing
     parameter (for a2, with the coupling term of its last solve held fixed),
@@ -149,16 +151,15 @@ def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
     threshold below the value that failed.  A growth beyond
     ``(1 + ETA)**MAX_INFLATIONS`` is reported as an error.
     """
-    climbing = params.a1 if grow == 1 else params.a2
-    base = climbing[idx]
+    a = params.a.copy()
+    base = a[grow - 1, idx]
     value = (1.0 + ETA) * np.maximum(base, least)
     over = value > (1.0 + ETA) ** MAX_INFLATIONS * base
     if over.any():
         raise InterfaceError(f"non-subsonic or infeasible interface: a{grow} inflation cap "
                              "exceeded", pair, int(idx[np.argmax(over)]))
-    out = climbing.copy()
-    out[idx] = value
-    return RelaxParams(out, params.a2) if grow == 1 else RelaxParams(params.a1, out)
+    a[grow - 1, idx] = value
+    return RelaxParams(a)
 
 
 #: the intermediate regions: phase 1's regions 1-3 and phase 2's 1-2
@@ -177,7 +178,8 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     ``params`` hold them.
 
     Both start from the Whitham-like bound (1 + ETA) max(rho c) over the two
-    end states, and each climbs for one predicate:
+    end states, formed as one (phase, interface) stack on the pair's (side,
+    phase) rows, and each climbs for one predicate:
 
     1. a1, for the existence condition: phase 1's tau predictors are
        positive and ``u_cap`` lies inside its window (``_a1_least``);
@@ -187,14 +189,15 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
 
     Each climb takes its parameter to ``(1 + ETA) max(a, least)``, the
     threshold one root evaluation of stacked quadratics.  The a1 threshold
-    is exact, and a1 is checked once, by predictors that keep phase 2's from
-    before the climb: an a1 climb is a short pass.  The a2 threshold
+    is exact, and a1 is checked once, by one evaluation of both phases'
+    predictors: an a1 climb is a short pass.  The a2 threshold
     is exact where alpha1 does not jump and an estimate where it does, which
     the next round's solve checks.  An interface that fails predicate 2
-    takes a1 from its Whitham start again, so ``(a1, a2)`` do not depend on
-    the order of the climbs.  A climb beyond the growth cap, an a1 climb
-    after which the existence condition still fails, and an interface
-    failing predicate 2 after MAX_INFLATIONS rounds are reported as errors.
+    takes a1 from its Whitham start again (row 0 of the stack is reset
+    there), so ``(a1, a2)`` do not depend on the order of the climbs.  A
+    climb beyond the growth cap, an a1 climb after which the existence
+    condition still fails, and an interface failing predicate 2 after
+    MAX_INFLATIONS rounds are reported as errors.
     Each interface climbs on its own, so its parameters and its solution do
     not depend on the rest of the row: every round solves the whole row, an
     interface that passed keeps its parameters and its bits, and the first
@@ -209,14 +212,14 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     check_pair(pair, eos1, eos2)
     columns = phase_columns(eos1, eos2)
     # the start of both sides and phases, on the (side, phase) stack
-    start = RelaxParams(*_whitham_start(pair[:, RHO], pair[:, P], *columns).max(axis=0))
+    start = RelaxParams(_whitham_start(pair[:, RHO], pair[:, P], *columns).max(axis=0))
     params = start
     for _ in range(MAX_INFLATIONS + 1):
         s = sharp_quantities(pair, params)
         bad = (~s.feasible).nonzero()[0]
         if bad.size:
             params = _climb_ladder(pair, params, bad, 1, _a1_least(pair, s, params)[bad])
-            s = sharp_quantities(pair, params, s)
+            s = sharp_quantities(pair, params)
             missed = (~s.feasible).nonzero()[0]
             if missed.size:
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
@@ -228,10 +231,12 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
             return sol
         bad = ~ok.all(axis=0)
         (du, dp), lam = pair[1, 5:] - pair[0, 5:], s.lambda_alpha  # phase 2's jumps
-        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a2
+        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a[1]
         least = _volume_least(1.0 / pair[:, 4], du, dp, lam, k)[bad]
-        params = _climb_ladder(pair, RelaxParams(np.where(bad, start.a1, params.a1), params.a2),
-                               bad.nonzero()[0], 2, least)
+        # a1 restarts where the solve failed
+        retry = params.a.copy()
+        np.copyto(retry[0], start.a[0], where=bad)
+        params = _climb_ladder(pair, RelaxParams(retry), bad.nonzero()[0], 2, least)
     raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",
                          pair, int(np.argmax(bad)))
 
@@ -440,7 +445,9 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     whose two states differ in some field.  At a calm interface, with
     bitwise equal states, its exact solution is the constant state: the
     interface takes the physical flux of that state, and gives ``cfl_dt``
-    the acoustic speeds of the parameters' Whitham-like start.
+    the acoustic speeds of the parameters' Whitham-like start.  Solving the
+    calm interfaces too would be faster but not the same scheme: selection
+    may climb a1 there, and the solved middle states can be an ulp off.
 
     Only the cells beside a wave change.  The interfaces ``a`` before the
     first wave interface and ``b`` after the last one (both 0 on a fully

@@ -157,10 +157,11 @@ _CONSERVED_CHECKS = ("alpha1 outside (0,1)",
                      "rho e <= p_inf (sound speed loss), phase 1",
                      "non-positive internal energy, phase 2",
                      "rho e <= p_inf (sound speed loss), phase 2",
-                     "non-finite m1", "non-finite m2", "non-finite eta1", "non-finite eta2")
-#: the rows of the fields' finiteness that start that table: its last four
+                     "non-finite m1", "non-finite m2", "non-finite eta1", "non-finite eta2",
+                     "non-finite rho e, phase 1", "non-finite rho e, phase 2")
+#: the rows of the fields' finiteness that start that table: its rows 7-10
 #: are the finiteness checks of m1, m2, eta1 and eta2, the others are overwritten
-_CONSERVED_GATHER = np.array([0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6])
+_CONSERVED_GATHER = np.array([0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6, 5, 6])
 
 
 def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
@@ -168,13 +169,14 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
 
     Checks, in order: alpha1 in (0,1), positive partial masses, for each
     phase a positive partial internal energy and, for stiffened gas, the
-    stricter ``rho_k e_k > p_inf_k`` needed for real sound speeds, and
-    finite partial masses and energies, the rows of one table (those of
-    alpha1 and the masses, which the others divide by, reduced first); the
-    error names the first failing check and its first failing index.  The
-    partial momenta need no check of their own: with finite positive masses
-    and finite energies an infinite momentum gives an internal energy of
-    -inf, and NaN propagates.
+    stricter ``rho_k e_k > p_inf_k`` needed for real sound speeds, finite
+    partial masses and energies, and a finite ``rho_k e_k`` of each phase,
+    which a tiny fraction holding a huge energy overflows: the rows of one
+    table (those of alpha1 and the masses, which the others divide by,
+    reduced first); the error names the first failing check and its first
+    failing index.  The partial momenta need no check of their own: with
+    finite positive masses and finite energies an infinite momentum gives an
+    internal energy of -inf, and NaN propagates.
     """
     s = _rows(u.astuple())
     ok = np.isfinite(s)[_CONSERVED_GATHER]
@@ -184,16 +186,19 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
     if not np.logical_and.reduce(ok[:3], axis=None):
         raise _first_failure(ok, _CONSERVED_CHECKS, where)
     # a huge finite momentum overflows to -inf, and inf - inf gives NaN:
-    # both fail the check below, so the warnings are not let out
+    # both fail the check below, so the warnings are not let out; so does
+    # rho_k e_k = (alpha_k rho_k e_k) / alpha_k, which overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
         eint = s[5:7] - 0.5 * s[3:5] * s[3:5] / s[1:3]  # alpha_k rho_k e_k
+        rho_e = eint / np.array([s[0], 1.0 - s[0]])
     ok[3:7:2] = eint > 0.0
     if eos1.p_inf > 0.0 or eos2.p_inf > 0.0:
-        # rho_k e_k = (alpha_k rho_k e_k) / alpha_k; for a phase with p_inf_k
-        # = 0 and alpha1 in (0, 1) this row repeats eint > 0
-        ok[4:7:2] = eint / np.array([s[0], 1.0 - s[0]]) > [[eos1.p_inf], [eos2.p_inf]]
+        # for a phase with p_inf_k = 0 and alpha1 in (0, 1) this row repeats
+        # eint > 0
+        ok[4:7:2] = rho_e > [[eos1.p_inf], [eos2.p_inf]]
     else:
         ok[4:7:2] = True  # with p_inf_k = 0 the row would repeat eint > 0
+    ok[11:] = rho_e < np.inf
     if not ok.all():
         raise _first_failure(ok, _CONSERVED_CHECKS, where)
 

@@ -3,9 +3,9 @@ they stood when each threshold took one ``_largest_root`` call per quadratic
 and selection formed every predictor again after an a1 climb:
 ``largest_root``, ``volume_least``, ``a1_least`` and ``sharp_quantities``
 (with the helpers it called).  It is the bitwise oracle of the stacked
-thresholds and of the predictors that keep phase 2 across a climb: the same
-inputs must give the same bytes.  Not a test module; ``test_scheme``
-imports it.
+thresholds and of the predictors formed on the phase stack of the
+parameters, after a climb too: the same inputs must give the same bytes.
+Not a test module; ``test_scheme`` imports it.
 """
 import numpy as np
 

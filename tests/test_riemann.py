@@ -67,7 +67,7 @@ def scalar_pair(wL, wR):
 
 def test_sharp_quantities_uniform():
     w = uniform_state()
-    s = sharp_quantities(scalar_pair(w, w), RelaxParams(2.0, 3.0))
+    s = sharp_quantities(scalar_pair(w, w), RelaxParams(np.array([2.0, 3.0])))
     assert s.u_sharp1 == w.u1 and s.u_sharp2 == w.u2
     assert s.pi_sharp1 == w.p1 and s.pi_sharp2 == w.p2
     assert s.tau_sharp1_l == pytest.approx(1.0 / w.rho1, rel=1e-15)
@@ -80,7 +80,7 @@ def test_sharp_quantities_hand_example():
     # phase 2 mirrors phase 1 at rest so the contrast numbers stay simple
     wL = PrimitiveState(0.2, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(0.7, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
-    s = sharp_quantities(scalar_pair(wL, wR), RelaxParams(2.0, 2.0))
+    s = sharp_quantities(scalar_pair(wL, wR), RelaxParams(np.array([2.0, 2.0])))
     assert s.u_sharp1 == pytest.approx(0.75)
     assert s.pi_sharp1 == pytest.approx(0.5)
     assert s.tau_sharp1_l == pytest.approx(1.375)
@@ -88,11 +88,19 @@ def test_sharp_quantities_hand_example():
     assert s.lambda_alpha == pytest.approx((0.3 - 0.8) / 1.1)
 
 
+def test_sharp_quantities_reject_one_interfaces_parameters_on_a_row():
+    # (2,) parameters would broadcast along a row of two interfaces, and
+    # phase 1 would take a2 at the second
+    w = PrimitiveState(*(np.full(2, v) for v in uniform_state().astuple()))
+    with pytest.raises(ValueError, match=r"parameters of shape \(2,\) for a pair of shape"):
+        sharp_quantities(interface_pair(w, w), RelaxParams(np.array([2.0, 3.0])))
+
+
 # ------------------------------------------------------------ ordering
 
 def test_classify_symmetric_is_coincident():
     w = uniform_state(u1=0.2, u2=0.2)
-    s = sharp_quantities(scalar_pair(w, w), RelaxParams(2.0, 3.0))
+    s = sharp_quantities(scalar_pair(w, w), RelaxParams(np.array([2.0, 3.0])))
     ordering, feasible = s.ordering, s.feasible
     assert feasible and ordering == WaveOrdering.COINCIDENT
 
@@ -100,7 +108,7 @@ def test_classify_symmetric_is_coincident():
 def test_classify_order12_hand_example():
     wL = PrimitiveState(0.2, 1.0, 0.0, 2.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(0.2, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
-    params = RelaxParams(2.0, 2.0)
+    params = RelaxParams(np.array([2.0, 2.0]))
     s = sharp_quantities(scalar_pair(wL, wR), params)
     assert s.u_cap == pytest.approx(0.75)      # equal fractions: u_cap = du of sharp speeds
     ordering, feasible = s.ordering, s.feasible
@@ -111,7 +119,7 @@ def test_classify_order12_hand_example():
 def test_classify_infeasible_when_window_violated():
     wL = PrimitiveState(0.2, 1.0, 5.0, 2.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(0.2, 1.0, 5.5, 1.0, 1.0, 0.0, 1.0)
-    params = RelaxParams(0.5, 2.0)   # far below the relative speed
+    params = RelaxParams(np.array([0.5, 2.0]))   # far below the relative speed
     s = sharp_quantities(scalar_pair(wL, wR), params)
     assert not s.feasible
 
@@ -121,7 +129,7 @@ def test_classify_infeasible_when_window_violated():
 def test_mach_conservative_spot_value():
     wL = PrimitiveState(2 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     wR = PrimitiveState(1 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
-    params = RelaxParams(1.0, 1.0)
+    params = RelaxParams(np.array([1.0, 1.0]))
     pair = scalar_pair(wL, wR)
     ctx = fixed_point_context(pair, sharp_quantities(pair, params), params)
     assert ctx.nu == pytest.approx(2.0)
@@ -139,7 +147,7 @@ def star_velocities(ctx, s, params, m, mach):
 
 def test_solve_star_uniform_data_recovers_velocities():
     w = uniform_state(u1=0.25, u2=0.1)
-    params = RelaxParams(3.0, 3.0)
+    params = RelaxParams(np.array([3.0, 3.0]))
     pair = scalar_pair(w, w)
     s = sharp_quantities(pair, params)
     ctx = fixed_point_context(pair, s, params)
@@ -157,7 +165,7 @@ def test_solve_star_uniform_data_recovers_velocities():
 
 def test_solve_star_zero_contrast_limit():
     w = uniform_state(u1=0.1, u2=0.1)
-    params = RelaxParams(3.0, 3.0)
+    params = RelaxParams(np.array([3.0, 3.0]))
     pair = scalar_pair(w, w)
     s = sharp_quantities(pair, params)
     ctx = fixed_point_context(pair, s, params)
@@ -170,7 +178,7 @@ def test_solve_star_zero_contrast_limit():
 
 def test_solve_star_bracket_failure_is_error():
     w = uniform_state(u1=0.25, u2=0.1)
-    params = RelaxParams(3.0, 3.0)
+    params = RelaxParams(np.array([3.0, 3.0]))
     pair = scalar_pair(w, w)
     s = sharp_quantities(pair, params)
     ctx = fixed_point_context(pair, s, params)
@@ -208,7 +216,7 @@ def solve_counting_sweeps(ctx):
 def test_solve_star_sweep_counts():
     # equal fractions make psi linear, so the first secant point is the root;
     # rhs = 0 is solved by m = 0 before any sweep
-    params = RelaxParams(3.0, 3.0)
+    params = RelaxParams(np.array([3.0, 3.0]))
     for w, want in ((uniform_state(u1=0.25, u2=0.1), 1), (uniform_state(u1=0.1, u2=0.1), 0)):
         pair = scalar_pair(w, w)
         s = sharp_quantities(pair, params)
@@ -508,7 +516,8 @@ def test_predictors_match_the_frozen_copy_on_scalar_pairs():
               PrimitiveState(1 / 3, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0))]
     orderings = set()
     for wL, wR in hand:
-        for params in (RelaxParams(2.0, 3.0), RelaxParams(2.0, 2.0), RelaxParams(0.5, 2.0)):
+        for a in ([2.0, 3.0], [2.0, 2.0], [0.5, 2.0]):
+            params = RelaxParams(np.array(a))
             s = predictors_like_the_frozen_copy(wL, wR, params)
             assert np.ndim(s.u_cap) == 0
             orderings.add(int(s.ordering))
@@ -531,7 +540,7 @@ def test_predictors_match_the_frozen_copy_on_rows(rng):
     s = predictors_like_the_frozen_copy(wL, wR, params)
     assert set(s.ordering.tolist()) == {-1, 0, 1} and s.feasible.all()
     assert np.any((s.ordering == 0) & (s.u_cap != 0.0))
-    low = RelaxParams(0.5 * params.a1, params.a2)
+    low = RelaxParams(np.array([0.5 * params.a1, params.a2]))
     assert not predictors_like_the_frozen_copy(wL, wR, low).feasible.all()
 
 
@@ -547,7 +556,7 @@ def test_predictors_match_the_frozen_copy_on_stiffened_and_hard_rows(rng):
             wR.p2[::2] = rng.uniform(-0.99, 0.0, 125) * STIFF.p_inf
         params = select_parameters(interface_pair(wL, wR), IDEAL, eos2).params
         assert predictors_like_the_frozen_copy(wL, wR, params).feasible.all()
-        random = RelaxParams(*10.0 ** rng.uniform(-1.0, 1.5, (2, 250)))
+        random = RelaxParams(10.0 ** rng.uniform(-1.0, 1.5, (2, 250)))
         assert not predictors_like_the_frozen_copy(wL, wR, random).feasible.all()
 
 
@@ -706,8 +715,8 @@ def test_near_window_pair_coupling_dissipation():
         return sc((s.u_cap + params.a1 * s.tau_sharp1_r)
                   / (params.a1 * (s.tau_sharp1_l + s.tau_sharp1_r)))
 
-    near = RelaxParams(np.array([float.fromhex("0x1.0d5bfbe9885e7p+2")]),
-                       np.array([float.fromhex("0x1.9e0fe43ed8d15p+0")]))
+    near = RelaxParams(np.array([[float.fromhex("0x1.0d5bfbe9885e7p+2")],
+                                 [float.fromhex("0x1.9e0fe43ed8d15p+0")]]))
     assert 0.99999 < window_fraction(near) < 1.0
     sol = build_solution(interface_pair(wL, wR), IDEAL, IDEAL, near)
     tables = region_tables(sol)

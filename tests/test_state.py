@@ -118,6 +118,20 @@ def test_infinite_momentum_beside_infinite_energy_is_reported_not_warned(eos2):
         "non-positive internal energy, phase 1 at index 1", 1)
 
 
+def test_overflowing_rho_e_beside_a_stiffened_phase_1_is_reported_not_warned():
+    # rho1 e1 = (alpha1 rho1 e1) / alpha1 overflowed to inf at alpha1 = 1e-10,
+    # and the division's warning was let out
+    u = ConservedState(np.array([0.5, 1e-10]), 1, 1, 0, 0, np.array([500, 1e300]), 500)
+    assert reported_not_warned(u, EosParams(3.0, 100.0), IDEAL) == (
+        "non-finite rho e, phase 1 at index 1", 1)
+
+
+def test_overflowing_rho_e_of_an_ideal_phase_1_is_reported_not_warned():
+    # the state passed, and to_primitive gave p1 = inf
+    u = ConservedState(np.array([0.5, 1e-10]), 1, 1, 0, 0, np.array([500, 1e300]), 500)
+    assert reported_not_warned(u, IDEAL, IDEAL) == ("non-finite rho e, phase 1 at index 1", 1)
+
+
 def test_nonpositive_internal_energy_rejected():
     # kinetic energy q^2 / 2m exceeds eta
     u = ConservedState(0.5, 1.0, 1.0, 3.0, 0.0, 1.0, 1.0)
@@ -186,12 +200,13 @@ def test_infinite_conserved_field_rejected(field):
 def ordered_checks(u, eos1, eos2, where):
     """The conserved-state checks one by one, as ``validate_conserved`` ran
     them before they were first formed in one pass, followed by the
-    finiteness checks of the partial masses and energies: the oracle of the
-    error it reports."""
+    finiteness checks of the partial masses and energies and of each
+    phase's ``rho e``: the oracle of the error it reports."""
     def first(mask):
         return int(np.argmax(np.atleast_1d(mask)))
 
     a = np.asarray(u.alpha1, dtype=float)
+    rho_es = []
     ok = (a > 0.0) & (a < 1.0)
     if not np.all(ok):
         raise AdmissibilityError("alpha1 outside (0,1)", first(~ok), where)
@@ -205,8 +220,9 @@ def ordered_checks(u, eos1, eos2, where):
         if not np.all(eint > 0.0):
             raise AdmissibilityError(f"non-positive internal energy, phase {k}",
                                      first(~(eint > 0)), where)
+        rho_es.append(eint / alpha)
         if eos.p_inf > 0.0:
-            rho_e = eint / alpha
+            rho_e = rho_es[-1]
             if not np.all(rho_e > eos.p_inf):
                 raise AdmissibilityError(f"rho e <= p_inf (sound speed loss), phase {k}",
                                          first(~(rho_e > eos.p_inf)), where)
@@ -214,6 +230,10 @@ def ordered_checks(u, eos1, eos2, where):
         finite = np.isfinite(getattr(u, name))
         if not np.all(finite):
             raise AdmissibilityError(f"non-finite {name}", first(~finite), where)
+    for k, rho_e in enumerate(rho_es, start=1):
+        finite = np.isfinite(rho_e)
+        if not np.all(finite):
+            raise AdmissibilityError(f"non-finite rho e, phase {k}", first(~finite), where)
 
 
 def with_fault(u, kind, j, eos1, eos2):
@@ -238,7 +258,7 @@ def with_fault(u, kind, j, eos1, eos2):
 
 
 FAULTS = ["alpha1", "m1", "m2", "energy1", "energy2", "inf m1", "inf m2", "inf eta1", "inf eta2",
-          "nan q1", "nan eta2", "-inf eta1"]
+          "nan q1", "nan eta2", "-inf eta1", "1.5e308 eta1", "1.5e308 eta2"]
 
 
 @pytest.mark.parametrize("eos1, eos2", [(IDEAL, IDEAL), (EosParams(3.0, 100.0), IDEAL),
