@@ -21,7 +21,7 @@ import numpy as np
 from .eos import EosParams, internal_energy_of, lagrangian_sound_speed_of, phase_columns
 from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, build_solution,
                       check_pair, sample, sharp_quantities)
-from .state import (P, RHO, U, VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
+from .state import (P, RHO, VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
                     to_conserved, to_primitive, validate_conserved)
 
 
@@ -168,7 +168,7 @@ _MIDDLE_REGIONS = np.array([1, 2, 3, 6, 7])
 
 def _whitham_start(rho, p, gamma, p_inf):
     """The parameters' Whitham-like start ``(1 + ETA) rho c`` at ``(rho, p)``
-    (unchecked), for selection and for the speeds of calm interfaces."""
+    (unchecked), from which selection climbs."""
     return (1.0 + ETA) * lagrangian_sound_speed_of(rho, p, gamma, p_inf)
 
 
@@ -249,10 +249,9 @@ def _dump(side, j):
 def _trace_flux(alpha1, table):
     """Components 1-6 of the physical flux, as a (6, n) array, of a state
     given by ``alpha1`` and ``table``, the (4, 2, n) table of (tau, u, pi,
-    E) of both phases, phase axis second: ``sample``'s result of a trace,
-    and ``_constant_row``'s table of a calm interface's state.  Each of the
-    three formulas (mass, momentum, energy) is evaluated once, on the (2, n)
-    phase stack."""
+    E) of both phases, phase axis second: ``sample``'s result of a trace.
+    Each of the three formulas (mass, momentum, energy) is evaluated once,
+    on the (2, n) phase stack."""
     tau, u, pi, E = table
     al = np.array([alpha1, 1.0 - alpha1])
     out = np.empty((3,) + tau.shape)
@@ -291,18 +290,17 @@ def assemble_fluxes(sol: RelaxRiemannSolution) -> np.ndarray:
 _OUTER_BREAKS = np.array([0, 3, 4, 6])
 
 
-def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float, calm_speeds=()):
-    """Time step from the fastest wave of a solved interface row.
+def cfl_dt(sol: RelaxRiemannSolution, dx: float, cfl: float):
+    """Time step from the fastest wave of a solved interface row, read off
+    the solution alone.
 
     The outermost breaks of each phase are its acoustic speeds
     ``u_L - a tau_L`` and ``u_R + a tau_R``, which bound every other wave.
-    ``calm_speeds`` adds the acoustic speeds of interfaces solved outside
-    ``sol``.
     """
     if not 0.0 < cfl < 0.5:
         raise ValueError("cfl must lie in (0, 0.5)")
     outer = sol.breaks.reshape(8, -1).take(_OUTER_BREAKS, axis=0)
-    smax = float(np.abs(np.concatenate([outer.ravel(), np.ravel(calm_speeds)])).max(initial=0.0))
+    smax = float(np.abs(outer).max(initial=0.0))
     if smax == 0.0:
         raise SolverError("fully degenerate field: zero wave speeds")
     return cfl * dx / smax
@@ -317,25 +315,6 @@ def _pad_edges(rows):
     return out
 
 
-def _constant_row(w, gamma, p_inf):
-    """Exact solution and acoustic speeds of interfaces whose two states are
-    both ``w``, a stack of primitive columns that ``validate_conserved``
-    accepted, for the phases whose ``phase_columns`` are ``gamma`` and
-    ``p_inf``.
-
-    The solution is the constant state, as ``sample``'s table: (tau, u, pi,
-    E) of both phases, shape (4, 2, n).  The speed of an interface is the
-    largest of ``|u_k| + a_k tau_k``, the outer breaks that selection's
-    start ``a_k`` (``_whitham_start``) gives.  Every formula is evaluated
-    once, on the (2, n) phase stack, with the unchecked EOS kernels.
-    """
-    rho, u, p = w[RHO], w[U], w[P]
-    tau = 1.0 / rho
-    table = np.array([tau, u, p, 0.5 * u ** 2 + internal_energy_of(rho, p, gamma, p_inf)])
-    speeds = np.abs(u) + _whitham_start(rho, p, gamma, p_inf) * tau
-    return table, speeds.max(axis=0)
-
-
 class MarchRows:
     """The rows that a march owns, formed from the state ``cells`` of the
     phases ``eos`` = (eos1, eos2); ``cells`` is copied, never written:
@@ -343,14 +322,15 @@ class MarchRows:
     - ``w``, the primitive row between transmissive ghost cells, (7, n + 2),
       formed by ``to_primitive``, which validates ``cells``;
     - ``wave``, the wave mask of the n + 1 interfaces, True where the two
-      states differ in some field;
+      states differ in some field; ``step`` reads its first and last True
+      entries only, the ends of the window it solves;
     - ``u``, the conserved stack, (7, n), whose rows ``cells`` views;
     - ``families``, the ``FAMILIES`` entrywise, (4, n);
     - ``energies``, the specific internal energy of each phase, (2, n);
     - ``columns``, the ``phase_columns`` of ``eos``, looked up once.
 
     Every wave interface lies in ``span`` = (lo, hi), the interfaces [lo,
-    hi].  ``step`` updates ``u`` on its window [a, b) in place,
+    hi].  ``step`` updates ``u`` on the cells [a, b) of its window in place,
     ``rusanov_step`` hands its new stack to ``adopt``, and ``splice`` then
     brings the other rows in line on the cells the step changed, so a
     relaxation step and its bookkeeping cost the window rather than the
@@ -417,14 +397,14 @@ class StepInfo:
     step changed the cells ``updated`` = [a, b) only.  Every interface left
     of ``a`` carries the fluxes of ``a``, and every one right of ``b`` those
     of ``b``.  A Rusanov step's window is the whole row, ``a = 0``.  ``sol``
-    is the relaxation solution at the mesh interfaces ``waves``, and the
-    other interfaces are calm; both are None for the Rusanov scheme."""
+    is the relaxation solution of every interface of the window, the mesh
+    interfaces ``a + arange(b - a + 1)`` in order, and ``fluxes`` is its
+    ``assemble_fluxes``; it is None for the Rusanov scheme."""
 
     dt: float
     fluxes: np.ndarray
     a: int
     sol: RelaxRiemannSolution | None = None
-    waves: np.ndarray | None = None
 
     @property
     def updated(self) -> slice:
@@ -441,24 +421,25 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     march's rows ``rows``, on the mesh spacing ``cfg.dx``; dt is at most
     ``dt_cap``.
 
-    The relaxation Riemann problem is solved only at the wave interfaces,
-    whose two states differ in some field.  At a calm interface, with
-    bitwise equal states, its exact solution is the constant state: the
-    interface takes the physical flux of that state, and gives ``cfl_dt``
-    the acoustic speeds of the parameters' Whitham-like start.  Solving the
-    calm interfaces too would be faster but not the same scheme: selection
-    may climb a1 there, and the solved middle states can be an ulp off.
+    Only the cells beside a wave interface, whose two states differ in some
+    field, can change.  The window is the interfaces [a, b] from the one
+    before the first wave interface to the one after the last (both 0 on a
+    fully calm row); interfaces 0 and n lie between a cell and its ghost
+    copy, so they are never waves and the window stays in the mesh.  Every
+    interface left of ``a`` carries the state of ``a``, and every one right
+    of ``b`` that of ``b``.  The relaxation Riemann problem is solved at
+    every interface of the window, calm ones between two waves and its two
+    calm ends included, on one contiguous (2, 7, b - a + 1) pair of slices
+    of the padded primitive row; ``assemble_fluxes`` of that solution is
+    ``StepInfo.fluxes`` and ``cfl_dt`` reads dt off it.  The cells outside
+    ``[a, b)``, whose two fluxes are the same floats, keep their bits.
 
-    Only the cells beside a wave change.  The interfaces ``a`` before the
-    first wave interface and ``b`` after the last one (both 0 on a fully
-    calm row) are calm, since interfaces 0 and n lie between a cell and its
-    ghost copy.  Every interface left of ``a`` carries the state of ``a``,
-    and every one right of ``b`` that of ``b``.  So the fluxes are formed
-    on the window ``[a, b]`` only, the (2, 7, b - a + 1) ``StepInfo.fluxes``,
-    into which the columns of the calm interfaces of the window (``a``,
-    ``b`` and any between two waves) and the wave interfaces' columns of
-    ``assemble_fluxes`` are scattered.  The cells outside ``[a, b)``, whose
-    two fluxes are the same floats, keep their bits.
+    A calm interface, whose exact solution is its constant state, is solved
+    like any other, which has two effects.  Selection climbs a1 there where
+    its phases slip faster than about ``(1 + ETA) c1``, and the larger outer
+    breaks of that climb can shrink dt.  Its alpha1 "-" flux, ``u2* * 0``,
+    is -0.0 where u2* is negative, which changes no cell's bits.  A uniform
+    field marches bitwise unchanged.
 
     The step reads the padded primitive row and the wave mask of ``rows``,
     searches the mask on its span only, and updates the window of the
@@ -466,42 +447,29 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     state; the caller then brings the other rows in line with
     ``rows.splice(info.updated)``.  ``rusanov_step`` takes ``rows`` alike.
 
-    The wave interfaces' (2, 7, k) pair is one gather of the padded
-    primitive row; a selection failure is reported at its mesh interface
-    from the pair of the whole row, ``(w[:, :-1], w[:, 1:])``.
-
     Returns the step's ``StepInfo``.  Raises AdmissibilityError with the
     offending cell's mesh index if the post-state leaves the admissible region,
     which signals a bug or a CFL breach rather than a recoverable condition.
-    A SolverError names the mesh interface.
+    A selection failure is reported as an InterfaceError at its mesh
+    interface ``a + j``, from the pair of the whole row.
     """
     (eos1, eos2), dx = rows.eos, cfg.dx
-    w, wave, (lo, hi) = rows.w, rows.wave, rows.span
-    waves = lo + wave[lo:hi + 1].nonzero()[0]
+    w, (lo, hi) = rows.w, rows.span
+    waves = rows.wave[lo:hi + 1].nonzero()[0]
+    a, b = (lo + int(waves[0]) - 1, lo + int(waves[-1]) + 1) if waves.size else (0, 0)
     try:
-        sol = select_parameters(w.take(np.array([waves, waves + 1]), axis=1).swapaxes(0, 1),
-                                eos1, eos2)
+        sol = select_parameters(np.stack((w[:, a:b + 1], w[:, a + 1:b + 2])), eos1, eos2)
     except InterfaceError as err:
-        raise InterfaceError(err.what, (w[:, :-1], w[:, 1:]), int(waves[err.interface])) from None
-    a, b = (int(waves[0]) - 1, int(waves[-1]) + 1) if waves.size else (0, 0)
-    # the calm interfaces of the window, as columns of it, and their states
-    calm = (~wave[a:b + 1]).nonzero()[0]
-    w_calm = w.take(a + calm, axis=1)
-    table, speeds = _constant_row(w_calm, *rows.columns)
-    dt = min(cfl_dt(sol, dx, cfg.cfl, speeds), dt_cap)
-    f = np.empty((2, 7, b + 1 - a))
-    f_calm = np.empty((7, calm.size))
-    f_calm[0] = 0.0                     # alpha1 jumps at no calm interface
-    f_calm[1:] = _trace_flux(w_calm[0], table)
-    f[:, :, calm] = f_calm
-    f[:, :, waves - a] = assemble_fluxes(sol)
+        raise InterfaceError(err.what, (w[:, :-1], w[:, 1:]), a + err.interface) from None
+    dt = min(cfl_dt(sol, dx, cfg.cfl), dt_cap)
+    f = assemble_fluxes(sol)
     u = rows.u
     u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
         validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2)
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, f"post-step, dt={dt:.3e}") from None
-    return StepInfo(dt=dt, fluxes=f, a=a, sol=sol, waves=waves)
+    return StepInfo(dt=dt, fluxes=f, a=a, sol=sol)
 
 
 @dataclass(frozen=True)
@@ -571,15 +539,14 @@ class EntropyAudit:
         (``lam`` is dt/dx), after ``MarchRows.splice``.  Only the cells
         [a, b) of its window are balanced: every other cell keeps its bits
         and its two fluxes are the same floats, so its balance is 0.0
-        exactly, which ``initial`` stands for."""
+        exactly, which ``initial`` stands for.  The window's interfaces are
+        upwinded by the contact speeds ``u1_star`` and ``u2_star`` of the
+        step's solution."""
         a, b = info.updated.start, info.updated.stop
-        s, ms = self.s, self.ms
+        s, ms, sol = self.s, self.ms, info.sol
         fm = info.fluxes[0, 1:3]
-        # contact speeds: 0 at calm interfaces, whose two neighbours have
-        # bitwise equal entropies, so either serves as upwind
-        u_star = np.zeros(fm.shape)
-        u_star[:, info.waves - a] = info.sol.u1_star, info.sol.u2_star
-        phi = fm * np.where(u_star > 0.0, s[:, a:b + 1], s[:, a + 1:b + 2])
+        upwind = np.array((sol.u1_star, sol.u2_star)) > 0.0
+        phi = fm * np.where(upwind, s[:, a:b + 1], s[:, a + 1:b + 2])
         new = self._entropies(a, b)
         ms_new = self.rows.u[1:3, a:b] * new
         balance = ms_new - ms[:, a:b] + lam * (phi[:, 1:] - phi[:, :-1])

@@ -38,10 +38,11 @@ def entropy_balance(info, m_old, entropies, m_new, new_entropies, lam):
     entropies before the step, ``m_new`` and ``new_entropies`` after it,
     each (2, n)."""
     fm = whole_rows(info, m_old.shape[1] + 1)[0]
-    # contact speeds: 0 at calm interfaces, whose two neighbours
-    # have bitwise equal entropies, so either serves as upwind
+    # contact speeds: those of the solution on the window's interfaces, 0
+    # outside it, where the two neighbours of an interface have bitwise
+    # equal entropies, so either serves as upwind
     u_star = np.zeros((2, fm.shape[1]))
-    u_star[:, info.waves] = info.sol.u1_star, info.sol.u2_star
+    u_star[:, info.a:info.a + info.fluxes.shape[-1]] = info.sol.u1_star, info.sol.u2_star
     s_pad = _pad_edges(entropies)
     phi = fm[1:3] * np.where(u_star > 0.0, s_pad[:, :-1], s_pad[:, 1:])
     balance = m_new * new_entropies - m_old * entropies + lam * (phi[:, 1:] - phi[:, :-1])

@@ -806,14 +806,15 @@ def grid_of(w: PrimitiveState, n):
 
 
 def test_uniform_field_unchanged():
-    # every interface is calm, so none is solved: the field marches bitwise
-    # unchanged, and dt comes from the Whitham-like start of the parameters
+    # every interface is calm, so the window is interface 0 alone, which
+    # keeps the Whitham-like start of the parameters: the field marches
+    # bitwise unchanged, and dt comes from that start
     w = PrimitiveState(0.4, 1.0, 0.3, 1.0, 2.0, -0.2, 0.8)
     cells = to_conserved(grid_of(w, 16), IDEAL, IDEAL)
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0))
     out, info = fresh_step(step, cells, cfg, IDEAL, IDEAL)
     assert out.stack().tobytes() == cells.stack().tobytes()
-    assert info.waves.size == 0 and info.updated == slice(0, 0)
+    assert (info.a, info.fluxes.shape, info.updated) == (0, (2, 7, 1), slice(0, 0))
     # |u_k| + (1 + ETA) rho_k c_k / rho_k, with 1 / rho_k formed first as in
     # the outer breaks u -+ a tau of a solved interface
     speed = max(abs(u) + (1.0 + ETA) * sc(IDEAL.lagrangian_sound_speed(rho, p)) * (1.0 / rho)
@@ -828,10 +829,10 @@ def padded_row(w: PrimitiveState):
 
 
 def test_calm_interfaces_take_the_physical_flux():
-    # a mid-run row of case 1: step solves only the interfaces whose states
-    # differ, with the fluxes a whole-row solve gives there, bit for bit.  A
-    # calm interface takes the physical flux of its state; the whole-row
-    # solve samples a middle region there, which may be off by an ulp
+    # a mid-run row of case 1: step solves every interface of its window,
+    # and the whole rows the window expands to are the fluxes a whole-row
+    # solve gives, bit for bit, calm interfaces (bitwise equal states)
+    # included.  There the solve gives the physical flux of the state
     case = get_case(1)
     cfg = RunConfig(cells=200, t_final=case.t_max / 2, domain=case.domain, cfl=case.cfl)
     res = run(case.initial, cfg, case.eos1, case.eos2)
@@ -839,14 +840,10 @@ def test_calm_interfaces_take_the_physical_flux():
     padded = padded_row(res.prim)
     full = assemble_fluxes(select_parameters(interface_pair(padded[:-1], padded[1:]), case.eos1,
                                              case.eos2))
-    wave = np.zeros(201, bool)
-    wave[info.waves] = True
-    calm = np.flatnonzero(~wave)
+    calm = np.flatnonzero((padded.stack()[:, :-1] == padded.stack()[:, 1:]).all(axis=0))
     assert 50 < calm.size < 150
-    assert np.array_equal(wave, (padded.stack()[:, :-1] != padded.stack()[:, 1:]).any(axis=0))
     for got, want in zip(whole_rows(info, 201), full):
-        assert got[:, wave].tobytes() == want[:, wave].tobytes()
-        assert np.all(np.abs(got[:, calm] - want[:, calm]) <= 1e-15 * np.abs(want[:, calm]))
+        assert got.tobytes() == want.tobytes()
         assert np.all(got[0, calm] == 0.0)
         for j in calm:
             assert np.allclose(got[:, j], flux_vector(padded[j], case.eos1, case.eos2),
@@ -855,9 +852,10 @@ def test_calm_interfaces_take_the_physical_flux():
 
 @pytest.mark.parametrize("eos2", [IDEAL, STIFF], ids=["ideal", "stiffened"])
 def test_calm_speed_is_the_outer_break_of_the_start(rng, eos2):
-    # a calm interface gives cfl_dt the acoustic speeds of the start that
-    # selection takes: where a uniform pair solved as a Riemann problem keeps
-    # that start (no climb), its fastest outer break is the calm speed, bitwise
+    # where a uniform pair solved as a Riemann problem keeps the start that
+    # selection takes (no climb), its fastest outer break is the largest
+    # acoustic speed |u_k| + a_k tau_k of that start, bitwise, with tau_k =
+    # 1 / rho_k formed first
     w = random_primitive(rng, 2000)
     sol = select_parameters(interface_pair(w, w), IDEAL, eos2)
     start = [(1.0 + ETA) * eos.lagrangian_sound_speed(rho, p)
@@ -865,31 +863,41 @@ def test_calm_speed_is_the_outer_break_of_the_start(rng, eos2):
     kept = (sol.params.a1 == start[0]) & (sol.params.a2 == start[1])
     assert 1000 < np.count_nonzero(kept) < 2000
     outer = np.abs(sol.breaks[[0, 0, 1, 1], [0, 3, 0, 2]]).max(axis=0)
-    speeds = scheme._constant_row(w.stack(), *phase_columns(IDEAL, eos2))[1]
+    speeds = np.maximum(np.abs(w.u1) + start[0] * (1.0 / w.rho1),
+                        np.abs(w.u2) + start[1] * (1.0 / w.rho2))
     assert outer[kept].tobytes() == speeds[kept].tobytes()
 
 
 def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
     # case 2's cold phase 1 (rho1 = 1, p1 = 0.01) moving through phase 2 at
     # |u1 - u2| > (1 + ETA) c1.  Solved as a Riemann problem the pair climbs
-    # a1, though its exact solution is the constant state; as a calm
-    # interface it takes that state without a climb
+    # a1, which widens phase 1's outer breaks, though its exact solution is
+    # the constant state.  A uniform row of it solves its window, interface
+    # 0, likewise: each step climbs a1 once and takes the climbed solve's
+    # dt (set here by phase 2's faster acoustic speeds), while the field
+    # stays bitwise unchanged
     case = get_case(2)
     w = PrimitiveState(0.8, 1.0, -19.59741, 0.01, 1.6087, -6.3085, 466.72591)
     assert abs(w.u1 - w.u2) > (1.0 + ETA) * case.eos1.sound_speed(w.rho1, w.p1)
     grows = []
     climb = scheme._climb_ladder
     monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
-    select_parameters(interface_pair(w, w), case.eos1, case.eos2)
+    sol = select_parameters(interface_pair(w, w), case.eos1, case.eos2)
     assert grows == [1]
+    a1_start = (1.0 + ETA) * sc(case.eos1.lagrangian_sound_speed(w.rho1, w.p1))
+    assert sol.params.a1[0] > a1_start
+    assert np.abs(sol.breaks[0, [0, 3], 0]).max() > abs(w.u1) + a1_start * (1.0 / w.rho1)
     grows.clear()
     cells = to_conserved(grid_of(w, 16), case.eos1, case.eos2)
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0), cfl=case.cfl)
+    climbed = cfl_dt(sol, 1.0 / 16, case.cfl)
     out = cells
     for _ in range(3):
         out, info = fresh_step(step, out, cfg, case.eos1, case.eos2)
+        assert info.dt == climbed
+        assert info.sol.params.a1.tobytes() == sol.params.a1.tobytes()
     assert out.stack().tobytes() == cells.stack().tobytes()
-    assert grows == []
+    assert grows == [1, 1, 1]
 
 
 def test_step_error_names_the_mesh_interface():
@@ -965,22 +973,20 @@ def test_interface_error_messages_keep_their_bytes(rng, monkeypatch):
 
 
 def full_row_step(cells, prim, cfl, eos1, eos2, dx):
-    """(updated cells, (f_minus, f_plus), dt) by the whole-row formula: the
-    wave interfaces solved, every calm one taking the flux and speed of its
-    constant state, and every cell updated."""
+    """(updated cells, (f_minus, f_plus), dt) by the whole-row formula:
+    every interface solved and every cell updated."""
     padded = padded_row(prim)
-    w = padded.stack()
-    wave = (w[:, :-1] != w[:, 1:]).any(axis=0)
-    waves = np.flatnonzero(wave)
-    sol = select_parameters(interface_pair(padded[waves], padded[waves + 1]), eos1, eos2)
-    table, speeds = scheme._constant_row(w[:, :-1], *phase_columns(eos1, eos2))
-    dt = cfl_dt(sol, dx, cfl, np.where(wave, 0.0, speeds))
-    solved = assemble_fluxes(sol)
-    fm, fp = np.zeros((2, 7, wave.size))
-    fm[1:] = fp[1:] = scheme._trace_flux(w[0, :-1], table)
-    fm[:, waves], fp[:, waves] = solved
-    u = cells.stack()
-    return u - dt / dx * (fm[:, 1:] - fp[:, :-1]), (fm, fp), dt
+    sol = select_parameters(interface_pair(padded[:-1], padded[1:]), eos1, eos2)
+    fm, fp = assemble_fluxes(sol)
+    dt = cfl_dt(sol, dx, cfl)
+    return cells.stack() - dt / dx * (fm[:, 1:] - fp[:, :-1]), (fm, fp), dt
+
+
+def wave_interfaces(prim):
+    """The mesh interfaces of the cells ``prim`` whose two states differ in
+    some field, transmissive ghost cells at both ends."""
+    w = padded_row(prim).stack()
+    return np.flatnonzero((w[:, :-1] != w[:, 1:]).any(axis=0))
 
 
 def mid_run(cid, cells, t_frac):
@@ -1004,28 +1010,74 @@ def window_rows():
     yield RunConfig(cells=4, t_final=1.0), cells, to_primitive(cells, IDEAL, IDEAL), IDEAL, IDEAL
 
 
+def assert_step_is_the_whole_row_step(cfg, cells, prim, eos1, eos2):
+    """Assert that a step on ``cells`` (primitives ``prim``) gives the dt,
+    the cells and both flux rows of ``full_row_step`` bit for bit, and that
+    the cells outside its window keep their bits; return its StepInfo."""
+    out, info = fresh_step(step, cells, cfg, eos1, eos2)
+    want, (fm, fp), dt = full_row_step(cells, prim, cfg.cfl, eos1, eos2, cfg.dx)
+    assert info.dt == dt
+    assert out.stack().tobytes() == want.tobytes()
+    f_minus, f_plus = whole_rows(info, cfg.cells + 1)
+    assert (f_minus.tobytes(), f_plus.tobytes()) == (fm.tobytes(), fp.tobytes())
+    a, b = info.updated.start, info.updated.stop
+    u, new = cells.stack(), out.stack()
+    for part in (slice(0, a), slice(b, None)):
+        assert new[:, part].tobytes() == u[:, part].tobytes()
+    return info
+
+
 def test_step_updates_the_wave_window_only():
     windows = []
     for cfg, cells, prim, eos1, eos2 in window_rows():
-        dx = (cfg.domain[1] - cfg.domain[0]) / cfg.cells
-        out, info = fresh_step(step, cells, cfg, eos1, eos2)
-        want, (fm, fp), dt = full_row_step(cells, prim, cfg.cfl, eos1, eos2, dx)
-        assert out.stack().tobytes() == want.tobytes()
-        f_minus, f_plus = whole_rows(info, cfg.cells + 1)
-        assert f_minus.tobytes() == fm.tobytes()
-        assert f_plus.tobytes() == fp.tobytes()
-        assert info.dt == dt
+        info = assert_step_is_the_whole_row_step(cfg, cells, prim, eos1, eos2)
         a, b = info.updated.start, info.updated.stop
-        assert (a, b) == (info.waves[0] - 1, info.waves[-1] + 1)
-        u, new = cells.stack(), out.stack()
-        for part in (slice(0, a), slice(b, None)):
-            assert new[:, part].tobytes() == u[:, part].tobytes()
-        calm_inside = np.setdiff1d(np.arange(a + 1, b), info.waves).size
+        waves = wave_interfaces(prim)
+        assert (a, b) == (waves[0] - 1, waves[-1] + 1)
+        calm_inside = np.setdiff1d(np.arange(a + 1, b), waves).size
         windows.append((a, b, cfg.cells, calm_inside))
     (a1, b1, n1, _), (a2, b2, n2, calm2), (a3, b3, n3, _) = windows
     assert 0 < a1 and b1 < n1                       # strictly inside the mesh
     assert (a2 == 0 or b2 == n2) and calm2 > 0      # reaches an end, calm inside
     assert (a3, b3) == (0, n3)                      # the whole row
+
+
+def plateau_row(rng, n, states=4):
+    """The primitive stack of ``n`` cells made of runs of 1-5 cells of a few
+    random ideal-gas states, so that a step's window holds calm plateaus.
+    Every other state moves a cold phase 1 (p1 = 0.01, c1 about 0.1 at
+    rho1 up to 2) through phase 2 at a slip of 1-2: faster than (1 + ETA)
+    c1, so a pair of two such cells climbs a1."""
+    alpha1, rho1, rho2 = rng.uniform([[0.1], [0.5], [0.5]], [[0.9], [2.0], [2.0]], (3, states))
+    u1, u2, p1, p2 = rng.uniform([[-1.0], [-1.0], [0.5], [0.5]], [[1.0], [1.0], [2.0], [2.0]],
+                                 (4, states))
+    slip = np.arange(states) % 2 == 1
+    p1[slip] = 0.01
+    u1[slip] = u2[slip] + rng.choice([-1.0, 1.0], slip.sum()) * rng.uniform(1.0, 2.0, slip.sum())
+    table = np.array([alpha1, rho1, u1, p1, rho2, u2, p2])
+    runs = rng.integers(0, states, n), rng.integers(1, 6, n)
+    return table[:, np.repeat(*runs)[:n]]
+
+
+def test_step_on_calm_plateaus_equals_the_whole_row_solve(rng):
+    # rows of runs of a few states, some of whose pairs slip supersonically
+    # in phase 1: the step, which solves its window only, gives the cells,
+    # both flux rows and the dt of the solve of every interface of the row,
+    # bit for bit, and the cells outside its window keep their bits.  Where
+    # a calm pair of the window climbs a1, its outer breaks can set dt
+    cfg = RunConfig(cells=24, t_final=1.0, domain=(0.0, 1.0))
+    climbed_calm = 0
+    for _ in range(12):
+        cells = to_conserved(PrimitiveState(*plateau_row(rng, cfg.cells)), IDEAL, IDEAL)
+        # the primitives of a march's rows: to_primitive's of its cells
+        prim = to_primitive(cells, IDEAL, IDEAL)
+        info = assert_step_is_the_whole_row_step(cfg, cells, prim, IDEAL, IDEAL)
+        a, b = info.updated.start, info.updated.stop
+        w = padded_row(prim).stack()[:, a:b + 2]
+        calm = (w[:, :-1] == w[:, 1:]).all(axis=0)
+        start = (1.0 + ETA) * IDEAL.lagrangian_sound_speed(w[1, :-1], w[3, :-1])
+        climbed_calm += np.count_nonzero(calm & (info.sol.params.a1 > start))
+    assert climbed_calm > 10
 
 
 def test_public_step_mutates_nothing():
@@ -1063,7 +1115,7 @@ def test_step_record_states_its_window_once():
     for cfg, cells, eos1, eos2 in [calm] + [(c, u, e1, e2) for c, u, _, e1, e2 in window_rows()]:
         n = cfg.cells
         info = fresh_step(step, cells, cfg, eos1, eos2)[1]
-        waves = info.waves
+        waves = wave_interfaces(to_primitive(cells, eos1, eos2))
         assert (waves.size == 0) == (cells is calm[1])
         records = [(info, slice(waves[0] - 1, waves[-1] + 1) if waves.size else slice(0, 0))]
         if n > 4:
@@ -1159,13 +1211,14 @@ def test_run_equals_the_public_full_row_march(name, cid):
 
 def test_post_step_error_names_the_mesh_cell(monkeypatch):
     # the window of a mid-run case-1 row starts well inside the mesh; an m1
-    # flux that empties the cell left of a wave interface is reported at
-    # that cell's mesh index, not at its position in the window
+    # flux that empties the cell left of an interface of the window is
+    # reported at that cell's mesh index, not at its position in the window
     case = get_case(1)
     cfg, cells, _ = mid_run(1, 200, 0.5)
-    waves = fresh_step(step, cells, cfg, case.eos1, case.eos2)[1].waves
-    assert waves[0] > 20
-    k = waves.size // 2
+    info = fresh_step(step, cells, cfg, case.eos1, case.eos2)[1]
+    assert info.a > 20
+    k = info.fluxes.shape[-1] // 2
+    interface = info.a + k
     solve = scheme.assemble_fluxes
 
     def emptying(sol):
@@ -1174,9 +1227,9 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
         return fluxes
 
     monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
-    with pytest.raises(AdmissibilityError, match=rf"partial mass m1 at index {waves[k] - 1} ") as err:
+    with pytest.raises(AdmissibilityError, match=rf"partial mass m1 at index {interface - 1} ") as err:
         fresh_step(step, cells, cfg, case.eos1, case.eos2)
-    assert err.value.index == waves[k] - 1
+    assert err.value.index == interface - 1
 
 
 def test_stationary_contact_field_unchanged():

@@ -39,3 +39,12 @@ def test_dispatch_count_runs():
 def test_equal_cost_loads():
     equal_cost = load("equal_cost")
     assert callable(equal_cost.main) and callable(equal_cost.scaled_run)
+
+
+def test_guarantee_census_runs(monkeypatch):
+    census = load("guarantee_census")
+    monkeypatch.setattr(census, "TIERS", ((1, 4, 1e-9, 200.0),))
+    step = census.scheme.step
+    counts, first = census.census()
+    assert sum(counts.values()) == 4 and set(first) <= set(counts)
+    assert census.scheme.step is step
