@@ -57,6 +57,8 @@ MU = 0.1
 STOP_TOL = 4.0 * np.finfo(float).eps
 #: sweeps of the star solve after which every bracket is at most 2**-52 wide
 MAX_SWEEPS = 4 * 52
+#: the largest float below 1, the cap of the root where alpha1 does not jump
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class SolverError(RuntimeError):
@@ -91,11 +93,15 @@ class RelaxParams:
 class SharpQuantities:
     """Closed-form star-state predictors built on the two input states.
 
-    ``u_cap`` is the effective relative velocity whose position inside
-    ``(-a1 tau_sharp1_r, a1 tau_sharp1_l)`` decides feasibility and ordering.
-    ``ordering`` is the sign of ``u_cap`` (0 in a narrow band), and
-    ``feasible`` the existence condition for the parameters the predictors
-    were built with; an infeasible entry still carries its ordering.
+    ``u_cap`` is the effective relative velocity, whose sign decides the
+    ordering.  ``ordering`` is the sign of ``u_cap`` (0 in a narrow band),
+    and ``feasible`` the existence condition for the parameters the
+    predictors were built with: phase 1's tau predictors are positive and,
+    where alpha1 jumps, ``u_cap`` lies inside the window ``(-a1
+    tau_sharp1_r, a1 tau_sharp1_l)``, so that the coupling wave lies inside
+    phase 1's acoustic fan.  Where alpha1 does not jump, the phases decouple
+    into two single-phase Suliciu problems, which need no window.  An
+    infeasible entry still carries its ordering.
     """
 
     u_sharp1: np.ndarray
@@ -154,11 +160,13 @@ def _star_predictors(uL, uR, pL, pR, a):
     return u_s, pi_s
 
 
-def _classify(u_cap, tau_l, tau_r, a1):
+def _classify(u_cap, tau_l, tau_r, a1, equal):
     # a scaled band around u_cap = 0 counts as the coincident ordering
     eps = 1e-12 * a1 * np.maximum(tau_l, tau_r)
     ordering = np.where(np.abs(u_cap) <= eps, 0, np.sign(u_cap)).astype(np.int8)
-    feasible = (tau_l > 0.0) & (tau_r > 0.0) & (u_cap > -a1 * tau_r) & (u_cap < a1 * tau_l)
+    # the window binds only where alpha1 jumps (``equal`` is False)
+    feasible = ((tau_l > 0.0) & (tau_r > 0.0)
+                & (equal | ((u_cap > -a1 * tau_r) & (u_cap < a1 * tau_l))))
     return ordering, feasible
 
 
@@ -184,7 +192,8 @@ def sharp_quantities(pair, params: RelaxParams) -> SharpQuantities:
     lam = (a2R - a2L) / (a2R + a2L)
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
-    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))
+    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap,
+                           *_classify(u_cap, t1l, t1r, a1, al == ar))
 
 
 @dataclass(frozen=True)
@@ -488,7 +497,11 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     its two contacts trade places, its two middle breaks swap, and its
     middle region is tied to the right end state.  Everything else is
     formed from the original end states and contact speeds, each end-state
-    formula once on the (side, phase) stack.
+    formula once on the (side, phase) stack.  Phase 1's copy of the coupling
+    break, and the velocity of the region it bounds, start from u2* clamped
+    into phase 1's fan ``[u_L - a1 tau_L, u_R + a1 tau_R]``: where u2* lies
+    outside (only where alpha1 does not jump), its breaks stay ascending
+    and the region the clamp empties is phase 1's star state beside it.
     """
     a1, a2 = a
     nu_mach = nu * mach
@@ -498,17 +511,20 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     tau1m = tau_l * (1.0 - m_star) / (1.0 - mach)
     tau1p = tau_l * (1.0 + m_star) / one_nu_mach
     tau1rs = tau_r + tau_l * shift
-    u1m = sign * (u2s + a1 * mach * tau1m)
     u1s, u2s = sign * u1s, sign * u2s
     # the end states, [side, phase]
     rho, u, p = sides[:, 0], sides[:, 1], sides[:, 2]
     tau = 1.0 / rho
     # the acoustic speeds u_L - a tau_L and u_R + a tau_R of both phases
     outer = u + _OUTWARD * (a * tau)
+    # u2* clamped into phase 1's fan, each bound first, so that u2* keeps
+    # its bits where it ties one
+    u2s1 = np.minimum(outer[1, 0], np.maximum(outer[0, 0], u2s))
+    u1m = sign * (sign * u2s1 + a1 * mach * tau1m)
     breaks = np.empty((2, 4, u2s.size))
     breaks[:, 0], breaks[0, 3], breaks[1, 2] = outer[0], outer[1, 0], outer[1, 1]
     # with the other ordering phase 1's two middle breaks swap
-    middle = np.array([u2s, u1s])
+    middle = np.array([u2s1, u1s])
     breaks[0, 1:3] = np.where(flip, middle[::-1], middle)
     breaks[1, 1], breaks[1, 3] = u2s, np.inf
     regions = np.empty((4, 9, u2s.size))
@@ -596,15 +612,18 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     # without a fraction jump the scalar equation is the identity, so the
     # root is the right-hand side itself; taking it exactly (and the
     # phase-2 star speed verbatim below) decouples the phases bitwise
-    # (rhs clipped to [0, 1] as np.clip clips it: np.maximum with the bound
-    # first keeps rhs where the two tie, so -0.0 stays -0.0)
-    m_star = np.where(coincident, 0.0, np.minimum(np.maximum(0.0, ctx.rhs), 1.0))
+    # (rhs clipped as np.clip clips it: np.maximum with the bound first
+    # keeps rhs where the two tie, so -0.0 stays -0.0).  The upper bound is
+    # the largest float below 1, which a window that binds keeps rhs below;
+    # where u2* lies beyond phase 1's fan, rhs >= 1 takes the bound, so
+    # 1 - m does not vanish and phase 1's star volumes stay its predictors
+    m_star = np.where(coincident, 0.0, np.minimum(np.maximum(0.0, ctx.rhs), _BELOW_ONE))
     # so is the Mach map: with equal fractions mach_conservative(m) is m and
     # mach_cap(m) >= m, so mach(m) = m; the coincident ordering has m = 0
     mach = m_star.copy()
     # solve_star's bracket check sees only the jumping interfaces; the others
-    # could not fail it, since coincident ones have no equation to solve and
-    # with equal fractions psi(1) >= 1 > rhs
+    # need no bracket, since coincident ones have no equation to solve and
+    # with equal fractions the root is known
     jump = (~(coincident | equal_frac)).nonzero()[0]
     if jump.size:
         m_star[jump], mach[jump] = solve_star(ctx.at(jump))

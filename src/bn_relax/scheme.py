@@ -36,10 +36,11 @@ ETA = 0.01
 #: phases' predictors checks it.  On rows of 250 hard pairs (near-vacuum
 #: phases, velocities in +-4) one selection calls build_solution at most 8
 #: times.  The growth must accommodate locally supersonic relative
-#: velocities: benchmark case 2 climbs a1 by up to a 113-fold growth at 200,
-#: 800 and 3200 cells, every climb at an equal-fraction interface, most where
-#: phase 1 is its cold state (rho1 = 1, p1 = 0.01) on both sides and |u1 -
-#: u2| exceeds its sound speed.
+#: velocities where alpha1 jumps and strong compressions of a phase.  Where
+#: alpha1 does not jump the window does not bind, so case 2's cold phase 1
+#: (rho1 = 1, p1 = 0.01) slipping through phase 2 faster than its sound
+#: speed takes no climb: cases 1-5 climb neither parameter at 200 or 800
+#: cells, and the census's largest climbs grow a1 36-fold and a2 34-fold.
 MAX_INFLATIONS = 1000
 #: the signs of the left and right rows of a (2, k) side stack
 _SIDES = np.array([[1.0], [-1.0]])
@@ -118,13 +119,14 @@ def _volume_least(taus, du, dp, lam, k):
 
 
 def _a1_least(pair, s, params):
-    """a1 above which phase 1's tau predictors are positive and ``u_cap`` lies
-    inside its window at the interfaces of ``pair``, with a2 and phase 2's
-    predictors those of ``s``.
+    """a1 above which phase 1's tau predictors are positive and, where alpha1
+    jumps, ``u_cap`` lies inside its window at the interfaces of ``pair``,
+    with a2 and phase 2's predictors those of ``s``.
 
     Multiplied by ``a1 (1 + (a1/a2)|lambda|)``, each bound of the window is a
     quadratic in a1 too: its constant terms cancel.  With the tau predictors'
     two (``_volume_least``'s at ``lam = k = 0``) they are one (4, k) stack.
+    Where alpha1 does not jump, the window's two roots are dropped (-inf).
     """
     taus, (left, right) = 1.0 / pair[:, 1], pair[:, 2:4]
     # phase 1's velocity and pressure: jumps, and means
@@ -133,9 +135,11 @@ def _a1_least(pair, s, params):
     g, h = np.abs(lam) / a2, lam * jumps[0] / (2.0 * a2)
     c0 = means[0] - s.u_sharp2 - lam * (means[1] - s.pi_sharp2) / a2
     (half_du, half_dp), (g_du, g_dp) = 0.5 * jumps, 0.5 * g * jumps
-    return np.maximum.reduce(_largest_root(
+    roots = _largest_root(
         np.concatenate((taus, g * taus)), np.array([half_du, half_du, *(taus + g_du - h * _SIDES)]),
-        np.array([0.0 - half_dp, half_dp, half_du - g_dp - c0, c0 + half_du + g_dp])))
+        np.array([0.0 - half_dp, half_dp, half_du - g_dp - c0, c0 + half_du + g_dp]))
+    roots[2:, pair[0, 0] == pair[1, 0]] = -np.inf
+    return np.maximum.reduce(roots)
 
 
 def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
@@ -182,7 +186,10 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     phase) rows, and each climbs for one predicate:
 
     1. a1, for the existence condition: phase 1's tau predictors are
-       positive and ``u_cap`` lies inside its window (``_a1_least``);
+       positive and, where alpha1 jumps, ``u_cap`` lies inside its window
+       (``_a1_least``).  Where alpha1 does not jump, each phase is its own
+       single-phase Suliciu problem, which needs positive tau predictors
+       only (Bouchut 2004), so the window does not bind there;
     2. a2, for the solution: every intermediate specific volume is positive
        and finite (``_volume_least`` of phase 2's volumes beside the coupling
        wave, with the coupling term of the failing solve held fixed).
@@ -435,11 +442,11 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     ``[a, b)``, whose two fluxes are the same floats, keep their bits.
 
     A calm interface, whose exact solution is its constant state, is solved
-    like any other, which has two effects.  Selection climbs a1 there where
-    its phases slip faster than about ``(1 + ETA) c1``, and the larger outer
-    breaks of that climb can shrink dt.  Its alpha1 "-" flux, ``u2* * 0``,
-    is -0.0 where u2* is negative, which changes no cell's bits.  A uniform
-    field marches bitwise unchanged.
+    like any other.  Its tau predictors are its own specific volumes and
+    alpha1 does not jump there, so it meets the existence condition at its
+    Whitham start and takes no climb, however fast its phases slip.  Its
+    alpha1 "-" flux, ``u2* * 0``, is -0.0 where u2* is negative, which
+    changes no cell's bits.  A uniform field marches bitwise unchanged.
 
     The step reads the padded primitive row and the wave mask of ``rows``,
     searches the mask on its span only, and updates the window of the

@@ -5,7 +5,9 @@ and selection formed every predictor again after an a1 climb:
 (with the helpers it called).  It is the bitwise oracle of the stacked
 thresholds and of the predictors formed on the phase stack of the
 parameters, after a climb too: the same inputs must give the same bytes.
-Not a test module; ``test_scheme`` imports it.
+It takes today's existence condition: the window of ``u_cap`` binds, and
+its two roots count in the a1 threshold, only where alpha1 jumps.  Not a
+test module; ``test_scheme`` imports it.
 """
 import numpy as np
 
@@ -35,6 +37,8 @@ def a1_least(pair, s, params):
     c0 = 0.5 * u_sum - s.u_sharp2 - lam * (0.5 * p_sum - s.pi_sharp2) / params.a2
     upper = largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
     lower = largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
+    equal = pair[0, 0] == pair[1, 0]
+    upper, lower = np.where(equal, -np.inf, upper), np.where(equal, -np.inf, lower)
     return np.maximum(np.maximum(volume_least(tauL, tauR, du, dp), upper), lower)
 
 
@@ -48,10 +52,11 @@ def _star_predictors(uL, uR, pL, pR, a):
     return u_s, pi_s
 
 
-def _classify(u_cap, tau_l, tau_r, a1):
+def _classify(u_cap, tau_l, tau_r, a1, equal):
     eps = 1e-12 * a1 * np.maximum(tau_l, tau_r)
     ordering = np.where(np.abs(u_cap) <= eps, 0, np.sign(u_cap)).astype(np.int8)
-    feasible = (tau_l > 0.0) & (tau_r > 0.0) & (u_cap > -a1 * tau_r) & (u_cap < a1 * tau_l)
+    window = (u_cap > -a1 * tau_r) & (u_cap < a1 * tau_l)
+    feasible = (tau_l > 0.0) & (tau_r > 0.0) & (window | equal)
     return ordering, feasible
 
 
@@ -65,4 +70,5 @@ def sharp_quantities(pair, params) -> SharpQuantities:
     lam = (a2R - a2L) / (a2R + a2L)
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
-    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))
+    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap,
+                           *_classify(u_cap, t1l, t1r, a1, al == ar))

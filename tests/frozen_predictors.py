@@ -4,8 +4,9 @@ they stood when both read the two sides of an interface pair as
 ``fixed_point_context(wL, wR, s, params)`` and the message of
 ``scheme.InterfaceError(what, wL, wR, j)``.  It is the bitwise oracle of the
 pair-based functions: the same states must give the same bytes in every
-field, and the same message.  Not a test module; ``test_riemann`` and
-``test_scheme`` import it.
+field, and the same message.  Its existence condition is the one of today,
+which ``riemann._classify`` forms: the window binds only where alpha1 jumps.
+Not a test module; ``test_riemann`` and ``test_scheme`` import it.
 """
 import numpy as np
 
@@ -20,12 +21,13 @@ def sharp_quantities(wL, wR, params) -> SharpQuantities:
     t1l, t1r = _acoustic_taus(1.0 / np.asarray(wL.rho1, dtype=float),
                               1.0 / np.asarray(wR.rho1, dtype=float), wL.u1, wR.u1, u1, a1)
     u2, pi2 = _star_predictors(wL.u2, wR.u2, wL.p2, wR.p2, a2)
-    a2L = 1.0 - np.asarray(wL.alpha1, dtype=float)
-    a2R = 1.0 - np.asarray(wR.alpha1, dtype=float)
+    al, ar = np.asarray(wL.alpha1, dtype=float), np.asarray(wR.alpha1, dtype=float)
+    a2L, a2R = 1.0 - al, 1.0 - ar
     lam = (a2R - a2L) / (a2R + a2L)
     ratio = a1 / a2
     u_cap = (u1 - u2 - lam * (pi1 - pi2) / a2) / (1.0 + ratio * np.abs(lam))
-    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap, *_classify(u_cap, t1l, t1r, a1))
+    return SharpQuantities(u1, pi1, t1l, t1r, u2, pi2, lam, u_cap,
+                           *_classify(u_cap, t1l, t1r, a1, al == ar))
 
 
 def fixed_point_context(wL, wR, s, params) -> FixedPointContext:

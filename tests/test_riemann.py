@@ -16,6 +16,7 @@ from bn_relax import (EosParams, PrimitiveState, RelaxParams, SolverError, WaveO
                       build_solution, fixed_point_context, interface_pair, region_tables, riemann,
                       sample, select_parameters, sharp_quantities, solve_star)
 from bn_relax.riemann import STOP_TOL, FixedPointContext
+from bn_relax.scheme import ETA
 from bn_relax.state import VARIABLES
 from conftest import fields, psi, random_primitive
 import frozen_predictors
@@ -842,6 +843,102 @@ def test_equal_fraction_decoupling(rng):
             assert abs(sc(got[2]) - pi) <= 1e-13 * pi_scale, k
             assert abs(sc(got[3]) - pi) <= 1e-13 * pi_scale, k
             assert abs(sc(got[4]) - u) <= 1e-13 * u_scale, k
+
+
+def slipping_pairs(rng, n):
+    """(wL, wR) of ``n`` pairs with equal alpha1 on both sides, phase 1 not
+    uniform (density and pressure in 0.5-2, velocities up to 0.15 c1 from a
+    common mean) and slipping through phase 2 at 1-3 times its left sound
+    speed c1, either way; phase 2 mildly non-uniform."""
+    alpha = rng.uniform(0.05, 0.95, n)
+    rho1, p1, rho2, p2 = rng.uniform(0.5, 2.0, (4, 2, n))
+    c1 = IDEAL.sound_speed(rho1[0], p1[0])
+    mean = rng.uniform(-1.0, 1.0, n)
+    u1 = mean + rng.uniform(-0.15, 0.15, (2, n)) * c1
+    slip = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 3.0, n) * c1
+    u2 = mean - slip + rng.uniform(-0.05, 0.05, (2, n))
+    return tuple(PrimitiveState(alpha, rho1[k], u1[k], p1[k], rho2[k], u2[k], p2[k])
+                 for k in (0, 1))
+
+
+def suliciu_sampled(wL, wR, k, eos, a, xi):
+    """(tau, u, pi, E) at ``xi`` of phase ``k``'s single-phase relaxation
+    solution, on its own (Bouchut's Suliciu solver): the left and right end
+    states beyond the acoustic waves ``u -+ a tau`` and the star states
+    between them, split at the phase's contact; pi and E of a star state by
+    the Lagrangian relations to the end state on its side."""
+    rho, u, p = (np.array([getattr(w, f"{name}{k}") for w in (wL, wR)])
+                 for name in ("rho", "u", "p"))
+    tau, e = 1.0 / rho, eos.internal_energy(rho, p)
+    u_s, pi_s, tl, tr = suliciu_star(u[0], u[1], p[0], p[1], tau[0], tau[1], a)
+    # the side of the contact, and the end state's tau, u, p and e there
+    side = (xi >= u_s).astype(int)
+    tau0, u0, p0, e0 = (np.choose(side, v) for v in (tau, u, p, e))
+    star = (xi >= u[0] - a * tau[0]) & (xi < u[1] + a * tau[1])
+    tau_x = np.where(star, np.choose(side, [tl, tr]), tau0)
+    u_x = np.where(star, u_s, u0)
+    pi_x = np.where(star, pi_s, p0)
+    return tau_x, u_x, pi_x, 0.5 * u_x ** 2 + e0 + (pi_x ** 2 - p0 ** 2) / (2 * a ** 2)
+
+
+def whitham_start(wL, wR, eos2):
+    """Selection's start of ``(a1, a2)``, (1 + ETA) max(rho c) over both
+    sides per phase, as a (2, k) phase stack."""
+    return np.array([(1.0 + ETA) * np.maximum(*(eos.lagrangian_sound_speed(getattr(w, f"rho{k}"),
+                                                                           getattr(w, f"p{k}"))
+                                                for w in (wL, wR)))
+                     for k, eos in ((1, IDEAL), (2, eos2))])
+
+
+def test_no_jump_of_alpha1_needs_no_window(rng):
+    # where alpha1 does not jump, each phase is its own single-phase
+    # relaxation problem, which needs only positive tau predictors: on rows
+    # whose phase 1 slips through phase 2 at 1-3 c1, most of them with u_cap
+    # outside phase 1's window, the Whitham start is feasible and a1 does
+    # not climb.  Phase 1's copy of the coupling break is clamped into its
+    # fan, so every phase's breaks ascend, and the region the clamp empties
+    # equals its neighbour, its star state (tau and pi bitwise, u and E to
+    # rounding).  Sampled anywhere, each phase is its single-phase state,
+    # and every wave of a lone interface balances mass, momentum and energy
+    n = 400
+    for eos2 in (IDEAL, STIFF):
+        wL, wR = slipping_pairs(rng, n)
+        pair = interface_pair(wL, wR)
+        start = whitham_start(wL, wR, eos2)
+        s = sharp_quantities(pair, RelaxParams(start))
+        inside = (s.u_cap > -start[0] * s.tau_sharp1_r) & (s.u_cap < start[0] * s.tau_sharp1_l)
+        assert s.feasible.all() and np.count_nonzero(~inside) > n // 2
+        sol = select_parameters(pair, IDEAL, eos2)
+        assert sol.params.a1.tobytes() == start[0].tobytes()
+        tables = region_tables(sol)
+        assert np.all(np.diff(tables["breaks1"], axis=0) >= 0.0)
+        assert np.all(np.diff(tables["breaks2"], axis=0) >= 0.0)
+        # the emptied region: phase 1's region beside the coupling break, on
+        # its left acoustic wave's side, or its right one's where reflected
+        outside = np.flatnonzero(~inside)
+        flip = sol.ordering[outside] < 0
+        emptied, star = np.where(flip, 3, 1), 2
+        assert np.all(tables["breaks1"][np.where(flip, 2, 1), outside]
+                      == tables["breaks1"][np.where(flip, 3, 0), outside])
+        for name in ("tau1", "pi1", "u1", "E1"):
+            got, want = tables[name][emptied, outside], tables[name][star, outside]
+            if name in ("tau1", "pi1"):
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), name
+        lo = np.min(tables["breaks1"][0]) - 1.0
+        hi = np.max(np.maximum(tables["breaks1"][3], tables["breaks2"][2])) + 1.0
+        for _ in range(8):
+            xi = rng.uniform(lo, hi, n)
+            got = fields(sample(sol, xi))
+            assert got.alpha1.tobytes() == wL.alpha1.tobytes()
+            for k, eos in ((1, IDEAL), (2, eos2)):
+                want = suliciu_sampled(wL, wR, k, eos, sol.params.a[k - 1], xi)
+                for name, value in zip(("tau", "u", "pi", "E"), want):
+                    assert np.allclose(getattr(got, f"{name}{k}"), value, rtol=1e-11,
+                                       atol=1e-11), (name, k)
+        for j in outside[:20]:
+            _assert_jump_conditions(select_parameters(pair[:, :, j:j + 1], IDEAL, eos2))
 
 
 # ------------------------------------------------------------ advection consistency

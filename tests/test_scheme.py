@@ -248,7 +248,7 @@ def test_ladder_climbs_eta_past_the_threshold(rng, monkeypatch):
         climbs += recorded_climbs(rng, monkeypatch, equal_fractions=equal_fractions)[0]
     assert {args[3] for args, _, _ in climbs} == {1, 2}
     assert sum(args[2].size for args, _, _ in climbs if args[3] == 1) > 200
-    exact = 0
+    exact = flat_a1 = 0
     for args, out, solve in climbs:
         pair, params, idx, grow, least = args
         wL, wR = PrimitiveState(*pair[0]), PrimitiveState(*pair[1])
@@ -263,6 +263,11 @@ def test_ladder_climbs_eta_past_the_threshold(rng, monkeypatch):
             assert np.all(holds_at(args, value))
             assert not np.any(holds_at(args, (1.0 - 1e-6) * least))
             assert out.a2.tobytes() == params.a2.tobytes()
+            # without a jump of alpha1 only phase 1's tau predictors climb it
+            flat = wL.alpha1[idx] == wR.alpha1[idx]
+            s = sharp_quantities(pair[:, :, idx], RelaxParams(np.array([base, params.a2[idx]])))
+            assert np.all(np.minimum(s.tau_sharp1_l, s.tau_sharp1_r)[flat] <= 0.0)
+            flat_a1 += np.count_nonzero(flat)
         else:
             # the threshold comes from the solve that failed, and a1 restarts
             assert least.tobytes() == rebuilt_a2_least(solve).tobytes()
@@ -277,7 +282,7 @@ def test_ladder_climbs_eta_past_the_threshold(rng, monkeypatch):
         # the other interfaces keep the climbing parameter
         name = f"a{grow}"
         assert np.array_equal(getattr(out, name)[rest], getattr(params, name)[rest])
-    assert exact > 20
+    assert exact > 20 and flat_a1 > 20
 
 
 def test_a1_climbs_from_its_start_at_the_returned_a2(rng):
@@ -350,20 +355,24 @@ def frozen_climb_checks(monkeypatch):
 
 
 def crafted_climbs():
-    """A row of ideal-gas pairs at equal fractions: three that climb a1 and
-    end with each ordering, and two that do not.  Case 2's cold phase 1
-    (rho1 = 1, p1 = 0.01) moves through phase 2 (u_cap < 0), then its mirror
-    image does (u_cap > 0); both phases collide at +-5 (u_cap = 0).  The
-    pair at rest has no jump, so every root of its a1 threshold is a signed
-    zero, one of them that of ``b = c = 0``; phase 1 expanding at equal
-    pressures around phase 2 at rest has the threshold -0.0, the tau
-    predictors' roots ``2c / (-b - |b|)`` of ``c = 0 - dp/2 = +0``."""
+    """A row of ideal-gas pairs: three that climb a1 and end with each
+    ordering, and two that do not.  Case 2's cold phase 1 (rho1 = 1, p1 =
+    0.01) moves through phase 2 across a jump of alpha1 from 0.8 to 0.7
+    (u_cap < 0), then its mirror image does (u_cap > 0): both climb for the
+    window.  Both phases collide at +-5 at equal fractions (u_cap = 0), which
+    climbs for phase 1's tau predictors.  The pair at rest has no jump, so
+    both roots of its tau predictors are signed zeros, one of them that of
+    ``b = c = 0``; phase 1 expanding at equal pressures around phase 2 at
+    rest has the threshold -0.0, the tau predictors' roots ``2c / (-b -
+    |b|)`` of ``c = 0 - dp/2 = +0``.  The last three have equal fractions,
+    so their window's roots are dropped."""
     cold = PrimitiveState(0.8, 1.0, -19.59741, 0.01, 1.6087, -6.3085, 466.72591)
+    thinner = dataclasses.replace(cold, alpha1=0.7)
     colliding = PrimitiveState(0.5, 1.0, 5.0, 0.01, 1.0, 5.0, 1.0)
     rest = PrimitiveState(0.4, 1.0, 0.0, 1.0, 2.0, 0.0, 0.8)
     expanding = PrimitiveState(0.4, 1.0, -1.0, 1.0, 2.0, 0.0, 0.8)
-    sides = [(cold, cold), (cold.mirrored(), cold.mirrored()), (colliding, colliding.mirrored()),
-             (rest, rest), (expanding, expanding.mirrored())]
+    sides = [(cold, thinner), (thinner.mirrored(), cold.mirrored()),
+             (colliding, colliding.mirrored()), (rest, rest), (expanding, expanding.mirrored())]
     return [PrimitiveState(*np.array([w.astuple() for w in side], dtype=float).T)
             for side in zip(*sides)]
 
@@ -375,7 +384,8 @@ def test_stacked_thresholds_and_kept_predictors_match_the_frozen_copy(rng, monke
     # formed phase by phase:
     # on the hard rows (with and without equal fractions), on the gate
     # script's two hard rows, on a crafted row and on every step of case 2
-    # at 200 cells
+    # at 200 cells, which climbs a1 on none: alpha1 does not jump where its
+    # cold phase 1 slips through phase 2 faster than its sound speed
     gate = load_script("gate_digests")
     draw = np.random.default_rng(gate.HARD_SEED)
     rows = [(wL, wR, eos2) for equal in (False, True)
@@ -391,7 +401,7 @@ def test_stacked_thresholds_and_kept_predictors_match_the_frozen_copy(rng, monke
     case = get_case(2)
     run(case.initial, RunConfig(cells=200, t_final=case.t_max, domain=case.domain,
                                 cfl=case.cfl), case.eos1, case.eos2)
-    assert seen["a1"] - hard > 200                     # case 2 climbs a1 on most steps
+    assert hard > 0 and seen["a1"] == hard             # case 2 climbs a1 on no step
     assert seen["orderings"] == {-1, 0, 1}
     assert seen["lam_zero"] > 0 and seen["flat_roots"] > 0
 
@@ -434,21 +444,33 @@ def test_climb_short_of_its_threshold_is_an_error(rng, monkeypatch, grow):
         select_parameters(interface_pair(hard_row(rng, 250), hard_row(rng, 250)), IDEAL, IDEAL)
 
 
+def slip_pair(u_rel):
+    """Three pairs of both phases at rest, with alpha1 = 0.5, rho = 1 and p
+    = 1, but for the middle one: its phase 1 moves at ``u_rel`` through phase
+    2 on both sides, across a jump of alpha1 from 0.5 to 0.5 + 1e-8."""
+    left = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (3, 1))
+    left[1, 2] = u_rel
+    right = left.copy()
+    right[1, 0] += 1e-8
+    return interface_pair(PrimitiveState(*left.T), PrimitiveState(*right.T))
+
+
 def test_ladder_inflation_cap_is_an_error():
     # phase 1 moves through phase 2 at a relative speed u_rel in the middle
-    # pair, so a1 tau1 must exceed u_rel.  a1 starts at 1.01 rho1 c1 = 1.195:
-    # a relative speed of 1e4 needs an 8.4e3-fold growth, within the
-    # 2.1e4-fold growth a climb may make, and 1e5 needs more than that
-    def row(u_rel):
-        cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (3, 1))
-        cells[1, 2] = u_rel                 # u1 of the middle pair
-        w = PrimitiveState(*cells.T)
-        return select_parameters(interface_pair(w, w), IDEAL, IDEAL)
-
-    params = row(1e4).params
+    # pair, across a jump of alpha1 small enough that a1 tau1 must exceed
+    # about u_rel.  a1 starts at 1.01 rho1 c1 = 1.195: a relative speed of
+    # 1e4 needs an 8.4e3-fold growth, within the 2.1e4-fold growth a climb
+    # may make, and 1e5 needs more than that.  Without the jump neither
+    # climbs, since the window binds only where alpha1 jumps
+    params = select_parameters(slip_pair(1e4), IDEAL, IDEAL).params
     assert 1e4 < params.a1[1] < (1.0 + ETA) ** MAX_INFLATIONS * params.a1[0]
     with pytest.raises(SolverError, match=r"a1 inflation cap exceeded at interface 1;"):
-        row(1e5)
+        select_parameters(slip_pair(1e5), IDEAL, IDEAL)
+    for u_rel in (1e4, 1e5):
+        pair = slip_pair(u_rel)
+        pair[1, 0] = pair[0, 0]
+        kept = select_parameters(pair, IDEAL, IDEAL).params.a1
+        assert kept.tobytes() == params.a1[[0, 0, 0]].tobytes()
 
 
 def test_eos_kernels_equal_the_checked_methods(rng):
@@ -852,30 +874,34 @@ def test_calm_interfaces_take_the_physical_flux():
 
 @pytest.mark.parametrize("eos2", [IDEAL, STIFF], ids=["ideal", "stiffened"])
 def test_calm_speed_is_the_outer_break_of_the_start(rng, eos2):
-    # where a uniform pair solved as a Riemann problem keeps the start that
-    # selection takes (no climb), its fastest outer break is the largest
-    # acoustic speed |u_k| + a_k tau_k of that start, bitwise, with tau_k =
-    # 1 / rho_k formed first
+    # a uniform pair solved as a Riemann problem keeps the start that
+    # selection takes: it climbs for neither parameter, also where its
+    # phases slip faster than (1 + ETA) c1, since alpha1 does not jump.  Its
+    # fastest outer break is the largest acoustic speed |u_k| + a_k tau_k of
+    # that start, bitwise, with tau_k = 1 / rho_k formed first
     w = random_primitive(rng, 2000)
     sol = select_parameters(interface_pair(w, w), IDEAL, eos2)
     start = [(1.0 + ETA) * eos.lagrangian_sound_speed(rho, p)
              for eos, rho, p in ((IDEAL, w.rho1, w.p1), (eos2, w.rho2, w.p2))]
-    kept = (sol.params.a1 == start[0]) & (sol.params.a2 == start[1])
-    assert 1000 < np.count_nonzero(kept) < 2000
+    assert sol.params.a1.tobytes() == start[0].tobytes()
+    assert sol.params.a2.tobytes() == start[1].tobytes()
+    supersonic = np.abs(w.u1 - w.u2) > start[0] * (1.0 / w.rho1)
+    assert 200 < np.count_nonzero(supersonic) < 2000
     outer = np.abs(sol.breaks[[0, 0, 1, 1], [0, 3, 0, 2]]).max(axis=0)
     speeds = np.maximum(np.abs(w.u1) + start[0] * (1.0 / w.rho1),
                         np.abs(w.u2) + start[1] * (1.0 / w.rho2))
-    assert outer[kept].tobytes() == speeds[kept].tobytes()
+    assert outer.tobytes() == speeds.tobytes()
 
 
 def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
     # case 2's cold phase 1 (rho1 = 1, p1 = 0.01) moving through phase 2 at
-    # |u1 - u2| > (1 + ETA) c1.  Solved as a Riemann problem the pair climbs
-    # a1, which widens phase 1's outer breaks, though its exact solution is
-    # the constant state.  A uniform row of it solves its window, interface
-    # 0, likewise: each step climbs a1 once and takes the climbed solve's
-    # dt (set here by phase 2's faster acoustic speeds), while the field
-    # stays bitwise unchanged
+    # |u1 - u2| > (1 + ETA) c1, so u_cap lies outside phase 1's window.
+    # alpha1 does not jump, so the pair keeps its start: no climb, and phase
+    # 1's outer breaks are the acoustic speeds of that start.  Phase 2 moves
+    # right of phase 1's fan, so phase 1's copy of the coupling break lies
+    # at its right acoustic wave, after its contact.  A uniform row of
+    # it solves its window, interface 0, likewise: no step climbs, each takes
+    # the start's dt, and the field stays bitwise unchanged
     case = get_case(2)
     w = PrimitiveState(0.8, 1.0, -19.59741, 0.01, 1.6087, -6.3085, 466.72591)
     assert abs(w.u1 - w.u2) > (1.0 + ETA) * case.eos1.sound_speed(w.rho1, w.p1)
@@ -883,28 +909,33 @@ def test_calm_pair_beyond_the_subsonic_window_marches_unchanged(monkeypatch):
     climb = scheme._climb_ladder
     monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
     sol = select_parameters(interface_pair(w, w), case.eos1, case.eos2)
-    assert grows == [1]
     a1_start = (1.0 + ETA) * sc(case.eos1.lagrangian_sound_speed(w.rho1, w.p1))
-    assert sol.params.a1[0] > a1_start
-    assert np.abs(sol.breaks[0, [0, 3], 0]).max() > abs(w.u1) + a1_start * (1.0 / w.rho1)
-    grows.clear()
+    assert grows == [] and sol.params.a1[0] == a1_start
+    outer = w.u1 + np.array([-1.0, 1.0]) * (a1_start * (1.0 / w.rho1))
+    assert sol.breaks[0, [0, 3], 0].tobytes() == outer.tobytes()
+    assert sol.ordering[0] == -1 and sol.u2_star[0] > sol.breaks[0, 3, 0]
+    assert sol.breaks[0, 2, 0] == sol.breaks[0, 3, 0]
     cells = to_conserved(grid_of(w, 16), case.eos1, case.eos2)
     cfg = RunConfig(cells=16, t_final=1.0, domain=(0.0, 1.0), cfl=case.cfl)
-    climbed = cfl_dt(sol, 1.0 / 16, case.cfl)
+    kept = cfl_dt(sol, 1.0 / 16, case.cfl)
+    # the march's primitives, to_primitive's of its cells, and their start
+    prim = to_primitive(cells, case.eos1, case.eos2)
+    start = (1.0 + ETA) * case.eos1.lagrangian_sound_speed(prim.rho1[0], prim.p1[0])
     out = cells
     for _ in range(3):
         out, info = fresh_step(step, out, cfg, case.eos1, case.eos2)
-        assert info.dt == climbed
-        assert info.sol.params.a1.tobytes() == sol.params.a1.tobytes()
+        assert info.dt == kept
+        assert info.sol.params.a1.tobytes() == np.array([start]).tobytes()
     assert out.stack().tobytes() == cells.stack().tobytes()
-    assert grows == [1, 1, 1]
+    assert grows == []
 
 
 def test_step_error_names_the_mesh_interface():
-    # the middle cell moves phase 1 at 1e5 through phase 2, beyond the a1
-    # cap (see test_ladder_inflation_cap_is_an_error).  Only interfaces 2
-    # and 3 of the mesh are solved; the error names the mesh's interface 3,
-    # not its position 1 among the solved ones
+    # the middle cell's phase 1 moves at 1e5 into the next cell's phase 1 at
+    # rest: there its left tau predictor needs a1 of about 5e4, beyond the
+    # growth cap of a1 (see test_ladder_inflation_cap_is_an_error).  Only
+    # interfaces 1 to 4 of the mesh are solved; the error names the mesh's
+    # interface 3, not its position 2 among the solved ones
     cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (5, 1))
     cells[2, 2] = 1e5
     u = to_conserved(PrimitiveState(*cells.T), IDEAL, IDEAL)
@@ -927,15 +958,17 @@ def assert_frozen_message(caught, site, what, pair, j):
 def test_interface_error_messages_keep_their_bytes(rng, monkeypatch):
     # every raise site of selection, and step's re-raise at the mesh
     # interface, gives the message the view-based error gave.  The climb's
-    # growth cap: the middle pair of test_ladder_inflation_cap_is_an_error
-    cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (5, 1))
-    cells[2, 2] = 1e5
-    pair = interface_pair(*(PrimitiveState(*cells[1:4].T),) * 2)
+    # growth cap: the middle pair of test_ladder_inflation_cap_is_an_error,
+    # whose alpha1 jumps
+    pair = slip_pair(1e5)
     cap = "non-subsonic or infeasible interface: a1 inflation cap exceeded"
     with pytest.raises(scheme.InterfaceError) as caught:
         select_parameters(pair, IDEAL, IDEAL)
     assert_frozen_message(caught, "_climb_ladder", cap, pair, 1)
-    # step's re-raise names the mesh interface of its padded primitive row
+    # step's re-raise names the mesh interface of its padded primitive row:
+    # the rows of test_step_error_names_the_mesh_interface
+    cells = np.tile([0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], (5, 1))
+    cells[2, 2] = 1e5
     u = to_conserved(PrimitiveState(*cells.T), IDEAL, IDEAL)
     w = MarchRows(u, IDEAL, IDEAL).w
     with pytest.raises(scheme.InterfaceError) as caught:
@@ -1047,7 +1080,8 @@ def plateau_row(rng, n, states=4):
     random ideal-gas states, so that a step's window holds calm plateaus.
     Every other state moves a cold phase 1 (p1 = 0.01, c1 about 0.1 at
     rho1 up to 2) through phase 2 at a slip of 1-2: faster than (1 + ETA)
-    c1, so a pair of two such cells climbs a1."""
+    c1, so a pair of two such cells has ``u_cap`` outside phase 1's
+    window."""
     alpha1, rho1, rho2 = rng.uniform([[0.1], [0.5], [0.5]], [[0.9], [2.0], [2.0]], (3, states))
     u1, u2, p1, p2 = rng.uniform([[-1.0], [-1.0], [0.5], [0.5]], [[1.0], [1.0], [2.0], [2.0]],
                                  (4, states))
@@ -1063,10 +1097,11 @@ def test_step_on_calm_plateaus_equals_the_whole_row_solve(rng):
     # rows of runs of a few states, some of whose pairs slip supersonically
     # in phase 1: the step, which solves its window only, gives the cells,
     # both flux rows and the dt of the solve of every interface of the row,
-    # bit for bit, and the cells outside its window keep their bits.  Where
-    # a calm pair of the window climbs a1, its outer breaks can set dt
+    # bit for bit, and the cells outside its window keep their bits.  No
+    # calm pair of the window climbs a1, the supersonic ones included, since
+    # alpha1 does not jump there
     cfg = RunConfig(cells=24, t_final=1.0, domain=(0.0, 1.0))
-    climbed_calm = 0
+    supersonic_calm = 0
     for _ in range(12):
         cells = to_conserved(PrimitiveState(*plateau_row(rng, cfg.cells)), IDEAL, IDEAL)
         # the primitives of a march's rows: to_primitive's of its cells
@@ -1076,8 +1111,38 @@ def test_step_on_calm_plateaus_equals_the_whole_row_solve(rng):
         w = padded_row(prim).stack()[:, a:b + 2]
         calm = (w[:, :-1] == w[:, 1:]).all(axis=0)
         start = (1.0 + ETA) * IDEAL.lagrangian_sound_speed(w[1, :-1], w[3, :-1])
-        climbed_calm += np.count_nonzero(calm & (info.sol.params.a1 > start))
-    assert climbed_calm > 10
+        assert info.sol.params.a1[calm].tobytes() == start[calm].tobytes()
+        supersonic_calm += np.count_nonzero(calm & (np.abs(w[2, :-1] - w[5, :-1])
+                                                    > start * (1.0 / w[1, :-1])))
+    assert supersonic_calm > 10
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["phase1-ahead", "phase1-behind"])
+def test_march_at_uniform_fraction_with_supersonic_slip(monkeypatch, mirrored):
+    # alpha1 = 0.5 everywhere, phase 1 slipping through phase 2 at 2.1 and
+    # 2.4 times its sound speed on the two sides, with a jump of phase 1's
+    # density, velocity and pressure: every interface is beyond phase 1's
+    # subsonic window, and none needs it.  At cfl 0.45 the march keeps
+    # positivity, conservation and both phases' entropy inequality, and
+    # never climbs a1
+    left = PrimitiveState(0.5, 1.0, 0.5, 1.0, 1.0, -2.0, 1.0)
+    right = PrimitiveState(0.5, 0.5, 0.2, 0.4, 0.8, -2.3, 0.9)
+    if mirrored:
+        left, right = right.mirrored(), left.mirrored()
+    for w in (left, right):
+        assert abs(w.u1 - w.u2) > 2.0 * IDEAL.sound_speed(w.rho1, w.p1)
+    grows = []
+    climb = scheme._climb_ladder
+    monkeypatch.setattr(scheme, "_climb_ladder", lambda *args: grows.append(args[3]) or climb(*args))
+    cfg = RunConfig(cells=100, t_final=0.2, cfl=0.45, entropy_audit=True)
+    res = run(InitialData(0.0, left, right), cfg, IDEAL, IDEAL)
+    assert res.t == cfg.t_final and res.steps > 100
+    assert grows.count(1) == 0
+    assert max(res.conservation_error.values()) <= 1e-12
+    assert res.entropy_slack <= 1e-12
+    lows = np.array([[r.min_alpha1, r.min_alpha2, r.min_rho1, r.min_rho2, r.min_e1, r.min_e2]
+                     for r in res.records])
+    assert np.all(lows > 0.0)
 
 
 def test_public_step_mutates_nothing():
