@@ -101,7 +101,7 @@ def _selection_digests():
     for sol in _hard_solutions():
         tables = region_tables(sol)
         fluxes = assemble_fluxes(sol)
-        selection += [sol.params.a1, sol.params.a2, tables["tau1"], tables["tau2"]]
+        selection += [sol.a[0], sol.a[1], tables["tau1"], tables["tau2"]]
         solved += [*(tables[key] for key in sorted(tables)), sol.u1_star, sol.u2_star, sol.pi1_star,
                    fluxes[0], fluxes[1]]
     return _array_digest(selection), _array_digest(solved)

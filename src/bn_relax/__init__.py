@@ -4,8 +4,8 @@ from .eos import EosDomainError, EosParams
 from .harness import (ErrorReport, bench, case_error, convergence_study, l1_error,
                       load_case_json, run_case, write_profile_csv)
 from .reference import ExactWaveFan, TestCase, exact_profile, exact_sample, get_case
-from .riemann import (FixedPointContext, RelaxParams, RelaxRiemannSolution, SharpQuantities,
-                      SolverError, WaveOrdering, build_solution, check_pair, fixed_point_context,
+from .riemann import (FixedPointContext, RelaxRiemannSolution, SharpQuantities, SolverError,
+                      WaveOrdering, build_solution, check_pair, fixed_point_context,
                       interface_pair, region_tables, sample, sharp_quantities, solve_star)
 from .rusanov import rusanov_fluxes, rusanov_step
 from .scheme import (InitialData, MarchRows, RunConfig, RunResult, assemble_fluxes, cfl_dt,

@@ -105,29 +105,30 @@ class EosParams:
         """``rho * c``, the lower bound for the relaxation parameter of this phase."""
         return np.asarray(rho, dtype=float) * self.sound_speed(rho, p)
 
+    def _density_and_excess(self, rho, e, method):
+        """``rho`` and ``rho e - p_inf`` as float arrays, checked in that
+        order for the domain of ``entropy`` and ``temperature``: both must
+        be positive.  ``method`` names the caller in the message."""
+        rho = np.asarray(rho, dtype=float)
+        e = np.asarray(e, dtype=float)
+        if not np.all(rho > 0.0):
+            raise EosDomainError(f"{method}: non-positive density")
+        arg = rho * e - self.p_inf
+        if not np.all(arg > 0.0):
+            raise EosDomainError(f"{method}: rho e <= p_inf (outside hyperbolicity region)")
+        return rho, arg
+
     def entropy(self, rho, e):
         """Mathematical entropy ``-log((rho e - p_inf) / rho**gamma)``.
 
         Decreasing in ``e`` at fixed ``rho`` (ds/de = -1/T < 0).
         """
-        rho = np.asarray(rho, dtype=float)
-        e = np.asarray(e, dtype=float)
-        if not np.all(rho > 0.0):
-            raise EosDomainError("entropy: non-positive density")
-        arg = rho * e - self.p_inf
-        if not np.all(arg > 0.0):
-            raise EosDomainError("entropy: rho e <= p_inf (outside hyperbolicity region)")
+        rho, arg = self._density_and_excess(rho, e, "entropy")
         return self.gamma * np.log(rho) - np.log(arg)
 
     def temperature(self, rho, e):
         """Positive integrating factor T with ds/de = -1/T."""
-        rho = np.asarray(rho, dtype=float)
-        e = np.asarray(e, dtype=float)
-        if not np.all(rho > 0.0):
-            raise EosDomainError("temperature: non-positive density")
-        arg = rho * e - self.p_inf
-        if not np.all(arg > 0.0):
-            raise EosDomainError("temperature: rho e <= p_inf (outside hyperbolicity region)")
+        rho, arg = self._density_and_excess(rho, e, "temperature")
         return arg / rho
 
 

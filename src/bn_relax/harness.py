@@ -154,12 +154,25 @@ def write_profile_csv(path, xs, profile: PrimitiveState):
 
 
 def read_profile_csv(path):
-    """Inverse of write_profile_csv: (x array, PrimitiveState)."""
+    """Inverse of write_profile_csv: (x array, PrimitiveState).  Raises
+    ValueError naming ``path``, and the line, for a wrong header, a file with
+    no row after it, and a row without one field per column."""
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ",".join(_PROFILE_HEADER):
             raise ValueError(f"unexpected profile header in {path}: {header!r}")
-        data = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = [float(v) for v in line.split(",")]
+            if len(row) != len(_PROFILE_HEADER):
+                raise ValueError(f"bad profile row in {path}, line {line_no}: "
+                                 f"{len(row)} fields, expected {len(_PROFILE_HEADER)}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"no profile rows in {path} after the header on line 1")
+    data = np.array(rows)
     return data[:, 0], PrimitiveState(*data[:, 1:].T)
 
 
@@ -242,6 +255,6 @@ def load_case_json(path) -> TestCase:
     right = PrimitiveState(**{k: float(raw["right"][k]) for k in _STATE_KEYS})
     validate_primitive(left, eos1, eos2, where="left")
     validate_primitive(right, eos1, eos2, where="right")
-    return TestCase(id=0, eos1=eos1, eos2=eos2, x0=float(raw["x0"]),
+    return TestCase(eos1=eos1, eos2=eos2, x0=float(raw["x0"]),
                     t_max=float(raw["t_max"]), cfl=float(raw["cfl"]),
                     domain=tuple(raw["domain"]), left=left, right=right, fan=None)

@@ -60,7 +60,6 @@ class ExactWaveFan:
 
 @dataclass(frozen=True)
 class TestCase:
-    id: int
     eos1: EosParams
     eos2: EosParams
     x0: float
@@ -159,12 +158,12 @@ def exact_profile(case: TestCase, cells: int, t: float) -> tuple:
     return x, exact_sample(case.fan, (x - case.x0) / t, case.eos1, case.eos2)
 
 
-def _from_fan(case_id, eos1, eos2, fan: ExactWaveFan, x0, t_max, domain) -> TestCase:
+def _from_fan(eos1, eos2, fan: ExactWaveFan, x0, t_max, domain) -> TestCase:
     """The case whose end states are those of its fan: each side's alpha1
     and the outer regions of both phases."""
     left = PrimitiveState(fan.alpha1_left, *fan.phase1.regions[0], *fan.phase2.regions[0])
     right = PrimitiveState(fan.alpha1_right, *fan.phase1.regions[-1], *fan.phase2.regions[-1])
-    return TestCase(case_id, eos1, eos2, x0=x0, t_max=t_max, cfl=0.45, domain=domain,
+    return TestCase(eos1, eos2, x0=x0, t_max=t_max, cfl=0.45, domain=domain,
                     left=left, right=right, fan=fan)
 
 
@@ -187,7 +186,7 @@ def _case1() -> TestCase:
         waves=(Wave("raref", -1), Wave("coupling"), Wave("shock")),
     )
     fan = ExactWaveFan(0.2, 0.7, u2_star=0.0684, phase1=p1, phase2=p2)
-    return _from_fan(1, eos1, eos2, fan, x0=0.0, t_max=0.15, domain=(-0.5, 0.5))
+    return _from_fan(eos1, eos2, fan, x0=0.0, t_max=0.15, domain=(-0.5, 0.5))
 
 
 def _case2() -> TestCase:
@@ -209,7 +208,7 @@ def _case2() -> TestCase:
         waves=(Wave("raref", -1), Wave("coupling"), Wave("shock")),
     )
     fan = ExactWaveFan(0.3, 0.8, u2_star=-6.3085, phase1=p1, phase2=p2)
-    return _from_fan(2, eos1, eos2, fan, x0=0.8, t_max=0.007, domain=(0.0, 1.0))
+    return _from_fan(eos1, eos2, fan, x0=0.8, t_max=0.007, domain=(0.0, 1.0))
 
 
 def _case3() -> TestCase:
@@ -222,7 +221,7 @@ def _case3() -> TestCase:
     waves = (Wave("raref", -1), Wave("coupling"), Wave("raref", +1))
     fan = ExactWaveFan(0.2, 0.5, u2_star=0.0,
                        phase1=PhaseFan(regions, waves), phase2=PhaseFan(regions, waves))
-    return _from_fan(3, eos1, eos2, fan, x0=0.5, t_max=0.15, domain=(0.0, 1.0))
+    return _from_fan(eos1, eos2, fan, x0=0.5, t_max=0.15, domain=(0.0, 1.0))
 
 
 def _case4() -> TestCase:
@@ -246,7 +245,7 @@ def _case4() -> TestCase:
         waves=(Wave("coupling"), Wave("raref", +1)),
     )
     fan = ExactWaveFan(clamp, 0.4, u2_star=0.1, phase1=p1, phase2=p2)
-    return _from_fan(4, eos1, eos2, fan, x0=0.0, t_max=0.15, domain=(-0.5, 0.5))
+    return _from_fan(eos1, eos2, fan, x0=0.0, t_max=0.15, domain=(-0.5, 0.5))
 
 
 def _case5() -> TestCase:
@@ -268,7 +267,7 @@ def _case5() -> TestCase:
         waves=(Wave("coupling"), Wave("raref", +1)),
     )
     fan = ExactWaveFan(1.0 - eps, eps, u2_star=1.0, phase1=p1, phase2=p2)
-    return _from_fan(5, eos1, eos2, fan, x0=0.0, t_max=0.05, domain=(-0.5, 0.5))
+    return _from_fan(eos1, eos2, fan, x0=0.0, t_max=0.05, domain=(-0.5, 0.5))
 
 
 _BUILDERS = {1: _case1, 2: _case2, 3: _case3, 4: _case4, 5: _case5}

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
-from .state import P, RHO_U_P, U, VARIABLES, PrimitiveState, _primitive_bounds
+from .state import P, RHO_U_P, U, VARIABLES, PrimitiveState, _primitive_bounds, _rows
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -69,24 +69,6 @@ class WaveOrdering(enum.IntEnum):
     ORDER_21 = -1      # u2* > u1*
     COINCIDENT = 0     # u2* == u1*
     ORDER_12 = 1       # u2* < u1*
-
-
-@dataclass(frozen=True)
-class RelaxParams:
-    """The relaxation parameters (units of a mass flux, all positive) as one
-    phase stack ``a``, phase 1 first: (2, k) for a row of k interfaces, (2,)
-    for one interface.  ``a1`` and ``a2`` are its rows, for tests and
-    scripts; the solver reads the rows of ``a``."""
-
-    a: np.ndarray
-
-    @property
-    def a1(self):
-        return self.a[0]
-
-    @property
-    def a2(self):
-        return self.a[1]
 
 
 @dataclass(frozen=True)
@@ -121,10 +103,7 @@ def interface_pair(wL: PrimitiveState, wR: PrimitiveState):
     side (left first), primitive variable (``VARIABLES`` order), interface.
     A scalar field holds for every interface.  Checks nothing: the entry
     points that take the pair call ``check_pair``."""
-    fields = [np.asarray(v, dtype=float) for v in (*wL.astuple(), *wR.astuple())]
-    if len({v.shape for v in fields}) > 1:
-        fields = np.broadcast_arrays(*fields)
-    return np.array(fields).reshape(2, 7, -1)
+    return _rows((*wL.astuple(), *wR.astuple())).reshape(2, 7, -1)
 
 
 def check_pair(pair, eos1: EosParams, eos2: EosParams):
@@ -170,19 +149,19 @@ def _classify(u_cap, tau_l, tau_r, a1, equal):
     return ordering, feasible
 
 
-def sharp_quantities(pair, params: RelaxParams) -> SharpQuantities:
+def sharp_quantities(pair, a) -> SharpQuantities:
     """Evaluate all star-state predictors from the interface pair, and
     classify them (``ordering``, ``feasible``).
 
-    Pure algebra on the rows of ``pair``, a checked (2, 7, k) pair with (2,
-    k) parameters, or a (2, 1) column of them for every interface, or a (2,
-    7) one with (2,) parameters; other parameters raise ValueError.
-    Non-positive tau predictors are reported by the feasibility test, not
-    here.  Both
-    phases' predictors are one evaluation on the (side, phase) rows of the
-    pair and the phase stack of the parameters.
+    Pure algebra on the rows of ``pair``, a checked (2, 7, k) pair, with the
+    relaxation parameters ``a``, a float array of (a1, a2), phase 1 first:
+    (2, k), or a (2, 1) column for every interface, or (2,) with a (2, 7)
+    pair; other shapes raise ValueError.  Non-positive tau predictors are
+    reported by the feasibility test, not here.  Both phases' predictors are
+    one evaluation on the (side, phase) rows of the pair and the phase rows
+    of ``a``.
     """
-    a1, a2 = a = params.a
+    a1, a2 = a
     if a.ndim != pair.ndim - 1:
         raise ValueError(f"parameters of shape {a.shape} for a pair of shape {pair.shape}")
     (u1, u2), (pi1, pi2) = _star_predictors(*pair[:, U], *pair[:, P], a)
@@ -290,10 +269,11 @@ def _context(a1L, a1R, du, dpi, tau_l, tau_r, lam, a1, a2) -> FixedPointContext:
     )
 
 
-def fixed_point_context(pair, s: SharpQuantities, params: RelaxParams) -> FixedPointContext:
-    """The context of ``pair`` (as ``sharp_quantities`` takes it) with the predictors ``s``."""
+def fixed_point_context(pair, s: SharpQuantities, a) -> FixedPointContext:
+    """The context of ``pair`` and ``a`` (as ``sharp_quantities`` takes
+    them) with the predictors ``s``."""
     return _context(pair[0, 0], pair[1, 0], s.u_sharp1 - s.u_sharp2, s.pi_sharp1 - s.pi_sharp2,
-                    s.tau_sharp1_l, s.tau_sharp1_r, s.lambda_alpha, *params.a)
+                    s.tau_sharp1_l, s.tau_sharp1_r, s.lambda_alpha, *a)
 
 
 def _seed(ctx: FixedPointContext):
@@ -468,10 +448,11 @@ class RelaxRiemannSolution:
     between its regions in ascending order (columns ``_PHASE_BREAKS``),
     phase 2's padded with +inf.  The phase fraction jumps from ``alpha1_l``
     to ``alpha1_r`` at ``u2_star``.  ``pi1_star`` is NaN where the phase
-    fraction does not jump (it is never used there).
+    fraction does not jump (it is never used there).  ``a`` holds the
+    relaxation parameters (a1, a2) the row was solved with, (2, k).
     """
 
-    params: RelaxParams
+    a: np.ndarray
     ordering: np.ndarray
     u1_star: np.ndarray
     u2_star: np.ndarray
@@ -559,11 +540,12 @@ def _tables(sides, a, gamma, p_inf, u_sharp1, tau_l, tau_r, m_star, mach, nu, u2
     return breaks, regions
 
 
-def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
+def build_solution(pair, eos1: EosParams, eos2: EosParams, a,
                    precomputed: SharpQuantities | None = None,
                    columns: tuple | None = None) -> RelaxRiemannSolution:
     """Solve the interface Riemann problems of ``pair``, the (2, 7, k) array
-    of ``interface_pair``, for already-feasible parameters.
+    of ``interface_pair``, for already-feasible relaxation parameters ``a``,
+    the float array of (a1, a2), phase 1 first.
 
     Raises EosDomainError if the pair leaves the EOS domain
     (``check_pair``), and SolverError if the existence condition does not
@@ -578,17 +560,16 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
     None.  The EOS is evaluated with the unchecked kernels.
     Intermediate specific volumes are returned whatever their sign: their
     positivity is one of the predicates ``scheme.select_parameters`` climbs
-    a2 for.  The solution is one-dimensional; so are its ``params``, whose
-    phase stack is (2, k), or a (2, 1) column where ``params`` were one
-    interface's (2,), which then hold for every interface of the row.
+    a2 for.  The solution is one-dimensional; so is its ``a``, which is (2,
+    k), or a (2, 1) column where ``a`` was one interface's (2,), which then
+    holds for every interface of the row.
     """
     if precomputed is None:
         check_pair(pair, eos1, eos2)
-        params = RelaxParams(params.a.reshape(2, -1))
-        s = sharp_quantities(pair, params)
+        a = a.reshape(2, -1)
+        s = sharp_quantities(pair, a)
     else:
         s = precomputed
-    a = params.a
     if columns is None:
         columns = phase_columns(eos1, eos2)
     # the existence condition and the ordering hold in the original frame:
@@ -639,7 +620,7 @@ def build_solution(pair, eos1: EosParams, eos2: EosParams, params: RelaxParams,
                               tau_l, tau_r, m_star, mach, ctx.nu, u2s, flip, sign)
     # each contact speed is the velocity of the middle region(s) beside it
     return RelaxRiemannSolution(
-        params=params, ordering=s.ordering,
+        a=a, ordering=s.ordering,
         u1_star=regions[1, 2], u2_star=regions[1, 6], pi1_star=pi1_star,
         alpha1_l=pair[0, 0], alpha1_r=pair[1, 0], breaks=breaks, regions=regions)
 

@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .eos import EosParams, internal_energy_of, lagrangian_sound_speed_of, phase_columns
-from .riemann import (RelaxParams, RelaxRiemannSolution, SolverError, build_solution,
-                      check_pair, sample, sharp_quantities)
+from .riemann import (RelaxRiemannSolution, SolverError, build_solution, check_pair, sample,
+                      sharp_quantities)
 from .state import (P, RHO, VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
                     to_conserved, to_primitive, validate_conserved)
 
@@ -118,10 +118,11 @@ def _volume_least(taus, du, dp, lam, k):
                                            np.array([k - dp / 2.0, dp / 2.0 - k])))
 
 
-def _a1_least(pair, s, params):
+def _a1_least(pair, s, a):
     """a1 above which phase 1's tau predictors are positive and, where alpha1
     jumps, ``u_cap`` lies inside its window at the interfaces of ``pair``,
-    with a2 and phase 2's predictors those of ``s``.
+    with a2 that of the relaxation parameters ``a`` (a (2, k) array of (a1,
+    a2)) and phase 2's predictors those of ``s``.
 
     Multiplied by ``a1 (1 + (a1/a2)|lambda|)``, each bound of the window is a
     quadratic in a1 too: its constant terms cancel.  With the tau predictors'
@@ -131,7 +132,7 @@ def _a1_least(pair, s, params):
     taus, (left, right) = 1.0 / pair[:, 1], pair[:, 2:4]
     # phase 1's velocity and pressure: jumps, and means
     jumps, means = right - left, 0.5 * (left + right)
-    lam, a2 = s.lambda_alpha, params.a[1]
+    lam, a2 = s.lambda_alpha, a[1]
     g, h = np.abs(lam) / a2, lam * jumps[0] / (2.0 * a2)
     c0 = means[0] - s.u_sharp2 - lam * (means[1] - s.pi_sharp2) / a2
     (half_du, half_dp), (g_du, g_dp) = 0.5 * jumps, 0.5 * g * jumps
@@ -142,20 +143,22 @@ def _a1_least(pair, s, params):
     return np.maximum.reduce(roots)
 
 
-def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
+def _climb_ladder(pair, a, idx, grow, least):
     """Raise a1 or a2 (``grow`` is 1 or 2) past ``least`` at interfaces ``idx``
-    of ``pair``: new parameters, whose phase stack is a copy of that of
-    ``params`` with row ``grow - 1`` written at ``idx``.
+    of ``pair``, where the relaxation parameters are ``a``, the (2, k) array
+    of (a1, a2): new parameters, a copy of ``a`` with row ``grow - 1``
+    written at ``idx``.
 
     Every predicate is the positivity of quadratics in the climbing
     parameter (for a2, with the coupling term of its last solve held fixed),
     so it holds above the largest of their roots, ``least``.  Each
-    interface takes ``(1 + ETA) max(a, least)``: a margin of ETA above the
-    threshold, and a growth of at least ``1 + ETA`` where rounding puts the
-    threshold below the value that failed.  A growth beyond
+    interface takes ``(1 + ETA) max(base, least)``, ``base`` its value
+    before the climb: a margin of ETA above the threshold, and a growth of
+    at least ``1 + ETA`` where rounding puts the threshold below the value
+    that failed.  A growth beyond
     ``(1 + ETA)**MAX_INFLATIONS`` is reported as an error.
     """
-    a = params.a.copy()
+    a = a.copy()
     base = a[grow - 1, idx]
     value = (1.0 + ETA) * np.maximum(base, least)
     over = value > (1.0 + ETA) ** MAX_INFLATIONS * base
@@ -163,7 +166,7 @@ def _climb_ladder(pair, params: RelaxParams, idx, grow, least) -> RelaxParams:
         raise InterfaceError(f"non-subsonic or infeasible interface: a{grow} inflation cap "
                              "exceeded", pair, int(idx[np.argmax(over)]))
     a[grow - 1, idx] = value
-    return RelaxParams(a)
+    return a
 
 
 #: the intermediate regions: phase 1's regions 1-3 and phase 2's 1-2
@@ -177,12 +180,13 @@ def _whitham_start(rho, p, gamma, p_inf):
 
 
 def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSolution:
-    """Pick per-interface (a1, a2) for ``pair``, the (2, 7, k) array of
-    ``riemann.interface_pair``, and return the solved Riemann problem, whose
-    ``params`` hold them.
+    """Pick per-interface relaxation parameters (a1, a2) for ``pair``, the
+    (2, 7, k) array of ``riemann.interface_pair``, and return the solved
+    Riemann problem, whose ``a`` holds them as a (2, k) float array, phase 1
+    first.
 
     Both start from the Whitham-like bound (1 + ETA) max(rho c) over the two
-    end states, formed as one (phase, interface) stack on the pair's (side,
+    end states, formed as one (phase, interface) array on the pair's (side,
     phase) rows, and each climbs for one predicate:
 
     1. a1, for the existence condition: phase 1's tau predictors are
@@ -194,14 +198,14 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
        and finite (``_volume_least`` of phase 2's volumes beside the coupling
        wave, with the coupling term of the failing solve held fixed).
 
-    Each climb takes its parameter to ``(1 + ETA) max(a, least)``, the
-    threshold one root evaluation of stacked quadratics.  The a1 threshold
+    Each climb takes its parameter from ``base`` to ``(1 + ETA) max(base,
+    least)``, the threshold one root evaluation of stacked quadratics.  The a1 threshold
     is exact, and a1 is checked once, by one evaluation of both phases'
     predictors: an a1 climb is a short pass.  The a2 threshold
     is exact where alpha1 does not jump and an estimate where it does, which
     the next round's solve checks.  An interface that fails predicate 2
-    takes a1 from its Whitham start again (row 0 of the stack is reset
-    there), so ``(a1, a2)`` do not depend on the order of the climbs.  A
+    takes a1 from its Whitham start again (row 0 of ``a`` is reset
+    there), so ``a`` does not depend on the order of the climbs.  A
     climb beyond the growth cap, an a1 climb after which the existence
     condition still fails, and an interface failing predicate 2 after
     MAX_INFLATIONS rounds are reported as errors.
@@ -218,32 +222,33 @@ def select_parameters(pair, eos1: EosParams, eos2: EosParams) -> RelaxRiemannSol
     """
     check_pair(pair, eos1, eos2)
     columns = phase_columns(eos1, eos2)
-    # the start of both sides and phases, on the (side, phase) stack
-    start = RelaxParams(_whitham_start(pair[:, RHO], pair[:, P], *columns).max(axis=0))
-    params = start
+    # the start of both phases, the larger of the two sides' on the (side,
+    # phase) rows
+    start = _whitham_start(pair[:, RHO], pair[:, P], *columns).max(axis=0)
+    a = start
     for _ in range(MAX_INFLATIONS + 1):
-        s = sharp_quantities(pair, params)
+        s = sharp_quantities(pair, a)
         bad = (~s.feasible).nonzero()[0]
         if bad.size:
-            params = _climb_ladder(pair, params, bad, 1, _a1_least(pair, s, params)[bad])
-            s = sharp_quantities(pair, params)
+            a = _climb_ladder(pair, a, bad, 1, _a1_least(pair, s, a)[bad])
+            s = sharp_quantities(pair, a)
             missed = (~s.feasible).nonzero()[0]
             if missed.size:
                 raise InterfaceError("a1 climbed past its threshold, yet its predicate fails",
                                      pair, int(missed[0]))
-        sol = build_solution(pair, eos1, eos2, params, precomputed=s, columns=columns)
+        sol = build_solution(pair, eos1, eos2, a, precomputed=s, columns=columns)
         tau = sol.regions[0].take(_MIDDLE_REGIONS, axis=0)
         ok = (tau > 0.0) & (tau < np.inf)
         if ok.all():
             return sol
         bad = ~ok.all(axis=0)
         (du, dp), lam = pair[1, 5:] - pair[0, 5:], s.lambda_alpha  # phase 2's jumps
-        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * params.a[1]
+        k = (sol.u2_star - s.u_sharp2 - lam * du / 2.0) * a[1]
         least = _volume_least(1.0 / pair[:, 4], du, dp, lam, k)[bad]
         # a1 restarts where the solve failed
-        retry = params.a.copy()
-        np.copyto(retry[0], start.a[0], where=bad)
-        params = _climb_ladder(pair, RelaxParams(retry), bad.nonzero()[0], 2, least)
+        retry = a.copy()
+        np.copyto(retry[0], start[0], where=bad)
+        a = _climb_ladder(pair, retry, bad.nonzero()[0], 2, least)
     raise InterfaceError("non-subsonic or infeasible interface: a2 inflation cap exceeded",
                          pair, int(np.argmax(bad)))
 
@@ -328,16 +333,16 @@ class MarchRows:
 
     - ``w``, the primitive row between transmissive ghost cells, (7, n + 2),
       formed by ``to_primitive``, which validates ``cells``;
-    - ``wave``, the wave mask of the n + 1 interfaces, True where the two
-      states differ in some field; ``step`` reads its first and last True
-      entries only, the ends of the window it solves;
+    - ``window`` = (a, b), the interfaces [a, b] that the next ``step``
+      solves: from the one before the first wave interface, whose two states
+      differ in some field, to the one after the last, or (0, 0) where there
+      is none;
     - ``u``, the conserved stack, (7, n), whose rows ``cells`` views;
     - ``families``, the ``FAMILIES`` entrywise, (4, n);
     - ``energies``, the specific internal energy of each phase, (2, n);
     - ``columns``, the ``phase_columns`` of ``eos``, looked up once.
 
-    Every wave interface lies in ``span`` = (lo, hi), the interfaces [lo,
-    hi].  ``step`` updates ``u`` on the cells [a, b) of its window in place,
+    ``step`` updates ``u`` on the cells [a, b) of its window in place,
     ``rusanov_step`` hands its new stack to ``adopt``, and ``splice`` then
     brings the other rows in line on the cells the step changed, so a
     relaxation step and its bookkeeping cost the window rather than the
@@ -348,17 +353,17 @@ class MarchRows:
         self.eos = eos1, eos2
         self.adopt(cells.stack())
         self.w = _pad_edges(to_primitive(cells, eos1, eos2).astuple())
-        self.wave = np.empty(self.w.shape[1] - 1, bool)
-        self._mark(0, self.wave.size - 1)
+        self._mark(0, self.u.shape[1])
         self.families = _family_values(self.u)
         self.columns = phase_columns(eos1, eos2)
         self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1], *self.columns)
 
     def _mark(self, lo, hi):
-        """Form the wave mask of the interfaces [lo, hi] and make them the span."""
+        """Set ``window`` from the interfaces [lo, hi], outside which no
+        interface is a wave."""
         w = self.w
-        self.wave[lo:hi + 1] = (w[:, lo:hi + 1] != w[:, lo + 1:hi + 2]).any(axis=0)
-        self.span = lo, hi
+        waves = (w[:, lo:hi + 1] != w[:, lo + 1:hi + 2]).any(axis=0).nonzero()[0]
+        self.window = (lo + int(waves[0]) - 1, lo + int(waves[-1]) + 1) if waves.size else (0, 0)
 
     def adopt(self, u):
         """Make the (7, n) array ``u`` the conserved stack, which ``cells``
@@ -370,10 +375,10 @@ class MarchRows:
     def splice(self, updated: slice):
         """Bring the rows in line with ``u`` after a step changed its cells
         ``updated`` = [a, b): the window's primitives (``to_primitive``
-        validates them) and both ghost cells, then the wave mask of the
+        validates them) and both ghost cells, then ``window`` from the
         interfaces [a, b], the only ones beside a changed cell, and the
         families and energies of [a, b).  Every other entry keeps its bits,
-        since its cells did."""
+        since its cells did, and every other interface stays calm."""
         a, b = updated.start, updated.stop
         w, part = self.w, self.u[:, a:b]
         w[:, a + 1:b + 1] = to_primitive(ConservedState(*part), *self.eos).astuple()
@@ -429,10 +434,11 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     ``dt_cap``.
 
     Only the cells beside a wave interface, whose two states differ in some
-    field, can change.  The window is the interfaces [a, b] from the one
-    before the first wave interface to the one after the last (both 0 on a
-    fully calm row); interfaces 0 and n lie between a cell and its ghost
-    copy, so they are never waves and the window stays in the mesh.  Every
+    field, can change.  The window is ``rows.window``, the interfaces [a,
+    b] from the one before the first wave interface to the one after the
+    last (both 0 on a fully calm row); interfaces 0 and n lie between a cell
+    and its ghost copy, so they are never waves and the window stays in the
+    mesh.  Every
     interface left of ``a`` carries the state of ``a``, and every one right
     of ``b`` that of ``b``.  The relaxation Riemann problem is solved at
     every interface of the window, calm ones between two waves and its two
@@ -448,10 +454,10 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     alpha1 "-" flux, ``u2* * 0``, is -0.0 where u2* is negative, which
     changes no cell's bits.  A uniform field marches bitwise unchanged.
 
-    The step reads the padded primitive row and the wave mask of ``rows``,
-    searches the mask on its span only, and updates the window of the
-    conserved stack ``rows.u`` in place, so ``rows.cells`` holds the new
-    state; the caller then brings the other rows in line with
+    The step reads the padded primitive row and the window of ``rows``, and
+    updates the window of the conserved stack ``rows.u`` in place, so
+    ``rows.cells`` holds the new state; the caller then brings the other
+    rows, the next window among them, in line with
     ``rows.splice(info.updated)``.  ``rusanov_step`` takes ``rows`` alike.
 
     Returns the step's ``StepInfo``.  Raises AdmissibilityError with the
@@ -461,9 +467,7 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     interface ``a + j``, from the pair of the whole row.
     """
     (eos1, eos2), dx = rows.eos, cfg.dx
-    w, (lo, hi) = rows.w, rows.span
-    waves = rows.wave[lo:hi + 1].nonzero()[0]
-    a, b = (lo + int(waves[0]) - 1, lo + int(waves[-1]) + 1) if waves.size else (0, 0)
+    w, (a, b) = rows.w, rows.window
     try:
         sol = select_parameters(np.stack((w[:, a:b + 1], w[:, a + 1:b + 2])), eos1, eos2)
     except InterfaceError as err:
@@ -605,8 +609,8 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     step takes only them, the config and the time left: it updates the
     conserved stack, a relaxation step on its window and a Rusanov step on
     the whole row, and ``MarchRows.splice`` converts the cells the step
-    changed (``StepInfo.updated``) and updates the wave mask, families and
-    energies there.  The totals and minima are reductions of the owned
+    changed (``StepInfo.updated``), updates the families and energies there
+    and sets the next window.  The totals and minima are reductions of the owned
     rows.  The conservation audit reads only the two end columns of the
     step's record (``StepInfo.ends``), and the entropy audit only the
     step's window.

@@ -91,11 +91,13 @@ class ConservedState:
 
 
 def _rows(fields):
-    """A state's seven fields as one (7, k) float array, broadcast to one
-    shape first where their shapes differ."""
+    """The fields of a state (or of several, one after the other) as one
+    (len(fields), k) float array, broadcast to one shape first where their
+    shapes differ."""
     if len({getattr(v, "shape", ()) for v in fields}) > 1:
         fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields))
-    return np.array(fields, dtype=float).reshape(7, -1)
+    rows = np.array(fields, dtype=float)
+    return rows.reshape(rows.shape[0], -1)
 
 
 def _first_failure(ok, checks, where):

@@ -28,13 +28,13 @@ def volume_least(tauL, tauR, du, dp, lam=0.0, k=0.0):
                       largest_root(tauR, (1.0 - lam) * du / 2.0, dp / 2.0 - k))
 
 
-def a1_least(pair, s, params):
+def a1_least(pair, s, a):
     tauL, tauR = 1.0 / pair[:, 1]
     (du, dp), (u_sum, p_sum) = pair[1, 2:4] - pair[0, 2:4], pair[0, 2:4] + pair[1, 2:4]
     lam = s.lambda_alpha
-    g = np.abs(lam) / params.a2
-    h = lam * du / (2.0 * params.a2)
-    c0 = 0.5 * u_sum - s.u_sharp2 - lam * (0.5 * p_sum - s.pi_sharp2) / params.a2
+    g = np.abs(lam) / a[1]
+    h = lam * du / (2.0 * a[1])
+    c0 = 0.5 * u_sum - s.u_sharp2 - lam * (0.5 * p_sum - s.pi_sharp2) / a[1]
     upper = largest_root(g * tauL, tauL + 0.5 * g * du - h, 0.5 * du - 0.5 * g * dp - c0)
     lower = largest_root(g * tauR, tauR + 0.5 * g * du + h, c0 + 0.5 * du + 0.5 * g * dp)
     equal = pair[0, 0] == pair[1, 0]
@@ -60,8 +60,8 @@ def _classify(u_cap, tau_l, tau_r, a1, equal):
     return ordering, feasible
 
 
-def sharp_quantities(pair, params) -> SharpQuantities:
-    a1, a2 = params.a1, params.a2
+def sharp_quantities(pair, a) -> SharpQuantities:
+    a1, a2 = a[0], a[1]
     (al, rho1l, u1l, p1l, _, u2l, p2l), (ar, rho1r, u1r, p1r, _, u2r, p2r) = pair
     u1, pi1 = _star_predictors(u1l, u1r, p1l, p1r, a1)
     t1l, t1r = _acoustic_taus(1.0 / rho1l, 1.0 / rho1r, u1l, u1r, u1, a1)

@@ -1,7 +1,7 @@
 """A frozen copy of the predictor algebra and the selection error message as
 they stood when both read the two sides of an interface pair as
-``PrimitiveState``s: ``sharp_quantities(wL, wR, params)``,
-``fixed_point_context(wL, wR, s, params)`` and the message of
+``PrimitiveState``s: ``sharp_quantities(wL, wR, a)``,
+``fixed_point_context(wL, wR, s, a)`` and the message of
 ``scheme.InterfaceError(what, wL, wR, j)``.  It is the bitwise oracle of the
 pair-based functions: the same states must give the same bytes in every
 field, and the same message.  Its existence condition is the one of today,
@@ -15,8 +15,8 @@ from bn_relax.riemann import (FixedPointContext, SharpQuantities, _acoustic_taus
 from bn_relax.state import VARIABLES
 
 
-def sharp_quantities(wL, wR, params) -> SharpQuantities:
-    a1, a2 = params.a1, params.a2
+def sharp_quantities(wL, wR, a) -> SharpQuantities:
+    a1, a2 = a[0], a[1]
     u1, pi1 = _star_predictors(wL.u1, wR.u1, wL.p1, wR.p1, a1)
     t1l, t1r = _acoustic_taus(1.0 / np.asarray(wL.rho1, dtype=float),
                               1.0 / np.asarray(wR.rho1, dtype=float), wL.u1, wR.u1, u1, a1)
@@ -30,10 +30,10 @@ def sharp_quantities(wL, wR, params) -> SharpQuantities:
                            *_classify(u_cap, t1l, t1r, a1, al == ar))
 
 
-def fixed_point_context(wL, wR, s, params) -> FixedPointContext:
+def fixed_point_context(wL, wR, s, a) -> FixedPointContext:
     return _context(np.asarray(wL.alpha1, dtype=float), np.asarray(wR.alpha1, dtype=float),
                     s.u_sharp1 - s.u_sharp2, s.pi_sharp1 - s.pi_sharp2, s.tau_sharp1_l,
-                    s.tau_sharp1_r, s.lambda_alpha, params.a1, params.a2)
+                    s.tau_sharp1_r, s.lambda_alpha, a[0], a[1])
 
 
 def _dump(w, j):

@@ -305,13 +305,13 @@ def test_criterion_8_kernel_properties(rng):
     w = random_primitive(rng, 2 * n)
     wL, wR = w[slice(0, n)], w[slice(n, 2 * n)]
     sol = select_parameters(interface_pair(wL, wR), IDEAL, IDEAL)
-    params = sol.params
+    params = sol.a
 
     # subsonic ordering and the phase-2 positivity window
-    assert np.all(wL.u1 - params.a1 / wL.rho1 < sol.u2_star)
-    assert np.all(sol.u2_star < wR.u1 + params.a1 / wR.rho1)
-    assert np.all(wL.u2 - params.a2 / wL.rho2 < sol.u2_star)
-    assert np.all(sol.u2_star < wR.u2 + params.a2 / wR.rho2)
+    assert np.all(wL.u1 - params[0] / wL.rho1 < sol.u2_star)
+    assert np.all(sol.u2_star < wR.u1 + params[0] / wR.rho1)
+    assert np.all(wL.u2 - params[1] / wL.rho2 < sol.u2_star)
+    assert np.all(sol.u2_star < wR.u2 + params[1] / wR.rho2)
 
     # fixed-point residual on the oriented problem
     flip = sol.ordering == WaveOrdering.ORDER_21
@@ -326,7 +326,7 @@ def test_criterion_8_kernel_properties(rng):
     import dataclasses
     safe = dataclasses.replace(ctx, rhs=np.where(coincident, 0.0, ctx.rhs))
     m, _ = solve_star(safe)
-    u2s = s.u_sharp1 - params.a1 * s.tau_sharp1_l * m
+    u2s = s.u_sharp1 - params[0] * s.tau_sharp1_l * m
     residual = np.abs(psi(safe, m) - safe.rhs)[~coincident]
     assert np.max(residual) <= 1e-12
     got = np.where(flip, -u2s, u2s)[~coincident]
@@ -348,10 +348,10 @@ def test_criterion_8_kernel_properties(rng):
     # pi and u deviations are scaled naturally since both can vanish
     wRd = PrimitiveState(wL.alpha1, wR.rho1, wR.u1, wR.p1, wR.rho2, wR.u2, wR.p2)
     sol_d = select_parameters(interface_pair(wL, wRd), IDEAL, IDEAL)
-    params_d = sol_d.params
+    params_d = sol_d.a
     for k, (uL, uR, pL, pR, tL, tR, a) in enumerate((
-            (wL.u1, wRd.u1, wL.p1, wRd.p1, 1 / wL.rho1, 1 / wRd.rho1, params_d.a1),
-            (wL.u2, wRd.u2, wL.p2, wRd.p2, 1 / wL.rho2, 1 / wRd.rho2, params_d.a2)), start=1):
+            (wL.u1, wRd.u1, wL.p1, wRd.p1, 1 / wL.rho1, 1 / wRd.rho1, params_d[0]),
+            (wL.u2, wRd.u2, wL.p2, wRd.p2, 1 / wL.rho2, 1 / wRd.rho2, params_d[1])), start=1):
         u_star = 0.5 * (uL + uR) - (pR - pL) / (2 * a)
         pi_star = 0.5 * (pL + pR) - 0.5 * a * (uR - uL)
         pi_scale = 0.5 * (pL + pR) + 0.5 * a * np.abs(uR - uL)

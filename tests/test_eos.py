@@ -40,6 +40,17 @@ def test_negative_density_rejected():
             fn()
 
 
+@pytest.mark.parametrize("method", ["entropy", "temperature"])
+def test_entropy_and_temperature_name_themselves_and_the_failed_check(method):
+    fn = getattr(EosParams(1.4, p_inf=1.0), method)
+    with pytest.raises(EosDomainError) as density:
+        fn(np.array([1.0, 0.0]), 0.5)     # the density check comes first
+    with pytest.raises(EosDomainError) as energy:
+        fn(1.0, np.array([2.0, 0.5]))     # rho e = 0.5 <= p_inf
+    assert str(density.value) == f"{method}: non-positive density"
+    assert str(energy.value) == f"{method}: rho e <= p_inf (outside hyperbolicity region)"
+
+
 @pytest.mark.parametrize("method", ["pressure", "internal_energy", "sound_speed",
                                     "lagrangian_sound_speed", "entropy", "temperature"])
 @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan),

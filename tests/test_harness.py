@@ -82,6 +82,24 @@ def test_profile_csv_round_trip(tmp_path):
         assert np.array_equal(getattr(p, name), getattr(p2, name)), name
 
 
+def test_profile_csv_header_only_is_rejected(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,alpha1,rho1,u1,p1,rho2,u2,p2\n")
+    with pytest.raises(ValueError, match=re.escape(f"no profile rows in {path} after the header "
+                                                   "on line 1")):
+        read_profile_csv(path)
+
+
+def test_profile_csv_short_row_is_rejected(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,alpha1,rho1,u1,p1,rho2,u2,p2\n"
+                    "0.25,0.5,1,0,1,1,0,1\n"
+                    "0.75,0.5,1,0,1,1,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"bad profile row in {path}, line 3: "
+                                                   "7 fields, expected 8")):
+        read_profile_csv(path)
+
+
 def test_profile_csv_bad_path():
     with pytest.raises(OSError):
         write_profile_csv("/nonexistent-dir/x.csv", np.array([0.0]), prof(alpha1=[0.5],
