@@ -46,12 +46,10 @@ def l1_error(approx: PrimitiveState, exact: PrimitiveState, dx: float) -> ErrorR
     return rep
 
 
-def run_case(case: TestCase, scheme: str, cells: int, cfl: float | None = None,
-             entropy_audit: bool = False) -> RunResult:
+def run_case(case: TestCase, scheme: str, cells: int, cfl: float | None = None) -> RunResult:
     """Run one benchmark case on ``cells`` cells with the requested scheme."""
     cfg = RunConfig(cells=cells, t_final=case.t_max, domain=case.domain,
-                    cfl=case.cfl if cfl is None else cfl, scheme=scheme,
-                    entropy_audit=entropy_audit)
+                    cfl=case.cfl if cfl is None else cfl, scheme=scheme)
     return run(case.initial, cfg, case.eos1, case.eos2)
 
 
@@ -103,15 +101,17 @@ BENCH_COLUMNS = ("scheme", "cells", "dx", "wall_seconds", *(f"E_{v}" for v in VA
                  "failure")
 
 
-def bench(case: TestCase, levels, schemes=("relaxation", "rusanov")):
-    """Error-vs-CPU rows: one per (scheme, level), keyed by ``BENCH_COLUMNS``.
+def bench(case: TestCase, levels):
+    """Error-vs-CPU rows: one per level of the relaxation scheme, then one per
+    level of Rusanov's, keyed by ``BENCH_COLUMNS``.
 
     A failed level keeps its reason in ``failure`` (empty otherwise), next to
     its NaN errors and time.
     """
     return [dict(zip(BENCH_COLUMNS, (scheme, rep.cells, rep.dx, rep.wall_seconds,
                                      *(rep.errors[v] for v in VARIABLES), rep.failure)))
-            for scheme in schemes for rep in convergence_study(case, scheme, levels)]
+            for scheme in ("relaxation", "rusanov")
+            for rep in convergence_study(case, scheme, levels)]
 
 
 def error_at_cost(costs, errors, cost: float) -> float:
@@ -156,7 +156,8 @@ def write_profile_csv(path, xs, profile: PrimitiveState):
 def read_profile_csv(path):
     """Inverse of write_profile_csv: (x array, PrimitiveState).  Raises
     ValueError naming ``path``, and the line, for a wrong header, a file with
-    no row after it, and a row without one field per column."""
+    no row after it, a row without one field per column, and a field that
+    is not a number."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -165,7 +166,10 @@ def read_profile_csv(path):
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            row = [float(v) for v in line.split(",")]
+            try:
+                row = [float(v) for v in line.strip().split(",")]
+            except ValueError as exc:
+                raise ValueError(f"bad profile row in {path}, line {line_no}: {exc}") from None
             if len(row) != len(_PROFILE_HEADER):
                 raise ValueError(f"bad profile row in {path}, line {line_no}: "
                                  f"{len(row)} fields, expected {len(_PROFILE_HEADER)}")

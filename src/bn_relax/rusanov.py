@@ -53,10 +53,10 @@ def rusanov_step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> Ste
     whole row, ``a = 0``, one flux serving as both the - and the + flux of
     its interface, so its ``updated`` is ``slice(0, n)``.  The time step
     takes the spectral radius of ``max_abs_eigenvalue``, and the ghost
-    cells come from ``scheme._pad_edges``.  The step reads ``rows.cells``,
-    and its new conserved stack becomes ``rows.u``, which ``rows.cells``
-    then views; the caller brings the other rows in line with
-    ``rows.splice(info.updated)``.
+    cells come from ``scheme._pad_edges``.  The step reads ``rows.cells``
+    and ``rows.u`` and writes nothing: its new conserved stack is
+    ``StepInfo.new``, which the caller stores with ``rows.splice(info.updated,
+    info.new)``.  A step that raises leaves the rows as they were.
     """
     (eos1, eos2), dx, u = rows.eos, cfg.dx, rows.u
     prim = to_primitive(rows.cells, eos1, eos2)
@@ -78,9 +78,5 @@ def rusanov_step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> Ste
                      -prim.p1, prim.p1, -prim.p1 * prim.u2, prim.p1 * prim.u2])
 
     unew = u - lam * (flux[:, 1:] - flux[:, :-1]) - lam * cvec * dalpha
-    # the new stack is adopted rather than written into rows.u: the update
-    # in place is bitwise too, but once every per-step temporary is freed
-    # the allocator trims the heap top and faults it back in the next step
-    # (about 7 times the minor page faults of a 3200-cell march)
-    validate_conserved(rows.adopt(unew), eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
-    return StepInfo(dt=dt, fluxes=np.broadcast_to(flux, (2,) + flux.shape), a=0)
+    validate_conserved(ConservedState(*unew), eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
+    return StepInfo(dt=dt, fluxes=np.broadcast_to(flux, (2,) + flux.shape), a=0, new=unew)

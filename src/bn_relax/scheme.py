@@ -342,49 +342,45 @@ class MarchRows:
     - ``energies``, the specific internal energy of each phase, (2, n);
     - ``columns``, the ``phase_columns`` of ``eos``, looked up once.
 
-    ``step`` updates ``u`` on the cells [a, b) of its window in place,
-    ``rusanov_step`` hands its new stack to ``adopt``, and ``splice`` then
-    brings the other rows in line on the cells the step changed, so a
-    relaxation step and its bookkeeping cost the window rather than the
-    row.  After an error of a step the rows are not consistent.
+    ``splice`` is the one writer of the rows: a step (``step`` or
+    ``rusanov_step``) reads them and returns its new cells, and ``splice``
+    stores those and brings the other rows in line on them, so a relaxation
+    step and its bookkeeping cost the window rather than the row.  A step
+    that raises leaves the rows as they were.
     """
 
     def __init__(self, cells: ConservedState, eos1: EosParams, eos2: EosParams):
         self.eos = eos1, eos2
-        self.adopt(cells.stack())
-        self.w = _pad_edges(to_primitive(cells, eos1, eos2).astuple())
-        self._mark(0, self.u.shape[1])
-        self.families = _family_values(self.u)
         self.columns = phase_columns(eos1, eos2)
-        self.energies = internal_energy_of(self.w[RHO, 1:-1], self.w[P, 1:-1], *self.columns)
+        n = np.size(cells.alpha1)
+        self.w = np.empty((7, n + 2))
+        self.families, self.energies = np.empty((4, n)), np.empty((2, n))
+        self.splice(slice(0, n), cells.stack())
 
-    def _mark(self, lo, hi):
-        """Set ``window`` from the interfaces [lo, hi], outside which no
-        interface is a wave."""
-        w = self.w
-        waves = (w[:, lo:hi + 1] != w[:, lo + 1:hi + 2]).any(axis=0).nonzero()[0]
-        self.window = (lo + int(waves[0]) - 1, lo + int(waves[-1]) + 1) if waves.size else (0, 0)
-
-    def adopt(self, u):
-        """Make the (7, n) array ``u`` the conserved stack, which ``cells``
-        then views, and return ``cells``; the other rows wait for
-        ``splice``."""
-        self.u, self.cells = u, ConservedState(*u)
-        return self.cells
-
-    def splice(self, updated: slice):
-        """Bring the rows in line with ``u`` after a step changed its cells
-        ``updated`` = [a, b): the window's primitives (``to_primitive``
-        validates them) and both ghost cells, then ``window`` from the
-        interfaces [a, b], the only ones beside a changed cell, and the
-        families and energies of [a, b).  Every other entry keeps its bits,
-        since its cells did, and every other interface stays calm."""
+    def splice(self, updated: slice, new):
+        """Store the conserved values ``new``, (7, b - a), of the cells
+        ``updated`` = [a, b) and bring the rows in line with them: the
+        primitives of [a, b) (``to_primitive`` validates them) and both
+        ghost cells, then ``window`` from the interfaces [a, b], the only
+        ones beside a changed cell, and the families and energies of [a, b).
+        Every other entry keeps its bits, since its cells did, and every
+        other interface stays calm."""
         a, b = updated.start, updated.stop
-        w, part = self.w, self.u[:, a:b]
-        w[:, a + 1:b + 1] = to_primitive(ConservedState(*part), *self.eos).astuple()
+        if b - a == self.families.shape[1]:
+            # a whole new row becomes u rather than being copied into it:
+            # the copy is bitwise too, but once every per-step temporary is
+            # freed the allocator trims the heap top and faults it back in
+            # the next step (about 7 times the minor page faults of a
+            # 3200-cell Rusanov march)
+            self.u, self.cells = new, ConservedState(*new)
+        else:
+            self.u[:, a:b] = new
+        w = self.w
+        w[:, a + 1:b + 1] = to_primitive(ConservedState(*new), *self.eos).astuple()
         w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
-        self._mark(a, b)
-        _family_values(part, out=self.families[:, a:b])
+        waves = (w[:, a:b + 1] != w[:, a + 1:b + 2]).any(axis=0).nonzero()[0]
+        self.window = (a + int(waves[0]) - 1, a + int(waves[-1]) + 1) if waves.size else (0, 0)
+        _family_values(new, out=self.families[:, a:b])
         self.energies[:, a:b] = internal_energy_of(w[RHO, a + 1:b + 1], w[P, a + 1:b + 1],
                                                    *self.columns)
 
@@ -406,16 +402,19 @@ class MarchRows:
 class StepInfo:
     """A step of length ``dt`` whose window is the interfaces [a, b]:
     ``fluxes`` holds their - and + fluxes, shape (2, 7, b - a + 1), and the
-    step changed the cells ``updated`` = [a, b) only.  Every interface left
-    of ``a`` carries the fluxes of ``a``, and every one right of ``b`` those
-    of ``b``.  A Rusanov step's window is the whole row, ``a = 0``.  ``sol``
-    is the relaxation solution of every interface of the window, the mesh
-    interfaces ``a + arange(b - a + 1)`` in order, and ``fluxes`` is its
-    ``assemble_fluxes``; it is None for the Rusanov scheme."""
+    step changes the cells ``updated`` = [a, b) only, to the conserved
+    values ``new``, (7, b - a), which ``MarchRows.splice`` stores.  Every
+    interface left of ``a`` carries the fluxes of ``a``, and every one right
+    of ``b`` those of ``b``.  A Rusanov step's window is the whole row, ``a
+    = 0``.  ``sol`` is the relaxation solution of every interface of the
+    window, the mesh interfaces ``a + arange(b - a + 1)`` in order, and
+    ``fluxes`` is its ``assemble_fluxes``; it is None for the Rusanov
+    scheme."""
 
     dt: float
     fluxes: np.ndarray
     a: int
+    new: np.ndarray
     sol: RelaxRiemannSolution | None = None
 
     @property
@@ -454,17 +453,19 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     alpha1 "-" flux, ``u2* * 0``, is -0.0 where u2* is negative, which
     changes no cell's bits.  A uniform field marches bitwise unchanged.
 
-    The step reads the padded primitive row and the window of ``rows``, and
-    updates the window of the conserved stack ``rows.u`` in place, so
-    ``rows.cells`` holds the new state; the caller then brings the other
-    rows, the next window among them, in line with
-    ``rows.splice(info.updated)``.  ``rusanov_step`` takes ``rows`` alike.
+    The step reads the padded primitive row, the window and the conserved
+    stack of ``rows`` and writes nothing: it returns the new values of the
+    cells [a, b) as ``StepInfo.new``, and the caller stores them and brings
+    the other rows, the next window among them, in line with
+    ``rows.splice(info.updated, info.new)``.  ``rusanov_step`` takes
+    ``rows`` alike.
 
     Returns the step's ``StepInfo``.  Raises AdmissibilityError with the
     offending cell's mesh index if the post-state leaves the admissible region,
     which signals a bug or a CFL breach rather than a recoverable condition.
     A selection failure is reported as an InterfaceError at its mesh
-    interface ``a + j``, from the pair of the whole row.
+    interface ``a + j``, from the pair of the whole row.  Either way the
+    rows are left as they were.
     """
     (eos1, eos2), dx = rows.eos, cfg.dx
     w, (a, b) = rows.w, rows.window
@@ -474,13 +475,12 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
         raise InterfaceError(err.what, (w[:, :-1], w[:, 1:]), a + err.interface) from None
     dt = min(cfl_dt(sol, dx, cfg.cfl), dt_cap)
     f = assemble_fluxes(sol)
-    u = rows.u
-    u[:, a:b] -= dt / dx * (f[0, :, 1:] - f[1, :, :-1])
+    new = rows.u[:, a:b] - dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
-        validate_conserved(ConservedState(*u[:, a:b]), eos1, eos2)
+        validate_conserved(ConservedState(*new), eos1, eos2)
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, f"post-step, dt={dt:.3e}") from None
-    return StepInfo(dt=dt, fluxes=f, a=a, sol=sol)
+    return StepInfo(dt=dt, fluxes=f, a=a, new=new, sol=sol)
 
 
 @dataclass(frozen=True)
@@ -606,14 +606,14 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     phases is accumulated as well (``EntropyAudit``).
 
     The march owns its rows (``MarchRows``) with either scheme, and each
-    step takes only them, the config and the time left: it updates the
-    conserved stack, a relaxation step on its window and a Rusanov step on
-    the whole row, and ``MarchRows.splice`` converts the cells the step
-    changed (``StepInfo.updated``), updates the families and energies there
-    and sets the next window.  The totals and minima are reductions of the owned
-    rows.  The conservation audit reads only the two end columns of the
-    step's record (``StepInfo.ends``), and the entropy audit only the
-    step's window.
+    step takes only them, the config and the time left: it returns the new
+    values of the cells it changes (``StepInfo.new`` on ``StepInfo.updated``),
+    a relaxation step those of its window and a Rusanov step the whole row,
+    and ``MarchRows.splice`` stores them, converts them, updates the families
+    and energies there and sets the next window.  The totals and minima are
+    reductions of the owned rows.  The conservation audit reads only the two
+    end columns of the step's record (``StepInfo.ends``), and the entropy
+    audit only the step's window.
 
     A step that the final time does not cap and whose dt is at most machine
     epsilon times ``cfg.t_final`` raises SolverError: at least 1/eps steps
@@ -649,7 +649,7 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
         if dt <= dt_floor and dt < cfg.t_final - t:
             raise SolverError(f"time step collapsed: step {nstep + 1} at t = {t:.6e} took "
                               f"dt = {dt:.6e} <= eps * t_final = {dt_floor:.6e}")
-        rows.splice(info.updated)
+        rows.splice(info.updated, info.new)
         totals, minima = rows.totals(), rows.minima()
         lam = dt / cfg.dx
         # the families' flux through the right end and through the left one

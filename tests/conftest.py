@@ -35,9 +35,11 @@ def random_primitive(rng, n, alpha_range=(0.05, 0.95), rho_range=(0.2, 3.0),
 def fresh_step(advance, cells, cfg, eos1, eos2, dt_cap=np.inf):
     """(new cells, StepInfo) of one step ``advance`` (``scheme.step`` or
     ``rusanov.rusanov_step``) on rows formed afresh from ``cells``, which
-    it leaves untouched; the new cells view the rows' conserved stack."""
+    it leaves untouched; the step's new cells are spliced into the rows,
+    and the new cells returned view the rows' conserved stack."""
     rows = MarchRows(cells, eos1, eos2)
     info = advance(rows, cfg, dt_cap)
+    rows.splice(info.updated, info.new)
     return rows.cells, info
 
 

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from bn_relax import (EosParams, PrimitiveState, RunConfig, WaveOrdering, build_solution,
-                      fixed_point_context, get_case, interface_pair, run_case, sample,
+                      fixed_point_context, get_case, interface_pair, run, run_case, sample,
                       select_parameters, sharp_quantities, solve_star, step, to_conserved)
-from bn_relax.harness import bench, case_error, convergence_study
+from bn_relax.harness import case_error, convergence_study
 from bn_relax.reference import wave_speeds
 from bn_relax.state import VARIABLES
 from conftest import fields, fresh_step, psi, random_primitive
@@ -226,7 +226,10 @@ def test_criterion_4_conservation(run3200, stress_runs):
 def test_criterion_5_discrete_entropy_inequality():
     worst = -np.inf
     for cid in (1, 2):
-        res = run_case(get_case(cid), "relaxation", 200, entropy_audit=True)
+        case = get_case(cid)
+        cfg = RunConfig(cells=200, t_final=case.t_max, domain=case.domain, cfl=case.cfl,
+                        entropy_audit=True)
+        res = run(case.initial, cfg, case.eos1, case.eos2)
         worst = max(worst, res.entropy_slack)
     assert worst <= 1e-10
     print(f"PASS criterion 5: discrete entropy inequality, worst slack {worst:.2e}")
@@ -267,10 +270,10 @@ def test_criterion_7_accuracy_and_cost_ordering():
     # demonstrably reaches above the timing-noise floor (~0.3 s), the
     # relaxation scheme must get there first
     run_case(case, "rusanov", 50)  # warm-up so first-call overhead is not timed
-    rel = [(r["E_rho1"], r["wall_seconds"])
-           for r in bench(case, [100, 200, 400, 800], schemes=("relaxation",))]
-    rus = [(r["E_rho1"], r["wall_seconds"])
-           for r in bench(case, [100, 200, 400, 800, 1600, 3200], schemes=("rusanov",))]
+    rel = [(r.errors["rho1"], r.wall_seconds)
+           for r in convergence_study(case, "relaxation", [100, 200, 400, 800])]
+    rus = [(r.errors["rho1"], r.wall_seconds)
+           for r in convergence_study(case, "rusanov", [100, 200, 400, 800, 1600, 3200])]
 
     def time_to_reach(curve, target):
         # wall time needed for error <= target: log-log interpolation,

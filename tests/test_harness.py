@@ -100,6 +100,17 @@ def test_profile_csv_short_row_is_rejected(tmp_path):
         read_profile_csv(path)
 
 
+@pytest.mark.parametrize("field", ["abc", ""], ids=["non-numeric", "empty"])
+def test_profile_csv_bad_field_is_rejected(tmp_path, field):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,alpha1,rho1,u1,p1,rho2,u2,p2\n"
+                    f"0.1,0.5,1,0,1,1,0,{field}\n")
+    with pytest.raises(ValueError, match=re.escape(f"bad profile row in {path}, line 2: "
+                                                   f"could not convert string to float: "
+                                                   f"'{field}'")):
+        read_profile_csv(path)
+
+
 def test_profile_csv_bad_path():
     with pytest.raises(OSError):
         write_profile_csv("/nonexistent-dir/x.csv", np.array([0.0]), prof(alpha1=[0.5],
@@ -264,7 +275,7 @@ def test_convergence_study_records_failed_level():
 
 
 def test_bench_keeps_failure_reason(tmp_path):
-    (row,) = bench(get_case(5), [100], schemes=("rusanov",))
+    (row,) = [r for r in bench(get_case(5), [100]) if r["scheme"] == "rusanov"]
     assert row["failure"].startswith("AdmissibilityError")
     assert math.isnan(row["E_rho1"])
     path = tmp_path / "bench.csv"

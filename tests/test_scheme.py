@@ -1190,14 +1190,15 @@ def test_step_record_states_its_window_once():
             assert info.ends().tobytes() == np.array([fm[:, -1], fp[:, 0]]).T.tobytes()
 
 
-@pytest.mark.parametrize("name, cid", [("relaxation", 2), ("rusanov", 1)],
-                         ids=["relaxation-2", "rusanov-1"])
+@pytest.mark.parametrize("name, cid", [("relaxation", 2), ("relaxation", 3), ("rusanov", 1)],
+                         ids=["relaxation-2", "relaxation-3", "rusanov-1"])
 def test_run_splices_the_primitive_window_bitwise(monkeypatch, name, cid):
     # the rows run hands each step equal, bit for bit, those formed afresh
     # from the whole state: the padded primitive row, the conserved stack,
     # the families and the energies; and the window equals the one formed
-    # afresh from the whole row.  A Rusanov step hands its new stack to
-    # MarchRows.adopt, and splice converts the whole row
+    # afresh from the whole row.  splice takes a whole new row as the
+    # conserved stack: on every Rusanov step, and on the relaxation steps of
+    # case 3 whose window spans the row; every other window is copied in
     seen = []
     module, attr = (scheme, "step") if name == "relaxation" else (rusanov, "rusanov_step")
     original = getattr(module, attr)
@@ -1293,6 +1294,66 @@ def test_post_step_error_names_the_mesh_cell(monkeypatch):
     with pytest.raises(AdmissibilityError, match=rf"partial mass m1 at index {interface - 1} ") as err:
         fresh_step(step, cells, cfg, case.eos1, case.eos2)
     assert err.value.index == interface - 1
+
+
+def row_bytes(rows):
+    """The bytes of the rows of a march, ``MarchRows``, and its window."""
+    return [getattr(rows, k).tobytes() for k in ("u", "w", "families", "energies")] + [rows.window]
+
+
+def rows_before_each_step(monkeypatch, module, attr):
+    """A list that fills, as ``run`` marches, with the rows of the march
+    and their ``row_bytes`` before each call of the step ``module.attr``."""
+    seen = []
+    original = getattr(module, attr)
+
+    def recording(rows, *args, **kwargs):
+        seen.append((rows, row_bytes(rows)))
+        return original(rows, *args, **kwargs)
+
+    monkeypatch.setattr(module, attr, recording)
+    return seen
+
+
+def test_failed_relaxation_step_leaves_the_rows_as_they_were(monkeypatch):
+    # 40 steps into case 1, an m1 flux that empties the cell left of the
+    # middle interface of the window fails the post-state check: the step
+    # raises at that cell's mesh index and writes none of the rows, which
+    # are still those of the 40th step
+    case = get_case(1)
+    cfg = RunConfig(cells=200, t_final=case.t_max, domain=case.domain, cfl=case.cfl)
+    seen = rows_before_each_step(monkeypatch, scheme, "step")
+    solve = scheme.assemble_fluxes
+
+    def emptying(sol):
+        fluxes = solve(sol)
+        if len(seen) == 41:
+            fluxes[0, 1, fluxes.shape[-1] // 2] = 1e6
+        return fluxes
+
+    monkeypatch.setattr(scheme, "assemble_fluxes", emptying)
+    with pytest.raises(AdmissibilityError, match=r"partial mass m1 at index \d+ \[post-step") as err:
+        run(case.initial, cfg, case.eos1, case.eos2)
+    rows, before = seen[-1]
+    a, b = rows.window
+    assert len(seen) == 41 and a > 20 and err.value.index == a + (b - a + 1) // 2 - 1
+    assert row_bytes(rows) == before
+    assert row_bytes(MarchRows(rows.cells, case.eos1, case.eos2)) == before
+
+
+def test_failed_rusanov_step_leaves_its_last_accepted_step(monkeypatch):
+    # Rusanov's scheme has no positivity guarantee, and a step of case 5 at
+    # 50 cells leaves the admissible region: the march raises, and its rows
+    # still hold the step before, as splice left them
+    case = get_case(5)
+    cfg = RunConfig(cells=50, t_final=case.t_max, domain=case.domain, cfl=case.cfl,
+                    scheme="rusanov")
+    seen = rows_before_each_step(monkeypatch, rusanov, "rusanov_step")
+    with pytest.raises(AdmissibilityError, match="rusanov post-step"):
+        run(case.initial, cfg, case.eos1, case.eos2)
+    rows, before = seen[-1]
+    assert len(seen) > 1 and row_bytes(rows) == before
+    assert row_bytes(MarchRows(rows.cells, case.eos1, case.eos2)) == before
 
 
 def test_stationary_contact_field_unchanged():

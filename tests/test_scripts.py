@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from bn_relax.state import VARIABLES
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -41,6 +43,27 @@ def test_dispatch_count_runs():
 def test_equal_cost_loads():
     equal_cost = load("equal_cost")
     assert callable(equal_cost.main) and callable(equal_cost.scaled_run)
+
+
+def test_equal_cost_extends_the_ladder_past_the_reference(monkeypatch):
+    # Rusanov's reference run costs more than every relaxation level (of 100
+    # and 200 cells), and relaxation is the more accurate scheme: one more
+    # level, of 400 cells, brings the reference inside the ladder, and the
+    # check passes rather than reporting NaN ratios
+    equal_cost = load("equal_cost")
+    calls = []
+
+    def timed(timer, case, scheme, cells):
+        calls.append((scheme, cells))
+        if scheme == "rusanov":
+            return 0.3, dict.fromkeys(VARIABLES, 1.0)
+        return cells / 1000.0, dict.fromkeys(VARIABLES, 1.0 / cells)
+
+    monkeypatch.setattr(equal_cost, "timed", timed)
+    monkeypatch.setattr(sys, "argv", ["equal_cost.py", "--levels", "2"])
+    equal_cost.main()
+    per_case = [("relaxation", 100), ("relaxation", 200), ("rusanov", 1600), ("relaxation", 400)]
+    assert calls == per_case * len(equal_cost.CASES)
 
 
 def test_guarantee_census_runs(monkeypatch):
