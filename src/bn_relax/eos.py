@@ -5,15 +5,15 @@ speeds require ``rho e > p_inf``, which is stricter than positivity of the
 internal energy when ``p_inf > 0``.  The entropy returned here is the
 mathematical (convex, dissipated) one; the physical entropy is its negative.
 
-The formulas of ``e(rho, p)``, ``c^2`` and ``rho c`` live in module-level
-kernels that take ``gamma`` and ``p_inf`` as arguments, so one evaluation
-serves a stack of both phases with ``gamma`` and ``p_inf`` as (2, 1) columns
-(``phase_columns``).  The kernels check nothing: outside the domain they
-return NaN, inf or a wrong sign.  Only the relaxation solver calls them, on
-rows that ``state.validate_conserved`` accepted or, for the public entry
-points, that ``riemann.check_pair`` checked.  Every other caller (Rusanov,
-``state``, users) uses the checked ``EosParams`` methods, whose energy and
-sound speed are formed by the same kernels.
+The formulas of ``p(rho, e)``, ``e(rho, p)``, ``c^2`` and ``rho c`` live in
+module-level kernels that take ``gamma`` and ``p_inf`` as arguments, so one
+evaluation serves a stack of both phases with ``gamma`` and ``p_inf`` as
+(2, 1) columns (``phase_columns``).  The kernels check nothing: outside the
+domain they return NaN, inf or a wrong sign.  ``state.validate_conserved``
+checks the pressures it forms with ``pressure_of``; the relaxation solver
+calls the others on rows it accepted or, for the public entry points, that
+``riemann.check_pair`` checked.  Every other caller (Rusanov, users) uses
+the checked ``EosParams`` methods, which call the same kernels.
 """
 from __future__ import annotations
 
@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+def pressure_of(rho, e, gamma, p_inf):
+    """Unchecked pressure ``(gamma - 1) rho e - gamma p_inf``."""
+    return (gamma - 1.0) * rho * e - gamma * p_inf
 
 
 def internal_energy_of(rho, p, gamma, p_inf):
@@ -58,9 +63,7 @@ class EosParams:
     constant volume and zero reference entropy.  Each method raises
     EosDomainError outside its domain.  Every check requires ``x > bound``,
     or ``np.isfinite``, of every entry, so that NaN, which compares false,
-    fails it.  ``pressure``, which ``state.to_primitive`` calls on every
-    relaxation step, reduces with the ``.all()`` method rather than the
-    slower ``np.all`` wrapper.
+    fails it.
     """
 
     gamma: float
@@ -76,9 +79,9 @@ class EosParams:
         """Pressure from density and specific internal energy."""
         rho = np.asarray(rho, dtype=float)
         e = np.asarray(e, dtype=float)
-        if not ((rho > 0.0) & np.isfinite(e)).all():
+        if not np.all((rho > 0.0) & np.isfinite(e)):
             raise EosDomainError("pressure: non-positive density or non-finite energy")
-        return (self.gamma - 1.0) * rho * e - self.gamma * self.p_inf
+        return pressure_of(rho, e, self.gamma, self.p_inf)
 
     def internal_energy(self, rho, p):
         """Specific internal energy from density and pressure."""

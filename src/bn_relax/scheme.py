@@ -470,7 +470,7 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     (eos1, eos2), dx = rows.eos, cfg.dx
     w, (a, b) = rows.w, rows.window
     try:
-        sol = select_parameters(np.stack((w[:, a:b + 1], w[:, a + 1:b + 2])), eos1, eos2)
+        sol = select_parameters(np.array((w[:, a:b + 1], w[:, a + 1:b + 2])), eos1, eos2)
     except InterfaceError as err:
         raise InterfaceError(err.what, (w[:, :-1], w[:, 1:]), a + err.interface) from None
     dt = min(cfl_dt(sol, dx, cfg.cfl), dt_cap)
@@ -485,11 +485,16 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Riemann-type initial data: left state for x < x0, right state beyond."""
+    """Riemann-type initial data: left state for x < x0, right state beyond;
+    ``x0`` must be finite."""
 
     x0: float
     left: PrimitiveState
     right: PrimitiveState
+
+    def __post_init__(self):
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eos import EosParams
+from .eos import EosParams, phase_columns, pressure_of
 
 #: order of the primitive variables in profiles and CSV files
 VARIABLES = ("alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2")
@@ -167,42 +167,42 @@ _CONSERVED_GATHER = np.array([0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6, 5, 6])
 
 
 def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
-    """Raise AdmissibilityError unless every entry of ``u`` is admissible.
+    """Raise AdmissibilityError unless every entry of ``u`` is admissible;
+    return the densities, velocities and pressures of its k entries that it
+    checked, each (2, k) with phase 1 first, for ``to_primitive``.
 
-    Checks, in order: alpha1 in (0,1), positive partial masses, for each
-    phase a positive partial internal energy and, for stiffened gas, the
-    stricter ``rho_k e_k > p_inf_k`` needed for real sound speeds, finite
-    partial masses and energies, and a finite ``rho_k e_k`` of each phase,
-    which a tiny fraction holding a huge energy overflows: the rows of one
-    table (those of alpha1 and the masses, which the others divide by,
-    reduced first); the error names the first failing check and its first
-    failing index.  The partial momenta need no check of their own: with
-    finite positive masses and finite energies an infinite momentum gives an
-    internal energy of -inf, and NaN propagates.
+    They are formed once, with the specific internal energy ``eta / m -
+    u^2 / 2``, and checked as the rows of one table, in order: alpha1 in
+    (0,1) and positive partial masses (reduced first: the others divide by
+    them), for each phase a positive energy and ``p > -p_inf`` (a real sound
+    speed, as ``validate_primitive`` reads it), finite partial masses and
+    energies, and a finite ``rho e`` and pressure of each phase, which a
+    tiny fraction holding a huge energy overflows.  The error names the
+    first failing check and its first failing index.  A non-finite velocity
+    gives a non-finite energy.
     """
     s = _rows(u.astuple())
     ok = np.isfinite(s)[_CONSERVED_GATHER]
     ok[:3] = s[:3] > 0.0
     ok[0] &= s[0] < 1.0
-    # one C-level reduction: the check runs twice a step
+    # one C-level reduction: the check runs at every conversion
     if not np.logical_and.reduce(ok[:3], axis=None):
         raise _first_failure(ok, _CONSERVED_CHECKS, where)
-    # a huge finite momentum overflows to -inf, and inf - inf gives NaN:
-    # both fail the check below, so the warnings are not let out; so does
-    # rho_k e_k = (alpha_k rho_k e_k) / alpha_k, which overflows to inf
+    gamma, p_inf = phase_columns(eos1, eos2)
+    # an overflow to inf, or NaN from inf - inf or inf * 0, fails a row below
     with np.errstate(over="ignore", invalid="ignore"):
-        eint = s[5:7] - 0.5 * s[3:5] * s[3:5] / s[1:3]  # alpha_k rho_k e_k
-        rho_e = eint / np.array([s[0], 1.0 - s[0]])
-    ok[3:7:2] = eint > 0.0
-    if eos1.p_inf > 0.0 or eos2.p_inf > 0.0:
-        # for a phase with p_inf_k = 0 and alpha1 in (0, 1) this row repeats
-        # eint > 0
-        ok[4:7:2] = rho_e > [[eos1.p_inf], [eos2.p_inf]]
-    else:
-        ok[4:7:2] = True  # with p_inf_k = 0 the row would repeat eint > 0
-    ok[11:] = rho_e < np.inf
+        rho = s[1:3] / np.array([s[0], 1.0 - s[0]])
+        vel = s[3:5] / s[1:3]
+        e = s[5:7] / s[1:3] - 0.5 * vel * vel
+        p = pressure_of(rho, e, gamma, p_inf)
+        ok[11:] = (rho * e < np.inf) & (p < np.inf)
+    ok[3:7:2] = e > 0.0
+    ok[4:7:2] = p > -p_inf
     if not ok.all():
+        # an infinite mass gives e = 0 and p = NaN: its own row reports it
+        ok[3:7] |= ~ok[[7, 7, 8, 8]]
         raise _first_failure(ok, _CONSERVED_CHECKS, where)
+    return rho, vel, p
 
 
 def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> ConservedState:
@@ -223,19 +223,14 @@ def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> Conserv
 
 
 def to_primitive(u: ConservedState, eos1: EosParams, eos2: EosParams) -> PrimitiveState:
-    """Conservative -> primitive conversion; validates the input."""
-    validate_conserved(u, eos1, eos2)
+    """Conservative -> primitive conversion: alpha1 as given and views of the
+    primitives that ``validate_conserved`` formed and checked (scalars for a
+    state of scalars)."""
+    rho, vel, p = validate_conserved(u, eos1, eos2)
+    if rho.shape[1] == 1 and not any(map(np.shape, u.astuple())):
+        rho, vel, p = rho[:, 0], vel[:, 0], p[:, 0]
     alpha1 = np.asarray(u.alpha1, dtype=float)
-    rho1 = u.m1 / alpha1
-    rho2 = u.m2 / (1.0 - alpha1)
-    u1 = u.q1 / u.m1
-    u2 = u.q2 / u.m2
-    e1 = u.eta1 / u.m1 - 0.5 * u1 * u1
-    e2 = u.eta2 / u.m2 - 0.5 * u2 * u2
-    return PrimitiveState(
-        alpha1=alpha1, rho1=rho1, u1=u1, p1=eos1.pressure(rho1, e1),
-        rho2=rho2, u2=u2, p2=eos2.pressure(rho2, e2),
-    )
+    return PrimitiveState(alpha1, rho[0], vel[0], p[0], rho[1], vel[1], p[1])
 
 
 def max_abs_eigenvalue(w: PrimitiveState, eos1: EosParams, eos2: EosParams):

@@ -1521,6 +1521,17 @@ def test_run_initial_projection_straddling_cell():
     assert res.cells.m1[mid] == pytest.approx(0.5 * (sc(uL.m1) + sc(uR.m1)), rel=1e-13)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_rejected(x0):
+    # a NaN x0 used to reach the projection and be reported as alpha1
+    # outside (0,1) in the initial data
+    case = get_case(1)
+    with pytest.raises(ValueError, match="x0 must be finite") as caught:
+        run(InitialData(x0, case.left, case.right), RunConfig(cells=8, t_final=0.01),
+            case.eos1, case.eos2)
+    assert type(caught.value) is ValueError
+
+
 def adversarial_problems(rng, **config):
     """100 two-state problems, as (index, initial data, config, eos2), with
     sides drawn like the pairs of hard_row (ideal and stiffened phase 2 in

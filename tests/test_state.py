@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import warnings
 
@@ -12,6 +13,7 @@ from conftest import random_primitive
 import frozen_primitive
 
 IDEAL = EosParams(1.4)
+STIFF = EosParams(3.0, 100.0)
 
 # left end state of benchmark case 1
 CASE1_LEFT = PrimitiveState(0.2, 0.21430, -0.02609, 0.3, 1.00003, 0.00007, 1.0)
@@ -137,6 +139,45 @@ def test_nonpositive_internal_energy_rejected():
     u = ConservedState(0.5, 1.0, 1.0, 3.0, 0.0, 1.0, 1.0)
     with pytest.raises(AdmissibilityError, match="internal energy, phase 1"):
         to_primitive(u, IDEAL, IDEAL)
+
+
+def test_state_at_the_edge_of_positive_energy_is_rejected_by_check_and_conversion():
+    # eta1 - q1^2 / 2m1 is positive, while the conversion's eta1 / m1 - u1^2 / 2
+    # is not: the check once took the first and passed, and to_primitive
+    # returned p1 = -2.1e-20
+    u = ConservedState(0.5, 2.3277050598469975e-07, 1.0, -7.665152097871138e-06, 0.0,
+                       0.00012620704765611566, 2.5)
+    for convert in (validate_conserved, to_primitive):
+        with pytest.raises(AdmissibilityError) as caught:
+            convert(u, IDEAL, IDEAL)
+        assert str(caught.value) == "non-positive internal energy, phase 1 at index 0"
+
+
+@pytest.mark.parametrize("size", [None, 2], ids=["scalar", "array"])
+@pytest.mark.parametrize("edge", [1, 2], ids=["phase1", "phase2"])
+def test_accepted_state_at_the_energy_edge_converts_into_the_primitive_domain(rng, edge, size):
+    # the phase ``edge``, an ideal gas, holds eta = KE (1 + delta) with
+    # |delta| <= 4e-16, where the two ways of forming its internal energy
+    # disagree in sign; the other phase, a stiffened gas, lies well inside
+    # its domain.  Whatever the check accepts converts into the domain.
+    eos1, eos2 = (IDEAL, STIFF) if edge == 1 else (STIFF, IDEAL)
+    accepted = 0
+    for _ in range(400):
+        w = PrimitiveState(rng.uniform(0.01, 0.99, size), *(
+            rng.uniform(lo, hi, size) for _ in range(2)
+            for lo, hi in ((0.5, 2.0), (-10.0, 10.0), (150.0, 300.0))))
+        m = 10.0 ** rng.uniform(-12.0, 3.0, size)
+        q = m * rng.uniform(-10.0, 10.0, size)
+        eta = 0.5 * q * q / m * (1.0 + rng.uniform(-4e-16, 4e-16, size))
+        u = dataclasses.replace(to_conserved(w, eos1, eos2),
+                                **{f"m{edge}": m, f"q{edge}": q, f"eta{edge}": eta})
+        try:
+            validate_conserved(u, eos1, eos2)
+        except AdmissibilityError:
+            continue
+        validate_primitive(to_primitive(u, eos1, eos2), eos1, eos2)
+        accepted += 1
+    assert accepted >= 20
 
 
 def test_stiffened_sound_speed_loss_distinct():
