@@ -5,15 +5,17 @@ speeds require ``rho e > p_inf``, which is stricter than positivity of the
 internal energy when ``p_inf > 0``.  The entropy returned here is the
 mathematical (convex, dissipated) one; the physical entropy is its negative.
 
-The formulas of ``p(rho, e)``, ``e(rho, p)``, ``c^2`` and ``rho c`` live in
-module-level kernels that take ``gamma`` and ``p_inf`` as arguments, so one
-evaluation serves a stack of both phases with ``gamma`` and ``p_inf`` as
-(2, 1) columns (``phase_columns``).  The kernels check nothing: outside the
+The formulas of ``p(rho, e)``, ``e(rho, p)``, ``c^2``, ``rho c`` and the
+entropy live in module-level kernels that take ``gamma`` and ``p_inf`` as
+arguments, so one evaluation serves a stack of both phases with ``gamma``
+and ``p_inf`` as (2, 1) columns (``phase_columns``).  The kernels check nothing: outside the
 domain they return NaN, inf or a wrong sign.  ``state.validate_conserved``
 checks the pressures it forms with ``pressure_of``; the relaxation solver
 calls the others on rows it accepted or, for the public entry points, that
-``riemann.check_pair`` checked.  Every other caller (Rusanov, users) uses
-the checked ``EosParams`` methods, which call the same kernels.
+``riemann.check_pair`` checked, and the relaxation march's entropy audit
+calls ``entropy_of`` on the rows its conversion accepted.  Every other
+caller (Rusanov, users) uses the checked ``EosParams`` methods, which call
+the same kernels.
 """
 from __future__ import annotations
 
@@ -42,6 +44,11 @@ def sound_speed_squared_of(rho, p, gamma, p_inf):
 def lagrangian_sound_speed_of(rho, p, gamma, p_inf):
     """Unchecked ``rho c``, the lower bound of a phase's relaxation parameter."""
     return rho * np.sqrt(sound_speed_squared_of(rho, p, gamma, p_inf))
+
+
+def entropy_of(rho, e, gamma, p_inf):
+    """Unchecked mathematical entropy ``gamma log(rho) - log(rho e - p_inf)``."""
+    return gamma * np.log(rho) - np.log(rho * e - p_inf)
 
 
 class EosDomainError(ValueError):
@@ -109,9 +116,10 @@ class EosParams:
         return np.asarray(rho, dtype=float) * self.sound_speed(rho, p)
 
     def _density_and_excess(self, rho, e, method):
-        """``rho`` and ``rho e - p_inf`` as float arrays, checked in that
-        order for the domain of ``entropy`` and ``temperature``: both must
-        be positive.  ``method`` names the caller in the message."""
+        """``rho``, ``e`` and ``rho e - p_inf`` as float arrays, ``rho`` and
+        ``rho e - p_inf`` checked in that order for the domain of ``entropy``
+        and ``temperature``: both must be positive.  ``method`` names the
+        caller in the message."""
         rho = np.asarray(rho, dtype=float)
         e = np.asarray(e, dtype=float)
         if not np.all(rho > 0.0):
@@ -119,19 +127,19 @@ class EosParams:
         arg = rho * e - self.p_inf
         if not np.all(arg > 0.0):
             raise EosDomainError(f"{method}: rho e <= p_inf (outside hyperbolicity region)")
-        return rho, arg
+        return rho, e, arg
 
     def entropy(self, rho, e):
         """Mathematical entropy ``-log((rho e - p_inf) / rho**gamma)``.
 
         Decreasing in ``e`` at fixed ``rho`` (ds/de = -1/T < 0).
         """
-        rho, arg = self._density_and_excess(rho, e, "entropy")
-        return self.gamma * np.log(rho) - np.log(arg)
+        rho, e, _ = self._density_and_excess(rho, e, "entropy")
+        return entropy_of(rho, e, self.gamma, self.p_inf)
 
     def temperature(self, rho, e):
         """Positive integrating factor T with ds/de = -1/T."""
-        rho, arg = self._density_and_excess(rho, e, "temperature")
+        rho, _, arg = self._density_and_excess(rho, e, "temperature")
         return arg / rho
 
 

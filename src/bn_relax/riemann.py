@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .eos import EosDomainError, EosParams, internal_energy_of, phase_columns
-from .state import P, RHO_U_P, U, VARIABLES, PrimitiveState, _primitive_bounds, _rows
+from .state import P, RHO_U_P, U, VARIABLES, PrimitiveState, _primitive_bounds, _stacked
 
 #: floor of the rightmost phase-1 specific volume on the dissipation branch,
 #: as a fraction of ``tau_sharp1_r``; must lie in (0, 1)
@@ -103,7 +103,7 @@ def interface_pair(wL: PrimitiveState, wR: PrimitiveState):
     side (left first), primitive variable (``VARIABLES`` order), interface.
     A scalar field holds for every interface.  Checks nothing: the entry
     points that take the pair call ``check_pair``."""
-    return _rows((*wL.astuple(), *wR.astuple())).reshape(2, 7, -1)
+    return _stacked((*wL.astuple(), *wR.astuple())).reshape(2, 7, -1)
 
 
 def check_pair(pair, eos1: EosParams, eos2: EosParams):

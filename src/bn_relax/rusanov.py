@@ -13,7 +13,7 @@ import numpy as np
 
 from .eos import EosParams
 from .scheme import MarchRows, RunConfig, StepInfo, _pad_edges
-from .state import ConservedState, PrimitiveState, max_abs_eigenvalue, to_primitive, validate_conserved
+from .state import PrimitiveState, max_abs_eigenvalue, to_primitive, validate_conserved
 
 
 def _physical_flux(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
@@ -34,13 +34,15 @@ def _physical_flux(w: PrimitiveState, eos1: EosParams, eos2: EosParams):
     ])
 
 
-def rusanov_fluxes(uL: ConservedState, uR: ConservedState, eos1: EosParams, eos2: EosParams):
-    """Central flux with local spectral-radius diffusion; returns (flux, r)."""
+def rusanov_fluxes(uL, uR, eos1: EosParams, eos2: EosParams):
+    """Central flux with local spectral-radius diffusion between the
+    conserved stacks (or ``ConservedState``s) ``uL`` and ``uR``; returns
+    (flux, r)."""
     wL = to_primitive(uL, eos1, eos2)
     wR = to_primitive(uR, eos1, eos2)
     r = np.maximum(max_abs_eigenvalue(wL, eos1, eos2), max_abs_eigenvalue(wR, eos1, eos2))
     flux = 0.5 * (_physical_flux(wL, eos1, eos2) + _physical_flux(wR, eos1, eos2)) \
-        - 0.5 * r * (uR.stack() - uL.stack())
+        - 0.5 * r * np.subtract(uR, uL)
     return flux, r
 
 
@@ -53,22 +55,20 @@ def rusanov_step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> Ste
     whole row, ``a = 0``, one flux serving as both the - and the + flux of
     its interface, so its ``updated`` is ``slice(0, n)``.  The time step
     takes the spectral radius of ``max_abs_eigenvalue``, and the ghost
-    cells come from ``scheme._pad_edges``.  The step reads ``rows.cells``
-    and ``rows.u`` and writes nothing: its new conserved stack is
-    ``StepInfo.new``, which the caller stores with ``rows.splice(info.updated,
-    info.new)``.  A step that raises leaves the rows as they were.
+    cells come from ``scheme._pad_edges``.  The step reads ``rows.u`` and
+    writes nothing: its new conserved stack is ``StepInfo.new``, which the
+    caller stores with ``rows.splice(info.updated, info.new)``.  A step that
+    raises leaves the rows as they were.
     """
     (eos1, eos2), dx, u = rows.eos, cfg.dx, rows.u
-    prim = to_primitive(rows.cells, eos1, eos2)
+    prim = to_primitive(u, eos1, eos2)
     smax = float(np.max(max_abs_eigenvalue(prim, eos1, eos2)))
     dt = min(cfg.cfl * dx / smax, dt_cap)
     lam = dt / dx
 
     upad = _pad_edges(u)
     n = u.shape[1]
-    left = ConservedState(*upad[:, :n + 1])
-    right = ConservedState(*upad[:, 1:])
-    flux, _ = rusanov_fluxes(left, right, eos1, eos2)
+    flux, _ = rusanov_fluxes(upad[:, :n + 1], upad[:, 1:], eos1, eos2)
 
     # centered treatment of the alpha1-gradient products, cell coefficients
     apad = upad[0]
@@ -78,5 +78,5 @@ def rusanov_step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> Ste
                      -prim.p1, prim.p1, -prim.p1 * prim.u2, prim.p1 * prim.u2])
 
     unew = u - lam * (flux[:, 1:] - flux[:, :-1]) - lam * cvec * dalpha
-    validate_conserved(ConservedState(*unew), eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
+    validate_conserved(unew, eos1, eos2, where=f"rusanov post-step, dt={dt:.3e}")
     return StepInfo(dt=dt, fluxes=np.broadcast_to(flux, (2,) + flux.shape), a=0, new=unew)

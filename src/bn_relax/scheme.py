@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .eos import EosParams, internal_energy_of, lagrangian_sound_speed_of, phase_columns
+from .eos import (EosParams, entropy_of, internal_energy_of, lagrangian_sound_speed_of,
+                  phase_columns)
 from .riemann import (RelaxRiemannSolution, SolverError, build_solution, check_pair, sample,
                       sharp_quantities)
 from .state import (P, RHO, VARIABLES, AdmissibilityError, ConservedState, PrimitiveState,
@@ -328,16 +329,17 @@ def _pad_edges(rows):
 
 
 class MarchRows:
-    """The rows that a march owns, formed from the state ``cells`` of the
-    phases ``eos`` = (eos1, eos2); ``cells`` is copied, never written:
+    """The rows that a march owns, formed from the conserved stack ``u``,
+    (7, n), of the phases ``eos`` = (eos1, eos2); ``u`` (or the stack of a
+    ``ConservedState``) is copied, never written:
 
     - ``w``, the primitive row between transmissive ghost cells, (7, n + 2),
-      formed by ``to_primitive``, which validates ``cells``;
+      formed by ``to_primitive``, which validates ``u``;
     - ``window`` = (a, b), the interfaces [a, b] that the next ``step``
       solves: from the one before the first wave interface, whose two states
       differ in some field, to the one after the last, or (0, 0) where there
       is none;
-    - ``u``, the conserved stack, (7, n), whose rows ``cells`` views;
+    - ``u``, the conserved stack, (7, n);
     - ``families``, the ``FAMILIES`` entrywise, (4, n);
     - ``energies``, the specific internal energy of each phase, (2, n);
     - ``columns``, the ``phase_columns`` of ``eos``, looked up once.
@@ -349,13 +351,14 @@ class MarchRows:
     that raises leaves the rows as they were.
     """
 
-    def __init__(self, cells: ConservedState, eos1: EosParams, eos2: EosParams):
+    def __init__(self, u, eos1: EosParams, eos2: EosParams):
         self.eos = eos1, eos2
         self.columns = phase_columns(eos1, eos2)
-        n = np.size(cells.alpha1)
+        u = np.array(u, dtype=float)
+        n = u.shape[1]
         self.w = np.empty((7, n + 2))
         self.families, self.energies = np.empty((4, n)), np.empty((2, n))
-        self.splice(slice(0, n), cells.stack())
+        self.splice(slice(0, n), u)
 
     def splice(self, updated: slice, new):
         """Store the conserved values ``new``, (7, b - a), of the cells
@@ -372,11 +375,11 @@ class MarchRows:
             # freed the allocator trims the heap top and faults it back in
             # the next step (about 7 times the minor page faults of a
             # 3200-cell Rusanov march)
-            self.u, self.cells = new, ConservedState(*new)
+            self.u = new
         else:
             self.u[:, a:b] = new
         w = self.w
-        w[:, a + 1:b + 1] = to_primitive(ConservedState(*new), *self.eos).astuple()
+        w[:, a + 1:b + 1] = to_primitive(new, *self.eos).astuple()
         w[:, 0], w[:, -1] = w[:, 1], w[:, -2]
         waves = (w[:, a:b + 1] != w[:, a + 1:b + 2]).any(axis=0).nonzero()[0]
         self.window = (a + int(waves[0]) - 1, a + int(waves[-1]) + 1) if waves.size else (0, 0)
@@ -477,7 +480,7 @@ def step(rows: MarchRows, cfg: RunConfig, dt_cap: float = np.inf) -> StepInfo:
     f = assemble_fluxes(sol)
     new = rows.u[:, a:b] - dt / dx * (f[0, :, 1:] - f[1, :, :-1])
     try:
-        validate_conserved(ConservedState(*new), eos1, eos2)
+        validate_conserved(new, eos1, eos2)
     except AdmissibilityError as err:
         raise AdmissibilityError(err.what, a + err.index, f"post-step, dt={dt:.3e}") from None
     return StepInfo(dt=dt, fluxes=f, a=a, new=new, sol=sol)
@@ -544,11 +547,11 @@ class EntropyAudit:
         self.ms = rows.u[1:3] * self.s[:, 1:-1]
 
     def _entropies(self, a, b):
-        """Each phase's entropy of the cells [a, b), from the rows' densities
-        and energies."""
+        """Each phase's entropy of the cells [a, b), (2, b - a), from the
+        rows' densities and energies in one evaluation of ``entropy_of``
+        (unchecked: ``splice`` validated these cells)."""
         rows = self.rows
-        return np.array([eos.entropy(rho, e) for eos, rho, e in
-                         zip(rows.eos, rows.w[RHO, a + 1:b + 1], rows.energies[:, a:b])])
+        return entropy_of(rows.w[RHO, a + 1:b + 1], rows.energies[:, a:b], *rows.columns)
 
     def slack(self, info: StepInfo, lam: float) -> float:
         """The most positive balance over its scale of the step ``info``
@@ -588,17 +591,17 @@ def _family_values(u, out=None):
     return out
 
 
-def _project_initial(init: InitialData, cfg: RunConfig, eos1, eos2) -> ConservedState:
+def _project_initial(init: InitialData, cfg: RunConfig, eos1, eos2) -> np.ndarray:
     """Cell averages of the two-state data on the mesh of ``cfg`` (exact
-    split in a straddling cell), validated as the initial data."""
+    split in a straddling cell), validated as the initial data: a (7,
+    cells) conserved stack."""
     uL = to_conserved(init.left, eos1, eos2).stack()
     uR = to_conserved(init.right, eos1, eos2).stack()
     edges = cfg.domain[0] + cfg.dx * np.arange(cfg.cells + 1)
     frac_left = np.clip((init.x0 - edges[:-1]) / cfg.dx, 0.0, 1.0)
     u = uL[:, None] * frac_left + uR[:, None] * (1.0 - frac_left)
-    cells = ConservedState(*u)
-    validate_conserved(cells, eos1, eos2, where="initial data")
-    return cells
+    validate_conserved(u, eos1, eos2, where="initial data")
+    return u
 
 
 def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) -> RunResult:
@@ -669,8 +672,8 @@ def run(initial: InitialData, cfg: RunConfig, eos1: EosParams, eos2: EosParams) 
     wall = time.perf_counter() - tic
 
     return RunResult(
-        x=x, cells=rows.cells, prim=to_primitive(rows.cells, eos1, eos2), t=t, steps=nstep,
-        wall_time=wall, records=records,
+        x=x, cells=ConservedState(*rows.u), prim=to_primitive(rows.u, eos1, eos2), t=t,
+        steps=nstep, wall_time=wall, records=records,
         conservation_error={name: float(drift[k]) if k < audited else 0.0
                             for k, name in enumerate(FAMILIES)},
         entropy_slack=entropy_slack,

@@ -59,7 +59,9 @@ class PrimitiveState:
         return self.alpha1, self.rho1, self.u1, self.p1, self.rho2, self.u2, self.p2
 
     def stack(self):
-        return np.stack([np.asarray(getattr(self, v), dtype=float) for v in VARIABLES])
+        """The fields in ``VARIABLES`` order as one float array, (7,) plus
+        their broadcast shape."""
+        return _stacked(self.astuple())
 
     def __getitem__(self, idx):
         return PrimitiveState(*(np.asarray(getattr(self, v))[idx] for v in VARIABLES))
@@ -84,20 +86,30 @@ class ConservedState:
         return self.alpha1, self.m1, self.m2, self.q1, self.q2, self.eta1, self.eta2
 
     def stack(self):
-        return np.stack([np.asarray(getattr(self, f), dtype=float) for f in self._FIELDS])
+        """The conserved stack: the fields in ``_FIELDS`` order as one float
+        array, (7,) plus their broadcast shape."""
+        return _stacked(self.astuple())
+
+    def __array__(self, dtype=None, copy=None):
+        """The ``stack()``, so that a state reads as its conserved stack
+        wherever one is taken (``np.asarray(u, dtype=float)``).  The stack
+        is a new array, so ``copy=False`` cannot be met."""
+        if copy is False:
+            raise ValueError("a ConservedState stacks its fields into a new array")
+        s = self.stack()
+        return s if dtype is None else s.astype(dtype, copy=False)
 
     def __getitem__(self, idx):
         return ConservedState(*(np.asarray(getattr(self, f))[idx] for f in self._FIELDS))
 
 
-def _rows(fields):
+def _stacked(fields):
     """The fields of a state (or of several, one after the other) as one
-    (len(fields), k) float array, broadcast to one shape first where their
-    shapes differ."""
+    float array, (len(fields),) plus their shape, broadcast to one shape
+    first where their shapes differ."""
     if len({getattr(v, "shape", ()) for v in fields}) > 1:
         fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields))
-    rows = np.array(fields, dtype=float)
-    return rows.reshape(rows.shape[0], -1)
+    return np.array(fields, dtype=float)
 
 
 def _first_failure(ok, checks, where):
@@ -144,7 +156,7 @@ def validate_primitive(w: PrimitiveState, eos1: EosParams, eos2: EosParams, wher
     p_inf``, and then finite densities, velocities and pressures.  The error
     names the first failing check and its first failing index.
     """
-    s = _rows(w.astuple())
+    s = w.stack().reshape(7, -1)
     lower, upper = _primitive_bounds(eos1.p_inf, eos2.p_inf)
     above = s > lower
     ok = np.concatenate((above, above & (s < upper)))[_PRIMITIVE_ROWS]
@@ -166,10 +178,12 @@ _CONSERVED_CHECKS = ("alpha1 outside (0,1)",
 _CONSERVED_GATHER = np.array([0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6, 5, 6])
 
 
-def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, where: str = ""):
-    """Raise AdmissibilityError unless every entry of ``u`` is admissible;
-    return the densities, velocities and pressures of its k entries that it
-    checked, each (2, k) with phase 1 first, for ``to_primitive``.
+def validate_conserved(u, eos1: EosParams, eos2: EosParams, where: str = ""):
+    """Raise AdmissibilityError unless every entry of ``u``, a conserved
+    stack ((7, k) or (7,) floats, read as they are, not copied) or a
+    ``ConservedState``, is admissible; return the densities, velocities and
+    pressures of its k entries that it checked, each (2, k) with phase 1
+    first, for ``to_primitive``.
 
     They are formed once, with the specific internal energy ``eta / m -
     u^2 / 2``, and checked as the rows of one table, in order: alpha1 in
@@ -181,7 +195,7 @@ def validate_conserved(u: ConservedState, eos1: EosParams, eos2: EosParams, wher
     first failing check and its first failing index.  A non-finite velocity
     gives a non-finite energy.
     """
-    s = _rows(u.astuple())
+    s = np.asarray(u, dtype=float).reshape(7, -1)
     ok = np.isfinite(s)[_CONSERVED_GATHER]
     ok[:3] = s[:3] > 0.0
     ok[0] &= s[0] < 1.0
@@ -222,15 +236,16 @@ def to_conserved(w: PrimitiveState, eos1: EosParams, eos2: EosParams) -> Conserv
     )
 
 
-def to_primitive(u: ConservedState, eos1: EosParams, eos2: EosParams) -> PrimitiveState:
-    """Conservative -> primitive conversion: alpha1 as given and views of the
-    primitives that ``validate_conserved`` formed and checked (scalars for a
-    state of scalars)."""
-    rho, vel, p = validate_conserved(u, eos1, eos2)
-    if rho.shape[1] == 1 and not any(map(np.shape, u.astuple())):
+def to_primitive(u, eos1: EosParams, eos2: EosParams) -> PrimitiveState:
+    """Conservative -> primitive conversion of a conserved stack or a
+    ``ConservedState`` ``u``, as ``validate_conserved`` reads it: alpha1, a
+    view of its row, and views of the primitives that ``validate_conserved``
+    formed and checked (scalars for a (7,) stack or a state of scalars)."""
+    s = np.asarray(u, dtype=float)
+    rho, vel, p = validate_conserved(s, eos1, eos2)
+    if s.ndim == 1:
         rho, vel, p = rho[:, 0], vel[:, 0], p[:, 0]
-    alpha1 = np.asarray(u.alpha1, dtype=float)
-    return PrimitiveState(alpha1, rho[0], vel[0], p[0], rho[1], vel[1], p[1])
+    return PrimitiveState(s[0], rho[0], vel[0], p[0], rho[1], vel[1], p[1])
 
 
 def max_abs_eigenvalue(w: PrimitiveState, eos1: EosParams, eos2: EosParams):

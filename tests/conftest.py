@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bn_relax import EosParams, MarchRows, PrimitiveState
+from bn_relax import ConservedState, EosParams, MarchRows, PrimitiveState
 
 
 def rng_of(nodeid):
@@ -40,7 +40,7 @@ def fresh_step(advance, cells, cfg, eos1, eos2, dt_cap=np.inf):
     rows = MarchRows(cells, eos1, eos2)
     info = advance(rows, cfg, dt_cap)
     rows.splice(info.updated, info.new)
-    return rows.cells, info
+    return ConservedState(*rows.u), info
 
 
 #: the nine rows of a sampled state, by the names ``fields`` gives them

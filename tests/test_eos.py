@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bn_relax import EosDomainError, EosParams
+from bn_relax.eos import entropy_of, phase_columns
 
 
 def test_pressure_hand_values():
@@ -137,3 +138,20 @@ def test_entropy_strictly_decreasing_in_e(rng):
     s0 = eos.entropy(rho, e)
     s1 = eos.entropy(rho, e * 1.01)
     assert np.all(s1 < s0)
+
+
+@pytest.mark.parametrize("eos1, eos2", [(EosParams(1.4), EosParams(1.4)),
+                                        (EosParams(1.4), EosParams(3.0, p_inf=100.0)),
+                                        (EosParams(4.4, p_inf=6000.0), EosParams(1.67))],
+                         ids=["ideal", "stiffened-2", "stiffened-1"])
+def test_entropy_kernel_on_the_phase_stack_is_the_checked_entropy(rng, eos1, eos2):
+    # one evaluation of the unchecked kernel on a (2, k) stack of both
+    # phases, with their (2, 1) phase columns, gives each phase's checked
+    # entropy bit for bit
+    rho = rng.uniform(0.1, 10.0, (2, 64))
+    e = np.array([eos.p_inf / r + rng.uniform(0.01, 50.0, 64)
+                  for eos, r in ((eos1, rho[0]), (eos2, rho[1]))])
+    stacked = entropy_of(rho, e, *phase_columns(eos1, eos2))
+    assert stacked.shape == (2, 64)
+    for k, eos in enumerate((eos1, eos2)):
+        assert stacked[k].tobytes() == eos.entropy(rho[k], e[k]).tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,3 +397,73 @@ def test_max_abs_eigenvalue_symmetric_phases():
     w = PrimitiveState(0.3, 1.2, 0.4, 0.9, 1.2, 0.4, 0.9)
     c = IDEAL.sound_speed(1.2, 0.9)
     assert max_abs_eigenvalue(w, IDEAL, IDEAL) == pytest.approx(0.4 + c, rel=1e-14)
+
+
+@pytest.mark.parametrize("state", [
+    ConservedState(np.array([0.5, 0.6]), 1.0, 1.0, 0.0, 0.0, 2.5, 2.5),
+    PrimitiveState(np.array([0.5, 0.6]), 1.0, 0.0, 1.0, np.array([1.0, 2.0]), 0.0, 1.0)],
+    ids=["conserved", "primitive"])
+def test_stack_broadcasts_scalar_and_array_fields(state):
+    # a state whose fields mix scalars and arrays, which the checks and the
+    # conversions accept, stacks as its fields broadcast to one shape.  A
+    # ConservedState reads as that stack, a new array, which no view can be
+    if isinstance(state, ConservedState):
+        to_primitive(state, IDEAL, IDEAL)
+        assert np.asarray(state).tobytes() == state.stack().tobytes()
+        with pytest.raises(ValueError):
+            np.asarray(state, copy=False)
+    else:
+        validate_primitive(state, IDEAL, IDEAL)
+    s = state.stack()
+    assert s.shape == (7, 2) and s.dtype == float
+    for row, v in zip(s, state.astuple()):
+        assert row.tobytes() == np.broadcast_to(np.asarray(v, dtype=float), (2,)).tobytes()
+
+
+def conversion_of(convert, u):
+    """What ``convert`` (``validate_conserved`` or ``to_primitive``) gives
+    for ``u``: the bytes and shapes of what it returns, or the message and
+    index of the AdmissibilityError it raises."""
+    try:
+        out = convert(u, IDEAL, STIFF)
+    except AdmissibilityError as err:
+        return str(err), err.index
+    fields = out.astuple() if isinstance(out, PrimitiveState) else out
+    return [(np.shape(v), np.asarray(v).tobytes()) for v in fields]
+
+
+def test_a_state_and_its_stack_convert_alike():
+    # every fault of the one-pass test, a state of scalars and a state that
+    # mixes scalars and arrays: the checks and the conversion of a
+    # ConservedState and of its conserved stack give the same bits, the
+    # same messages and the same indices
+    w = PrimitiveState(*(np.full(5, v) for v in (0.4, 1.0, 0.1, 150.0, 2.0, -0.3, 120.0)))
+    states = [to_conserved(w[0], IDEAL, STIFF),
+              ConservedState(np.array([0.5, 0.6]), 1.0, 1.0, 0.0, 0.0, 2.5, 500.0),
+              ConservedState(0.5, np.array([1.0, -1.0]), 1.0, 0.0, 0.0, 2.5, 500.0)]
+    for kind in FAULTS + ["sound2"]:
+        u = ConservedState(*to_conserved(w, IDEAL, STIFF).stack())
+        states.append(with_fault(u, kind, 3, IDEAL, STIFF))
+    for u in states:
+        for convert in (validate_conserved, to_primitive):
+            with np.errstate(all="ignore"):
+                assert conversion_of(convert, u) == conversion_of(convert, u.stack())
+
+
+def test_conversions_read_the_stack_without_copying_it():
+    # to_primitive's alpha1 is a view of the (7, k) float stack it is
+    # given; validate_conserved, stopping at its first reduction (an alpha1
+    # outside (0, 1)), allocates less than the stack holds, which a copy of
+    # the stack alone would take
+    w = PrimitiveState(*(np.full(20_000, v) for v in (0.4, 1.0, 0.1, 1.0, 2.0, -0.3, 0.8)))
+    s = to_conserved(w, IDEAL, IDEAL).stack()
+    assert np.shares_memory(to_primitive(s, IDEAL, IDEAL).alpha1, s)
+    s[0, -1] = 1.5
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdmissibilityError, match="alpha1 outside"):
+            validate_conserved(s, IDEAL, IDEAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.nbytes
